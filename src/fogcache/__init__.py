@@ -35,7 +35,7 @@ from .baselines import (
     projected_gradient_solve,
     qp_projection_oracle,
 )
-from .errors import NumericalError, ProjectionError
+from .errors import NumericalError
 from .heuristic import (
     HeuristicResult,
     echr_cpl,
@@ -96,7 +96,6 @@ __all__ = [
     "NumericalError",
     "PgdResult",
     "Placement",
-    "ProjectionError",
     "QueueSplit",
     "Scenario",
     "SimConfig",

@@ -10,20 +10,20 @@ def _march(func, lo, hi, side):
 
     ``side=-1`` searches for a negative value on candidates approaching ``lo``
     from inside; ``side=+1`` for a positive value approaching ``hi``.  The
-    function is assumed to diverge to -inf/+inf at the respective boundary, so
-    a NaN (overflowed arithmetic hard against the boundary) is treated as
-    having the boundary's limiting sign.
+    candidates start a quarter of the way in (the caller has already
+    evaluated the midpoint).  The function is assumed to diverge to
+    -inf/+inf at the respective boundary, so a NaN (overflowed arithmetic
+    hard against the boundary) is treated as having the boundary's limiting
+    sign.
     """
     width = hi - lo
-    for k in range(1, 64):
+    for k in range(2, 64):
         x = lo + width * 0.5**k if side < 0 else hi - width * 0.5**k
         if not lo < x < hi:
             break
         value = func(x)
-        if np.isnan(value):
-            return x, side * np.inf
-        if side * value > 0:
-            return x, value
+        if np.isnan(value) or side * value > 0:
+            return x
     raise NumericalError(
         "failed to bracket a root on (%g, %g): no %s value found"
         % (lo, hi, "negative" if side < 0 else "positive")
@@ -37,17 +37,19 @@ def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
     diverge at the boundaries).  Newton steps from ``deriv`` are used whenever
     they stay inside the current sign bracket; otherwise the step falls back
     to bisection, so convergence to absolute tolerance ``tol`` on the bracket
-    width is guaranteed.
+    width is guaranteed.  Once a Newton step is shorter than ``tol / 2`` it is
+    doubled (to at least a few ulps), so the next point lands just past the
+    root and the bracket closes around the Newton estimate at once instead
+    of by bisection.
     """
     if not hi > lo:
         raise ValueError("empty interval (%g, %g)" % (lo, hi))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a, _ = _march(func, lo, hi, -1)
-        b, _ = _march(func, lo, hi, +1)
-        if b < a:
-            # The two marches landed out of order (root hugging a boundary);
-            # the signs still bracket it.
-            a, b = b, a
+        middle = 0.5 * (lo + hi)
+        if func(middle) < 0.0:
+            a, b = middle, _march(func, lo, hi, +1)
+        else:
+            a, b = _march(func, lo, hi, -1), middle
         x = 0.5 * (a + b)
         for _ in range(max_iter):
             fx = func(x)
@@ -61,7 +63,12 @@ def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
                 return 0.5 * (a + b)
             slope = deriv(x)
             if np.isfinite(fx) and np.isfinite(slope) and slope > 0.0:
-                candidate = x - fx / slope
+                step = -fx / slope
+                if abs(step) < 0.5 * tol:
+                    # Newton has converged from one side: probe past its
+                    # estimate so the far end closes the bracket around it.
+                    step = np.copysign(max(2.0 * abs(step), 4.0 * abs(np.spacing(x))), step)
+                candidate = x + step
                 if a < candidate < b:
                     x = candidate
                     continue

@@ -8,7 +8,8 @@ Three routes to the same answers, deliberately different in mechanism:
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
 * :func:`qp_projection_oracle` — exact projection for small instances by
-  brute-force enumeration of KKT active sets, cross-checking Dykstra.
+  brute-force enumeration of KKT active sets, cross-checking the main
+  solver's dual Newton projection (which projected gradient shares).
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class BaselineConfig:
     fixed_step: float | None = None
     tol: float = 1e-8
     max_iter: int = 5000
-    projection_tol: float = 1e-10
-    projection_max_iter: int = 20000
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -94,11 +93,6 @@ def projected_gradient_solve(scenario, config=None):
         h = min(max(float(popularity @ matrix.sum(axis=0)), 0.0), 1.0)
         return adt_curve(h, traffic)
 
-    def project(matrix):
-        return project_feasible(
-            matrix, constraints, tol=config.projection_tol, max_iter=config.projection_max_iter
-        )
-
     p = np.zeros((cluster.node_count, library.count))
     value = objective_of(p)
     trace = []
@@ -109,12 +103,12 @@ def projected_gradient_solve(scenario, config=None):
         gradient = adt_slope(h, traffic) * popularity[np.newaxis, :]
         if config.fixed_step is not None:
             step = config.fixed_step
-            candidate = project(p - step * gradient)
+            candidate = project_feasible(p - step * gradient, constraints)
             candidate_value = objective_of(candidate)
         else:
             step = config.step_init
             while True:
-                candidate = project(p - step * gradient)
+                candidate = project_feasible(p - step * gradient, constraints)
                 candidate_value = objective_of(candidate)
                 displacement_sq = float(np.sum((candidate - p) ** 2))
                 if (

@@ -4,19 +4,7 @@
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to meet its tolerance.
 
-    Raised for conditions that are numerical rather than type/shape problems:
-    root-bracketing failures, projection iteration caps, and the like.
+    Raised for conditions that are numerical rather than type/shape problems,
+    such as a root that cannot be bracketed.
     """
 
-
-class ProjectionError(NumericalError):
-    """Dykstra projection hit its iteration cap before converging.
-
-    Carries the last iterate and the residual movement so callers can inspect
-    (or accept) the partial result.
-    """
-
-    def __init__(self, message, last=None, residual=None):
-        super().__init__(message)
-        self.last = last
-        self.residual = residual

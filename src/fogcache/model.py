@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 #: Absolute slack allowed by the feasibility checkers.  Placements come out of
-#: iterative projections, so exact constraint satisfaction is not attainable
+#: numerical solvers, so exact constraint satisfaction is not attainable
 #: in floating point; violations beyond this tolerance are rejected.
 FEASIBILITY_TOL = 1e-8
 

@@ -117,25 +117,42 @@ def adt_curve(h, traffic):
     return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
 
 
+def _rates(traffic):
+    """The arrays the derivative kernels read: ``(lam, mu_e, mu_b, weights)``."""
+    return traffic.lam, traffic.mu_e, traffic.mu_b, traffic.weights
+
+
+def _slope_at(h, lam, mu_e, mu_b, weights):
+    """``dD/dh`` from precomputed :func:`_rates`, with no stability check.
+
+    For hot loops that keep ``h`` inside :func:`stable_echr_interval`
+    themselves; ``h`` carries a trailing station axis (or is a scalar).
+    """
+    per_station = mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
+    return np.sum(weights * per_station, axis=-1)
+
+
+def _curvature_at(h, lam, mu_e, mu_b, weights):
+    """``d2D/dh2`` from precomputed :func:`_rates`; see :func:`_slope_at`."""
+    per_station = (
+        2.0 * mu_e * lam / (mu_e - lam * h) ** 3
+        + 2.0 * mu_b * lam / (mu_b - lam * (1.0 - h)) ** 3
+    )
+    return np.sum(weights * per_station, axis=-1)
+
+
 def adt_slope(h, traffic):
     """First derivative ``dD/dh`` (vectorized over ``h``)."""
     scalar = np.ndim(h) == 0
     h = _require_stable(h, traffic)[..., np.newaxis]
-    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
-    per_station = mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
-    return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
+    return _maybe_scalar(_slope_at(h, *_rates(traffic)), scalar)
 
 
 def adt_curvature(h, traffic):
     """Second derivative ``d2D/dh2``; strictly positive on the stable range."""
     scalar = np.ndim(h) == 0
     h = _require_stable(h, traffic)[..., np.newaxis]
-    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
-    per_station = (
-        2.0 * mu_e * lam / (mu_e - lam * h) ** 3
-        + 2.0 * mu_b * lam / (mu_b - lam * (1.0 - h)) ** 3
-    )
-    return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
+    return _maybe_scalar(_curvature_at(h, *_rates(traffic)), scalar)
 
 
 def adt_of_echr(h, lam, mu_e, mu_b):

@@ -1,5 +1,7 @@
 """Tests for the splitting solver and the feasible-set projection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fogcache import (
     overall_adt,
     p_update,
     project_feasible,
+    qp_projection_oracle,
     solve,
     validate_placement,
 )
@@ -25,6 +28,7 @@ from conftest import (
     HETERO_ADT_OPT,
     make_scenario,
     random_feasible_placement,
+    random_projection_instance,
     random_scenario,
 )
 
@@ -46,7 +50,6 @@ class TestAdmmConfig:
             {"rho": -1.0},
             {"eps_abs": -1e-9},
             {"max_iter": 0},
-            {"projection_tol": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -147,6 +150,50 @@ class TestProjectFeasible:
             np.testing.assert_allclose(z2, z, atol=1e-8)
             validate_placement(z, scenario.library, scenario.cluster)
 
+    def test_exact_beyond_the_oracle_size(self):
+        # Up to 20 nodes and 2000 contents, equal and unequal sizes: the
+        # result is feasible, a fixed point, and satisfies the variational
+        # inequality <x - z, w - z> <= 0 that characterizes the projection.
+        # The system is a stand-in with only the attributes the projection
+        # reads: the dense matrices of a built one take hundreds of MB here.
+        rng = np.random.default_rng(20200206)
+        for trial in range(12):
+            n = int(rng.integers(1, 21))
+            f = int(rng.integers(1, 2001))
+            sizes = rng.uniform(0.5, 2.0, size=f) if trial % 2 else np.ones(f)
+            library = ContentLibrary(np.full(f, 1.0 / f), sizes)
+            share = float(rng.uniform(0.05, 1.1))
+            cluster = FogCluster(share * sizes.sum() * rng.dirichlet(np.ones(n)))
+            system = SimpleNamespace(
+                n_nodes=n, n_contents=f, sizes=sizes, capacities=cluster.capacities
+            )
+            x = rng.uniform(-0.6, 1.6, size=(n, f)) * rng.uniform(0.1, 1.0)
+            z = project_feasible(x, system)
+            violation = max(
+                float(np.max(-z, initial=0.0)),
+                float(np.max(z - 1.0, initial=0.0)),
+                float(np.max(z.sum(axis=0) - 1.0, initial=0.0)),
+                float(np.max(z @ sizes - cluster.capacities, initial=0.0)),
+            )
+            assert violation <= 1e-9
+            np.testing.assert_allclose(project_feasible(z, system), z, atol=1e-9)
+            bound = 1e-9 * (1.0 + float(np.vdot(x, x)))
+            for _ in range(5):
+                w = random_feasible_placement(rng, library, cluster).matrix
+                assert float(np.vdot(x - z, w - z)) <= bound
+
+    def test_singular_newton_system(self):
+        # Regression: this 5x1 instance's content row is active at the
+        # starting multipliers (the clipped column sums to 2.6) but slack at
+        # the projection, so the unregularized Newton system is singular.
+        x, library, cluster = random_projection_instance(np.random.default_rng(8088))
+        assert x.shape == (5, 1)
+        system = ConstraintSystem.build(library, cluster)
+        assert np.clip(x, 0.0, 1.0).sum() > 1.0
+        z = project_feasible(x, system)
+        assert z.sum() < 1.0 - 0.1
+        np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
+
 
 class TestPUpdate:
     def test_optimality_identity(self, reference_scenario):
@@ -187,6 +234,12 @@ class TestSolve:
         assert result.adt == pytest.approx(ADT_OPT, abs=1e-9)
         assert result.echr == pytest.approx(H_CPL, abs=1e-5)
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
+
+    @pytest.mark.parametrize("rho, iterations", [(1.0, 901), (0.02, 20)])
+    def test_iteration_counts_are_pinned(self, reference_scenario, rho, iterations):
+        # The counts the solver took with the earlier iterative projection;
+        # an exact projection must leave the iterates where they were.
+        assert solve(reference_scenario, AdmmConfig(rho=rho)).iterations == iterations
 
     def test_default_config_converges(self, reference_scenario):
         result = solve(reference_scenario)
