@@ -35,8 +35,7 @@ def main():
         scenario_path.write_text(json.dumps(SCENARIO, indent=2))
 
         # --- one-shot solve: writes placement.json, report.json, trace.csv
-        # (rho tuned down; the default 1.0 also converges, just more slowly)
-        run(["solve", "--scenario", str(scenario_path), "--rho", "0.02", "--out", str(scratch)])
+        run(["solve", "--scenario", str(scenario_path), "--out", str(scratch)])
         report = json.loads((scratch / "report.json").read_text())
         print(f"  converged in {report['iterations']} iterations")
         print(f"  hit ratio {report['echr']:.5f}, download time {report['adt']:.6f}")
@@ -56,7 +55,7 @@ def main():
             )
         )
         sweep_csv = scratch / "sweep.csv"
-        run(["sweep", "--scenario", str(sweep_path), "--rho", "0.02", "--out", str(sweep_csv)])
+        run(["sweep", "--scenario", str(sweep_path), "--out", str(sweep_csv)])
 
         with sweep_csv.open(newline="") as handle:
             table = list(csv.DictReader(handle))

