@@ -21,7 +21,7 @@ from .baselines import BaselineConfig, projected_gradient_solve
 from .errors import NumericalError
 from .heuristic import echr_csl, heuristic_solve
 from .model import Placement, Scenario
-from .objective import echr, overall_adt
+from .objective import overall_adt
 from .queuesim import SimConfig, simulate_cluster
 
 __all__ = [
@@ -131,9 +131,17 @@ def _load_placement(path):
 
 
 def _dump_placement(placement, path):
+    """Write the bytes of ``json.dump({"matrix": ...}, indent=2)`` plus a newline."""
     with open(path, "w") as handle:
-        json.dump({"matrix": placement.matrix.tolist()}, handle, indent=2)
-        handle.write("\n")
+        handle.write('{\n  "matrix": [')
+        for i, row in enumerate(placement.matrix):
+            entries = ["0.0"] * row.size
+            shown = np.flatnonzero((row != 0.0) | np.signbit(row))
+            for f, value in zip(shown.tolist(), row[shown].tolist()):
+                entries[f] = repr(value)
+            handle.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(entries))
+            handle.write("\n    ]")
+        handle.write("\n  ]\n}\n")
 
 
 def _dump_json(data, path):
@@ -142,8 +150,7 @@ def _dump_json(data, path):
         handle.write("\n")
 
 
-def _report_dict(placement, scenario):
-    report = overall_adt(placement, scenario)
+def _report_dict(report):
     return {
         "h_e": report.h_e,
         "h_b": report.h_b,
@@ -197,7 +204,7 @@ def cmd_solve(
             "iterations": result.iterations,
             "converged": result.converged,
             "wall_time": wall_time,
-            "adt_report": _report_dict(result.placement, scenario),
+            "adt_report": _report_dict(overall_adt(result.placement, scenario)),
         },
         out / "report.json",
     )
@@ -218,15 +225,15 @@ def cmd_heuristic(scenario_file, out_dir=None):
     """Run the two-regime heuristic; print its summary as JSON."""
     scenario = Scenario.load(scenario_file)
     result = heuristic_solve(scenario)
-    adt = overall_adt(result.placement, scenario).overall
+    report = overall_adt(result.placement, scenario)
     summary = {
         "h_csl": result.h_csl,
         "h_cpl": result.h_cpl,
         "h_star": result.h_star,
         "lambda_star": result.lambda_star,
         "regime": result.regime,
-        "echr": min(max(echr(result.placement, scenario.library), 0.0), 1.0),
-        "adt": adt,
+        "echr": report.h_e,
+        "adt": report.overall,
     }
     print(json.dumps(summary, indent=2))
     if out_dir is not None:
@@ -234,7 +241,7 @@ def cmd_heuristic(scenario_file, out_dir=None):
         out.mkdir(parents=True, exist_ok=True)
         _dump_placement(result.placement, out / "placement.json")
         _dump_json(
-            dict(summary, adt_report=_report_dict(result.placement, scenario)),
+            dict(summary, adt_report=_report_dict(report)),
             out / "report.json",
         )
     return 0
@@ -252,15 +259,12 @@ def _sweep_point(solver, scenario, admm_config, baseline_config):
         values = (result.echr, result.adt, result.iterations)
         status = "ok" if result.converged else "unconverged"
     elif solver == "heuristic":
-        result = heuristic_solve(scenario)
-        adt = overall_adt(result.placement, scenario).overall
-        realized = min(max(echr(result.placement, scenario.library), 0.0), 1.0)
-        values = (realized, adt, 0)
+        report = overall_adt(heuristic_solve(scenario).placement, scenario)
+        values = (report.h_e, report.overall, 0)
         status = "ok"
     else:  # csl-only
         h_csl, placement = echr_csl(scenario.library, scenario.cluster)
-        adt = overall_adt(placement, scenario).overall
-        values = (h_csl, adt, 0)
+        values = (h_csl, overall_adt(placement, scenario).overall, 0)
         status = "ok"
     wall = time.perf_counter() - start
     return values, status, wall

@@ -39,53 +39,47 @@ __all__ = [
 ]
 
 
-def _greedy_fractions(library, cluster, h_target=None):
+def _greedy_fractions(library, cluster, h_target=math.inf):
     """Per-content cached portions chosen greedily by popularity density.
 
-    Walks contents in decreasing ``popularity / size`` order (which is plain
-    popularity order whenever sizes are equal), taking as much of each content
-    as the remaining pooled capacity — and, when ``h_target`` is given, the
-    remaining hit-ratio budget — allows.  Greedy is exact for this continuous
-    knapsack, so with ``h_target=None`` the result maximizes the ECHR.
+    Sorts contents once by decreasing ``popularity / size`` (plain popularity
+    order when sizes are equal).  The longest prefix whose cumulative size
+    fits the pooled capacity, and whose cumulative popularity fits
+    ``h_target``, is cached whole; the next content gets the portion that
+    exhausts the tighter limit, and the rest exactly zero.  Greedy is exact
+    for this continuous knapsack, so with no target the result maximizes the
+    ECHR.
     """
     popularity, sizes = library.popularity, library.sizes
     order = np.argsort(-(popularity / sizes), kind="stable")
+    whole, partial = library.count, 0.0
+    for cost, budget in ((sizes[order], cluster.total_capacity), (popularity[order], h_target)):
+        used = np.concatenate(([0.0], np.cumsum(cost)))
+        k = int(np.searchsorted(used, budget, side="right")) - 1
+        if k < library.count:
+            whole, partial = min((whole, partial), (k, min((budget - used[k]) / cost[k], 1.0)))
     fractions = np.zeros(library.count)
-    remaining_capacity = cluster.total_capacity
-    remaining_hit = math.inf if h_target is None else float(h_target)
-    for f in order:
-        if remaining_capacity <= 0.0 or remaining_hit <= 0.0:
-            break
-        take = min(1.0, remaining_capacity / sizes[f], remaining_hit / popularity[f])
-        fractions[f] = take
-        remaining_capacity -= take * sizes[f]
-        remaining_hit -= take * popularity[f]
+    fractions[order[:whole]] = 1.0
+    fractions[order[whole : whole + 1]] = partial
     return fractions
 
 
 def _assign_first_fit(fractions, library, cluster):
     """Materialize per-content portions as a node-level placement matrix.
 
-    Contents are visited in index order; each content's storage demand is
-    placed on the first node with spare capacity, spilling over to later
-    nodes as needed.  Any feasible assignment yields the same objective, so
-    this fixed rule simply makes the output canonical.
+    First-fit in index order: node ``i`` holds the overlap of its interval
+    ``[C_{i-1}, C_i)`` of the cumulative capacities with content ``f``'s
+    interval ``[D_{f-1}, D_f)`` of the cumulative demand
+    ``D = cumsum(fractions * sizes)``, so at most ``N - 1`` contents are split
+    and at most ``F + N - 1`` entries are nonzero.  Any feasible assignment
+    yields the same objective; this fixed rule makes the output canonical.
     """
+    demand = np.concatenate(([0.0], np.cumsum(fractions * library.sizes)))
+    capacity = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
     matrix = np.zeros((cluster.node_count, library.count))
-    spare = cluster.capacities.astype(float).copy()
-    for f in range(library.count):
-        demand = fractions[f] * library.sizes[f]
-        if demand <= 0.0:
-            continue
-        for i in range(cluster.node_count):
-            if demand <= 0.0:
-                break
-            amount = min(spare[i], demand)
-            if amount <= 0.0:
-                continue
-            matrix[i, f] = amount / library.sizes[f]
-            spare[i] -= amount
-            demand -= amount
+    for i in range(cluster.node_count):
+        overlap = np.minimum(demand[1:], capacity[i + 1]) - np.maximum(demand[:-1], capacity[i])
+        matrix[i] = np.maximum(overlap, 0.0) / library.sizes
     return Placement(matrix)
 
 
@@ -180,14 +174,15 @@ def placement_from_echr(h_target, library, cluster):
     above the storage bound are unreachable and rejected.
     """
     h_target = float(h_target)
-    h_csl = float(min(library.popularity @ _greedy_fractions(library, cluster), 1.0))
     if h_target < -FEASIBILITY_TOL:
         raise ValueError("target hit ratio must be nonnegative")
-    if h_target > h_csl + 1e-9:
-        raise ValueError(
-            f"target hit ratio {h_target:g} exceeds the storage-limited bound {h_csl:g}"
-        )
     fractions = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))
+    # Short of the target only when storage binds, and then at the storage bound.
+    reached = float(library.popularity @ fractions)
+    if h_target > reached + 1e-9:
+        raise ValueError(
+            f"target hit ratio {h_target:g} exceeds the storage-limited bound {reached:g}"
+        )
     return _assign_first_fit(fractions, library, cluster)
 
 
@@ -218,14 +213,15 @@ def heuristic_solve(scenario):
     """
     require_equal_sizes(scenario.library)
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
-    h_csl, csl_placement = echr_csl(library, cluster)
+    fractions = _greedy_fractions(library, cluster)
+    h_csl = float(min(library.popularity @ fractions, 1.0))
     h_cpl = echr_cpl(traffic)
     if h_cpl <= h_csl:
         regime, h_star = "CPL", h_cpl
-        placement = placement_from_echr(h_star, library, cluster)
+        fractions = _greedy_fractions(library, cluster, h_target=h_star)
     else:
         regime, h_star = "CSL", h_csl
-        placement = csl_placement
+    placement = _assign_first_fit(fractions, library, cluster)
     lambda_star = None
     if traffic.homogeneous and h_csl > 0.0:
         lambda_star = lambda_threshold(h_csl, float(traffic.mu_e[0]), float(traffic.mu_b[0]))

@@ -9,8 +9,23 @@ import json
 import numpy as np
 import pytest
 
-from fogcache import validate_placement
-from fogcache.cli import SIMULATE_HEADER, SWEEP_HEADER, TRACE_HEADER, main
+from fogcache import (
+    ContentLibrary,
+    FogCluster,
+    Placement,
+    Scenario,
+    TrafficProfile,
+    heuristic_solve,
+    validate_placement,
+)
+from fogcache.cli import (
+    SIMULATE_HEADER,
+    SWEEP_HEADER,
+    TRACE_HEADER,
+    _dump_placement,
+    _load_placement,
+    main,
+)
 
 from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR
 
@@ -301,6 +316,40 @@ class TestSimulateCommand:
             ["simulate", "--scenario", str(scenario_file), "--placement", str(bad)]
         )
         assert code == 2
+
+
+def _heuristic_placement(rng):
+    nodes = 10
+    scenario = Scenario(
+        library=ContentLibrary.zipf(5000, 0.8),
+        cluster=FogCluster(rng.uniform(40.0, 60.0, nodes)),
+        traffic=TrafficProfile([4.0] * nodes, [8.0] * nodes, [6.0] * nodes),
+    )
+    return heuristic_solve(scenario).placement.matrix
+
+
+WRITER_MATRICES = {
+    "dense": lambda rng: rng.uniform(0.0, 0.3, (3, 7)),
+    "sparse": lambda rng: rng.uniform(0.0, 0.3, (3, 7)) * (rng.uniform(size=(3, 7)) < 0.3),
+    "zero_rows": lambda rng: np.vstack([np.zeros(7), rng.uniform(0.0, 0.3, 7), np.zeros(7)]),
+    "all_zero": lambda rng: np.zeros((3, 7)),
+    "special": lambda rng: np.array([[-0.0, 5e-324, 1e-300, 0.1 + 0.2]]),
+    "one_by_one": lambda rng: np.array([[0.25]]),
+    "heuristic": _heuristic_placement,
+}
+
+
+class TestPlacementWriter:
+    @pytest.mark.parametrize("name", list(WRITER_MATRICES))
+    def test_bytes_match_json_dump(self, tmp_path, name):
+        matrix = WRITER_MATRICES[name](np.random.default_rng(2718))
+        path = tmp_path / "placement.json"
+        _dump_placement(Placement(matrix), path)
+        expected = json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
+        loaded = _load_placement(path).matrix
+        np.testing.assert_array_equal(loaded, matrix)
+        np.testing.assert_array_equal(np.signbit(loaded), np.signbit(matrix))
 
 
 class TestParser:

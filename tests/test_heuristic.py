@@ -19,7 +19,9 @@ from fogcache import (
     overall_adt,
     placement_from_echr,
     validate_placement,
+    zipf_popularity,
 )
+from fogcache.heuristic import _assign_first_fit, _greedy_fractions
 
 from conftest import (
     ADT_AT_CSL,
@@ -34,6 +36,111 @@ from conftest import (
     make_scenario,
     random_scenario,
 )
+
+
+def _loop_greedy_fractions(library, cluster, h_target=None):
+    """The content-at-a-time greedy the vectorised helper replaced (oracle)."""
+    popularity, sizes = library.popularity, library.sizes
+    order = np.argsort(-(popularity / sizes), kind="stable")
+    fractions = np.zeros(library.count)
+    remaining_capacity = cluster.total_capacity
+    remaining_hit = math.inf if h_target is None else float(h_target)
+    for f in order:
+        if remaining_capacity <= 0.0 or remaining_hit <= 0.0:
+            break
+        take = min(1.0, remaining_capacity / sizes[f], remaining_hit / popularity[f])
+        fractions[f] = take
+        remaining_capacity -= take * sizes[f]
+        remaining_hit -= take * popularity[f]
+    return fractions
+
+
+def _loop_assign_first_fit(fractions, library, cluster):
+    """The node-at-a-time first-fit the interval-overlap form replaced (oracle)."""
+    matrix = np.zeros((cluster.node_count, library.count))
+    spare = cluster.capacities.astype(float).copy()
+    for f in range(library.count):
+        demand = fractions[f] * library.sizes[f]
+        if demand <= 0.0:
+            continue
+        for i in range(cluster.node_count):
+            if demand <= 0.0:
+                break
+            amount = min(spare[i], demand)
+            if amount <= 0.0:
+                continue
+            matrix[i, f] = amount / library.sizes[f]
+            spare[i] -= amount
+            demand -= amount
+    return matrix
+
+
+def _greedy_instance(layout, rng):
+    """A library and cluster whose capacities follow ``layout``."""
+    count, nodes = int(rng.integers(5, 80)), int(rng.integers(3, 8))
+    popularity = zipf_popularity(count, float(rng.uniform(0.3, 1.5)))
+    if layout == "on_boundaries":
+        # Unit sizes and integer capacities: every node ends on a content boundary.
+        library = ContentLibrary(popularity)
+        return library, FogCluster(rng.integers(1, 4, nodes).astype(float))
+    library = ContentLibrary(popularity, rng.uniform(0.2, 3.0, count))
+    if layout == "ample":
+        return library, FogCluster(rng.dirichlet(np.ones(nodes)) * 1.5 * library.sizes.sum())
+    capacities = rng.uniform(0.0, 0.6, nodes) * library.sizes.sum() / nodes
+    position = {"zero_first": 0, "zero_middle": nodes // 2, "zero_last": nodes - 1}.get(layout)
+    if position is not None:
+        capacities[position] = 0.0
+    return library, FogCluster(capacities)
+
+
+def _assert_first_fit_shape(matrix, cluster):
+    """At most N - 1 contents are split, each across consecutive nodes
+    (consecutive once zero-capacity nodes, which hold nothing, are skipped)."""
+    assert np.count_nonzero(matrix) <= matrix.shape[0] + matrix.shape[1] - 1
+    assert not matrix[cluster.capacities == 0.0].any()
+    held = matrix[cluster.capacities > 0.0] != 0.0
+    counts = held.sum(axis=0)
+    first = np.argmax(held, axis=0)
+    last = held.shape[0] - 1 - np.argmax(held[::-1], axis=0)
+    np.testing.assert_array_equal(np.where(counts > 0, last - first + 1, 0), counts)
+
+
+LAYOUTS = ("random", "zero_first", "zero_middle", "zero_last", "on_boundaries", "ample")
+
+
+class TestVectorisedHelpers:
+    @pytest.mark.parametrize("seed, layout", enumerate(LAYOUTS))
+    def test_match_the_loops(self, seed, layout):
+        rng = np.random.default_rng(600 + seed)
+        for _ in range(15):
+            library, cluster = _greedy_instance(layout, rng)
+            h_csl = float(library.popularity @ _loop_greedy_fractions(library, cluster))
+            for h_target in (math.inf, 0.0, float(rng.uniform(0.0, h_csl)), h_csl):
+                fractions = _greedy_fractions(library, cluster, h_target=h_target)
+                expected = _loop_greedy_fractions(library, cluster, h_target=h_target)
+                np.testing.assert_allclose(fractions, expected, rtol=0.0, atol=1e-9)
+                assert library.popularity @ fractions == pytest.approx(
+                    library.popularity @ expected, abs=1e-12
+                )
+                placement = _assign_first_fit(fractions, library, cluster)
+                np.testing.assert_allclose(
+                    placement.matrix,
+                    _loop_assign_first_fit(fractions, library, cluster),
+                    rtol=0.0,
+                    atol=1e-9,
+                )
+                validate_placement(placement, library, cluster)
+                _assert_first_fit_shape(placement.matrix, cluster)
+
+    def test_first_fit_shape_at_catalog_scale(self):
+        rng = np.random.default_rng(50_000)
+        library = ContentLibrary.zipf(50_000, 0.8)
+        cluster = FogCluster(rng.uniform(0.8, 1.2, 50) * 100.0)
+        h_csl, placement = echr_csl(library, cluster)
+        interior = placement_from_echr(0.5 * h_csl, library, cluster)
+        for matrix in (placement.matrix, interior.matrix):
+            validate_placement(matrix, library, cluster)
+            _assert_first_fit_shape(matrix, cluster)
 
 
 class TestEchrCsl:
