@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
+#: Arrivals per block of the Lindley kernel: three float64 buffers of this
+#: length (768 KB) stay in L2.  Blocks from 2**14 to 2**16 ran equally fast.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,9 @@ class SimConfig:
 
     ``warmup`` arrivals are discarded from the front of every queue's sample
     path to wash out the empty-system start; by default 1% of the run.
+
+    Queues are simulated one at a time; each needs 8 bytes per arrival for
+    its sojourn times plus about 768 KB of fixed working buffers.
     """
 
     seed: int = 0
@@ -79,34 +85,92 @@ class SimResult:
     samples: int
 
 
-def _exponential(rng, rate, size):
-    # -log1p(-U) maps U in [0, 1) to (0, inf) without ever taking log(0).
-    return -np.log1p(-rng.random(size)) / rate
+def _exponential_from_uniform(u, rate):
+    # log1p(-U) / -rate, in place: -log1p(-U) maps U in [0, 1) to (0, inf)
+    # without ever taking log(0), and x / -r equals -(x / r) exactly.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, -rate, out=u)
 
 
 def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     """Sojourn times of the first ``n_arrivals`` customers of an M/M/1 queue.
 
-    Runs Lindley's recursion in vectorized form: with arrival times ``A`` and
-    cumulative services ``cumS``, the departure of customer ``k`` is
-    ``cumS_k + max_{j<=k}(A_j - cumS_{j-1})``, so the whole path is one
-    ``cumsum`` and one running maximum.
+    Lindley's recursion in vectorized form: with arrival times ``A``,
+    services ``S`` and cumulative services ``cumS``, customer ``k`` departs
+    at ``cumS_k + max_{j<=k}(A_j - (cumS_j - S_j))``.
+
+    All interarrival uniforms are drawn first, in one ``rng.random`` call into
+    the returned array, then the service uniforms ``_BLOCK`` at a time: the
+    draw order of two whole-array draws.  The recursion runs in blocks of
+    ``_BLOCK``, in place in the output slice and three reused buffers that
+    stay in cache.  Three scalars carry across blocks: the last arrival time
+    and last cumulative service are added into the block's first element
+    before an in-place (sequential) ``cumsum``, so each partial sum is the
+    add a whole-array ``cumsum`` makes, and the running maximum enters as
+    ``max(x_0, carry)``, which is exact.  All other steps are elementwise, so
+    the output is bit-identical to the whole-array recursion, and to earlier
+    versions of this function, for the same ``rng`` state.  Memory is the
+    8-byte output per arrival plus about 768 KB of buffers.
     """
-    gaps = _exponential(rng, lam, n_arrivals)
-    services = _exponential(rng, mu, n_arrivals)
-    arrivals = np.cumsum(gaps)
-    cum_services = np.cumsum(services)
-    departures = cum_services + np.maximum.accumulate(arrivals - (cum_services - services))
-    return departures - arrivals
+    sojourn = rng.random(n_arrivals)
+    size = min(n_arrivals, _BLOCK)
+    services = np.empty(size)
+    cum_services = np.empty(size)
+    work = np.empty(size)
+    last_arrival = last_cum_service = 0.0
+    running_max = -math.inf
+    for start in range(0, n_arrivals, _BLOCK):
+        k = min(_BLOCK, n_arrivals - start)
+        arrivals = sojourn[start : start + k]
+        s, cum_s, w = services[:k], cum_services[:k], work[:k]
+
+        _exponential_from_uniform(arrivals, lam)
+        arrivals[0] += last_arrival
+        np.cumsum(arrivals, out=arrivals)
+        last_arrival = arrivals[-1]
+
+        s[:] = rng.random(k)
+        _exponential_from_uniform(s, mu)
+        first = s[0]  # the carry enters cumS only, not S
+        s[0] += last_cum_service
+        np.cumsum(s, out=cum_s)
+        s[0] = first
+        last_cum_service = cum_s[-1]
+
+        # Departures: cumS + running max of (A - (cumS - S)); sojourn = D - A.
+        np.subtract(cum_s, s, out=w)
+        np.subtract(arrivals, w, out=w)
+        w[0] = max(w[0], running_max)
+        np.maximum.accumulate(w, out=w)
+        running_max = w[-1]
+        np.add(cum_s, w, out=w)
+        np.subtract(w, arrivals, out=arrivals)
+    return sojourn
 
 
 def _mean_ci(samples):
+    """Mean and 95% half-width of ``samples``, which it overwrites.
+
+    The variance is computed in place with the steps of
+    ``np.std(ddof=1)`` (subtract the mean, square, pairwise sum, divide by
+    ``m - 1``, square root), so the result is bit-identical to it.
+    """
     m = samples.size
     mean = float(samples.mean())
     if m < 2:
         return mean, math.inf
-    ci = _CI_FACTOR * float(samples.std(ddof=1)) / math.sqrt(m)
-    return mean, ci
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    std = math.sqrt(float(np.add.reduce(samples)) / (m - 1))
+    return mean, _CI_FACTOR * std / math.sqrt(m)
+
+
+def _simulate_queue(lam, mu, config, seed_seq):
+    """``(mean, ci_halfwidth)`` of one queue run from ``seed_seq``."""
+    rng = np.random.default_rng(seed_seq)
+    sojourn = mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
+    return _mean_ci(sojourn[config.effective_warmup :])
 
 
 def simulate_mm1(lam, mu, config):
@@ -120,9 +184,7 @@ def simulate_mm1(lam, mu, config):
     mu = float(mu)
     if not 0 < lam < mu:
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    sojourn = mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
-    return _mean_ci(sojourn[config.effective_warmup :])
+    return _simulate_queue(lam, mu, config, np.random.SeedSequence(config.seed))
 
 
 def simulate_station(placement, scenario, station, config):
@@ -143,23 +205,17 @@ def simulate_station(placement, scenario, station, config):
     mu_b = float(traffic.mu_b[station])
 
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
-    warmup = config.effective_warmup
-    kept = config.n_arrivals - warmup
-
-    def run(rate, mu, seed_seq):
-        rng = np.random.default_rng(seed_seq)
-        sojourn = mm1_sojourn_times(rate, mu, config.n_arrivals, rng)
-        return _mean_ci(sojourn[warmup:])
+    kept = config.n_arrivals - config.effective_warmup
 
     if h == 0.0:
-        mean_b, ci_b = run(lam, mu_b, children[1])
+        mean_b, ci_b = _simulate_queue(lam, mu_b, config, children[1])
         return SimResult(None, mean_b, mean_b, ci_b, kept)
     if h == 1.0:
-        mean_e, ci_e = run(lam, mu_e, children[0])
+        mean_e, ci_e = _simulate_queue(lam, mu_e, config, children[0])
         return SimResult(mean_e, None, mean_e, ci_e, kept)
 
-    mean_e, ci_e = run(lam * h, mu_e, children[0])
-    mean_b, ci_b = run(lam * (1.0 - h), mu_b, children[1])
+    mean_e, ci_e = _simulate_queue(lam * h, mu_e, config, children[0])
+    mean_b, ci_b = _simulate_queue(lam * (1.0 - h), mu_b, config, children[1])
     mean = h * mean_e + (1.0 - h) * mean_b
     ci = math.hypot(h * ci_e, (1.0 - h) * ci_b)
     return SimResult(mean_e, mean_b, mean, ci, 2 * kept)

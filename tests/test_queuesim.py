@@ -1,6 +1,7 @@
 """Tests for the discrete-event queue simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from fogcache import (
     Placement,
     SimConfig,
+    SimResult,
     adt_curve,
     echr,
     heuristic_solve,
@@ -17,6 +19,8 @@ from fogcache import (
     simulate_mm1,
     simulate_station,
 )
+
+from fogcache.queuesim import _BLOCK, _mean_ci
 
 from conftest import make_scenario
 
@@ -181,3 +185,114 @@ class TestSimulateCluster:
         results = simulate_cluster(placement, scenario, SimConfig(seed=21, n_arrivals=100_000))
         for result in results:
             assert abs(result.mean_adt - analytic) / analytic < 0.02
+
+
+# --- whole-array oracle: the Lindley kernel and confidence interval as they
+# were before the blocked kernel, kept verbatim to pin its bits ---
+
+
+def _oracle_exponential(rng, rate, size):
+    return -np.log1p(-rng.random(size)) / rate
+
+
+def _oracle_sojourn_times(lam, mu, n_arrivals, rng):
+    gaps = _oracle_exponential(rng, lam, n_arrivals)
+    services = _oracle_exponential(rng, mu, n_arrivals)
+    arrivals = np.cumsum(gaps)
+    cum_services = np.cumsum(services)
+    departures = cum_services + np.maximum.accumulate(arrivals - (cum_services - services))
+    return departures - arrivals
+
+
+def _oracle_mean_ci(samples):
+    m = samples.size
+    mean = float(samples.mean())
+    if m < 2:
+        return mean, math.inf
+    ci = 1.96 * float(samples.std(ddof=1)) / math.sqrt(m)
+    return mean, ci
+
+
+def _oracle_station(placement, scenario, station, config):
+    traffic = scenario.traffic
+    h = min(max(echr(placement, scenario.library), 0.0), 1.0)
+    lam = float(traffic.lam[station])
+    mu_e = float(traffic.mu_e[station])
+    mu_b = float(traffic.mu_b[station])
+    children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
+    warmup = config.effective_warmup
+    kept = config.n_arrivals - warmup
+
+    def run(rate, mu, seed_seq):
+        rng = np.random.default_rng(seed_seq)
+        sojourn = _oracle_sojourn_times(rate, mu, config.n_arrivals, rng)
+        return _oracle_mean_ci(sojourn[warmup:])
+
+    if h == 0.0:
+        mean_b, ci_b = run(lam, mu_b, children[1])
+        return SimResult(None, mean_b, mean_b, ci_b, kept)
+    if h == 1.0:
+        mean_e, ci_e = run(lam, mu_e, children[0])
+        return SimResult(mean_e, None, mean_e, ci_e, kept)
+    mean_e, ci_e = run(lam * h, mu_e, children[0])
+    mean_b, ci_b = run(lam * (1.0 - h), mu_b, children[1])
+    mean = h * mean_e + (1.0 - h) * mean_b
+    ci = math.hypot(h * ci_e, (1.0 - h) * ci_b)
+    return SimResult(mean_e, mean_b, mean, ci, 2 * kept)
+
+
+_BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+#: ``lam`` just below ``mu`` (utilisation 0.999) and ``lam << mu``.
+_RATES = ((0.999, 1.0), (1e-3, 10.0), (4.0, 8.0))
+
+
+def _placements():
+    """``(scenario, placement)`` with ``h`` at 0, interior and 1."""
+    scenario = make_scenario()
+    full = make_scenario(count=1, capacities=(3.0, 3.0, 3.0))
+    return {
+        "empty": (scenario, Placement(np.zeros((3, 20)))),
+        "interior": (scenario, heuristic_solve(scenario).placement),
+        "full": (full, Placement(np.array([[1.0], [0.0], [0.0]]))),
+    }
+
+
+class TestBlockedKernelExactness:
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    @pytest.mark.parametrize("lam,mu", _RATES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sojourns_and_ci_match_the_oracle_bit_for_bit(self, n, lam, mu, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sojourn = mm1_sojourn_times(lam, mu, n, rng)
+        expected = _oracle_sojourn_times(lam, mu, n, oracle_rng)
+        assert sojourn.tobytes() == expected.tobytes()
+        # Both consumed the same draws: the next one agrees.
+        assert rng.random() == oracle_rng.random()
+        warmup = n // 100
+        assert _mean_ci(sojourn[warmup:]) == _oracle_mean_ci(expected[warmup:])
+
+    @pytest.mark.parametrize("which", ["empty", "interior", "full"])
+    def test_station_and_cluster_results_match_the_oracle(self, which):
+        scenario, placement = _placements()[which]
+        config = SimConfig(seed=17, n_arrivals=3 * _BLOCK + 7)
+        expected = [
+            _oracle_station(placement, scenario, station, config)
+            for station in range(scenario.traffic.station_count)
+        ]
+        assert simulate_station(placement, scenario, 1, config) == expected[1]
+        assert simulate_cluster(placement, scenario, config) == expected
+
+
+class TestKernelMemory:
+    def test_interior_station_peak_stays_small(self):
+        # Two queues of 2e6 arrivals, one at a time: a 16 MB sojourn array
+        # plus fixed buffers.  The whole-array kernel peaked at 92 MB.
+        scenario, placement = _placements()["interior"]
+        config = SimConfig(seed=0, n_arrivals=2_000_000)
+        tracemalloc.start()
+        try:
+            simulate_station(placement, scenario, 0, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
