@@ -16,8 +16,8 @@ from fogcache import (
     echr_csl,
     overall_adt,
     placement_from_echr,
-    stable_echr_interval,
 )
+from fogcache.objective import stable_echr_interval
 
 
 def main():

@@ -43,7 +43,6 @@ from .objective import (
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "AdmmResult",
     "ConstraintSystem",
     "IterationRecord",
@@ -88,19 +87,6 @@ class IterationRecord(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class AdmmState:
-    """Solver state after the last iteration (vectors in node-major order)."""
-
-    p: np.ndarray
-    z: np.ndarray
-    theta: np.ndarray
-    k: int
-    primal_residual: float
-    dual_residual: float
-    objective: float
-
-
-@dataclass(frozen=True, eq=False)
 class AdmmResult:
     """Solution bundle: the feasible placement plus convergence evidence."""
 
@@ -110,7 +96,6 @@ class AdmmResult:
     iterations: int
     converged: bool
     trace: list
-    state: AdmmState
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +143,6 @@ class ConstraintSystem:
     @property
     def b_u(self):
         return self.capacities
-
-    def stacked(self):
-        """All linear rows as one ``(C, u)`` pair (contents first)."""
-        return np.vstack([self.a, self.b]), np.concatenate([self.a_u, self.b_u])
 
 
 #: Caps of the projection's Newton ascent and of each backtracking search.
@@ -410,16 +391,7 @@ def solve(scenario, config=None, p0=None):
 
     if not converged and best_z is not z:
         z, objective, k = best_z, best_objective, best_k
-    state = AdmmState(
-        p=p.ravel().copy(),
-        z=z.ravel().copy(),
-        theta=theta.ravel().copy(),
-        k=k,
-        primal_residual=primal,
-        dual_residual=dual,
-        objective=objective,
-    )
     return AdmmResult(
         placement=Placement(z), echr=min(max(echr(z, library), 0.0), 1.0), adt=objective,
-        iterations=k, converged=converged, trace=trace, state=state,
+        iterations=k, converged=converged, trace=trace,
     )

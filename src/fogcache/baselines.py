@@ -1,20 +1,19 @@
-"""Independent solvers and oracles used to cross-check the main solver.
+"""Independent cross-checks of the main solver.
 
-Three routes to the same answers, deliberately different in mechanism:
+Two routes to the same optimum, deliberately different in mechanism:
 
-* :func:`projected_gradient_solve` — a first-order method with backtracking,
-  standing in for a generic convex solver; it must land on the same optimum.
+* :func:`projected_gradient_solve` — a labelled cross-check: a first-order
+  method with Armijo backtracking, standing in for a generic convex solver.
+  It must land on the same optimum as the splitting solver, but it is slow
+  and, on storage-limited instances, stops at its iteration cap a little
+  above the optimum.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
-* :func:`qp_projection_oracle` — exact projection for small instances by
-  brute-force enumeration of KKT active sets, cross-checking the main
-  solver's dual Newton projection (which projected gradient shares).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +28,25 @@ __all__ = [
     "PgdResult",
     "projected_gradient_solve",
     "grid_bruteforce",
-    "qp_projection_oracle",
 ]
+
+#: Armijo backtracking of :func:`projected_gradient_solve`: each iteration
+#: tries the unit step first and halves it until the objective falls by at
+#: least ``_SUFFICIENT_DECREASE * ||p_new - p||**2 / step``.
+_STEP_INIT = 1.0
+_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Projected-gradient knobs.
+    """Projected-gradient stopping rule.
 
-    The step rule is backtracking Armijo (initial step, shrink factor,
-    sufficient-decrease constant) unless ``fixed_step`` is set; ``tol`` is a
-    threshold on the gradient-mapping norm ``||p - proj(p - t grad)|| / t``.
+    ``tol`` is a threshold on the gradient-mapping norm
+    ``||p - proj(p - t grad)|| / t``; ``max_iter`` caps the iterations, and
+    reaching it returns the last iterate flagged ``converged=False``.
     """
 
-    step_init: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    fixed_step: float | None = None
     tol: float = 1e-8
     max_iter: int = 5000
 
@@ -54,11 +55,6 @@ class BaselineConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.fixed_step is None:
-            if not (self.step_init > 0 and 0 < self.shrink < 1 and self.sufficient_decrease > 0):
-                raise ValueError("invalid backtracking parameters")
-        elif not self.fixed_step > 0:
-            raise ValueError("fixed_step must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,26 +97,18 @@ def projected_gradient_solve(scenario, config=None):
     for k in range(1, config.max_iter + 1):
         h = min(max(float(popularity @ p.sum(axis=0)), 0.0), 1.0)
         gradient = adt_slope(h, traffic) * popularity[np.newaxis, :]
-        if config.fixed_step is not None:
-            step = config.fixed_step
+        step = _STEP_INIT
+        while True:
             candidate = project_feasible(p - step * gradient, constraints)
             candidate_value = objective_of(candidate)
-        else:
-            step = config.step_init
-            while True:
-                candidate = project_feasible(p - step * gradient, constraints)
-                candidate_value = objective_of(candidate)
-                displacement_sq = float(np.sum((candidate - p) ** 2))
-                if (
-                    candidate_value
-                    <= value - config.sufficient_decrease * displacement_sq / step + 1e-15
-                ):
-                    break
-                step *= config.shrink
-                if step < 1e-16:
-                    # The iterate is numerically stationary; accept as is.
-                    candidate, candidate_value = p, value
-                    break
+            displacement_sq = float(np.sum((candidate - p) ** 2))
+            if candidate_value <= value - _SUFFICIENT_DECREASE * displacement_sq / step + 1e-15:
+                break
+            step *= _SHRINK
+            if step < 1e-16:
+                # The iterate is numerically stationary; accept as is.
+                candidate, candidate_value = p, value
+                break
         mapping_norm = float(np.linalg.norm(candidate - p)) / step
         displacement = float(np.linalg.norm(candidate - p))
         p, value = candidate, candidate_value
@@ -159,102 +147,3 @@ def grid_bruteforce(scenario, resolution):
     values = adt_curve(grid, scenario.traffic)
     index = int(np.argmin(values))
     return float(grid[index]), float(values[index])
-
-
-def _box_patterns(n):
-    """All assignments of {free, lo, hi} to n coordinates, as an int array."""
-    return np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8)
-
-
-def qp_projection_oracle(x, constraints):
-    """Exact Euclidean projection for small instances, by KKT enumeration.
-
-    Enumerates every candidate active set — a box state per coordinate (free,
-    pinned at 0, pinned at 1) crossed with every subset of the linear rows
-    treated as equalities — solves each reduced KKT system in a batch, keeps
-    the candidates passing feasibility and multiplier-sign checks, and
-    returns the one closest to ``x``.  The unique projection always appears
-    among candidates with linearly independent active rows, so singular
-    systems are safely skipped.
-
-    Exponential by construction: allowed only for ``N*F <= 12``.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    n = flat.size
-    if n > 12:
-        raise ValueError(f"active-set enumeration is limited to 12 variables, got {n}")
-    if n != constraints.n_nodes * constraints.n_contents:
-        raise ValueError("x does not match the constraint system")
-    c_rows, u = constraints.stacked()
-    n_rows = c_rows.shape[0]
-
-    patterns = _box_patterns(n)
-    free = patterns == 0
-    w = np.where(free, flat[np.newaxis, :], np.where(patterns == 2, 1.0, 0.0))
-    free_counts = free.sum(axis=1)
-
-    tol = 1e-9
-    best_dist = np.inf
-    best_z = None
-    for row_bits in range(2**n_rows):
-        row_mask = np.array([(row_bits >> r) & 1 for r in range(n_rows)], dtype=bool)
-        active = c_rows[row_mask]
-        u_active = u[row_mask]
-        r = active.shape[0]
-        if r == 0:
-            pat, ctm, z = patterns, np.zeros((patterns.shape[0], n)), w
-            mu_ok = np.ones(patterns.shape[0], dtype=bool)
-        else:
-            # Fewer free coordinates than active rows makes the reduced
-            # system exactly singular; drop those patterns up front.
-            eligible = free_counts >= r
-            if not np.any(eligible):
-                continue
-            patterns_el, free_el, w_el = patterns[eligible], free[eligible], w[eligible]
-            gram = np.einsum("aj,pj,bj->pab", active, free_el.astype(float), active)
-            rhs = w_el @ active.T - u_active[np.newaxis, :]
-            dets = np.abs(np.linalg.det(gram))
-            scale = np.maximum(1.0, np.abs(gram).reshape(gram.shape[0], -1).max(axis=1)) ** r
-            solvable = dets > 1e-12 * scale
-            if not np.any(solvable):
-                continue
-            mu = np.linalg.solve(gram[solvable], rhs[solvable][..., np.newaxis])[..., 0]
-            residual = np.abs(np.einsum("pab,pb->pa", gram[solvable], mu) - rhs[solvable])
-            clean = residual.max(axis=1) <= 1e-7 * (1.0 + np.abs(rhs[solvable]).max(axis=1))
-            pat = patterns_el[solvable]
-            ctm = mu @ active
-            z = w_el[solvable] - free_el[solvable] * ctm
-            mu_ok = clean & np.all(mu >= -tol, axis=1)
-        ok = mu_ok & _kkt_box_ok(pat, ctm, flat, tol) & _feasible_ok(z, c_rows, u, tol)
-        if not np.any(ok):
-            continue
-        dist = np.sum((z - flat[np.newaxis, :]) ** 2, axis=1)
-        local = int(np.argmin(np.where(ok, dist, np.inf)))
-        if dist[local] < best_dist:
-            best_dist = float(dist[local])
-            best_z = z[local].copy()
-
-    if best_z is None:
-        raise ValueError("no KKT candidate passed; the constraint system may be infeasible")
-    return best_z.reshape(x.shape)
-
-
-def _kkt_box_ok(patterns, ctm, flat, tol):
-    """Multiplier signs for pinned coordinates.
-
-    With ``z_j = x_j - (C^T mu)_j`` on free coordinates, pinning at 0 needs
-    ``(C^T mu)_j >= x_j`` and pinning at 1 needs ``x_j - (C^T mu)_j >= 1``,
-    up to tolerance.
-    """
-    lo = patterns == 1
-    hi = patterns == 2
-    lo_ok = np.all(np.where(lo, ctm >= flat[np.newaxis, :] - tol, True), axis=1)
-    hi_ok = np.all(np.where(hi, flat[np.newaxis, :] - ctm >= 1.0 - tol, True), axis=1)
-    return lo_ok & hi_ok
-
-
-def _feasible_ok(z, c_rows, u, tol):
-    box_ok = np.all((z >= -tol) & (z <= 1.0 + tol), axis=1)
-    rows_ok = np.all(z @ c_rows.T <= u[np.newaxis, :] + tol, axis=1)
-    return box_ok & rows_ok

@@ -26,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import adt_slope, require_equal_sizes
+from .objective import (
+    _curvature_at,
+    _rates,
+    _slope_at,
+    require_equal_sizes,
+    stable_echr_interval,
+)
 
 __all__ = [
     "HeuristicResult",
@@ -110,10 +117,11 @@ def echr_cpl(traffic):
         h = ((mu_e - sqrt(mu_e * mu_b)) * sqrt(mu_b) + lam * sqrt(mu_e))
             / (lam * (sqrt(mu_b) + sqrt(mu_e)))
 
-    For heterogeneous traffic the derivative is strictly increasing, so its
-    root on [0, 1] is found by bisection (to 1e-12), clamping to an endpoint
-    when no interior root exists.  The clamp also covers extreme rate ratios
-    where the closed-form stationary point leaves the physical range.
+    For heterogeneous traffic the derivative is strictly increasing and
+    diverges at both ends of the stable interval, so its unique root there is
+    found by safeguarded Newton (to 1e-12).  Either stationary point is then
+    clamped to [0, 1], which covers slow arrivals and extreme rate ratios
+    where it leaves the physical range.
     """
     if traffic.homogeneous:
         lam = float(traffic.lam[0])
@@ -123,18 +131,12 @@ def echr_cpl(traffic):
             lam * (root_b + root_e)
         )
         return float(min(max(h, 0.0), 1.0))
-    if adt_slope(0.0, traffic) >= 0.0:
-        return 0.0
-    if adt_slope(1.0, traffic) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if adt_slope(mid, traffic) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    rates = _rates(traffic)
+    lo, hi = stable_echr_interval(traffic)
+    h = increasing_root(
+        lambda h: _slope_at(h, *rates), lambda h: _curvature_at(h, *rates), lo, hi, tol=1e-12
+    )
+    return float(min(max(h, 0.0), 1.0))
 
 
 def lambda_threshold(h_csl, mu_e, mu_b):

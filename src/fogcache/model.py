@@ -379,37 +379,6 @@ class Placement:
         """Per-node storage use ``sum_f P(i, f) * S_f`` (length N)."""
         return self.matrix @ np.asarray(sizes, dtype=float)
 
-    @property
-    def vector(self):
-        """Flattened node-major copy (see :func:`flatten_placement`)."""
-        return self.matrix.ravel().copy()
-
-
-def flatten_placement(placement):
-    """Flatten an N x F placement matrix to a length-N*F vector.
-
-    The order is node-major: entry ``j = i * F + f`` holds ``P(i, f)`` (zero
-    based).  This convention is fixed and shared by all file formats and by
-    the solver's internal vector form.
-    """
-    matrix = placement.matrix if isinstance(placement, Placement) else np.asarray(placement, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("expected a two-dimensional placement matrix")
-    return matrix.ravel().copy()
-
-
-def unflatten_placement(vector, node_count, content_count):
-    """Inverse of :func:`flatten_placement` for the given shape."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.ndim != 1:
-        raise ValueError("expected a one-dimensional placement vector")
-    if vector.size != node_count * content_count:
-        raise ValueError(
-            f"vector of length {vector.size} does not match shape "
-            f"({node_count}, {content_count})"
-        )
-    return vector.reshape(node_count, content_count).copy()
-
 
 def validate_placement(placement, library, cluster, tol=FEASIBILITY_TOL):
     """Check a placement against every feasibility constraint.

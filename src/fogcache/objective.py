@@ -24,17 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Placement, validate_placement, unflatten_placement
+from .model import Placement, validate_placement
 
 __all__ = [
-    "QueueSplit",
     "AdtReport",
     "echr",
-    "queue_split",
-    "adt_of_echr",
     "overall_adt",
     "grad_overall_adt",
-    "d2_adt_dh2",
     "adt_curve",
     "adt_slope",
     "adt_curvature",
@@ -103,6 +99,21 @@ def _maybe_scalar(values, scalar_input):
     return float(values) if scalar_input else values
 
 
+def _station_times(h, traffic):
+    """Per-station ``(t_e, t_b, d)`` at hit ratio ``h``, with no stability check.
+
+    The hit queue takes ``lambda_e = lam * h`` and the miss queue the exact
+    complement ``lam - lambda_e``; ``t_e`` and ``t_b`` are their M/M/1 mean
+    sojourn times and ``d = h * t_e + (1 - h) * t_b`` the station's download
+    time.  ``h`` is a scalar or carries a trailing station axis.
+    """
+    lam = traffic.lam
+    lambda_e = lam * h
+    t_e = 1.0 / (traffic.mu_e - lambda_e)
+    t_b = 1.0 / (traffic.mu_b - (lam - lambda_e))
+    return t_e, t_b, h * t_e + (1.0 - h) * t_b
+
+
 def adt_curve(h, traffic):
     """Overall ADT ``D(h)`` at hit ratio ``h`` (vectorized over ``h``).
 
@@ -112,8 +123,7 @@ def adt_curve(h, traffic):
     """
     scalar = np.ndim(h) == 0
     h = _require_stable(h, traffic)[..., np.newaxis]
-    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
-    per_station = h / (mu_e - lam * h) + (1.0 - h) / (mu_b - lam * (1.0 - h))
+    _, _, per_station = _station_times(h, traffic)
     return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
 
 
@@ -155,56 +165,6 @@ def adt_curvature(h, traffic):
     return _maybe_scalar(_curvature_at(h, *_rates(traffic)), scalar)
 
 
-def adt_of_echr(h, lam, mu_e, mu_b):
-    """Average download time of one station at hit ratio ``h``.
-
-    The two-term M/M/1 mixture with hit share ``h``.  ``h`` must lie in
-    [0, 1] and the rates must satisfy ``0 < lam < mu_b < mu_e``, which makes
-    both queue denominators strictly positive.
-    """
-    h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 0
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("hit ratio must lie in [0, 1]")
-    lam, mu_e, mu_b = float(lam), float(mu_e), float(mu_b)
-    if not 0.0 < lam < mu_b < mu_e:
-        raise ValueError(f"rates must satisfy 0 < lam < mu_b < mu_e; got lam={lam:g}, mu_b={mu_b:g}, mu_e={mu_e:g}")
-    value = h / (mu_e - lam * h) + (1.0 - h) / (mu_b - lam * (1.0 - h))
-    return _maybe_scalar(value, scalar)
-
-
-@dataclass(frozen=True, eq=False)
-class QueueSplit:
-    """Per-station arrival rates of the two provision paths."""
-
-    lambda_e: np.ndarray
-    lambda_b: np.ndarray
-
-    def __post_init__(self):
-        lambda_e = np.asarray(self.lambda_e, dtype=float)
-        lambda_b = np.asarray(self.lambda_b, dtype=float)
-        if lambda_e.shape != lambda_b.shape:
-            raise ValueError("lambda_e and lambda_b must have equal length")
-        if np.any(lambda_e < 0.0) or np.any(lambda_b < 0.0):
-            raise ValueError("split arrival rates must be nonnegative")
-        object.__setattr__(self, "lambda_e", lambda_e)
-        object.__setattr__(self, "lambda_b", lambda_b)
-
-
-def queue_split(h, traffic):
-    """Split every station's arrivals by the hit ratio.
-
-    ``lambda_e = lam * h`` goes to the cache-hit queue and the exact
-    complement ``lambda_b = lam - lambda_e`` to the cloud queue, so the two
-    parts always sum back to ``lam`` bit-exactly.
-    """
-    h = float(h)
-    if not 0.0 <= h <= 1.0:
-        raise ValueError("hit ratio must lie in [0, 1]")
-    lambda_e = traffic.lam * h
-    return QueueSplit(lambda_e, traffic.lam - lambda_e)
-
-
 @dataclass(frozen=True, eq=False)
 class AdtReport:
     """Full download-time breakdown of a placement.
@@ -231,42 +191,24 @@ def overall_adt(placement, scenario):
     h = echr(placement, scenario.library)
     # Guard against tolerance-level overshoot of the hit share.
     h = min(max(h, 0.0), 1.0)
-    split = queue_split(h, traffic)
-    t_e = 1.0 / (traffic.mu_e - split.lambda_e)
-    t_b = 1.0 / (traffic.mu_b - split.lambda_b)
-    per_station = h * t_e + (1.0 - h) * t_b
+    t_e, t_b, per_station = _station_times(h, traffic)
     overall = float(traffic.weights @ per_station)
     return AdtReport(h_e=h, h_b=1.0 - h, t_e=t_e, t_b=t_b, per_station=per_station, overall=overall)
 
 
-def grad_overall_adt(p, scenario):
-    """Gradient of the overall ADT at a feasible placement vector.
+def grad_overall_adt(placement, scenario):
+    """Gradient of the overall ADT at a feasible placement (matrix or Placement).
 
     Because the objective reaches the placement only through the hit ratio,
     the gradient is ``dD/dh`` times the replicated popularity vector: entries
-    for the same content are equal across nodes.  Accepts the node-major
-    vector form (or a matrix/Placement) and returns a flat vector of length
-    ``N * F``.
+    for the same content are equal across nodes.  Returns a flat node-major
+    vector of length ``N * F`` (entry ``i * F + f`` for node ``i``, content
+    ``f``).
     """
     library, cluster = scenario.library, scenario.cluster
     require_equal_sizes(library)
-    if isinstance(p, Placement):
-        matrix = p.matrix
-    else:
-        p = np.asarray(p, dtype=float)
-        matrix = unflatten_placement(p, cluster.node_count, library.count) if p.ndim == 1 else p
+    matrix = _as_matrix(placement)
     validate_placement(matrix, library, cluster)
     h = echr(matrix, library)
     slope = adt_slope(min(max(h, 0.0), 1.0), scenario.traffic)
     return np.tile(slope * library.popularity, cluster.node_count)
-
-
-def d2_adt_dh2(h, scenario):
-    """Second derivative of the overall ADT in the hit ratio, at ``h`` in [0, 1].
-
-    Strictly positive — the witness that the objective is convex.
-    """
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("hit ratio must lie in [0, 1]")
-    return adt_curvature(h if h.ndim else float(h), scenario.traffic)

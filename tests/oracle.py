@@ -1,0 +1,114 @@
+"""Exact Euclidean projection onto the feasible placement set, for tests.
+
+An independent cross-check of ``fogcache.admm.project_feasible``: it shares
+nothing with that dual Newton method but the constraint rows, which it reads
+from the dense ``ConstraintSystem.a``/``a_u``/``b``/``b_u`` views.
+"""
+
+import itertools
+
+import numpy as np
+
+
+def _box_patterns(n):
+    """All assignments of {free, lo, hi} to n coordinates, as an int array."""
+    return np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8)
+
+
+def qp_projection_oracle(x, constraints):
+    """Exact Euclidean projection for small instances, by KKT enumeration.
+
+    Enumerates every candidate active set — a box state per coordinate (free,
+    pinned at 0, pinned at 1) crossed with every subset of the linear rows
+    treated as equalities — solves each reduced KKT system in a batch, keeps
+    the candidates passing feasibility and multiplier-sign checks, and
+    returns the one closest to ``x``.  The unique projection always appears
+    among candidates with linearly independent active rows, so singular
+    systems are safely skipped.
+
+    Exponential by construction: allowed only for ``N*F <= 12``.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    n = flat.size
+    if n > 12:
+        raise ValueError(f"active-set enumeration is limited to 12 variables, got {n}")
+    if n != constraints.n_nodes * constraints.n_contents:
+        raise ValueError("x does not match the constraint system")
+    c_rows = np.vstack([constraints.a, constraints.b])
+    u = np.concatenate([constraints.a_u, constraints.b_u])
+    n_rows = c_rows.shape[0]
+
+    patterns = _box_patterns(n)
+    free = patterns == 0
+    w = np.where(free, flat[np.newaxis, :], np.where(patterns == 2, 1.0, 0.0))
+    free_counts = free.sum(axis=1)
+    # Free coordinates of each pattern that each row touches.
+    free_per_row = free.astype(float) @ (c_rows != 0.0).T
+
+    tol = 1e-9
+    best_dist = np.inf
+    best_z = None
+    for row_bits in range(2**n_rows):
+        row_mask = np.array([(row_bits >> r) & 1 for r in range(n_rows)], dtype=bool)
+        active = c_rows[row_mask]
+        u_active = u[row_mask]
+        r = active.shape[0]
+        if r == 0:
+            pat, ctm, z = patterns, np.zeros((patterns.shape[0], n)), w
+            mu_ok = np.ones(patterns.shape[0], dtype=bool)
+        else:
+            # An active row without a free coordinate gives the reduced Gram
+            # matrix a zero row, and fewer free coordinates than active rows
+            # leave it rank deficient: both are exactly singular, so drop
+            # those patterns up front.
+            eligible = (free_counts >= r) & np.all(free_per_row[:, row_mask] > 0.0, axis=1)
+            if not np.any(eligible):
+                continue
+            patterns_el, free_el, w_el = patterns[eligible], free[eligible], w[eligible]
+            gram = np.einsum("aj,pj,bj->pab", active, free_el.astype(float), active)
+            rhs = w_el @ active.T - u_active[np.newaxis, :]
+            dets = np.abs(np.linalg.det(gram))
+            scale = np.maximum(1.0, np.abs(gram).reshape(gram.shape[0], -1).max(axis=1)) ** r
+            solvable = dets > 1e-12 * scale
+            if not np.any(solvable):
+                continue
+            mu = np.linalg.solve(gram[solvable], rhs[solvable][..., np.newaxis])[..., 0]
+            residual = np.abs(np.einsum("pab,pb->pa", gram[solvable], mu) - rhs[solvable])
+            clean = residual.max(axis=1) <= 1e-7 * (1.0 + np.abs(rhs[solvable]).max(axis=1))
+            pat = patterns_el[solvable]
+            ctm = mu @ active
+            z = w_el[solvable] - free_el[solvable] * ctm
+            mu_ok = clean & np.all(mu >= -tol, axis=1)
+        ok = mu_ok & _kkt_box_ok(pat, ctm, flat, tol) & _feasible_ok(z, c_rows, u, tol)
+        if not np.any(ok):
+            continue
+        dist = np.sum((z - flat[np.newaxis, :]) ** 2, axis=1)
+        local = int(np.argmin(np.where(ok, dist, np.inf)))
+        if dist[local] < best_dist:
+            best_dist = float(dist[local])
+            best_z = z[local].copy()
+
+    if best_z is None:
+        raise ValueError("no KKT candidate passed; the constraint system may be infeasible")
+    return best_z.reshape(x.shape)
+
+
+def _kkt_box_ok(patterns, ctm, flat, tol):
+    """Multiplier signs for pinned coordinates.
+
+    With ``z_j = x_j - (C^T mu)_j`` on free coordinates, pinning at 0 needs
+    ``(C^T mu)_j >= x_j`` and pinning at 1 needs ``x_j - (C^T mu)_j >= 1``,
+    up to tolerance.
+    """
+    lo = patterns == 1
+    hi = patterns == 2
+    lo_ok = np.all(np.where(lo, ctm >= flat[np.newaxis, :] - tol, True), axis=1)
+    hi_ok = np.all(np.where(hi, flat[np.newaxis, :] - ctm >= 1.0 - tol, True), axis=1)
+    return lo_ok & hi_ok
+
+
+def _feasible_ok(z, c_rows, u, tol):
+    box_ok = np.all((z >= -tol) & (z <= 1.0 + tol), axis=1)
+    rows_ok = np.all(z @ c_rows.T <= u[np.newaxis, :] + tol, axis=1)
+    return box_ok & rows_ok

@@ -12,24 +12,24 @@ import pytest
 
 from fogcache import (
     AdmmConfig,
-    ConstraintSystem,
     SimConfig,
+    adt_curvature,
     adt_curve,
     adt_slope,
-    d2_adt_dh2,
     echr,
     grad_overall_adt,
     grid_bruteforce,
     heuristic_solve,
     overall_adt,
     placement_from_echr,
-    project_feasible,
     projected_gradient_solve,
-    qp_projection_oracle,
     simulate_cluster,
     simulate_mm1,
     solve,
 )
+from fogcache.admm import ConstraintSystem, project_feasible
+
+from oracle import qp_projection_oracle
 
 from conftest import (
     ADT_AT_CSL,
@@ -243,7 +243,7 @@ def test_criterion_7_gradient_and_convexity_properties():
         ) / (2 * e * pf)
         reference = gradient[j] / pf
         worst_rel = max(worst_rel, abs(fd - reference) / abs(reference))
-        curvature_ok = curvature_ok and float(d2_adt_dh2(h, scenario)) > 0.0
+        curvature_ok = curvature_ok and float(adt_curvature(h, scenario.traffic)) > 0.0
         count += 1
 
     rng = np.random.default_rng(7043)

@@ -7,7 +7,6 @@ import pytest
 
 from fogcache import (
     AdmmConfig,
-    ConstraintSystem,
     ContentLibrary,
     FogCluster,
     Scenario,
@@ -17,12 +16,12 @@ from fogcache import (
     grid_bruteforce,
     heuristic_solve,
     overall_adt,
-    p_update,
-    project_feasible,
-    qp_projection_oracle,
     solve,
-    validate_placement,
 )
+from fogcache.admm import ConstraintSystem, p_update, project_feasible
+from fogcache.model import validate_placement
+
+from oracle import qp_projection_oracle
 
 from conftest import (
     ADT_OPT,
@@ -75,21 +74,13 @@ class TestConstraintSystem:
             rng, reference_scenario.library, reference_scenario.cluster
         )
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        vector = placement.vector
+        vector = placement.matrix.ravel()
         np.testing.assert_allclose(system.a @ vector, placement.cached_fractions, rtol=1e-14)
         np.testing.assert_allclose(
             system.b @ vector,
             placement.node_loads(reference_scenario.library.sizes),
             rtol=1e-14,
         )
-
-    def test_stacked_combines_both_families(self, reference_scenario):
-        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        matrix, bounds = system.stacked()
-        assert matrix.shape == (23, 60)
-        assert bounds.shape == (23,)
-        np.testing.assert_array_equal(matrix[:20], system.a)
-        np.testing.assert_array_equal(matrix[20:], system.b)
 
     def test_build_stores_no_dense_matrices(self):
         # The dense rows at (F, N) = (2000, 20) would take 646 MB.
@@ -279,12 +270,6 @@ class TestSolve:
         assert last.objective == pytest.approx(result.adt, abs=1e-15)
         assert last.primal_residual >= 0.0
         assert last.dual_residual >= 0.0
-
-    def test_state_mirrors_the_returned_placement(self, reference_scenario):
-        result = solve(reference_scenario, FAST)
-        np.testing.assert_array_equal(result.state.z, result.placement.vector)
-        assert result.state.k == result.iterations
-        assert result.state.objective == pytest.approx(result.adt, abs=1e-15)
 
     def test_heterogeneous_scenario(self, hetero_scenario):
         result = solve(hetero_scenario, FAST)

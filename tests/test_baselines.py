@@ -1,20 +1,20 @@
-"""Tests for the independent cross-check solvers and the projection oracle."""
+"""Tests for the independent cross-checks and the test-side projection oracle."""
 
 import numpy as np
 import pytest
 
 from fogcache import (
     BaselineConfig,
-    ConstraintSystem,
     ContentLibrary,
     FogCluster,
     grid_bruteforce,
     overall_adt,
-    project_feasible,
     projected_gradient_solve,
-    qp_projection_oracle,
-    validate_placement,
 )
+from fogcache.admm import ConstraintSystem, project_feasible
+from fogcache.model import validate_placement
+
+from oracle import qp_projection_oracle
 
 from conftest import (
     ADT_OPT,
@@ -30,26 +30,19 @@ from conftest import (
 class TestBaselineConfig:
     def test_defaults(self):
         config = BaselineConfig()
-        assert config.fixed_step is None
         assert config.tol == 1e-8
+        assert config.max_iter == 5000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tol": 0.0},
             {"max_iter": 0},
-            {"step_init": -1.0},
-            {"shrink": 1.0},
-            {"fixed_step": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BaselineConfig(**kwargs)
-
-    def test_fixed_step_skips_backtracking_validation(self):
-        # With a fixed step the Armijo knobs are unused and may be anything.
-        BaselineConfig(fixed_step=0.2, step_init=-5.0)
 
 
 class TestProjectedGradient:
@@ -70,13 +63,6 @@ class TestProjectedGradient:
         # The objective column decreases monotonically under Armijo descent.
         values = [record.objective for record in result.trace]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_fixed_step_mode(self, reference_scenario):
-        result = projected_gradient_solve(
-            reference_scenario, BaselineConfig(fixed_step=1.0, tol=1e-7)
-        )
-        assert result.converged
-        assert result.adt == pytest.approx(ADT_OPT, abs=1e-9)
 
     def test_iteration_cap_flags_nonconvergence(self, reference_scenario):
         result = projected_gradient_solve(reference_scenario, BaselineConfig(max_iter=5))

@@ -16,7 +16,6 @@ from fogcache import (
     Scenario,
     TrafficProfile,
     heuristic_solve,
-    validate_placement,
 )
 from fogcache.cli import (
     SIMULATE_HEADER,
@@ -26,6 +25,7 @@ from fogcache.cli import (
     _load_placement,
     main,
 )
+from fogcache.model import validate_placement
 
 from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR
 

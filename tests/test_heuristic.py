@@ -15,13 +15,11 @@ from fogcache import (
     echr_cpl,
     echr_csl,
     heuristic_solve,
-    lambda_threshold,
     overall_adt,
     placement_from_echr,
-    validate_placement,
-    zipf_popularity,
 )
-from fogcache.heuristic import _assign_first_fit, _greedy_fractions
+from fogcache.heuristic import _assign_first_fit, _greedy_fractions, lambda_threshold
+from fogcache.model import validate_placement, zipf_popularity
 
 from conftest import (
     ADT_AT_CSL,
@@ -207,7 +205,7 @@ class TestEchrCpl:
         h = echr_cpl(reference_scenario.traffic)
         assert float(adt_slope(h, reference_scenario.traffic)) == pytest.approx(0.0, abs=1e-10)
 
-    def test_heterogeneous_bisection(self, hetero_scenario):
+    def test_heterogeneous_root(self, hetero_scenario):
         h = echr_cpl(hetero_scenario.traffic)
         assert h == pytest.approx(HETERO_H_OPT, abs=1e-9)
         assert float(adt_slope(h, hetero_scenario.traffic)) == pytest.approx(0.0, abs=1e-9)
@@ -223,6 +221,12 @@ class TestEchrCpl:
     def test_clamps_to_one_for_slow_arrivals(self):
         # lam tiny: the curve still decreases at h=1, so the clamp binds.
         traffic = TrafficProfile([0.01], [8.0], [6.0])
+        assert echr_cpl(traffic) == 1.0
+
+    def test_heterogeneous_clamps_to_one_for_slow_arrivals(self):
+        # The root lies far above 1 inside the stable interval; clamped.
+        traffic = TrafficProfile([0.01, 0.02], [8.0, 8.0], [6.0, 6.0])
+        assert not traffic.homogeneous
         assert echr_cpl(traffic) == 1.0
 
 

@@ -11,13 +11,9 @@ from fogcache import (
     Placement,
     Scenario,
     TrafficProfile,
-    flatten_placement,
-    rates_from_link_speeds,
-    unflatten_placement,
-    validate_placement,
     validate_scenario,
-    zipf_popularity,
 )
+from fogcache.model import rates_from_link_speeds, validate_placement, zipf_popularity
 
 from conftest import TOP_POPULARITY, make_scenario, random_scenario
 
@@ -228,10 +224,6 @@ class TestPlacement:
         np.testing.assert_allclose(placement.cached_fractions, [1.0, 0.75, 0.5])
         np.testing.assert_allclose(placement.node_loads([2.0, 1.0, 1.0]), [2.5, 0.75])
 
-    def test_vector_is_node_major(self):
-        matrix = np.array([[0.1, 0.2], [0.3, 0.4]])
-        np.testing.assert_array_equal(Placement(matrix).vector, [0.1, 0.2, 0.3, 0.4])
-
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError, match="two-dimensional"):
             Placement(np.array([0.5, 0.5]))
@@ -251,29 +243,6 @@ class TestPlacement:
     def test_tolerance_level_overshoot_is_accepted(self):
         placement = Placement(np.array([[1.0 + 1e-9, 0.0]]))
         assert placement.matrix[0, 0] == pytest.approx(1.0, abs=2e-9)
-
-
-class TestFlattenUnflatten:
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.uniform(0.0, 0.3, size=(3, 5))
-        vector = flatten_placement(matrix)
-        assert vector.shape == (15,)
-        np.testing.assert_array_equal(unflatten_placement(vector, 3, 5), matrix)
-
-    def test_flatten_accepts_placement_objects(self):
-        placement = Placement(np.array([[0.2, 0.8]]))
-        np.testing.assert_array_equal(flatten_placement(placement), [0.2, 0.8])
-
-    def test_unflatten_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="does not match shape"):
-            unflatten_placement(np.zeros(5), 2, 3)
-
-    def test_returns_copies(self):
-        matrix = np.zeros((2, 2))
-        vector = flatten_placement(matrix)
-        vector[0] = 9.0
-        assert matrix[0, 0] == 0.0
 
 
 class TestValidatePlacement:

@@ -11,16 +11,12 @@ from fogcache import (
     TrafficProfile,
     adt_curvature,
     adt_curve,
-    adt_of_echr,
     adt_slope,
-    d2_adt_dh2,
     echr,
     grad_overall_adt,
     overall_adt,
-    queue_split,
-    stable_echr_interval,
 )
-from fogcache.objective import require_equal_sizes
+from fogcache.objective import require_equal_sizes, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 
@@ -101,33 +97,6 @@ class TestAdtCurve:
         assert np.all(np.diff(slopes) > 0.0)
 
 
-class TestAdtOfEchr:
-    def test_matches_curve(self):
-        traffic = _reference_traffic()
-        value = adt_of_echr(0.4, 4.0, 8.0, 6.0)
-        assert value == pytest.approx(float(adt_curve(0.4, traffic)), rel=1e-15)
-
-    def test_rejects_unstable_rates(self):
-        with pytest.raises(ValueError, match="0 < lam < mu_b < mu_e"):
-            adt_of_echr(0.5, 6.0, 8.0, 6.0)
-
-    def test_rejects_out_of_range_ratio(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            adt_of_echr(1.2, 4.0, 8.0, 6.0)
-
-
-class TestQueueSplit:
-    def test_parts_sum_back_exactly(self):
-        traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
-        split = queue_split(0.371, traffic)
-        np.testing.assert_array_equal(split.lambda_e + split.lambda_b, traffic.lam)
-
-    def test_extremes(self):
-        traffic = _reference_traffic()
-        assert queue_split(0.0, traffic).lambda_e[0] == 0.0
-        assert queue_split(1.0, traffic).lambda_b[0] == 0.0
-
-
 class TestOverallAdt:
     def test_empty_cache_reference_value(self, reference_scenario):
         report = overall_adt(Placement(np.zeros((3, 20))), reference_scenario)
@@ -149,6 +118,15 @@ class TestOverallAdt:
         assert report.overall == pytest.approx(
             float(adt_curve(report.h_e, reference_scenario.traffic)), rel=1e-12
         )
+
+    def test_single_station_matches_the_curve_exactly(self):
+        # One expression gives the per-station time behind both functions.
+        scenario = make_scenario(capacities=(4.0,))
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            placement = random_feasible_placement(rng, scenario.library, scenario.cluster)
+            report = overall_adt(placement, scenario)
+            assert report.overall == adt_curve(report.h_e, scenario.traffic)
 
     def test_rejects_unequal_sizes(self):
         scenario = Scenario(
@@ -180,23 +158,23 @@ class TestGradOverallAdt:
         popularity = reference_scenario.library.popularity
         np.testing.assert_allclose(gradient.reshape(3, 20), np.tile(expected * popularity, (3, 1)))
 
-    def test_accepts_vector_matrix_and_placement_forms(self, reference_scenario):
+    def test_accepts_matrix_and_placement_forms(self, reference_scenario):
         rng = np.random.default_rng(3)
         placement = random_feasible_placement(
             rng, reference_scenario.library, reference_scenario.cluster
         )
         g1 = grad_overall_adt(placement, reference_scenario)
         g2 = grad_overall_adt(placement.matrix, reference_scenario)
-        g3 = grad_overall_adt(placement.vector, reference_scenario)
         np.testing.assert_array_equal(g1, g2)
-        np.testing.assert_array_equal(g1, g3)
+        with pytest.raises(ValueError, match="does not match"):
+            grad_overall_adt(placement.matrix.ravel(), reference_scenario)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(99)
         scenario = make_scenario(capacities=(2.0, 5.0))
         placement = random_feasible_placement(rng, scenario.library, scenario.cluster, margin=0.8)
-        vector = placement.vector
-        gradient = grad_overall_adt(vector, scenario)
+        vector = placement.matrix.ravel()
+        gradient = grad_overall_adt(placement.matrix, scenario)
         base = overall_adt(Placement(placement.matrix), scenario).overall
         for j in rng.choice(vector.size, size=8, replace=False):
             e = 1e-7
@@ -205,13 +183,3 @@ class TestGradOverallAdt:
             matrix = bumped.reshape(placement.matrix.shape)
             fd = (overall_adt(Placement(matrix), scenario).overall - base) / e
             assert gradient[j] == pytest.approx(fd, rel=1e-5, abs=1e-12)
-
-
-class TestSecondDerivative:
-    def test_positive_on_grid(self, reference_scenario):
-        values = d2_adt_dh2(np.linspace(0.0, 1.0, 11), reference_scenario)
-        assert np.all(values > 0.0)
-
-    def test_rejects_out_of_range(self, reference_scenario):
-        with pytest.raises(ValueError):
-            d2_adt_dh2(1.5, reference_scenario)

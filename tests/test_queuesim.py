@@ -13,14 +13,12 @@ from fogcache import (
     adt_curve,
     echr,
     heuristic_solve,
-    mm1_sojourn_times,
     overall_adt,
     simulate_cluster,
     simulate_mm1,
-    simulate_station,
 )
 
-from fogcache.queuesim import _BLOCK, _mean_ci
+from fogcache.queuesim import _BLOCK, _mean_ci, mm1_sojourn_times, simulate_station
 
 from conftest import make_scenario
 
