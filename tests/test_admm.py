@@ -271,6 +271,12 @@ class TestSolve:
         assert last.primal_residual >= 0.0
         assert last.dual_residual >= 0.0
 
+    def test_result_describes_the_returned_placement(self, reference_scenario):
+        result = solve(reference_scenario, FAST)
+        assert result.adt == overall_adt(result.placement, reference_scenario).overall
+        assert result.echr == echr(result.placement, reference_scenario.library)
+        assert result.trace[-1].k == result.iterations
+
     def test_heterogeneous_scenario(self, hetero_scenario):
         result = solve(hetero_scenario, FAST)
         assert result.converged

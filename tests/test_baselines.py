@@ -1,5 +1,7 @@
 """Tests for the independent cross-checks and the test-side projection oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -37,12 +39,16 @@ class TestBaselineConfig:
         "kwargs",
         [
             {"tol": 0.0},
+            {"tol": float("nan")},
             {"max_iter": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BaselineConfig(**kwargs)
+
+    def test_has_exactly_the_stopping_rule_fields(self):
+        assert [field.name for field in fields(BaselineConfig)] == ["tol", "max_iter"]
 
 
 class TestProjectedGradient:
@@ -63,6 +69,13 @@ class TestProjectedGradient:
         # The objective column decreases monotonically under Armijo descent.
         values = [record.objective for record in result.trace]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_iterates_do_not_depend_on_the_stopping_rule(self, reference_scenario):
+        short = projected_gradient_solve(reference_scenario, BaselineConfig(max_iter=5))
+        long = projected_gradient_solve(reference_scenario, BaselineConfig(tol=1e-6))
+        assert [record.objective for record in short.trace] == [
+            record.objective for record in long.trace[:5]
+        ]
 
     def test_iteration_cap_flags_nonconvergence(self, reference_scenario):
         result = projected_gradient_solve(reference_scenario, BaselineConfig(max_iter=5))

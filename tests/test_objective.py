@@ -16,7 +16,7 @@ from fogcache import (
     grad_overall_adt,
     overall_adt,
 )
-from fogcache.objective import require_equal_sizes, stable_echr_interval
+from fogcache.objective import _station_times, require_equal_sizes, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 
@@ -96,6 +96,57 @@ class TestAdtCurve:
         slopes = adt_slope(np.linspace(0.0, 1.0, 50), traffic)
         assert np.all(np.diff(slopes) > 0.0)
 
+
+    def test_defined_on_the_stable_headroom_beyond_unit_interval(self):
+        # The reference interval is (-0.5, 2); the root finders step outside [0, 1].
+        traffic = _reference_traffic()
+        assert np.all(np.isfinite(adt_curve(np.array([-0.49, 1.5, 1.99]), traffic)))
+
+    @pytest.mark.parametrize("function", [adt_curve, adt_slope, adt_curvature])
+    def test_rejects_hit_ratios_outside_the_stable_interval(self, function):
+        traffic = _reference_traffic()
+        for h in (-0.5, 2.0, np.array([0.3, 2.5])):
+            with pytest.raises(ValueError, match="stable range"):
+                function(h, traffic)
+
+
+class TestStationTimes:
+    def test_extremes_send_all_traffic_to_one_queue(self):
+        traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
+        t_e, t_b, d = _station_times(0.0, traffic)
+        np.testing.assert_array_equal(t_e, 1.0 / traffic.mu_e)
+        np.testing.assert_array_equal(t_b, 1.0 / (traffic.mu_b - traffic.lam))
+        np.testing.assert_array_equal(d, t_b)
+        t_e, t_b, d = _station_times(1.0, traffic)
+        np.testing.assert_array_equal(t_e, 1.0 / (traffic.mu_e - traffic.lam))
+        np.testing.assert_array_equal(t_b, 1.0 / traffic.mu_b)
+        np.testing.assert_array_equal(d, t_e)
+
+    def test_download_time_matches_the_closed_form(self):
+        traffic = TrafficProfile([4.0, 2.0, 5.5], [8.0, 9.0, 7.0], [6.0, 3.0, 6.0])
+        lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
+        for h in np.linspace(0.0, 1.0, 17):
+            expected = h / (mu_e - lam * h) + (1.0 - h) / (mu_b - lam * (1.0 - h))
+            np.testing.assert_allclose(_station_times(h, traffic)[2], expected, rtol=1e-14)
+
+    def test_hit_ratios_broadcast_against_the_station_axis(self):
+        traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
+        h = np.linspace(0.0, 1.0, 5)[:, np.newaxis]
+        for part in _station_times(h, traffic):
+            assert part.shape == (5, 2)
+
+
+class TestAdtCurvature:
+    def test_positive_on_the_heterogeneous_grid(self, hetero_scenario):
+        values = adt_curvature(np.linspace(0.0, 1.0, 11), hetero_scenario.traffic)
+        assert np.all(values > 0.0)
+
+    def test_matches_finite_differences_of_the_slope(self, hetero_scenario):
+        traffic = hetero_scenario.traffic
+        for h in (0.05, 0.4, 0.8):
+            e = 1e-6
+            fd = (float(adt_slope(h + e, traffic)) - float(adt_slope(h - e, traffic))) / (2 * e)
+            assert float(adt_curvature(h, traffic)) == pytest.approx(fd, rel=1e-6)
 
 class TestOverallAdt:
     def test_empty_cache_reference_value(self, reference_scenario):
