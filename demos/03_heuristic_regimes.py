@@ -5,7 +5,7 @@ bound h_csl binds.  As the arrival rate grows, the edge queue becomes the
 bottleneck and the optimum retreats to the stationary point h_cpl of the
 download-time curve, which keeps dropping as load rises.  The crossover
 arrival rate lambda_star is available in closed form, and the heuristic's
-h* = min(h_csl, h_cpl) is the exact optimum whenever contents share one size.
+h* = min(h_csl, h_cpl) is the exact optimum for any content sizes.
 """
 
 import numpy as np

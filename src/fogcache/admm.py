@@ -32,12 +32,11 @@ import numpy as np
 from ._roots import increasing_root
 from .model import Placement, validate_placement
 from .objective import (
+    _clamped_echr,
     _curvature_at,
+    _feasible_adt,
     _rates,
     _slope_at,
-    adt_curve,
-    echr,
-    require_equal_sizes,
     stable_echr_interval,
 )
 
@@ -289,7 +288,6 @@ def p_update(z, theta, scenario, rho):
     finder stays inside the stable interval, so the residual skips the
     stability check.  Shapes (vector or matrix) are preserved.
     """
-    require_equal_sizes(scenario.library)
     if not rho > 0:
         raise ValueError("rho must be positive")
     z = np.asarray(z, dtype=float)
@@ -345,8 +343,7 @@ def solve(scenario, config=None, p0=None):
     iteration, the objective of the feasible iterate and both residuals.
     """
     config = AdmmConfig() if config is None else config
-    require_equal_sizes(scenario.library)
-    library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
+    library, cluster = scenario.library, scenario.cluster
     n, f = cluster.node_count, library.count
     constraints = ConstraintSystem.build(library, cluster)
 
@@ -357,10 +354,6 @@ def solve(scenario, config=None, p0=None):
         z = p0.copy()
     theta = np.zeros((n, f))
     scale = np.sqrt(n * f)
-
-    def feasible_objective(matrix):
-        h = min(max(echr(matrix, library), 0.0), 1.0)
-        return adt_curve(h, traffic)
 
     trace = []
     best_objective, best_z, best_k = np.inf, z, 0
@@ -373,7 +366,7 @@ def solve(scenario, config=None, p0=None):
         theta = theta + (p - z)
         primal = float(np.linalg.norm(p - z))
         dual = float(rho * np.linalg.norm(z - z_old))
-        objective = feasible_objective(z)
+        objective = _feasible_adt(z, scenario)
         trace.append(IterationRecord(k, objective, primal, dual))
         if objective < best_objective:
             best_objective, best_z, best_k = objective, z, k
@@ -392,6 +385,6 @@ def solve(scenario, config=None, p0=None):
     if not converged and best_z is not z:
         z, objective, k = best_z, best_objective, best_k
     return AdmmResult(
-        placement=Placement(z), echr=min(max(echr(z, library), 0.0), 1.0), adt=objective,
+        placement=Placement(z), echr=_clamped_echr(z, library), adt=objective,
         iterations=k, converged=converged, trace=trace,
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .admm import ConstraintSystem, IterationRecord, project_feasible
 from .heuristic import echr_csl
 from .model import Placement
-from .objective import adt_curve, adt_slope, echr, require_equal_sizes
+from .objective import _clamped_echr, _feasible_adt, adt_curve, adt_slope
 
 __all__ = [
     "BaselineConfig",
@@ -80,27 +80,20 @@ def projected_gradient_solve(scenario, config=None):
     independent route to the optimum of the main solver.
     """
     config = BaselineConfig() if config is None else config
-    require_equal_sizes(scenario.library)
-    library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
+    library, cluster = scenario.library, scenario.cluster
     constraints = ConstraintSystem.build(library, cluster)
-    popularity = library.popularity
-
-    def objective_of(matrix):
-        h = min(max(float(popularity @ matrix.sum(axis=0)), 0.0), 1.0)
-        return adt_curve(h, traffic)
-
     p = np.zeros((cluster.node_count, library.count))
-    value = objective_of(p)
+    value = _feasible_adt(p, scenario)
     trace = []
     converged = False
     k = 0
     for k in range(1, config.max_iter + 1):
-        h = min(max(float(popularity @ p.sum(axis=0)), 0.0), 1.0)
-        gradient = adt_slope(h, traffic) * popularity[np.newaxis, :]
+        # Equal for every node, so one row broadcasts over the matrix.
+        gradient = adt_slope(_clamped_echr(p, library), scenario.traffic) * library.popularity
         step = _STEP_INIT
         while True:
             candidate = project_feasible(p - step * gradient, constraints)
-            candidate_value = objective_of(candidate)
+            candidate_value = _feasible_adt(candidate, scenario)
             displacement_sq = float(np.sum((candidate - p) ** 2))
             if candidate_value <= value - _SUFFICIENT_DECREASE * displacement_sq / step + 1e-15:
                 break
@@ -119,7 +112,7 @@ def projected_gradient_solve(scenario, config=None):
 
     return PgdResult(
         placement=Placement(p),
-        echr=min(max(echr(p, library), 0.0), 1.0),
+        echr=_clamped_echr(p, library),
         adt=value,
         iterations=k,
         converged=converged,
@@ -138,7 +131,6 @@ def grid_bruteforce(scenario, resolution):
     resolution = float(resolution)
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    require_equal_sizes(scenario.library)
     h_csl, _ = echr_csl(scenario.library, scenario.cluster)
     cap = min(1.0, h_csl)
     count = int(np.floor(cap / resolution + 1e-12))

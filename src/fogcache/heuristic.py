@@ -13,10 +13,11 @@ candidate optima exist:
   bottleneck.  For identical stations it has a closed form; otherwise it is
   the root of the derivative.
 
-The convexity of the download-time curve makes ``h* = min(h_csl, h_cpl)``
-the exact optimum of the relaxed scalar problem.  For identical stations the
-two regimes swap at a threshold arrival rate ``lambda*``: storage-limited
-below it, provision-limited above.
+The reachable hit ratios are exactly ``[0, h_csl]``, so the convexity of the
+download-time curve makes ``h* = min(h_csl, h_cpl)`` the exact optimum, for
+any content sizes.  For identical stations the two regimes swap at a
+threshold arrival rate ``lambda*``: storage-limited below it,
+provision-limited above.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import numpy as np
 
 from ._roots import increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import (
-    _curvature_at,
-    _rates,
-    _slope_at,
-    require_equal_sizes,
-    stable_echr_interval,
-)
+from .objective import _curvature_at, _rates, _slope_at, stable_echr_interval
 
 __all__ = [
     "HeuristicResult",
@@ -210,10 +205,9 @@ def heuristic_solve(scenario):
     """Run the full heuristic on a scenario.
 
     Computes the storage bound and the stationary point, takes
-    ``h_star = min(h_csl, h_cpl)`` — the exact optimum of the scalar relaxed
-    problem, by convexity — and materializes it as a placement.
+    ``h_star = min(h_csl, h_cpl)`` — the exact optimum, by convexity — and
+    materializes it as a placement.
     """
-    require_equal_sizes(scenario.library)
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
     fractions = _greedy_fractions(library, cluster)
     h_csl = float(min(library.popularity @ fractions, 1.0))

@@ -104,7 +104,8 @@ class ContentLibrary:
 
     ``popularity`` is sorted non-increasing (rank order) and sums to 1;
     ``sizes`` uses the same arbitrary storage unit as cluster capacities and
-    defaults to one unit per content.
+    defaults to one unit per content.  Sizes only weight the node-capacity
+    rows: a request's service time does not depend on its content's size.
     """
 
     popularity: np.ndarray

@@ -16,6 +16,11 @@ gives the solver its closed-form update.
 ``D`` is defined (and strictly convex) on the open interval of hit ratios
 where every station keeps both queues stable; that interval always contains
 [0, 1] thanks to the stability chain ``lam < mu_b < mu_e``.
+
+The service rates are per request: a request's service time does not depend
+on the size of the content it asks for.  Content sizes enter only the
+node-capacity rows of the feasible set, where they decide which hit ratios a
+placement can reach, so the model holds for any positive sizes.
 """
 
 from __future__ import annotations
@@ -35,18 +40,7 @@ __all__ = [
     "adt_slope",
     "adt_curvature",
     "stable_echr_interval",
-    "require_equal_sizes",
 ]
-
-
-def require_equal_sizes(library):
-    """The download-time model assumes one shared content size; enforce it."""
-    sizes = library.sizes
-    if np.any(sizes != sizes[0]):
-        raise ValueError(
-            "the download-time model requires equal content sizes; "
-            "got sizes ranging %g..%g" % (sizes.min(), sizes.max())
-        )
 
 
 def _as_matrix(placement):
@@ -70,6 +64,15 @@ def echr(placement, library):
             f"not match a library of {library.count}"
         )
     return float(library.popularity @ matrix.sum(axis=0))
+
+
+def _clamped_echr(placement, library):
+    """:func:`echr` clamped to [0, 1], the hit ratios the queues accept.
+
+    A feasible placement may overshoot the unit hit share by the solvers'
+    tolerance; the clamp absorbs that.
+    """
+    return min(max(echr(placement, library), 0.0), 1.0)
 
 
 def stable_echr_interval(traffic):
@@ -125,6 +128,11 @@ def adt_curve(h, traffic):
     h = _require_stable(h, traffic)[..., np.newaxis]
     _, _, per_station = _station_times(h, traffic)
     return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
+
+
+def _feasible_adt(placement, scenario):
+    """Overall ADT of a feasible placement, at its :func:`_clamped_echr`."""
+    return adt_curve(_clamped_echr(placement, scenario.library), scenario.traffic)
 
 
 def _rates(traffic):
@@ -185,12 +193,9 @@ class AdtReport:
 
 def overall_adt(placement, scenario):
     """Evaluate the full download-time report of a feasible placement."""
-    require_equal_sizes(scenario.library)
     validate_placement(placement, scenario.library, scenario.cluster)
     traffic = scenario.traffic
-    h = echr(placement, scenario.library)
-    # Guard against tolerance-level overshoot of the hit share.
-    h = min(max(h, 0.0), 1.0)
+    h = _clamped_echr(placement, scenario.library)
     t_e, t_b, per_station = _station_times(h, traffic)
     overall = float(traffic.weights @ per_station)
     return AdtReport(h_e=h, h_b=1.0 - h, t_e=t_e, t_b=t_b, per_station=per_station, overall=overall)
@@ -206,9 +211,7 @@ def grad_overall_adt(placement, scenario):
     ``f``).
     """
     library, cluster = scenario.library, scenario.cluster
-    require_equal_sizes(library)
     matrix = _as_matrix(placement)
     validate_placement(matrix, library, cluster)
-    h = echr(matrix, library)
-    slope = adt_slope(min(max(h, 0.0), 1.0), scenario.traffic)
+    slope = adt_slope(_clamped_echr(matrix, library), scenario.traffic)
     return np.tile(slope * library.popularity, cluster.node_count)

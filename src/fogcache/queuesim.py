@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import echr
+from .objective import _clamped_echr
 
 __all__ = [
     "SimConfig",
@@ -199,7 +199,7 @@ def simulate_station(placement, scenario, station, config):
     traffic = scenario.traffic
     if not 0 <= station < traffic.station_count:
         raise ValueError(f"station index {station} out of range")
-    h = min(max(echr(placement, scenario.library), 0.0), 1.0)
+    h = _clamped_echr(placement, scenario.library)
     lam = float(traffic.lam[station])
     mu_e = float(traffic.mu_e[station])
     mu_b = float(traffic.mu_b[station])

@@ -1,13 +1,44 @@
-"""Exact Euclidean projection onto the feasible placement set, for tests.
+"""Brute-force oracles for tests, independent of the solvers they check.
 
-An independent cross-check of ``fogcache.admm.project_feasible``: it shares
-nothing with that dual Newton method but the constraint rows, which it reads
-from the dense ``ConstraintSystem.a``/``a_u``/``b``/``b_u`` views.
+* :func:`qp_projection_oracle` — the exact Euclidean projection onto the
+  feasible placement set, an independent cross-check of
+  ``fogcache.admm.project_feasible``: it shares nothing with that dual
+  Newton method but the constraint rows, which it reads from the dense
+  ``ConstraintSystem.a``/``a_u``/``b``/``b_u`` views.
+* :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
+  enumeration, an independent cross-check of the greedy knapsack in
+  ``fogcache.heuristic``.
 """
 
 import itertools
 
 import numpy as np
+
+
+def h_csl_oracle(popularity, sizes, total_capacity):
+    """Largest hit ratio ``max p . x`` with ``s . x <= C`` and ``0 <= x <= 1``.
+
+    The linear program has one row besides the box, so every vertex has at
+    most one fractional coordinate: a set of whole contents that fits,
+    plus at most one other content cut to the capacity left.  Enumerates
+    all of them: allowed only for ``F <= 10``.
+    """
+    popularity = np.asarray(popularity, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    count = popularity.size
+    if count > 10:
+        raise ValueError(f"vertex enumeration is limited to 10 contents, got {count}")
+    best = 0.0
+    for bits in itertools.product((False, True), repeat=count):
+        whole = np.array(bits)
+        spare = total_capacity - float(sizes[whole].sum())
+        if spare < 0.0:
+            continue
+        value = float(popularity[whole].sum())
+        best = max(best, value)
+        for g in np.flatnonzero(~whole):
+            best = max(best, value + min(1.0, spare / sizes[g]) * popularity[g])
+    return best
 
 
 def _box_patterns(n):

@@ -9,8 +9,6 @@ from fogcache import (
     AdmmConfig,
     ContentLibrary,
     FogCluster,
-    Scenario,
-    TrafficProfile,
     adt_slope,
     echr,
     grid_bruteforce,
@@ -299,15 +297,6 @@ class TestSolve:
         assert len(result.trace) == 3
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
         assert result.adt == min(record.objective for record in result.trace)
-
-    def test_rejects_unequal_sizes(self):
-        scenario = Scenario(
-            library=ContentLibrary([0.6, 0.4], [1.0, 2.0]),
-            cluster=FogCluster([1.0]),
-            traffic=TrafficProfile([2.0], [9.0], [5.0]),
-        )
-        with pytest.raises(ValueError, match="equal content sizes"):
-            solve(scenario)
 
     def test_matches_heuristic_on_random_scenarios(self):
         rng = np.random.default_rng(60221023)

@@ -318,6 +318,38 @@ class TestSimulateCommand:
         assert code == 2
 
 
+def test_unequal_sizes_run_every_command(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "library": {"popularity": [0.4, 0.3, 0.2, 0.1], "sizes": [3.0, 0.5, 1.5, 2.0]},
+                "cluster": {"capacities": [1.5, 2.0]},
+                "traffic": {"lambda": 4.0, "mu_e": 8.0, "mu_b": 6.0},
+            }
+        )
+    )
+    scenario = Scenario.load(path)
+    for command in ("solve", "heuristic"):
+        out = tmp_path / command
+        out.mkdir()
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        matrix = np.asarray(json.loads((out / "placement.json").read_text())["matrix"])
+        validate_placement(matrix, scenario.library, scenario.cluster)
+    sim = tmp_path / "sim.csv"
+    code = main(
+        [
+            "simulate",
+            "--scenario", str(path),
+            "--placement", str(tmp_path / "solve" / "placement.json"),
+            "--arrivals", "20000",
+            "--out", str(sim),
+        ]
+    )
+    assert code == 0
+    assert len(_read_csv(sim)[1]) == 2
+
+
 def _heuristic_placement(rng):
     nodes = 10
     scenario = Scenario(

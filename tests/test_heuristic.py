@@ -353,15 +353,6 @@ class TestHeuristicSolve:
         assert result.lambda_star is None
         np.testing.assert_array_equal(result.placement.matrix, np.zeros((1, 6)))
 
-    def test_rejects_unequal_sizes(self):
-        scenario = Scenario(
-            library=ContentLibrary([0.6, 0.4], [1.0, 2.0]),
-            cluster=FogCluster([1.0]),
-            traffic=TrafficProfile([2.0], [9.0], [5.0]),
-        )
-        with pytest.raises(ValueError, match="requires equal content sizes"):
-            heuristic_solve(scenario)
-
     def test_result_is_scalar_optimal_on_random_scenarios(self):
         # h* = min(h_csl, h_cpl) must beat every other realizable hit ratio.
         rng = np.random.default_rng(31337)

@@ -5,9 +5,7 @@ import pytest
 
 from fogcache import (
     ContentLibrary,
-    FogCluster,
     Placement,
-    Scenario,
     TrafficProfile,
     adt_curvature,
     adt_curve,
@@ -16,7 +14,7 @@ from fogcache import (
     grad_overall_adt,
     overall_adt,
 )
-from fogcache.objective import _station_times, require_equal_sizes, stable_echr_interval
+from fogcache.objective import _station_times, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 
@@ -179,23 +177,11 @@ class TestOverallAdt:
             report = overall_adt(placement, scenario)
             assert report.overall == adt_curve(report.h_e, scenario.traffic)
 
-    def test_rejects_unequal_sizes(self):
-        scenario = Scenario(
-            library=ContentLibrary([0.6, 0.4], [1.0, 2.0]),
-            cluster=FogCluster([1.0]),
-            traffic=TrafficProfile([2.0], [9.0], [5.0]),
-        )
-        with pytest.raises(ValueError, match="sizes ranging 1..2"):
-            overall_adt(Placement(np.zeros((1, 2))), scenario)
-
     def test_rejects_infeasible_placement(self, reference_scenario):
         matrix = np.zeros((3, 20))
         matrix[0, :5] = 1.0  # over node 1's capacity of 2
         with pytest.raises(ValueError, match="exceeds capacity"):
             overall_adt(matrix, reference_scenario)
-
-    def test_require_equal_sizes_accepts_uniform(self):
-        require_equal_sizes(ContentLibrary([0.6, 0.4], [3.0, 3.0]))
 
 
 class TestGradOverallAdt:
