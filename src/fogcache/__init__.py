@@ -22,8 +22,8 @@ The top level exports the types and entry points; building blocks such as
 ``queuesim.mm1_sojourn_times`` are imported from their modules.
 """
 
-from .admm import AdmmConfig, AdmmResult, solve
-from .baselines import BaselineConfig, PgdResult, grid_bruteforce, projected_gradient_solve
+from .admm import AdmmConfig, SolveResult, solve
+from .baselines import BaselineConfig, grid_bruteforce, projected_gradient_solve
 from .errors import NumericalError
 from .heuristic import HeuristicResult, echr_cpl, echr_csl, heuristic_solve, placement_from_echr
 from .model import (
@@ -49,18 +49,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig",
-    "AdmmResult",
     "AdtReport",
     "BaselineConfig",
     "ContentLibrary",
     "FogCluster",
     "HeuristicResult",
     "NumericalError",
-    "PgdResult",
     "Placement",
     "Scenario",
     "SimConfig",
     "SimResult",
+    "SolveResult",
     "TrafficProfile",
     "adt_curvature",
     "adt_curve",

@@ -20,6 +20,8 @@ alternates three steps with a scaled dual ``theta``:
 
 Iteration stops on the usual primal/dual residual thresholds, with ``rho``
 adapted by residual balancing; the feasible iterate ``z`` is the placement.
+The :class:`SolveResult` it comes in is also what the projected-gradient
+cross-check returns.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .objective import (
 
 __all__ = [
     "AdmmConfig",
-    "AdmmResult",
     "ConstraintSystem",
     "IterationRecord",
+    "SolveResult",
     "p_update",
     "project_feasible",
     "solve",
@@ -86,8 +88,15 @@ class IterationRecord(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class AdmmResult:
-    """Solution bundle: the feasible placement plus convergence evidence."""
+class SolveResult:
+    """Solution bundle of :func:`solve` and of
+    :func:`~fogcache.baselines.projected_gradient_solve`: the feasible
+    placement plus convergence evidence.
+
+    ``trace`` holds one :class:`IterationRecord` per iteration run.  In
+    projected gradient's trace the residual columns carry the step
+    displacement and the gradient-mapping norm.
+    """
 
     placement: Placement
     echr: float
@@ -335,7 +344,7 @@ def solve(scenario, config=None, p0=None):
     relative residual balancing of Wohlberg 2017.  Balancing raw residuals
     (Boyd et al. 2011, section 3.4.1) ignores that the dual threshold binds.
 
-    Returns an :class:`AdmmResult` whose placement is the feasible iterate
+    Returns a :class:`SolveResult` whose placement is the feasible iterate
     ``z`` (``p`` may sit tolerance-level outside the constraints; downstream
     consumers need feasibility, so ``z`` is the one handed back — recorded
     choice).  If the iteration cap is reached, the best-objective iterate
@@ -384,7 +393,7 @@ def solve(scenario, config=None, p0=None):
 
     if not converged and best_z is not z:
         z, objective, k = best_z, best_objective, best_k
-    return AdmmResult(
+    return SolveResult(
         placement=Placement(z), echr=_clamped_echr(z, library), adt=objective,
         iterations=k, converged=converged, trace=trace,
     )

@@ -4,9 +4,10 @@ Two routes to the same optimum, deliberately different in mechanism:
 
 * :func:`projected_gradient_solve` — a labelled cross-check: a first-order
   method with Armijo backtracking, standing in for a generic convex solver.
-  It must land on the same optimum as the splitting solver, but it is slow
-  and, on storage-limited instances, stops at its iteration cap a little
-  above the optimum.
+  It must land on the same optimum as the splitting solver, and returns the
+  same :class:`~fogcache.admm.SolveResult`, but it is slow and, on
+  storage-limited instances, stops at its iteration cap a little above the
+  optimum.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConstraintSystem, IterationRecord, project_feasible
+from .admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
 from .heuristic import echr_csl
 from .model import Placement
 from .objective import _clamped_echr, _feasible_adt, adt_curve, adt_slope
 
 __all__ = [
     "BaselineConfig",
-    "PgdResult",
     "projected_gradient_solve",
     "grid_bruteforce",
 ]
@@ -57,27 +57,14 @@ class BaselineConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class PgdResult:
-    """Projected-gradient outcome; trace rows match the main solver's schema
-    (the residual columns carry the step displacement and the
-    gradient-mapping norm)."""
-
-    placement: Placement
-    echr: float
-    adt: float
-    iterations: int
-    converged: bool
-    trace: list
-
-
 def projected_gradient_solve(scenario, config=None):
     """Minimize the overall download time by projected gradient descent.
 
     Iterates ``p <- proj(p - t * grad D(p))`` with Armijo backtracking on the
     objective, stopping when the gradient-mapping norm drops below ``tol``.
     The problem is convex with a unique optimal value, so this provides an
-    independent route to the optimum of the main solver.
+    independent route to the optimum of the main solver, returned in the
+    same :class:`~fogcache.admm.SolveResult`.
     """
     config = BaselineConfig() if config is None else config
     library, cluster = scenario.library, scenario.cluster
@@ -110,13 +97,9 @@ def projected_gradient_solve(scenario, config=None):
             converged = True
             break
 
-    return PgdResult(
-        placement=Placement(p),
-        echr=_clamped_echr(p, library),
-        adt=value,
-        iterations=k,
-        converged=converged,
-        trace=trace,
+    return SolveResult(
+        placement=Placement(p), echr=_clamped_echr(p, library), adt=value,
+        iterations=k, converged=converged, trace=trace,
     )
 
 

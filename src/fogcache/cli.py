@@ -3,6 +3,12 @@
 Everything the commands emit is machine-readable (JSON or CSV) with fixed,
 documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
+
+``solve`` and ``sweep`` share the solver flags ``--rho``, ``--eps-abs``,
+``--eps-rel`` and ``--max-iter``, whose defaults are :class:`AdmmConfig`'s;
+projected gradient reads ``--eps-abs`` as its tolerance and ``--max-iter``
+as its cap.  Each subcommand runs one ``cmd_*`` function on the parsed
+arguments.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, solve
+from .admm import AdmmConfig, IterationRecord, solve
 from .baselines import BaselineConfig, projected_gradient_solve
 from .errors import NumericalError
 from .heuristic import echr_csl, heuristic_solve
@@ -24,16 +30,9 @@ from .model import Placement, Scenario
 from .objective import overall_adt
 from .queuesim import SimConfig, simulate_cluster
 
-__all__ = [
-    "SweepSpec",
-    "cmd_solve",
-    "cmd_heuristic",
-    "cmd_sweep",
-    "cmd_simulate",
-    "main",
-]
+__all__ = ["SweepSpec", "main"]
 
-TRACE_HEADER = ("k", "objective", "primal_residual", "dual_residual")
+TRACE_HEADER = IterationRecord._fields
 SWEEP_HEADER = ("value", "solver", "echr", "adt", "iterations", "wall_time", "status")
 SIMULATE_HEADER = (
     "station",
@@ -171,34 +170,31 @@ def _write_rows(rows, out_path):
             handle.write(text)
 
 
-def cmd_solve(
-    scenario_file,
-    solver="admm",
-    rho=1.0,
-    eps_abs=1e-6,
-    eps_rel=1e-4,
-    max_iter=1000,
-    out_dir=".",
-):
+def _solver(name, args):
+    """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
+    solver flags; a bad flag raises ``ValueError`` here, before any solve."""
+    if name == "admm":
+        config = AdmmConfig(
+            rho=args.rho, eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iter=args.max_iter
+        )
+        return lambda scenario: solve(scenario, config)
+    config = BaselineConfig(tol=args.eps_abs, max_iter=args.max_iter)
+    return lambda scenario: projected_gradient_solve(scenario, config)
+
+
+def cmd_solve(args):
     """Solve one scenario; write placement.json, report.json, trace.csv."""
-    if solver not in ("admm", "pgd"):
-        raise ValueError(f"unknown solver {solver!r}; expected 'admm' or 'pgd'")
-    scenario = Scenario.load(scenario_file)
+    scenario = Scenario.load(args.scenario)
     start = time.perf_counter()
-    if solver == "admm":
-        config = AdmmConfig(rho=rho, eps_abs=eps_abs, eps_rel=eps_rel, max_iter=max_iter)
-        result = solve(scenario, config)
-    else:
-        config = BaselineConfig(tol=eps_abs, max_iter=max_iter)
-        result = projected_gradient_solve(scenario, config)
+    result = _solver(args.solver, args)(scenario)
     wall_time = time.perf_counter() - start
 
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_placement(result.placement, out / "placement.json")
     _dump_json(
         {
-            "solver": solver,
+            "solver": args.solver,
             "echr": result.echr,
             "adt": result.adt,
             "iterations": result.iterations,
@@ -209,21 +205,18 @@ def cmd_solve(
         out / "report.json",
     )
     rows = [TRACE_HEADER]
-    rows += [
-        (str(record.k), _fmt(record.objective), _fmt(record.primal_residual), _fmt(record.dual_residual))
-        for record in result.trace
-    ]
+    rows += [(str(k), *map(_fmt, values)) for k, *values in result.trace]
     _write_rows(rows, out / "trace.csv")
     print(
-        f"solver={solver} echr={result.echr:.6f} adt={result.adt:.6f} "
+        f"solver={args.solver} echr={result.echr:.6f} adt={result.adt:.6f} "
         f"iterations={result.iterations} converged={result.converged} out={out}"
     )
     return 0 if result.converged else 1
 
 
-def cmd_heuristic(scenario_file, out_dir=None):
+def cmd_heuristic(args):
     """Run the two-regime heuristic; print its summary as JSON."""
-    scenario = Scenario.load(scenario_file)
+    scenario = Scenario.load(args.scenario)
     result = heuristic_solve(scenario)
     report = overall_adt(result.placement, scenario)
     summary = {
@@ -236,59 +229,53 @@ def cmd_heuristic(scenario_file, out_dir=None):
         "adt": report.overall,
     }
     print(json.dumps(summary, indent=2))
-    if out_dir is not None:
-        out = Path(out_dir)
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _dump_placement(result.placement, out / "placement.json")
-        _dump_json(
-            dict(summary, adt_report=_report_dict(report)),
-            out / "report.json",
-        )
+        _dump_json(dict(summary, adt_report=_report_dict(report)), out / "report.json")
     return 0
 
 
-def _sweep_point(solver, scenario, admm_config, baseline_config):
-    """Run one solver on one scenario: (echr, adt, iterations, status, wall)."""
+def _sweep_point(name, scenario, solvers):
+    """Run one solver on one scenario; return the row's last five fields.
+
+    ``solvers`` maps ``admm`` and ``pgd`` to their :func:`_solver` runs.
+    """
     start = time.perf_counter()
-    if solver == "admm":
-        result = solve(scenario, admm_config)
-        values = (result.echr, result.adt, result.iterations)
-        status = "ok" if result.converged else "unconverged"
-    elif solver == "pgd":
-        result = projected_gradient_solve(scenario, baseline_config)
-        values = (result.echr, result.adt, result.iterations)
-        status = "ok" if result.converged else "unconverged"
-    elif solver == "heuristic":
+    status = "ok"
+    if name in solvers:
+        result = solvers[name](scenario)
+        echr_value, adt, iterations = result.echr, result.adt, result.iterations
+        if not result.converged:
+            status = "unconverged"
+    elif name == "heuristic":
         report = overall_adt(heuristic_solve(scenario).placement, scenario)
-        values = (report.h_e, report.overall, 0)
-        status = "ok"
+        echr_value, adt, iterations = report.h_e, report.overall, 0
     else:  # csl-only
-        h_csl, placement = echr_csl(scenario.library, scenario.cluster)
-        values = (h_csl, overall_adt(placement, scenario).overall, 0)
-        status = "ok"
+        echr_value, placement = echr_csl(scenario.library, scenario.cluster)
+        adt, iterations = overall_adt(placement, scenario).overall, 0
     wall = time.perf_counter() - start
-    return values, status, wall
+    return _fmt(echr_value), _fmt(adt), str(iterations), _fmt(wall), status
 
 
-def cmd_sweep(
-    sweep_file,
-    solvers=None,
-    rho=1.0,
-    eps_abs=1e-6,
-    eps_rel=1e-4,
-    max_iter=1000,
-    out_path=None,
-):
+def cmd_sweep(args):
     """Run every (value, solver) pair of a sweep and emit one CSV row each.
 
-    A point whose scenario fails validation produces rows with empty metric
-    fields and status ``invalid``; the sweep continues.  A solver hitting its
-    iteration cap is marked ``unconverged``, a numerical failure ``error``.
+    ``--solver`` is repeatable and comma-separated; it defaults to
+    ``admm,heuristic,csl-only``.  A point whose scenario fails validation
+    produces rows with empty metric fields and status ``invalid``; the sweep
+    continues.  A solver hitting its iteration cap is marked ``unconverged``,
+    a numerical failure ``error``.
     """
-    spec = SweepSpec.load(sweep_file)
-    if solvers is None:
-        solvers = ["admm", "heuristic", "csl-only"]
-    for name in solvers:
+    spec = SweepSpec.load(args.scenario)
+    if args.solver is None:
+        names = ["admm", "heuristic", "csl-only"]
+    else:
+        names = [name for chunk in args.solver for name in chunk.split(",") if name]
+    if not names:
+        raise ValueError(f"empty solver list; expected a subset of {SWEEP_SOLVERS}")
+    for name in names:
         if name not in SWEEP_SOLVERS:
             raise ValueError(f"unknown solver {name!r}; expected a subset of {SWEEP_SOLVERS}")
     with open(spec.base) as handle:
@@ -297,50 +284,36 @@ def cmd_sweep(
         # An unusable base is a usage error for every point: fail upfront
         # rather than emitting a sheet of invalid rows.
         _scenario_at(spec, base_data, spec.values[0])
-    admm_config = AdmmConfig(rho=rho, eps_abs=eps_abs, eps_rel=eps_rel, max_iter=max_iter)
-    baseline_config = BaselineConfig(tol=eps_abs, max_iter=max_iter)
+    solvers = {name: _solver(name, args) for name in ("admm", "pgd")}
 
     rows = [SWEEP_HEADER]
     for value in spec.values:
         try:
             scenario = _scenario_at(spec, base_data, value)
         except ValueError:
-            rows += [(_fmt(value), name, "", "", "", "", "invalid") for name in solvers]
+            rows += [(_fmt(value), name, "", "", "", "", "invalid") for name in names]
             continue
-        for name in solvers:
+        for name in names:
             try:
-                (echr_value, adt, iterations), status, wall = _sweep_point(
-                    name, scenario, admm_config, baseline_config
-                )
+                fields = _sweep_point(name, scenario, solvers)
             except NumericalError:
-                rows.append((_fmt(value), name, "", "", "", "", "error"))
-                continue
-            rows.append(
-                (
-                    _fmt(value),
-                    name,
-                    _fmt(echr_value),
-                    _fmt(adt),
-                    str(iterations),
-                    _fmt(wall),
-                    status,
-                )
-            )
-    _write_rows(rows, out_path)
+                fields = ("", "", "", "", "error")
+            rows.append((_fmt(value), name, *fields))
+    _write_rows(rows, args.out)
     return 0
 
 
-def cmd_simulate(scenario_file, placement_file, seed=0, n_arrivals=1_000_000, out_path=None):
+def cmd_simulate(args):
     """Simulate every station under a placement; emit measured vs analytic CSV.
 
     Station numbering in the output is 1-based, matching the ``BS i`` naming
     used in validation messages.  With a fixed seed the CSV is bit-identical
     across runs.
     """
-    scenario = Scenario.load(scenario_file)
-    placement = _load_placement(placement_file)
+    scenario = Scenario.load(args.scenario)
+    placement = _load_placement(args.placement)
     analytic = overall_adt(placement, scenario)
-    config = SimConfig(seed=seed, n_arrivals=n_arrivals)
+    config = SimConfig(seed=args.seed, n_arrivals=args.arrivals)
     results = simulate_cluster(placement, scenario, config)
 
     rows = [SIMULATE_HEADER]
@@ -358,7 +331,7 @@ def cmd_simulate(scenario_file, placement_file, seed=0, n_arrivals=1_000_000, ou
                 _fmt(abs(sim.mean_adt - reference) / reference),
             )
         )
-    _write_rows(rows, out_path)
+    _write_rows(rows, args.out)
     return 0
 
 
@@ -369,22 +342,38 @@ def _build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    solve_parser = commands.add_parser("solve", help="solve one scenario to a placement")
+    defaults = AdmmConfig()
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument(
+        "--rho", type=float, default=defaults.rho, help="initial consensus penalty"
+    )
+    solver_flags.add_argument(
+        "--eps-abs",
+        type=float,
+        default=defaults.eps_abs,
+        help="absolute tolerance (pgd: mapping tolerance)",
+    )
+    solver_flags.add_argument(
+        "--eps-rel", type=float, default=defaults.eps_rel, help="relative tolerance"
+    )
+    solver_flags.add_argument("--max-iter", type=int, default=defaults.max_iter)
+
+    solve_parser = commands.add_parser(
+        "solve", parents=[solver_flags], help="solve one scenario to a placement"
+    )
     solve_parser.add_argument("--scenario", required=True, help="scenario JSON file")
     solve_parser.add_argument("--solver", default="admm", choices=("admm", "pgd"))
-    solve_parser.add_argument("--rho", type=float, default=1.0, help="initial consensus penalty")
-    solve_parser.add_argument(
-        "--eps-abs", type=float, default=1e-6, help="absolute tolerance (pgd: mapping tolerance)"
-    )
-    solve_parser.add_argument("--eps-rel", type=float, default=1e-4, help="relative tolerance")
-    solve_parser.add_argument("--max-iter", type=int, default=1000)
     solve_parser.add_argument("--out", default=".", help="output directory")
+    solve_parser.set_defaults(run=cmd_solve)
 
     heuristic_parser = commands.add_parser("heuristic", help="run the two-regime heuristic")
     heuristic_parser.add_argument("--scenario", required=True, help="scenario JSON file")
     heuristic_parser.add_argument("--out", default=None, help="optional output directory")
+    heuristic_parser.set_defaults(run=cmd_heuristic)
 
-    sweep_parser = commands.add_parser("sweep", help="run a parameter sweep to CSV")
+    sweep_parser = commands.add_parser(
+        "sweep", parents=[solver_flags], help="run a parameter sweep to CSV"
+    )
     sweep_parser.add_argument("--scenario", required=True, help="sweep JSON file")
     sweep_parser.add_argument(
         "--solver",
@@ -392,11 +381,8 @@ def _build_parser():
         default=None,
         help="solver name (repeatable or comma-separated); default admm,heuristic,csl-only",
     )
-    sweep_parser.add_argument("--rho", type=float, default=1.0, help="initial consensus penalty")
-    sweep_parser.add_argument("--eps-abs", type=float, default=1e-6)
-    sweep_parser.add_argument("--eps-rel", type=float, default=1e-4)
-    sweep_parser.add_argument("--max-iter", type=int, default=1000)
     sweep_parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    sweep_parser.set_defaults(run=cmd_sweep)
 
     simulate_parser = commands.add_parser("simulate", help="validate a placement by simulation")
     simulate_parser.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -404,48 +390,14 @@ def _build_parser():
     simulate_parser.add_argument("--seed", type=int, default=0)
     simulate_parser.add_argument("--arrivals", type=int, default=1_000_000)
     simulate_parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    simulate_parser.set_defaults(run=cmd_simulate)
     return parser
-
-
-def _dispatch(args):
-    if args.command == "solve":
-        return cmd_solve(
-            args.scenario,
-            solver=args.solver,
-            rho=args.rho,
-            eps_abs=args.eps_abs,
-            eps_rel=args.eps_rel,
-            max_iter=args.max_iter,
-            out_dir=args.out,
-        )
-    if args.command == "heuristic":
-        return cmd_heuristic(args.scenario, out_dir=args.out)
-    if args.command == "sweep":
-        solvers = None
-        if args.solver is not None:
-            solvers = [name for chunk in args.solver for name in chunk.split(",") if name]
-        return cmd_sweep(
-            args.scenario,
-            solvers=solvers,
-            rho=args.rho,
-            eps_abs=args.eps_abs,
-            eps_rel=args.eps_rel,
-            max_iter=args.max_iter,
-            out_path=args.out,
-        )
-    return cmd_simulate(
-        args.scenario,
-        args.placement,
-        seed=args.seed,
-        n_arrivals=args.arrivals,
-        out_path=args.out,
-    )
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

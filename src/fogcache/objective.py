@@ -127,7 +127,7 @@ def adt_curve(h, traffic):
     scalar = np.ndim(h) == 0
     h = _require_stable(h, traffic)[..., np.newaxis]
     _, _, per_station = _station_times(h, traffic)
-    return _maybe_scalar(np.sum(traffic.weights * per_station, axis=-1), scalar)
+    return _maybe_scalar(per_station @ traffic.weights, scalar)
 
 
 def _feasible_adt(placement, scenario):
@@ -197,7 +197,7 @@ def overall_adt(placement, scenario):
     traffic = scenario.traffic
     h = _clamped_echr(placement, scenario.library)
     t_e, t_b, per_station = _station_times(h, traffic)
-    overall = float(traffic.weights @ per_station)
+    overall = float(per_station @ traffic.weights)
     return AdtReport(h_e=h, h_b=1.0 - h, t_e=t_e, t_b=t_b, per_station=per_station, overall=overall)
 
 

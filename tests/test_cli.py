@@ -4,12 +4,14 @@ Every test drives ``main(argv)`` the way a shell would and checks exit
 codes, file outputs, and stdout.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from fogcache import (
+    AdmmConfig,
     ContentLibrary,
     FogCluster,
     Placement,
@@ -21,6 +23,7 @@ from fogcache.cli import (
     SIMULATE_HEADER,
     SWEEP_HEADER,
     TRACE_HEADER,
+    _build_parser,
     _dump_placement,
     _load_placement,
     main,
@@ -211,6 +214,32 @@ class TestSweepCommand:
         sweep = self._write_sweep(tmp_path, scenario_file, "mu_b", [6.0])
         assert main(["sweep", "--scenario", str(sweep), "--solver", "magic"]) == 2
 
+    def test_empty_solver_list_exits_two(self, tmp_path, scenario_file, capsys):
+        sweep = self._write_sweep(tmp_path, scenario_file, "mu_b", [6.0])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(sweep), "--solver", ",", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "empty solver list" in capsys.readouterr().err
+
+    def test_solver_flags_reach_admm_and_pgd(self, tmp_path, scenario_file):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [3.0, 4.0])
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep",
+                "--scenario", str(sweep),
+                "--solver", "admm,pgd",
+                "--max-iter", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        _, rows = _read_csv(out)
+        assert [row[1] for row in rows] == ["admm", "pgd"] * 2
+        for row in rows:
+            assert row[6] == "unconverged"
+            assert 1 <= int(row[4]) <= 3
+
     def test_f_sweep_requires_a_zipf_base(self, tmp_path):
         # A base with explicit popularity has no exponent to regenerate from.
         base = tmp_path / "explicit.json"
@@ -394,3 +423,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["optimize"])
         assert exc.value.code == 2
+
+    def test_solve_and_sweep_share_the_solver_flags(self):
+        parser = _build_parser()
+        defaults = dataclasses.asdict(AdmmConfig())
+        for command in ("solve", "sweep"):
+            args = vars(parser.parse_args([command, "--scenario", "x.json"]))
+            assert {name: args[name] for name in defaults} == defaults
+            flags = ["--rho", "2", "--eps-abs", "1e-3", "--eps-rel", "1e-2", "--max-iter", "7"]
+            args = vars(parser.parse_args([command, "--scenario", "x.json", *flags]))
+            assert {name: args[name] for name in defaults} == {
+                "rho": 2.0, "eps_abs": 1e-3, "eps_rel": 1e-2, "max_iter": 7
+            }
