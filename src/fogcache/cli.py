@@ -240,7 +240,8 @@ def cmd_heuristic(args):
 def _sweep_point(name, scenario, solvers):
     """Run one solver on one scenario; return the row's last five fields.
 
-    ``solvers`` maps ``admm`` and ``pgd`` to their :func:`_solver` runs.
+    ``solvers`` maps the listed ones of ``admm`` and ``pgd`` to their
+    :func:`_solver` runs.
     """
     start = time.perf_counter()
     status = "ok"
@@ -284,7 +285,7 @@ def cmd_sweep(args):
         # An unusable base is a usage error for every point: fail upfront
         # rather than emitting a sheet of invalid rows.
         _scenario_at(spec, base_data, spec.values[0])
-    solvers = {name: _solver(name, args) for name in ("admm", "pgd")}
+    solvers = {name: _solver(name, args) for name in ("admm", "pgd") if name in names}
 
     rows = [SWEEP_HEADER]
     for value in spec.values:

@@ -16,6 +16,7 @@ from fogcache import (
     overall_adt,
     solve,
 )
+from fogcache import admm
 from fogcache.admm import ConstraintSystem, p_update, project_feasible
 from fogcache.model import validate_placement
 
@@ -192,6 +193,81 @@ class TestProjectFeasible:
         z = project_feasible(x, system)
         assert z.sum() < 1.0 - 0.1
         np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
+
+
+def _warm_start_instance(rng, variant):
+    """A seeded projection instance altered to stress the multipliers."""
+    x, library, cluster = random_projection_instance(rng)
+    sizes, capacities = library.sizes, cluster.capacities.copy()
+    if variant == "unequal sizes":
+        sizes = rng.uniform(0.5, 2.0, size=library.count)
+    elif variant == "zero-capacity node":
+        capacities[rng.integers(capacities.size)] = 0.0
+    else:  # tight capacities
+        capacities *= 0.05
+    return x, ConstraintSystem(sizes=sizes, capacities=capacities)
+
+
+def _starting_duals(rng, start, x, system):
+    n = system.n_nodes
+    if start == "zero":
+        return np.zeros(n)
+    if start == "previous output":
+        duals = np.zeros(n)
+        project_feasible(x + rng.normal(scale=0.05, size=x.shape), system, duals)
+        return duals
+    if start == "negative":
+        return rng.uniform(-5.0, -0.1, size=n)
+    return np.full(n, 1e6)  # far above the multiplier box
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("start", ["zero", "previous output", "negative", "outside the box"])
+    @pytest.mark.parametrize("variant", ["unequal sizes", "zero-capacity node", "tight capacities"])
+    def test_matches_the_cold_projection(self, variant, start):
+        rng = np.random.default_rng(31337)
+        for _ in range(40):
+            x, system = _warm_start_instance(rng, variant)
+            duals = _starting_duals(rng, start, x, system)
+            warm = project_feasible(x, system, duals)
+            # Each ascent stops once every capacity row is within
+            # 1e-12 * max(1, capacity) of its bound, so an entry of size s
+            # may sit that over s from the exact projection in either run.
+            bound = 2e-12 * max(1.0, system.capacities.max()) / system.sizes.min()
+            np.testing.assert_allclose(warm, project_feasible(x, system), rtol=0, atol=bound)
+            # KKT of the capacity rows: the returned multipliers are
+            # nonnegative and vanish wherever a row is slack.
+            slack = system.capacities - warm @ system.sizes
+            assert np.all(duals >= 0.0)
+            np.testing.assert_allclose(duals * slack, 0.0, atol=1e-10)
+
+    def test_written_multipliers_restart_at_the_solution(self, monkeypatch):
+        # Restarting from its own output, the ascent is already stationary:
+        # the projection evaluates the dual once and returns the same point.
+        rng = np.random.default_rng(2718)
+        evaluations = 0
+        project_columns = admm._project_columns
+
+        def counted(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return project_columns(*args)
+
+        monkeypatch.setattr(admm, "_project_columns", counted)
+        for variant in ("unequal sizes", "zero-capacity node", "tight capacities"):
+            for _ in range(20):
+                x, system = _warm_start_instance(rng, variant)
+                duals = np.zeros(system.n_nodes)
+                first = project_feasible(x, system, duals)
+                evaluations = 0
+                again = project_feasible(x, system, duals)
+                assert evaluations == 1
+                np.testing.assert_array_equal(again, first)
+
+    def test_rejects_multipliers_of_the_wrong_length(self, reference_scenario):
+        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
+        with pytest.raises(ValueError, match="3 capacity multipliers"):
+            project_feasible(np.zeros((3, 20)), system, np.zeros(2))
 
 
 class TestPUpdate:

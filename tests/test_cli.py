@@ -221,6 +221,30 @@ class TestSweepCommand:
         assert not out.exists()
         assert "empty solver list" in capsys.readouterr().err
 
+    def test_flags_of_unlisted_solvers_are_not_checked(self, tmp_path, scenario_file):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--scenario", str(sweep), "--solver", "heuristic", "--rho", "0",
+             "--out", str(out)]
+        )
+        assert code == 0
+        _, rows = _read_csv(out)
+        assert [row[1] for row in rows] == ["heuristic"]
+
+    def test_bad_flag_of_a_listed_solver_exits_two_before_any_point(
+        self, tmp_path, scenario_file, capsys
+    ):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--scenario", str(sweep), "--solver", "admm", "--rho", "0",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "rho must be positive" in capsys.readouterr().err
+
     def test_solver_flags_reach_admm_and_pgd(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [3.0, 4.0])
         out = tmp_path / "sweep.csv"
