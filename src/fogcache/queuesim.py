@@ -13,11 +13,22 @@ station's sample path a pure function of ``(seed, station)`` — independent
 of how many stations are simulated or in what order.  Exponential variates
 are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
+
+Each queue is one call of :func:`mm1_sojourn_times`, which starts one
+producer thread that makes every ``Generator.random`` call (the draws
+release the GIL) while the calling thread runs Lindley's recursion on the
+blocks already drawn.  Only the producer touches the generator, in the
+order of two whole-array draws, so sojourn times, means, confidence
+intervals and the generator state afterwards are bit-identical to earlier,
+single-threaded versions.  A queue in flight needs 8 bytes per arrival plus
+about 1.3 MB of buffers.  On two cores a 2e6-arrival queue takes about 35
+instead of 50 ms; pinned to one core, about 53 instead of 50 ms.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +45,12 @@ __all__ = [
 ]
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
-#: Arrivals per block of the Lindley kernel: three float64 buffers of this
-#: length (768 KB) stay in L2.  Blocks from 2**14 to 2**16 ran equally fast.
+#: Arrivals per block of the Lindley kernel: its five float64 buffers of this
+#: length (1.3 MB: three ring slots and two work buffers) stay in L2.  Blocks
+#: from 2**14 to 2**16 ran equally fast.
 _BLOCK = 1 << 15
+#: Ring slots for service blocks drawn ahead of the recursion.
+_SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,15 @@ class SimConfig:
     ``warmup`` arrivals are discarded from the front of every queue's sample
     path to wash out the empty-system start; by default 1% of the run.
 
-    Queues are simulated one at a time; each needs 8 bytes per arrival for
-    its sojourn times plus about 768 KB of fixed working buffers.
+    All three fields must be integers (``bool`` is rejected).
+
+    Queues are simulated one at a time, each by one call of
+    :func:`mm1_sojourn_times` on the calling thread, helped by one producer
+    thread that draws the randomness while the calling thread runs the
+    recursion; the output stays bit-identical to earlier, single-threaded
+    versions.  A queue needs 8 bytes per arrival for its sojourn times plus
+    about 1.3 MB of fixed buffers.  Pinned to one core the hand-offs cost
+    about 6% (50 to 53 ms per 2e6 arrivals).
     """
 
     seed: int = 0
@@ -55,7 +76,13 @@ class SimConfig:
     warmup: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        for name in ("seed", "n_arrivals", "warmup"):
+            value = getattr(self, name)
+            if value is None and name == "warmup":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.n_arrivals < 1:
             raise ValueError("n_arrivals must be at least 1")
@@ -100,52 +127,105 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     services ``S`` and cumulative services ``cumS``, customer ``k`` departs
     at ``cumS_k + max_{j<=k}(A_j - (cumS_j - S_j))``.
 
-    All interarrival uniforms are drawn first, in one ``rng.random`` call into
-    the returned array, then the service uniforms ``_BLOCK`` at a time: the
-    draw order of two whole-array draws.  The recursion runs in blocks of
-    ``_BLOCK``, in place in the output slice and three reused buffers that
-    stay in cache.  Three scalars carry across blocks: the last arrival time
-    and last cumulative service are added into the block's first element
-    before an in-place (sequential) ``cumsum``, so each partial sum is the
-    add a whole-array ``cumsum`` makes, and the running maximum enters as
-    ``max(x_0, carry)``, which is exact.  All other steps are elementwise, so
-    the output is bit-identical to the whole-array recursion, and to earlier
-    versions of this function, for the same ``rng`` state.  Memory is the
-    8-byte output per arrival plus about 768 KB of buffers.
+    One producer thread makes every ``rng`` call while this (the calling)
+    thread runs the recursion, so drawing overlaps with arithmetic.  The
+    producer draws all interarrival uniforms ``_BLOCK`` at a time into the
+    returned array, then the service uniforms ``_BLOCK`` at a time, which
+    it turns into exponentials in a ring of ``_SLOTS`` buffers: the draw
+    order of two whole-array draws.  The calling thread turns each arrival
+    chunk into arrival times as it lands, then runs the service ``cumsum``
+    and the running maximum block by block, freeing a ring slot per block.
+    Three scalars carry across blocks: the last arrival time and last
+    cumulative service are added into the block's first element before an
+    in-place (sequential) ``cumsum``, so each partial sum is the add a
+    whole-array ``cumsum`` makes, and the running maximum enters as
+    ``max(x_0, carry)``, which is exact.  All other steps are elementwise,
+    so the output and the ``rng`` state afterwards are bit-identical to the
+    whole-array recursion, and to earlier versions of this function.
+
+    Memory is the 8-byte output per arrival plus about 1.3 MB of buffers.
+    An exception in the producer is re-raised here; the producer is
+    stopped and joined before this function returns or raises.  A queue of
+    2e6 arrivals takes about 35 ms on two Xeon cores, against 50 ms for
+    drawing and recursing in turn; pinned to one core the hand-offs cost
+    about 6% (53 ms).
     """
-    sojourn = rng.random(n_arrivals)
+    sojourn = np.empty(n_arrivals)
     size = min(n_arrivals, _BLOCK)
-    services = np.empty(size)
-    cum_services = np.empty(size)
-    work = np.empty(size)
-    last_arrival = last_cum_service = 0.0
-    running_max = -math.inf
-    for start in range(0, n_arrivals, _BLOCK):
-        k = min(_BLOCK, n_arrivals - start)
-        arrivals = sojourn[start : start + k]
-        s, cum_s, w = services[:k], cum_services[:k], work[:k]
+    ring = [np.empty(size) for _ in range(_SLOTS)]
+    starts = range(0, n_arrivals, _BLOCK)
+    # ``drawn`` counts blocks ready for the recursion, ``free`` ring slots
+    # ready for the producer; ``failure`` holds the producer's exception.
+    drawn, free = threading.Semaphore(0), threading.Semaphore(_SLOTS)
+    stopped = threading.Event()
+    failure = []
 
-        _exponential_from_uniform(arrivals, lam)
-        arrivals[0] += last_arrival
-        np.cumsum(arrivals, out=arrivals)
-        last_arrival = arrivals[-1]
+    def draw():
+        try:
+            for start in starts:
+                chunk = sojourn[start : start + _BLOCK]
+                chunk[:] = rng.random(chunk.size)
+                drawn.release()
+                if stopped.is_set():
+                    return
+            for index, start in enumerate(starts):
+                free.acquire()
+                if stopped.is_set():
+                    return
+                s = ring[index % _SLOTS][: min(_BLOCK, n_arrivals - start)]
+                s[:] = rng.random(s.size)
+                _exponential_from_uniform(s, mu)
+                drawn.release()
+        except BaseException as exc:  # re-raised by the calling thread
+            failure.append(exc)
+            drawn.release()
 
-        s[:] = rng.random(k)
-        _exponential_from_uniform(s, mu)
-        first = s[0]  # the carry enters cumS only, not S
-        s[0] += last_cum_service
-        np.cumsum(s, out=cum_s)
-        s[0] = first
-        last_cum_service = cum_s[-1]
+    def wait_drawn():
+        drawn.acquire()
+        if failure:
+            raise failure[0]
 
-        # Departures: cumS + running max of (A - (cumS - S)); sojourn = D - A.
-        np.subtract(cum_s, s, out=w)
-        np.subtract(arrivals, w, out=w)
-        w[0] = max(w[0], running_max)
-        np.maximum.accumulate(w, out=w)
-        running_max = w[-1]
-        np.add(cum_s, w, out=w)
-        np.subtract(w, arrivals, out=arrivals)
+    producer = threading.Thread(target=draw, name="queuesim-draws", daemon=True)
+    producer.start()
+    try:
+        last_arrival = 0.0
+        for start in starts:
+            wait_drawn()
+            arrivals = sojourn[start : start + _BLOCK]
+            _exponential_from_uniform(arrivals, lam)
+            arrivals[0] += last_arrival
+            np.cumsum(arrivals, out=arrivals)
+            last_arrival = arrivals[-1]
+
+        cum_services = np.empty(size)
+        work = np.empty(size)
+        last_cum_service = 0.0
+        running_max = -math.inf
+        for index, start in enumerate(starts):
+            wait_drawn()
+            k = min(_BLOCK, n_arrivals - start)
+            arrivals = sojourn[start : start + k]
+            s, cum_s, w = ring[index % _SLOTS][:k], cum_services[:k], work[:k]
+
+            first = s[0]  # the carry enters cumS only, not S
+            s[0] += last_cum_service
+            np.cumsum(s, out=cum_s)
+            s[0] = first
+            last_cum_service = cum_s[-1]
+
+            # Departures: cumS + running max of (A - (cumS - S)); sojourn = D - A.
+            np.subtract(cum_s, s, out=w)
+            free.release()  # ``s`` is not read again: the producer may refill it
+            np.subtract(arrivals, w, out=w)
+            w[0] = max(w[0], running_max)
+            np.maximum.accumulate(w, out=w)
+            running_max = w[-1]
+            np.add(cum_s, w, out=w)
+            np.subtract(w, arrivals, out=arrivals)
+    finally:
+        stopped.set()
+        free.release()  # wakes a producer waiting for a slot
+        producer.join()
     return sojourn
 
 

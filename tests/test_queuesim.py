@@ -1,7 +1,11 @@
 """Tests for the discrete-event queue simulator."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from fogcache import (
     simulate_mm1,
 )
 
+from fogcache import queuesim
 from fogcache.queuesim import _BLOCK, _mean_ci, mm1_sojourn_times, simulate_station
 
 from conftest import make_scenario
@@ -53,11 +58,26 @@ class TestSimConfig:
             {"n_arrivals": 0},
             {"n_arrivals": 10, "warmup": 10},
             {"warmup": -1},
+            {"n_arrivals": 100.0},
+            {"n_arrivals": 2.5},
+            {"warmup": 3.5},
+            {"seed": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value", [("n_arrivals", 100.0), ("n_arrivals", 2.5), ("warmup", 3.5), ("seed", True)]
+    )
+    def test_non_integer_error_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = SimConfig(seed=np.int64(3), n_arrivals=np.int32(200), warmup=np.uint8(5))
+        assert config.effective_warmup == 5
 
 
 class TestLindleyRecursion:
@@ -279,6 +299,151 @@ class TestBlockedKernelExactness:
         ]
         assert simulate_station(placement, scenario, 1, config) == expected[1]
         assert simulate_cluster(placement, scenario, config) == expected
+
+
+_default_rng = np.random.default_rng
+
+
+class _RecordingRng:
+    """A ``default_rng`` that records the size and thread of each draw and
+    raises ``error`` on draw number ``fail_on`` (1-based), if given."""
+
+    def __init__(self, seed, fail_on=None):
+        self._rng = _default_rng(seed)
+        self.calls = []
+        self.fail_on = fail_on
+        self.error = RuntimeError("draw failed")
+
+    def random(self, size):
+        self.calls.append((size, threading.get_ident()))
+        if len(self.calls) == self.fail_on:
+            raise self.error
+        return self._rng.random(size)
+
+
+def _bounded(fn, *args):
+    """``fn(*args)`` on a helper thread, re-raising its exception; fails the
+    test instead of hanging if the call has not returned within 60 s."""
+    outcome = {}
+
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "call still running after 60 s"
+    if "error" in outcome:
+        raise outcome["error"]
+
+
+class TestProducerThread:
+    def test_draw_order_thread_and_output(self):
+        n = 3 * _BLOCK + 7
+        rng = _RecordingRng(8)
+        sojourn = mm1_sojourn_times(0.9, 1.0, n, rng)
+        sizes = [size for size, _ in rng.calls]
+        chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
+        assert sizes == chunks + chunks
+        assert sum(sizes[: len(chunks)]) == n and sum(sizes[len(chunks) :]) == n
+        threads = {thread for _, thread in rng.calls}
+        assert len(threads) == 1
+        assert threads != {threading.main_thread().ident}
+        expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(8))
+        assert sojourn.tobytes() == expected.tobytes()
+
+    def test_ring_reuse_under_contention(self, monkeypatch):
+        # Tiny blocks make every call cycle the three ring slots many times;
+        # eight concurrent calls on a short switch interval stress the
+        # hand-offs.  A slot overwritten before the recursion used it would
+        # change the output bits.
+        monkeypatch.setattr(queuesim, "_BLOCK", 16)
+        n, seeds = 16 * 200 + 5, range(8)
+        results = {}
+
+        def run(seed):
+            results[seed] = mm1_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed))
+            assert results[seed].tobytes() == expected.tobytes()
+
+    def test_no_thread_outlives_a_normal_return(self):
+        before = threading.active_count()
+        mm1_sojourn_times(0.9, 1.0, 3 * _BLOCK + 7, np.random.default_rng(2))
+        assert threading.active_count() == before
+        assert "queuesim-draws" not in [thread.name for thread in threading.enumerate()]
+
+    # Draw 3 is an arrival chunk, draw 6 a service block.
+    @pytest.mark.parametrize("fail_on", [1, 3, 6])
+    def test_producer_error_surfaces_from_the_kernel(self, fail_on):
+        rng = _RecordingRng(0, fail_on=fail_on)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _bounded(mm1_sojourn_times, 0.9, 1.0, 3 * _BLOCK + 7, rng)
+        assert info.value is rng.error
+        assert threading.active_count() == before
+        assert len(rng.calls) == fail_on
+
+    def test_producer_error_surfaces_from_simulate_mm1(self, monkeypatch):
+        rngs = []
+
+        def failing_rng(seed):
+            rngs.append(_RecordingRng(seed, fail_on=3))
+            return rngs[-1]
+
+        # _RecordingRng builds its generator through the real default_rng.
+        monkeypatch.setattr(queuesim.np.random, "default_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _bounded(simulate_mm1, 0.9, 1.0, SimConfig(n_arrivals=3 * _BLOCK + 7))
+        assert info.value is rngs[0].error
+        assert threading.active_count() == before
+
+    # With 8 blocks, cumsum call 1 is the first arrival chunk, 9 the first
+    # service block and 12 the fourth.  The pause before raising lets the
+    # producer fill the ring and wait for a free slot.
+    @pytest.mark.parametrize("fail_at", [1, 9, 12])
+    def test_consumer_error_stops_the_producer(self, monkeypatch, fail_at):
+        error = RuntimeError("recursion failed")
+        calls = []
+
+        def cumsum(*args, **kwargs):
+            calls.append(threading.get_ident())
+            if len(calls) == fail_at:
+                time.sleep(0.05)
+                raise error
+            return np.cumsum(*args, **kwargs)
+
+        numpy_view = types.ModuleType("numpy")
+        numpy_view.__dict__.update(vars(np))
+        numpy_view.cumsum = cumsum
+        monkeypatch.setattr(queuesim, "np", numpy_view)
+        rng = _RecordingRng(0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _bounded(mm1_sojourn_times, 0.9, 1.0, 8 * _BLOCK, rng)
+        assert info.value is error
+        # The recursion runs on the calling thread only, never the producer.
+        recursion_threads = set(calls)
+        assert len(recursion_threads) == 1
+        assert not recursion_threads & {thread for _, thread in rng.calls}
+        assert threading.active_count() == before
+        assert len(rng.calls) < 16
 
 
 class TestKernelMemory:
