@@ -4,6 +4,9 @@ import numpy as np
 
 from .errors import NumericalError
 
+TOL = 1e-12  # absolute tolerance on the final bracket width
+MAX_ITER = 200  # safeguarded Newton steps before plain bisection takes over
+
 
 def _march(func, lo, hi, side):
     """Find a point of the requested sign by marching toward one boundary.
@@ -30,17 +33,17 @@ def _march(func, lo, hi, side):
     )
 
 
-def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
+def increasing_root(func, deriv, lo, hi):
     """Root of a strictly increasing ``func`` on the open interval ``(lo, hi)``.
 
     ``func`` must be negative near ``lo`` and positive near ``hi`` (it may
     diverge at the boundaries).  Newton steps from ``deriv`` are used whenever
     they stay inside the current sign bracket; otherwise the step falls back
-    to bisection, so convergence to absolute tolerance ``tol`` on the bracket
-    width is guaranteed.  Once a Newton step is shorter than ``tol / 2`` it is
-    doubled (to at least a few ulps), so the next point lands just past the
-    root and the bracket closes around the Newton estimate at once instead
-    of by bisection.
+    to bisection, so convergence to absolute tolerance :data:`TOL` on the
+    bracket width is guaranteed.  Once a Newton step is shorter than
+    ``TOL / 2`` it is doubled (to at least a few ulps), so the next point
+    lands just past the root and the bracket closes around the Newton
+    estimate at once instead of by bisection.
     """
     if not hi > lo:
         raise ValueError("empty interval (%g, %g)" % (lo, hi))
@@ -51,7 +54,7 @@ def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
         else:
             a, b = _march(func, lo, hi, -1), middle
         x = 0.5 * (a + b)
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             fx = func(x)
             if fx == 0.0:
                 return x
@@ -59,12 +62,12 @@ def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
                 b = x
             else:
                 a = x
-            if b - a <= tol:
+            if b - a <= TOL:
                 return 0.5 * (a + b)
             slope = deriv(x)
             if np.isfinite(fx) and np.isfinite(slope) and slope > 0.0:
                 step = -fx / slope
-                if abs(step) < 0.5 * tol:
+                if abs(step) < 0.5 * TOL:
                     # Newton has converged from one side: probe past its
                     # estimate so the far end closes the bracket around it.
                     step = np.copysign(max(2.0 * abs(step), 4.0 * abs(np.spacing(x))), step)
@@ -74,7 +77,7 @@ def increasing_root(func, deriv, lo, hi, tol=1e-12, max_iter=200):
                     continue
             x = 0.5 * (a + b)
         # Newton made no further progress; finish with plain bisection.
-        while b - a > tol:
+        while b - a > TOL:
             x = 0.5 * (a + b)
             fx = func(x)
             if fx == 0.0:

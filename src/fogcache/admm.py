@@ -34,14 +34,7 @@ import numpy as np
 
 from ._roots import increasing_root
 from .model import Placement, validate_placement
-from .objective import (
-    _clamped_echr,
-    _curvature_at,
-    _feasible_adt,
-    _rates,
-    _slope_at,
-    stable_echr_interval,
-)
+from .objective import _clamped_echr, _curvature_at, _feasible_adt, _slope_at, stable_echr_interval
 
 __all__ = [
     "AdmmConfig",
@@ -269,7 +262,12 @@ def project_feasible(x, constraints, duals=None):
         # near the solution; along a flat direction it limits the step to
         # about the span of the multiplier box, which backtracking then cuts.
         ridge = stationarity / max(1.0, float(upper.max())) * np.eye(hessian.shape[0])
-        direction[moving] = np.linalg.solve(hessian + ridge, gradient[moving])
+        try:
+            direction[moving] = np.linalg.solve(hessian + ridge, gradient[moving])
+        except np.linalg.LinAlgError:
+            # Far outside the set (next to saturation) the ridge can vanish
+            # against the Hessian; backtracking then cuts the gradient step.
+            direction[moving] = gradient[moving]
         step = 1.0
         for _ in range(_BACKTRACK_MAX_HALVINGS):
             trial = np.minimum(np.maximum(mu + step * direction, 0.0), upper)
@@ -322,17 +320,15 @@ def p_update(z, theta, scenario, rho):
     cv = float(popularity @ v.sum(axis=0))
     c_sq_over_rho = n * float(popularity @ popularity) / rho
     traffic = scenario.traffic
-    rates = _rates(traffic)
-    lo, hi = stable_echr_interval(traffic)
 
     def residual(h):
-        return h - cv + _slope_at(h, *rates) * c_sq_over_rho
+        return h - cv + _slope_at(h, traffic) * c_sq_over_rho
 
     def residual_slope(h):
-        return 1.0 + _curvature_at(h, *rates) * c_sq_over_rho
+        return 1.0 + _curvature_at(h, traffic) * c_sq_over_rho
 
-    h_star = increasing_root(residual, residual_slope, lo, hi, tol=1e-12)
-    return (v - (_slope_at(h_star, *rates) / rho) * popularity).reshape(z.shape)
+    h_star = increasing_root(residual, residual_slope, *stable_echr_interval(traffic))
+    return (v - (_slope_at(h_star, traffic) / rho) * popularity).reshape(z.shape)
 
 
 #: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one normalised

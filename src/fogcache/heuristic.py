@@ -29,7 +29,7 @@ import numpy as np
 
 from ._roots import increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import _curvature_at, _rates, _slope_at, stable_echr_interval
+from .objective import _curvature_at, _slope_at, stable_echr_interval
 
 __all__ = [
     "HeuristicResult",
@@ -125,12 +125,12 @@ def echr_cpl(traffic):
         h = ((float(traffic.mu_e[0]) - root_e * root_b) * root_b + lam * root_e) / (
             lam * (root_b + root_e)
         )
-        return float(min(max(h, 0.0), 1.0))
-    rates = _rates(traffic)
-    lo, hi = stable_echr_interval(traffic)
-    h = increasing_root(
-        lambda h: _slope_at(h, *rates), lambda h: _curvature_at(h, *rates), lo, hi, tol=1e-12
-    )
+    else:
+        h = increasing_root(
+            lambda h: _slope_at(h, traffic),
+            lambda h: _curvature_at(h, traffic),
+            *stable_echr_interval(traffic),
+        )
     return float(min(max(h, 0.0), 1.0))
 
 

@@ -14,7 +14,7 @@ front, so downstream numerical code can assume well-formed inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +186,15 @@ class TrafficProfile:
     lam: np.ndarray
     mu_e: np.ndarray
     mu_b: np.ndarray
+    #: Traffic share of each station, ``lam / sum(lam)``; derived, not settable.
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _as_vector(self.lam, "lam"))
         object.__setattr__(self, "mu_e", _as_vector(self.mu_e, "mu_e"))
         object.__setattr__(self, "mu_b", _as_vector(self.mu_b, "mu_b"))
         _validate_traffic(self)
+        object.__setattr__(self, "weights", self.lam / self.lam.sum())
 
     @property
     def station_count(self):
@@ -200,11 +203,6 @@ class TrafficProfile:
     @property
     def total_arrival_rate(self):
         return float(self.lam.sum())
-
-    @property
-    def weights(self):
-        """Traffic share of each station: ``lam / sum(lam)``."""
-        return self.lam / self.lam.sum()
 
     @property
     def homogeneous(self):
@@ -381,12 +379,12 @@ class Placement:
         return self.matrix @ np.asarray(sizes, dtype=float)
 
 
-def validate_placement(placement, library, cluster, tol=FEASIBILITY_TOL):
+def validate_placement(placement, library, cluster):
     """Check a placement against every feasibility constraint.
 
     Raises ``ValueError`` on dimension mismatch, out-of-range entries,
     per-content totals above 1, or node loads above capacity (all with slack
-    ``tol``); returns the placement unchanged otherwise.
+    :data:`FEASIBILITY_TOL`); returns the placement unchanged otherwise.
     """
     matrix = placement.matrix if isinstance(placement, Placement) else np.asarray(placement, dtype=float)
     if matrix.shape != (cluster.node_count, library.count):
@@ -394,15 +392,15 @@ def validate_placement(placement, library, cluster, tol=FEASIBILITY_TOL):
             f"placement shape {matrix.shape} does not match "
             f"({cluster.node_count} nodes, {library.count} contents)"
         )
-    if matrix.min(initial=0.0) < -tol or matrix.max(initial=0.0) > 1.0 + tol:
+    if matrix.min(initial=0.0) < -FEASIBILITY_TOL or matrix.max(initial=0.0) > 1.0 + FEASIBILITY_TOL:
         raise ValueError("placement entries must lie in [0, 1]")
     totals = matrix.sum(axis=0)
-    if np.any(totals > 1.0 + tol):
+    if np.any(totals > 1.0 + FEASIBILITY_TOL):
         worst = int(np.argmax(totals))
         raise ValueError(f"content {worst + 1}: total cached portion {totals[worst]:g} exceeds 1")
     loads = matrix @ library.sizes
     excess = loads - cluster.capacities
-    if np.any(excess > tol):
+    if np.any(excess > FEASIBILITY_TOL):
         worst = int(np.argmax(excess))
         raise ValueError(
             f"node {worst + 1}: storage use {loads[worst]:g} exceeds capacity "

@@ -4,14 +4,19 @@ Every request stream in the cluster sees the same edge-cache-hit ratio
 (ECHR) ``h``: the popularity-weighted total of cached portions.  Each base
 station then behaves as a pair of independent M/M/1 queues — hit traffic of
 rate ``lam * h`` served at ``mu_e``, miss traffic of rate ``lam * (1 - h)``
-served at ``mu_b`` — giving the per-station average download time (ADT)
+served at ``mu_b`` — with mean sojourn times ``t_e = 1 / (mu_e - lam * h)``
+and ``t_b = 1 / (mu_b - lam * (1 - h))``.  The per-station average download
+time (ADT) and its derivatives are
 
-    d(h) = h / (mu_e - lam * h) + (1 - h) / (mu_b - lam * (1 - h))
+    d(h)   = h * t_e + (1 - h) * t_b
+    d'(h)  = mu_e * t_e**2 - mu_b * t_b**2
+    d''(h) = 2 * lam * (mu_e * t_e**3 + mu_b * t_b**3)
 
-and the overall objective ``D(h)``: the arrival-rate-weighted mean of the
-per-station times.  ``D`` depends on a placement only through the scalar
-``h``, so all derivative code is factored through that scalar; this is what
-gives the solver its closed-form update.
+and the overall objective ``D(h)`` and its derivatives are their
+arrival-rate-weighted means over the stations.  The model's one kernel,
+``_station_times``, is the only code that writes ``t_e`` and ``t_b``.  ``D``
+depends on a placement only through the scalar ``h``, which is what gives
+the solver its closed-form update.
 
 ``D`` is defined (and strictly convex) on the open interval of hit ratios
 where every station keeps both queues stable; that interval always contains
@@ -87,21 +92,6 @@ def stable_echr_interval(traffic):
     return lo, hi
 
 
-def _require_stable(h, traffic):
-    lo, hi = stable_echr_interval(traffic)
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= lo) or np.any(h >= hi):
-        raise ValueError(
-            f"hit ratio outside the stable range ({lo:g}, {hi:g}); "
-            "some station queue would be overloaded"
-        )
-    return h
-
-
-def _maybe_scalar(values, scalar_input):
-    return float(values) if scalar_input else values
-
-
 def _station_times(h, traffic):
     """Per-station ``(t_e, t_b, d)`` at hit ratio ``h``, with no stability check.
 
@@ -117,6 +107,46 @@ def _station_times(h, traffic):
     return t_e, t_b, h * t_e + (1.0 - h) * t_b
 
 
+def _adt_at(h, traffic):
+    """``D(h)`` with no stability check; see :func:`_slope_at`."""
+    return _station_times(h, traffic)[2] @ traffic.weights
+
+
+def _slope_at(h, traffic):
+    """``D'(h)`` with no stability check.
+
+    For hot loops that keep ``h`` inside :func:`stable_echr_interval`
+    themselves; ``h`` is a scalar or carries a trailing station axis.
+    """
+    t_e, t_b, _ = _station_times(h, traffic)
+    return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
+
+
+def _curvature_at(h, traffic):
+    """``D''(h)`` with no stability check; see :func:`_slope_at`."""
+    t_e, t_b, _ = _station_times(h, traffic)
+    per_station = 2.0 * traffic.lam * (traffic.mu_e * t_e**3 + traffic.mu_b * t_b**3)
+    return per_station @ traffic.weights
+
+
+def _checked(kernel, h, traffic):
+    """``kernel`` at ``h`` (a scalar or an array) after the stability check.
+
+    Raises ``ValueError`` when any value of ``h`` leaves the stable range;
+    returns a float for a scalar ``h`` and an array of its shape otherwise.
+    """
+    lo, hi = stable_echr_interval(traffic)
+    scalar = np.ndim(h) == 0
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= lo) or np.any(h >= hi):
+        raise ValueError(
+            f"hit ratio outside the stable range ({lo:g}, {hi:g}); "
+            "some station queue would be overloaded"
+        )
+    values = kernel(h[..., np.newaxis], traffic)
+    return float(values) if scalar else values
+
+
 def adt_curve(h, traffic):
     """Overall ADT ``D(h)`` at hit ratio ``h`` (vectorized over ``h``).
 
@@ -124,53 +154,22 @@ def adt_curve(h, traffic):
     root finders rely on that headroom.  Raises ``ValueError`` when any value
     leaves the stable range.
     """
-    scalar = np.ndim(h) == 0
-    h = _require_stable(h, traffic)[..., np.newaxis]
-    _, _, per_station = _station_times(h, traffic)
-    return _maybe_scalar(per_station @ traffic.weights, scalar)
+    return _checked(_adt_at, h, traffic)
+
+
+def adt_slope(h, traffic):
+    """First derivative ``dD/dh`` (vectorized over ``h``)."""
+    return _checked(_slope_at, h, traffic)
+
+
+def adt_curvature(h, traffic):
+    """Second derivative ``d2D/dh2``; strictly positive on the stable range."""
+    return _checked(_curvature_at, h, traffic)
 
 
 def _feasible_adt(placement, scenario):
     """Overall ADT of a feasible placement, at its :func:`_clamped_echr`."""
     return adt_curve(_clamped_echr(placement, scenario.library), scenario.traffic)
-
-
-def _rates(traffic):
-    """The arrays the derivative kernels read: ``(lam, mu_e, mu_b, weights)``."""
-    return traffic.lam, traffic.mu_e, traffic.mu_b, traffic.weights
-
-
-def _slope_at(h, lam, mu_e, mu_b, weights):
-    """``dD/dh`` from precomputed :func:`_rates`, with no stability check.
-
-    For hot loops that keep ``h`` inside :func:`stable_echr_interval`
-    themselves; ``h`` carries a trailing station axis (or is a scalar).
-    """
-    per_station = mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
-    return np.sum(weights * per_station, axis=-1)
-
-
-def _curvature_at(h, lam, mu_e, mu_b, weights):
-    """``d2D/dh2`` from precomputed :func:`_rates`; see :func:`_slope_at`."""
-    per_station = (
-        2.0 * mu_e * lam / (mu_e - lam * h) ** 3
-        + 2.0 * mu_b * lam / (mu_b - lam * (1.0 - h)) ** 3
-    )
-    return np.sum(weights * per_station, axis=-1)
-
-
-def adt_slope(h, traffic):
-    """First derivative ``dD/dh`` (vectorized over ``h``)."""
-    scalar = np.ndim(h) == 0
-    h = _require_stable(h, traffic)[..., np.newaxis]
-    return _maybe_scalar(_slope_at(h, *_rates(traffic)), scalar)
-
-
-def adt_curvature(h, traffic):
-    """Second derivative ``d2D/dh2``; strictly positive on the stable range."""
-    scalar = np.ndim(h) == 0
-    h = _require_stable(h, traffic)[..., np.newaxis]
-    return _maybe_scalar(_curvature_at(h, *_rates(traffic)), scalar)
 
 
 @dataclass(frozen=True, eq=False)

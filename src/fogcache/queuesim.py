@@ -21,8 +21,8 @@ blocks already drawn.  Only the producer touches the generator, in the
 order of two whole-array draws, so sojourn times, means, confidence
 intervals and the generator state afterwards are bit-identical to earlier,
 single-threaded versions.  A queue in flight needs 8 bytes per arrival plus
-about 1.3 MB of buffers.  On two cores a 2e6-arrival queue takes about 35
-instead of 50 ms; pinned to one core, about 53 instead of 50 ms.
+about 1.3 MB of buffers.  On two cores a 2e6-arrival queue takes about 33
+instead of 50 ms; pinned to one core, about 51 ms.
 """
 
 from __future__ import annotations
@@ -63,12 +63,8 @@ class SimConfig:
     All three fields must be integers (``bool`` is rejected).
 
     Queues are simulated one at a time, each by one call of
-    :func:`mm1_sojourn_times` on the calling thread, helped by one producer
-    thread that draws the randomness while the calling thread runs the
-    recursion; the output stays bit-identical to earlier, single-threaded
-    versions.  A queue needs 8 bytes per arrival for its sojourn times plus
-    about 1.3 MB of fixed buffers.  Pinned to one core the hand-offs cost
-    about 6% (50 to 53 ms per 2e6 arrivals).
+    :func:`mm1_sojourn_times`, which needs 8 bytes per arrival for its
+    sojourn times plus about 1.3 MB of fixed buffers.
     """
 
     seed: int = 0
@@ -146,9 +142,8 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     Memory is the 8-byte output per arrival plus about 1.3 MB of buffers.
     An exception in the producer is re-raised here; the producer is
     stopped and joined before this function returns or raises.  A queue of
-    2e6 arrivals takes about 35 ms on two Xeon cores, against 50 ms for
-    drawing and recursing in turn; pinned to one core the hand-offs cost
-    about 6% (53 ms).
+    2e6 arrivals takes about 33 ms on two Xeon cores, against 50 ms for
+    drawing and recursing in turn; pinned to one core, about 51 ms.
     """
     sojourn = np.empty(n_arrivals)
     size = min(n_arrivals, _BLOCK)
@@ -163,8 +158,7 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     def draw():
         try:
             for start in starts:
-                chunk = sojourn[start : start + _BLOCK]
-                chunk[:] = rng.random(chunk.size)
+                rng.random(out=sojourn[start : start + _BLOCK])
                 drawn.release()
                 if stopped.is_set():
                     return
@@ -173,7 +167,7 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
                 if stopped.is_set():
                     return
                 s = ring[index % _SLOTS][: min(_BLOCK, n_arrivals - start)]
-                s[:] = rng.random(s.size)
+                rng.random(out=s)
                 _exponential_from_uniform(s, mu)
                 drawn.release()
         except BaseException as exc:  # re-raised by the calling thread

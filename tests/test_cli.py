@@ -17,6 +17,7 @@ from fogcache import (
     Placement,
     Scenario,
     TrafficProfile,
+    adt_curve,
     heuristic_solve,
 )
 from fogcache.cli import (
@@ -101,6 +102,21 @@ class TestSolveCommand:
         assert report["solver"] == "pgd"
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-8)
 
+    def test_pgd_next_to_saturation(self, tmp_path):
+        # lam one part in 6e6 below mu_b: the projection's Newton system
+        # turns singular, and the step falls back to the projected gradient.
+        doc = dict(REFERENCE_DOC, traffic={"lambda": 5.999999, "mu_e": 8.0, "mu_b": 6.0})
+        path = tmp_path / "saturated.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main(["solve", "--scenario", str(path), "--solver", "pgd", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        scenario = Scenario.from_dict(doc)
+        expected = adt_curve(heuristic_solve(scenario).h_star, scenario.traffic)
+        assert report["adt"] == pytest.approx(expected, rel=1e-9)
+
     def test_nonconvergence_exits_one(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -181,6 +197,16 @@ class TestSweepCommand:
         assert float(echr_col) == pytest.approx(H_CPL, abs=1e-11)
         assert float(adt_col) == pytest.approx(ADT_OPT, abs=1e-11)
         assert iterations == "0"
+
+    def test_admm_and_pgd_next_to_saturation(self, tmp_path, scenario_file):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0, 5.999999])
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--scenario", str(sweep), "--solver", "admm,pgd", "--out", str(out)])
+        assert code == 0
+        _, rows = _read_csv(out)
+        assert [(row[0], row[1]) for row in rows] == [
+            ("4", "admm"), ("4", "pgd"), ("5.999999", "admm"), ("5.999999", "pgd")
+        ]
 
     def test_unstable_value_marks_rows_invalid(self, tmp_path, scenario_file):
         # mu_b = 3.9 sits below lam = 4: no stable queue exists there.

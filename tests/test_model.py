@@ -1,5 +1,6 @@
 """Tests for the data model: libraries, clusters, traffic, placements."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -127,6 +128,15 @@ class TestTrafficProfile:
         assert traffic.total_arrival_rate == pytest.approx(6.0)
         np.testing.assert_allclose(traffic.weights, [2.0 / 3.0, 1.0 / 3.0])
         assert not traffic.homogeneous
+
+    def test_weights_are_stored_once_and_not_settable(self):
+        traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
+        assert "weights" in vars(traffic)
+        assert traffic.weights is traffic.weights
+        with pytest.raises(TypeError):
+            TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0], weights=[0.5, 0.5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traffic.weights = np.array([0.5, 0.5])
 
     def test_homogeneous_flag(self):
         traffic = TrafficProfile([4.0, 4.0], [8.0, 8.0], [6.0, 6.0])

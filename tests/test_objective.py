@@ -14,7 +14,7 @@ from fogcache import (
     grad_overall_adt,
     overall_adt,
 )
-from fogcache.objective import _station_times, stable_echr_interval
+from fogcache.objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 
@@ -145,6 +145,49 @@ class TestAdtCurvature:
             e = 1e-6
             fd = (float(adt_slope(h + e, traffic)) - float(adt_slope(h - e, traffic))) / (2 * e)
             assert float(adt_curvature(h, traffic)) == pytest.approx(fd, rel=1e-6)
+
+# --- oracle: the derivative kernels as they were written before they were
+# derived from the sojourn times, kept verbatim ---
+
+
+def _oracle_slope_terms(h, lam, mu_e, mu_b, weights):
+    """Weighted per-station hit and miss terms of the old slope expression."""
+    return weights * mu_e / (mu_e - lam * h) ** 2, weights * mu_b / (mu_b - lam * (1.0 - h)) ** 2
+
+
+def _oracle_slope_at(h, lam, mu_e, mu_b, weights):
+    per_station = mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
+    return np.sum(weights * per_station, axis=-1)
+
+
+def _oracle_curvature_at(h, lam, mu_e, mu_b, weights):
+    per_station = (
+        2.0 * mu_e * lam / (mu_e - lam * h) ** 3
+        + 2.0 * mu_b * lam / (mu_b - lam * (1.0 - h)) ** 3
+    )
+    return np.sum(weights * per_station, axis=-1)
+
+
+class TestDerivativeKernelsMatchTheOracle:
+    def test_random_heterogeneous_profiles_up_to_utilisation_0999(self):
+        rng = np.random.default_rng(2024)
+        grid = np.linspace(0.0, 1.0, 101)[:, np.newaxis]
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            mu_b = rng.uniform(0.5, 20.0, size=n)
+            mu_e = mu_b * rng.uniform(1.01, 4.0, size=n)
+            lam = mu_b * rng.uniform(0.05, 0.999, size=n)
+            traffic = TrafficProfile(lam, mu_e, mu_b)
+            rates = (traffic.lam, traffic.mu_e, traffic.mu_b, traffic.weights)
+
+            hit, miss = _oracle_slope_terms(grid, *rates)
+            scale = np.sum(hit + miss, axis=-1)
+            slope_error = np.abs(_slope_at(grid, traffic) - _oracle_slope_at(grid, *rates))
+            assert np.all(slope_error <= 1e-12 * scale)
+
+            expected = _oracle_curvature_at(grid, *rates)
+            np.testing.assert_allclose(_curvature_at(grid, traffic), expected, rtol=1e-12, atol=0)
+
 
 class TestOverallAdt:
     def test_empty_cache_reference_value(self, reference_scenario):

@@ -29,15 +29,17 @@ from conftest import make_scenario
 
 
 class _ScriptedRng:
-    """Stands in for a Generator; feeds predetermined uniform draws."""
+    """Stands in for a Generator; feeds predetermined uniform draws into
+    the ``out`` arrays the kernel passes."""
 
     def __init__(self, blocks):
         self._blocks = [np.asarray(block, dtype=float) for block in blocks]
 
-    def random(self, size):
+    def random(self, *, out):
         block = self._blocks.pop(0)
-        assert block.size == size
-        return block
+        assert block.size == out.size
+        out[:] = block
+        return out
 
 
 def _uniform_for(times, rate):
@@ -314,11 +316,11 @@ class _RecordingRng:
         self.fail_on = fail_on
         self.error = RuntimeError("draw failed")
 
-    def random(self, size):
-        self.calls.append((size, threading.get_ident()))
+    def random(self, *, out):
+        self.calls.append((out.size, threading.get_ident()))
         if len(self.calls) == self.fail_on:
             raise self.error
-        return self._rng.random(size)
+        return self._rng.random(out=out)
 
 
 def _bounded(fn, *args):

@@ -19,7 +19,7 @@ def test_closes_the_bracket_once_newton_converges():
         return 1.0 + 1.694 * (2.0 / (2.0 - h) ** 3 + 2.0 / (1.5 + h) ** 3)
 
     points = []
-    root = increasing_root(residual, slope, -1.5, 2.0, tol=1e-12)
+    root = increasing_root(residual, slope, -1.5, 2.0)
     assert len(points) <= 12
     assert residual(root - 1e-12) < 0.0 < residual(root + 1e-12)
     assert abs(residual(root)) <= 1e-15
