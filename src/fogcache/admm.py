@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import increasing_root
-from .model import Placement, validate_placement
+from .model import Placement
 from .objective import _clamped_echr, _curvature_at, _feasible_adt, _slope_at, stable_echr_interval
 
 __all__ = [
@@ -337,11 +337,11 @@ _BALANCE_RATIO = 10.0
 _RHO_FACTOR = 2.0
 
 
-def solve(scenario, config=None, p0=None):
+def solve(scenario, config=None):
     """Run the splitting iteration on a scenario.
 
-    Starts from zero vectors (or a feasible ``p0``) and iterates the three
-    updates until both residual thresholds hold:
+    Starts from zero vectors and iterates the three updates until both
+    residual thresholds hold:
 
         ||p - z||        <=  sqrt(N*F) * eps_abs + eps_rel * max(||p||, ||z||)
         rho ||z - z_old||  <=  sqrt(N*F) * eps_abs + eps_rel * rho * ||theta||
@@ -366,10 +366,6 @@ def solve(scenario, config=None, p0=None):
     constraints = ConstraintSystem.build(library, cluster)
 
     z = np.zeros((n, f))
-    if p0 is not None:
-        p0 = np.asarray(p0, dtype=float).reshape(n, f)
-        validate_placement(p0, library, cluster)
-        z = p0.copy()
     theta = np.zeros((n, f))
     scale = np.sqrt(n * f)
 

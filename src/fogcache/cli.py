@@ -77,7 +77,7 @@ class SweepSpec:
             )
         if len(self.values) == 0:
             raise ValueError("sweep values must be nonempty")
-        if self.parameter == "F" and any(v != int(v) for v in self.values):
+        if self.parameter == "F" and not all(float(v).is_integer() for v in self.values):
             raise ValueError("an F sweep takes integer values")
 
     @classmethod
@@ -89,15 +89,20 @@ class SweepSpec:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
         try:
-            parameter = data["parameter"]
-            values = tuple(float(v) for v in data["values"])
-            base = data["base"]
+            parameter, values, base = data["parameter"], data["values"], data["base"]
         except KeyError as exc:
             raise ValueError(f"{path}: missing sweep key {exc}") from None
+        numeric = isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        )
+        if not numeric:
+            raise ValueError(f"{path}: sweep 'values' must be a list of numbers")
+        if not isinstance(base, str):
+            raise ValueError(f"{path}: sweep 'base' must be a file name, got {base!r}")
         base_path = Path(base)
         if not base_path.is_absolute():
             base_path = path.parent / base_path
-        return cls(parameter=parameter, values=values, base=str(base_path))
+        return cls(parameter=parameter, values=tuple(map(float, values)), base=str(base_path))
 
 
 def _scenario_at(spec, base_data, value):
@@ -111,13 +116,13 @@ def _scenario_at(spec, base_data, value):
                 "popularity profile can be regenerated per point"
             )
         sizes = library.get("sizes")
-        if sizes is not None and len(set(sizes)) > 1:
-            raise ValueError("an F sweep needs uniform content sizes in the base library")
-        library["F"] = int(value)
         if sizes is not None:
-            library["sizes"] = [float(sizes[0])] * int(value)
-    else:
-        data.setdefault("traffic", {})[spec.parameter] = value
+            if not isinstance(sizes, list) or any(size != sizes[0] for size in sizes):
+                raise ValueError("an F sweep needs uniform content 'sizes' in the base library")
+            library["sizes"] = sizes[:1] * int(value)
+        library["F"] = int(value)
+    elif isinstance(data.get("traffic"), dict):
+        data["traffic"][spec.parameter] = value
     return Scenario.from_dict(data)
 
 
@@ -281,6 +286,8 @@ def cmd_sweep(args):
             raise ValueError(f"unknown solver {name!r}; expected a subset of {SWEEP_SOLVERS}")
     with open(spec.base) as handle:
         base_data = json.load(handle)
+    if not isinstance(base_data, dict):
+        raise ValueError(f"{spec.base}: expected a JSON object")
     if spec.parameter == "F":
         # An unusable base is a usage error for every point: fail upfront
         # rather than emitting a sheet of invalid rows.

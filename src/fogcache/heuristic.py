@@ -114,7 +114,8 @@ def echr_cpl(traffic):
 
     For heterogeneous traffic the derivative is strictly increasing and
     diverges at both ends of the stable interval, so its unique root there is
-    found by safeguarded Newton (to 1e-12).  Either stationary point is then
+    found by safeguarded Newton (to 1e-12, or a few ulps for a root far
+    above 1 under light traffic).  Either stationary point is then
     clamped to [0, 1], which covers slow arrivals and extreme rate ratios
     where it leaves the physical range.
     """

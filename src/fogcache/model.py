@@ -14,6 +14,7 @@ front, so downstream numerical code can assume well-formed inputs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,11 @@ FEASIBILITY_TOL = 1e-8
 
 
 def _as_vector(values, name):
-    array = np.atleast_1d(np.asarray(values, dtype=float))
+    try:
+        array = np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        message = f"{name} must be a number or a list of numbers, got {values!r:.60}"
+        raise ValueError(message) from None
     if array.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if array.size == 0:
@@ -57,30 +62,6 @@ def zipf_popularity(count, exponent):
     ranks = np.arange(1, int(count) + 1, dtype=float)
     weights = ranks ** -float(exponent)
     return weights / weights.sum()
-
-
-def rates_from_link_speeds(size, edge_rate, backhaul_rate):
-    """Service rates of the two provision paths for one content size.
-
-    A cache hit is served over the edge downlink alone, so its service rate is
-    ``edge_rate / size``.  A miss is first fetched over the backhaul and then
-    forwarded over the same downlink; the transfer times add, giving the rate
-    ``1 / (size / edge_rate + size / backhaul_rate)``.  The miss-path rate is
-    strictly below the hit-path rate for any finite backhaul speed.
-
-    Returns
-    -------
-    (float, float)
-        ``(mu_e, mu_b)`` — hit-path and miss-path service rates.
-    """
-    size = float(size)
-    edge_rate = float(edge_rate)
-    backhaul_rate = float(backhaul_rate)
-    if size <= 0 or edge_rate <= 0 or backhaul_rate <= 0:
-        raise ValueError("size and link rates must be strictly positive")
-    mu_e = edge_rate / size
-    mu_b = 1.0 / (size / edge_rate + size / backhaul_rate)
-    return mu_e, mu_b
 
 
 def _validate_library(library):
@@ -123,9 +104,9 @@ class ContentLibrary:
         return self.popularity.size
 
     @classmethod
-    def zipf(cls, count, exponent, size=1.0):
-        """Library with Zipf popularity and one uniform content size."""
-        return cls(zipf_popularity(count, exponent), np.full(int(count), float(size)))
+    def zipf(cls, count, exponent):
+        """Library with Zipf popularity and unit content sizes."""
+        return cls(zipf_popularity(count, exponent))
 
 
 def _validate_cluster(cluster):
@@ -245,81 +226,53 @@ class Scenario:
              "traffic": {"lambda": [...], "mu_e": [...], "mu_b": [...]}}
 
         ``sizes`` defaults to all ones.  Traffic entries may be scalars, which
-        broadcast to every station.
+        broadcast to every station.  A section that is not an object, or a
+        field of the wrong type, raises ``ValueError`` naming it.
         """
         if not isinstance(data, dict):
             raise ValueError("scenario document must be a JSON object")
-        try:
-            lib_spec = data["library"]
-            cluster_spec = data["cluster"]
-            traffic_spec = data["traffic"]
-        except KeyError as exc:
-            raise ValueError(
-                "scenario must contain 'library', 'cluster' and 'traffic' sections"
-            ) from exc
+        for key in ("library", "cluster", "traffic"):
+            if not isinstance(data.get(key), dict):
+                raise ValueError(f"scenario needs a '{key}' section that is a JSON object")
+        lib_spec, cluster_spec, traffic_spec = data["library"], data["cluster"], data["traffic"]
 
         if "popularity" in lib_spec:
             if "alpha" in lib_spec:
                 raise ValueError("library takes either 'popularity' or ('F', 'alpha'), not both")
-            popularity = np.asarray(lib_spec["popularity"], dtype=float)
-        else:
-            try:
-                count = int(lib_spec["F"])
-                exponent = float(lib_spec["alpha"])
-            except KeyError as exc:
-                raise ValueError(
-                    "library needs either 'popularity' or both 'F' and 'alpha'"
-                ) from exc
+            popularity = lib_spec["popularity"]
+        elif "F" in lib_spec and "alpha" in lib_spec:
+            count, exponent = lib_spec["F"], lib_spec["alpha"]
+            if isinstance(count, float) and count.is_integer():
+                count = int(count)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"library 'F' must be an integer, got {count!r}")
+            if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
+                raise ValueError(f"library 'alpha' must be a number, got {exponent!r}")
             popularity = zipf_popularity(count, exponent)
-        sizes = lib_spec.get("sizes")
-        sizes = np.ones_like(popularity) if sizes is None else np.asarray(sizes, dtype=float)
-        library = ContentLibrary(popularity, sizes)
+        else:
+            raise ValueError("library needs either 'popularity' or both 'F' and 'alpha'")
+        library = ContentLibrary(popularity, lib_spec.get("sizes"))
 
-        try:
-            capacities = cluster_spec["capacities"]
-        except KeyError as exc:
-            raise ValueError("cluster section is missing 'capacities'") from exc
-        cluster = FogCluster(np.asarray(capacities, dtype=float))
+        if "capacities" not in cluster_spec:
+            raise ValueError("cluster section is missing 'capacities'")
+        cluster = FogCluster(cluster_spec["capacities"])
 
         def traffic_vector(key):
-            try:
-                value = traffic_spec[key]
-            except KeyError as exc:
-                raise ValueError(f"traffic section is missing '{key}'") from exc
-            array = np.asarray(value, dtype=float)
-            if array.ndim == 0:
-                array = np.full(cluster.node_count, float(array))
-            return array
+            if key not in traffic_spec:
+                raise ValueError(f"traffic section is missing '{key}'")
+            value = traffic_spec[key]
+            array = _as_vector(value, f"traffic '{key}'")
+            return np.full(cluster.node_count, array[0]) if np.ndim(value) == 0 else array
 
         traffic = TrafficProfile(
             traffic_vector("lambda"), traffic_vector("mu_e"), traffic_vector("mu_b")
         )
         return cls(library, cluster, traffic)
 
-    def to_dict(self):
-        """JSON-ready dictionary (always in explicit-popularity form)."""
-        return {
-            "library": {
-                "popularity": self.library.popularity.tolist(),
-                "sizes": self.library.sizes.tolist(),
-            },
-            "cluster": {"capacities": self.cluster.capacities.tolist()},
-            "traffic": {
-                "lambda": self.traffic.lam.tolist(),
-                "mu_e": self.traffic.mu_e.tolist(),
-                "mu_b": self.traffic.mu_b.tolist(),
-            },
-        }
-
     @classmethod
     def load(cls, path):
         with open(Path(path), "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def dump(self, path):
-        with open(Path(path), "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def validate_scenario(scenario):

@@ -55,12 +55,11 @@ _SLOTS = 3
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run parameters.
+    """Simulation run parameters: two fields, ``seed`` and ``n_arrivals``.
 
-    ``warmup`` arrivals are discarded from the front of every queue's sample
-    path to wash out the empty-system start; by default 1% of the run.
-
-    All three fields must be integers (``bool`` is rejected).
+    Both must be integers (``bool`` is rejected).  The first 1% of every
+    queue's sample path (:attr:`effective_warmup` arrivals) is discarded to
+    wash out the empty-system start.
 
     Queues are simulated one at a time, each by one call of
     :func:`mm1_sojourn_times`, which needs 8 bytes per arrival for its
@@ -69,26 +68,21 @@ class SimConfig:
 
     seed: int = 0
     n_arrivals: int = 100_000
-    warmup: int | None = None
 
     def __post_init__(self):
-        for name in ("seed", "n_arrivals", "warmup"):
+        for name in ("seed", "n_arrivals"):
             value = getattr(self, name)
-            if value is None and name == "warmup":
-                continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.n_arrivals < 1:
             raise ValueError("n_arrivals must be at least 1")
-        warmup = self.effective_warmup
-        if not 0 <= warmup < self.n_arrivals:
-            raise ValueError("warmup must satisfy 0 <= warmup < n_arrivals")
 
     @property
     def effective_warmup(self):
-        return self.n_arrivals // 100 if self.warmup is None else self.warmup
+        """Arrivals discarded from the front of each queue: 1% of the run."""
+        return self.n_arrivals // 100
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ closed forms evaluated at high precision plus an exhaustive fine-grid scan
 of the objective.  Tests treat them as ground truth.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,27 @@ GRID_ADT_BEST = 0.19641016152107993
 # storage (capacities [5,5]).  The optimum is the interior stationary point.
 HETERO_H_OPT = 0.6761496494625081
 HETERO_ADT_OPT = 0.18508830731867457
+
+
+def bounded(fn, *args, seconds=60):
+    """``fn(*args)`` on a helper thread, returning its value or re-raising its
+    exception; fails the test instead of hanging if the call has not returned
+    within ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"call still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def make_scenario(lam=4.0, mu_e=8.0, mu_b=6.0, count=20, alpha=0.6, capacities=(2.0, 3.0, 5.0)):

@@ -356,16 +356,6 @@ class TestSolve:
         assert result.converged
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
-    def test_warm_start_accepts_a_feasible_placement(self, reference_scenario):
-        warm = heuristic_solve(reference_scenario).placement
-        result = solve(reference_scenario, FAST, p0=warm.matrix)
-        assert result.converged
-        assert result.adt == pytest.approx(ADT_OPT, abs=1e-9)
-
-    def test_warm_start_rejects_infeasible_input(self, reference_scenario):
-        with pytest.raises(ValueError):
-            solve(reference_scenario, FAST, p0=np.full((3, 20), 0.9))
-
     def test_iteration_cap_returns_best_feasible_iterate(self, reference_scenario):
         result = solve(reference_scenario, AdmmConfig(rho=1.0, max_iter=3))
         assert not result.converged

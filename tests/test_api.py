@@ -58,7 +58,6 @@ DEMOTED = [
     ("fogcache.admm", "project_feasible"),
     ("fogcache.model", "validate_placement"),
     ("fogcache.model", "zipf_popularity"),
-    ("fogcache.model", "rates_from_link_speeds"),
     ("fogcache.heuristic", "lambda_threshold"),
     ("fogcache.queuesim", "mm1_sojourn_times"),
     ("fogcache.queuesim", "simulate_station"),

@@ -31,12 +31,21 @@ from fogcache.cli import (
 )
 from fogcache.model import validate_placement
 
-from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR
+from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR, bounded
 
 REFERENCE_DOC = {
     "library": {"F": 20, "alpha": 0.6},
     "cluster": {"capacities": [2.0, 3.0, 5.0]},
     "traffic": {"lambda": 4.0, "mu_e": 8.0, "mu_b": 6.0},
+}
+
+
+#: Two stations with per-station arrival rates so light that the stationary
+#: point of the download time lies far above 1.
+LIGHT_HETERO_DOC = {
+    "library": {"F": 20, "alpha": 0.6},
+    "cluster": {"capacities": [2.0, 3.0]},
+    "traffic": {"lambda": [1e-6, 2e-6], "mu_e": 8.0, "mu_b": 6.0},
 }
 
 
@@ -163,6 +172,14 @@ class TestHeuristicCommand:
         assert report["regime"] == "CPL"
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-14)
         assert report["adt_report"]["overall"] == pytest.approx(ADT_OPT, abs=1e-14)
+
+    def test_light_heterogeneous_traffic(self, tmp_path, capsys):
+        path = tmp_path / "light.json"
+        path.write_text(json.dumps(LIGHT_HETERO_DOC))
+        assert bounded(main, ["heuristic", "--scenario", str(path)], seconds=10) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["h_cpl"] == 1.0
+        assert summary["regime"] == "CSL"
 
 
 class TestSweepCommand:
@@ -316,12 +333,75 @@ class TestSweepCommand:
         # less mass, so the best download time can only get worse.
         assert float(rows[0][3]) <= float(rows[1][3])
 
+    def test_heuristic_over_light_heterogeneous_traffic(self, tmp_path):
+        (tmp_path / "light.json").write_text(json.dumps(LIGHT_HETERO_DOC))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(_sweep("mu_b", [5.0, 6.0], "light.json")))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(sweep), "--solver", "heuristic", "--out", str(out)]
+        assert bounded(main, argv, seconds=10) == 0
+        _, rows = _read_csv(out)
+        assert [row[6] for row in rows] == ["ok", "ok"]
+
     def test_stdout_when_no_output_path(self, tmp_path, scenario_file, capsys):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         main(["sweep", "--scenario", str(sweep), "--solver", "heuristic"])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 2
+
+
+def _doc(section=None, **fields):
+    """The reference scenario as JSON text, with ``fields`` replaced inside
+    ``section``, or whole sections replaced when ``section`` is None."""
+    doc = json.loads(json.dumps(REFERENCE_DOC))
+    (doc if section is None else doc[section]).update(fields)
+    return json.dumps(doc)
+
+
+def _sweep(parameter="lambda", values=(4.0,), base="scenario.json"):
+    return {"parameter": parameter, "values": list(values), "base": base}
+
+
+# (id, scenario text, sweep document or None, text the error must contain).
+# Python's json reads ``1e999`` (and the ``Infinity`` it writes) as inf.
+MALFORMED = [
+    ("library-list", _doc(library=[20, 0.6]), None, "'library'"),
+    ("cluster-list", _doc(cluster=[2.0, 3.0, 5.0]), None, "'cluster'"),
+    ("traffic-number", _doc(traffic=4.0), None, "'traffic'"),
+    ("F-null", _doc("library", F=None), None, "'F'"),
+    ("F-overflow", _doc("library", F=0).replace('"F": 0', '"F": 1e999'), None, "'F'"),
+    ("F-fraction", _doc("library", F=2.7), None, "'F'"),
+    ("F-bool", _doc("library", F=True), None, "'F'"),
+    ("alpha-null", _doc("library", alpha=None), None, "'alpha'"),
+    ("lambda-object", _doc("traffic", **{"lambda": {"4": 4.0}}), None, "'lambda'"),
+    ("capacities-object", _doc("cluster", capacities={"1": 2.0}), None, "capacities"),
+    ("sizes-object", _doc("library", sizes={"1": 1.0}), None, "sizes"),
+    ("values-number", _doc(), dict(_sweep(), values=4.0), "'values'"),
+    ("values-null", _doc(), _sweep(values=[4.0, None]), "'values'"),
+    ("F-values-overflow", _doc(), _sweep("F", [10, float("inf")]), "F sweep"),
+    ("base-number", _doc(), _sweep(base=5), "'base'"),
+    ("F-scalar-sizes", _doc("library", sizes=1.0), _sweep("F", [10]), "'sizes'"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario_text, sweep, field",
+    [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, scenario_text, sweep, field):
+    (tmp_path / "scenario.json").write_text(scenario_text)
+    if sweep is None:
+        argv = ["heuristic", "--scenario", str(tmp_path / "scenario.json")]
+    else:
+        (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+        argv = ["sweep", "--scenario", str(tmp_path / "sweep.json"), "--solver", "heuristic"]
+    assert main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+    assert field in stderr
 
 
 class TestSimulateCommand:

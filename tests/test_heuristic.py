@@ -31,6 +31,7 @@ from conftest import (
     LAMBDA_STAR,
     TENTH_FRACTION,
     TOP9_MASS,
+    bounded,
     make_scenario,
     random_scenario,
 )
@@ -228,6 +229,13 @@ class TestEchrCpl:
         traffic = TrafficProfile([0.01, 0.02], [8.0, 8.0], [6.0, 6.0])
         assert not traffic.homogeneous
         assert echr_cpl(traffic) == 1.0
+
+    @pytest.mark.parametrize("lam", [[1e-6, 2e-6], [1e-9, 3e-9]])
+    def test_heterogeneous_light_traffic_returns(self, lam):
+        # The root lies so far above 1 that one ulp there exceeds the root
+        # finder's 1e-12 tolerance; it must still stop, and clamp to 1.
+        traffic = TrafficProfile(lam, [8.0, 8.0], [6.0, 6.0])
+        assert bounded(echr_cpl, traffic, seconds=10) == 1.0
 
 
 class TestLambdaThreshold:

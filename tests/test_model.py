@@ -1,7 +1,6 @@
 """Tests for the data model: libraries, clusters, traffic, placements."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from fogcache import (
     TrafficProfile,
     validate_scenario,
 )
-from fogcache.model import rates_from_link_speeds, validate_placement, zipf_popularity
+from fogcache.model import validate_placement, zipf_popularity
 
 from conftest import TOP_POPULARITY, make_scenario, random_scenario
 
@@ -43,26 +42,6 @@ class TestZipfPopularity:
     def test_rejects_bad_arguments(self, count, exponent):
         with pytest.raises(ValueError):
             zipf_popularity(count, exponent)
-
-
-class TestRatesFromLinkSpeeds:
-    def test_hit_path_is_faster(self):
-        mu_e, mu_b = rates_from_link_speeds(2.0, 10.0, 4.0)
-        assert mu_e == pytest.approx(5.0)
-        # miss transfer time = size/backhaul + size/edge = 0.5 + 0.2
-        assert mu_b == pytest.approx(1.0 / 0.7)
-        assert mu_b < mu_e
-
-    def test_infinite_backhaul_limit(self):
-        # Faster and faster backhaul pushes the miss rate toward the hit rate.
-        mu_e, mu_b = rates_from_link_speeds(1.0, 8.0, 1e12)
-        assert mu_e == pytest.approx(8.0)
-        assert mu_b == pytest.approx(8.0, rel=1e-10)
-
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)])
-    def test_rejects_nonpositive_inputs(self, args):
-        with pytest.raises(ValueError):
-            rates_from_link_speeds(*args)
 
 
 class TestContentLibrary:
@@ -203,21 +182,6 @@ class TestScenario:
                 cluster=FogCluster([1.0, 1.0]),
                 traffic=TrafficProfile([2.0] * 3, [8.0] * 3, [6.0] * 3),
             )
-
-    def test_round_trip_through_dict(self):
-        scenario = make_scenario()
-        clone = Scenario.from_dict(scenario.to_dict())
-        np.testing.assert_array_equal(clone.library.popularity, scenario.library.popularity)
-        np.testing.assert_array_equal(clone.cluster.capacities, scenario.cluster.capacities)
-        np.testing.assert_array_equal(clone.traffic.lam, scenario.traffic.lam)
-
-    def test_round_trip_through_file(self, tmp_path):
-        scenario = make_scenario(lam=2.5, count=7, capacities=(1.0, 4.0))
-        path = tmp_path / "scenario.json"
-        scenario.dump(path)
-        clone = Scenario.load(path)
-        np.testing.assert_array_equal(clone.library.popularity, scenario.library.popularity)
-        assert json.loads(path.read_text())["cluster"]["capacities"] == [1.0, 4.0]
 
     def test_validate_scenario_accepts_random_instances(self):
         rng = np.random.default_rng(101)

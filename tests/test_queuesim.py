@@ -25,7 +25,7 @@ from fogcache import (
 from fogcache import queuesim
 from fogcache.queuesim import _BLOCK, _mean_ci, mm1_sojourn_times, simulate_station
 
-from conftest import make_scenario
+from conftest import bounded, make_scenario
 
 
 class _ScriptedRng:
@@ -50,7 +50,6 @@ def _uniform_for(times, rate):
 class TestSimConfig:
     def test_default_warmup_is_one_percent(self):
         assert SimConfig(n_arrivals=50_000).effective_warmup == 500
-        assert SimConfig(n_arrivals=50, warmup=7).effective_warmup == 7
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -58,11 +57,8 @@ class TestSimConfig:
             {"seed": -1},
             {"seed": 1.5},
             {"n_arrivals": 0},
-            {"n_arrivals": 10, "warmup": 10},
-            {"warmup": -1},
             {"n_arrivals": 100.0},
             {"n_arrivals": 2.5},
-            {"warmup": 3.5},
             {"seed": True},
         ],
     )
@@ -71,15 +67,15 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "field,value", [("n_arrivals", 100.0), ("n_arrivals", 2.5), ("warmup", 3.5), ("seed", True)]
+        "field,value", [("n_arrivals", 100.0), ("n_arrivals", 2.5), ("seed", True)]
     )
     def test_non_integer_error_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{field: value})
 
     def test_accepts_numpy_integers(self):
-        config = SimConfig(seed=np.int64(3), n_arrivals=np.int32(200), warmup=np.uint8(5))
-        assert config.effective_warmup == 5
+        config = SimConfig(seed=np.int64(3), n_arrivals=np.int32(200))
+        assert config.effective_warmup == 2
 
 
 class TestLindleyRecursion:
@@ -125,7 +121,7 @@ class TestSimulateMm1:
         assert a != b
 
     def test_single_sample_has_infinite_halfwidth(self):
-        mean, ci = simulate_mm1(1.0, 5.0, SimConfig(seed=0, n_arrivals=1, warmup=0))
+        mean, ci = simulate_mm1(1.0, 5.0, SimConfig(seed=0, n_arrivals=1))
         assert mean > 0.0
         assert math.isinf(ci)
 
@@ -323,25 +319,6 @@ class _RecordingRng:
         return self._rng.random(out=out)
 
 
-def _bounded(fn, *args):
-    """``fn(*args)`` on a helper thread, re-raising its exception; fails the
-    test instead of hanging if the call has not returned within 60 s."""
-    outcome = {}
-
-    def run():
-        try:
-            fn(*args)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "call still running after 60 s"
-    if "error" in outcome:
-        raise outcome["error"]
-
-
 class TestProducerThread:
     def test_draw_order_thread_and_output(self):
         n = 3 * _BLOCK + 7
@@ -396,7 +373,7 @@ class TestProducerThread:
         rng = _RecordingRng(0, fail_on=fail_on)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            _bounded(mm1_sojourn_times, 0.9, 1.0, 3 * _BLOCK + 7, rng)
+            bounded(mm1_sojourn_times, 0.9, 1.0, 3 * _BLOCK + 7, rng)
         assert info.value is rng.error
         assert threading.active_count() == before
         assert len(rng.calls) == fail_on
@@ -412,7 +389,7 @@ class TestProducerThread:
         monkeypatch.setattr(queuesim.np.random, "default_rng", failing_rng)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            _bounded(simulate_mm1, 0.9, 1.0, SimConfig(n_arrivals=3 * _BLOCK + 7))
+            bounded(simulate_mm1, 0.9, 1.0, SimConfig(n_arrivals=3 * _BLOCK + 7))
         assert info.value is rngs[0].error
         assert threading.active_count() == before
 
@@ -438,7 +415,7 @@ class TestProducerThread:
         rng = _RecordingRng(0)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            _bounded(mm1_sojourn_times, 0.9, 1.0, 8 * _BLOCK, rng)
+            bounded(mm1_sojourn_times, 0.9, 1.0, 8 * _BLOCK, rng)
         assert info.value is error
         # The recursion runs on the calling thread only, never the producer.
         recursion_threads = set(calls)

@@ -1,9 +1,14 @@
 """Tests for the safeguarded scalar root finder."""
 
+import numpy as np
 import pytest
 
-from fogcache._roots import increasing_root
+from fogcache import TrafficProfile, heuristic_solve
+from fogcache._roots import TOL, increasing_root
 from fogcache.errors import NumericalError
+from fogcache.objective import _curvature_at, _slope_at, stable_echr_interval
+
+from conftest import bounded, make_scenario
 
 
 def test_closes_the_bracket_once_newton_converges():
@@ -28,3 +33,108 @@ def test_closes_the_bracket_once_newton_converges():
 def test_raises_when_no_sign_change_exists():
     with pytest.raises(NumericalError, match="no negative value"):
         increasing_root(lambda x: x + 10.0, lambda x: 1.0, -1.0, 1.0)
+
+
+# Arrival rates as a share of mu_b: next to saturation, lam = mu_b (1 - 10^-k)
+# for k = 1..10, and light, lam/mu_b down to 10^-9, where the stationary
+# point of the download time lies far above 1 and one ulp there exceeds TOL.
+SATURATION = range(1, 11)
+LIGHT = range(1, 10)
+
+
+def _checked_root(func, deriv, lo, hi):
+    """``increasing_root`` on ``(lo, hi)``, returning the root and the number
+    of evaluations.  Checks that every evaluated point lies strictly inside
+    the interval and that the evaluated values change sign within the
+    tolerance of the returned root."""
+    points, values = [], []
+
+    def recorded(x):
+        points.append(x)
+        values.append(func(x))
+        return values[-1]
+
+    root = bounded(increasing_root, recorded, deriv, lo, hi, seconds=10)
+    assert all(lo < x < hi for x in points)
+    tol = max(TOL, 4.0 * abs(np.spacing(root)))
+    near = [(x, v) for x, v in zip(points, values) if abs(x - root) <= tol]
+    if (root, 0.0) not in near:
+        assert any(x <= root and v < 0.0 for x, v in near)
+        assert any(x >= root and v > 0.0 for x, v in near)
+    return root, len(points)
+
+
+def _p_update_residual(traffic, target, c_sq_over_rho):
+    """The residual of the splitting solver's p-update at its fixed point:
+    ``c . v`` is chosen so that the root is ``target``."""
+    cv = target + _slope_at(target, traffic) * c_sq_over_rho
+    return (
+        lambda h: h - cv + _slope_at(h, traffic) * c_sq_over_rho,
+        lambda h: 1.0 + _curvature_at(h, traffic) * c_sq_over_rho,
+    )
+
+
+def _slope(traffic):
+    """``D'`` and ``D''``: the heuristic's residual for ``h_cpl`` and its slope."""
+    return (lambda h: _slope_at(h, traffic)), (lambda h: _curvature_at(h, traffic))
+
+
+def _random_rates(rng, n):
+    mu_b = rng.uniform(1.5, 8.0, size=n)
+    return mu_b * rng.uniform(1.25, 3.0, size=n), mu_b
+
+
+class TestPUpdateResiduals:
+    """Reference family (F=20, Zipf 0.6, three nodes, mu_e=8, mu_b=6) with a
+    seeded ``rho`` from 0.02 to 100; the root is the exact optimum's hit
+    ratio, where the iteration converges."""
+
+    @pytest.mark.parametrize("k", SATURATION)
+    def test_next_to_saturation(self, k):
+        rng = np.random.default_rng(k)
+        scenario = make_scenario(lam=6.0 * (1.0 - 10.0**-k))
+        popularity = scenario.library.popularity
+        target = heuristic_solve(scenario).h_star
+        for rho in 10.0 ** rng.uniform(np.log10(0.02), 2.0, size=8):
+            c_sq_over_rho = 3 * float(popularity @ popularity) / rho
+            func, deriv = _p_update_residual(scenario.traffic, target, c_sq_over_rho)
+            root, evaluations = _checked_root(func, deriv, *stable_echr_interval(scenario.traffic))
+            assert evaluations <= 6
+            assert abs(root - target) <= TOL
+
+    @pytest.mark.parametrize("k", LIGHT)
+    def test_light_traffic(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(8):
+            n = int(rng.integers(1, 5))
+            mu_e, mu_b = _random_rates(rng, n)
+            traffic = TrafficProfile(mu_b * 10.0**-k * rng.uniform(0.5, 1.0, size=n), mu_e, mu_b)
+            target = float(rng.uniform(0.0, 1.0))
+            c_sq_over_rho = float(rng.uniform(1e-3, 1.0))
+            func, deriv = _p_update_residual(traffic, target, c_sq_over_rho)
+            root, _ = _checked_root(func, deriv, *stable_echr_interval(traffic))
+            assert abs(root - target) <= TOL
+
+
+class TestHeterogeneousSlope:
+    """``D'`` on per-station traffic."""
+
+    @pytest.mark.parametrize("k", SATURATION)
+    def test_next_to_saturation(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            mu_e, mu_b = _random_rates(rng, n)
+            traffic = TrafficProfile(mu_b * (1.0 - 10.0**-k), mu_e, mu_b)
+            _, evaluations = _checked_root(*_slope(traffic), *stable_echr_interval(traffic))
+            assert evaluations <= 6
+
+    @pytest.mark.parametrize("k", LIGHT)
+    def test_light_traffic(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(8):
+            n = int(rng.integers(2, 6))
+            mu_e, mu_b = _random_rates(rng, n)
+            traffic = TrafficProfile(mu_b * 10.0**-k * rng.uniform(0.5, 1.0, size=n), mu_e, mu_b)
+            root, _ = _checked_root(*_slope(traffic), *stable_echr_interval(traffic))
+            assert root > 1.0
