@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import increasing_root
-from .model import Placement
+from .model import Placement, _check_count
 from .objective import _clamped_echr, _curvature_at, _feasible_adt, _slope_at, stable_echr_interval
 
 __all__ = [
@@ -68,8 +68,7 @@ class AdmmConfig:
             raise ValueError("rho must be positive")
         if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter, 1)
 
 
 class IterationRecord(NamedTuple):

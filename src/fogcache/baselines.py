@@ -23,7 +23,7 @@ import numpy as np
 
 from .admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
 from .heuristic import echr_csl
-from .model import Placement
+from .model import Placement, _check_count
 from .objective import _clamped_echr, _feasible_adt, adt_curve, adt_slope
 
 __all__ = [
@@ -55,8 +55,7 @@ class BaselineConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter, 1)
 
 
 def projected_gradient_solve(scenario, config=None):

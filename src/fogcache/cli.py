@@ -26,7 +26,7 @@ from .admm import AdmmConfig, IterationRecord, solve
 from .baselines import BaselineConfig, projected_gradient_solve
 from .errors import NumericalError
 from .heuristic import echr_csl, heuristic_solve
-from .model import Placement, Scenario
+from .model import Placement, Scenario, _as_array
 from .objective import overall_adt
 from .queuesim import SimConfig, simulate_cluster
 
@@ -92,17 +92,15 @@ class SweepSpec:
             parameter, values, base = data["parameter"], data["values"], data["base"]
         except KeyError as exc:
             raise ValueError(f"{path}: missing sweep key {exc}") from None
-        numeric = isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        )
-        if not numeric:
+        if not isinstance(values, list):
             raise ValueError(f"{path}: sweep 'values' must be a list of numbers")
+        values = _as_array(values, f"{path}: {parameter} sweep 'values'", 1).tolist()
         if not isinstance(base, str):
             raise ValueError(f"{path}: sweep 'base' must be a file name, got {base!r}")
         base_path = Path(base)
         if not base_path.is_absolute():
             base_path = path.parent / base_path
-        return cls(parameter=parameter, values=tuple(map(float, values)), base=str(base_path))
+        return cls(parameter=parameter, values=tuple(values), base=str(base_path))
 
 
 def _scenario_at(spec, base_data, value):
@@ -131,7 +129,7 @@ def _load_placement(path):
         data = json.load(handle)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
-    return Placement(np.asarray(data["matrix"], dtype=float))
+    return Placement(data["matrix"])
 
 
 def _dump_placement(placement, path):

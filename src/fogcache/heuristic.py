@@ -215,10 +215,10 @@ def heuristic_solve(scenario):
     h_cpl = echr_cpl(traffic)
     if h_cpl <= h_csl:
         regime, h_star = "CPL", h_cpl
-        fractions = _greedy_fractions(library, cluster, h_target=h_star)
+        placement = placement_from_echr(h_star, library, cluster)
     else:
         regime, h_star = "CSL", h_csl
-    placement = _assign_first_fit(fractions, library, cluster)
+        placement = _assign_first_fit(fractions, library, cluster)
     lambda_star = None
     if traffic.homogeneous and h_csl > 0.0:
         lambda_star = lambda_threshold(h_csl, float(traffic.mu_e[0]), float(traffic.mu_b[0]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +26,52 @@ import numpy as np
 FEASIBILITY_TOL = 1e-8
 
 
-def _as_vector(values, name):
+def _only_numbers(values):
+    """True when ``values`` is a number, a numeric array, or a list nesting
+    only those; a bool or a string is not a number."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(map(_only_numbers, values))
+    return isinstance(values, numbers.Real) and not isinstance(values, bool)
+
+
+def _as_array(values, name, ndim):
+    """``values`` as a nonempty, finite float array with ``ndim`` axes.
+
+    The one check for numbers read from input files: every entry is an int
+    or a float, never a bool or a string, and an int too large for a float
+    is rejected.  A scalar counts as a vector of one when ``ndim`` is 1.  A
+    float array is returned without a copy.  Raises ``ValueError`` naming
+    ``name``.
+    """
+    if not _only_numbers(values):
+        raise ValueError(f"{name} must hold only numbers, got {values!r:.60}")
     try:
-        array = np.atleast_1d(np.asarray(values, dtype=float))
-    except (TypeError, ValueError):
-        message = f"{name} must be a number or a list of numbers, got {values!r:.60}"
-        raise ValueError(message) from None
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        array = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular list of numbers") from None
+    if ndim == 1:
+        array = np.atleast_1d(array)
+    if array.ndim != ndim:
+        shape = ("a single number", "one-dimensional", "two-dimensional")[ndim]
+        raise ValueError(f"{name} must be {shape}")
     if array.size == 0:
         raise ValueError(f"{name} must not be empty")
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must be finite")
     return array
+
+
+def _check_count(name, value, least):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (a bool is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def zipf_popularity(count, exponent):
@@ -64,21 +97,6 @@ def zipf_popularity(count, exponent):
     return weights / weights.sum()
 
 
-def _validate_library(library):
-    popularity = library.popularity
-    sizes = library.sizes
-    if sizes.shape != popularity.shape:
-        raise ValueError("popularity and sizes must have equal length")
-    if np.any(popularity <= 0.0) or np.any(popularity > 1.0):
-        raise ValueError("popularity entries must lie in (0, 1]")
-    if abs(popularity.sum() - 1.0) > 1e-12:
-        raise ValueError("popularity must sum to 1 (within 1e-12)")
-    if np.any(np.diff(popularity) > 0.0):
-        raise ValueError("not popularity-descending: popularity must be sorted non-increasing")
-    if np.any(sizes <= 0.0):
-        raise ValueError("content sizes must be strictly positive")
-
-
 @dataclass(frozen=True, eq=False)
 class ContentLibrary:
     """Content catalogue: request popularity and per-content sizes.
@@ -93,10 +111,20 @@ class ContentLibrary:
     sizes: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "popularity", _as_vector(self.popularity, "popularity"))
-        sizes = np.ones_like(self.popularity) if self.sizes is None else self.sizes
-        object.__setattr__(self, "sizes", _as_vector(sizes, "sizes"))
-        _validate_library(self)
+        popularity = _as_array(self.popularity, "popularity", 1)
+        sizes = np.ones_like(popularity) if self.sizes is None else _as_array(self.sizes, "sizes", 1)
+        object.__setattr__(self, "popularity", popularity)
+        object.__setattr__(self, "sizes", sizes)
+        if sizes.shape != popularity.shape:
+            raise ValueError("popularity and sizes must have equal length")
+        if np.any(popularity <= 0.0) or np.any(popularity > 1.0):
+            raise ValueError("popularity entries must lie in (0, 1]")
+        if abs(popularity.sum() - 1.0) > 1e-12:
+            raise ValueError("popularity must sum to 1 (within 1e-12)")
+        if np.any(np.diff(popularity) > 0.0):
+            raise ValueError("not popularity-descending: popularity must be sorted non-increasing")
+        if np.any(sizes <= 0.0):
+            raise ValueError("content sizes must be strictly positive")
 
     @property
     def count(self):
@@ -109,11 +137,6 @@ class ContentLibrary:
         return cls(zipf_popularity(count, exponent))
 
 
-def _validate_cluster(cluster):
-    if np.any(cluster.capacities < 0.0):
-        raise ValueError("cache capacities must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class FogCluster:
     """A cluster of cache-equipped fog nodes with storage capacities."""
@@ -121,8 +144,9 @@ class FogCluster:
     capacities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", _as_vector(self.capacities, "capacities"))
-        _validate_cluster(self)
+        object.__setattr__(self, "capacities", _as_array(self.capacities, "capacities", 1))
+        if np.any(self.capacities < 0.0):
+            raise ValueError("cache capacities must be nonnegative")
 
     @property
     def node_count(self):
@@ -132,25 +156,6 @@ class FogCluster:
     @property
     def total_capacity(self):
         return float(self.capacities.sum())
-
-
-def _validate_traffic(traffic):
-    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
-    if not (lam.shape == mu_e.shape == mu_b.shape):
-        raise ValueError("lam, mu_e and mu_b must have equal length")
-    for i in range(lam.size):
-        if not lam[i] > 0.0:
-            raise ValueError(f"BS {i + 1}: lam={lam[i]:g} must be strictly positive")
-        if not lam[i] < mu_b[i]:
-            raise ValueError(
-                f"BS {i + 1}: lam={lam[i]:g} >= mu_b={mu_b[i]:g} violates the "
-                "stability chain lam < mu_b < mu_e"
-            )
-        if not mu_b[i] < mu_e[i]:
-            raise ValueError(
-                f"BS {i + 1}: mu_b={mu_b[i]:g} >= mu_e={mu_e[i]:g} violates the "
-                "stability chain lam < mu_b < mu_e"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +176,26 @@ class TrafficProfile:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _as_vector(self.lam, "lam"))
-        object.__setattr__(self, "mu_e", _as_vector(self.mu_e, "mu_e"))
-        object.__setattr__(self, "mu_b", _as_vector(self.mu_b, "mu_b"))
-        _validate_traffic(self)
-        object.__setattr__(self, "weights", self.lam / self.lam.sum())
+        object.__setattr__(self, "lam", _as_array(self.lam, "lam", 1))
+        object.__setattr__(self, "mu_e", _as_array(self.mu_e, "mu_e", 1))
+        object.__setattr__(self, "mu_b", _as_array(self.mu_b, "mu_b", 1))
+        lam, mu_e, mu_b = self.lam, self.mu_e, self.mu_b
+        if not (lam.shape == mu_e.shape == mu_b.shape):
+            raise ValueError("lam, mu_e and mu_b must have equal length")
+        for i in range(lam.size):
+            if not lam[i] > 0.0:
+                raise ValueError(f"BS {i + 1}: lam={lam[i]:g} must be strictly positive")
+            if not lam[i] < mu_b[i]:
+                raise ValueError(
+                    f"BS {i + 1}: lam={lam[i]:g} >= mu_b={mu_b[i]:g} violates the "
+                    "stability chain lam < mu_b < mu_e"
+                )
+            if not mu_b[i] < mu_e[i]:
+                raise ValueError(
+                    f"BS {i + 1}: mu_b={mu_b[i]:g} >= mu_e={mu_e[i]:g} violates the "
+                    "stability chain lam < mu_b < mu_e"
+                )
+        object.__setattr__(self, "weights", lam / lam.sum())
 
     @property
     def station_count(self):
@@ -195,14 +215,6 @@ class TrafficProfile:
         )
 
 
-def _validate_scenario_shape(scenario):
-    if scenario.traffic.station_count != scenario.cluster.node_count:
-        raise ValueError(
-            f"traffic describes {scenario.traffic.station_count} stations but the "
-            f"cluster has {scenario.cluster.node_count} nodes"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete problem instance: library, cluster, and traffic."""
@@ -212,7 +224,11 @@ class Scenario:
     traffic: TrafficProfile
 
     def __post_init__(self):
-        _validate_scenario_shape(self)
+        if self.traffic.station_count != self.cluster.node_count:
+            raise ValueError(
+                f"traffic describes {self.traffic.station_count} stations but the "
+                f"cluster has {self.cluster.node_count} nodes"
+            )
 
     @classmethod
     def from_dict(cls, data):
@@ -241,14 +257,11 @@ class Scenario:
                 raise ValueError("library takes either 'popularity' or ('F', 'alpha'), not both")
             popularity = lib_spec["popularity"]
         elif "F" in lib_spec and "alpha" in lib_spec:
-            count, exponent = lib_spec["F"], lib_spec["alpha"]
-            if isinstance(count, float) and count.is_integer():
-                count = int(count)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"library 'F' must be an integer, got {count!r}")
-            if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
-                raise ValueError(f"library 'alpha' must be a number, got {exponent!r}")
-            popularity = zipf_popularity(count, exponent)
+            count = float(_as_array(lib_spec["F"], "library 'F'", 0))
+            if not count.is_integer():
+                raise ValueError(f"library 'F' must be an integer, got {count:g}")
+            exponent = float(_as_array(lib_spec["alpha"], "library 'alpha'", 0))
+            popularity = zipf_popularity(int(count), exponent)
         else:
             raise ValueError("library needs either 'popularity' or both 'F' and 'alpha'")
         library = ContentLibrary(popularity, lib_spec.get("sizes"))
@@ -261,7 +274,7 @@ class Scenario:
             if key not in traffic_spec:
                 raise ValueError(f"traffic section is missing '{key}'")
             value = traffic_spec[key]
-            array = _as_vector(value, f"traffic '{key}'")
+            array = _as_array(value, f"traffic '{key}'", 1)
             return np.full(cluster.node_count, array[0]) if np.ndim(value) == 0 else array
 
         traffic = TrafficProfile(
@@ -278,14 +291,16 @@ class Scenario:
 def validate_scenario(scenario):
     """Re-check every invariant of an assembled scenario and return it.
 
-    The dataclasses already validate on construction; this is the explicit
-    entry point for data arriving from files.  The first violated invariant
-    is reported with its station index.
+    Rebuilds the library, cluster, traffic and scenario, so their
+    construction checks run again on the arrays as they are now; the first
+    violated invariant is reported, with its station index for traffic.
     """
-    _validate_library(scenario.library)
-    _validate_cluster(scenario.cluster)
-    _validate_traffic(scenario.traffic)
-    _validate_scenario_shape(scenario)
+    replace(
+        scenario,
+        library=replace(scenario.library),
+        cluster=replace(scenario.cluster),
+        traffic=replace(scenario.traffic),
+    )
     return scenario
 
 
@@ -294,24 +309,23 @@ class Placement:
     """Fractional cache placement: one row per node, one column per content.
 
     Entry ``(i, f)`` is the portion of content ``f`` stored at node ``i``.
-    Construction enforces the node-free constraints — entries in [0, 1] and
-    per-content totals at most 1 — within :data:`FEASIBILITY_TOL`; capacity
-    feasibility additionally needs sizes/capacities, see
-    :func:`validate_placement`.
+    Construction reads the matrix by the rule for numbers from files (finite
+    ints or floats) and enforces the node-free constraints — entries in
+    [0, 1] and per-content totals at most 1 — within
+    :data:`FEASIBILITY_TOL`; capacity feasibility additionally needs
+    sizes/capacities, see :func:`validate_placement`.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("placement matrix must be two-dimensional (nodes x contents)")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("placement entries must be finite")
-        if matrix.min(initial=0.0) < -FEASIBILITY_TOL or matrix.max(initial=0.0) > 1.0 + FEASIBILITY_TOL:
+        matrix = _as_array(self.matrix, "placement matrix", 2)
+        if matrix.min() < -FEASIBILITY_TOL or matrix.max() > 1.0 + FEASIBILITY_TOL:
             raise ValueError("placement entries must lie in [0, 1]")
-        if np.any(matrix.sum(axis=0) > 1.0 + FEASIBILITY_TOL):
-            raise ValueError("total cached portion of a content must not exceed 1")
+        totals = matrix.sum(axis=0)
+        if np.any(totals > 1.0 + FEASIBILITY_TOL):
+            worst = int(np.argmax(totals))
+            raise ValueError(f"content {worst + 1}: total cached portion {totals[worst]:g} exceeds 1")
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -333,24 +347,21 @@ class Placement:
 
 
 def validate_placement(placement, library, cluster):
-    """Check a placement against every feasibility constraint.
+    """Check a placement (a :class:`Placement` or a bare matrix) against every
+    feasibility constraint.
 
-    Raises ``ValueError`` on dimension mismatch, out-of-range entries,
-    per-content totals above 1, or node loads above capacity (all with slack
+    Raises ``ValueError`` on a dimension mismatch, on a bare matrix that
+    :class:`Placement` rejects, or on node loads above capacity (with slack
     :data:`FEASIBILITY_TOL`); returns the placement unchanged otherwise.
     """
-    matrix = placement.matrix if isinstance(placement, Placement) else np.asarray(placement, dtype=float)
-    if matrix.shape != (cluster.node_count, library.count):
+    matrix = placement.matrix if isinstance(placement, Placement) else placement
+    if np.shape(matrix) != (cluster.node_count, library.count):
         raise ValueError(
-            f"placement shape {matrix.shape} does not match "
+            f"placement shape {np.shape(matrix)} does not match "
             f"({cluster.node_count} nodes, {library.count} contents)"
         )
-    if matrix.min(initial=0.0) < -FEASIBILITY_TOL or matrix.max(initial=0.0) > 1.0 + FEASIBILITY_TOL:
-        raise ValueError("placement entries must lie in [0, 1]")
-    totals = matrix.sum(axis=0)
-    if np.any(totals > 1.0 + FEASIBILITY_TOL):
-        worst = int(np.argmax(totals))
-        raise ValueError(f"content {worst + 1}: total cached portion {totals[worst]:g} exceeds 1")
+    if not isinstance(placement, Placement):
+        matrix = Placement(matrix).matrix
     loads = matrix @ library.sizes
     excess = loads - cluster.capacities
     if np.any(excess > FEASIBILITY_TOL):

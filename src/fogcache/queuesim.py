@@ -20,9 +20,10 @@ release the GIL) while the calling thread runs Lindley's recursion on the
 blocks already drawn.  Only the producer touches the generator, in the
 order of two whole-array draws, so sojourn times, means, confidence
 intervals and the generator state afterwards are bit-identical to earlier,
-single-threaded versions.  A queue in flight needs 8 bytes per arrival plus
-about 1.3 MB of buffers.  On two cores a 2e6-arrival queue takes about 33
-instead of 50 ms; pinned to one core, about 51 ms.
+single-threaded versions.  Queues are simulated one at a time; the one in
+flight needs 8 bytes per arrival plus about 1.3 MB of buffers.  On two Xeon
+cores a 2e6-arrival queue takes about 33 ms, against 50 ms for drawing and
+recursing in turn; pinned to one core, about 51 ms.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _check_count
 from .objective import _clamped_echr
 
 __all__ = [
@@ -46,8 +48,8 @@ __all__ = [
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
 #: Arrivals per block of the Lindley kernel: its five float64 buffers of this
-#: length (1.3 MB: three ring slots and two work buffers) stay in L2.  Blocks
-#: from 2**14 to 2**16 ran equally fast.
+#: length (three ring slots and two work buffers) stay in L2.  Blocks from
+#: 2**14 to 2**16 ran equally fast.
 _BLOCK = 1 << 15
 #: Ring slots for service blocks drawn ahead of the recursion.
 _SLOTS = 3
@@ -60,24 +62,14 @@ class SimConfig:
     Both must be integers (``bool`` is rejected).  The first 1% of every
     queue's sample path (:attr:`effective_warmup` arrivals) is discarded to
     wash out the empty-system start.
-
-    Queues are simulated one at a time, each by one call of
-    :func:`mm1_sojourn_times`, which needs 8 bytes per arrival for its
-    sojourn times plus about 1.3 MB of fixed buffers.
     """
 
     seed: int = 0
     n_arrivals: int = 100_000
 
     def __post_init__(self):
-        for name in ("seed", "n_arrivals"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.n_arrivals < 1:
-            raise ValueError("n_arrivals must be at least 1")
+        _check_count("seed", self.seed, 0)
+        _check_count("n_arrivals", self.n_arrivals, 1)
 
     @property
     def effective_warmup(self):
@@ -133,11 +125,8 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     so the output and the ``rng`` state afterwards are bit-identical to the
     whole-array recursion, and to earlier versions of this function.
 
-    Memory is the 8-byte output per arrival plus about 1.3 MB of buffers.
     An exception in the producer is re-raised here; the producer is
-    stopped and joined before this function returns or raises.  A queue of
-    2e6 arrivals takes about 33 ms on two Xeon cores, against 50 ms for
-    drawing and recursing in turn; pinned to one core, about 51 ms.
+    stopped and joined before this function returns or raises.
     """
     sojourn = np.empty(n_arrivals)
     size = min(n_arrivals, _BLOCK)
@@ -269,24 +258,18 @@ def simulate_station(placement, scenario, station, config):
         raise ValueError(f"station index {station} out of range")
     h = _clamped_echr(placement, scenario.library)
     lam = float(traffic.lam[station])
-    mu_e = float(traffic.mu_e[station])
-    mu_b = float(traffic.mu_b[station])
-
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
+    side_means, mean, halfwidths = [], 0.0, []
+    for share, mu, child in zip((h, 1.0 - h), (traffic.mu_e, traffic.mu_b), children):
+        if share == 0.0:
+            side_means.append(None)
+            continue
+        side_mean, side_ci = _simulate_queue(lam * share, float(mu[station]), config, child)
+        side_means.append(side_mean)
+        mean += share * side_mean
+        halfwidths.append(share * side_ci)
     kept = config.n_arrivals - config.effective_warmup
-
-    if h == 0.0:
-        mean_b, ci_b = _simulate_queue(lam, mu_b, config, children[1])
-        return SimResult(None, mean_b, mean_b, ci_b, kept)
-    if h == 1.0:
-        mean_e, ci_e = _simulate_queue(lam, mu_e, config, children[0])
-        return SimResult(mean_e, None, mean_e, ci_e, kept)
-
-    mean_e, ci_e = _simulate_queue(lam * h, mu_e, config, children[0])
-    mean_b, ci_b = _simulate_queue(lam * (1.0 - h), mu_b, config, children[1])
-    mean = h * mean_e + (1.0 - h) * mean_b
-    ci = math.hypot(h * ci_e, (1.0 - h) * ci_b)
-    return SimResult(mean_e, mean_b, mean, ci, 2 * kept)
+    return SimResult(*side_means, mean, math.hypot(*halfwidths), kept * len(halfwidths))
 
 
 def simulate_cluster(placement, scenario, config):

@@ -56,6 +56,11 @@ class TestAdmmConfig:
         with pytest.raises(ValueError):
             AdmmConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_max_iter_is_named(self, value):
+        with pytest.raises(ValueError, match="^max_iter must be an integer"):
+            AdmmConfig(max_iter=value)
+
 
 class TestConstraintSystem:
     def test_shapes_and_values(self, reference_scenario):

@@ -47,6 +47,11 @@ class TestBaselineConfig:
         with pytest.raises(ValueError):
             BaselineConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_max_iter_is_named(self, value):
+        with pytest.raises(ValueError, match="^max_iter must be an integer"):
+            BaselineConfig(max_iter=value)
+
     def test_has_exactly_the_stopping_rule_fields(self):
         assert [field.name for field in fields(BaselineConfig)] == ["tol", "max_iter"]
 

@@ -363,6 +363,9 @@ def _sweep(parameter="lambda", values=(4.0,), base="scenario.json"):
     return {"parameter": parameter, "values": list(values), "base": base}
 
 
+#: 401 digits: a JSON integer too large for a float.
+HUGE_INT = 10**400
+
 # (id, scenario text, sweep document or None, text the error must contain).
 # Python's json reads ``1e999`` (and the ``Infinity`` it writes) as inf.
 MALFORMED = [
@@ -382,6 +385,15 @@ MALFORMED = [
     ("F-values-overflow", _doc(), _sweep("F", [10, float("inf")]), "F sweep"),
     ("base-number", _doc(), _sweep(base=5), "'base'"),
     ("F-scalar-sizes", _doc("library", sizes=1.0), _sweep("F", [10]), "'sizes'"),
+    ("lambda-bool", _doc("traffic", **{"lambda": True}), None, "'lambda'"),
+    ("lambda-string", _doc("traffic", **{"lambda": "4"}), None, "'lambda'"),
+    ("capacities-strings", _doc("cluster", capacities=["2", "3", "5"]), None, "capacities"),
+    ("sizes-bools", _doc("library", sizes=[True] * 20), None, "sizes"),
+    ("lambda-huge-int", _doc("traffic", **{"lambda": HUGE_INT}), None, "'lambda'"),
+    ("capacities-huge-int", _doc("cluster", capacities=[2.0, 3.0, HUGE_INT]), None, "capacities"),
+    ("alpha-huge-int", _doc("library", alpha=HUGE_INT), None, "'alpha'"),
+    ("F-huge-int", _doc("library", F=HUGE_INT), None, "'F'"),
+    ("values-huge-int", _doc(), _sweep(values=[4.0, HUGE_INT]), "'values'"),
 ]
 
 
@@ -402,6 +414,34 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, scenario_text, sweep
     assert stderr.startswith("error:")
     assert "Traceback" not in stderr
     assert field in stderr
+
+
+def _reference_matrix_with(entry):
+    """An all-zero placement of the reference scenario with ``entry`` at (1, 1)."""
+    matrix = [[0.0] * 20 for _ in range(3)]
+    matrix[0][0] = entry
+    return matrix
+
+
+MALFORMED_MATRICES = {
+    "object": {"a": 1},
+    "list-of-objects": [{"a": 1}],
+    "string-entry": _reference_matrix_with("0.5"),
+    "bool-entry": _reference_matrix_with(True),
+    "huge-int-entry": _reference_matrix_with(HUGE_INT),
+}
+
+
+@pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=list(MALFORMED_MATRICES))
+def test_malformed_placement_file_is_a_usage_error(tmp_path, capsys, scenario_file, matrix):
+    path = tmp_path / "cached.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    argv = ["simulate", "--scenario", str(scenario_file), "--placement", str(path)]
+    assert main(argv + ["--arrivals", "1000"]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+    assert "matrix" in stderr
 
 
 class TestSimulateCommand:

@@ -188,6 +188,12 @@ class TestScenario:
         for _ in range(25):
             validate_scenario(random_scenario(rng))
 
+    def test_validate_scenario_rechecks_arrays_changed_after_construction(self):
+        scenario = make_scenario()
+        scenario.library.popularity[:] = np.nan
+        with pytest.raises(ValueError, match="^popularity must be finite$"):
+            validate_scenario(scenario)
+
 
 class TestPlacement:
     def test_basic_properties(self):
@@ -211,7 +217,7 @@ class TestPlacement:
             Placement(np.array([[1.5, 0.0]]))
 
     def test_rejects_over_replicated_content(self):
-        with pytest.raises(ValueError, match="exceed 1"):
+        with pytest.raises(ValueError, match=r"^content 1: total cached portion 1\.4 exceeds 1$"):
             Placement(np.array([[0.7], [0.7]]))
 
     def test_tolerance_level_overshoot_is_accepted(self):
@@ -241,4 +247,10 @@ class TestValidatePlacement:
         matrix = np.zeros((3, 20))
         matrix[:, 4] = 0.4
         with pytest.raises(ValueError, match="content 5: total cached portion 1.2 exceeds 1"):
+            validate_placement(matrix, reference_scenario.library, reference_scenario.cluster)
+
+    def test_rejects_a_nan_entry(self, reference_scenario):
+        matrix = np.zeros((3, 20))
+        matrix[2, 0] = np.nan
+        with pytest.raises(ValueError, match="^placement matrix must be finite$"):
             validate_placement(matrix, reference_scenario.library, reference_scenario.cluster)

@@ -226,6 +226,13 @@ class TestOverallAdt:
         with pytest.raises(ValueError, match="exceeds capacity"):
             overall_adt(matrix, reference_scenario)
 
+    @pytest.mark.parametrize("function", [overall_adt, grad_overall_adt])
+    def test_rejects_a_nan_entry(self, reference_scenario, function):
+        matrix = np.zeros((3, 20))
+        matrix[1, 3] = np.nan
+        with pytest.raises(ValueError, match="^placement matrix must be finite$"):
+            function(matrix, reference_scenario)
+
 
 class TestGradOverallAdt:
     def test_structure_is_slope_times_popularity(self, reference_scenario):
