@@ -35,7 +35,7 @@ def main():
     print("the physical range [0, 1] sits strictly inside it.")
 
     # The storage bound caps how high the hit ratio can go at all.
-    h_max, _ = echr_csl(library, cluster)
+    h_max = echr_csl(library, cluster)
     print(f"With 10 units of storage the hit ratio tops out at {h_max:.4f}.")
 
     print("\nDownload time as the cache fills (popularity-first placements):")

@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 #: Armijo backtracking of :func:`projected_gradient_solve`: each iteration
-#: tries the unit step first and halves it until the objective falls by at
+#: tries the step ``1 / max(1, max|grad|)`` first, so no trial moves an entry
+#: by more than the box width, and halves it until the objective falls by at
 #: least ``_SUFFICIENT_DECREASE * ||p_new - p||**2 / step``.
-_STEP_INIT = 1.0
 _SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 
@@ -81,7 +81,8 @@ def projected_gradient_solve(scenario, config=None):
     for k in range(1, config.max_iter + 1):
         # Equal for every node, so one row broadcasts over the matrix.
         gradient = adt_slope(_clamped_echr(p, library), scenario.traffic) * library.popularity
-        step = _STEP_INIT
+        scale = max(1.0, float(np.max(np.abs(gradient))))
+        step = 1.0 / scale
         while True:
             candidate = project_feasible(p - step * gradient, constraints, duals)
             candidate_value = _feasible_adt(candidate, scenario)
@@ -89,7 +90,7 @@ def projected_gradient_solve(scenario, config=None):
             if candidate_value <= value - _SUFFICIENT_DECREASE * displacement_sq / step + 1e-15:
                 break
             step *= _SHRINK
-            if step < 1e-16:
+            if step * scale < 1e-16:
                 # The iterate is numerically stationary; accept as is.
                 candidate, candidate_value = p, value
                 break
@@ -111,15 +112,15 @@ def grid_bruteforce(scenario, resolution):
     """Scan the feasible hit-ratio range and return ``(h_best, adt_best)``.
 
     Evaluates the download-time curve on the grid ``{0, d, 2d, ...}`` capped
-    at the smaller of 1 and the storage-limited bound — exactly the hit
-    ratios some feasible placement can realize.  With a fine ``resolution``
-    this is the desk-scale master oracle for the optimal objective.
+    at the storage-limited bound :func:`~fogcache.heuristic.echr_csl` —
+    exactly the hit ratios some feasible placement can realize.  With a fine
+    ``resolution`` this is the desk-scale master oracle for the optimal
+    objective.
     """
     resolution = float(resolution)
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    h_csl, _ = echr_csl(scenario.library, scenario.cluster)
-    cap = min(1.0, h_csl)
+    cap = echr_csl(scenario.library, scenario.cluster)
     count = int(np.floor(cap / resolution + 1e-12))
     grid = np.arange(count + 1) * resolution
     grid = grid[grid <= cap + 1e-15]

@@ -86,21 +86,15 @@ def _assign_first_fit(fractions, library, cluster):
 
 
 def echr_csl(library, cluster):
-    """Largest realizable ECHR and a placement achieving it.
+    """Largest realizable ECHR, the storage-limited bound ``h_csl``.
 
     Solves ``max sum_f P_r(f) x_f`` subject to the pooled capacity bound and
     ``0 <= x_f <= 1`` by greedy fractional selection in decreasing
     popularity-per-size density; the greedy is the exact optimum of this
     continuous knapsack.  Pooling the node capacities loses nothing because
     fractional portions can always be split across nodes.
-
-    Returns
-    -------
-    (float, Placement)
     """
-    fractions = _greedy_fractions(library, cluster)
-    h_csl = float(min(library.popularity @ fractions, 1.0))
-    return h_csl, _assign_first_fit(fractions, library, cluster)
+    return float(min(library.popularity @ _greedy_fractions(library, cluster), 1.0))
 
 
 def echr_cpl(traffic):
@@ -210,15 +204,17 @@ def heuristic_solve(scenario):
     materializes it as a placement.
     """
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
-    fractions = _greedy_fractions(library, cluster)
-    h_csl = float(min(library.popularity @ fractions, 1.0))
+    h_csl = echr_csl(library, cluster)
     h_cpl = echr_cpl(traffic)
     if h_cpl <= h_csl:
         regime, h_star = "CPL", h_cpl
         placement = placement_from_echr(h_star, library, cluster)
     else:
         regime, h_star = "CSL", h_csl
-        placement = _assign_first_fit(fractions, library, cluster)
+        # Not placement_from_echr(h_csl): its popularity budget is a cumsum
+        # while h_csl is a dot product, so rounding would re-cut the last
+        # content.
+        placement = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster)
     lambda_star = None
     if traffic.homogeneous and h_csl > 0.0:
         lambda_star = lambda_threshold(h_csl, float(traffic.mu_e[0]), float(traffic.mu_b[0]))

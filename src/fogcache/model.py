@@ -26,14 +26,23 @@ import numpy as np
 FEASIBILITY_TOL = 1e-8
 
 
-def _only_numbers(values):
-    """True when ``values`` is a number, a numeric array, or a list nesting
-    only those; a bool or a string is not a number."""
+def _first_non_number(values):
+    """``(index path, entry)`` of the first entry of ``values`` that is not a
+    number, or ``None`` when ``values`` is a number, a numeric array, or a
+    list nesting only those; a bool or a string is not a number."""
     if isinstance(values, np.ndarray):
-        return values.dtype.kind in "iuf"
+        if values.dtype.kind in "iuf":
+            return None
+        values = values.tolist()
     if isinstance(values, (list, tuple)):
-        return all(map(_only_numbers, values))
-    return isinstance(values, numbers.Real) and not isinstance(values, bool)
+        for index, value in enumerate(values):
+            found = _first_non_number(value)
+            if found is not None:
+                return (index, *found[0]), found[1]
+        return None
+    if isinstance(values, numbers.Real) and not isinstance(values, bool):
+        return None
+    return (), values
 
 
 def _as_array(values, name, ndim):
@@ -43,10 +52,15 @@ def _as_array(values, name, ndim):
     or a float, never a bool or a string, and an int too large for a float
     is rejected.  A scalar counts as a vector of one when ``ndim`` is 1.  A
     float array is returned without a copy.  Raises ``ValueError`` naming
-    ``name``.
+    ``name``, and the index path of the first entry that is not a number.
     """
-    if not _only_numbers(values):
-        raise ValueError(f"{name} must hold only numbers, got {values!r:.60}")
+    found = _first_non_number(values)
+    if found is not None:
+        path, entry = found
+        if not path:
+            raise ValueError(f"{name} must hold only numbers, got {entry!r:.60}")
+        index = "".join(f"[{i}]" for i in path)
+        raise ValueError(f"{name} entry {index} must be a number, got {entry!r:.60}")
     try:
         array = np.asarray(values, dtype=float)
     except OverflowError:
@@ -202,10 +216,6 @@ class TrafficProfile:
         return self.lam.size
 
     @property
-    def total_arrival_rate(self):
-        return float(self.lam.sum())
-
-    @property
     def homogeneous(self):
         """True when every station has identical (lam, mu_e, mu_b)."""
         return bool(
@@ -329,21 +339,9 @@ class Placement:
         object.__setattr__(self, "matrix", matrix)
 
     @property
-    def node_count(self):
-        return self.matrix.shape[0]
-
-    @property
-    def content_count(self):
-        return self.matrix.shape[1]
-
-    @property
     def cached_fractions(self):
         """Per-content totals ``sum_i P(i, f)`` (length F)."""
         return self.matrix.sum(axis=0)
-
-    def node_loads(self, sizes):
-        """Per-node storage use ``sum_f P(i, f) * S_f`` (length N)."""
-        return self.matrix @ np.asarray(sizes, dtype=float)
 
 
 def validate_placement(placement, library, cluster):

@@ -82,7 +82,7 @@ class TestConstraintSystem:
         np.testing.assert_allclose(system.a @ vector, placement.cached_fractions, rtol=1e-14)
         np.testing.assert_allclose(
             system.b @ vector,
-            placement.node_loads(reference_scenario.library.sizes),
+            placement.matrix @ reference_scenario.library.sizes,
             rtol=1e-14,
         )
 
@@ -198,6 +198,34 @@ class TestProjectFeasible:
         z = project_feasible(x, system)
         assert z.sum() < 1.0 - 0.1
         np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
+
+    def test_gradient_fallback_far_outside_the_set(self, monkeypatch):
+        # A unit gradient step from 0 next to saturation (lam = 5.999999,
+        # mu_b = 6) gives entries of size 1e12, where the regularized Newton
+        # system turns singular and the ascent falls back to the dual
+        # gradient; no solver reaches that path any more.  It must return a
+        # point in the box within the capacities.  At this magnitude the
+        # per-content totals carry rounding of y - mu * s (content 1 sums to
+        # 1.00024), so those rows are not checked here.
+        scenario = make_scenario(lam=5.999999)
+        library, cluster = scenario.library, scenario.cluster
+        x = np.zeros((3, 20)) - adt_slope(0.0, scenario.traffic) * library.popularity
+        singular = []
+        solve_linear = np.linalg.solve
+
+        def counting_solve(a, b):
+            try:
+                return solve_linear(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        z = project_feasible(x, ConstraintSystem.build(library, cluster), np.zeros(3))
+        assert singular
+        assert z.shape == (3, 20)
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        assert np.all(z @ library.sizes <= cluster.capacities)
 
 
 def _warm_start_instance(rng, variant):

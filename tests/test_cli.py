@@ -111,10 +111,13 @@ class TestSolveCommand:
         assert report["solver"] == "pgd"
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-8)
 
-    def test_pgd_next_to_saturation(self, tmp_path):
-        # lam one part in 6e6 below mu_b: the projection's Newton system
-        # turns singular, and the step falls back to the projected gradient.
-        doc = dict(REFERENCE_DOC, traffic={"lambda": 5.999999, "mu_e": 8.0, "mu_b": 6.0})
+    @pytest.mark.parametrize("lam", [5.999999, 5.99999999, 5.9999999999])
+    def test_pgd_next_to_saturation(self, tmp_path, lam):
+        # lam just below mu_b: the slope at h = 0 reaches 1e6 to 1e20, so a
+        # unit first trial would leave the box by as much and project to a
+        # point far from the optimum.  The first trial is scaled by the
+        # gradient instead, and PGD must still land on the exact optimum.
+        doc = dict(REFERENCE_DOC, traffic={"lambda": lam, "mu_e": 8.0, "mu_b": 6.0})
         path = tmp_path / "saturated.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -214,6 +217,36 @@ class TestSweepCommand:
         assert float(echr_col) == pytest.approx(H_CPL, abs=1e-11)
         assert float(adt_col) == pytest.approx(ADT_OPT, abs=1e-11)
         assert iterations == "0"
+
+    def test_closed_form_rows_build_no_placement(self, tmp_path, scenario_file, monkeypatch):
+        # lam = 1 is storage-limited, lam = 4 and 5.5 provision-limited.
+        values = [1.0, 4.0, 5.5]
+        expected, regimes = {}, set()
+        for lam in values:
+            scenario = Scenario.from_dict(
+                dict(REFERENCE_DOC, traffic=dict(REFERENCE_DOC["traffic"], **{"lambda": lam}))
+            )
+            result = heuristic_solve(scenario)
+            regimes.add(result.regime)
+            expected[(lam, "heuristic")] = (result.h_star, scenario.traffic)
+            expected[(lam, "csl-only")] = (result.h_csl, scenario.traffic)
+        assert regimes == {"CSL", "CPL"}
+
+        def refuse(self):
+            raise AssertionError("a sweep row built a Placement")
+
+        monkeypatch.setattr(Placement, "__post_init__", refuse)
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", values)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(sweep), "--solver", "heuristic,csl-only"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 6
+        for value, solver, echr_col, adt_col, iterations, _, status in rows:
+            h, traffic = expected[(float(value), solver)]
+            assert (iterations, status) == ("0", "ok")
+            assert float(echr_col) == pytest.approx(h, rel=1e-11, abs=0.0)
+            assert float(adt_col) == pytest.approx(adt_curve(h, traffic), rel=1e-11, abs=0.0)
 
     def test_admm_and_pgd_next_to_saturation(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0, 5.999999])
@@ -416,24 +449,31 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, scenario_text, sweep
     assert field in stderr
 
 
-def _reference_matrix_with(entry):
-    """An all-zero placement of the reference scenario with ``entry`` at (1, 1)."""
+def _reference_matrix_with(entry, node=1, content=1):
+    """An all-zero placement of the reference scenario with ``entry`` at
+    (``node``, ``content``), counted from 1."""
     matrix = [[0.0] * 20 for _ in range(3)]
-    matrix[0][0] = entry
+    matrix[node - 1][content - 1] = entry
     return matrix
 
 
+#: Each malformed matrix, and a part of the error message that must name it.
 MALFORMED_MATRICES = {
-    "object": {"a": 1},
-    "list-of-objects": [{"a": 1}],
-    "string-entry": _reference_matrix_with("0.5"),
-    "bool-entry": _reference_matrix_with(True),
-    "huge-int-entry": _reference_matrix_with(HUGE_INT),
+    "object": ({"a": 1}, "matrix"),
+    "list-of-objects": ([{"a": 1}], "matrix"),
+    "string-entry": (_reference_matrix_with("0.5"), "matrix"),
+    "bool-entry": (_reference_matrix_with(True), "matrix"),
+    "deep-bool-entry": (_reference_matrix_with(True, 3, 18), "[2][17]"),
+    "huge-int-entry": (_reference_matrix_with(HUGE_INT), "matrix"),
 }
 
 
-@pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=list(MALFORMED_MATRICES))
-def test_malformed_placement_file_is_a_usage_error(tmp_path, capsys, scenario_file, matrix):
+@pytest.mark.parametrize(
+    ("matrix", "named"), MALFORMED_MATRICES.values(), ids=list(MALFORMED_MATRICES)
+)
+def test_malformed_placement_file_is_a_usage_error(
+    tmp_path, capsys, scenario_file, matrix, named
+):
     path = tmp_path / "cached.json"
     path.write_text(json.dumps({"matrix": matrix}))
     argv = ["simulate", "--scenario", str(scenario_file), "--placement", str(path)]
@@ -442,6 +482,7 @@ def test_malformed_placement_file_is_a_usage_error(tmp_path, capsys, scenario_fi
     assert stderr.startswith("error:")
     assert "Traceback" not in stderr
     assert "matrix" in stderr
+    assert named in stderr
 
 
 class TestSimulateCommand:

@@ -37,6 +37,13 @@ from conftest import (
 )
 
 
+def _echr_csl_with_placement(library, cluster):
+    """``echr_csl`` and the placement ``heuristic_solve`` returns in the CSL
+    regime: first-fit on the storage greedy."""
+    placement = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster)
+    return echr_csl(library, cluster), placement
+
+
 def _loop_greedy_fractions(library, cluster, h_target=None):
     """The content-at-a-time greedy the vectorised helper replaced (oracle)."""
     popularity, sizes = library.popularity, library.sizes
@@ -135,7 +142,7 @@ class TestVectorisedHelpers:
         rng = np.random.default_rng(50_000)
         library = ContentLibrary.zipf(50_000, 0.8)
         cluster = FogCluster(rng.uniform(0.8, 1.2, 50) * 100.0)
-        h_csl, placement = echr_csl(library, cluster)
+        h_csl, placement = _echr_csl_with_placement(library, cluster)
         interior = placement_from_echr(0.5 * h_csl, library, cluster)
         for matrix in (placement.matrix, interior.matrix):
             validate_placement(matrix, library, cluster)
@@ -144,32 +151,32 @@ class TestVectorisedHelpers:
 
 class TestEchrCsl:
     def test_reference_value(self, reference_scenario):
-        h, placement = echr_csl(reference_scenario.library, reference_scenario.cluster)
+        h, placement = _echr_csl_with_placement(reference_scenario.library, reference_scenario.cluster)
         # Total capacity 10 at unit sizes: the ten most popular contents fit whole.
         assert h == H_CSL
         np.testing.assert_array_equal(placement.cached_fractions[:10], np.ones(10))
         np.testing.assert_array_equal(placement.cached_fractions[10:], np.zeros(10))
 
     def test_matches_popularity_mass_of_placement(self, reference_scenario):
-        h, placement = echr_csl(reference_scenario.library, reference_scenario.cluster)
+        h, placement = _echr_csl_with_placement(reference_scenario.library, reference_scenario.cluster)
         assert h == pytest.approx(echr(placement, reference_scenario.library), abs=1e-15)
 
     def test_caps_at_one_when_storage_is_ample(self):
         library = ContentLibrary.zipf(5, 0.8)
-        h, placement = echr_csl(library, FogCluster([10.0]))
+        h, placement = _echr_csl_with_placement(library, FogCluster([10.0]))
         assert h == 1.0
         np.testing.assert_array_equal(placement.cached_fractions, np.ones(5))
 
     def test_zero_capacity(self):
         library = ContentLibrary.zipf(5, 0.8)
-        h, placement = echr_csl(library, FogCluster([0.0, 0.0]))
+        h, placement = _echr_csl_with_placement(library, FogCluster([0.0, 0.0]))
         assert h == 0.0
         np.testing.assert_array_equal(placement.matrix, np.zeros((2, 5)))
 
     def test_fractional_tail_content(self):
         # Capacity 1.5 at unit sizes: rank 1 whole, half of rank 2.
         library = ContentLibrary([0.5, 0.3, 0.2])
-        h, placement = echr_csl(library, FogCluster([1.5]))
+        h, placement = _echr_csl_with_placement(library, FogCluster([1.5]))
         assert h == pytest.approx(0.5 + 0.15)
         np.testing.assert_allclose(placement.cached_fractions, [1.0, 0.5, 0.0])
 
@@ -177,7 +184,7 @@ class TestEchrCsl:
         # Popularity/size densities are 0.4/2=0.2 vs 0.35 vs 0.25: the greedy
         # should prefer contents 2 and 3 over the biggest one.
         library = ContentLibrary([0.4, 0.35, 0.25], [2.0, 1.0, 1.0])
-        h, placement = echr_csl(library, FogCluster([2.0]))
+        h, placement = _echr_csl_with_placement(library, FogCluster([2.0]))
         assert h == pytest.approx(0.6)
         np.testing.assert_allclose(placement.cached_fractions, [0.0, 1.0, 1.0])
 
@@ -185,7 +192,7 @@ class TestEchrCsl:
         rng = np.random.default_rng(2024)
         for _ in range(30):
             scenario = random_scenario(rng)
-            _, placement = echr_csl(scenario.library, scenario.cluster)
+            _, placement = _echr_csl_with_placement(scenario.library, scenario.cluster)
             validate_placement(placement, scenario.library, scenario.cluster)
 
 
@@ -279,7 +286,7 @@ class TestPlacementFromEchr:
         placement = placement_from_echr(
             H_CPL, reference_scenario.library, reference_scenario.cluster
         )
-        loads = placement.node_loads(reference_scenario.library.sizes)
+        loads = placement.matrix @ reference_scenario.library.sizes
         np.testing.assert_allclose(loads[:2], [2.0, 3.0])  # nodes 1-2 exactly full
         assert loads[2] < 5.0
 
@@ -299,7 +306,7 @@ class TestPlacementFromEchr:
         rng = np.random.default_rng(77)
         for _ in range(25):
             scenario = random_scenario(rng)
-            h_csl, _ = echr_csl(scenario.library, scenario.cluster)
+            h_csl = echr_csl(scenario.library, scenario.cluster)
             target = float(rng.uniform(0.0, h_csl))
             placement = placement_from_echr(target, scenario.library, scenario.cluster)
             validate_placement(placement, scenario.library, scenario.cluster)

