@@ -151,6 +151,9 @@ class ConstraintSystem:
 #: the result is still made feasible.
 _NEWTON_MAX_STEPS = 100
 _BACKTRACK_MAX_HALVINGS = 40
+#: How far past 1 a projected column may sum before it is scaled back: well
+#: above the rounding of a sum over the nodes, well below FEASIBILITY_TOL.
+_COLUMN_SLACK = 1e-12
 
 
 def _project_columns(y, sizes, mu):
@@ -281,6 +284,16 @@ def project_feasible(x, constraints, duals=None):
         mu, z, shifts, gradient, value = trial, z_t, shifts_t, gradient_t, value_t
     if duals is not None:
         duals[:] = mu
+    # For inputs of about 1e12 and more, ``y - mu * s - shift`` cancels
+    # numbers of that size, and a column can exceed 1 by far more than
+    # rounding (content 1 of the reference cluster by 2.4e-4).  Scaling such
+    # a column down keeps the box and makes the result feasible; it is then
+    # not the projection (that case fills the nodes to 90% only).  Ordinary
+    # columns, over 1 by a few ulps at most, are left as they are.
+    totals = z.sum(axis=0)
+    full = totals > 1.0 + _COLUMN_SLACK
+    if np.any(full):
+        z[:, full] /= totals[full]
     # Within ``tol`` a capacity row may still overshoot; scaling the row down
     # keeps the box and per-content rows and makes the result feasible.
     loads = z @ sizes

@@ -132,18 +132,43 @@ def _load_placement(path):
     return Placement(data["matrix"])
 
 
+_ENTRY_SEP = ",\n      "
+
+
 def _dump_placement(placement, path):
-    """Write the bytes of ``json.dump({"matrix": ...}, indent=2)`` plus a newline."""
-    with open(path, "w") as handle:
-        handle.write('{\n  "matrix": [')
-        for i, row in enumerate(placement.matrix):
-            entries = ["0.0"] * row.size
-            shown = np.flatnonzero((row != 0.0) | np.signbit(row))
-            for f, value in zip(shown.tolist(), row[shown].tolist()):
-                entries[f] = repr(value)
-            handle.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(entries))
-            handle.write("\n    ]")
-        handle.write("\n  ]\n}\n")
+    """Write the bytes of ``json.dump({"matrix": ...}, indent=2)`` plus a newline.
+
+    Each row is written as alternating runs.  A run of ``+0.0`` entries is a
+    slice of one ``"0.0,\\n      "`` string repeated once per column, and a
+    run of stored entries (nonzero or ``-0.0``) one join of their ``repr``.
+    A first-fit row therefore costs its stored entries and its bytes, not
+    one Python string per column; a dense row is one run and costs what a
+    join of every entry does.
+    """
+    matrix = placement.matrix
+    sep = _ENTRY_SEP.encode()
+    zero = b"0.0" + sep
+    zeros = memoryview(zero * matrix.shape[1])
+    with open(path, "wb") as handle:
+        handle.write(b'{\n  "matrix": [')
+        for i, row in enumerate(matrix):
+            handle.write(b",\n    [\n      " if i else b"\n    [\n      ")
+            stored = (row != 0.0) | np.signbit(row)
+            # Columns where a run starts; runs alternate, a zero run first.
+            edges = np.flatnonzero(np.diff(stored, prepend=False, append=False)).tolist()
+            bounds = [0, *edges, row.size]
+            lead = b""
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                if a == b:  # a row that starts or ends with a stored entry
+                    continue
+                handle.write(lead)
+                if k % 2:
+                    handle.write(_ENTRY_SEP.join(map(repr, row[a:b].tolist())).encode())
+                else:
+                    handle.write(zeros[: (b - a) * len(zero) - len(sep)])
+                lead = sep
+            handle.write(b"\n    ]")
+        handle.write(b"\n  ]\n}\n")
 
 
 def _dump_json(data, path):

@@ -75,13 +75,27 @@ def _assign_first_fit(fractions, library, cluster):
     ``D = cumsum(fractions * sizes)``, so at most ``N - 1`` contents are split
     and at most ``F + N - 1`` entries are nonzero.  Any feasible assignment
     yields the same objective; this fixed rule makes the output canonical.
+
+    Both cumulative sums are sorted, so two ``searchsorted`` calls give each
+    node the contents whose interval touches its own; the overlap formula
+    runs on those slices only and every other entry stays the ``+0.0`` of
+    ``np.zeros``, which is what the formula gives on a strictly negative
+    overlap.  Past the ``O(N * F)`` zero fill and the checks of
+    :class:`Placement`, the cost is ``O(F + N log F)``, plus the length of
+    any run of uncached contents that a node boundary lands on exactly.
     """
     demand = np.concatenate(([0.0], np.cumsum(fractions * library.sizes)))
     capacity = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
+    # Content f touches node i iff demand[f + 1] >= capacity[i] and
+    # demand[f] <= capacity[i + 1].
+    starts = np.searchsorted(demand[1:], capacity[:-1], side="left").tolist()
+    stops = np.searchsorted(demand[:-1], capacity[1:], side="right").tolist()
     matrix = np.zeros((cluster.node_count, library.count))
-    for i in range(cluster.node_count):
-        overlap = np.minimum(demand[1:], capacity[i + 1]) - np.maximum(demand[:-1], capacity[i])
-        matrix[i] = np.maximum(overlap, 0.0) / library.sizes
+    for i, (lo, hi) in enumerate(zip(starts, stops)):
+        overlap = np.minimum(demand[lo + 1 : hi + 1], capacity[i + 1]) - np.maximum(
+            demand[lo:hi], capacity[i]
+        )
+        matrix[i, lo:hi] = np.maximum(overlap, 0.0) / library.sizes[lo:hi]
     return Placement(matrix)
 
 

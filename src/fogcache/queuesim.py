@@ -21,9 +21,11 @@ blocks already drawn.  Only the producer touches the generator, in the
 order of two whole-array draws, so sojourn times, means, confidence
 intervals and the generator state afterwards are bit-identical to earlier,
 single-threaded versions.  Queues are simulated one at a time; the one in
-flight needs 8 bytes per arrival plus about 1.3 MB of buffers.  On two Xeon
-cores a 2e6-arrival queue takes about 33 ms, against 50 ms for drawing and
-recursing in turn; pinned to one core, about 51 ms.
+flight needs 8 bytes per arrival plus about 1.3 MB of buffers.  On a shared
+2-vCPU Xeon VM (load average 0.4-1.1 from other work), a 2e6-arrival queue
+took a median of 39-43 ms with both cores and 54-69 ms pinned to one core,
+over four runs of 21 queues each.  The gain needs a second core that other
+work leaves free; on a busier host the times move towards the pinned ones.
 """
 
 from __future__ import annotations
@@ -195,7 +197,9 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
             free.release()  # ``s`` is not read again: the producer may refill it
             np.subtract(arrivals, w, out=w)
             w[0] = max(w[0], running_max)
-            np.maximum.accumulate(w, out=w)
+            # fmax equals maximum on NaN-free input and skips maximum's NaN
+            # propagation, which makes its accumulate the faster one.
+            np.fmax.accumulate(w, out=w)
             running_max = w[-1]
             np.add(cum_s, w, out=w)
             np.subtract(w, arrivals, out=arrivals)

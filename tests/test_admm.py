@@ -203,10 +203,9 @@ class TestProjectFeasible:
         # A unit gradient step from 0 next to saturation (lam = 5.999999,
         # mu_b = 6) gives entries of size 1e12, where the regularized Newton
         # system turns singular and the ascent falls back to the dual
-        # gradient; no solver reaches that path any more.  It must return a
-        # point in the box within the capacities.  At this magnitude the
-        # per-content totals carry rounding of y - mu * s (content 1 sums to
-        # 1.00024), so those rows are not checked here.
+        # gradient; no solver reaches that path any more.  It must still
+        # return a feasible point: at this magnitude y - mu * s cancels to
+        # column totals up to 1.00024, which the projection scales back.
         scenario = make_scenario(lam=5.999999)
         library, cluster = scenario.library, scenario.cluster
         x = np.zeros((3, 20)) - adt_slope(0.0, scenario.traffic) * library.popularity
@@ -226,6 +225,7 @@ class TestProjectFeasible:
         assert z.shape == (3, 20)
         assert np.all((z >= 0.0) & (z <= 1.0))
         assert np.all(z @ library.sizes <= cluster.capacities)
+        validate_placement(z, library, cluster)
 
 
 def _warm_start_instance(rng, variant):

@@ -600,6 +600,31 @@ def _heuristic_placement(rng):
     return heuristic_solve(scenario).placement.matrix
 
 
+def _regime_placement(regime):
+    """A ``heuristic_solve`` placement at F = 5,000, N = 20 in ``regime``:
+    about 0.1 F per node leaves storage slack (CPL), 5 per node binds it."""
+    per_node = {"CPL": 500.0, "CSL": 5.0}[regime]
+
+    def build(rng):
+        nodes = 20
+        scenario = Scenario(
+            library=ContentLibrary.zipf(5000, 0.8),
+            cluster=FogCluster(rng.uniform(0.8, 1.2, nodes) * per_node),
+            traffic=TrafficProfile([4.0] * nodes, [8.0] * nodes, [6.0] * nodes),
+        )
+        result = heuristic_solve(scenario)
+        assert result.regime == regime
+        return result.placement.matrix
+
+    return build
+
+
+def _catalog_row(rng):
+    row = np.zeros((1, 50_000))
+    row[0, [0, 17, 18, 19, 31_415, 49_998]] = rng.uniform(0.0, 1.0, 6)
+    return row
+
+
 WRITER_MATRICES = {
     "dense": lambda rng: rng.uniform(0.0, 0.3, (3, 7)),
     "sparse": lambda rng: rng.uniform(0.0, 0.3, (3, 7)) * (rng.uniform(size=(3, 7)) < 0.3),
@@ -608,6 +633,21 @@ WRITER_MATRICES = {
     "special": lambda rng: np.array([[-0.0, 5e-324, 1e-300, 0.1 + 0.2]]),
     "one_by_one": lambda rng: np.array([[0.25]]),
     "heuristic": _heuristic_placement,
+    "zero_runs": lambda rng: np.array(
+        [
+            # Zero runs at the start, in the middle and at the end.
+            [0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.0, 0.1, 0.0, 0.0],
+            # -0.0 inside a zero run, and a stored entry in the last column.
+            [0.0, 0.0, -0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.5],
+            # Stored entries in the first and last columns only.
+            [0.125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.375],
+            # One zero between stored runs, and a lone -0.0 at the end.
+            [0.0, 0.1, 0.0, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0, -0.0],
+        ]
+    ),
+    "catalog_row": _catalog_row,
+    "heuristic_cpl": _regime_placement("CPL"),
+    "heuristic_csl": _regime_placement("CSL"),
 }
 
 

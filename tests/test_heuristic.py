@@ -81,6 +81,23 @@ def _loop_assign_first_fit(fractions, library, cluster):
     return matrix
 
 
+def _full_width_assign_first_fit(fractions, library, cluster):
+    """First-fit as one full-width overlap pass per node (oracle): the same
+    elementwise formula as the sliced helper, on every content."""
+    demand = np.concatenate(([0.0], np.cumsum(fractions * library.sizes)))
+    capacity = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
+    matrix = np.zeros((cluster.node_count, library.count))
+    for i in range(cluster.node_count):
+        overlap = np.minimum(demand[1:], capacity[i + 1]) - np.maximum(demand[:-1], capacity[i])
+        matrix[i] = np.maximum(overlap, 0.0) / library.sizes
+    return matrix
+
+
+def _assert_bitwise_equal(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
 def _greedy_instance(layout, rng):
     """A library and cluster whose capacities follow ``layout``."""
     count, nodes = int(rng.integers(5, 80)), int(rng.integers(3, 8))
@@ -121,7 +138,7 @@ class TestVectorisedHelpers:
         for _ in range(15):
             library, cluster = _greedy_instance(layout, rng)
             h_csl = float(library.popularity @ _loop_greedy_fractions(library, cluster))
-            for h_target in (math.inf, 0.0, float(rng.uniform(0.0, h_csl)), h_csl):
+            for h_target in (math.inf, 0.0, -0.0, float(rng.uniform(0.0, h_csl)), h_csl):
                 fractions = _greedy_fractions(library, cluster, h_target=h_target)
                 expected = _loop_greedy_fractions(library, cluster, h_target=h_target)
                 np.testing.assert_allclose(fractions, expected, rtol=0.0, atol=1e-9)
@@ -135,6 +152,9 @@ class TestVectorisedHelpers:
                     rtol=0.0,
                     atol=1e-9,
                 )
+                _assert_bitwise_equal(
+                    placement.matrix, _full_width_assign_first_fit(fractions, library, cluster)
+                )
                 validate_placement(placement, library, cluster)
                 _assert_first_fit_shape(placement.matrix, cluster)
 
@@ -144,9 +164,13 @@ class TestVectorisedHelpers:
         cluster = FogCluster(rng.uniform(0.8, 1.2, 50) * 100.0)
         h_csl, placement = _echr_csl_with_placement(library, cluster)
         interior = placement_from_echr(0.5 * h_csl, library, cluster)
-        for matrix in (placement.matrix, interior.matrix):
+        for h_target, matrix in ((math.inf, placement.matrix), (0.5 * h_csl, interior.matrix)):
             validate_placement(matrix, library, cluster)
             _assert_first_fit_shape(matrix, cluster)
+            fractions = _greedy_fractions(library, cluster, h_target=h_target)
+            _assert_bitwise_equal(
+                matrix, _full_width_assign_first_fit(fractions, library, cluster)
+            )
 
 
 class TestEchrCsl:
