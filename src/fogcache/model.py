@@ -13,6 +13,7 @@ front, so downstream numerical code can assume well-formed inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,16 @@ def _first_non_number(values):
     return (), values
 
 
+def _plain_matrix(values):
+    """Whether ``values`` is a list of lists whose entries are all exactly
+    ``int`` or ``float`` (a ``bool`` is neither)."""
+    return (
+        isinstance(values, list)
+        and all(type(row) is list for row in values)
+        and set(map(type, itertools.chain.from_iterable(values))) <= {int, float}
+    )
+
+
 def _as_array(values, name, ndim):
     """``values`` as a nonempty, finite float array with ``ndim`` axes.
 
@@ -53,8 +64,13 @@ def _as_array(values, name, ndim):
     is rejected.  A scalar counts as a vector of one when ``ndim`` is 1.  A
     float array is returned without a copy.  Raises ``ValueError`` naming
     ``name``, and the index path of the first entry that is not a number.
+
+    A list of flat lists (a matrix read from JSON) whose entries are all of
+    type ``int`` or ``float`` is checked in one pass over its entry types;
+    any other input, or one that fails that pass, is walked entry by entry
+    to name the first entry that is not a number.
     """
-    found = _first_non_number(values)
+    found = None if _plain_matrix(values) else _first_non_number(values)
     if found is not None:
         path, entry = found
         if not path:

@@ -14,22 +14,33 @@ of how many stations are simulated or in what order.  Exponential variates
 are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
 
-Each queue is one call of :func:`mm1_sojourn_times`, which starts one
-producer thread that makes every ``Generator.random`` call (the draws
-release the GIL) while the calling thread runs Lindley's recursion on the
-blocks already drawn.  Only the producer touches the generator, in the
-order of two whole-array draws, so sojourn times, means, confidence
-intervals and the generator state afterwards are bit-identical to earlier,
-single-threaded versions.  Queues are simulated one at a time; the one in
-flight needs 8 bytes per arrival plus about 1.3 MB of buffers.  On a shared
-2-vCPU Xeon VM (load average 0.4-1.1 from other work), a 2e6-arrival queue
-took a median of 39-43 ms with both cores and 54-69 ms pinned to one core,
-over four runs of 21 queues each.  The gain needs a second core that other
-work leaves free; on a busier host the times move towards the pinned ones.
+Each queue is one call of :func:`mm1_sojourn_times`, which streams the
+queue through blocks of ``_BLOCK`` arrivals.  One producer thread makes
+every generator call (the draws release the GIL): the interarrival
+uniforms come from a copy of the queue's generator and the service
+uniforms from the generator advanced past them, so the two streams are
+exactly the draws of two whole-array calls.  The calling thread runs
+Lindley's recursion on each block already drawn and folds the block's
+retained sojourn times into a running count, mean and sum of squared
+deviations (the pairwise merge of Chan, Golub & LeVeque, 1983).  Every
+sojourn time, and the generator state afterwards, is bit-identical to
+earlier versions, on any core count; the mean and the half-width are
+merged block by block, so they can differ from earlier versions, which
+summed one whole-run array, in the last printed digit.  The per-block
+statistics are what batch means over the run will read.  Queues are
+simulated one at a time, and the one in flight needs seven float64 buffers
+of ``_BLOCK`` entries, 1.75 MiB, whatever the run length.  On a shared
+2-vCPU Xeon VM (load average 1.0-1.3 from other work), a 2e6-arrival queue
+took a median of 39-44 ms with both cores in three of four runs (60 ms in
+the fourth) and 62-64 ms pinned to one core, over four runs of 21 queues
+each.  The gain needs a second core that other work leaves free; on a
+busier host the times move towards the pinned ones.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -49,12 +60,17 @@ __all__ = [
 ]
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
-#: Arrivals per block of the Lindley kernel: its five float64 buffers of this
-#: length (three ring slots and two work buffers) stay in L2.  Blocks from
-#: 2**14 to 2**16 ran equally fast.
+#: Arrivals per block of the Lindley kernel: its seven float64 buffers of this
+#: length (three ring slots of two and one work buffer) stay in L2.  Blocks
+#: from 2**15 to 2**16 ran equally fast; 2**14 and 2**17 were slower.
 _BLOCK = 1 << 15
-#: Ring slots for service blocks drawn ahead of the recursion.
+#: Ring slots for blocks drawn ahead of the recursion.
 _SLOTS = 3
+
+
+def _warmup(n_arrivals):
+    """Arrivals discarded from the front of a queue of ``n_arrivals``."""
+    return n_arrivals // 100
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,7 @@ class SimConfig:
     @property
     def effective_warmup(self):
         """Arrivals discarded from the front of each queue: 1% of the run."""
-        return self.n_arrivals // 100
+        return _warmup(self.n_arrivals)
 
 
 @dataclass(frozen=True)
@@ -104,35 +120,39 @@ def _exponential_from_uniform(u, rate):
     np.divide(u, -rate, out=u)
 
 
-def mm1_sojourn_times(lam, mu, n_arrivals, rng):
-    """Sojourn times of the first ``n_arrivals`` customers of an M/M/1 queue.
+def _sojourn_blocks(lam, mu, n_arrivals, rng):
+    """Yield ``(start, sojourn)`` for each block of the first ``n_arrivals``
+    customers of an M/M/1 queue, ``_BLOCK`` customers at a time.
 
     Lindley's recursion in vectorized form: with arrival times ``A``,
     services ``S`` and cumulative services ``cumS``, customer ``k`` departs
     at ``cumS_k + max_{j<=k}(A_j - (cumS_j - S_j))``.
 
-    One producer thread makes every ``rng`` call while this (the calling)
+    One producer thread makes every ``rng`` call while this (the consuming)
     thread runs the recursion, so drawing overlaps with arithmetic.  The
-    producer draws all interarrival uniforms ``_BLOCK`` at a time into the
-    returned array, then the service uniforms ``_BLOCK`` at a time, which
-    it turns into exponentials in a ring of ``_SLOTS`` buffers: the draw
-    order of two whole-array draws.  The calling thread turns each arrival
-    chunk into arrival times as it lands, then runs the service ``cumsum``
-    and the running maximum block by block, freeing a ring slot per block.
-    Three scalars carry across blocks: the last arrival time and last
-    cumulative service are added into the block's first element before an
-    in-place (sequential) ``cumsum``, so each partial sum is the add a
-    whole-array ``cumsum`` makes, and the running maximum enters as
-    ``max(x_0, carry)``, which is exact.  All other steps are elementwise,
-    so the output and the ``rng`` state afterwards are bit-identical to the
-    whole-array recursion, and to earlier versions of this function.
+    producer draws the interarrival uniforms from a copy of ``rng`` and the
+    service uniforms from ``rng`` advanced by ``n_arrivals``, so the two
+    streams are exactly the first and second ``n_arrivals`` draws of
+    ``rng``, and ``rng`` ends where two whole-array draws leave it.  Each
+    block's pair of draws goes into one of ``_SLOTS`` ring slots, already
+    turned into exponential gaps and services.  The consumer runs the two
+    ``cumsum``s and the running maximum in the slot and one work buffer,
+    and leaves the sojourn times in the slot.  Three scalars carry across
+    blocks: the last arrival time and last cumulative service are added
+    into the block's first element before an in-place (sequential)
+    ``cumsum``, so each partial sum is the add a whole-array ``cumsum``
+    makes, and the running maximum enters as ``max(x_0, carry)``, which is
+    exact.  All other steps are elementwise, so every sojourn time is
+    bit-identical to the whole-array recursion, and to earlier versions of
+    the simulator.
 
-    An exception in the producer is re-raised here; the producer is
-    stopped and joined before this function returns or raises.
+    ``sojourn`` is a view of a ring slot: the caller may overwrite it, and
+    it is reused once the caller asks for the next block.  An exception in
+    the producer is re-raised here; the producer is stopped and joined
+    before the generator finishes or is closed.
     """
-    sojourn = np.empty(n_arrivals)
     size = min(n_arrivals, _BLOCK)
-    ring = [np.empty(size) for _ in range(_SLOTS)]
+    ring = [(np.empty(size), np.empty(size)) for _ in range(_SLOTS)]
     starts = range(0, n_arrivals, _BLOCK)
     # ``drawn`` counts blocks ready for the recursion, ``free`` ring slots
     # ready for the producer; ``failure`` holds the producer's exception.
@@ -142,49 +162,40 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
 
     def draw():
         try:
-            for start in starts:
-                rng.random(out=sojourn[start : start + _BLOCK])
-                drawn.release()
-                if stopped.is_set():
-                    return
+            arrival_rng = copy.deepcopy(rng)
+            rng.bit_generator.advance(n_arrivals)
             for index, start in enumerate(starts):
                 free.acquire()
                 if stopped.is_set():
                     return
-                s = ring[index % _SLOTS][: min(_BLOCK, n_arrivals - start)]
+                k = min(_BLOCK, n_arrivals - start)
+                a, s = (buffer[:k] for buffer in ring[index % _SLOTS])
+                arrival_rng.random(out=a)
                 rng.random(out=s)
+                _exponential_from_uniform(a, lam)
                 _exponential_from_uniform(s, mu)
                 drawn.release()
-        except BaseException as exc:  # re-raised by the calling thread
+        except BaseException as exc:  # re-raised by the consuming thread
             failure.append(exc)
             drawn.release()
-
-    def wait_drawn():
-        drawn.acquire()
-        if failure:
-            raise failure[0]
 
     producer = threading.Thread(target=draw, name="queuesim-draws", daemon=True)
     producer.start()
     try:
-        last_arrival = 0.0
-        for start in starts:
-            wait_drawn()
-            arrivals = sojourn[start : start + _BLOCK]
-            _exponential_from_uniform(arrivals, lam)
-            arrivals[0] += last_arrival
-            np.cumsum(arrivals, out=arrivals)
-            last_arrival = arrivals[-1]
-
         cum_services = np.empty(size)
-        work = np.empty(size)
-        last_cum_service = 0.0
+        last_arrival = last_cum_service = 0.0
         running_max = -math.inf
         for index, start in enumerate(starts):
-            wait_drawn()
+            drawn.acquire()
+            if failure:
+                raise failure[0]
             k = min(_BLOCK, n_arrivals - start)
-            arrivals = sojourn[start : start + k]
-            s, cum_s, w = ring[index % _SLOTS][:k], cum_services[:k], work[:k]
+            a, s = (buffer[:k] for buffer in ring[index % _SLOTS])
+            cum_s = cum_services[:k]
+
+            a[0] += last_arrival
+            np.cumsum(a, out=a)
+            last_arrival = a[-1]
 
             first = s[0]  # the carry enters cumS only, not S
             s[0] += last_cum_service
@@ -193,45 +204,70 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
             last_cum_service = cum_s[-1]
 
             # Departures: cumS + running max of (A - (cumS - S)); sojourn = D - A.
-            np.subtract(cum_s, s, out=w)
-            free.release()  # ``s`` is not read again: the producer may refill it
-            np.subtract(arrivals, w, out=w)
-            w[0] = max(w[0], running_max)
+            np.subtract(cum_s, s, out=s)
+            np.subtract(a, s, out=s)
+            s[0] = max(s[0], running_max)
             # fmax equals maximum on NaN-free input and skips maximum's NaN
             # propagation, which makes its accumulate the faster one.
-            np.fmax.accumulate(w, out=w)
-            running_max = w[-1]
-            np.add(cum_s, w, out=w)
-            np.subtract(w, arrivals, out=arrivals)
+            np.fmax.accumulate(s, out=s)
+            running_max = s[-1]
+            np.add(cum_s, s, out=s)
+            np.subtract(s, a, out=s)
+            yield start, s
+            free.release()  # the slot is not read again: the producer may refill it
     finally:
         stopped.set()
         free.release()  # wakes a producer waiting for a slot
         producer.join()
-    return sojourn
 
 
-def _mean_ci(samples):
-    """Mean and 95% half-width of ``samples``, which it overwrites.
+def mm1_sojourn_times(lam, mu, n_arrivals, rng):
+    """Mean and 95% half-width of the sojourn times of the first
+    ``n_arrivals`` customers of an M/M/1 queue, after the warm-up.
 
-    The variance is computed in place with the steps of
-    ``np.std(ddof=1)`` (subtract the mean, square, pairwise sum, divide by
-    ``m - 1``, square root), so the result is bit-identical to it.
+    The first 1% of the customers (``n_arrivals // 100``) are discarded to
+    wash out the empty-system start.  The sojourn times come block by block
+    from the recursion of :func:`_sojourn_blocks`, which draws from
+    ``rng`` exactly as two whole-array draws of ``n_arrivals`` would.  Each
+    block's retained sojourns give a count, a mean and then the sum of
+    squared deviations from it, all while the block is in cache, and blocks
+    are merged into the running totals pairwise (Chan, Golub & LeVeque
+    1983).  The half-width is ``1.96 * s / sqrt(m)`` with ``s`` the sample
+    standard deviation (``ddof=1``) of the ``m`` retained sojourns; it is
+    infinite when ``m < 2``.  Memory is seven float64 buffers of ``_BLOCK``
+    entries (1.75 MiB), however long the run.
+
+    Every sojourn time is bit-identical to earlier versions.  The mean and
+    half-width are merged block by block rather than summed over one array,
+    so they can differ from earlier versions in the last bits.
     """
-    m = samples.size
-    mean = float(samples.mean())
-    if m < 2:
+    warmup = _warmup(n_arrivals)
+    count, mean, m2 = 0, 0.0, 0.0
+    with contextlib.closing(_sojourn_blocks(lam, mu, n_arrivals, rng)) as blocks:
+        for start, sojourn in blocks:
+            kept = sojourn[max(warmup - start, 0) :]
+            if kept.size == 0:
+                continue
+            block_mean = float(kept.mean())
+            np.subtract(kept, block_mean, out=kept)
+            np.square(kept, out=kept)
+            block_m2 = float(np.add.reduce(kept))
+            total = count + kept.size
+            # ``weight`` is exactly 1 for the first block, which therefore
+            # sets the totals to its own statistics without rounding.
+            weight = kept.size / total
+            delta = block_mean - mean
+            mean += delta * weight
+            m2 += block_m2 + delta * delta * count * weight
+            count = total
+    if count < 2:
         return mean, math.inf
-    np.subtract(samples, mean, out=samples)
-    np.square(samples, out=samples)
-    std = math.sqrt(float(np.add.reduce(samples)) / (m - 1))
-    return mean, _CI_FACTOR * std / math.sqrt(m)
+    return mean, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def _simulate_queue(lam, mu, config, seed_seq):
     """``(mean, ci_halfwidth)`` of one queue run from ``seed_seq``."""
-    rng = np.random.default_rng(seed_seq)
-    sojourn = mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
-    return _mean_ci(sojourn[config.effective_warmup :])
+    return mm1_sojourn_times(lam, mu, config.n_arrivals, np.random.default_rng(seed_seq))
 
 
 def simulate_mm1(lam, mu, config):

@@ -1,5 +1,6 @@
 """Tests for the discrete-event queue simulator."""
 
+import copy
 import math
 import sys
 import threading
@@ -23,23 +24,39 @@ from fogcache import (
 )
 
 from fogcache import queuesim
-from fogcache.queuesim import _BLOCK, _mean_ci, mm1_sojourn_times, simulate_station
+from fogcache.queuesim import _BLOCK, _sojourn_blocks, mm1_sojourn_times, simulate_station
 
 from conftest import bounded, make_scenario
 
 
 class _ScriptedRng:
-    """Stands in for a Generator; feeds predetermined uniform draws into
-    the ``out`` arrays the kernel passes."""
+    """Stands in for a Generator; feeds a predetermined sequence of uniform
+    draws into the ``out`` arrays the kernel passes.  Copies read the
+    sequence independently, and ``bit_generator.advance(n)`` skips ``n``
+    draws."""
 
-    def __init__(self, blocks):
-        self._blocks = [np.asarray(block, dtype=float) for block in blocks]
+    def __init__(self, uniforms):
+        self._uniforms = np.asarray(uniforms, dtype=float)
+        self._position = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, delta):
+        self._position += delta
 
     def random(self, *, out):
-        block = self._blocks.pop(0)
-        assert block.size == out.size
-        out[:] = block
+        end = self._position + out.size
+        assert end <= self._uniforms.size
+        out[:] = self._uniforms[self._position : end]
+        self._position = end
         return out
+
+
+def _sojourns(lam, mu, n_arrivals, rng):
+    """Every sojourn time of the blocked kernel, as one array."""
+    return np.concatenate([block.copy() for _, block in _sojourn_blocks(lam, mu, n_arrivals, rng)])
 
 
 def _uniform_for(times, rate):
@@ -84,9 +101,9 @@ class TestLindleyRecursion:
         #   arrivals [1, 2, 5]; departures [3, 5, 6]; sojourns [2, 3, 1].
         lam, mu = 0.5, 0.25
         rng = _ScriptedRng(
-            [_uniform_for([1.0, 1.0, 3.0], lam), _uniform_for([2.0, 2.0, 1.0], mu)]
+            np.concatenate([_uniform_for([1.0, 1.0, 3.0], lam), _uniform_for([2.0, 2.0, 1.0], mu)])
         )
-        sojourn = mm1_sojourn_times(lam, mu, 3, rng)
+        sojourn = _sojourns(lam, mu, 3, rng)
         np.testing.assert_allclose(sojourn, [2.0, 3.0, 1.0], rtol=1e-12)
 
     def test_sojourn_is_at_least_the_service_time(self):
@@ -94,11 +111,11 @@ class TestLindleyRecursion:
         services_rng = np.random.default_rng(5)
         _ = services_rng.random(1000)  # skip the interarrival block
         services = -np.log1p(-services_rng.random(1000)) / 7.0
-        sojourn = mm1_sojourn_times(3.0, 7.0, 1000, rng)
+        sojourn = _sojourns(3.0, 7.0, 1000, rng)
         assert np.all(sojourn >= services - 1e-12)
 
     def test_all_positive(self):
-        sojourn = mm1_sojourn_times(2.0, 9.0, 5000, np.random.default_rng(1))
+        sojourn = _sojourns(2.0, 9.0, 5000, np.random.default_rng(1))
         assert np.all(sojourn > 0.0)
 
 
@@ -229,6 +246,29 @@ def _oracle_mean_ci(samples):
     return mean, ci
 
 
+def _oracle_block_merge(sojourn, warmup):
+    """Mean and half-width of ``sojourn[warmup:]`` as the streamed kernel
+    forms them: a (count, mean, M2) per block of the whole run, of the
+    kernel's current block size, merged in order with Chan, Golub &
+    LeVeque's pairwise update."""
+    count, mean, m2 = 0, 0.0, 0.0
+    size = queuesim._BLOCK
+    for start in range(0, sojourn.size, size):
+        block = sojourn[max(start, warmup) : start + size]
+        if block.size == 0:
+            continue
+        block_mean = float(np.mean(block))
+        block_m2 = float(np.sum((block - block_mean) ** 2))
+        total = count + block.size
+        delta = block_mean - mean
+        mean += delta * (block.size / total)
+        m2 += block_m2 + delta * delta * count * (block.size / total)
+        count = total
+    if count < 2:
+        return mean, math.inf
+    return mean, 1.96 * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
 def _oracle_station(placement, scenario, station, config):
     traffic = scenario.traffic
     h = min(max(echr(placement, scenario.library), 0.0), 1.0)
@@ -242,7 +282,7 @@ def _oracle_station(placement, scenario, station, config):
     def run(rate, mu, seed_seq):
         rng = np.random.default_rng(seed_seq)
         sojourn = _oracle_sojourn_times(rate, mu, config.n_arrivals, rng)
-        return _oracle_mean_ci(sojourn[warmup:])
+        return _oracle_block_merge(sojourn, warmup)
 
     if h == 0.0:
         mean_b, ci_b = run(lam, mu_b, children[1])
@@ -277,15 +317,31 @@ class TestBlockedKernelExactness:
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("lam,mu", _RATES)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sojourns_and_ci_match_the_oracle_bit_for_bit(self, n, lam, mu, seed):
+    def test_sojourns_match_the_oracle_bit_for_bit(self, n, lam, mu, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        sojourn = mm1_sojourn_times(lam, mu, n, rng)
+        sojourn = _sojourns(lam, mu, n, rng)
         expected = _oracle_sojourn_times(lam, mu, n, oracle_rng)
         assert sojourn.tobytes() == expected.tobytes()
         # Both consumed the same draws: the next one agrees.
         assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    @pytest.mark.parametrize("lam,mu", _RATES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mean_and_halfwidth_are_the_block_merge_of_the_oracle(self, n, lam, mu, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mean, ci = mm1_sojourn_times(lam, mu, n, rng)
+        expected = _oracle_sojourn_times(lam, mu, n, oracle_rng)
+        assert rng.random() == oracle_rng.random()
         warmup = n // 100
-        assert _mean_ci(sojourn[warmup:]) == _oracle_mean_ci(expected[warmup:])
+        assert (mean, ci) == _oracle_block_merge(expected, warmup)
+        # Only the summation order differs from the whole-array statistics.
+        whole_mean, whole_ci = _oracle_mean_ci(expected[warmup:])
+        assert abs(mean - whole_mean) <= 1e-15 * whole_mean
+        if math.isinf(whole_ci):
+            assert math.isinf(ci)
+        else:
+            assert abs(ci - whole_ci) <= 1e-15 * whole_ci
 
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
     def test_station_and_cluster_results_match_the_oracle(self, which):
@@ -303,17 +359,31 @@ _default_rng = np.random.default_rng
 
 
 class _RecordingRng:
-    """A ``default_rng`` that records the size and thread of each draw and
-    raises ``error`` on draw number ``fail_on`` (1-based), if given."""
+    """A ``default_rng`` that records the stream, size and thread of each
+    draw and raises ``error`` on draw number ``fail_on`` (1-based), if
+    given.  The kernel draws services from this generator and arrivals from
+    a deep copy of it; the copy records into the same list and counts
+    towards the same ``fail_on``."""
 
     def __init__(self, seed, fail_on=None):
         self._rng = _default_rng(seed)
+        self.stream = "services"
         self.calls = []
         self.fail_on = fail_on
         self.error = RuntimeError("draw failed")
 
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def __deepcopy__(self, memo):
+        twin = copy.copy(self)
+        twin._rng = copy.deepcopy(self._rng, memo)
+        twin.stream = "arrivals"
+        return twin
+
     def random(self, *, out):
-        self.calls.append((out.size, threading.get_ident()))
+        self.calls.append((self.stream, out.size, threading.get_ident()))
         if len(self.calls) == self.fail_on:
             raise self.error
         return self._rng.random(out=out)
@@ -323,12 +393,12 @@ class TestProducerThread:
     def test_draw_order_thread_and_output(self):
         n = 3 * _BLOCK + 7
         rng = _RecordingRng(8)
-        sojourn = mm1_sojourn_times(0.9, 1.0, n, rng)
-        sizes = [size for size, _ in rng.calls]
+        sojourn = _sojourns(0.9, 1.0, n, rng)
         chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
-        assert sizes == chunks + chunks
-        assert sum(sizes[: len(chunks)]) == n and sum(sizes[len(chunks) :]) == n
-        threads = {thread for _, thread in rng.calls}
+        # Each block draws its arrivals, then its services.
+        expected_calls = [(stream, k) for k in chunks for stream in ("arrivals", "services")]
+        assert [(stream, size) for stream, size, _ in rng.calls] == expected_calls
+        threads = {thread for _, _, thread in rng.calls}
         assert len(threads) == 1
         assert threads != {threading.main_thread().ident}
         expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(8))
@@ -337,14 +407,17 @@ class TestProducerThread:
     def test_ring_reuse_under_contention(self, monkeypatch):
         # Tiny blocks make every call cycle the three ring slots many times;
         # eight concurrent calls on a short switch interval stress the
-        # hand-offs.  A slot overwritten before the recursion used it would
-        # change the output bits.
+        # hand-offs.  A slot overwritten before the recursion and the
+        # statistics used it would change the output bits.
         monkeypatch.setattr(queuesim, "_BLOCK", 16)
         n, seeds = 16 * 200 + 5, range(8)
         results = {}
 
         def run(seed):
-            results[seed] = mm1_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed))
+            results[seed] = (
+                _sojourns(0.9, 1.0, n, np.random.default_rng(seed)),
+                mm1_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed)),
+            )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -359,7 +432,9 @@ class TestProducerThread:
             sys.setswitchinterval(interval)
         for seed in seeds:
             expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed))
-            assert results[seed].tobytes() == expected.tobytes()
+            sojourn, stats = results[seed]
+            assert sojourn.tobytes() == expected.tobytes()
+            assert stats == _oracle_block_merge(expected, n // 100)
 
     def test_no_thread_outlives_a_normal_return(self):
         before = threading.active_count()
@@ -367,8 +442,9 @@ class TestProducerThread:
         assert threading.active_count() == before
         assert "queuesim-draws" not in [thread.name for thread in threading.enumerate()]
 
-    # Draw 3 is an arrival chunk, draw 6 a service block.
-    @pytest.mark.parametrize("fail_on", [1, 3, 6])
+    # Draw 1 is the first block's arrivals, draw 4 the second block's
+    # services and draw 8 the last block's services.
+    @pytest.mark.parametrize("fail_on", [1, 4, 8])
     def test_producer_error_surfaces_from_the_kernel(self, fail_on):
         rng = _RecordingRng(0, fail_on=fail_on)
         before = threading.active_count()
@@ -393,24 +469,29 @@ class TestProducerThread:
         assert info.value is rngs[0].error
         assert threading.active_count() == before
 
-    # With 8 blocks, cumsum call 1 is the first arrival chunk, 9 the first
-    # service block and 12 the fourth.  The pause before raising lets the
+    # With 8 blocks, ``cumsum`` call 2b + 1 turns block b's arrivals into
+    # arrival times and call 2b + 2 sums its services; ``square`` call b + 1
+    # folds block b into the statistics, outside the recursion.  Call 7 and
+    # square call 4 are block 3's: the pause before raising lets the
     # producer fill the ring and wait for a free slot.
-    @pytest.mark.parametrize("fail_at", [1, 9, 12])
-    def test_consumer_error_stops_the_producer(self, monkeypatch, fail_at):
+    @pytest.mark.parametrize(
+        "name,fail_at", [("cumsum", 1), ("cumsum", 2), ("cumsum", 7), ("square", 4)]
+    )
+    def test_consumer_error_stops_the_producer(self, monkeypatch, name, fail_at):
         error = RuntimeError("recursion failed")
         calls = []
+        original = getattr(np, name)
 
-        def cumsum(*args, **kwargs):
+        def failing(*args, **kwargs):
             calls.append(threading.get_ident())
             if len(calls) == fail_at:
                 time.sleep(0.05)
                 raise error
-            return np.cumsum(*args, **kwargs)
+            return original(*args, **kwargs)
 
         numpy_view = types.ModuleType("numpy")
         numpy_view.__dict__.update(vars(np))
-        numpy_view.cumsum = cumsum
+        setattr(numpy_view, name, failing)
         monkeypatch.setattr(queuesim, "np", numpy_view)
         rng = _RecordingRng(0)
         before = threading.active_count()
@@ -420,21 +501,31 @@ class TestProducerThread:
         # The recursion runs on the calling thread only, never the producer.
         recursion_threads = set(calls)
         assert len(recursion_threads) == 1
-        assert not recursion_threads & {thread for _, thread in rng.calls}
+        assert not recursion_threads & {thread for _, _, thread in rng.calls}
         assert threading.active_count() == before
         assert len(rng.calls) < 16
 
 
+def _station_peak_bytes(n_arrivals):
+    """``tracemalloc`` peak of one interior ``simulate_station`` call."""
+    scenario, placement = _placements()["interior"]
+    config = SimConfig(seed=0, n_arrivals=n_arrivals)
+    tracemalloc.start()
+    try:
+        simulate_station(placement, scenario, 0, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestKernelMemory:
     def test_interior_station_peak_stays_small(self):
-        # Two queues of 2e6 arrivals, one at a time: a 16 MB sojourn array
-        # plus fixed buffers.  The whole-array kernel peaked at 92 MB.
-        scenario, placement = _placements()["interior"]
-        config = SimConfig(seed=0, n_arrivals=2_000_000)
-        tracemalloc.start()
-        try:
-            simulate_station(placement, scenario, 0, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        # Two queues of 2e6 arrivals, one at a time, each in seven buffers
+        # of _BLOCK floats (1.75 MiB).  The kernel that kept an 8-byte
+        # entry per arrival peaked at 16.5 MB here.
+        assert _station_peak_bytes(2_000_000) < 4 * 2**20
+
+    def test_peak_does_not_grow_with_the_run(self):
+        short, long = _station_peak_bytes(200_000), _station_peak_bytes(2_000_000)
+        assert abs(long - short) < 0.5 * 2**20
