@@ -221,15 +221,15 @@ def project_feasible(x, constraints, duals=None):
     project a slowly moving point pass the same array to every call; the
     result is the same projection to the stopping tolerance.
 
-    ``x`` may be the node-major vector or the matrix; the shape is preserved.
+    ``x`` is an (N, F) matrix, and so is the result; any other shape raises
+    ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    y = np.asarray(x, dtype=float)
     n, f = constraints.n_nodes, constraints.n_contents
-    if x.size != n * f:
-        raise ValueError(f"expected {n * f} entries for {n} nodes x {f} contents")
+    if y.shape != (n, f):
+        raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
     if duals is not None and np.shape(duals) != (n,):
         raise ValueError(f"expected {n} capacity multipliers")
-    y = x.reshape(n, f)
     sizes, capacities = constraints.sizes, constraints.capacities
     size_sq = sizes * sizes
     # Node loads are sums of F terms of magnitude up to the capacity.
@@ -300,7 +300,7 @@ def project_feasible(x, constraints, duals=None):
     over = loads > capacities
     if np.any(over):
         z[over] *= (capacities[over] / loads[over])[:, np.newaxis]
-    return z.reshape(x.shape)
+    return z
 
 
 def p_update(z, theta, scenario, rho):
@@ -318,7 +318,8 @@ def p_update(z, theta, scenario, rho):
     per node, so ``c . v`` is the popularity times the column sums of ``v``
     and ``||c||^2`` is ``N`` times the popularity's squared norm.  The root
     finder stays inside the stable interval, so the residual skips the
-    stability check.  Shapes (vector or matrix) are preserved.
+    stability check.  ``z``, ``theta`` and the result are (N, F) matrices;
+    any other shape raises ``ValueError``.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -326,9 +327,9 @@ def p_update(z, theta, scenario, rho):
     theta = np.asarray(theta, dtype=float)
     popularity = scenario.library.popularity
     n, f = scenario.cluster.node_count, popularity.size
-    if z.size != n * f or theta.size != n * f:
-        raise ValueError(f"expected vectors of length {n * f}")
-    v = (z - theta).reshape(n, f)
+    if z.shape != (n, f) or theta.shape != (n, f):
+        raise ValueError(f"expected matrices of shape ({n}, {f}): {n} nodes x {f} contents")
+    v = z - theta
     cv = float(popularity @ v.sum(axis=0))
     c_sq_over_rho = n * float(popularity @ popularity) / rho
     traffic = scenario.traffic
@@ -340,7 +341,7 @@ def p_update(z, theta, scenario, rho):
         return 1.0 + _curvature_at(h, traffic) * c_sq_over_rho
 
     h_star = increasing_root(residual, residual_slope, *stable_echr_interval(traffic))
-    return (v - (_slope_at(h_star, traffic) / rho) * popularity).reshape(z.shape)
+    return v - (_slope_at(h_star, traffic) / rho) * popularity
 
 
 #: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one normalised
@@ -352,7 +353,7 @@ _RHO_FACTOR = 2.0
 def solve(scenario, config=None):
     """Run the splitting iteration on a scenario.
 
-    Starts from zero vectors and iterates the three updates until both
+    Starts from zero matrices and iterates the three updates until both
     residual thresholds hold:
 
         ||p - z||        <=  sqrt(N*F) * eps_abs + eps_rel * max(||p||, ||z||)

@@ -46,11 +46,14 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
 
     Sorts contents once by decreasing ``popularity / size`` (plain popularity
     order when sizes are equal).  The longest prefix whose cumulative size
-    fits the pooled capacity, and whose cumulative popularity fits
-    ``h_target``, is cached whole; the next content gets the portion that
-    exhausts the tighter limit, and the rest exactly zero.  Greedy is exact
-    for this continuous knapsack, so with no target the result maximizes the
-    ECHR.
+    fits the pooled capacity is cached whole, the next content gets the
+    portion that fills it, and the rest exactly zero: the storage greedy,
+    exact for this continuous knapsack, so it maximizes the ECHR.  When
+    ``h_target`` is at or above that greedy's ECHR, capped at 1 — the very
+    number :func:`echr_csl` returns — storage binds and the storage greedy
+    itself is returned.  Otherwise the prefix must also fit ``h_target`` in
+    cumulative popularity, and the next content gets the portion that
+    exhausts the tighter of the two limits.
     """
     popularity, sizes = library.popularity, library.sizes
     order = np.argsort(-(popularity / sizes), kind="stable")
@@ -60,9 +63,11 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
         k = int(np.searchsorted(used, budget, side="right")) - 1
         if k < library.count:
             whole, partial = min((whole, partial), (k, min((budget - used[k]) / cost[k], 1.0)))
-    fractions = np.zeros(library.count)
-    fractions[order[:whole]] = 1.0
-    fractions[order[whole : whole + 1]] = partial
+        fractions = np.zeros(library.count)
+        fractions[order[:whole]] = 1.0
+        fractions[order[whole : whole + 1]] = partial
+        if h_target >= min(popularity @ fractions, 1.0):
+            break
     return fractions
 
 
@@ -176,8 +181,9 @@ def placement_from_echr(h_target, library, cluster):
 
     Caches contents greedily in popularity-density order, scaling the last
     content's portion so the popularity-weighted total lands on ``h_target``
-    (within 1e-9); node assignment is first-fit in node index order.  Targets
-    above the storage bound are unreachable and rejected.
+    (within 1e-9); node assignment is first-fit in node index order.  A
+    target at the storage bound ``echr_csl`` gets the storage greedy exactly.
+    Targets above the storage bound are unreachable and rejected.
     """
     h_target = float(h_target)
     if h_target < -FEASIBILITY_TOL:
@@ -215,20 +221,15 @@ def heuristic_solve(scenario):
 
     Computes the storage bound and the stationary point, takes
     ``h_star = min(h_csl, h_cpl)`` — the exact optimum, by convexity — and
-    materializes it as a placement.
+    materializes it with :func:`placement_from_echr` in both regimes; in the
+    storage-limited one that is the storage greedy itself.
     """
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
     h_csl = echr_csl(library, cluster)
     h_cpl = echr_cpl(traffic)
-    if h_cpl <= h_csl:
-        regime, h_star = "CPL", h_cpl
-        placement = placement_from_echr(h_star, library, cluster)
-    else:
-        regime, h_star = "CSL", h_csl
-        # Not placement_from_echr(h_csl): its popularity budget is a cumsum
-        # while h_csl is a dot product, so rounding would re-cut the last
-        # content.
-        placement = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster)
+    h_star = min(h_csl, h_cpl)
+    regime = "CPL" if h_cpl <= h_csl else "CSL"
+    placement = placement_from_echr(h_star, library, cluster)
     lambda_star = None
     if traffic.homogeneous and h_csl > 0.0:
         lambda_star = lambda_threshold(h_csl, float(traffic.mu_e[0]), float(traffic.mu_b[0]))

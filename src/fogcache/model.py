@@ -13,7 +13,6 @@ front, so downstream numerical code can assume well-formed inputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 from dataclasses import dataclass, field, replace
@@ -30,12 +29,19 @@ FEASIBILITY_TOL = 1e-8
 def _first_non_number(values):
     """``(index path, entry)`` of the first entry of ``values`` that is not a
     number, or ``None`` when ``values`` is a number, a numeric array, or a
-    list nesting only those; a bool or a string is not a number."""
+    list nesting only those; a bool or a string is not a number.
+
+    A list whose entries are all exactly ``int`` or ``float`` passes on one
+    look at their types; only a list that fails that look is walked entry by
+    entry, so a valid matrix read from JSON costs one call per row.
+    """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iuf":
             return None
         values = values.tolist()
     if isinstance(values, (list, tuple)):
+        if set(map(type, values)) <= {int, float}:
+            return None
         for index, value in enumerate(values):
             found = _first_non_number(value)
             if found is not None:
@@ -46,16 +52,6 @@ def _first_non_number(values):
     return (), values
 
 
-def _plain_matrix(values):
-    """Whether ``values`` is a list of lists whose entries are all exactly
-    ``int`` or ``float`` (a ``bool`` is neither)."""
-    return (
-        isinstance(values, list)
-        and all(type(row) is list for row in values)
-        and set(map(type, itertools.chain.from_iterable(values))) <= {int, float}
-    )
-
-
 def _as_array(values, name, ndim):
     """``values`` as a nonempty, finite float array with ``ndim`` axes.
 
@@ -63,14 +59,10 @@ def _as_array(values, name, ndim):
     or a float, never a bool or a string, and an int too large for a float
     is rejected.  A scalar counts as a vector of one when ``ndim`` is 1.  A
     float array is returned without a copy.  Raises ``ValueError`` naming
-    ``name``, and the index path of the first entry that is not a number.
-
-    A list of flat lists (a matrix read from JSON) whose entries are all of
-    type ``int`` or ``float`` is checked in one pass over its entry types;
-    any other input, or one that fails that pass, is walked entry by entry
-    to name the first entry that is not a number.
+    ``name``, and the index path of the first entry that is not a number,
+    which :func:`_first_non_number` finds.
     """
-    found = None if _plain_matrix(values) else _first_non_number(values)
+    found = _first_non_number(values)
     if found is not None:
         path, entry = found
         if not path:
@@ -353,11 +345,6 @@ class Placement:
             worst = int(np.argmax(totals))
             raise ValueError(f"content {worst + 1}: total cached portion {totals[worst]:g} exceeds 1")
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def cached_fractions(self):
-        """Per-content totals ``sum_i P(i, f)`` (length F)."""
-        return self.matrix.sum(axis=0)
 
 
 def validate_placement(placement, library, cluster):

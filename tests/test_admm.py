@@ -79,7 +79,7 @@ class TestConstraintSystem:
         )
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
         vector = placement.matrix.ravel()
-        np.testing.assert_allclose(system.a @ vector, placement.cached_fractions, rtol=1e-14)
+        np.testing.assert_allclose(system.a @ vector, placement.matrix.sum(axis=0), rtol=1e-14)
         np.testing.assert_allclose(
             system.b @ vector,
             placement.matrix @ reference_scenario.library.sizes,
@@ -142,11 +142,10 @@ class TestProjectFeasible:
         load = float((projected @ library.sizes).item())
         assert load <= 1.0 + 1e-9
 
-    def test_preserves_vector_shape(self, reference_scenario):
+    def test_rejects_a_flat_vector(self, reference_scenario):
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        flat = np.full(60, 0.9)
-        projected = project_feasible(flat, system)
-        assert projected.shape == (60,)
+        with pytest.raises(ValueError, match=r"\(3, 20\)"):
+            project_feasible(np.full(60, 0.9), system)
 
     def test_idempotent_on_random_instances(self):
         rng = np.random.default_rng(4242)
@@ -308,13 +307,11 @@ class TestPUpdate:
         # The minimizer must satisfy p = v - (slope(h)/rho) c with h = c.p.
         rng = np.random.default_rng(17)
         rho = 0.7
-        z = rng.uniform(0.0, 0.05, size=60)
-        theta = rng.uniform(-0.02, 0.02, size=60)
+        z = rng.uniform(0.0, 0.05, size=(3, 20))
+        theta = rng.uniform(-0.02, 0.02, size=(3, 20))
         p = p_update(z, theta, reference_scenario, rho)
-        c = np.tile(
-            reference_scenario.library.popularity, reference_scenario.cluster.node_count
-        )
-        h = float(c @ p)
+        c = np.tile(reference_scenario.library.popularity, (3, 1))
+        h = float(np.vdot(c, p))
         slope = float(adt_slope(h, reference_scenario.traffic))
         np.testing.assert_allclose(p, (z - theta) - (slope / rho) * c, atol=1e-10)
 
@@ -324,15 +321,17 @@ class TestPUpdate:
 
     def test_large_rho_tracks_the_anchor(self, reference_scenario):
         # As rho grows the quadratic dominates and p approaches v = z - theta.
-        z = np.full(60, 0.02)
-        p = p_update(z, np.zeros(60), reference_scenario, 1e8)
+        z = np.full((3, 20), 0.02)
+        p = p_update(z, np.zeros((3, 20)), reference_scenario, 1e8)
         np.testing.assert_allclose(p, z, atol=1e-6)
 
     def test_rejects_bad_rho_and_shape(self, reference_scenario):
         with pytest.raises(ValueError):
-            p_update(np.zeros(60), np.zeros(60), reference_scenario, 0.0)
+            p_update(np.zeros((3, 20)), np.zeros((3, 20)), reference_scenario, 0.0)
         with pytest.raises(ValueError):
-            p_update(np.zeros(59), np.zeros(59), reference_scenario, 1.0)
+            p_update(np.zeros((3, 19)), np.zeros((3, 19)), reference_scenario, 1.0)
+        with pytest.raises(ValueError, match=r"\(3, 20\)"):
+            p_update(np.zeros(60), np.zeros(60), reference_scenario, 1.0)
 
 
 class TestSolve:

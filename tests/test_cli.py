@@ -19,6 +19,7 @@ from fogcache import (
     TrafficProfile,
     adt_curve,
     heuristic_solve,
+    model,
 )
 from fogcache.cli import (
     SIMULATE_HEADER,
@@ -487,18 +488,24 @@ def test_malformed_placement_file_is_a_usage_error(
 
 def test_catalog_scale_placement_loads_without_the_entry_walk(tmp_path, monkeypatch):
     # A valid 50 x 50,000 matrix of ints and floats, as JSON gives it, is
-    # checked by its entry types alone; the walk that names a bad entry is
-    # never reached.
+    # checked by its entry types alone: one call for the matrix and one per
+    # row, and no entry is walked on its own.
     matrix = [[0.0] * 50_000 for _ in range(50)]
     matrix[3][:4] = [1, 0.25, 0, 1.0]
     path = tmp_path / "placement.json"
     path.write_text(json.dumps({"matrix": matrix}))
 
-    def refuse(values):
-        raise AssertionError("walked a valid matrix entry by entry")
+    first_non_number = model._first_non_number
+    calls = 0
 
-    monkeypatch.setattr("fogcache.model._first_non_number", refuse)
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return first_non_number(values)
+
+    monkeypatch.setattr(model, "_first_non_number", counted)
     placement = _load_placement(path)
+    assert calls <= 51
     assert placement.matrix.shape == (50, 50_000)
     assert placement.matrix[3, :4].tolist() == [1.0, 0.25, 0.0, 1.0]
     assert placement.matrix.sum() == 2.25

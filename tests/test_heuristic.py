@@ -173,13 +173,70 @@ class TestVectorisedHelpers:
             )
 
 
+def _assert_storage_greedy_at_the_bound(library, cluster):
+    """``placement_from_echr`` at ``echr_csl`` is first-fit on the storage
+    greedy, bit for bit; returns that matrix."""
+    expected = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster).matrix
+    actual = placement_from_echr(echr_csl(library, cluster), library, cluster).matrix
+    _assert_bitwise_equal(actual, expected)
+    return expected
+
+
+class TestPlacementAtTheStorageBound:
+    @pytest.mark.parametrize("seed, layout", enumerate(LAYOUTS))
+    def test_every_layout(self, seed, layout):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(40):
+            _assert_storage_greedy_at_the_bound(*_greedy_instance(layout, rng))
+
+    def test_unequal_sizes(self):
+        rng = np.random.default_rng(7070)
+        for _ in range(100):
+            count, nodes = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+            popularity = np.sort(rng.dirichlet(np.ones(count)))[::-1]
+            library = ContentLibrary(popularity, rng.uniform(0.1, 5.0, count))
+            share = float(rng.uniform(0.05, 1.2))
+            cluster = FogCluster(share * library.sizes.sum() * rng.dirichlet(np.ones(nodes)))
+            _assert_storage_greedy_at_the_bound(library, cluster)
+
+    def test_random_instances(self):
+        for seed in range(300):
+            scenario = random_scenario(np.random.default_rng(seed))
+            _assert_storage_greedy_at_the_bound(scenario.library, scenario.cluster)
+
+    def test_heuristic_solve_returns_it_when_storage_binds(self):
+        rng = np.random.default_rng(7171)
+        scenarios = [make_scenario(lam=2.0)] + [random_scenario(rng) for _ in range(100)]
+        storage_limited = 0
+        for scenario in scenarios:
+            result = heuristic_solve(scenario)
+            if result.regime == "CSL":
+                storage_limited += 1
+                expected = _assert_storage_greedy_at_the_bound(scenario.library, scenario.cluster)
+                _assert_bitwise_equal(result.placement.matrix, expected)
+        assert storage_limited > 10
+
+    def test_full_hit_ratio_caches_every_content_whole(self):
+        # Ample storage and slow arrivals: h_csl = h_cpl = 1.  The popularity
+        # sums past 1 by rounding here, and a target of 1 must still cache
+        # all five contents whole rather than re-cut the last one.
+        scenario = Scenario(
+            library=ContentLibrary.zipf(5, 0.8),
+            cluster=FogCluster([10.0]),
+            traffic=TrafficProfile([0.01], [8.0], [6.0]),
+        )
+        result = heuristic_solve(scenario)
+        assert (result.h_csl, result.h_cpl, result.regime) == (1.0, 1.0, "CPL")
+        np.testing.assert_array_equal(result.placement.matrix, np.ones((1, 5)))
+
+
 class TestEchrCsl:
     def test_reference_value(self, reference_scenario):
         h, placement = _echr_csl_with_placement(reference_scenario.library, reference_scenario.cluster)
         # Total capacity 10 at unit sizes: the ten most popular contents fit whole.
         assert h == H_CSL
-        np.testing.assert_array_equal(placement.cached_fractions[:10], np.ones(10))
-        np.testing.assert_array_equal(placement.cached_fractions[10:], np.zeros(10))
+        np.testing.assert_array_equal(placement.matrix.sum(axis=0)[:10], np.ones(10))
+        np.testing.assert_array_equal(placement.matrix.sum(axis=0)[10:], np.zeros(10))
 
     def test_matches_popularity_mass_of_placement(self, reference_scenario):
         h, placement = _echr_csl_with_placement(reference_scenario.library, reference_scenario.cluster)
@@ -189,7 +246,7 @@ class TestEchrCsl:
         library = ContentLibrary.zipf(5, 0.8)
         h, placement = _echr_csl_with_placement(library, FogCluster([10.0]))
         assert h == 1.0
-        np.testing.assert_array_equal(placement.cached_fractions, np.ones(5))
+        np.testing.assert_array_equal(placement.matrix.sum(axis=0), np.ones(5))
 
     def test_zero_capacity(self):
         library = ContentLibrary.zipf(5, 0.8)
@@ -202,7 +259,7 @@ class TestEchrCsl:
         library = ContentLibrary([0.5, 0.3, 0.2])
         h, placement = _echr_csl_with_placement(library, FogCluster([1.5]))
         assert h == pytest.approx(0.5 + 0.15)
-        np.testing.assert_allclose(placement.cached_fractions, [1.0, 0.5, 0.0])
+        np.testing.assert_allclose(placement.matrix.sum(axis=0), [1.0, 0.5, 0.0])
 
     def test_density_order_under_unequal_sizes(self):
         # Popularity/size densities are 0.4/2=0.2 vs 0.35 vs 0.25: the greedy
@@ -210,7 +267,7 @@ class TestEchrCsl:
         library = ContentLibrary([0.4, 0.35, 0.25], [2.0, 1.0, 1.0])
         h, placement = _echr_csl_with_placement(library, FogCluster([2.0]))
         assert h == pytest.approx(0.6)
-        np.testing.assert_allclose(placement.cached_fractions, [0.0, 1.0, 1.0])
+        np.testing.assert_allclose(placement.matrix.sum(axis=0), [0.0, 1.0, 1.0])
 
     def test_respects_per_node_capacities(self):
         rng = np.random.default_rng(2024)
@@ -295,7 +352,7 @@ class TestPlacementFromEchr:
         placement = placement_from_echr(
             H_CPL, reference_scenario.library, reference_scenario.cluster
         )
-        fractions = placement.cached_fractions
+        fractions = placement.matrix.sum(axis=0)
         np.testing.assert_array_equal(fractions[:9], np.ones(9))
         assert fractions[9] == pytest.approx(TENTH_FRACTION, abs=1e-12)
         np.testing.assert_array_equal(fractions[10:], np.zeros(10))

@@ -198,7 +198,7 @@ class TestPlacement:
     def test_basic_properties(self):
         matrix = np.array([[1.0, 0.5, 0.0], [0.0, 0.25, 0.5]])
         placement = Placement(matrix)
-        np.testing.assert_allclose(placement.cached_fractions, [1.0, 0.75, 0.5])
+        np.testing.assert_allclose(placement.matrix.sum(axis=0), [1.0, 0.75, 0.5])
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError, match="two-dimensional"):
