@@ -40,7 +40,6 @@ from .objective import (
     adt_curve,
     adt_slope,
     echr,
-    grad_overall_adt,
     overall_adt,
 )
 from .queuesim import SimConfig, SimResult, simulate_cluster, simulate_mm1
@@ -67,7 +66,6 @@ __all__ = [
     "echr",
     "echr_cpl",
     "echr_csl",
-    "grad_overall_adt",
     "grid_bruteforce",
     "heuristic_solve",
     "overall_adt",

@@ -107,7 +107,8 @@ class ConstraintSystem:
     content's entries, bounded by ``a_u`` (all ones), and ``b`` (N x N*F)
     weighs each node's entries by size, bounded by ``b_u`` (the
     capacities).  These dense rows are built on demand, never stored: the
-    solvers read only the two vectors.
+    solvers read only the two vectors, and the views' only readers are the
+    benchmark's tracer, which sizes them, and ``TestConstraintSystem``.
     """
 
     sizes: np.ndarray
@@ -122,24 +123,16 @@ class ConstraintSystem:
         return cls(sizes=library.sizes, capacities=cluster.capacities)
 
     @property
-    def n_contents(self):
-        return self.sizes.size
-
-    @property
-    def n_nodes(self):
-        return self.capacities.size
-
-    @property
     def a(self):
-        return np.tile(np.eye(self.n_contents), (1, self.n_nodes))
+        return np.tile(np.eye(self.sizes.size), (1, self.capacities.size))
 
     @property
     def a_u(self):
-        return np.ones(self.n_contents)
+        return np.ones(self.sizes.size)
 
     @property
     def b(self):
-        return np.kron(np.eye(self.n_nodes), self.sizes)
+        return np.kron(np.eye(self.capacities.size), self.sizes)
 
     @property
     def b_u(self):
@@ -225,12 +218,12 @@ def project_feasible(x, constraints, duals=None):
     ``ValueError``.
     """
     y = np.asarray(x, dtype=float)
-    n, f = constraints.n_nodes, constraints.n_contents
+    sizes, capacities = constraints.sizes, constraints.capacities
+    n, f = capacities.size, sizes.size
     if y.shape != (n, f):
         raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
     if duals is not None and np.shape(duals) != (n,):
         raise ValueError(f"expected {n} capacity multipliers")
-    sizes, capacities = constraints.sizes, constraints.capacities
     size_sq = sizes * sizes
     # Node loads are sums of F terms of magnitude up to the capacity.
     tol = 1e-12 * max(1.0, float(capacities.max()))

@@ -118,8 +118,8 @@ def grid_bruteforce(scenario, resolution):
     objective.
     """
     resolution = float(resolution)
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     cap = echr_csl(scenario.library, scenario.cluster)
     count = int(np.floor(cap / resolution + 1e-12))
     grid = np.arange(count + 1) * resolution

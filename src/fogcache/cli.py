@@ -77,8 +77,10 @@ class SweepSpec:
             )
         if len(self.values) == 0:
             raise ValueError("sweep values must be nonempty")
-        if self.parameter == "F" and not all(float(v).is_integer() for v in self.values):
-            raise ValueError("an F sweep takes integer values")
+        if self.parameter == "F" and not all(
+            float(v).is_integer() and v >= 1 for v in self.values
+        ):
+            raise ValueError("an F sweep takes integer values of at least 1")
 
     @classmethod
     def load(cls, path):
@@ -311,8 +313,9 @@ def cmd_sweep(args):
     if not isinstance(base_data, dict):
         raise ValueError(f"{spec.base}: expected a JSON object")
     if spec.parameter == "F":
-        # An unusable base is a usage error for every point: fail upfront
-        # rather than emitting a sheet of invalid rows.
+        # Every value is a valid content count, so a failure here is the
+        # base file's, a usage error for every point: fail upfront rather
+        # than emitting a sheet of invalid rows.
         _scenario_at(spec, base_data, spec.values[0])
     solvers = {name: _solver(name, args) for name in ("admm", "pgd") if name in names}
 

@@ -183,9 +183,12 @@ def placement_from_echr(h_target, library, cluster):
     content's portion so the popularity-weighted total lands on ``h_target``
     (within 1e-9); node assignment is first-fit in node index order.  A
     target at the storage bound ``echr_csl`` gets the storage greedy exactly.
-    Targets above the storage bound are unreachable and rejected.
+    Targets above the storage bound are unreachable and rejected, as are
+    non-finite ones.
     """
     h_target = float(h_target)
+    if not math.isfinite(h_target):
+        raise ValueError(f"h_target must be finite, got {h_target}")
     if h_target < -FEASIBILITY_TOL:
         raise ValueError("target hit ratio must be nonnegative")
     fractions = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))

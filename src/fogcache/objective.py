@@ -16,7 +16,9 @@ and the overall objective ``D(h)`` and its derivatives are their
 arrival-rate-weighted means over the stations.  The model's one kernel,
 ``_station_times``, is the only code that writes ``t_e`` and ``t_b``.  ``D``
 depends on a placement only through the scalar ``h``, which is what gives
-the solver its closed-form update.
+the solver its closed-form update: its partial derivative in entry
+``(i, f)`` is ``D'(h) * popularity[f]`` (:func:`adt_slope`), the same on
+every node.
 
 ``D`` is defined (and strictly convex) on the open interval of hit ratios
 where every station keeps both queues stable; that interval always contains
@@ -40,18 +42,11 @@ __all__ = [
     "AdtReport",
     "echr",
     "overall_adt",
-    "grad_overall_adt",
     "adt_curve",
     "adt_slope",
     "adt_curvature",
     "stable_echr_interval",
 ]
-
-
-def _as_matrix(placement):
-    if isinstance(placement, Placement):
-        return placement.matrix
-    return np.asarray(placement, dtype=float)
 
 
 def echr(placement, library):
@@ -62,7 +57,10 @@ def echr(placement, library):
     with ``c`` the popularity vector replicated once per node.  Linear in the
     placement.
     """
-    matrix = _as_matrix(placement)
+    if isinstance(placement, Placement):
+        matrix = placement.matrix
+    else:
+        matrix = np.asarray(placement, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != library.count:
         raise ValueError(
             f"placement with {matrix.shape[-1] if matrix.ndim else 0} contents does "
@@ -199,18 +197,3 @@ def overall_adt(placement, scenario):
     overall = float(per_station @ traffic.weights)
     return AdtReport(h_e=h, h_b=1.0 - h, t_e=t_e, t_b=t_b, per_station=per_station, overall=overall)
 
-
-def grad_overall_adt(placement, scenario):
-    """Gradient of the overall ADT at a feasible placement (matrix or Placement).
-
-    Because the objective reaches the placement only through the hit ratio,
-    the gradient is ``dD/dh`` times the replicated popularity vector: entries
-    for the same content are equal across nodes.  Returns a flat node-major
-    vector of length ``N * F`` (entry ``i * F + f`` for node ``i``, content
-    ``f``).
-    """
-    library, cluster = scenario.library, scenario.cluster
-    matrix = _as_matrix(placement)
-    validate_placement(matrix, library, cluster)
-    slope = adt_slope(_clamped_echr(matrix, library), scenario.traffic)
-    return np.tile(slope * library.popularity, cluster.node_count)

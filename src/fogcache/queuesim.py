@@ -78,7 +78,7 @@ class SimConfig:
     """Simulation run parameters: two fields, ``seed`` and ``n_arrivals``.
 
     Both must be integers (``bool`` is rejected).  The first 1% of every
-    queue's sample path (:attr:`effective_warmup` arrivals) is discarded to
+    queue's sample path (``n_arrivals // 100`` arrivals) is discarded to
     wash out the empty-system start.
     """
 
@@ -89,11 +89,6 @@ class SimConfig:
         _check_count("seed", self.seed, 0)
         _check_count("n_arrivals", self.n_arrivals, 1)
 
-    @property
-    def effective_warmup(self):
-        """Arrivals discarded from the front of each queue: 1% of the run."""
-        return _warmup(self.n_arrivals)
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -101,15 +96,14 @@ class SimResult:
 
     ``mean_sojourn_e`` / ``mean_sojourn_b`` are the edge and backhaul queue
     means (``None`` for a side that received no traffic), ``mean_adt`` is the
-    hit-ratio-weighted mixture, ``ci_halfwidth`` its 95% normal half-width,
-    and ``samples`` the number of retained sojourn samples.
+    hit-ratio-weighted mixture and ``ci_halfwidth`` its 95% normal
+    half-width.
     """
 
     mean_sojourn_e: float | None
     mean_sojourn_b: float | None
     mean_adt: float
     ci_halfwidth: float
-    samples: int
 
 
 def _exponential_from_uniform(u, rate):
@@ -265,11 +259,6 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     return mean, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def _simulate_queue(lam, mu, config, seed_seq):
-    """``(mean, ci_halfwidth)`` of one queue run from ``seed_seq``."""
-    return mm1_sojourn_times(lam, mu, config.n_arrivals, np.random.default_rng(seed_seq))
-
-
 def simulate_mm1(lam, mu, config):
     """Estimate the stationary mean sojourn time of an M/M/1 queue.
 
@@ -281,7 +270,8 @@ def simulate_mm1(lam, mu, config):
     mu = float(mu)
     if not 0 < lam < mu:
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
-    return _simulate_queue(lam, mu, config, np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    return mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
 
 
 def simulate_station(placement, scenario, station, config):
@@ -304,12 +294,13 @@ def simulate_station(placement, scenario, station, config):
         if share == 0.0:
             side_means.append(None)
             continue
-        side_mean, side_ci = _simulate_queue(lam * share, float(mu[station]), config, child)
+        side_mean, side_ci = mm1_sojourn_times(
+            lam * share, float(mu[station]), config.n_arrivals, np.random.default_rng(child)
+        )
         side_means.append(side_mean)
         mean += share * side_mean
         halfwidths.append(share * side_ci)
-    kept = config.n_arrivals - config.effective_warmup
-    return SimResult(*side_means, mean, math.hypot(*halfwidths), kept * len(halfwidths))
+    return SimResult(*side_means, mean, math.hypot(*halfwidths))
 
 
 def simulate_cluster(placement, scenario, config):

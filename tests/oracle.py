@@ -3,8 +3,8 @@
 * :func:`qp_projection_oracle` — the exact Euclidean projection onto the
   feasible placement set, an independent cross-check of
   ``fogcache.admm.project_feasible``: it shares nothing with that dual
-  Newton method but the constraint rows, which it reads from the dense
-  ``ConstraintSystem.a``/``a_u``/``b``/``b_u`` views.
+  Newton method, and builds its constraint rows itself from the content
+  sizes and node capacities.
 * :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
   enumeration, an independent cross-check of the greedy knapsack in
   ``fogcache.heuristic``.
@@ -41,21 +41,44 @@ def h_csl_oracle(popularity, sizes, total_capacity):
     return best
 
 
-def _box_patterns(n):
-    """All assignments of {free, lo, hi} to n coordinates, as an int array."""
-    return np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8)
+def _constraint_rows(sizes, capacities):
+    """Rows ``C`` and bounds ``u`` of ``C z <= u`` over a node-major ``z``.
+
+    Entry ``j = i * F + f`` holds content ``f`` on node ``i``: row ``f``
+    sums content ``f`` over the nodes (at most 1), and row ``F + i`` weighs
+    node ``i``'s entries by size (at most its capacity).
+    """
+    n_nodes, n_contents = capacities.size, sizes.size
+    rows = np.zeros((n_contents + n_nodes, n_nodes * n_contents))
+    for i in range(n_nodes):
+        for f in range(n_contents):
+            rows[f, i * n_contents + f] = 1.0
+            rows[n_contents + i, i * n_contents + f] = sizes[f]
+    return rows, np.concatenate([np.ones(n_contents), capacities])
+
+
+def _box_patterns(flat):
+    """Box states (0 free, 1 at 0, 2 at 1) per coordinate, as an int array.
+
+    With nonnegative rows the projection is ``clip(x - C^T mu, 0, 1)`` for
+    some ``mu >= 0``, and ``C^T mu >= 0``: a coordinate with ``x_j <= 0`` is
+    pinned at 0, and only one with ``x_j >= 1`` can be pinned at 1.  The
+    other patterns cannot be the projection and are not generated.
+    """
+    states = [(1,) if value <= 0.0 else (0, 1) if value < 1.0 else (0, 1, 2) for value in flat]
+    return np.array(list(itertools.product(*states)), dtype=np.int8)
 
 
 def qp_projection_oracle(x, constraints):
     """Exact Euclidean projection for small instances, by KKT enumeration.
 
     Enumerates every candidate active set — a box state per coordinate (free,
-    pinned at 0, pinned at 1) crossed with every subset of the linear rows
-    treated as equalities — solves each reduced KKT system in a batch, keeps
-    the candidates passing feasibility and multiplier-sign checks, and
-    returns the one closest to ``x``.  The unique projection always appears
-    among candidates with linearly independent active rows, so singular
-    systems are safely skipped.
+    pinned at 0, pinned at 1) that :func:`_box_patterns` allows, crossed
+    with every subset of the linear rows treated as equalities — solves each
+    reduced KKT system in a batch, keeps the candidates passing feasibility
+    and multiplier-sign checks, and returns the one closest to ``x``.  The
+    unique projection always appears among candidates with linearly
+    independent active rows, so singular systems are safely skipped.
 
     Exponential by construction: allowed only for ``N*F <= 12``.
     """
@@ -64,13 +87,16 @@ def qp_projection_oracle(x, constraints):
     n = flat.size
     if n > 12:
         raise ValueError(f"active-set enumeration is limited to 12 variables, got {n}")
-    if n != constraints.n_nodes * constraints.n_contents:
+    sizes = np.asarray(constraints.sizes, dtype=float)
+    capacities = np.asarray(constraints.capacities, dtype=float)
+    if n != capacities.size * sizes.size:
         raise ValueError("x does not match the constraint system")
-    c_rows = np.vstack([constraints.a, constraints.b])
-    u = np.concatenate([constraints.a_u, constraints.b_u])
+    c_rows, u = _constraint_rows(sizes, capacities)
+    if np.any(c_rows < 0.0):
+        raise ValueError("the box patterns are pruned for nonnegative rows only")
     n_rows = c_rows.shape[0]
 
-    patterns = _box_patterns(n)
+    patterns = _box_patterns(flat)
     free = patterns == 0
     w = np.where(free, flat[np.newaxis, :], np.where(patterns == 2, 1.0, 0.0))
     free_counts = free.sum(axis=1)

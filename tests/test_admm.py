@@ -65,8 +65,6 @@ class TestAdmmConfig:
 class TestConstraintSystem:
     def test_shapes_and_values(self, reference_scenario):
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        assert system.n_nodes == 3
-        assert system.n_contents == 20
         assert system.a.shape == (20, 60)
         assert system.b.shape == (3, 60)
         np.testing.assert_array_equal(system.a_u, np.ones(20))
@@ -95,7 +93,7 @@ class TestConstraintSystem:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (system.n_nodes, system.n_contents) == (20, 2000)
+        assert (system.capacities.size, system.sizes.size) == (20, 2000)
         assert peak < 1_000_000
 
 
@@ -241,7 +239,7 @@ def _warm_start_instance(rng, variant):
 
 
 def _starting_duals(rng, start, x, system):
-    n = system.n_nodes
+    n = system.capacities.size
     if start == "zero":
         return np.zeros(n)
     if start == "previous output":
@@ -289,7 +287,7 @@ class TestWarmStart:
         for variant in ("unequal sizes", "zero-capacity node", "tight capacities"):
             for _ in range(20):
                 x, system = _warm_start_instance(rng, variant)
-                duals = np.zeros(system.n_nodes)
+                duals = np.zeros(system.capacities.size)
                 first = project_feasible(x, system, duals)
                 evaluations = 0
                 again = project_feasible(x, system, duals)

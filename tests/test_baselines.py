@@ -137,6 +137,10 @@ class TestGridBruteforce:
         with pytest.raises(ValueError):
             grid_bruteforce(reference_scenario, 0.0)
 
+    def test_rejects_an_infinite_resolution(self, reference_scenario):
+        with pytest.raises(ValueError, match="^resolution must be positive and finite, got inf$"):
+            grid_bruteforce(reference_scenario, float("inf"))
+
 
 class TestQpProjectionOracle:
     def test_box_only_instance(self):

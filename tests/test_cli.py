@@ -357,6 +357,16 @@ class TestSweepCommand:
         sweep.write_text(json.dumps({"parameter": "F", "values": [5, 10], "base": "explicit.json"}))
         assert main(["sweep", "--scenario", str(sweep)]) == 2
 
+    @pytest.mark.parametrize("values", [[0, 20], [20, 0]])
+    def test_f_sweep_rejects_a_zero_count_in_any_position(
+        self, tmp_path, scenario_file, capsys, values
+    ):
+        sweep = self._write_sweep(tmp_path, scenario_file, "F", values)
+        assert main(["sweep", "--scenario", str(sweep), "--solver", "heuristic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: an F sweep takes integer values of at least 1\n"
+
     def test_f_sweep_regenerates_the_library(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "F", [10, 40])
         out = tmp_path / "sweep.csv"

@@ -383,6 +383,12 @@ class TestPlacementFromEchr:
                 H_CSL + 0.01, reference_scenario.library, reference_scenario.cluster
             )
 
+    def test_rejects_a_nan_target(self, reference_scenario):
+        with pytest.raises(ValueError, match="^h_target must be finite, got nan$"):
+            placement_from_echr(
+                float("nan"), reference_scenario.library, reference_scenario.cluster
+            )
+
     def test_realizes_random_targets_exactly(self):
         rng = np.random.default_rng(77)
         for _ in range(25):

@@ -11,7 +11,6 @@ from fogcache import (
     adt_curve,
     adt_slope,
     echr,
-    grad_overall_adt,
     overall_adt,
 )
 from fogcache.objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
@@ -226,42 +225,23 @@ class TestOverallAdt:
         with pytest.raises(ValueError, match="exceeds capacity"):
             overall_adt(matrix, reference_scenario)
 
-    @pytest.mark.parametrize("function", [overall_adt, grad_overall_adt])
-    def test_rejects_a_nan_entry(self, reference_scenario, function):
+    def test_rejects_a_nan_entry(self, reference_scenario):
         matrix = np.zeros((3, 20))
         matrix[1, 3] = np.nan
         with pytest.raises(ValueError, match="^placement matrix must be finite$"):
-            function(matrix, reference_scenario)
+            overall_adt(matrix, reference_scenario)
 
 
-class TestGradOverallAdt:
-    def test_structure_is_slope_times_popularity(self, reference_scenario):
-        matrix = np.zeros((3, 20))
-        matrix[2, :4] = 1.0
-        gradient = grad_overall_adt(matrix, reference_scenario)
-        assert gradient.shape == (60,)
-        h = echr(Placement(matrix), reference_scenario.library)
-        expected = float(adt_slope(h, reference_scenario.traffic))
-        popularity = reference_scenario.library.popularity
-        np.testing.assert_allclose(gradient.reshape(3, 20), np.tile(expected * popularity, (3, 1)))
-
-    def test_accepts_matrix_and_placement_forms(self, reference_scenario):
-        rng = np.random.default_rng(3)
-        placement = random_feasible_placement(
-            rng, reference_scenario.library, reference_scenario.cluster
-        )
-        g1 = grad_overall_adt(placement, reference_scenario)
-        g2 = grad_overall_adt(placement.matrix, reference_scenario)
-        np.testing.assert_array_equal(g1, g2)
-        with pytest.raises(ValueError, match="does not match"):
-            grad_overall_adt(placement.matrix.ravel(), reference_scenario)
-
+class TestPlacementGradient:
     def test_matches_finite_differences(self):
+        # D reaches entry (i, f) only through h, so its partial derivative
+        # there is D'(h) * popularity[f].
         rng = np.random.default_rng(99)
         scenario = make_scenario(capacities=(2.0, 5.0))
         placement = random_feasible_placement(rng, scenario.library, scenario.cluster, margin=0.8)
         vector = placement.matrix.ravel()
-        gradient = grad_overall_adt(placement.matrix, scenario)
+        slope = adt_slope(echr(placement, scenario.library), scenario.traffic)
+        popularity = scenario.library.popularity
         base = overall_adt(Placement(placement.matrix), scenario).overall
         for j in rng.choice(vector.size, size=8, replace=False):
             e = 1e-7
@@ -269,4 +249,5 @@ class TestGradOverallAdt:
             bumped[j] += e
             matrix = bumped.reshape(placement.matrix.shape)
             fd = (overall_adt(Placement(matrix), scenario).overall - base) / e
-            assert gradient[j] == pytest.approx(fd, rel=1e-5, abs=1e-12)
+            partial = slope * popularity[j % scenario.library.count]
+            assert partial == pytest.approx(fd, rel=1e-5, abs=1e-12)
