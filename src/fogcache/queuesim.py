@@ -15,39 +15,32 @@ are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
 
 Each queue is one call of :func:`mm1_sojourn_times`, which streams the
-queue through blocks of ``_BLOCK`` arrivals.  One producer thread makes
-every generator call (the draws release the GIL): the interarrival
-uniforms come from a copy of the queue's generator and the service
-uniforms from the generator advanced past them, so the two streams are
-exactly the draws of two whole-array calls.  The calling thread runs
-Lindley's recursion on each block already drawn and folds the block's
-retained sojourn times into a running count, mean and sum of squared
-deviations (the pairwise merge of Chan, Golub & LeVeque, 1983).  Every
-sojourn time, and the generator state afterwards, is bit-identical to
-earlier versions, on any core count; the mean and the half-width are
-merged block by block, so they can differ from earlier versions, which
-summed one whole-run array, in the last printed digit.  The per-block
-statistics are what batch means over the run will read.  Queues are
-simulated one at a time, and the one in flight needs seven float64 buffers
-of ``_BLOCK`` entries, 1.75 MiB, whatever the run length.  On a shared
-2-vCPU Xeon VM (load average 1.0-1.3 from other work), a 2e6-arrival queue
-took a median of 39-44 ms with both cores in three of four runs (60 ms in
-the fourth) and 62-64 ms pinned to one core, over four runs of 21 queues
-each.  The gain needs a second core that other work leaves free; on a
-busier host the times move towards the pinned ones.
+queue through blocks of ``_BLOCK`` arrivals on the calling thread.  The
+interarrival uniforms come from a copy of the queue's generator and the
+service uniforms from the generator advanced past them, so the queue
+consumes exactly the draws of two whole-array calls.  Each block runs
+Lindley's waiting-time recursion in vectorized form, and the block's
+retained sojourn times are folded into a running count, mean and sum of
+squared deviations (the pairwise merge of Chan, Golub & LeVeque, 1983).
+No array of one entry per arrival is kept: the queue in flight needs three
+float64 buffers of ``_BLOCK`` entries, whatever the run length.
+
+The tests check three things about the kernel: it consumes the same draws
+as two whole-array calls; every sojourn time is within a stated rounding
+bound of a sequential float64 Lindley loop on those draws; and that bound
+is a sum over the sojourn's own busy period of block-local terms, so the
+error does not grow with the run length.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_count
+from .model import _check_count, validate_placement
 from .objective import _clamped_echr
 
 __all__ = [
@@ -60,12 +53,10 @@ __all__ = [
 ]
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
-#: Arrivals per block of the Lindley kernel: its seven float64 buffers of this
-#: length (three ring slots of two and one work buffer) stay in L2.  Blocks
-#: from 2**15 to 2**16 ran equally fast; 2**14 and 2**17 were slower.
+#: Arrivals per block of the Lindley kernel: its three float64 buffers of
+#: this length stay in L2.  Blocks of 2**15 and 2**16 ran equally fast;
+#: 2**14 and 2**17 were slower.
 _BLOCK = 1 << 15
-#: Ring slots for blocks drawn ahead of the recursion.
-_SLOTS = 3
 
 
 def _warmup(n_arrivals):
@@ -118,101 +109,55 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     """Yield ``(start, sojourn)`` for each block of the first ``n_arrivals``
     customers of an M/M/1 queue, ``_BLOCK`` customers at a time.
 
-    Lindley's recursion in vectorized form: with arrival times ``A``,
-    services ``S`` and cumulative services ``cumS``, customer ``k`` departs
-    at ``cumS_k + max_{j<=k}(A_j - (cumS_j - S_j))``.
+    Lindley's recursion for the waiting time, ``W_k = max(W_{k-1} + S_{k-1}
+    - A_k, 0)`` with interarrival gaps ``A`` and services ``S`` (Lindley
+    1952; Asmussen & Glynn 2007, ch. IV), in vectorized form: with the
+    block-local partial sums ``Y_k = sum_{j<=k} (S_{j-1} - A_j)``, the wait
+    is ``W_k = Y_k - min(-w, Y_0, ..., Y_k)``, where ``w`` is the wait of the
+    previous block's last customer, and the sojourn is ``W_k + S_k``.  Two
+    scalars carry across blocks: ``w`` and the last service, the
+    ``S_{k-1}`` of the block's first term.  The first customer finds the
+    system empty.
 
-    One producer thread makes every ``rng`` call while this (the consuming)
-    thread runs the recursion, so drawing overlaps with arithmetic.  The
-    producer draws the interarrival uniforms from a copy of ``rng`` and the
-    service uniforms from ``rng`` advanced by ``n_arrivals``, so the two
-    streams are exactly the first and second ``n_arrivals`` draws of
-    ``rng``, and ``rng`` ends where two whole-array draws leave it.  Each
-    block's pair of draws goes into one of ``_SLOTS`` ring slots, already
-    turned into exponential gaps and services.  The consumer runs the two
-    ``cumsum``s and the running maximum in the slot and one work buffer,
-    and leaves the sojourn times in the slot.  Three scalars carry across
-    blocks: the last arrival time and last cumulative service are added
-    into the block's first element before an in-place (sequential)
-    ``cumsum``, so each partial sum is the add a whole-array ``cumsum``
-    makes, and the running maximum enters as ``max(x_0, carry)``, which is
-    exact.  All other steps are elementwise, so every sojourn time is
-    bit-identical to the whole-array recursion, and to earlier versions of
-    the simulator.
+    The interarrival gaps are drawn from a copy of ``rng`` and the services
+    from ``rng`` advanced by ``n_arrivals``, so the two streams are exactly
+    the first and second ``n_arrivals`` draws of ``rng``, and ``rng`` ends
+    where two whole-array draws leave it.  Each partial sum is block-local,
+    so its rounding is bounded by the block's own times, not by the absolute
+    arrival times of a long run.
 
-    ``sojourn`` is a view of a ring slot: the caller may overwrite it, and
-    it is reused once the caller asks for the next block.  An exception in
-    the producer is re-raised here; the producer is stopped and joined
-    before the generator finishes or is closed.
+    ``sojourn`` is a view of a work buffer: the caller may overwrite it, and
+    it is reused once the caller asks for the next block.
     """
     size = min(n_arrivals, _BLOCK)
-    ring = [(np.empty(size), np.empty(size)) for _ in range(_SLOTS)]
-    starts = range(0, n_arrivals, _BLOCK)
-    # ``drawn`` counts blocks ready for the recursion, ``free`` ring slots
-    # ready for the producer; ``failure`` holds the producer's exception.
-    drawn, free = threading.Semaphore(0), threading.Semaphore(_SLOTS)
-    stopped = threading.Event()
-    failure = []
+    gaps, services, work = np.empty(size), np.empty(size), np.empty(size)
+    arrival_rng = copy.deepcopy(rng)
+    rng.bit_generator.advance(n_arrivals)
+    wait = last_service = 0.0
+    for start in range(0, n_arrivals, _BLOCK):
+        k = min(_BLOCK, n_arrivals - start)
+        a, s, y = gaps[:k], services[:k], work[:k]
+        arrival_rng.random(out=a)
+        rng.random(out=s)
+        _exponential_from_uniform(a, lam)
+        _exponential_from_uniform(s, mu)
 
-    def draw():
-        try:
-            arrival_rng = copy.deepcopy(rng)
-            rng.bit_generator.advance(n_arrivals)
-            for index, start in enumerate(starts):
-                free.acquire()
-                if stopped.is_set():
-                    return
-                k = min(_BLOCK, n_arrivals - start)
-                a, s = (buffer[:k] for buffer in ring[index % _SLOTS])
-                arrival_rng.random(out=a)
-                rng.random(out=s)
-                _exponential_from_uniform(a, lam)
-                _exponential_from_uniform(s, mu)
-                drawn.release()
-        except BaseException as exc:  # re-raised by the consuming thread
-            failure.append(exc)
-            drawn.release()
+        y[0] = last_service - a[0]
+        np.subtract(s[:-1], a[1:], out=y[1:])
+        np.cumsum(y, out=y)
 
-    producer = threading.Thread(target=draw, name="queuesim-draws", daemon=True)
-    producer.start()
-    try:
-        cum_services = np.empty(size)
-        last_arrival = last_cum_service = 0.0
-        running_max = -math.inf
-        for index, start in enumerate(starts):
-            drawn.acquire()
-            if failure:
-                raise failure[0]
-            k = min(_BLOCK, n_arrivals - start)
-            a, s = (buffer[:k] for buffer in ring[index % _SLOTS])
-            cum_s = cum_services[:k]
-
-            a[0] += last_arrival
-            np.cumsum(a, out=a)
-            last_arrival = a[-1]
-
-            first = s[0]  # the carry enters cumS only, not S
-            s[0] += last_cum_service
-            np.cumsum(s, out=cum_s)
-            s[0] = first
-            last_cum_service = cum_s[-1]
-
-            # Departures: cumS + running max of (A - (cumS - S)); sojourn = D - A.
-            np.subtract(cum_s, s, out=s)
-            np.subtract(a, s, out=s)
-            s[0] = max(s[0], running_max)
-            # fmax equals maximum on NaN-free input and skips maximum's NaN
-            # propagation, which makes its accumulate the faster one.
-            np.fmax.accumulate(s, out=s)
-            running_max = s[-1]
-            np.add(cum_s, s, out=s)
-            np.subtract(s, a, out=s)
-            yield start, s
-            free.release()  # the slot is not read again: the producer may refill it
-    finally:
-        stopped.set()
-        free.release()  # wakes a producer waiting for a slot
-        producer.join()
+        # The running minimum of Y, with -w entering the first element (the
+        # min is exact), goes into the gaps, which are no longer needed.
+        first = y[0]
+        y[0] = min(first, -wait)
+        # fmin equals minimum on NaN-free input and skips minimum's NaN
+        # propagation, which makes its accumulate the faster one.
+        np.fmin.accumulate(y, out=a)
+        y[0] = first
+        np.subtract(y, a, out=y)
+        wait, last_service = y[-1], s[-1]
+        np.add(y, s, out=y)
+        yield start, y
 
 
 def mm1_sojourn_times(lam, mu, n_arrivals, rng):
@@ -228,32 +173,27 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     are merged into the running totals pairwise (Chan, Golub & LeVeque
     1983).  The half-width is ``1.96 * s / sqrt(m)`` with ``s`` the sample
     standard deviation (``ddof=1``) of the ``m`` retained sojourns; it is
-    infinite when ``m < 2``.  Memory is seven float64 buffers of ``_BLOCK``
-    entries (1.75 MiB), however long the run.
-
-    Every sojourn time is bit-identical to earlier versions.  The mean and
-    half-width are merged block by block rather than summed over one array,
-    so they can differ from earlier versions in the last bits.
+    infinite when ``m < 2``.  Memory is three float64 buffers of ``_BLOCK``
+    entries, however long the run.
     """
     warmup = _warmup(n_arrivals)
     count, mean, m2 = 0, 0.0, 0.0
-    with contextlib.closing(_sojourn_blocks(lam, mu, n_arrivals, rng)) as blocks:
-        for start, sojourn in blocks:
-            kept = sojourn[max(warmup - start, 0) :]
-            if kept.size == 0:
-                continue
-            block_mean = float(kept.mean())
-            np.subtract(kept, block_mean, out=kept)
-            np.square(kept, out=kept)
-            block_m2 = float(np.add.reduce(kept))
-            total = count + kept.size
-            # ``weight`` is exactly 1 for the first block, which therefore
-            # sets the totals to its own statistics without rounding.
-            weight = kept.size / total
-            delta = block_mean - mean
-            mean += delta * weight
-            m2 += block_m2 + delta * delta * count * weight
-            count = total
+    for start, sojourn in _sojourn_blocks(lam, mu, n_arrivals, rng):
+        kept = sojourn[max(warmup - start, 0) :]
+        if kept.size == 0:
+            continue
+        block_mean = float(kept.mean())
+        np.subtract(kept, block_mean, out=kept)
+        np.square(kept, out=kept)
+        block_m2 = float(np.add.reduce(kept))
+        total = count + kept.size
+        # ``weight`` is exactly 1 for the first block, which therefore
+        # sets the totals to its own statistics without rounding.
+        weight = kept.size / total
+        delta = block_mean - mean
+        mean += delta * weight
+        m2 += block_m2 + delta * delta * count * weight
+        count = total
     if count < 2:
         return mean, math.inf
     return mean, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
@@ -282,9 +222,13 @@ def simulate_station(placement, scenario, station, config):
     each stream feeds its own M/M/1 queue.  The reported mean download time
     is ``h * mean_e + (1-h) * mean_b`` with the half-widths combined in
     quadrature.  A side with zero traffic is skipped and reported as ``None``.
+    Raises ``ValueError`` on a placement that :func:`validate_placement`
+    rejects, or a ``station`` that is not an index of the scenario's stations.
     """
+    validate_placement(placement, scenario.library, scenario.cluster)
     traffic = scenario.traffic
-    if not 0 <= station < traffic.station_count:
+    _check_count("station", station, 0)
+    if station >= traffic.station_count:
         raise ValueError(f"station index {station} out of range")
     h = _clamped_echr(placement, scenario.library)
     lam = float(traffic.lam[station])

@@ -2,11 +2,7 @@
 
 import copy
 import math
-import sys
-import threading
-import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -26,18 +22,23 @@ from fogcache import (
 from fogcache import queuesim
 from fogcache.queuesim import _BLOCK, _sojourn_blocks, mm1_sojourn_times, simulate_station
 
-from conftest import bounded, make_scenario
+from conftest import make_scenario
 
 
 class _ScriptedRng:
     """Stands in for a Generator; feeds a predetermined sequence of uniform
     draws into the ``out`` arrays the kernel passes.  Copies read the
     sequence independently, and ``bit_generator.advance(n)`` skips ``n``
-    draws."""
+    draws.  ``calls`` records ``(stream, size)`` for every draw, where the
+    kernel's interarrival draws come from a deep copy (stream "arrivals")
+    and its service draws from the original (stream "services"); the copy
+    records into the same list."""
 
     def __init__(self, uniforms):
         self._uniforms = np.asarray(uniforms, dtype=float)
         self._position = 0
+        self.stream = "services"
+        self.calls = []
 
     @property
     def bit_generator(self):
@@ -46,7 +47,13 @@ class _ScriptedRng:
     def advance(self, delta):
         self._position += delta
 
+    def __deepcopy__(self, memo):
+        twin = copy.copy(self)
+        twin.stream = "arrivals"
+        return twin
+
     def random(self, *, out):
+        self.calls.append((self.stream, out.size))
         end = self._position + out.size
         assert end <= self._uniforms.size
         out[:] = self._uniforms[self._position : end]
@@ -117,6 +124,17 @@ class TestLindleyRecursion:
     def test_all_positive(self):
         sojourn = _sojourns(2.0, 9.0, 5000, np.random.default_rng(1))
         assert np.all(sojourn > 0.0)
+
+    def test_each_block_draws_its_arrivals_then_its_services(self):
+        n = 3 * _BLOCK + 7
+        rng = _ScriptedRng(np.random.default_rng(8).random(2 * n))
+        sojourn = _sojourns(0.9, 1.0, n, rng)
+        chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
+        assert rng.calls == [(stream, k) for k in chunks for stream in ("arrivals", "services")]
+        # The first n uniforms are the arrivals and the next n the services,
+        # as from a Generator.
+        expected = _sojourns(0.9, 1.0, n, np.random.default_rng(8))
+        assert sojourn.tobytes() == expected.tobytes()
 
 
 class TestSimulateMm1:
@@ -190,6 +208,34 @@ class TestSimulateStation:
         with pytest.raises(ValueError, match="out of range"):
             simulate_station(placement, scenario, 3, SimConfig())
 
+    @pytest.mark.parametrize(
+        "station,message",
+        [
+            (True, "station must be an integer"),
+            (1.0, "station must be an integer"),
+            (-1, "station must be at least 0"),
+        ],
+    )
+    def test_rejects_a_station_that_is_not_an_index(self, station, message):
+        scenario, placement = self._optimal_setup()
+        with pytest.raises(ValueError, match=message):
+            simulate_station(placement, scenario, station, SimConfig(n_arrivals=1000))
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.full((5, 20), 0.2), r"shape \(5, 20\) does not match \(3 nodes, 20 contents\)"),
+            (np.full((3, 20), 1 / 3), "node 1: storage use .* exceeds capacity 2"),
+        ],
+    )
+    def test_rejects_a_placement_that_overall_adt_rejects(self, matrix, message):
+        scenario = make_scenario()
+        placement = Placement(matrix)
+        with pytest.raises(ValueError, match=message):
+            overall_adt(placement, scenario)
+        with pytest.raises(ValueError, match=message):
+            simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
+
 
 class TestSimulateCluster:
     def test_one_result_per_station_matching_single_runs(self):
@@ -208,6 +254,19 @@ class TestSimulateCluster:
         results = simulate_cluster(placement, scenario, SimConfig(seed=11, n_arrivals=20_000))
         assert results[0].mean_adt != results[1].mean_adt
 
+    def test_near_empty_backhaul_queue_sojourn_is_its_service_time(self):
+        # Ample storage puts h* one ulp below 1, so each backhaul queue sees
+        # arrivals at rate 4 * 1.1e-16: every customer finds it empty, and
+        # the mean sojourn is the mean service time 1/mu_b.  A recursion
+        # over absolute arrival times (about 4.5e20 at the end of this run)
+        # loses every digit of the services here.
+        scenario = make_scenario(mu_e=100.0, capacities=(10.0, 10.0, 10.0))
+        placement = heuristic_solve(scenario).placement
+        assert echr(placement, scenario.library) == 0.9999999999999999
+        results = simulate_cluster(placement, scenario, SimConfig(seed=0, n_arrivals=200_000))
+        for result in results:
+            assert abs(result.mean_sojourn_b - 1 / 6) < 0.02 / 6
+
     def test_estimates_track_the_analytic_curve(self):
         scenario = make_scenario()
         placement = heuristic_solve(scenario).placement
@@ -218,21 +277,77 @@ class TestSimulateCluster:
             assert abs(result.mean_adt - analytic) / analytic < 0.02
 
 
-# --- whole-array oracle: the Lindley kernel and confidence interval as they
-# were before the blocked kernel, kept verbatim to pin its bits ---
+# --- oracles: the draws of two whole-array calls, Lindley's recursion as a
+# sequential float64 loop over them and in exact arithmetic, and the
+# statistics as a whole-array and as a block-by-block computation ---
 
 
-def _oracle_exponential(rng, rate, size):
-    return -np.log1p(-rng.random(size)) / rate
+def _oracle_draws(lam, mu, n_arrivals, rng):
+    """Interarrival gaps and services from two whole-array draws."""
+    gaps = -np.log1p(-rng.random(n_arrivals)) / lam
+    services = -np.log1p(-rng.random(n_arrivals)) / mu
+    return gaps, services
 
 
-def _oracle_sojourn_times(lam, mu, n_arrivals, rng):
-    gaps = _oracle_exponential(rng, lam, n_arrivals)
-    services = _oracle_exponential(rng, mu, n_arrivals)
-    arrivals = np.cumsum(gaps)
-    cum_services = np.cumsum(services)
-    departures = cum_services + np.maximum.accumulate(arrivals - (cum_services - services))
-    return departures - arrivals
+def _oracle_lindley(gaps, services):
+    """Waits and sojourns from ``W_k = max(W_{k-1} + S_{k-1} - A_k, 0)``,
+    one customer at a time in float64."""
+    waits = []
+    wait = previous = 0.0
+    for gap, service in zip(gaps.tolist(), services.tolist()):
+        wait = max(wait + previous - gap, 0.0)
+        waits.append(wait)
+        previous = service
+    waits = np.array(waits)
+    return waits, waits + services
+
+
+def _exact_worst_relative_error(gaps, services, sojourn):
+    """Largest relative error of ``sojourn`` against Lindley's recursion in
+    exact arithmetic on the same draws: every float is scaled by 2**1100 to
+    an integer, which represents any double of magnitude above 2**-1074
+    exactly."""
+
+    def scaled(x):
+        numerator, denominator = x.as_integer_ratio()
+        return numerator << (1101 - denominator.bit_length())
+
+    worst, wait, previous = 0.0, 0, 0
+    for gap, service, got in zip(gaps.tolist(), services.tolist(), sojourn.tolist()):
+        wait = max(wait + previous - scaled(gap), 0)
+        previous = scaled(service)
+        exact = wait + previous
+        worst = max(worst, abs(scaled(got) - exact) / exact)
+    return worst
+
+
+def _rounding_bound(gaps, services, waits, sojourn):
+    """Per-customer bound on the kernel's distance from the sequential loop.
+
+    Write ``u = 2**-53`` and ``X_l = S_{l-1} - A_l``, and let ``Y_l`` be the
+    partial sums of ``X`` within each ``_BLOCK`` (the kernel's ``cumsum``).
+    For customer ``k`` in a busy period that began with customer ``j``
+    (the last ``l <= k`` with ``W_l == 0``), the kernel's wait is the
+    difference of two partial sums, or one partial sum plus the carried
+    wait, so its rounding is at most ``u * sum_{l=j+1..k} (|Y_l| + |X_l|)``
+    plus ``u`` of the wait once per block (the subtraction that forms it);
+    the loop's is at most ``u * sum_{l=j+1..k} (2 W_l + 2 S_{l-1} + A_l)``;
+    each adds ``u`` of the sojourn in the last step.  To first order both
+    fit within ``4u * (sojourn_k + sum_{l=j+1..k} (|Y_l| + W_l + S_{l-1} +
+    A_l))``.  Every term is local to a block or to a busy period, so the
+    bound does not grow with the run length.
+    """
+    previous = np.concatenate([[0.0], services[:-1]])
+    steps = previous - gaps
+    partial = np.concatenate(
+        [np.cumsum(steps[i : i + _BLOCK]) for i in range(0, steps.size, _BLOCK)]
+    )
+    terms = np.abs(partial) + waits + previous + gaps
+    idle = waits == 0.0
+    terms[idle] = 0.0
+    total = np.cumsum(terms)
+    busy_start = np.maximum.accumulate(np.where(idle, np.arange(waits.size), 0))
+    return 2.0**-51 * (sojourn + total - total[busy_start])
 
 
 def _oracle_mean_ci(samples):
@@ -278,7 +393,7 @@ def _oracle_station(placement, scenario, station, config):
 
     def run(rate, mu, seed_seq):
         rng = np.random.default_rng(seed_seq)
-        sojourn = _oracle_sojourn_times(rate, mu, config.n_arrivals, rng)
+        sojourn = _sojourns(rate, mu, config.n_arrivals, rng)
         return _oracle_block_merge(sojourn, warmup)
 
     if h == 0.0:
@@ -310,30 +425,53 @@ def _placements():
     }
 
 
-class TestBlockedKernelExactness:
+class TestBlockedKernelAccuracy:
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("lam,mu", _RATES)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sojourns_match_the_oracle_bit_for_bit(self, n, lam, mu, seed):
+    def test_sojourns_are_within_the_rounding_bound_of_sequential_lindley(
+        self, n, lam, mu, seed
+    ):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         sojourn = _sojourns(lam, mu, n, rng)
-        expected = _oracle_sojourn_times(lam, mu, n, oracle_rng)
-        assert sojourn.tobytes() == expected.tobytes()
+        gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
         # Both consumed the same draws: the next one agrees.
         assert rng.random() == oracle_rng.random()
+        waits, expected = _oracle_lindley(gaps, services)
+        bound = _rounding_bound(gaps, services, waits, expected)
+        assert np.all(np.abs(sojourn - expected) <= bound)
+
+    def test_bound_rejects_a_recursion_over_absolute_times(self):
+        # Departures as cumS + max(A - (cumS - S)), minus A, over the whole
+        # run: at light load the arrival times A grow to 1e8 and the
+        # cancellation leaves errors far above the bound.
+        n, lam, mu = 3 * _BLOCK + 7, 1e-3, 10.0
+        gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(0))
+        arrivals, cum_services = np.cumsum(gaps), np.cumsum(services)
+        departures = cum_services + np.maximum.accumulate(arrivals - (cum_services - services))
+        waits, expected = _oracle_lindley(gaps, services)
+        bound = _rounding_bound(gaps, services, waits, expected)
+        assert not np.all(np.abs(departures - arrivals - expected) <= bound)
+
+    @pytest.mark.parametrize("lam,mu", _RATES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sequential_oracle_is_near_exact(self, lam, mu, seed):
+        gaps, services = _oracle_draws(lam, mu, 3 * _BLOCK + 7, np.random.default_rng(seed))
+        _, sojourn = _oracle_lindley(gaps, services)
+        assert _exact_worst_relative_error(gaps, services, sojourn) < 5e-12
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("lam,mu", _RATES)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_mean_and_halfwidth_are_the_block_merge_of_the_oracle(self, n, lam, mu, seed):
+    def test_mean_and_halfwidth_are_the_block_merge_of_its_sojourns(self, n, lam, mu, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, ci = mm1_sojourn_times(lam, mu, n, rng)
-        expected = _oracle_sojourn_times(lam, mu, n, oracle_rng)
+        sojourn = _sojourns(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
         warmup = n // 100
-        assert (mean, ci) == _oracle_block_merge(expected, warmup)
+        assert (mean, ci) == _oracle_block_merge(sojourn, warmup)
         # Only the summation order differs from the whole-array statistics.
-        whole_mean, whole_ci = _oracle_mean_ci(expected[warmup:])
+        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
         assert abs(mean - whole_mean) <= 1e-15 * whole_mean
         if math.isinf(whole_ci):
             assert math.isinf(ci)
@@ -352,160 +490,14 @@ class TestBlockedKernelExactness:
         assert simulate_cluster(placement, scenario, config) == expected
 
 
-_default_rng = np.random.default_rng
-
-
-class _RecordingRng:
-    """A ``default_rng`` that records the stream, size and thread of each
-    draw and raises ``error`` on draw number ``fail_on`` (1-based), if
-    given.  The kernel draws services from this generator and arrivals from
-    a deep copy of it; the copy records into the same list and counts
-    towards the same ``fail_on``."""
-
-    def __init__(self, seed, fail_on=None):
-        self._rng = _default_rng(seed)
-        self.stream = "services"
-        self.calls = []
-        self.fail_on = fail_on
-        self.error = RuntimeError("draw failed")
-
-    @property
-    def bit_generator(self):
-        return self._rng.bit_generator
-
-    def __deepcopy__(self, memo):
-        twin = copy.copy(self)
-        twin._rng = copy.deepcopy(self._rng, memo)
-        twin.stream = "arrivals"
-        return twin
-
-    def random(self, *, out):
-        self.calls.append((self.stream, out.size, threading.get_ident()))
-        if len(self.calls) == self.fail_on:
-            raise self.error
-        return self._rng.random(out=out)
-
-
-class TestProducerThread:
-    def test_draw_order_thread_and_output(self):
-        n = 3 * _BLOCK + 7
-        rng = _RecordingRng(8)
-        sojourn = _sojourns(0.9, 1.0, n, rng)
-        chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
-        # Each block draws its arrivals, then its services.
-        expected_calls = [(stream, k) for k in chunks for stream in ("arrivals", "services")]
-        assert [(stream, size) for stream, size, _ in rng.calls] == expected_calls
-        threads = {thread for _, _, thread in rng.calls}
-        assert len(threads) == 1
-        assert threads != {threading.main_thread().ident}
-        expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(8))
-        assert sojourn.tobytes() == expected.tobytes()
-
-    def test_ring_reuse_under_contention(self, monkeypatch):
-        # Tiny blocks make every call cycle the three ring slots many times;
-        # eight concurrent calls on a short switch interval stress the
-        # hand-offs.  A slot overwritten before the recursion and the
-        # statistics used it would change the output bits.
-        monkeypatch.setattr(queuesim, "_BLOCK", 16)
-        n, seeds = 16 * 200 + 5, range(8)
-        results = {}
-
-        def run(seed):
-            results[seed] = (
-                _sojourns(0.9, 1.0, n, np.random.default_rng(seed)),
-                mm1_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed)),
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-                assert not worker.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        for seed in seeds:
-            expected = _oracle_sojourn_times(0.9, 1.0, n, np.random.default_rng(seed))
-            sojourn, stats = results[seed]
-            assert sojourn.tobytes() == expected.tobytes()
-            assert stats == _oracle_block_merge(expected, n // 100)
-
-    def test_no_thread_outlives_a_normal_return(self):
-        before = threading.active_count()
-        mm1_sojourn_times(0.9, 1.0, 3 * _BLOCK + 7, np.random.default_rng(2))
-        assert threading.active_count() == before
-        assert "queuesim-draws" not in [thread.name for thread in threading.enumerate()]
-
-    # Draw 1 is the first block's arrivals, draw 4 the second block's
-    # services and draw 8 the last block's services.
-    @pytest.mark.parametrize("fail_on", [1, 4, 8])
-    def test_producer_error_surfaces_from_the_kernel(self, fail_on):
-        rng = _RecordingRng(0, fail_on=fail_on)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            bounded(mm1_sojourn_times, 0.9, 1.0, 3 * _BLOCK + 7, rng)
-        assert info.value is rng.error
-        assert threading.active_count() == before
-        assert len(rng.calls) == fail_on
-
-    def test_producer_error_surfaces_from_simulate_mm1(self, monkeypatch):
-        rngs = []
-
-        def failing_rng(seed):
-            rngs.append(_RecordingRng(seed, fail_on=3))
-            return rngs[-1]
-
-        # _RecordingRng builds its generator through the real default_rng.
-        monkeypatch.setattr(queuesim.np.random, "default_rng", failing_rng)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            bounded(simulate_mm1, 0.9, 1.0, SimConfig(n_arrivals=3 * _BLOCK + 7))
-        assert info.value is rngs[0].error
-        assert threading.active_count() == before
-
-    # With 8 blocks, ``cumsum`` call 2b + 1 turns block b's arrivals into
-    # arrival times and call 2b + 2 sums its services; ``square`` call b + 1
-    # folds block b into the statistics, outside the recursion.  Call 7 and
-    # square call 4 are block 3's: the pause before raising lets the
-    # producer fill the ring and wait for a free slot.
-    @pytest.mark.parametrize(
-        "name,fail_at", [("cumsum", 1), ("cumsum", 2), ("cumsum", 7), ("square", 4)]
-    )
-    def test_consumer_error_stops_the_producer(self, monkeypatch, name, fail_at):
-        error = RuntimeError("recursion failed")
-        calls = []
-        original = getattr(np, name)
-
-        def failing(*args, **kwargs):
-            calls.append(threading.get_ident())
-            if len(calls) == fail_at:
-                time.sleep(0.05)
-                raise error
-            return original(*args, **kwargs)
-
-        numpy_view = types.ModuleType("numpy")
-        numpy_view.__dict__.update(vars(np))
-        setattr(numpy_view, name, failing)
-        monkeypatch.setattr(queuesim, "np", numpy_view)
-        rng = _RecordingRng(0)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            bounded(mm1_sojourn_times, 0.9, 1.0, 8 * _BLOCK, rng)
-        assert info.value is error
-        # The recursion runs on the calling thread only, never the producer.
-        recursion_threads = set(calls)
-        assert len(recursion_threads) == 1
-        assert not recursion_threads & {thread for _, _, thread in rng.calls}
-        assert threading.active_count() == before
-        assert len(rng.calls) < 16
-
-
 def _station_peak_bytes(n_arrivals):
-    """``tracemalloc`` peak of one interior ``simulate_station`` call."""
+    """``tracemalloc`` peak of one interior ``simulate_station`` call.
+
+    A short untraced call first pays the process's one-time costs (the
+    first deep copy of a Generator imports ``numpy.random._pickle``, about
+    0.7 MiB), so the peak is the call's own working memory."""
     scenario, placement = _placements()["interior"]
+    simulate_station(placement, scenario, 0, SimConfig(n_arrivals=1))
     config = SimConfig(seed=0, n_arrivals=n_arrivals)
     tracemalloc.start()
     try:
@@ -518,10 +510,10 @@ def _station_peak_bytes(n_arrivals):
 
 class TestKernelMemory:
     def test_interior_station_peak_stays_small(self):
-        # Two queues of 2e6 arrivals, one at a time, each in seven buffers
-        # of _BLOCK floats (1.75 MiB).  The kernel that kept an 8-byte
+        # Two queues of 2e6 arrivals, one at a time, each in three buffers
+        # of _BLOCK floats (0.75 MiB).  The kernel that kept an 8-byte
         # entry per arrival peaked at 16.5 MB here.
-        assert _station_peak_bytes(2_000_000) < 4 * 2**20
+        assert _station_peak_bytes(2_000_000) < 1.5 * 2**20
 
     def test_peak_does_not_grow_with_the_run(self):
         short, long = _station_peak_bytes(200_000), _station_peak_bytes(2_000_000)
