@@ -14,16 +14,20 @@ of how many stations are simulated or in what order.  Exponential variates
 are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
 
-Each queue is one call of :func:`mm1_sojourn_times`, which streams the
-queue through blocks of ``_BLOCK`` arrivals on the calling thread.  The
-interarrival uniforms come from a copy of the queue's generator and the
+:func:`simulate_cluster` runs the stations on up to one thread per usable
+CPU, the calling thread among them, and puts each result in its station's
+slot, so the output is byte-identical for any CPU count.  The threads run
+side by side because every numpy call of the kernel releases the GIL.  Each
+queue is one call of :func:`mm1_sojourn_times`, which streams the queue
+through blocks of ``_BLOCK`` arrivals on the thread that runs its station.
+The interarrival uniforms come from a copy of the queue's generator and the
 service uniforms from the generator advanced past them, so the queue
 consumes exactly the draws of two whole-array calls.  Each block runs
 Lindley's waiting-time recursion in vectorized form, and the block's
 retained sojourn times are folded into a running count, mean and sum of
 squared deviations (the pairwise merge of Chan, Golub & LeVeque, 1983).
-No array of one entry per arrival is kept: the queue in flight needs three
-float64 buffers of ``_BLOCK`` entries, whatever the run length.
+No array of one entry per arrival is kept: each worker holds its own three
+float64 buffers of ``_BLOCK`` (32,768) entries, whatever the run length.
 
 The tests check three things about the kernel: it consumes the same draws
 as two whole-array calls; every sojourn time is within a stated rounding
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,9 +253,62 @@ def simulate_station(placement, scenario, station, config):
     return SimResult(*side_means, mean, math.hypot(*halfwidths))
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_cluster(placement, scenario, config):
-    """Run :func:`simulate_station` for every base station, in station order."""
-    return [
-        simulate_station(placement, scenario, station, config)
-        for station in range(scenario.traffic.station_count)
-    ]
+    """Run :func:`simulate_station` for every base station; the results come
+    in station order.
+
+    Stations run on ``min(station_count, usable CPUs)`` threads, the calling
+    thread among them; with one, no thread starts.  Each worker holds its
+    own three buffers of ``_BLOCK`` (32,768) floats.  A station's draws
+    depend only on ``(config.seed, station)`` and each result goes to its
+    station's slot, so the output is byte-identical for any CPU count.  An
+    exception in a worker, or an interrupt on the caller, stops every worker
+    before its next station, and the first one is raised once every thread
+    has been joined.  Workers are not stopped within a station, so after an
+    interrupt the call returns only when every other worker has finished
+    its current station: both of its queues at the full ``n_arrivals``.
+    """
+    stations = range(scenario.traffic.station_count)
+    workers = min(len(stations), _usable_cpus())
+    results = [None] * len(stations)
+    pending = iter(stations)
+    claim = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def work():
+        try:
+            while not stop.is_set():
+                with claim:
+                    station = next(pending, None)
+                if station is None:
+                    return
+                results[station] = simulate_station(placement, scenario, station, config)
+        except BaseException as exc:  # re-raised on the caller below
+            failures.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            # Daemon, so that a second interrupt during the join below
+            # does not keep the process from exiting.
+            thread = threading.Thread(target=work, daemon=True)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results

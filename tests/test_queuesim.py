@@ -2,6 +2,8 @@
 
 import copy
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,12 @@ from fogcache import queuesim
 from fogcache.queuesim import _BLOCK, _sojourn_blocks, mm1_sojourn_times, simulate_station
 
 from conftest import make_scenario
+
+
+def _force_cpus(monkeypatch, count):
+    """Make ``simulate_cluster`` see ``count`` usable CPUs, so its threaded
+    path runs whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class _ScriptedRng:
@@ -228,17 +236,21 @@ class TestSimulateStation:
             (np.full((3, 20), 1 / 3), "node 1: storage use .* exceeds capacity 2"),
         ],
     )
-    def test_rejects_a_placement_that_overall_adt_rejects(self, matrix, message):
+    def test_rejects_a_placement_that_overall_adt_rejects(self, matrix, message, monkeypatch):
         scenario = make_scenario()
         placement = Placement(matrix)
         with pytest.raises(ValueError, match=message):
             overall_adt(placement, scenario)
+        # With several CPUs a worker's error reaches the caller.
+        _force_cpus(monkeypatch, 8)
         with pytest.raises(ValueError, match=message):
             simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
 
 
 class TestSimulateCluster:
-    def test_one_result_per_station_matching_single_runs(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_one_result_per_station_matching_single_runs(self, cpus, monkeypatch):
+        _force_cpus(monkeypatch, cpus)
         scenario = make_scenario()
         placement = heuristic_solve(scenario).placement
         config = SimConfig(seed=11, n_arrivals=20_000)
@@ -246,6 +258,42 @@ class TestSimulateCluster:
         assert len(results) == 3
         for station, result in enumerate(results):
             assert result == simulate_station(placement, scenario, station, config)
+
+    @pytest.mark.parametrize(
+        "failing,failure",
+        [("worker", RuntimeError("station failed")), ("caller", KeyboardInterrupt())],
+    )
+    def test_a_failure_stops_every_worker_and_reaches_the_caller(
+        self, failing, failure, monkeypatch
+    ):
+        _force_cpus(monkeypatch, 2)
+        scenario = make_scenario(capacities=(2.0,) * 8)
+        placement = heuristic_solve(scenario).placement
+        caller = threading.get_ident()
+        failed = threading.Event()
+        started = []  # (side, station) in the order stations start
+        real_station = queuesim.simulate_station
+
+        def failing_station(placement, scenario, station, config):
+            side = "caller" if threading.get_ident() == caller else "worker"
+            started.append((side, station))
+            if side == failing:
+                failed.set()
+                raise failure
+            # Hold the other side's first station until the failure, so
+            # that both sides are busy when it happens.
+            assert failed.wait(10)
+            return real_station(placement, scenario, station, config)
+
+        monkeypatch.setattr(queuesim, "simulate_station", failing_station)
+        threads_before = threading.active_count()
+        with pytest.raises(type(failure)) as raised:
+            simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
+        assert raised.value is failure
+        assert threading.active_count() == threads_before
+        # Neither side starts a station after the failure.
+        sides = [side for side, _ in started]
+        assert sides.count(failing) == 1 and len(sides) <= 2
 
     def test_stations_use_independent_streams(self):
         # Identical stations must still see different sample paths.
@@ -478,8 +526,10 @@ class TestBlockedKernelAccuracy:
         else:
             assert abs(ci - whole_ci) <= 1e-15 * whole_ci
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
-    def test_station_and_cluster_results_match_the_oracle(self, which):
+    def test_station_and_cluster_results_match_the_oracle(self, which, cpus, monkeypatch):
+        _force_cpus(monkeypatch, cpus)
         scenario, placement = _placements()[which]
         config = SimConfig(seed=17, n_arrivals=3 * _BLOCK + 7)
         expected = [
