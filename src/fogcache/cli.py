@@ -378,7 +378,11 @@ def _build_parser():
     defaults = AdmmConfig()
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument(
-        "--rho", type=float, default=defaults.rho, help="initial consensus penalty"
+        "--rho",
+        type=float,
+        default=defaults.rho,
+        help="initial consensus penalty (default: |D'(0)| * ||popularity||^2, "
+        "scaled to the scenario)",
     )
     solver_flags.add_argument(
         "--eps-abs",

@@ -236,7 +236,11 @@ def simulate_station(placement, scenario, station, config):
     _check_count("station", station, 0)
     if station >= traffic.station_count:
         raise ValueError(f"station index {station} out of range")
-    h = _clamped_echr(placement, scenario.library)
+    return _simulate_station(_clamped_echr(placement, scenario.library), traffic, station, config)
+
+
+def _simulate_station(h, traffic, station, config):
+    """:func:`simulate_station` at hit ratio ``h``, with no checks."""
     lam = float(traffic.lam[station])
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
     side_means, mean, halfwidths = [], 0.0, []
@@ -265,18 +269,23 @@ def simulate_cluster(placement, scenario, config):
     """Run :func:`simulate_station` for every base station; the results come
     in station order.
 
-    Stations run on ``min(station_count, usable CPUs)`` threads, the calling
-    thread among them; with one, no thread starts.  Each worker holds its
-    own three buffers of ``_BLOCK`` (32,768) floats.  A station's draws
-    depend only on ``(config.seed, station)`` and each result goes to its
-    station's slot, so the output is byte-identical for any CPU count.  An
-    exception in a worker, or an interrupt on the caller, stops every worker
-    before its next station, and the first one is raised once every thread
-    has been joined.  Workers are not stopped within a station, so after an
-    interrupt the call returns only when every other worker has finished
-    its current station: both of its queues at the full ``n_arrivals``.
+    The placement is validated and its hit ratio computed once for the
+    cluster, not once per station.  Stations run on ``min(station_count,
+    usable CPUs)`` threads, the calling thread among them; with one, no
+    thread starts.  Each worker holds its own three buffers of ``_BLOCK``
+    (32,768) floats.  A station's draws depend only on ``(config.seed,
+    station)`` and each result goes to its station's slot, so the output is
+    byte-identical for any CPU count.  An exception in a worker, or an
+    interrupt on the caller, stops every worker before its next station,
+    and the first one is raised once every thread has been joined.  Workers
+    are not stopped within a station, so after an interrupt the call
+    returns only when every other worker has finished its current station:
+    both of its queues at the full ``n_arrivals``.
     """
-    stations = range(scenario.traffic.station_count)
+    validate_placement(placement, scenario.library, scenario.cluster)
+    h = _clamped_echr(placement, scenario.library)
+    traffic = scenario.traffic
+    stations = range(traffic.station_count)
     workers = min(len(stations), _usable_cpus())
     results = [None] * len(stations)
     pending = iter(stations)
@@ -291,7 +300,7 @@ def simulate_cluster(placement, scenario, config):
                     station = next(pending, None)
                 if station is None:
                     return
-                results[station] = simulate_station(placement, scenario, station, config)
+                results[station] = _simulate_station(h, traffic, station, config)
         except BaseException as exc:  # re-raised on the caller below
             failures.append(exc)
             stop.set()

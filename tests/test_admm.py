@@ -38,7 +38,7 @@ FAST = AdmmConfig(rho=0.02)
 class TestAdmmConfig:
     def test_defaults(self):
         config = AdmmConfig()
-        assert config.rho == 1.0
+        assert config.rho is None
         assert config.eps_abs == 1e-6
         assert config.eps_rel == 1e-4
         assert config.max_iter == 1000
@@ -340,7 +340,7 @@ class TestSolve:
         assert result.echr == pytest.approx(H_CPL, abs=1e-5)
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
 
-    @pytest.mark.parametrize("rho, iterations", [(1.0, 91), (0.02, 19)])
+    @pytest.mark.parametrize("rho, iterations", [(1.0, 91), (0.02, 19), (None, 21)])
     def test_iteration_counts_are_pinned(self, reference_scenario, rho, iterations):
         # Residual balancing moves rho from its initial value; these counts
         # pin the iterates of that policy on the reference scenario.
@@ -354,7 +354,8 @@ class TestSolve:
         assert result.adt == pytest.approx(grid_adt, abs=1e-8)
 
     def test_two_hundred_contents_converge_at_defaults(self):
-        # Held fixed at its default 1.0, rho needs over 1000 iterations here.
+        # Held fixed at 1.0, rho needs over 1000 iterations here; residual
+        # balancing takes 198 from 1.0 and 133 from the scaled default.
         scenario = make_scenario(count=200, capacities=(20.0, 20.0, 20.0))
         exact = overall_adt(heuristic_solve(scenario).placement, scenario).overall
         result = solve(scenario)
@@ -365,6 +366,33 @@ class TestSolve:
         result = solve(reference_scenario)
         assert result.converged
         assert result.adt == pytest.approx(ADT_OPT, abs=1e-7)
+
+    @staticmethod
+    def _scaled_rho(scenario):
+        popularity = scenario.library.popularity
+        return -adt_slope(0.0, scenario.traffic) * float(popularity @ popularity)
+
+    def test_default_starts_from_the_scaled_penalty(self, reference_scenario):
+        scaled = AdmmConfig(rho=self._scaled_rho(reference_scenario))
+        assert solve(reference_scenario).trace == solve(reference_scenario, scaled).trace
+
+    def test_scaled_penalty_is_finite_and_positive_on_random_scenarios(self):
+        rng = np.random.default_rng(20171030)
+        for _ in range(40):
+            scenario = random_scenario(rng)
+            rho = self._scaled_rho(scenario)
+            assert np.isfinite(rho) and rho > 0.0
+            one_step = solve(scenario, AdmmConfig(max_iter=1)).trace
+            assert one_step == solve(scenario, AdmmConfig(rho=rho, max_iter=1)).trace
+
+    def test_converges_at_defaults_next_to_saturation(self):
+        # |D'(0)| grows without bound as lam nears mu_b, and so does the
+        # scaled start; balancing brings it back down (74 iterations here).
+        scenario = make_scenario(lam=6.0 * (1.0 - 1e-10))
+        exact = overall_adt(heuristic_solve(scenario).placement, scenario).overall
+        result = solve(scenario)
+        assert result.converged
+        assert result.adt == pytest.approx(exact, rel=1e-8)
 
     def test_trace_records_every_iteration(self, reference_scenario):
         result = solve(reference_scenario, FAST)

@@ -272,9 +272,9 @@ class TestSimulateCluster:
         caller = threading.get_ident()
         failed = threading.Event()
         started = []  # (side, station) in the order stations start
-        real_station = queuesim.simulate_station
+        real_station = queuesim._simulate_station
 
-        def failing_station(placement, scenario, station, config):
+        def failing_station(h, traffic, station, config):
             side = "caller" if threading.get_ident() == caller else "worker"
             started.append((side, station))
             if side == failing:
@@ -283,9 +283,9 @@ class TestSimulateCluster:
             # Hold the other side's first station until the failure, so
             # that both sides are busy when it happens.
             assert failed.wait(10)
-            return real_station(placement, scenario, station, config)
+            return real_station(h, traffic, station, config)
 
-        monkeypatch.setattr(queuesim, "simulate_station", failing_station)
+        monkeypatch.setattr(queuesim, "_simulate_station", failing_station)
         threads_before = threading.active_count()
         with pytest.raises(type(failure)) as raised:
             simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
@@ -294,6 +294,22 @@ class TestSimulateCluster:
         # Neither side starts a station after the failure.
         sides = [side for side, _ in started]
         assert sides.count(failing) == 1 and len(sides) <= 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_placement_is_validated_once_per_cluster(self, cpus, monkeypatch):
+        _force_cpus(monkeypatch, cpus)
+        scenario = make_scenario(capacities=(2.0,) * 8)
+        placement = heuristic_solve(scenario).placement
+        calls = []
+        real_validate = queuesim.validate_placement
+
+        def counting_validate(*args):
+            calls.append(args)
+            return real_validate(*args)
+
+        monkeypatch.setattr(queuesim, "validate_placement", counting_validate)
+        simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
+        assert len(calls) == 1
 
     def test_stations_use_independent_streams(self):
         # Identical stations must still see different sample paths.
