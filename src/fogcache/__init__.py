@@ -20,59 +20,51 @@ fast M/M/1 queue) or over the backhaul (a slower one).  It provides:
 The top level exports the types and entry points; building blocks such as
 ``admm.project_feasible``, ``heuristic.lambda_threshold`` or
 ``queuesim.mm1_sojourn_times`` are imported from their modules.
+
+``import fogcache`` loads none of these modules.  Each export is imported
+from its home module on first use (PEP 562) and then kept in the package
+namespace, so a command-line run compiles only the modules it calls.
 """
 
-from .admm import AdmmConfig, SolveResult, solve
-from .baselines import BaselineConfig, grid_bruteforce, projected_gradient_solve
-from .errors import NumericalError
-from .heuristic import HeuristicResult, echr_cpl, echr_csl, heuristic_solve, placement_from_echr
-from .model import (
-    ContentLibrary,
-    FogCluster,
-    Placement,
-    Scenario,
-    TrafficProfile,
-    validate_scenario,
-)
-from .objective import (
-    AdtReport,
-    adt_curvature,
-    adt_curve,
-    adt_slope,
-    echr,
-    overall_adt,
-)
-from .queuesim import SimConfig, SimResult, simulate_cluster, simulate_mm1
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmmConfig",
-    "AdtReport",
-    "BaselineConfig",
-    "ContentLibrary",
-    "FogCluster",
-    "HeuristicResult",
-    "NumericalError",
-    "Placement",
-    "Scenario",
-    "SimConfig",
-    "SimResult",
-    "SolveResult",
-    "TrafficProfile",
-    "adt_curvature",
-    "adt_curve",
-    "adt_slope",
-    "echr",
-    "echr_cpl",
-    "echr_csl",
-    "grid_bruteforce",
-    "heuristic_solve",
-    "overall_adt",
-    "placement_from_echr",
-    "projected_gradient_solve",
-    "simulate_cluster",
-    "simulate_mm1",
-    "solve",
-    "validate_scenario",
-]
+#: Home module of each top-level export.
+_HOMES = {
+    "admm": ("AdmmConfig", "SolveResult", "solve"),
+    "baselines": ("BaselineConfig", "grid_bruteforce", "projected_gradient_solve"),
+    "errors": ("NumericalError",),
+    "heuristic": (
+        "HeuristicResult",
+        "echr_cpl",
+        "echr_csl",
+        "heuristic_solve",
+        "placement_from_echr",
+    ),
+    "model": (
+        "ContentLibrary",
+        "FogCluster",
+        "Placement",
+        "Scenario",
+        "TrafficProfile",
+        "validate_scenario",
+    ),
+    "objective": ("AdtReport", "adt_curvature", "adt_curve", "adt_slope", "echr", "overall_adt"),
+    "queuesim": ("SimConfig", "SimResult", "simulate_cluster", "simulate_mm1"),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,15 +5,17 @@ documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
 
 ``solve`` and ``sweep`` share the solver flags ``--rho``, ``--eps-abs``,
-``--eps-rel`` and ``--max-iter``, whose defaults are :class:`AdmmConfig`'s;
-projected gradient reads ``--eps-abs`` as its tolerance and ``--max-iter``
-as its cap.  Each subcommand runs one ``cmd_*`` function on the parsed
-arguments.
+``--eps-rel`` and ``--max-iter``.  A flag left out takes the solver's own
+default: :class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected
+gradient :class:`~fogcache.baselines.BaselineConfig`'s cap of 5000
+iterations, with ``--eps-abs`` (1e-6 for both solvers) as its tolerance.
+Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
+imports the solver modules it calls; a run compiles no module it does not
+use.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -22,17 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, IterationRecord, solve
-from .baselines import BaselineConfig, projected_gradient_solve
 from .errors import NumericalError
-from .heuristic import echr_cpl, echr_csl, heuristic_solve
 from .model import Placement, Scenario, _as_array
-from .objective import adt_curve, overall_adt
-from .queuesim import SimConfig, simulate_cluster
 
 __all__ = ["SweepSpec", "main"]
 
-TRACE_HEADER = IterationRecord._fields
 SWEEP_HEADER = ("value", "solver", "echr", "adt", "iterations", "wall_time", "status")
 SIMULATE_HEADER = (
     "station",
@@ -47,6 +43,9 @@ SIMULATE_HEADER = (
 
 SWEEP_PARAMETERS = ("lambda", "mu_b", "mu_e", "F")
 SWEEP_SOLVERS = ("admm", "pgd", "heuristic", "csl-only")
+
+#: ``--eps-abs`` when left out, for both solvers.
+EPS_ABS = 1e-6
 
 
 def _fmt(value):
@@ -200,20 +199,33 @@ def _write_rows(rows, out_path):
             handle.write(text)
 
 
+def _given(**flags):
+    """The flags set on the command line; the rest keep the config's default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _solver(name, args):
     """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
     solver flags; a bad flag raises ``ValueError`` here, before any solve."""
+    eps_abs = EPS_ABS if args.eps_abs is None else args.eps_abs
     if name == "admm":
+        from .admm import AdmmConfig, solve
+
         config = AdmmConfig(
-            rho=args.rho, eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iter=args.max_iter
+            eps_abs=eps_abs, **_given(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
         )
         return lambda scenario: solve(scenario, config)
-    config = BaselineConfig(tol=args.eps_abs, max_iter=args.max_iter)
+    from .baselines import BaselineConfig, projected_gradient_solve
+
+    config = BaselineConfig(tol=eps_abs, **_given(max_iter=args.max_iter))
     return lambda scenario: projected_gradient_solve(scenario, config)
 
 
 def cmd_solve(args):
     """Solve one scenario; write placement.json, report.json, trace.csv."""
+    from .admm import IterationRecord
+    from .objective import overall_adt
+
     scenario = Scenario.load(args.scenario)
     start = time.perf_counter()
     result = _solver(args.solver, args)(scenario)
@@ -234,7 +246,7 @@ def cmd_solve(args):
         },
         out / "report.json",
     )
-    rows = [TRACE_HEADER]
+    rows = [IterationRecord._fields]
     rows += [(str(k), *map(_fmt, values)) for k, *values in result.trace]
     _write_rows(rows, out / "trace.csv")
     print(
@@ -246,6 +258,9 @@ def cmd_solve(args):
 
 def cmd_heuristic(args):
     """Run the two-regime heuristic; print its summary as JSON."""
+    from .heuristic import heuristic_solve
+    from .objective import overall_adt
+
     scenario = Scenario.load(args.scenario)
     result = heuristic_solve(scenario)
     report = overall_adt(result.placement, scenario)
@@ -273,6 +288,9 @@ def _sweep_point(name, scenario, solvers):
     ``solvers`` maps the listed ones of ``admm`` and ``pgd`` to their
     :func:`_solver` runs.
     """
+    from .heuristic import echr_cpl, echr_csl
+    from .objective import adt_curve
+
     start = time.perf_counter()
     status = "ok"
     if name in solvers:
@@ -343,6 +361,9 @@ def cmd_simulate(args):
     used in validation messages.  With a fixed seed the CSV is bit-identical
     across runs.
     """
+    from .objective import overall_adt
+    from .queuesim import SimConfig, simulate_cluster
+
     scenario = Scenario.load(args.scenario)
     placement = _load_placement(args.placement)
     analytic = overall_adt(placement, scenario)
@@ -369,31 +390,30 @@ def cmd_simulate(args):
 
 
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fogcache",
         description="Download-time-optimal cache placement for fog clusters.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    defaults = AdmmConfig()
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument(
         "--rho",
         type=float,
-        default=defaults.rho,
         help="initial consensus penalty (default: |D'(0)| * ||popularity||^2, "
         "scaled to the scenario)",
     )
     solver_flags.add_argument(
         "--eps-abs",
         type=float,
-        default=defaults.eps_abs,
-        help="absolute tolerance (pgd: mapping tolerance)",
+        help=f"absolute tolerance (pgd: mapping tolerance; default {EPS_ABS:g})",
     )
+    solver_flags.add_argument("--eps-rel", type=float, help="relative tolerance")
     solver_flags.add_argument(
-        "--eps-rel", type=float, default=defaults.eps_rel, help="relative tolerance"
+        "--max-iter", type=int, help="iteration cap (default: admm 1000, pgd 5000)"
     )
-    solver_flags.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
     solve_parser = commands.add_parser(
         "solve", parents=[solver_flags], help="solve one scenario to a placement"

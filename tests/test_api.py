@@ -2,25 +2,60 @@
 module-level names that stay out of it still resolve."""
 
 import importlib
+import importlib.util
 import inspect
+import sys
 
 import pytest
 
 import fogcache
 
 
+@pytest.fixture
+def unresolved():
+    """A fresh copy of the package module, none of its exports resolved yet."""
+    spec = importlib.util.find_spec("fogcache")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_exported_name_resolves():
     for name in fogcache.__all__:
-        assert hasattr(fogcache, name), name
+        value = getattr(fogcache, name)
+        # The object defined in its home module, kept once resolved.
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert vars(fogcache)[name] is value, name
 
 
 def test_every_public_binding_is_exported():
+    # Lazy exports are bound only once used, so the names the package can
+    # resolve are its eager bindings plus the lazy map's keys, whatever
+    # earlier tests have touched.
     bound = {
         name
         for name, value in vars(fogcache).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert bound == set(fogcache.__all__)
+    assert bound | set(fogcache._EXPORTS) == set(fogcache.__all__)
+
+
+def test_dir_lists_every_export(unresolved):
+    assert not set(unresolved.__all__) & set(vars(unresolved))
+    assert set(unresolved.__all__) <= set(dir(unresolved))
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from fogcache import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(fogcache.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fogcache.no_such_name
+    assert not hasattr(fogcache, "project_feasible")
 
 
 def test_export_list_is_small_and_unique():

@@ -4,14 +4,13 @@ Every test drives ``main(argv)`` the way a shell would and checks exit
 codes, file outputs, and stdout.
 """
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from fogcache import (
-    AdmmConfig,
+    BaselineConfig,
     ContentLibrary,
     FogCluster,
     Placement,
@@ -20,11 +19,13 @@ from fogcache import (
     adt_curve,
     heuristic_solve,
     model,
+    projected_gradient_solve,
+    solve,
 )
+from fogcache.admm import IterationRecord
 from fogcache.cli import (
     SIMULATE_HEADER,
     SWEEP_HEADER,
-    TRACE_HEADER,
     _build_parser,
     _dump_placement,
     _load_placement,
@@ -80,7 +81,7 @@ class TestSolveCommand:
         assert report["echr"] == pytest.approx(H_CPL, abs=1e-5)
         assert report["adt_report"]["overall"] == pytest.approx(report["adt"], abs=1e-12)
         header, rows = _read_csv(out / "trace.csv")
-        assert tuple(header) == TRACE_HEADER
+        assert tuple(header) == IterationRecord._fields
         assert [row[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]
         summary = capsys.readouterr().out
         assert "converged" in summary
@@ -111,6 +112,27 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["solver"] == "pgd"
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-8)
+
+    @pytest.mark.parametrize("solver", ["admm", "pgd"])
+    def test_defaults_are_the_solvers_own(self, tmp_path, scenario_file, solver):
+        # Each solver runs at its own config's defaults, except that both take
+        # --eps-abs 1e-6; PGD then needs 1460 iterations here, more than
+        # ADMM's cap of 1000.
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main(
+            ["solve", "--scenario", str(scenario_file), "--solver", solver, "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True
+        scenario = Scenario.load(scenario_file)
+        if solver == "admm":
+            expected = solve(scenario)
+        else:
+            expected = projected_gradient_solve(scenario, BaselineConfig(tol=1e-6))
+        assert report["iterations"] == expected.iterations
+        assert report["adt"] == expected.adt
 
     @pytest.mark.parametrize("lam", [5.999999, 5.99999999, 5.9999999999])
     def test_pgd_next_to_saturation(self, tmp_path, lam):
@@ -340,6 +362,15 @@ class TestSweepCommand:
         for row in rows:
             assert row[6] == "unconverged"
             assert 1 <= int(row[4]) <= 3
+
+    def test_pgd_takes_its_own_iteration_cap(self, tmp_path, scenario_file):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(sweep), "--solver", "pgd", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        expected = projected_gradient_solve(Scenario.load(scenario_file), BaselineConfig(tol=1e-6))
+        assert rows[0][6] == "ok"
+        assert int(rows[0][4]) == expected.iterations > 1000
 
     def test_f_sweep_requires_a_zipf_base(self, tmp_path):
         # A base with explicit popularity has no exponent to regenerate from.
@@ -712,13 +743,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_solve_and_sweep_share_the_solver_flags(self):
+        # A flag left out is None, and the chosen solver's config fills it.
         parser = _build_parser()
-        defaults = dataclasses.asdict(AdmmConfig())
+        names = ("rho", "eps_abs", "eps_rel", "max_iter")
         for command in ("solve", "sweep"):
             args = vars(parser.parse_args([command, "--scenario", "x.json"]))
-            assert {name: args[name] for name in defaults} == defaults
+            assert {name: args[name] for name in names} == dict.fromkeys(names)
             flags = ["--rho", "2", "--eps-abs", "1e-3", "--eps-rel", "1e-2", "--max-iter", "7"]
             args = vars(parser.parse_args([command, "--scenario", "x.json", *flags]))
-            assert {name: args[name] for name in defaults} == {
+            assert {name: args[name] for name in names} == {
                 "rho": 2.0, "eps_abs": 1e-3, "eps_rel": 1e-2, "max_iter": 7
             }
