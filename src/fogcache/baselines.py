@@ -6,10 +6,10 @@ Two routes to the same optimum, deliberately different in mechanism:
   method with Armijo backtracking, standing in for a generic convex solver.
   It must land on the same optimum as the splitting solver, and returns the
   same :class:`~fogcache.admm.SolveResult`.  It takes far more iterations
-  than the splitting solver (2,734 against 91 at the defaults on the
-  reference scenario of the tests), though each projection is warm-started,
-  and on storage-limited instances it stops at its iteration cap a little
-  above the optimum.
+  than the splitting solver (2,734 against 21 at the defaults on the
+  reference scenario of the tests, or 91 from ``rho=1.0``), though each
+  projection is warm-started, and on storage-limited instances it stops at
+  its iteration cap a little above the optimum.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).

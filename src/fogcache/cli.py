@@ -5,7 +5,8 @@ documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
 
 ``solve`` and ``sweep`` share the solver flags ``--rho``, ``--eps-abs``,
-``--eps-rel`` and ``--max-iter``.  A flag left out takes the solver's own
+``--eps-rel`` and ``--max-iter``; one that no chosen solver reads (see
+``FLAG_READERS``) is a usage error.  A flag left out takes the solver's own
 default: :class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected
 gradient :class:`~fogcache.baselines.BaselineConfig`'s cap of 5000
 iterations, with ``--eps-abs`` (1e-6 for both solvers) as its tolerance.
@@ -46,6 +47,9 @@ SWEEP_SOLVERS = ("admm", "pgd", "heuristic", "csl-only")
 
 #: ``--eps-abs`` when left out, for both solvers.
 EPS_ABS = 1e-6
+#: The solvers that read each solver flag; the closed-form sweep rows read none.
+FLAG_READERS = {"rho": {"admm"}, "eps_abs": {"admm", "pgd"}, "eps_rel": {"admm"},
+                "max_iter": {"admm", "pgd"}}
 
 
 def _fmt(value):
@@ -204,6 +208,14 @@ def _given(**flags):
     return {name: value for name, value in flags.items() if value is not None}
 
 
+def _check_flags_are_read(names, args):
+    """Reject a solver flag given on the command line that none of ``names`` reads."""
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag) is not None and readers.isdisjoint(names):
+            option = "--" + flag.replace("_", "-")
+            raise ValueError(f"solver flag {option} is not read by {', '.join(names)}")
+
+
 def _solver(name, args):
     """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
     solver flags; a bad flag raises ``ValueError`` here, before any solve."""
@@ -226,6 +238,7 @@ def cmd_solve(args):
     from .admm import IterationRecord
     from .objective import overall_adt
 
+    _check_flags_are_read([args.solver], args)
     scenario = Scenario.load(args.scenario)
     start = time.perf_counter()
     result = _solver(args.solver, args)(scenario)
@@ -326,6 +339,7 @@ def cmd_sweep(args):
     for name in names:
         if name not in SWEEP_SOLVERS:
             raise ValueError(f"unknown solver {name!r}; expected a subset of {SWEEP_SOLVERS}")
+    _check_flags_are_read(names, args)
     with open(spec.base) as handle:
         base_data = json.load(handle)
     if not isinstance(base_data, dict):
@@ -368,7 +382,7 @@ def cmd_simulate(args):
     placement = _load_placement(args.placement)
     analytic = overall_adt(placement, scenario)
     config = SimConfig(seed=args.seed, n_arrivals=args.arrivals)
-    results = simulate_cluster(placement, scenario, config)
+    results = simulate_cluster(analytic.h_e, scenario.traffic, config)
 
     rows = [SIMULATE_HEADER]
     for station, sim in enumerate(results):

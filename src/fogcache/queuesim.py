@@ -4,7 +4,10 @@ Each base station is modelled as two independent M/M/1 queues: an edge queue
 receiving the cache-hit share of requests and a backhaul queue receiving the
 misses.  The simulator replays Lindley's recursion over exponential
 interarrival and service draws, so its mean sojourn times can be compared
-against the closed-form predictions.
+against the closed-form predictions.  Like the model, it sees a placement
+only through the hit ratio ``h``, so its entry points take ``h`` and a
+traffic profile: a solver result's ``echr``, or the ``h_e`` of
+:func:`~fogcache.objective.overall_adt`, which validates the placement.
 
 Reproducibility contract: all randomness flows from ``numpy``'s
 ``SeedSequence``.  A station's two queues draw from two children of
@@ -15,19 +18,11 @@ are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
 
 :func:`simulate_cluster` runs the stations on up to one thread per usable
-CPU, the calling thread among them, and puts each result in its station's
-slot, so the output is byte-identical for any CPU count.  The threads run
-side by side because every numpy call of the kernel releases the GIL.  Each
-queue is one call of :func:`mm1_sojourn_times`, which streams the queue
-through blocks of ``_BLOCK`` arrivals on the thread that runs its station.
-The interarrival uniforms come from a copy of the queue's generator and the
-service uniforms from the generator advanced past them, so the queue
-consumes exactly the draws of two whole-array calls.  Each block runs
-Lindley's waiting-time recursion in vectorized form, and the block's
-retained sojourn times are folded into a running count, mean and sum of
-squared deviations (the pairwise merge of Chan, Golub & LeVeque, 1983).
-No array of one entry per arrival is kept: each worker holds its own three
-float64 buffers of ``_BLOCK`` (32,768) entries, whatever the run length.
+CPU (every numpy call of the kernel releases the GIL) and puts each result
+in its station's slot, so the output is byte-identical for any CPU count.
+Each queue is one call of :func:`mm1_sojourn_times`, which streams it
+through blocks of ``_BLOCK`` arrivals of Lindley's recursion and keeps no
+array of one entry per arrival.
 
 The tests check three things about the kernel: it consumes the same draws
 as two whole-array calls; every sojourn time is within a stated rounding
@@ -46,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_count, validate_placement
-from .objective import _clamped_echr
+from .model import _check_count
 
 __all__ = [
     "SimConfig",
@@ -220,27 +214,23 @@ def simulate_mm1(lam, mu, config):
     return mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
 
 
-def simulate_station(placement, scenario, station, config):
-    """Simulate one base station's edge/backhaul pair under ``placement``.
+def simulate_station(h, traffic, station, config):
+    """Simulate one base station's edge/backhaul pair at hit ratio ``h``.
 
-    The cache hit ratio ``h`` splits the station's arrivals into an edge
-    stream of rate ``lam*h`` and a backhaul stream of rate ``lam*(1-h)``;
-    each stream feeds its own M/M/1 queue.  The reported mean download time
-    is ``h * mean_e + (1-h) * mean_b`` with the half-widths combined in
-    quadrature.  A side with zero traffic is skipped and reported as ``None``.
-    Raises ``ValueError`` on a placement that :func:`validate_placement`
-    rejects, or a ``station`` that is not an index of the scenario's stations.
+    ``h`` splits the station's arrivals into an edge stream of rate
+    ``lam*h`` and a backhaul stream of rate ``lam*(1-h)``; each stream feeds
+    its own M/M/1 queue.  The reported mean download time is ``h * mean_e +
+    (1-h) * mean_b`` with the half-widths combined in quadrature.  A side
+    with zero traffic is skipped and reported as ``None``.  Raises
+    ``ValueError`` unless ``h`` lies in [0, 1] and ``station`` is an index of
+    ``traffic``'s stations.
     """
-    validate_placement(placement, scenario.library, scenario.cluster)
-    traffic = scenario.traffic
+    h = float(h)
+    if not 0.0 <= h <= 1.0:
+        raise ValueError(f"hit ratio must lie in [0, 1], got {h}")
     _check_count("station", station, 0)
     if station >= traffic.station_count:
         raise ValueError(f"station index {station} out of range")
-    return _simulate_station(_clamped_echr(placement, scenario.library), traffic, station, config)
-
-
-def _simulate_station(h, traffic, station, config):
-    """:func:`simulate_station` at hit ratio ``h``, with no checks."""
     lam = float(traffic.lam[station])
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
     side_means, mean, halfwidths = [], 0.0, []
@@ -265,26 +255,20 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def simulate_cluster(placement, scenario, config):
-    """Run :func:`simulate_station` for every base station; the results come
-    in station order.
+def simulate_cluster(h, traffic, config):
+    """Run :func:`simulate_station` at hit ratio ``h`` for every base
+    station; the results come in station order.
 
-    The placement is validated and its hit ratio computed once for the
-    cluster, not once per station.  Stations run on ``min(station_count,
-    usable CPUs)`` threads, the calling thread among them; with one, no
-    thread starts.  Each worker holds its own three buffers of ``_BLOCK``
-    (32,768) floats.  A station's draws depend only on ``(config.seed,
-    station)`` and each result goes to its station's slot, so the output is
-    byte-identical for any CPU count.  An exception in a worker, or an
-    interrupt on the caller, stops every worker before its next station,
-    and the first one is raised once every thread has been joined.  Workers
-    are not stopped within a station, so after an interrupt the call
-    returns only when every other worker has finished its current station:
-    both of its queues at the full ``n_arrivals``.
+    Stations run on ``min(station_count, usable CPUs)`` threads, the calling
+    thread among them; with one, no thread starts.  A station's draws depend
+    only on ``(config.seed, station)`` and each result goes to its station's
+    slot, so the output is byte-identical for any CPU count.  An exception
+    in a worker (such as the ``ValueError`` of an invalid ``h``), or an
+    interrupt on the caller, stops every worker before its next station, and
+    the first one is raised once every thread has been joined.  Workers are
+    not stopped within a station, so after an interrupt the call returns
+    only when every other worker has finished its current station.
     """
-    validate_placement(placement, scenario.library, scenario.cluster)
-    h = _clamped_echr(placement, scenario.library)
-    traffic = scenario.traffic
     stations = range(traffic.station_count)
     workers = min(len(stations), _usable_cpus())
     results = [None] * len(stations)
@@ -300,7 +284,7 @@ def simulate_cluster(placement, scenario, config):
                     station = next(pending, None)
                 if station is None:
                     return
-                results[station] = _simulate_station(h, traffic, station, config)
+                results[station] = simulate_station(h, traffic, station, config)
         except BaseException as exc:  # re-raised on the caller below
             failures.append(exc)
             stop.set()

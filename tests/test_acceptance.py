@@ -316,8 +316,9 @@ def test_criterion_9_simulator_reproduces_the_analytic_means():
 
     reference = make_scenario()
     placement = heuristic_solve(reference).placement
-    analytic_per_station = overall_adt(placement, reference).per_station
-    results = simulate_cluster(placement, reference, SimConfig(seed=3, n_arrivals=10**6))
+    report = overall_adt(placement, reference)
+    analytic_per_station = report.per_station
+    results = simulate_cluster(report.h_e, reference.traffic, SimConfig(seed=3, n_arrivals=10**6))
     worst_station = max(
         abs(result.mean_adt - analytic) / analytic
         for result, analytic in zip(results, analytic_per_station)

@@ -5,6 +5,7 @@ codes, file outputs, and stdout.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,28 @@ class TestSolveCommand:
         path.write_text("{not json")
         assert main(["solve", "--scenario", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--rho", "0", "--eps-rel", "-5"], "--rho"), (["--eps-rel", "1e-3"], "--eps-rel")],
+    )
+    def test_a_flag_pgd_does_not_read_exits_two(
+        self, tmp_path, scenario_file, capsys, monkeypatch, flags, named
+    ):
+        from fogcache import baselines
+
+        def no_solve(*args):
+            raise AssertionError("solved despite a flag the solver does not read")
+
+        monkeypatch.setattr(baselines, "projected_gradient_solve", no_solve)
+        out = tmp_path / "run"
+        code = main(
+            ["solve", "--scenario", str(scenario_file), "--solver", "pgd", *flags,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert f"solver flag {named} is not read by pgd" in capsys.readouterr().err
+
     def test_unknown_solver_is_an_argparse_error(self, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--scenario", str(scenario_file), "--solver", "simplex"])
@@ -320,16 +343,27 @@ class TestSweepCommand:
         assert not out.exists()
         assert "empty solver list" in capsys.readouterr().err
 
-    def test_flags_of_unlisted_solvers_are_not_checked(self, tmp_path, scenario_file):
+    @pytest.mark.parametrize(
+        "solvers,flags,named",
+        [
+            ("heuristic", ["--rho", "-1", "--max-iter", "0"], "--rho"),
+            ("heuristic,csl-only", ["--eps-abs", "1e-3"], "--eps-abs"),
+            ("pgd,heuristic", ["--max-iter", "3", "--eps-rel", "1e-3"], "--eps-rel"),
+        ],
+    )
+    def test_a_flag_no_listed_solver_reads_exits_two_before_any_point(
+        self, tmp_path, scenario_file, capsys, solvers, flags, named
+    ):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--scenario", str(sweep), "--solver", "heuristic", "--rho", "0",
-             "--out", str(out)]
+            ["sweep", "--scenario", str(sweep), "--solver", solvers, *flags, "--out", str(out)]
         )
-        assert code == 0
-        _, rows = _read_csv(out)
-        assert [row[1] for row in rows] == ["heuristic"]
+        assert code == 2
+        assert not out.exists()
+        assert f"solver flag {named} is not read by {solvers.replace(',', ', ')}" in (
+            capsys.readouterr().err
+        )
 
     def test_bad_flag_of_a_listed_solver_exits_two_before_any_point(
         self, tmp_path, scenario_file, capsys
@@ -353,6 +387,7 @@ class TestSweepCommand:
                 "--scenario", str(sweep),
                 "--solver", "admm,pgd",
                 "--max-iter", "3",
+                "--rho", "1",  # read by ADMM alone
                 "--out", str(out),
             ]
         )
@@ -616,13 +651,46 @@ class TestSimulateCommand:
         )
         assert code == 2
 
-    def test_mismatched_placement_exits_two(self, tmp_path, scenario_file):
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            ([[0.5, 0.5]], "does not match"),
+            (np.full((3, 20), 1 / 3).tolist(), "node 1: storage use .* exceeds capacity 2"),
+        ],
+    )
+    def test_mismatched_placement_exits_two(
+        self, tmp_path, scenario_file, capsys, matrix, message
+    ):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"matrix": [[0.5, 0.5]]}))
+        bad.write_text(json.dumps({"matrix": matrix}))
         code = main(
             ["simulate", "--scenario", str(scenario_file), "--placement", str(bad)]
         )
         assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_one_run_validates_the_placement_once(
+        self, tmp_path, scenario_file, placement_file, monkeypatch
+    ):
+        import fogcache.objective
+        import fogcache.queuesim
+
+        calls = []
+        real_validate = model.validate_placement
+
+        def counting_validate(*args):
+            calls.append(args)
+            return real_validate(*args)
+
+        for module in (model, fogcache.objective, fogcache.queuesim):
+            if getattr(module, "validate_placement", None) is real_validate:
+                monkeypatch.setattr(module, "validate_placement", counting_validate)
+        code = main(
+            ["simulate", "--scenario", str(scenario_file), "--placement", str(placement_file),
+             "--arrivals", "1000", "--out", str(tmp_path / "sim.csv")]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
 
 def test_unequal_sizes_run_every_command(tmp_path):

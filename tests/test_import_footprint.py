@@ -69,6 +69,10 @@ def test_the_cli_imports_only_the_model(tmp_path):
     assert _loaded("import fogcache.cli", tmp_path) == {"fogcache", "cli", "errors", "model"}
 
 
+def test_the_simulator_imports_only_the_model(tmp_path):
+    assert _loaded("import fogcache.queuesim", tmp_path) == {"fogcache", "queuesim", "model"}
+
+
 COMMANDS = {
     "heuristic": (
         ["heuristic", "--scenario", "scenario.json"],

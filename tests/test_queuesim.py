@@ -183,38 +183,36 @@ class TestSimulateStation:
     def test_matches_the_analytic_mixture(self):
         scenario, placement = self._optimal_setup()
         config = SimConfig(seed=3, n_arrivals=150_000)
-        result = simulate_station(placement, scenario, 0, config)
-        analytic = overall_adt(placement, scenario).per_station[0]
+        report = overall_adt(placement, scenario)
+        result = simulate_station(report.h_e, scenario.traffic, 0, config)
+        analytic = report.per_station[0]
         assert abs(result.mean_adt - analytic) / analytic < 0.02
 
     def test_mixture_identities(self):
         scenario, placement = self._optimal_setup()
-        result = simulate_station(placement, scenario, 1, SimConfig(seed=9, n_arrivals=30_000))
         h = echr(placement, scenario.library)
+        result = simulate_station(h, scenario.traffic, 1, SimConfig(seed=9, n_arrivals=30_000))
         assert result.mean_adt == h * result.mean_sojourn_e + (1.0 - h) * result.mean_sojourn_b
 
     def test_empty_cache_runs_only_the_backhaul_queue(self):
         scenario = make_scenario()
-        placement = Placement(np.zeros((3, 20)))
-        result = simulate_station(placement, scenario, 0, SimConfig(seed=4, n_arrivals=50_000))
+        result = simulate_station(0.0, scenario.traffic, 0, SimConfig(seed=4, n_arrivals=50_000))
         assert result.mean_sojourn_e is None
         assert result.mean_adt == result.mean_sojourn_b
         # All misses: the station is a plain M/M/1 at the backhaul rate.
         assert abs(result.mean_adt - 0.5) / 0.5 < 0.05
 
     def test_full_cache_runs_only_the_edge_queue(self):
-        # One content makes the popularity total exactly 1.0, so a full
-        # cache reaches h == 1 bit-exactly and the miss queue is skipped.
-        scenario = make_scenario(count=1, capacities=(3.0, 3.0, 3.0))
-        placement = Placement(np.array([[1.0], [0.0], [0.0]]))
-        result = simulate_station(placement, scenario, 0, SimConfig(seed=4, n_arrivals=50_000))
+        # At h == 1 the miss queue receives no traffic and is skipped.
+        scenario = make_scenario()
+        result = simulate_station(1.0, scenario.traffic, 0, SimConfig(seed=4, n_arrivals=50_000))
         assert result.mean_sojourn_b is None
         assert abs(result.mean_adt - 0.25) / 0.25 < 0.05
 
     def test_rejects_out_of_range_station(self):
-        scenario, placement = self._optimal_setup()
+        scenario = make_scenario()
         with pytest.raises(ValueError, match="out of range"):
-            simulate_station(placement, scenario, 3, SimConfig())
+            simulate_station(0.5, scenario.traffic, 3, SimConfig())
 
     @pytest.mark.parametrize(
         "station,message",
@@ -225,9 +223,9 @@ class TestSimulateStation:
         ],
     )
     def test_rejects_a_station_that_is_not_an_index(self, station, message):
-        scenario, placement = self._optimal_setup()
+        scenario = make_scenario()
         with pytest.raises(ValueError, match=message):
-            simulate_station(placement, scenario, station, SimConfig(n_arrivals=1000))
+            simulate_station(0.5, scenario.traffic, station, SimConfig(n_arrivals=1000))
 
     @pytest.mark.parametrize(
         "matrix,message",
@@ -236,15 +234,22 @@ class TestSimulateStation:
             (np.full((3, 20), 1 / 3), "node 1: storage use .* exceeds capacity 2"),
         ],
     )
-    def test_rejects_a_placement_that_overall_adt_rejects(self, matrix, message, monkeypatch):
-        scenario = make_scenario()
-        placement = Placement(matrix)
+    def test_rejects_a_placement_that_overall_adt_rejects(self, matrix, message):
+        # A placement reaches the simulator as the hit ratio of its
+        # overall_adt report, which validates it first.
         with pytest.raises(ValueError, match=message):
-            overall_adt(placement, scenario)
+            overall_adt(Placement(matrix), make_scenario())
+
+    @pytest.mark.parametrize("h", [-1e-12, 1.0 + 2**-52, math.nan, math.inf])
+    def test_rejects_a_hit_ratio_outside_the_unit_interval(self, h, monkeypatch):
+        traffic = make_scenario().traffic
+        config = SimConfig(n_arrivals=1000)
+        with pytest.raises(ValueError, match=r"hit ratio must lie in \[0, 1\]"):
+            simulate_station(h, traffic, 0, config)
         # With several CPUs a worker's error reaches the caller.
         _force_cpus(monkeypatch, 8)
-        with pytest.raises(ValueError, match=message):
-            simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
+        with pytest.raises(ValueError, match=r"hit ratio must lie in \[0, 1\]"):
+            simulate_cluster(h, traffic, config)
 
 
 class TestSimulateCluster:
@@ -252,12 +257,12 @@ class TestSimulateCluster:
     def test_one_result_per_station_matching_single_runs(self, cpus, monkeypatch):
         _force_cpus(monkeypatch, cpus)
         scenario = make_scenario()
-        placement = heuristic_solve(scenario).placement
+        h = echr(heuristic_solve(scenario).placement, scenario.library)
         config = SimConfig(seed=11, n_arrivals=20_000)
-        results = simulate_cluster(placement, scenario, config)
+        results = simulate_cluster(h, scenario.traffic, config)
         assert len(results) == 3
         for station, result in enumerate(results):
-            assert result == simulate_station(placement, scenario, station, config)
+            assert result == simulate_station(h, scenario.traffic, station, config)
 
     @pytest.mark.parametrize(
         "failing,failure",
@@ -268,11 +273,11 @@ class TestSimulateCluster:
     ):
         _force_cpus(monkeypatch, 2)
         scenario = make_scenario(capacities=(2.0,) * 8)
-        placement = heuristic_solve(scenario).placement
+        h = echr(heuristic_solve(scenario).placement, scenario.library)
         caller = threading.get_ident()
         failed = threading.Event()
         started = []  # (side, station) in the order stations start
-        real_station = queuesim._simulate_station
+        real_station = queuesim.simulate_station
 
         def failing_station(h, traffic, station, config):
             side = "caller" if threading.get_ident() == caller else "worker"
@@ -285,37 +290,21 @@ class TestSimulateCluster:
             assert failed.wait(10)
             return real_station(h, traffic, station, config)
 
-        monkeypatch.setattr(queuesim, "_simulate_station", failing_station)
+        monkeypatch.setattr(queuesim, "simulate_station", failing_station)
         threads_before = threading.active_count()
         with pytest.raises(type(failure)) as raised:
-            simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
+            simulate_cluster(h, scenario.traffic, SimConfig(n_arrivals=1000))
         assert raised.value is failure
         assert threading.active_count() == threads_before
         # Neither side starts a station after the failure.
         sides = [side for side, _ in started]
         assert sides.count(failing) == 1 and len(sides) <= 2
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_placement_is_validated_once_per_cluster(self, cpus, monkeypatch):
-        _force_cpus(monkeypatch, cpus)
-        scenario = make_scenario(capacities=(2.0,) * 8)
-        placement = heuristic_solve(scenario).placement
-        calls = []
-        real_validate = queuesim.validate_placement
-
-        def counting_validate(*args):
-            calls.append(args)
-            return real_validate(*args)
-
-        monkeypatch.setattr(queuesim, "validate_placement", counting_validate)
-        simulate_cluster(placement, scenario, SimConfig(n_arrivals=1000))
-        assert len(calls) == 1
-
     def test_stations_use_independent_streams(self):
         # Identical stations must still see different sample paths.
         scenario = make_scenario()
-        placement = heuristic_solve(scenario).placement
-        results = simulate_cluster(placement, scenario, SimConfig(seed=11, n_arrivals=20_000))
+        h = echr(heuristic_solve(scenario).placement, scenario.library)
+        results = simulate_cluster(h, scenario.traffic, SimConfig(seed=11, n_arrivals=20_000))
         assert results[0].mean_adt != results[1].mean_adt
 
     def test_near_empty_backhaul_queue_sojourn_is_its_service_time(self):
@@ -325,18 +314,17 @@ class TestSimulateCluster:
         # over absolute arrival times (about 4.5e20 at the end of this run)
         # loses every digit of the services here.
         scenario = make_scenario(mu_e=100.0, capacities=(10.0, 10.0, 10.0))
-        placement = heuristic_solve(scenario).placement
-        assert echr(placement, scenario.library) == 0.9999999999999999
-        results = simulate_cluster(placement, scenario, SimConfig(seed=0, n_arrivals=200_000))
+        h = echr(heuristic_solve(scenario).placement, scenario.library)
+        assert h == 0.9999999999999999
+        results = simulate_cluster(h, scenario.traffic, SimConfig(seed=0, n_arrivals=200_000))
         for result in results:
             assert abs(result.mean_sojourn_b - 1 / 6) < 0.02 / 6
 
     def test_estimates_track_the_analytic_curve(self):
         scenario = make_scenario()
-        placement = heuristic_solve(scenario).placement
-        h = echr(placement, scenario.library)
+        h = echr(heuristic_solve(scenario).placement, scenario.library)
         analytic = float(adt_curve(h, scenario.traffic))
-        results = simulate_cluster(placement, scenario, SimConfig(seed=21, n_arrivals=100_000))
+        results = simulate_cluster(h, scenario.traffic, SimConfig(seed=21, n_arrivals=100_000))
         for result in results:
             assert abs(result.mean_adt - analytic) / analytic < 0.02
 
@@ -446,9 +434,7 @@ def _oracle_block_merge(sojourn, warmup):
     return mean, 1.96 * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def _oracle_station(placement, scenario, station, config):
-    traffic = scenario.traffic
-    h = min(max(echr(placement, scenario.library), 0.0), 1.0)
+def _oracle_station(h, traffic, station, config):
     lam = float(traffic.lam[station])
     mu_e = float(traffic.mu_e[station])
     mu_b = float(traffic.mu_b[station])
@@ -478,14 +464,14 @@ _BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 _RATES = ((0.999, 1.0), (1e-3, 10.0), (4.0, 8.0))
 
 
-def _placements():
-    """``(scenario, placement)`` with ``h`` at 0, interior and 1."""
+def _hit_ratios():
+    """``(traffic, h)`` with ``h`` at 0, interior and 1."""
     scenario = make_scenario()
-    full = make_scenario(count=1, capacities=(3.0, 3.0, 3.0))
+    interior = echr(heuristic_solve(scenario).placement, scenario.library)
     return {
-        "empty": (scenario, Placement(np.zeros((3, 20)))),
-        "interior": (scenario, heuristic_solve(scenario).placement),
-        "full": (full, Placement(np.array([[1.0], [0.0], [0.0]]))),
+        "empty": (scenario.traffic, 0.0),
+        "interior": (scenario.traffic, interior),
+        "full": (scenario.traffic, 1.0),
     }
 
 
@@ -546,14 +532,14 @@ class TestBlockedKernelAccuracy:
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
     def test_station_and_cluster_results_match_the_oracle(self, which, cpus, monkeypatch):
         _force_cpus(monkeypatch, cpus)
-        scenario, placement = _placements()[which]
+        traffic, h = _hit_ratios()[which]
         config = SimConfig(seed=17, n_arrivals=3 * _BLOCK + 7)
         expected = [
-            _oracle_station(placement, scenario, station, config)
-            for station in range(scenario.traffic.station_count)
+            _oracle_station(h, traffic, station, config)
+            for station in range(traffic.station_count)
         ]
-        assert simulate_station(placement, scenario, 1, config) == expected[1]
-        assert simulate_cluster(placement, scenario, config) == expected
+        assert simulate_station(h, traffic, 1, config) == expected[1]
+        assert simulate_cluster(h, traffic, config) == expected
 
 
 def _station_peak_bytes(n_arrivals):
@@ -562,12 +548,12 @@ def _station_peak_bytes(n_arrivals):
     A short untraced call first pays the process's one-time costs (the
     first deep copy of a Generator imports ``numpy.random._pickle``, about
     0.7 MiB), so the peak is the call's own working memory."""
-    scenario, placement = _placements()["interior"]
-    simulate_station(placement, scenario, 0, SimConfig(n_arrivals=1))
+    traffic, h = _hit_ratios()["interior"]
+    simulate_station(h, traffic, 0, SimConfig(n_arrivals=1))
     config = SimConfig(seed=0, n_arrivals=n_arrivals)
     tracemalloc.start()
     try:
-        simulate_station(placement, scenario, 0, config)
+        simulate_station(h, traffic, 0, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
