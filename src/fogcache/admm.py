@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import increasing_root
-from .model import Placement, _check_count
+from .model import Placement, _check_count, _check_positive
 from .objective import _clamped_echr, _curvature_at, _feasible_adt, _slope_at, stable_echr_interval
 
 __all__ = [
@@ -49,27 +49,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Solver knobs.
+    """Solver knobs: ``eps_abs``/``eps_rel`` enter the standard residual
+    stopping rules, and ``max_iter`` caps the iterations.
 
-    ``rho`` is the initial augmented-Lagrangian weight; :func:`solve` then
-    adapts it by residual balancing.  ``None``, the default, starts from
-    the scenario's own scale, ``|D'(0)| * ||popularity||**2``
-    (:func:`solve` says why).  On the reference scenario of the tests the
-    default takes 21 iterations, 1.0 takes 91 and 0.02 takes 19; initial
-    values from 1e-3 to 100 all converge.  ``eps_abs``/``eps_rel`` enter
-    the standard residual stopping rules.
+    The augmented-Lagrangian weight is not a knob: :func:`solve` works it
+    out from the scenario and adapts it by residual balancing.  On the
+    reference scenario of the tests the defaults take 21 iterations.
     """
 
-    rho: float | None = None
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not (self.eps_abs > 0 and self.eps_rel > 0):
-            raise ValueError("tolerances must be positive")
+        _check_positive("eps_abs", self.eps_abs)
+        _check_positive("eps_rel", self.eps_rel)
         _check_count("max_iter", self.max_iter, 1)
 
 
@@ -316,8 +310,7 @@ def p_update(z, theta, scenario, rho):
     stability check.  ``z``, ``theta`` and the result are (N, F) matrices;
     any other shape raises ``ValueError``.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive("rho", rho)
     z = np.asarray(z, dtype=float)
     theta = np.asarray(theta, dtype=float)
     popularity = scenario.library.popularity
@@ -354,28 +347,29 @@ def solve(scenario, config=None):
         ||p - z||        <=  sqrt(N*F) * eps_abs + eps_rel * max(||p||, ||z||)
         rho ||z - z_old||  <=  sqrt(N*F) * eps_abs + eps_rel * rho * ||theta||
 
-    ``rho`` starts at ``config.rho`` or, when that is ``None``, at
-    ``|D'(0)| * ||popularity||**2``, which is ``|D'(0)| ||c||^2 / N``.  The
-    p-update moves every entry by ``(D'(h) / rho) * popularity``, so at that
-    start a step at the initial slope ``D'(0)`` shifts each node's hit share
-    by one, the width of its feasible range; unlike a fixed number, the
-    start scales with the unit of time as ``D`` does.  Every station's
-    ``d'(0) = 1/mu_e - mu_b/(mu_b - lam)**2`` is negative under
-    ``lam < mu_b < mu_e``, so the start is finite and positive.  It reads
-    only the scenario, never the exact optimum, so the iteration stays an
-    independent check.  After an unconverged iteration, when one residual,
-    relative to its threshold, exceeds the other tenfold, ``rho`` is doubled
-    (primal ahead) or halved (dual ahead) and ``theta`` rescaled inversely,
-    keeping ``rho * theta`` and the dual threshold: the relative residual
-    balancing of Wohlberg 2017.  Balancing raw residuals (Boyd et al. 2011,
-    section 3.4.1) ignores that the dual threshold binds.
+    ``rho`` starts at ``|D'(0)| * ||popularity||**2``, which is
+    ``|D'(0)| ||c||^2 / N``; no setting overrides it.  The p-update moves
+    every entry by ``(D'(h) / rho) * popularity``, so at that start a step
+    at the initial slope ``D'(0)`` shifts each node's hit share by one, the
+    width of its feasible range; unlike a fixed number, the start scales
+    with the unit of time as ``D`` does.  Every station's ``d'(0) = 1/mu_e
+    - mu_b/(mu_b - lam)**2`` is negative under ``lam < mu_b < mu_e``, so
+    the start is finite and positive.  It reads only the scenario, never
+    the exact optimum, so the iteration stays an independent check.  After
+    an unconverged iteration, when one residual, relative to its threshold,
+    exceeds the other tenfold, ``rho`` is doubled (primal ahead) or halved
+    (dual ahead) and ``theta`` rescaled inversely, keeping ``rho * theta``
+    and the dual threshold: the relative residual balancing of Wohlberg
+    2017.  Balancing raw residuals (Boyd et al. 2011, section 3.4.1)
+    ignores that the dual threshold binds.
 
     Returns a :class:`SolveResult` whose placement is the feasible iterate
     ``z`` (``p`` may sit tolerance-level outside the constraints; downstream
     consumers need feasibility, so ``z`` is the one handed back — recorded
     choice).  If the iteration cap is reached, the best-objective iterate
-    seen is returned flagged ``converged=False``.  The trace records, per
-    iteration, the objective of the feasible iterate and both residuals.
+    seen is returned flagged ``converged=False``.  Either way
+    ``iterations`` counts the iterations run, one per trace record, which
+    holds the objective of the feasible iterate and both residuals.
     """
     config = AdmmConfig() if config is None else config
     library, cluster = scenario.library, scenario.cluster
@@ -387,12 +381,10 @@ def solve(scenario, config=None):
     scale = np.sqrt(n * f)
 
     trace = []
-    best_objective, best_z, best_k = np.inf, z, 0
+    best_objective, best_z = np.inf, z
     converged = False
-    rho = config.rho
-    if rho is None:
-        popularity = library.popularity
-        rho = abs(float(_slope_at(0.0, scenario.traffic))) * float(popularity @ popularity)
+    popularity = library.popularity
+    rho = abs(float(_slope_at(0.0, scenario.traffic))) * float(popularity @ popularity)
     duals = np.zeros(n)
     for k in range(1, config.max_iter + 1):
         p = p_update(z, theta, scenario, rho)
@@ -404,7 +396,7 @@ def solve(scenario, config=None):
         objective = _feasible_adt(z, scenario)
         trace.append(IterationRecord(k, objective, primal, dual))
         if objective < best_objective:
-            best_objective, best_z, best_k = objective, z, k
+            best_objective, best_z = objective, z
         eps_primal = scale * config.eps_abs + config.eps_rel * max(
             np.linalg.norm(p), np.linalg.norm(z)
         )
@@ -418,8 +410,8 @@ def solve(scenario, config=None):
             rho, theta = rho / _RHO_FACTOR, theta * _RHO_FACTOR
 
     if not converged and best_z is not z:
-        z, objective, k = best_z, best_objective, best_k
+        z, objective = best_z, best_objective
     return SolveResult(
         placement=Placement(z), echr=_clamped_echr(z, library), adt=objective,
-        iterations=k, converged=converged, trace=trace,
+        iterations=len(trace), converged=converged, trace=trace,
     )

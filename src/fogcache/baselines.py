@@ -7,9 +7,9 @@ Two routes to the same optimum, deliberately different in mechanism:
   It must land on the same optimum as the splitting solver, and returns the
   same :class:`~fogcache.admm.SolveResult`.  It takes far more iterations
   than the splitting solver (2,734 against 21 at the defaults on the
-  reference scenario of the tests, or 91 from ``rho=1.0``), though each
-  projection is warm-started, and on storage-limited instances it stops at
-  its iteration cap a little above the optimum.
+  reference scenario of the tests), though each projection is warm-started,
+  and on storage-limited instances it stops at its iteration cap a little
+  above the optimum.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
@@ -23,7 +23,7 @@ import numpy as np
 
 from .admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
 from .heuristic import echr_csl
-from .model import Placement, _check_count
+from .model import Placement, _check_count, _check_positive
 from .objective import _clamped_echr, _feasible_adt, adt_curve, adt_slope
 
 __all__ = [
@@ -53,8 +53,7 @@ class BaselineConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _check_positive("tol", self.tol)
         _check_count("max_iter", self.max_iter, 1)
 
 
@@ -118,8 +117,7 @@ def grid_bruteforce(scenario, resolution):
     objective.
     """
     resolution = float(resolution)
-    if not 0 < resolution < np.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    _check_positive("resolution", resolution)
     cap = echr_csl(scenario.library, scenario.cluster)
     count = int(np.floor(cap / resolution + 1e-12))
     grid = np.arange(count + 1) * resolution

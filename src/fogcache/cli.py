@@ -4,12 +4,13 @@ Everything the commands emit is machine-readable (JSON or CSV) with fixed,
 documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
 
-``solve`` and ``sweep`` share the solver flags ``--rho``, ``--eps-abs``,
-``--eps-rel`` and ``--max-iter``; one that no chosen solver reads (see
-``FLAG_READERS``) is a usage error.  A flag left out takes the solver's own
-default: :class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected
-gradient :class:`~fogcache.baselines.BaselineConfig`'s cap of 5000
-iterations, with ``--eps-abs`` (1e-6 for both solvers) as its tolerance.
+``solve`` and ``sweep`` share the solver flags ``--eps-abs``, ``--eps-rel``
+and ``--max-iter``; one that no chosen solver reads (see ``FLAG_READERS``)
+is a usage error.  A flag left out takes the solver's own default:
+:class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected gradient
+:class:`~fogcache.baselines.BaselineConfig`'s cap of 5000 iterations, with
+``--eps-abs`` (1e-6 for both solvers) as its tolerance.  ADMM's penalty is
+worked out from the scenario, so no flag sets it.
 Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
 imports the solver modules it calls; a run compiles no module it does not
 use.
@@ -48,8 +49,7 @@ SWEEP_SOLVERS = ("admm", "pgd", "heuristic", "csl-only")
 #: ``--eps-abs`` when left out, for both solvers.
 EPS_ABS = 1e-6
 #: The solvers that read each solver flag; the closed-form sweep rows read none.
-FLAG_READERS = {"rho": {"admm"}, "eps_abs": {"admm", "pgd"}, "eps_rel": {"admm"},
-                "max_iter": {"admm", "pgd"}}
+FLAG_READERS = {"eps_abs": {"admm", "pgd"}, "eps_rel": {"admm"}, "max_iter": {"admm", "pgd"}}
 
 
 def _fmt(value):
@@ -223,9 +223,7 @@ def _solver(name, args):
     if name == "admm":
         from .admm import AdmmConfig, solve
 
-        config = AdmmConfig(
-            eps_abs=eps_abs, **_given(rho=args.rho, eps_rel=args.eps_rel, max_iter=args.max_iter)
-        )
+        config = AdmmConfig(eps_abs=eps_abs, **_given(eps_rel=args.eps_rel, max_iter=args.max_iter))
         return lambda scenario: solve(scenario, config)
     from .baselines import BaselineConfig, projected_gradient_solve
 
@@ -414,19 +412,18 @@ def _build_parser():
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument(
-        "--rho",
-        type=float,
-        help="initial consensus penalty (default: |D'(0)| * ||popularity||^2, "
-        "scaled to the scenario)",
-    )
-    solver_flags.add_argument(
         "--eps-abs",
         type=float,
         help=f"absolute tolerance (pgd: mapping tolerance; default {EPS_ABS:g})",
     )
-    solver_flags.add_argument("--eps-rel", type=float, help="relative tolerance")
     solver_flags.add_argument(
-        "--max-iter", type=int, help="iteration cap (default: admm 1000, pgd 5000)"
+        "--eps-rel", type=float, help="relative tolerance (admm only; default 1e-4)"
+    )
+    solver_flags.add_argument(
+        "--max-iter",
+        type=int,
+        help="iteration cap (default: admm 1000, pgd 5000); a run that reaches it "
+        "returns admm's best or pgd's last iterate, unconverged",
     )
 
     solve_parser = commands.add_parser(

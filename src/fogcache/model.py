@@ -96,6 +96,13 @@ def _check_count(name, value, least):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_positive(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and
+    finite (not NaN)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def zipf_popularity(count, exponent):
     """Zipf request popularity over ranks ``1..count``.
 
@@ -110,11 +117,10 @@ def zipf_popularity(count, exponent):
     exponent : float
         Skew of the distribution; 0 gives a uniform popularity.
     """
-    if count < 1:
-        raise ValueError("content count must be at least 1")
+    _check_count("count", count, 1)
     if exponent < 0:
         raise ValueError("Zipf exponent must be nonnegative")
-    ranks = np.arange(1, int(count) + 1, dtype=float)
+    ranks = np.arange(1, count + 1, dtype=float)
     weights = ranks ** -float(exponent)
     return weights / weights.sum()
 

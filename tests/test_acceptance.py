@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fogcache import (
-    AdmmConfig,
     SimConfig,
     adt_curvature,
     adt_curve,
@@ -41,9 +40,6 @@ from conftest import (
     random_projection_instance,
     random_scenario,
 )
-
-FAST = AdmmConfig(rho=0.02)
-
 
 def _report(number, ok, detail):
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'} — {detail}")
@@ -84,7 +80,7 @@ def test_criterion_1_three_solvers_agree_on_the_optimum(pgd_reference):
 def test_criterion_2_splitting_converges_faster_than_gradient(pgd_reference):
     pgd, pgd_wall = pgd_reference
     start = time.perf_counter()
-    admm = solve(make_scenario(), FAST)
+    admm = solve(make_scenario())
     elapsed = time.perf_counter() - start + pgd_wall
 
     rel_gap_at_5 = (admm.trace[4].objective - admm.adt) / admm.adt
@@ -102,7 +98,7 @@ def test_criterion_2_splitting_converges_faster_than_gradient(pgd_reference):
     _report(
         2,
         ok,
-        f"objective within {rel_gap_at_5:.1e} of optimum by iteration 5 (rho=0.02); "
+        f"objective within {rel_gap_at_5:.1e} of optimum by iteration 5; "
         f"iterations to gap {thresholds}: admm {ks_admm} vs pgd {ks_pgd}; {elapsed:.1f}s",
     )
 
@@ -147,7 +143,7 @@ def test_criterion_4_heuristic_is_near_optimal_on_random_scenarios():
     for _ in range(10):
         scenario = random_scenario(rng)
         heuristic_adt = overall_adt(heuristic_solve(scenario).placement, scenario).overall
-        worst_vs_admm = max(worst_vs_admm, heuristic_adt / solve(scenario, FAST).adt)
+        worst_vs_admm = max(worst_vs_admm, heuristic_adt / solve(scenario).adt)
     elapsed = time.perf_counter() - start
 
     ok = worst_vs_grid <= 1.02 and worst_vs_admm <= 1.02 and elapsed < 60.0

@@ -1,5 +1,6 @@
 """Tests for the splitting solver and the feasible-set projection."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from fogcache import (
     FogCluster,
     adt_slope,
     echr,
-    grid_bruteforce,
     heuristic_solve,
     overall_adt,
     solve,
@@ -19,6 +19,7 @@ from fogcache import (
 from fogcache import admm
 from fogcache.admm import ConstraintSystem, p_update, project_feasible
 from fogcache.model import validate_placement
+from fogcache.objective import _feasible_adt
 
 from oracle import qp_projection_oracle
 
@@ -32,29 +33,26 @@ from conftest import (
     random_scenario,
 )
 
-FAST = AdmmConfig(rho=0.02)
-
 
 class TestAdmmConfig:
     def test_defaults(self):
-        config = AdmmConfig()
-        assert config.rho is None
-        assert config.eps_abs == 1e-6
-        assert config.eps_rel == 1e-4
-        assert config.max_iter == 1000
+        # The penalty is worked out by ``solve``, never set.
+        assert AdmmConfig() == AdmmConfig(eps_abs=1e-6, eps_rel=1e-4, max_iter=1000)
+        assert [field.name for field in dataclasses.fields(AdmmConfig)] == [
+            "eps_abs", "eps_rel", "max_iter"
+        ]
+        with pytest.raises(TypeError):
+            AdmmConfig(rho=1.0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rho": 0.0},
-            {"rho": -1.0},
-            {"eps_abs": -1e-9},
-            {"max_iter": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            AdmmConfig(**kwargs)
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_tolerances_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            AdmmConfig(**{name: value})
+
+    def test_rejects_a_zero_iteration_cap(self):
+        with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+            AdmmConfig(max_iter=0)
 
     @pytest.mark.parametrize("value", [2.5, True])
     def test_non_integer_max_iter_is_named(self, value):
@@ -323,9 +321,12 @@ class TestPUpdate:
         p = p_update(z, np.zeros((3, 20)), reference_scenario, 1e8)
         np.testing.assert_allclose(p, z, atol=1e-6)
 
-    def test_rejects_bad_rho_and_shape(self, reference_scenario):
-        with pytest.raises(ValueError):
-            p_update(np.zeros((3, 20)), np.zeros((3, 20)), reference_scenario, 0.0)
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rho_must_be_positive_and_finite(self, reference_scenario, rho):
+        with pytest.raises(ValueError, match=f"^rho must be positive and finite, got {rho}$"):
+            p_update(np.zeros((3, 20)), np.zeros((3, 20)), reference_scenario, rho)
+
+    def test_rejects_a_bad_shape(self, reference_scenario):
         with pytest.raises(ValueError):
             p_update(np.zeros((3, 19)), np.zeros((3, 19)), reference_scenario, 1.0)
         with pytest.raises(ValueError, match=r"\(3, 20\)"):
@@ -334,24 +335,27 @@ class TestPUpdate:
 
 class TestSolve:
     def test_reference_scenario_reaches_the_optimum(self, reference_scenario):
-        result = solve(reference_scenario, FAST)
+        result = solve(reference_scenario)
         assert result.converged
         assert result.adt == pytest.approx(ADT_OPT, abs=1e-9)
         assert result.echr == pytest.approx(H_CPL, abs=1e-5)
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
 
-    @pytest.mark.parametrize("rho, iterations", [(1.0, 91), (0.02, 19), (None, 21)])
-    def test_iteration_counts_are_pinned(self, reference_scenario, rho, iterations):
-        # Residual balancing moves rho from its initial value; these counts
-        # pin the iterates of that policy on the reference scenario.
-        assert solve(reference_scenario, AdmmConfig(rho=rho)).iterations == iterations
+    def test_iteration_count_is_pinned(self, reference_scenario):
+        # Residual balancing moves rho from the scaled start; the count pins
+        # the iterates of that policy on the reference scenario.
+        assert solve(reference_scenario).iterations == 21
 
-    @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
-    def test_converges_from_any_initial_rho(self, reference_scenario, rho):
-        _, grid_adt = grid_bruteforce(reference_scenario, 1e-5)
-        result = solve(reference_scenario, AdmmConfig(rho=rho))
+    @pytest.mark.parametrize("digits", range(1, 10))
+    def test_converges_as_the_start_grows_toward_saturation(self, digits):
+        # lam = mu_b (1 - 10**-digits) moves the scaled start from about 1
+        # to about 1e16; balancing brings every start down (15 to 70
+        # iterations).
+        scenario = make_scenario(lam=6.0 * (1.0 - 10.0**-digits))
+        exact = overall_adt(heuristic_solve(scenario).placement, scenario).overall
+        result = solve(scenario)
         assert result.converged
-        assert result.adt == pytest.approx(grid_adt, abs=1e-8)
+        assert result.adt == pytest.approx(exact, rel=1e-8)
 
     def test_two_hundred_contents_converge_at_defaults(self):
         # Held fixed at 1.0, rho needs over 1000 iterations here; residual
@@ -368,22 +372,28 @@ class TestSolve:
         assert result.adt == pytest.approx(ADT_OPT, abs=1e-7)
 
     @staticmethod
-    def _scaled_rho(scenario):
+    def _first_step_from_the_scaled_penalty(scenario):
+        """Iteration 1 rebuilt by hand from ``rho = |D'(0)| ||popularity||**2``."""
         popularity = scenario.library.popularity
-        return -adt_slope(0.0, scenario.traffic) * float(popularity @ popularity)
+        rho = -adt_slope(0.0, scenario.traffic) * float(popularity @ popularity)
+        assert np.isfinite(rho) and rho > 0.0
+        zeros = np.zeros((scenario.cluster.node_count, popularity.size))
+        p = p_update(zeros, zeros, scenario, rho)
+        system = ConstraintSystem.build(scenario.library, scenario.cluster)
+        z = project_feasible(p, system, np.zeros(scenario.cluster.node_count))
+        primal = float(np.linalg.norm(p - z))
+        return (1, _feasible_adt(z, scenario), primal, float(rho * np.linalg.norm(z)))
 
     def test_default_starts_from_the_scaled_penalty(self, reference_scenario):
-        scaled = AdmmConfig(rho=self._scaled_rho(reference_scenario))
-        assert solve(reference_scenario).trace == solve(reference_scenario, scaled).trace
+        first = self._first_step_from_the_scaled_penalty(reference_scenario)
+        assert solve(reference_scenario).trace[0] == first
 
     def test_scaled_penalty_is_finite_and_positive_on_random_scenarios(self):
         rng = np.random.default_rng(20171030)
         for _ in range(40):
             scenario = random_scenario(rng)
-            rho = self._scaled_rho(scenario)
-            assert np.isfinite(rho) and rho > 0.0
-            one_step = solve(scenario, AdmmConfig(max_iter=1)).trace
-            assert one_step == solve(scenario, AdmmConfig(rho=rho, max_iter=1)).trace
+            first = self._first_step_from_the_scaled_penalty(scenario)
+            assert solve(scenario, AdmmConfig(max_iter=1)).trace == [first]
 
     def test_converges_at_defaults_next_to_saturation(self):
         # |D'(0)| grows without bound as lam nears mu_b, and so does the
@@ -395,7 +405,7 @@ class TestSolve:
         assert result.adt == pytest.approx(exact, rel=1e-8)
 
     def test_trace_records_every_iteration(self, reference_scenario):
-        result = solve(reference_scenario, FAST)
+        result = solve(reference_scenario)
         assert len(result.trace) == result.iterations
         assert [record.k for record in result.trace] == list(range(1, result.iterations + 1))
         last = result.trace[-1]
@@ -404,28 +414,41 @@ class TestSolve:
         assert last.dual_residual >= 0.0
 
     def test_result_describes_the_returned_placement(self, reference_scenario):
-        result = solve(reference_scenario, FAST)
+        result = solve(reference_scenario)
         assert result.adt == overall_adt(result.placement, reference_scenario).overall
         assert result.echr == echr(result.placement, reference_scenario.library)
         assert result.trace[-1].k == result.iterations
 
     def test_heterogeneous_scenario(self, hetero_scenario):
-        result = solve(hetero_scenario, FAST)
+        result = solve(hetero_scenario)
         assert result.converged
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
     def test_iteration_cap_returns_best_feasible_iterate(self, reference_scenario):
-        result = solve(reference_scenario, AdmmConfig(rho=1.0, max_iter=3))
+        result = solve(reference_scenario, AdmmConfig(max_iter=3))
         assert not result.converged
-        assert result.iterations <= 3
-        assert len(result.trace) == 3
+        assert result.iterations == len(result.trace) == 3
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
         assert result.adt == min(record.objective for record in result.trace)
+
+    @pytest.mark.parametrize("cap", range(10, 19))
+    def test_capped_run_counts_every_iteration_but_returns_the_best(
+        self, reference_scenario, cap
+    ):
+        # At caps 10 to 18 iterate 9 beats every later one.
+        result = solve(reference_scenario, AdmmConfig(max_iter=cap))
+        assert not result.converged
+        assert result.iterations == len(result.trace) == cap
+        objectives = [record.objective for record in result.trace]
+        assert min(objectives) == objectives[8] < objectives[-1]
+        assert result.adt == objectives[8]
+        assert result.adt == overall_adt(result.placement, reference_scenario).overall
+        validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
 
     def test_matches_heuristic_on_random_scenarios(self):
         rng = np.random.default_rng(60221023)
         for _ in range(8):
             scenario = random_scenario(rng, max_nodes=2, max_contents=12)
             expected = overall_adt(heuristic_solve(scenario).placement, scenario).overall
-            result = solve(scenario, FAST)
+            result = solve(scenario)
             assert result.adt <= expected + 1e-6

@@ -52,6 +52,11 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match="^max_iter must be an integer"):
             BaselineConfig(max_iter=value)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_tol_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {value}$"):
+            BaselineConfig(tol=value)
+
     def test_has_exactly_the_stopping_rule_fields(self):
         assert [field.name for field in fields(BaselineConfig)] == ["tol", "max_iter"]
 
@@ -133,9 +138,12 @@ class TestGridBruteforce:
         assert h_best == 0.0
         assert adt_best == pytest.approx(0.5)
 
-    def test_rejects_nonpositive_resolution(self, reference_scenario):
-        with pytest.raises(ValueError):
-            grid_bruteforce(reference_scenario, 0.0)
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan")])
+    def test_rejects_a_nonpositive_resolution(self, reference_scenario, resolution):
+        with pytest.raises(
+            ValueError, match=f"^resolution must be positive and finite, got {resolution}$"
+        ):
+            grid_bruteforce(reference_scenario, resolution)
 
     def test_rejects_an_infinite_resolution(self, reference_scenario):
         with pytest.raises(ValueError, match="^resolution must be positive and finite, got inf$"):

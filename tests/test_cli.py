@@ -23,8 +23,10 @@ from fogcache import (
     projected_gradient_solve,
     solve,
 )
+from fogcache import admm, baselines
 from fogcache.admm import IterationRecord
 from fogcache.cli import (
+    FLAG_READERS,
     SIMULATE_HEADER,
     SWEEP_HEADER,
     _build_parser,
@@ -32,7 +34,9 @@ from fogcache.cli import (
     _load_placement,
     main,
 )
-from fogcache.model import validate_placement
+from fogcache.errors import NumericalError
+from fogcache.heuristic import echr_csl
+from fogcache.model import validate_placement, zipf_popularity
 
 from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR, bounded
 
@@ -68,9 +72,7 @@ class TestSolveCommand:
     def test_writes_the_three_outputs(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        code = main(
-            ["solve", "--scenario", str(scenario_file), "--rho", "0.02", "--out", str(out)]
-        )
+        code = main(["solve", "--scenario", str(scenario_file), "--out", str(out)])
         assert code == 0
         placement_doc = json.loads((out / "placement.json").read_text())
         matrix = np.asarray(placement_doc["matrix"])
@@ -92,7 +94,7 @@ class TestSolveCommand:
 
         out = tmp_path / "run"
         out.mkdir()
-        main(["solve", "--scenario", str(scenario_file), "--rho", "0.02", "--out", str(out)])
+        main(["solve", "--scenario", str(scenario_file), "--out", str(out)])
         scenario = Scenario.load(scenario_file)
         matrix = np.asarray(json.loads((out / "placement.json").read_text())["matrix"])
         validate_placement(matrix, scenario.library, scenario.cluster)
@@ -174,7 +176,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "flags,named",
-        [(["--rho", "0", "--eps-rel", "-5"], "--rho"), (["--eps-rel", "1e-3"], "--eps-rel")],
+        [
+            (["--eps-rel", "-5", "--max-iter", "0"], "--eps-rel"),
+            (["--eps-rel", "1e-3"], "--eps-rel"),
+        ],
     )
     def test_a_flag_pgd_does_not_read_exits_two(
         self, tmp_path, scenario_file, capsys, monkeypatch, flags, named
@@ -193,6 +198,49 @@ class TestSolveCommand:
         assert code == 2
         assert not out.exists()
         assert f"solver flag {named} is not read by pgd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps-abs", "inf"], "eps_abs must be positive and finite, got inf"),
+            (["--eps-rel", "inf"], "eps_rel must be positive and finite, got inf"),
+            (["--eps-abs", "nan"], "eps_abs must be positive and finite, got nan"),
+            (["--solver", "pgd", "--eps-abs", "inf"], "tol must be positive and finite, got inf"),
+        ],
+    )
+    def test_a_tolerance_that_is_not_finite_exits_two(
+        self, tmp_path, scenario_file, capsys, flags, message
+    ):
+        out = tmp_path / "run"
+        code = main(["solve", "--scenario", str(scenario_file), *flags, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_capped_run_reports_the_iterations_it_ran(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "run"
+        code = main(
+            ["solve", "--scenario", str(scenario_file), "--max-iter", "12", "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        _, rows = _read_csv(out / "trace.csv")
+        assert report["iterations"] == len(rows) == 12
+        assert report["converged"] is False
+        # The best iterate, the ninth, is the placement written.
+        assert float(rows[8][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
+        assert report["adt"] == report["adt_report"]["overall"]
+        assert "iterations=12 converged=False" in capsys.readouterr().out
+
+    def test_numerical_failure_exits_one(self, tmp_path, scenario_file, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalError("no sign change")
+
+        monkeypatch.setattr(admm, "solve", fail)
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no sign change\n"
+        assert not out.exists()
 
     def test_unknown_solver_is_an_argparse_error(self, scenario_file):
         with pytest.raises(SystemExit) as exc:
@@ -242,9 +290,7 @@ class TestSweepCommand:
     def test_default_solvers_cover_every_value(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "mu_b", [5.0, 6.0, 7.0])
         out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", "--scenario", str(sweep), "--rho", "0.02", "--out", str(out)]
-        )
+        code = main(["sweep", "--scenario", str(sweep), "--out", str(out)])
         assert code == 0
         header, rows = _read_csv(out)
         assert tuple(header) == SWEEP_HEADER
@@ -346,7 +392,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "solvers,flags,named",
         [
-            ("heuristic", ["--rho", "-1", "--max-iter", "0"], "--rho"),
+            ("heuristic", ["--max-iter", "0"], "--max-iter"),
             ("heuristic,csl-only", ["--eps-abs", "1e-3"], "--eps-abs"),
             ("pgd,heuristic", ["--max-iter", "3", "--eps-rel", "1e-3"], "--eps-rel"),
         ],
@@ -371,12 +417,12 @@ class TestSweepCommand:
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--scenario", str(sweep), "--solver", "admm", "--rho", "0",
+            ["sweep", "--scenario", str(sweep), "--solver", "admm", "--eps-rel", "inf",
              "--out", str(out)]
         )
         assert code == 2
         assert not out.exists()
-        assert "rho must be positive" in capsys.readouterr().err
+        assert "eps_rel must be positive and finite, got inf" in capsys.readouterr().err
 
     def test_solver_flags_reach_admm_and_pgd(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [3.0, 4.0])
@@ -387,7 +433,7 @@ class TestSweepCommand:
                 "--scenario", str(sweep),
                 "--solver", "admm,pgd",
                 "--max-iter", "3",
-                "--rho", "1",  # read by ADMM alone
+                "--eps-rel", "1e-6",  # read by ADMM alone
                 "--out", str(out),
             ]
         )
@@ -396,7 +442,7 @@ class TestSweepCommand:
         assert [row[1] for row in rows] == ["admm", "pgd"] * 2
         for row in rows:
             assert row[6] == "unconverged"
-            assert 1 <= int(row[4]) <= 3
+            assert row[4] == "3"
 
     def test_pgd_takes_its_own_iteration_cap(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
@@ -432,6 +478,45 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: an F sweep takes integer values of at least 1\n"
+
+    def test_f_sweep_keeps_a_uniform_size_at_every_count(self, tmp_path):
+        (tmp_path / "sized.json").write_text(_doc("library", sizes=[2.0] * 20))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(_sweep("F", [10, 40], "sized.json")))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(sweep), "--solver", "csl-only", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = _read_csv(out)
+        assert [(row[0], row[6]) for row in rows] == [("10", "ok"), ("40", "ok")]
+        for row, count in zip(rows, (10, 40)):
+            library = ContentLibrary(zipf_popularity(count, 0.6), [2.0] * count)
+            expected = echr_csl(library, FogCluster([2.0, 3.0, 5.0]))
+            assert float(row[2]) == pytest.approx(expected, rel=1e-11, abs=0.0)
+            # Unit sizes would let the same storage hold twice as many.
+            assert expected < echr_csl(ContentLibrary.zipf(count, 0.6), FogCluster([2.0, 3.0, 5.0]))
+
+    def test_numerical_failure_writes_an_error_row_and_goes_on(
+        self, tmp_path, scenario_file, monkeypatch
+    ):
+        def fail_at_four(scenario, config):
+            if scenario.traffic.lam[0] == 4.0:
+                raise NumericalError("no sign change")
+            return original(scenario, config)
+
+        original = baselines.projected_gradient_solve
+        monkeypatch.setattr(baselines, "projected_gradient_solve", fail_at_four)
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0, 3.0])
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(sweep), "--solver", "pgd,heuristic",
+                "--max-iter", "5", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = _read_csv(out)
+        assert [(row[0], row[1], row[6]) for row in rows] == [
+            ("4", "pgd", "error"), ("4", "heuristic", "ok"),
+            ("3", "pgd", "unconverged"), ("3", "heuristic", "ok"),
+        ]
+        assert rows[0][2:6] == ["", "", "", ""]
+        assert rows[2][4] == "5"
 
     def test_f_sweep_regenerates_the_library(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "F", [10, 40])
@@ -813,12 +898,21 @@ class TestParser:
     def test_solve_and_sweep_share_the_solver_flags(self):
         # A flag left out is None, and the chosen solver's config fills it.
         parser = _build_parser()
-        names = ("rho", "eps_abs", "eps_rel", "max_iter")
+        names = ("eps_abs", "eps_rel", "max_iter")
+        assert tuple(FLAG_READERS) == names
         for command in ("solve", "sweep"):
             args = vars(parser.parse_args([command, "--scenario", "x.json"]))
             assert {name: args[name] for name in names} == dict.fromkeys(names)
-            flags = ["--rho", "2", "--eps-abs", "1e-3", "--eps-rel", "1e-2", "--max-iter", "7"]
+            flags = ["--eps-abs", "1e-3", "--eps-rel", "1e-2", "--max-iter", "7"]
             args = vars(parser.parse_args([command, "--scenario", "x.json", *flags]))
             assert {name: args[name] for name in names} == {
-                "rho": 2.0, "eps_abs": 1e-3, "eps_rel": 1e-2, "max_iter": 7
+                "eps_abs": 1e-3, "eps_rel": 1e-2, "max_iter": 7
             }
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_the_initial_penalty_is_not_a_flag(self, command, capsys):
+        # ADMM works its penalty out from the scenario.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "x.json", "--rho", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rho 1" in capsys.readouterr().err

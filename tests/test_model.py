@@ -44,6 +44,20 @@ class TestZipfPopularity:
             zipf_popularity(count, exponent)
 
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [(2.5, "an integer, got 2.5"), (True, "an integer, got True"), ("3", "an integer, got '3'"),
+         (0, "at least 1, got 0")],
+    )
+    def test_count_must_be_an_integer_of_at_least_one(self, count, message):
+        for build in (zipf_popularity, ContentLibrary.zipf):
+            with pytest.raises(ValueError, match=f"^count must be {message}$"):
+                build(count, 0.6)
+
+    def test_accepts_a_numpy_integer_count(self):
+        np.testing.assert_array_equal(zipf_popularity(np.int64(7), 0.6), zipf_popularity(7, 0.6))
+
+
 class TestContentLibrary:
     def test_zipf_constructor(self):
         lib = ContentLibrary.zipf(20, 0.6)

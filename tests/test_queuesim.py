@@ -528,6 +528,25 @@ class TestBlockedKernelAccuracy:
         else:
             assert abs(ci - whole_ci) <= 1e-15 * whole_ci
 
+    @pytest.mark.parametrize("lam,mu", _RATES)
+    def test_blocks_wholly_inside_the_warmup_are_skipped(self, lam, mu, monkeypatch):
+        # 2,000 arrivals discard 20: with blocks of 8, the first two lie
+        # wholly inside the warm-up and the third partly.
+        monkeypatch.setattr(queuesim, "_BLOCK", 8)
+        n = 2000
+        warmup = queuesim._warmup(n)
+        assert warmup >= 2 * queuesim._BLOCK
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        mean, ci = mm1_sojourn_times(lam, mu, n, rng)
+        gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
+        assert rng.random() == oracle_rng.random()
+        _, sojourn = _oracle_lindley(gaps, services)
+        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
+        assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
+        assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
+        kernel = _sojourns(lam, mu, n, np.random.default_rng(5))
+        assert (mean, ci) == _oracle_block_merge(kernel, warmup)
+
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
     def test_station_and_cluster_results_match_the_oracle(self, which, cpus, monkeypatch):
