@@ -14,11 +14,18 @@ worked out from the scenario, so no flag sets it.
 Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
 imports the solver modules it calls; a run compiles no module it does not
 use.
+
+:func:`main` is the in-process API: it takes an argument list and returns
+the exit code.  The ``fogcache`` script and ``python -m fogcache.cli`` call
+:func:`run` instead, which ends the process as soon as the command's output
+files are closed and its standard streams flushed, skipping the
+interpreter's teardown.  The exit codes are the same either way.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -27,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .model import Placement, Scenario, _as_array
+from .model import Placement, Scenario, _as_array, _check_count, _check_positive
 
-__all__ = ["SweepSpec", "main"]
+__all__ = ["SweepSpec", "main", "run"]
 
 SWEEP_HEADER = ("value", "solver", "echr", "adt", "iterations", "wall_time", "status")
 SIMULATE_HEADER = (
@@ -220,6 +227,7 @@ def _solver(name, args):
     """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
     solver flags; a bad flag raises ``ValueError`` here, before any solve."""
     eps_abs = EPS_ABS if args.eps_abs is None else args.eps_abs
+    _check_positive("eps_abs", eps_abs)  # PGD's config calls it tol
     if name == "admm":
         from .admm import AdmmConfig, solve
 
@@ -379,6 +387,9 @@ def cmd_simulate(args):
     scenario = Scenario.load(args.scenario)
     placement = _load_placement(args.placement)
     analytic = overall_adt(placement, scenario)
+    # SimConfig's checks, in its order, naming the flags: it says n_arrivals.
+    _check_count("seed", args.seed, 0)
+    _check_count("arrivals", args.arrivals, 1)
     config = SimConfig(seed=args.seed, n_arrivals=args.arrivals)
     results = simulate_cluster(analytic.h_e, scenario.traffic, config)
 
@@ -474,5 +485,27 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """Run :func:`main` on ``sys.argv`` and end the process with its code.
+
+    Ending with ``os._exit`` skips the interpreter's teardown of numpy and
+    every live object, which would otherwise run after the last output is
+    written.  That is safe here: every output file is written inside a
+    ``with open(...)`` block and so is closed before :func:`main` returns,
+    leaving only the two standard streams with buffered bytes, which are
+    flushed below; fogcache registers no ``atexit`` handler; and
+    ``simulate_cluster`` joins its threads before it returns.  A failed
+    flush, an exception escaping :func:`main`, and argparse's
+    ``SystemExit`` all end the process the usual way instead.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

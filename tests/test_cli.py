@@ -205,7 +205,8 @@ class TestSolveCommand:
             (["--eps-abs", "inf"], "eps_abs must be positive and finite, got inf"),
             (["--eps-rel", "inf"], "eps_rel must be positive and finite, got inf"),
             (["--eps-abs", "nan"], "eps_abs must be positive and finite, got nan"),
-            (["--solver", "pgd", "--eps-abs", "inf"], "tol must be positive and finite, got inf"),
+            # BaselineConfig calls it tol; the error names the flag.
+            (["--solver", "pgd", "--eps-abs", "inf"], "eps_abs must be positive and finite, got inf"),
         ],
     )
     def test_a_tolerance_that_is_not_finite_exits_two(
@@ -423,6 +424,17 @@ class TestSweepCommand:
         assert code == 2
         assert not out.exists()
         assert "eps_rel must be positive and finite, got inf" in capsys.readouterr().err
+
+    def test_a_bad_pgd_tolerance_names_the_flag(self, tmp_path, scenario_file, capsys):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--scenario", str(sweep), "--solver", "pgd", "--eps-abs", "inf",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: eps_abs must be positive and finite, got inf\n"
 
     def test_solver_flags_reach_admm_and_pgd(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [3.0, 4.0])
@@ -727,6 +739,26 @@ class TestSimulateCommand:
         main(base + ["--seed", "1", "--out", str(first)])
         main(base + ["--seed", "2", "--out", str(second)])
         assert first.read_bytes() != second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--arrivals", "0"], "arrivals must be at least 1, got 0"),
+            (["--seed", "-1"], "seed must be at least 0, got -1"),
+            (["--seed", "-1", "--arrivals", "0"], "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_a_bad_run_length_or_seed_names_the_flag(
+        self, tmp_path, scenario_file, placement_file, capsys, flags, message
+    ):
+        out = tmp_path / "sim.csv"
+        code = main(
+            ["simulate", "--scenario", str(scenario_file), "--placement", str(placement_file),
+             *flags, "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_placement_without_matrix_key_exits_two(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.json"
