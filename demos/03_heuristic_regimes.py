@@ -1,4 +1,4 @@
-"""The two regimes of the closed-form heuristic, and the switch between them.
+"""The two regimes of the heuristic, and the switch between them.
 
 At low load the best policy is simply "cache as much as fits" — the storage
 bound h_csl binds.  As the arrival rate grows, the edge queue becomes the

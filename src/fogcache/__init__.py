@@ -10,8 +10,9 @@ fast M/M/1 queue) or over the backhaul (a slower one).  It provides:
   (:mod:`fogcache.admm`);
 * two independent cross-checks — projected gradient and an exhaustive grid
   over the hit ratio (:mod:`fogcache.baselines`);
-* a closed-form two-regime heuristic with its switch threshold
-  (:mod:`fogcache.heuristic`);
+* the exact two-regime heuristic — the storage bound, the stationary
+  point as one scalar root, and the switch threshold for identical
+  stations (:mod:`fogcache.heuristic`);
 * a seeded discrete-event simulator validating the queueing model
   (:mod:`fogcache.queuesim`);
 * a CLI for one-shot solves and reproducible experiment sweeps

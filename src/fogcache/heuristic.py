@@ -1,4 +1,4 @@
-"""Closed-form heuristic: storage-limited vs. provision-limited hit ratios.
+"""Two-regime heuristic: storage-limited vs. provision-limited hit ratios.
 
 Minimizing the overall download time over placements reduces to choosing one
 scalar — the ECHR ``h`` — and realizing it with any feasible placement.  Two
@@ -9,9 +9,8 @@ candidate optima exist:
   bottleneck, since below the stationary point the download time only
   improves as ``h`` grows.
 * ``h_cpl`` (content-provision-limited): the stationary point of the
-  download-time curve, optimal when service rates — not storage — are the
-  bottleneck.  For identical stations it has a closed form; otherwise it is
-  the root of the derivative.
+  download-time curve — the root of its derivative — optimal when service
+  rates, not storage, are the bottleneck.
 
 The reachable hit ratios are exactly ``[0, h_csl]``, so the convexity of the
 download-time curve makes ``h* = min(h_csl, h_cpl)`` the exact optimum, for
@@ -54,21 +53,29 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
     itself is returned.  Otherwise the prefix must also fit ``h_target`` in
     cumulative popularity, and the next content gets the portion that
     exhausts the tighter of the two limits.
+
+    Returns the portions and the ECHR they reach.  That ECHR is summed in
+    density order, so the order in which the library lists its contents
+    cannot change it.
     """
     popularity, sizes = library.popularity, library.sizes
     order = np.argsort(-(popularity / sizes), kind="stable")
+    ranked = popularity[order]
     whole, partial = library.count, 0.0
-    for cost, budget in ((sizes[order], cluster.total_capacity), (popularity[order], h_target)):
+    for cost, budget in ((sizes[order], cluster.total_capacity), (ranked, h_target)):
         used = np.concatenate(([0.0], np.cumsum(cost)))
         k = int(np.searchsorted(used, budget, side="right")) - 1
         if k < library.count:
             whole, partial = min((whole, partial), (k, min((budget - used[k]) / cost[k], 1.0)))
-        fractions = np.zeros(library.count)
-        fractions[order[:whole]] = 1.0
-        fractions[order[whole : whole + 1]] = partial
-        if h_target >= min(popularity @ fractions, 1.0):
+        taken = np.zeros(library.count)
+        taken[:whole] = 1.0
+        taken[whole : whole + 1] = partial
+        reached = float(ranked @ taken)
+        if h_target >= min(reached, 1.0):
             break
-    return fractions
+    fractions = np.empty(library.count)
+    fractions[order] = taken
+    return fractions, reached
 
 
 def _assign_first_fit(fractions, library, cluster):
@@ -113,38 +120,24 @@ def echr_csl(library, cluster):
     continuous knapsack.  Pooling the node capacities loses nothing because
     fractional portions can always be split across nodes.
     """
-    return float(min(library.popularity @ _greedy_fractions(library, cluster), 1.0))
+    return min(_greedy_fractions(library, cluster)[1], 1.0)
 
 
 def echr_cpl(traffic):
     """Stationary point of the download-time curve, clamped to [0, 1].
 
-    For identical stations the stationarity condition balances the two queue
-    terms and solves in closed form::
-
-        h = ((mu_e - sqrt(mu_e * mu_b)) * sqrt(mu_b) + lam * sqrt(mu_e))
-            / (lam * (sqrt(mu_b) + sqrt(mu_e)))
-
-    For heterogeneous traffic the derivative is strictly increasing and
-    diverges at both ends of the stable interval, so its unique root there is
-    found by safeguarded Newton (to 1e-12, or a few ulps for a root far
-    above 1 under light traffic).  Either stationary point is then
+    The derivative is strictly increasing and diverges at both ends of the
+    stable interval, so its unique root there is found by safeguarded Newton
+    (to 1e-12, or a few ulps for a root far above 1 under light traffic),
+    for identical and heterogeneous stations alike.  The root is then
     clamped to [0, 1], which covers slow arrivals and extreme rate ratios
     where it leaves the physical range.
     """
-    if traffic.homogeneous:
-        lam = float(traffic.lam[0])
-        root_e = math.sqrt(float(traffic.mu_e[0]))
-        root_b = math.sqrt(float(traffic.mu_b[0]))
-        h = ((float(traffic.mu_e[0]) - root_e * root_b) * root_b + lam * root_e) / (
-            lam * (root_b + root_e)
-        )
-    else:
-        h = increasing_root(
-            lambda h: _slope_at(h, traffic),
-            lambda h: _curvature_at(h, traffic),
-            *stable_echr_interval(traffic),
-        )
+    h = increasing_root(
+        lambda h: _slope_at(h, traffic),
+        lambda h: _curvature_at(h, traffic),
+        *stable_echr_interval(traffic),
+    )
     return float(min(max(h, 0.0), 1.0))
 
 
@@ -160,8 +153,12 @@ def lambda_threshold(h_csl, mu_e, mu_b):
     Below ``lambda*`` the storage bound binds (CSL regime); above it the
     stationary point does (CPL).  When the denominator is not positive the
     two curves never cross for any stable arrival rate — storage stays the
-    bottleneck throughout — and ``None`` is returned.  A returned value at or
-    above ``mu_b`` likewise cannot be reached by stable traffic.
+    bottleneck throughout — and ``None`` is returned.  ``None`` is also
+    returned when the formula's root overloads the hit queue
+    (``lambda* * h_csl >= mu_e``): that root balances the two queue margins
+    with both negative, so it is no crossing of the regimes.  A returned
+    value at or above ``mu_b`` is a genuine crossing, with both queues
+    stable at ``h_csl``, but stable traffic cannot reach it.
     """
     h_csl = float(h_csl)
     mu_e, mu_b = float(mu_e), float(mu_b)
@@ -173,7 +170,8 @@ def lambda_threshold(h_csl, mu_e, mu_b):
     denominator = h_csl * (root_e + root_b) - root_e
     if denominator <= 0.0:
         return None
-    return root_b * root_e * (root_e - root_b) / denominator
+    lambda_star = root_b * root_e * (root_e - root_b) / denominator
+    return lambda_star if lambda_star * h_csl < mu_e else None
 
 
 def placement_from_echr(h_target, library, cluster):
@@ -191,9 +189,8 @@ def placement_from_echr(h_target, library, cluster):
         raise ValueError(f"h_target must be finite, got {h_target}")
     if h_target < -FEASIBILITY_TOL:
         raise ValueError("target hit ratio must be nonnegative")
-    fractions = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))
+    fractions, reached = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))
     # Short of the target only when storage binds, and then at the storage bound.
-    reached = float(library.popularity @ fractions)
     if h_target > reached + 1e-9:
         raise ValueError(
             f"target hit ratio {h_target:g} exceeds the storage-limited bound {reached:g}"
@@ -203,7 +200,7 @@ def placement_from_echr(h_target, library, cluster):
 
 @dataclass(frozen=True, eq=False)
 class HeuristicResult:
-    """Outcome of the closed-form heuristic.
+    """Outcome of the two-regime heuristic.
 
     ``regime`` is ``"CSL"`` when the storage bound is the binding one and
     ``"CPL"`` when the stationary point is; ``lambda_star`` is the switch

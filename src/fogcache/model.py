@@ -129,7 +129,7 @@ def zipf_popularity(count, exponent):
 class ContentLibrary:
     """Content catalogue: request popularity and per-content sizes.
 
-    ``popularity`` is sorted non-increasing (rank order) and sums to 1;
+    ``popularity`` sums to 1 and may list the contents in any order;
     ``sizes`` uses the same arbitrary storage unit as cluster capacities and
     defaults to one unit per content.  Sizes only weight the node-capacity
     rows: a request's service time does not depend on its content's size.
@@ -149,8 +149,6 @@ class ContentLibrary:
             raise ValueError("popularity entries must lie in (0, 1]")
         if abs(popularity.sum() - 1.0) > 1e-12:
             raise ValueError("popularity must sum to 1 (within 1e-12)")
-        if np.any(np.diff(popularity) > 0.0):
-            raise ValueError("not popularity-descending: popularity must be sorted non-increasing")
         if np.any(sizes <= 0.0):
             raise ValueError("content sizes must be strictly positive")
 

@@ -8,11 +8,31 @@
 * :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
   enumeration, an independent cross-check of the greedy knapsack in
   ``fogcache.heuristic``.
+* :func:`h_cpl_oracle` — the stationary point of the download-time curve
+  for identical stations, in closed form, an independent cross-check of the
+  Newton root in ``fogcache.heuristic.echr_cpl``.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+
+def h_cpl_oracle(lam, mu_e, mu_b):
+    """Stationary point of the download time of identical stations.
+
+    The stationarity condition balances the two queue margins,
+    ``(mu_e - lam h) / sqrt(mu_e) == (mu_b - lam (1 - h)) / sqrt(mu_b)``,
+    which is linear in ``h`` and solves to::
+
+        h = ((mu_e - sqrt(mu_e * mu_b)) * sqrt(mu_b) + lam * sqrt(mu_e))
+            / (lam * (sqrt(mu_b) + sqrt(mu_e)))
+
+    Not clamped: the value leaves [0, 1] under slow arrivals.
+    """
+    root_e, root_b = math.sqrt(mu_e), math.sqrt(mu_b)
+    return ((mu_e - root_e * root_b) * root_b + lam * root_e) / (lam * (root_b + root_e))
 
 
 def h_csl_oracle(popularity, sizes, total_capacity):

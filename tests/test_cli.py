@@ -271,6 +271,28 @@ class TestHeuristicCommand:
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-14)
         assert report["adt_report"]["overall"] == pytest.approx(ADT_OPT, abs=1e-14)
 
+    def test_ascending_popularity_is_the_same_scenario(self, tmp_path, scenario_file, capsys):
+        path = tmp_path / "ascending.json"
+        library = {"popularity": zipf_popularity(20, 0.6)[::-1].tolist()}
+        path.write_text(json.dumps({**REFERENCE_DOC, "library": library}))
+        assert main(["heuristic", "--scenario", str(path)]) == 0
+        ascending = json.loads(capsys.readouterr().out)
+        assert main(["heuristic", "--scenario", str(scenario_file)]) == 0
+        zipf = json.loads(capsys.readouterr().out)
+        for key in ("h_csl", "h_cpl", "h_star", "lambda_star", "regime"):
+            assert ascending[key] == zipf[key], key
+        for key in ("echr", "adt"):
+            assert ascending[key] == pytest.approx(zipf[key], abs=1e-12), key
+
+    def test_no_threshold_when_storage_limits_every_stable_rate(self, tmp_path, capsys):
+        path = tmp_path / "fast_edge.json"
+        traffic = {"lambda": 4.0, "mu_e": 30.0, "mu_b": 6.0}
+        path.write_text(json.dumps({**REFERENCE_DOC, "traffic": traffic}))
+        assert main(["heuristic", "--scenario", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"lambda_star": null' in out
+        assert json.loads(out)["regime"] == "CSL"
+
     def test_light_heterogeneous_traffic(self, tmp_path, capsys):
         path = tmp_path / "light.json"
         path.write_text(json.dumps(LIGHT_HETERO_DOC))

@@ -35,12 +35,13 @@ from conftest import (
     make_scenario,
     random_scenario,
 )
+from oracle import h_cpl_oracle
 
 
 def _echr_csl_with_placement(library, cluster):
     """``echr_csl`` and the placement ``heuristic_solve`` returns in the CSL
     regime: first-fit on the storage greedy."""
-    placement = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster)
+    placement = _assign_first_fit(_greedy_fractions(library, cluster)[0], library, cluster)
     return echr_csl(library, cluster), placement
 
 
@@ -139,7 +140,7 @@ class TestVectorisedHelpers:
             library, cluster = _greedy_instance(layout, rng)
             h_csl = float(library.popularity @ _loop_greedy_fractions(library, cluster))
             for h_target in (math.inf, 0.0, -0.0, float(rng.uniform(0.0, h_csl)), h_csl):
-                fractions = _greedy_fractions(library, cluster, h_target=h_target)
+                fractions, _ = _greedy_fractions(library, cluster, h_target=h_target)
                 expected = _loop_greedy_fractions(library, cluster, h_target=h_target)
                 np.testing.assert_allclose(fractions, expected, rtol=0.0, atol=1e-9)
                 assert library.popularity @ fractions == pytest.approx(
@@ -167,7 +168,7 @@ class TestVectorisedHelpers:
         for h_target, matrix in ((math.inf, placement.matrix), (0.5 * h_csl, interior.matrix)):
             validate_placement(matrix, library, cluster)
             _assert_first_fit_shape(matrix, cluster)
-            fractions = _greedy_fractions(library, cluster, h_target=h_target)
+            fractions, _ = _greedy_fractions(library, cluster, h_target=h_target)
             _assert_bitwise_equal(
                 matrix, _full_width_assign_first_fit(fractions, library, cluster)
             )
@@ -176,7 +177,7 @@ class TestVectorisedHelpers:
 def _assert_storage_greedy_at_the_bound(library, cluster):
     """``placement_from_echr`` at ``echr_csl`` is first-fit on the storage
     greedy, bit for bit; returns that matrix."""
-    expected = _assign_first_fit(_greedy_fractions(library, cluster), library, cluster).matrix
+    expected = _assign_first_fit(_greedy_fractions(library, cluster)[0], library, cluster).matrix
     actual = placement_from_echr(echr_csl(library, cluster), library, cluster).matrix
     _assert_bitwise_equal(actual, expected)
     return expected
@@ -278,8 +279,26 @@ class TestEchrCsl:
 
 
 class TestEchrCpl:
-    def test_reference_closed_form(self, reference_scenario):
+    def test_reference_value(self, reference_scenario):
         assert echr_cpl(reference_scenario.traffic) == H_CPL
+
+    def test_identical_stations_match_the_closed_form(self):
+        # The Newton root against the closed-form oracle, over rate ratios
+        # mu_e/mu_b up to e^4 and loads lam/mu_b from 1e-6 to 1 - 1e-9,
+        # half of them drawn close to saturation.
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            mu_b = float(np.exp(rng.uniform(math.log(0.1), math.log(100.0))))
+            mu_e = mu_b * float(np.exp(rng.uniform(0.0, 4.0)))
+            if rng.random() < 0.5:
+                load = float(np.exp(rng.uniform(math.log(1e-6), 0.0)))
+            else:
+                load = 1.0 - 10.0 ** float(rng.uniform(-9.0, 0.0))
+            lam = mu_b * min(max(load, 1e-6), 1.0 - 1e-9)
+            traffic = TrafficProfile([lam] * n, [mu_e] * n, [mu_b] * n)
+            expected = min(max(h_cpl_oracle(lam, mu_e, mu_b), 0.0), 1.0)
+            assert echr_cpl(traffic) == pytest.approx(expected, abs=1e-12), (lam, mu_e, mu_b)
 
     def test_stationarity_identity(self, reference_scenario):
         # At the interior stationary point the two queue margins balance:
@@ -318,12 +337,22 @@ class TestEchrCpl:
         assert not traffic.homogeneous
         assert echr_cpl(traffic) == 1.0
 
-    @pytest.mark.parametrize("lam", [[1e-6, 2e-6], [1e-9, 3e-9]])
-    def test_heterogeneous_light_traffic_returns(self, lam):
+    @pytest.mark.parametrize(
+        "lam", [[1e-6, 2e-6], [1e-9, 3e-9], [1e-9], [1e-12] * 3, [1e-300]]
+    )
+    def test_light_traffic_returns(self, lam):
         # The root lies so far above 1 that one ulp there exceeds the root
         # finder's 1e-12 tolerance; it must still stop, and clamp to 1.
-        traffic = TrafficProfile(lam, [8.0, 8.0], [6.0, 6.0])
+        traffic = TrafficProfile(lam, [8.0] * len(lam), [6.0] * len(lam))
         assert bounded(echr_cpl, traffic, seconds=10) == 1.0
+
+    def test_near_saturation_returns(self):
+        # lam one part in 1e12 below mu_b: the stable interval's lower end
+        # sits just below 0, and the root inside it is still found.
+        lam = 6.0 * (1.0 - 1e-12)
+        traffic = TrafficProfile([lam], [8.0], [6.0])
+        h = bounded(echr_cpl, traffic, seconds=10)
+        assert h == pytest.approx(h_cpl_oracle(lam, 8.0, 6.0), abs=1e-12)
 
 
 class TestLambdaThreshold:
@@ -339,6 +368,21 @@ class TestLambdaThreshold:
         # Small storage bound: the stationary point exceeds it at every
         # stable arrival rate, so no threshold exists.
         assert lambda_threshold(0.25, 8.0, 6.0) is None
+
+    def test_none_when_the_root_overloads_the_hit_queue(self):
+        # With mu_e = 30 the formula gives 1816.35, where the hit queue
+        # alone carries 1816.35 * H_CSL = 1260 against mu_e: that root
+        # solves the stationarity identity with both queue margins negative.
+        # Every stable arrival rate stays storage-limited.
+        assert lambda_threshold(H_CSL, 30.0, 6.0) is None
+
+    def test_keeps_a_crossing_above_mu_b_with_both_queues_stable(self):
+        library, cluster = ContentLibrary.zipf(20, 0.6), FogCluster([2.0, 2.5, 3.0])
+        h_csl = echr_csl(library, cluster)
+        lam = lambda_threshold(h_csl, 8.0, 6.0)
+        assert lam == pytest.approx(9.0987, abs=1e-4)
+        assert lam * h_csl < 8.0 and lam * (1.0 - h_csl) < 6.0
+        assert h_cpl_oracle(lam, 8.0, 6.0) == pytest.approx(h_csl, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -417,6 +461,12 @@ class TestHeuristicSolve:
         assert result.regime == "CSL"
         assert result.h_star == H_CSL
         assert result.lambda_star == LAMBDA_STAR
+
+    def test_no_threshold_when_storage_limits_every_stable_rate(self):
+        result = heuristic_solve(make_scenario(mu_e=30.0))
+        assert result.regime == "CSL"
+        assert result.h_star == H_CSL
+        assert result.lambda_star is None
 
     def test_regime_agrees_with_threshold(self):
         for lam in (1.0, 2.0, 3.0, 3.5, 4.5):

@@ -69,9 +69,9 @@ class TestContentLibrary:
         lib = ContentLibrary([0.5, 0.3, 0.2], [2.0, 1.0, 4.0])
         np.testing.assert_array_equal(lib.sizes, [2.0, 1.0, 4.0])
 
-    def test_rejects_ascending_popularity(self):
-        with pytest.raises(ValueError, match="not popularity-descending"):
-            ContentLibrary([0.2, 0.3, 0.5])
+    def test_accepts_popularity_in_any_order(self):
+        lib = ContentLibrary([0.2, 0.5, 0.3])
+        np.testing.assert_array_equal(lib.popularity, [0.2, 0.5, 0.3])
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -1,0 +1,98 @@
+"""Metamorphic tests: the order of contents and of nodes carries no meaning.
+
+Listing the contents in another order, each with its popularity and size,
+or the nodes in another order, each with its traffic, describes the same
+scenario.  Every solver must then reach the same hit ratios and the same
+optimal download time ``D*``.
+
+The heuristic sums its storage bound in density order, which no listing
+order changes, so its hit ratios and regime must match exactly.  The other
+routes add and multiply in another order once the contents or nodes move,
+so they get rounding-level slack: a relative 1e-15 for the grid's ``D*``,
+and a relative 1e-9 for ADMM and projected gradient, whose stopping tests a
+rounding-level difference may move by one iteration.  Any dependence on
+order that is not rounding is far larger.
+"""
+
+import numpy as np
+import pytest
+
+from fogcache import (
+    ContentLibrary,
+    FogCluster,
+    Scenario,
+    TrafficProfile,
+    grid_bruteforce,
+    heuristic_solve,
+    projected_gradient_solve,
+    solve,
+)
+
+from conftest import random_scenario
+
+#: The three routes to ``D*``: the paper's algorithm and both cross-checks.
+OPTIMAL_ADT = {
+    "admm": (lambda scenario: solve(scenario).adt, 1e-9),
+    "pgd": (lambda scenario: projected_gradient_solve(scenario).adt, 1e-9),
+    "grid": (lambda scenario: grid_bruteforce(scenario, 1e-4)[1], 1e-15),
+}
+
+
+def _scenarios(seed, count=8):
+    """Small seeded scenarios, every other one with unequal content sizes;
+    ``random_scenario`` mixes identical and per-station traffic."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        scenario = random_scenario(rng, max_nodes=3, max_contents=12)
+        if k % 2:
+            library = scenario.library
+            sizes = rng.uniform(0.5, 2.0, size=library.count)
+            scenario = Scenario(
+                ContentLibrary(library.popularity, sizes),
+                FogCluster(scenario.cluster.capacities * sizes.mean()),
+                scenario.traffic,
+            )
+        yield rng, scenario
+
+
+def _permute_contents(scenario, order):
+    library = scenario.library
+    return Scenario(
+        ContentLibrary(library.popularity[order], library.sizes[order]),
+        scenario.cluster,
+        scenario.traffic,
+    )
+
+
+def _permute_nodes(scenario, order):
+    traffic = scenario.traffic
+    return Scenario(
+        scenario.library,
+        FogCluster(scenario.cluster.capacities[order]),
+        TrafficProfile(traffic.lam[order], traffic.mu_e[order], traffic.mu_b[order]),
+    )
+
+
+def test_heuristic_ignores_content_order():
+    for rng, scenario in _scenarios(101, count=40):
+        permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
+        base, other = heuristic_solve(scenario), heuristic_solve(permuted)
+        assert (other.h_csl, other.h_cpl, other.h_star, other.regime) == (
+            base.h_csl, base.h_cpl, base.h_star, base.regime
+        )
+
+
+@pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
+def test_optimal_adt_ignores_content_order(route):
+    optimal_adt, rel = OPTIMAL_ADT[route]
+    for rng, scenario in _scenarios(202):
+        permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
+        assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
+
+
+@pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
+def test_optimal_adt_ignores_node_order(route):
+    optimal_adt, rel = OPTIMAL_ADT[route]
+    for rng, scenario in _scenarios(303):
+        permuted = _permute_nodes(scenario, rng.permutation(scenario.cluster.node_count))
+        assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
