@@ -3,8 +3,8 @@
 At low load the best policy is simply "cache as much as fits" — the storage
 bound h_csl binds.  As the arrival rate grows, the edge queue becomes the
 bottleneck and the optimum retreats to the stationary point h_cpl of the
-download-time curve, which keeps dropping as load rises.  The crossover
-arrival rate lambda_star is available in closed form, and the heuristic's
+download-time curve, which keeps dropping as load rises.  The heuristic
+finds the crossover arrival rate lambda_star as one scalar root, and its
 h* = min(h_csl, h_cpl) is the exact optimum for any content sizes.
 """
 

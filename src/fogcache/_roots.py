@@ -1,4 +1,4 @@
-"""Safeguarded scalar root finding for strictly increasing functions."""
+"""Safeguarded scalar root finding for functions that cross zero once upward."""
 
 import itertools
 
@@ -11,20 +11,22 @@ MAX_ITER = 200  # safeguarded Newton steps before plain bisection takes over
 
 
 def increasing_root(func, deriv, lo, hi):
-    """Root of a strictly increasing ``func`` on the open interval ``(lo, hi)``.
+    """Root of ``func`` on the open interval ``(lo, hi)``.
 
-    ``func`` must be negative near ``lo`` and positive near ``hi``.  It may
-    diverge there, so neither end is ever evaluated: the sign bracket starts
-    as ``(lo, hi)`` itself.  One loop shrinks it (Numerical Recipes, section
-    9.4, ``rtsafe``): each step takes the Newton step from ``deriv`` when it
-    lands inside the bracket and bisects otherwise; after :data:`MAX_ITER`
-    steps it only bisects.  A Newton step shorter than half the tolerance is
-    doubled (to at least a few ulps), so the next point lands just past the
-    root and closes the bracket around it.  The loop stops once the bracket
-    is narrower than ``max(TOL, 4 * spacing(x))`` at the last point ``x``:
-    :data:`TOL` for every root below about 1,000, a few ulps above.  If the
-    bracket closes on ``lo`` or ``hi``, no value of the needed sign exists
-    and :class:`NumericalError` is raised.
+    ``func`` must change sign once there: negative near ``lo``, positive
+    near ``hi``.  It need not be monotone, and it may diverge at either end,
+    so neither end is ever evaluated: the sign bracket starts as
+    ``(lo, hi)`` itself.  One loop shrinks it (Numerical Recipes, section
+    9.4, ``rtsafe``): each step takes the Newton step from ``deriv`` when
+    that slope is positive and the step lands inside the bracket, and
+    bisects otherwise; after :data:`MAX_ITER` steps it only bisects.  A
+    Newton step shorter than half the tolerance is doubled (to at least a
+    few ulps), so the next point lands just past the root and closes the
+    bracket around it.  The loop stops once the bracket is narrower than
+    ``max(TOL, 4 * spacing(x))`` at the last point ``x``: :data:`TOL` for
+    every root below about 1,000, a few ulps above.  If the bracket closes
+    on ``lo`` or ``hi``, no value of the needed sign exists and
+    :class:`NumericalError` is raised.
     """
     if not hi > lo:
         raise ValueError("empty interval (%g, %g)" % (lo, hi))

@@ -14,9 +14,10 @@ candidate optima exist:
 
 The reachable hit ratios are exactly ``[0, h_csl]``, so the convexity of the
 download-time curve makes ``h* = min(h_csl, h_cpl)`` the exact optimum, for
-any content sizes.  For identical stations the two regimes swap at a
-threshold arrival rate ``lambda*``: storage-limited below it,
-provision-limited above.
+any content sizes.  As every arrival rate grows by one common factor, the
+two regimes swap at a threshold: storage-limited below it,
+provision-limited above.  :func:`lambda_threshold` reports it as a mean
+arrival rate, ``lambda*`` for identical stations.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._roots import increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import _curvature_at, _slope_at, stable_echr_interval
+from .objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
 
 __all__ = [
     "HeuristicResult",
@@ -141,37 +142,40 @@ def echr_cpl(traffic):
     return float(min(max(h, 0.0), 1.0))
 
 
-def lambda_threshold(h_csl, mu_e, mu_b):
-    """Arrival rate where the storage- and provision-limited optima coincide.
+def lambda_threshold(h_csl, traffic):
+    """Mean arrival rate at which the storage- and provision-limited optima meet.
 
-    For identical stations with rates ``mu_e``/``mu_b`` and a storage bound
-    ``h_csl``, returns::
+    Scales every station's arrival rate by one load factor ``s`` and finds
+    the ``s*`` at which the slope ``D'(h_csl)`` reaches 0: below it storage
+    binds (CSL), above it the stationary point does (CPL).  Returns
+    ``s* * mean(lam)``, for identical stations the threshold ``lambda*``.
 
-        lambda* = sqrt(mu_b * mu_e) * (sqrt(mu_e) - sqrt(mu_b))
-                  / (h_csl * (sqrt(mu_e) + sqrt(mu_b)) - sqrt(mu_e))
-
-    Below ``lambda*`` the storage bound binds (CSL regime); above it the
-    stationary point does (CPL).  When the denominator is not positive the
-    two curves never cross for any stable arrival rate — storage stays the
-    bottleneck throughout — and ``None`` is returned.  ``None`` is also
-    returned when the formula's root overloads the hit queue
-    (``lambda* * h_csl >= mu_e``): that root balances the two queue margins
-    with both negative, so it is no crossing of the regimes.  A returned
-    value at or above ``mu_b`` is a genuine crossing, with both queues
-    stable at ``h_csl``, but stable traffic cannot reach it.
+    From ``mean(1/mu_e - 1/mu_b) < 0`` at ``s = 0`` the slope diverges at the
+    first load that saturates a queue at ``h_csl``.  If that is a hit queue,
+    it goes to ``+inf`` and crosses 0 once, possibly after a dip, and
+    :func:`~._roots.increasing_root` finds the crossing.  If a miss queue
+    saturates first or at once (always, for ``h_csl = 0``), the slope stays
+    negative, storage binds at every load, and ``None`` is returned.  A
+    returned value keeps every queue stable at ``h_csl`` but may break some
+    station's chain ``lam < mu_b``: then stable traffic cannot reach it.
     """
     h_csl = float(h_csl)
-    mu_e, mu_b = float(mu_e), float(mu_b)
-    if not 0.0 < h_csl <= 1.0:
-        raise ValueError("h_csl must lie in (0, 1]")
-    if not 0.0 < mu_b < mu_e:
-        raise ValueError("rates must satisfy 0 < mu_b < mu_e")
-    root_e, root_b = math.sqrt(mu_e), math.sqrt(mu_b)
-    denominator = h_csl * (root_e + root_b) - root_e
-    if denominator <= 0.0:
+    if not 0.0 <= h_csl <= 1.0:
+        raise ValueError(f"h_csl must lie in [0, 1], got {h_csl:g}")
+    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
+    with np.errstate(divide="ignore"):
+        hit_limit = float(np.min(mu_e / (lam * h_csl)))
+        miss_limit = float(np.min(mu_b / (lam * (1.0 - h_csl))))
+    if miss_limit <= hit_limit:
         return None
-    lambda_star = root_b * root_e * (root_e - root_b) / denominator
-    return lambda_star if lambda_star * h_csl < mu_e else None
+
+    def load_derivative(s):
+        t_e, t_b, _ = _station_times(h_csl, traffic, s)
+        per_station = 2.0 * lam * (h_csl * mu_e * t_e**3 - (1.0 - h_csl) * mu_b * t_b**3)
+        return per_station @ traffic.weights
+
+    load = increasing_root(lambda s: _slope_at(h_csl, traffic, s), load_derivative, 0.0, hit_limit)
+    return float(load * np.mean(lam))
 
 
 def placement_from_echr(h_target, library, cluster):
@@ -203,9 +207,10 @@ class HeuristicResult:
     """Outcome of the two-regime heuristic.
 
     ``regime`` is ``"CSL"`` when the storage bound is the binding one and
-    ``"CPL"`` when the stationary point is; ``lambda_star`` is the switch
-    threshold (identical-station traffic only, ``None`` when undefined or not
-    applicable).  ``placement`` realizes ``h_star`` exactly.
+    ``"CPL"`` when the stationary point is; ``lambda_star`` is the mean
+    arrival rate at which the regime switches when every station's rate is
+    scaled by one factor (``None`` when storage binds at every load).
+    ``placement`` realizes ``h_star`` exactly.
     """
 
     h_csl: float
@@ -230,14 +235,11 @@ def heuristic_solve(scenario):
     h_star = min(h_csl, h_cpl)
     regime = "CPL" if h_cpl <= h_csl else "CSL"
     placement = placement_from_echr(h_star, library, cluster)
-    lambda_star = None
-    if traffic.homogeneous and h_csl > 0.0:
-        lambda_star = lambda_threshold(h_csl, float(traffic.mu_e[0]), float(traffic.mu_b[0]))
     return HeuristicResult(
         h_csl=h_csl,
         h_cpl=h_cpl,
         h_star=h_star,
-        lambda_star=lambda_star,
+        lambda_star=lambda_threshold(h_csl, traffic),
         regime=regime,
         placement=placement,
     )

@@ -227,15 +227,6 @@ class TrafficProfile:
     def station_count(self):
         return self.lam.size
 
-    @property
-    def homogeneous(self):
-        """True when every station has identical (lam, mu_e, mu_b)."""
-        return bool(
-            np.all(self.lam == self.lam[0])
-            and np.all(self.mu_e == self.mu_e[0])
-            and np.all(self.mu_b == self.mu_b[0])
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:

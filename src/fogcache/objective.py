@@ -90,15 +90,16 @@ def stable_echr_interval(traffic):
     return lo, hi
 
 
-def _station_times(h, traffic):
+def _station_times(h, traffic, load=1.0):
     """Per-station ``(t_e, t_b, d)`` at hit ratio ``h``, with no stability check.
 
-    The hit queue takes ``lambda_e = lam * h`` and the miss queue the exact
+    At arrival rates ``lam = traffic.lam * load`` (exact at the default), the
+    hit queue takes ``lambda_e = lam * h`` and the miss queue the exact
     complement ``lam - lambda_e``; ``t_e`` and ``t_b`` are their M/M/1 mean
     sojourn times and ``d = h * t_e + (1 - h) * t_b`` the station's download
     time.  ``h`` is a scalar or carries a trailing station axis.
     """
-    lam = traffic.lam
+    lam = traffic.lam * load
     lambda_e = lam * h
     t_e = 1.0 / (traffic.mu_e - lambda_e)
     t_b = 1.0 / (traffic.mu_b - (lam - lambda_e))
@@ -110,13 +111,13 @@ def _adt_at(h, traffic):
     return _station_times(h, traffic)[2] @ traffic.weights
 
 
-def _slope_at(h, traffic):
-    """``D'(h)`` with no stability check.
+def _slope_at(h, traffic, load=1.0):
+    """``D'(h)`` with no stability check, at arrival rates ``load * lam``.
 
     For hot loops that keep ``h`` inside :func:`stable_echr_interval`
     themselves; ``h`` is a scalar or carries a trailing station axis.
     """
-    t_e, t_b, _ = _station_times(h, traffic)
+    t_e, t_b, _ = _station_times(h, traffic, load)
     return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
 
 

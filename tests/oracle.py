@@ -11,6 +11,9 @@
 * :func:`h_cpl_oracle` — the stationary point of the download-time curve
   for identical stations, in closed form, an independent cross-check of the
   Newton root in ``fogcache.heuristic.echr_cpl``.
+* :func:`lambda_star_oracle` — the regime threshold for identical stations,
+  in closed form, an independent cross-check of the load-factor root in
+  ``fogcache.heuristic.lambda_threshold``.
 """
 
 import itertools
@@ -33,6 +36,30 @@ def h_cpl_oracle(lam, mu_e, mu_b):
     """
     root_e, root_b = math.sqrt(mu_e), math.sqrt(mu_b)
     return ((mu_e - root_e * root_b) * root_b + lam * root_e) / (lam * (root_b + root_e))
+
+
+def lambda_star_oracle(h_csl, mu_e, mu_b):
+    """Arrival rate at which identical stations' stationary point is ``h_csl``.
+
+    At ``h = h_csl`` the stationarity condition of :func:`h_cpl_oracle` is
+    linear in ``lam`` and solves to::
+
+        lambda* = sqrt(mu_b * mu_e) * (sqrt(mu_e) - sqrt(mu_b))
+                  / (h_csl * (sqrt(mu_e) + sqrt(mu_b)) - sqrt(mu_e))
+
+    Returns ``None`` when the denominator is not positive (storage binds at
+    every arrival rate), and when the root overloads the hit queue
+    (``lambda* * h_csl >= mu_e``): that root balances the two queue margins
+    with both negative, so it is no crossing of the regimes.  A value at or
+    above ``mu_b`` is a crossing with both queues stable at ``h_csl`` that
+    stable traffic cannot reach.
+    """
+    root_e, root_b = math.sqrt(mu_e), math.sqrt(mu_b)
+    denominator = h_csl * (root_e + root_b) - root_e
+    if denominator <= 0.0:
+        return None
+    lambda_star = root_b * root_e * (root_e - root_b) / denominator
+    return lambda_star if lambda_star * h_csl < mu_e else None
 
 
 def h_csl_oracle(popularity, sizes, total_capacity):

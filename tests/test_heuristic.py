@@ -18,8 +18,10 @@ from fogcache import (
     overall_adt,
     placement_from_echr,
 )
+from fogcache._roots import TOL
 from fogcache.heuristic import _assign_first_fit, _greedy_fractions, lambda_threshold
 from fogcache.model import validate_placement, zipf_popularity
+from fogcache.objective import _slope_at
 
 from conftest import (
     ADT_AT_CSL,
@@ -35,7 +37,7 @@ from conftest import (
     make_scenario,
     random_scenario,
 )
-from oracle import h_cpl_oracle
+from oracle import h_cpl_oracle, lambda_star_oracle
 
 
 def _echr_csl_with_placement(library, cluster):
@@ -334,7 +336,6 @@ class TestEchrCpl:
     def test_heterogeneous_clamps_to_one_for_slow_arrivals(self):
         # The root lies far above 1 inside the stable interval; clamped.
         traffic = TrafficProfile([0.01, 0.02], [8.0, 8.0], [6.0, 6.0])
-        assert not traffic.homogeneous
         assert echr_cpl(traffic) == 1.0
 
     @pytest.mark.parametrize(
@@ -355,40 +356,136 @@ class TestEchrCpl:
         assert h == pytest.approx(h_cpl_oracle(lam, 8.0, 6.0), abs=1e-12)
 
 
+def _random_profile(rng):
+    """Seeded heterogeneous traffic on 2 to 7 stations and a storage bound."""
+    n = int(rng.integers(2, 8))
+    mu_b = rng.uniform(1.0, 10.0, size=n)
+    mu_e = mu_b * rng.uniform(1.05, 4.0, size=n)
+    lam = mu_b * rng.uniform(0.05, 0.95, size=n)
+    return TrafficProfile(lam, mu_e, mu_b), float(rng.uniform(0.0, 1.0))
+
+
+def _first_saturation(h_csl, traffic):
+    """The load factor at which the first queue saturates at ``h_csl``, and
+    whether that queue is a miss queue (a tie counts as one), station by
+    station."""
+    first, miss = math.inf, False
+    for lam, mu_e, mu_b in zip(traffic.lam, traffic.mu_e, traffic.mu_b):
+        hit_load = mu_e / (lam * h_csl)
+        miss_load = mu_b / (lam * (1.0 - h_csl)) if h_csl < 1.0 else math.inf
+        if min(hit_load, miss_load) < first:
+            first = min(hit_load, miss_load)
+            miss = bool(miss_load <= hit_load)
+    return first, miss
+
+
+def _regime_at(h_csl, traffic, load):
+    """The heuristic's regime with every arrival rate times ``load``: the
+    stationary point lies above ``h_csl`` (CSL) when the slope there is
+    negative."""
+    return "CSL" if _slope_at(h_csl, traffic, load) < 0.0 else "CPL"
+
+
 class TestLambdaThreshold:
     def test_reference_value(self):
-        assert lambda_threshold(H_CSL, 8.0, 6.0) == LAMBDA_STAR
+        assert lambda_star_oracle(H_CSL, 8.0, 6.0) == LAMBDA_STAR
 
     def test_curves_cross_at_the_threshold(self):
         # At lam = lambda*, the stationary point equals the storage bound.
         traffic = TrafficProfile([LAMBDA_STAR], [8.0], [6.0])
         assert echr_cpl(traffic) == pytest.approx(H_CSL, abs=1e-12)
 
+    def test_identical_stations_match_the_oracle(self):
+        # The root's bracket in the load factor s is at most TOL wide, and
+        # its midpoint is returned, so s lies within TOL / 2 of the exact
+        # load, with TOL / 2 left for rounding in the slope: the threshold
+        # s * lam lies within TOL * lam of lambda*.  The closed form rounds
+        # too, and is allowed 8 ulps of its value.
+        rng = np.random.default_rng(2029)
+        found = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            mu_b = float(np.exp(rng.uniform(math.log(0.1), math.log(100.0))))
+            mu_e = mu_b * float(rng.uniform(1.01, 20.0))
+            lam = mu_b * float(rng.uniform(0.01, 0.99))
+            h_csl = float(rng.uniform(0.5, 1.0))  # none exists at or below 1/2
+            expected = lambda_star_oracle(h_csl, mu_e, mu_b)
+            lambda_star = lambda_threshold(h_csl, TrafficProfile([lam] * n, [mu_e] * n, [mu_b] * n))
+            if expected is None:
+                assert lambda_star is None, (h_csl, lam, mu_e, mu_b)
+                continue
+            found += 1
+            bound = TOL * lam + 8.0 * np.spacing(expected)
+            assert abs(lambda_star - expected) <= bound, (h_csl, lam, mu_e, mu_b)
+        assert found >= 400
+
+    def test_heterogeneous_regimes_flip_at_the_threshold(self):
+        rng = np.random.default_rng(2030)
+        found = 0
+        for _ in range(400):
+            traffic, h_csl = _random_profile(rng)
+            lambda_star = lambda_threshold(h_csl, traffic)
+            if lambda_star is None:
+                continue
+            found += 1
+            load = lambda_star / traffic.lam.mean()
+            limit, _ = _first_saturation(h_csl, traffic)
+            # One crossing: on a fine grid up to the first saturation, the
+            # slope at h_csl is positive exactly above the threshold.
+            loads = limit * np.linspace(0.0, 1.0, 1002)[1:-1]
+            slopes = _slope_at(h_csl, traffic, loads[:, np.newaxis])
+            np.testing.assert_array_equal(slopes > 0.0, loads > load)
+            assert _regime_at(h_csl, traffic, 0.99 * load) == "CSL"
+            if 1.01 * load < limit:  # every queue still stable at h_csl
+                assert _regime_at(h_csl, traffic, 1.01 * load) == "CPL"
+            lam = traffic.lam * load
+            if np.all(lam < traffic.mu_b):
+                scaled = TrafficProfile(lam, traffic.mu_e, traffic.mu_b)
+                assert abs(echr_cpl(scaled) - h_csl) <= 1e-12, (h_csl, traffic)
+        assert found >= 100
+
+    def test_none_exactly_when_a_miss_queue_saturates_first(self):
+        # When a miss queue saturates first, the slope at h_csl stays
+        # negative on a fine grid of loads up to that saturation.
+        rng = np.random.default_rng(2031)
+        outcomes = set()
+        for _ in range(300):
+            traffic, h_csl = _random_profile(rng)
+            limit, miss_first = _first_saturation(h_csl, traffic)
+            assert (lambda_threshold(h_csl, traffic) is None) == miss_first
+            if miss_first:
+                loads = limit * np.linspace(0.0, 1.0, 1002)[1:-1]
+                assert np.all(_slope_at(h_csl, traffic, loads[:, np.newaxis]) < 0.0)
+            outcomes.add(miss_first)
+        assert outcomes == {False, True}
+
     def test_none_when_storage_stays_the_bottleneck(self):
         # Small storage bound: the stationary point exceeds it at every
         # stable arrival rate, so no threshold exists.
-        assert lambda_threshold(0.25, 8.0, 6.0) is None
+        assert lambda_star_oracle(0.25, 8.0, 6.0) is None
+        assert lambda_threshold(0.25, TrafficProfile([4.0], [8.0], [6.0])) is None
 
     def test_none_when_the_root_overloads_the_hit_queue(self):
-        # With mu_e = 30 the formula gives 1816.35, where the hit queue
+        # With mu_e = 30 the closed form gives 1816.35, where the hit queue
         # alone carries 1816.35 * H_CSL = 1260 against mu_e: that root
         # solves the stationarity identity with both queue margins negative.
         # Every stable arrival rate stays storage-limited.
-        assert lambda_threshold(H_CSL, 30.0, 6.0) is None
+        assert lambda_star_oracle(H_CSL, 30.0, 6.0) is None
+        assert lambda_threshold(H_CSL, TrafficProfile([4.0], [30.0], [6.0])) is None
 
     def test_keeps_a_crossing_above_mu_b_with_both_queues_stable(self):
         library, cluster = ContentLibrary.zipf(20, 0.6), FogCluster([2.0, 2.5, 3.0])
         h_csl = echr_csl(library, cluster)
-        lam = lambda_threshold(h_csl, 8.0, 6.0)
+        lam = lambda_threshold(h_csl, TrafficProfile([4.0] * 3, [8.0] * 3, [6.0] * 3))
         assert lam == pytest.approx(9.0987, abs=1e-4)
         assert lam * h_csl < 8.0 and lam * (1.0 - h_csl) < 6.0
         assert h_cpl_oracle(lam, 8.0, 6.0) == pytest.approx(h_csl, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            lambda_threshold(0.0, 8.0, 6.0)
-        with pytest.raises(ValueError):
-            lambda_threshold(0.5, 6.0, 8.0)
+        traffic = TrafficProfile([4.0], [8.0], [6.0])
+        for h_csl in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="h_csl must lie in"):
+                lambda_threshold(h_csl, traffic)
 
 
 class TestPlacementFromEchr:
@@ -451,7 +548,7 @@ class TestHeuristicSolve:
         assert result.h_csl == H_CSL
         assert result.h_cpl == H_CPL
         assert result.h_star == H_CPL
-        assert result.lambda_star == LAMBDA_STAR
+        assert abs(result.lambda_star - LAMBDA_STAR) <= 1e-12
         report = overall_adt(result.placement, reference_scenario)
         assert report.overall == pytest.approx(ADT_OPT, abs=1e-15)
 
@@ -460,7 +557,7 @@ class TestHeuristicSolve:
         result = heuristic_solve(scenario)
         assert result.regime == "CSL"
         assert result.h_star == H_CSL
-        assert result.lambda_star == LAMBDA_STAR
+        assert abs(result.lambda_star - LAMBDA_STAR) <= 1e-12
 
     def test_no_threshold_when_storage_limits_every_stable_rate(self):
         result = heuristic_solve(make_scenario(mu_e=30.0))
@@ -488,7 +585,14 @@ class TestHeuristicSolve:
     def test_heterogeneous_traffic(self, hetero_scenario):
         result = heuristic_solve(hetero_scenario)
         assert result.regime == "CPL"
-        assert result.lambda_star is None  # threshold defined only for identical stations
+        # The regime flips across the printed threshold, a mean arrival rate.
+        traffic = hetero_scenario.traffic
+        load = result.lambda_star / traffic.lam.mean()
+        assert load < 1.0
+        for factor, regime in ((0.99, "CSL"), (1.01, "CPL")):
+            scaled = TrafficProfile(traffic.lam * (factor * load), traffic.mu_e, traffic.mu_b)
+            scenario = Scenario(hetero_scenario.library, hetero_scenario.cluster, scaled)
+            assert heuristic_solve(scenario).regime == regime
         assert result.h_star == pytest.approx(HETERO_H_OPT, abs=1e-9)
         report = overall_adt(result.placement, hetero_scenario)
         assert report.overall == pytest.approx(HETERO_ADT_OPT, abs=1e-9)

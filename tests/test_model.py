@@ -119,7 +119,6 @@ class TestTrafficProfile:
         traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
         assert traffic.station_count == 2
         np.testing.assert_allclose(traffic.weights, [2.0 / 3.0, 1.0 / 3.0])
-        assert not traffic.homogeneous
 
     def test_weights_are_stored_once_and_not_settable(self):
         traffic = TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0])
@@ -129,10 +128,6 @@ class TestTrafficProfile:
             TrafficProfile([4.0, 2.0], [8.0, 8.0], [6.0, 6.0], weights=[0.5, 0.5])
         with pytest.raises(dataclasses.FrozenInstanceError):
             traffic.weights = np.array([0.5, 0.5])
-
-    def test_homogeneous_flag(self):
-        traffic = TrafficProfile([4.0, 4.0], [8.0, 8.0], [6.0, 6.0])
-        assert traffic.homogeneous
 
     def test_rejects_arrival_at_backhaul_rate(self):
         with pytest.raises(ValueError, match=r"BS 1: lam=6 >= mu_b=6"):

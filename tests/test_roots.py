@@ -9,6 +9,7 @@ from fogcache.errors import NumericalError
 from fogcache.objective import _curvature_at, _slope_at, stable_echr_interval
 
 from conftest import bounded, make_scenario
+from oracle import lambda_star_oracle
 
 
 def test_closes_the_bracket_once_newton_converges():
@@ -33,6 +34,28 @@ def test_closes_the_bracket_once_newton_converges():
 def test_raises_when_no_sign_change_exists():
     with pytest.raises(NumericalError, match="no negative value"):
         increasing_root(lambda x: x + 10.0, lambda x: 1.0, -1.0, 1.0)
+
+
+def test_finds_the_crossing_after_a_dip():
+    # D'(h) of identical stations with h = 0.6875, mu_e = 12 and mu_b = 6,
+    # as a function of their arrival rate: it falls until about 12.4, then
+    # rises to +inf as the hit queue saturates at 12 / h, ahead of the miss
+    # queue.  The first probe lands in the dip, where the slope is negative
+    # and no Newton step may be taken.
+    h, mu_e, mu_b = 0.6875, 12.0, 6.0
+
+    def func(lam):
+        return mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
+
+    def deriv(lam):
+        t_e, t_b = 1.0 / (mu_e - lam * h), 1.0 / (mu_b - lam * (1.0 - h))
+        return 2.0 * (h * mu_e * t_e**3 - (1.0 - h) * mu_b * t_b**3)
+
+    hi = mu_e / h
+    assert deriv(0.5 * hi) < 0.0
+    root, _ = _checked_root(func, deriv, 0.0, hi)
+    expected = lambda_star_oracle(h, mu_e, mu_b)
+    assert abs(root - expected) <= TOL + 8.0 * np.spacing(expected)
 
 
 # Arrival rates as a share of mu_b: next to saturation, lam = mu_b (1 - 10^-k)
