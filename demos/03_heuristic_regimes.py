@@ -4,8 +4,8 @@ At low load the best policy is simply "cache as much as fits" — the storage
 bound h_csl binds.  As the arrival rate grows, the edge queue becomes the
 bottleneck and the optimum retreats to the stationary point h_cpl of the
 download-time curve, which keeps dropping as load rises.  The heuristic
-finds the crossover arrival rate lambda_star as one scalar root, and its
-h* = min(h_csl, h_cpl) is the exact optimum for any content sizes.
+finds the crossover arrival rate lambda_star by a sweep over the load,
+and its h* = min(h_csl, h_cpl) is the exact optimum for any content sizes.
 """
 
 import numpy as np

@@ -11,8 +11,8 @@ fast M/M/1 queue) or over the backhaul (a slower one).  It provides:
 * two independent cross-checks — projected gradient and an exhaustive grid
   over the hit ratio (:mod:`fogcache.baselines`);
 * the exact two-regime heuristic — the storage bound, the stationary
-  point and the switch threshold, each one scalar root for every traffic
-  profile (:mod:`fogcache.heuristic`);
+  point and the lowest switch threshold, for every traffic profile
+  (:mod:`fogcache.heuristic`);
 * a seeded discrete-event simulator validating the queueing model
   (:mod:`fogcache.queuesim`);
 * a CLI for one-shot solves and reproducible experiment sweeps

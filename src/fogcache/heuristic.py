@@ -15,8 +15,9 @@ candidate optima exist:
 The reachable hit ratios are exactly ``[0, h_csl]``, so the convexity of the
 download-time curve makes ``h* = min(h_csl, h_cpl)`` the exact optimum, for
 any content sizes.  As every arrival rate grows by one common factor, the
-two regimes swap at a threshold: storage-limited below it,
-provision-limited above.  :func:`lambda_threshold` reports it as a mean
+optimum is storage-limited up to a threshold and provision-limited just
+above it; heterogeneous stations can turn it storage-limited again at a
+higher load.  :func:`lambda_threshold` reports the threshold as a mean
 arrival rate, ``lambda*`` for identical stations.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import increasing_root
+from ._roots import TOL, increasing_root
 from .model import FEASIBILITY_TOL, Placement
 from .objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
 
@@ -143,39 +144,59 @@ def echr_cpl(traffic):
 
 
 def lambda_threshold(h_csl, traffic):
-    """Mean arrival rate at which the storage- and provision-limited optima meet.
+    """Lowest mean arrival rate at which the stationary point takes over from storage.
 
-    Scales every station's arrival rate by one load factor ``s`` and finds
-    the ``s*`` at which the slope ``D'(h_csl)`` reaches 0: below it storage
-    binds (CSL), above it the stationary point does (CPL).  Returns
-    ``s* * mean(lam)``, for identical stations the threshold ``lambda*``.
+    With every arrival rate times one load factor ``s``, the slope
+    ``D'(h_csl)`` is a hit term minus a miss term, both increasing and
+    convex in ``s`` up to the first queue saturation, and negative at
+    ``s = 0``.  Returns ``s* * mean(lam)`` for the lowest ``s*`` where it
+    reaches 0 (CSL below, CPL just above), or ``None`` if it stays negative
+    up to saturation, as always for ``h_csl = 0``.  For identical stations
+    that is ``lambda*``, the only crossing; heterogeneous traffic can cross
+    back to CSL as a miss queue nears saturation.  A value may break some
+    station's chain ``lam < mu_b``, out of reach of stable traffic.
 
-    From ``mean(1/mu_e - 1/mu_b) < 0`` at ``s = 0`` the slope diverges at the
-    first load that saturates a queue at ``h_csl``.  If that is a hit queue,
-    it goes to ``+inf`` and crosses 0 once, possibly after a dip, and
-    :func:`~._roots.increasing_root` finds the crossing.  If a miss queue
-    saturates first or at once (always, for ``h_csl = 0``), the slope stays
-    negative, storage binds at every load, and ``None`` is returned.  A
-    returned value keeps every queue stable at ``h_csl`` but may break some
-    station's chain ``lam < mu_b``: then stable traffic cannot reach it.
+    A sweep from ``s = 0`` proves each step negative by the hit term's chord
+    minus the miss term's tangent, or by a negative end where the slope
+    rises (the hit term's derivative at the start above the miss term's at
+    the end).  :func:`~._roots.increasing_root` takes a rising step with a
+    positive end; any other step halves, down to :data:`~._roots.TOL`.
     """
     h_csl = float(h_csl)
     if not 0.0 <= h_csl <= 1.0:
         raise ValueError(f"h_csl must lie in [0, 1], got {h_csl:g}")
-    lam, mu_e, mu_b = traffic.lam, traffic.mu_e, traffic.mu_b
-    with np.errstate(divide="ignore"):
-        hit_limit = float(np.min(mu_e / (lam * h_csl)))
-        miss_limit = float(np.min(mu_b / (lam * (1.0 - h_csl))))
-    if miss_limit <= hit_limit:
-        return None
+    lam, weights = traffic.lam, traffic.weights
+    with np.errstate(divide="ignore", over="ignore"):
+        saturation = np.minimum(traffic.mu_e / (lam * h_csl), traffic.mu_b / (lam * (1.0 - h_csl)))
+    # Loads past 1e307 count as saturated, so that the sum of two loads stays finite.
+    limit = float(np.min(saturation, initial=1e307))
 
-    def load_derivative(s):
+    def terms(s):
+        """The slope's hit and miss terms at load ``s``, then their derivatives in ``s``."""
         t_e, t_b, _ = _station_times(h_csl, traffic, s)
-        per_station = 2.0 * lam * (h_csl * mu_e * t_e**3 - (1.0 - h_csl) * mu_b * t_b**3)
-        return per_station @ traffic.weights
+        hit, miss = traffic.mu_e * t_e**2, traffic.mu_b * t_b**2
+        rise, climb = 2.0 * h_csl * lam * hit * t_e, 2.0 * (1.0 - h_csl) * lam * miss * t_b
+        return np.array([hit @ weights, miss @ weights, rise @ weights, climb @ weights])
 
-    load = increasing_root(lambda s: _slope_at(h_csl, traffic, s), load_derivative, 0.0, hit_limit)
-    return float(load * np.mean(lam))
+    lo, at_lo, step, tol = 0.0, terms(0.0), limit, max(TOL, 4.0 * np.spacing(limit))
+    while limit - lo > tol:
+        hi = lo + min(step, 0.5 * (limit - lo))
+        at_hi = terms(hi)
+        (_, miss_lo, rise_lo, climb_lo), (hit_hi, miss_hi, _, climb_hi) = at_lo, at_hi
+        rising = rise_lo > climb_hi
+        if rising and hit_hi > miss_hi:
+            load = increasing_root(
+                lambda s: np.subtract(*terms(s)[:2]), lambda s: np.subtract(*terms(s)[2:]), lo, hi
+            )
+            return float(load * np.mean(lam))
+        below = hit_hi - miss_lo - climb_lo * (hi - lo) < 0.0
+        if below or (rising or hi - lo <= tol) and hit_hi < miss_hi:
+            lo, at_lo, step = hi, at_hi, 2.0 * step
+        elif hi - lo > tol:
+            step = 0.5 * (hi - lo)
+        else:
+            return float(0.5 * (lo + hi) * np.mean(lam))
+    return None
 
 
 def placement_from_echr(h_target, library, cluster):
@@ -207,9 +228,9 @@ class HeuristicResult:
     """Outcome of the two-regime heuristic.
 
     ``regime`` is ``"CSL"`` when the storage bound is the binding one and
-    ``"CPL"`` when the stationary point is; ``lambda_star`` is the mean
-    arrival rate at which the regime switches when every station's rate is
-    scaled by one factor (``None`` when storage binds at every load).
+    ``"CPL"`` when the stationary point is; ``lambda_star`` is the lowest
+    mean arrival rate at which the regime turns CPL when every station's
+    rate is scaled by one factor (``None`` when storage binds at every load).
     ``placement`` realizes ``h_star`` exactly.
     """
 

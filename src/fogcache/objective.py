@@ -111,13 +111,13 @@ def _adt_at(h, traffic):
     return _station_times(h, traffic)[2] @ traffic.weights
 
 
-def _slope_at(h, traffic, load=1.0):
-    """``D'(h)`` with no stability check, at arrival rates ``load * lam``.
+def _slope_at(h, traffic):
+    """``D'(h)`` with no stability check.
 
     For hot loops that keep ``h`` inside :func:`stable_echr_interval`
     themselves; ``h`` is a scalar or carries a trailing station axis.
     """
-    t_e, t_b, _ = _station_times(h, traffic, load)
+    t_e, t_b, _ = _station_times(h, traffic)
     return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
 
 

@@ -21,7 +21,7 @@ from fogcache import (
 from fogcache._roots import TOL
 from fogcache.heuristic import _assign_first_fit, _greedy_fractions, lambda_threshold
 from fogcache.model import validate_placement, zipf_popularity
-from fogcache.objective import _slope_at
+from fogcache.objective import _station_times
 
 from conftest import (
     ADT_AT_CSL,
@@ -365,25 +365,52 @@ def _random_profile(rng):
     return TrafficProfile(lam, mu_e, mu_b), float(rng.uniform(0.0, 1.0))
 
 
+def _crossing_back(hit_first):
+    """``hit_first`` stations whose hit queue saturates first at ``h_csl = 0.6``
+    (at load 2.69) beside one whose miss queue saturates first (at load
+    2.56), all with ``lam = 3.9``.  From three such stations on, the slope
+    at 0.6 crosses zero upward and then back down before load 2.56."""
+    n = hit_first + 1
+    return TrafficProfile([3.9] * n, [6.3] * hit_first + [12.0], [6.0] * hit_first + [4.0])
+
+
 def _first_saturation(h_csl, traffic):
-    """The load factor at which the first queue saturates at ``h_csl``, and
-    whether that queue is a miss queue (a tie counts as one), station by
-    station."""
-    first, miss = math.inf, False
+    """The load factor at which the first queue saturates at ``h_csl``,
+    station by station."""
+    first = math.inf
     for lam, mu_e, mu_b in zip(traffic.lam, traffic.mu_e, traffic.mu_b):
-        hit_load = mu_e / (lam * h_csl)
+        hit_load = mu_e / (lam * h_csl) if h_csl > 0.0 else math.inf
         miss_load = mu_b / (lam * (1.0 - h_csl)) if h_csl < 1.0 else math.inf
-        if min(hit_load, miss_load) < first:
-            first = min(hit_load, miss_load)
-            miss = bool(miss_load <= hit_load)
-    return first, miss
+        first = min(first, hit_load, miss_load)
+    return first
+
+
+def _slope(h_csl, traffic, loads):
+    """``D'(h_csl)`` with every arrival rate times ``loads``, a scalar or an
+    array; the scaled rates need not satisfy the stability chain."""
+    t_e, t_b, _ = _station_times(h_csl, traffic, np.asarray(loads)[..., np.newaxis])
+    return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
 
 
 def _regime_at(h_csl, traffic, load):
     """The heuristic's regime with every arrival rate times ``load``: the
     stationary point lies above ``h_csl`` (CSL) when the slope there is
     negative."""
-    return "CSL" if _slope_at(h_csl, traffic, load) < 0.0 else "CPL"
+    return "CSL" if _slope(h_csl, traffic, load) < 0.0 else "CPL"
+
+
+def _assert_lowest_crossing(h_csl, traffic, lambda_star):
+    """The slope at ``h_csl`` is negative on a fine grid of loads from 0 up
+    to the threshold, or up to the first saturation when there is none, and
+    non-negative just above the threshold."""
+    limit = _first_saturation(h_csl, traffic)
+    if lambda_star is None:
+        assert np.all(_slope(h_csl, traffic, limit * np.linspace(0.0, 1.0, 2001)[:-1]) < 0.0)
+        return
+    load = lambda_star / traffic.lam.mean()
+    assert 0.0 < load < limit
+    assert np.all(_slope(h_csl, traffic, load * np.linspace(0.0, 1.0, 2001)[:-1]) < 0.0)
+    assert _slope(h_csl, traffic, load * (1.0 + 1e-7)) >= 0.0
 
 
 class TestLambdaThreshold:
@@ -419,45 +446,61 @@ class TestLambdaThreshold:
             assert abs(lambda_star - expected) <= bound, (h_csl, lam, mu_e, mu_b)
         assert found >= 400
 
-    def test_heterogeneous_regimes_flip_at_the_threshold(self):
+    def test_heterogeneous_threshold_is_the_lowest_crossing(self):
         rng = np.random.default_rng(2030)
-        found = 0
+        outcomes = set()
         for _ in range(400):
             traffic, h_csl = _random_profile(rng)
             lambda_star = lambda_threshold(h_csl, traffic)
+            _assert_lowest_crossing(h_csl, traffic, lambda_star)
+            outcomes.add(lambda_star is None)
             if lambda_star is None:
                 continue
-            found += 1
             load = lambda_star / traffic.lam.mean()
-            limit, _ = _first_saturation(h_csl, traffic)
-            # One crossing: on a fine grid up to the first saturation, the
-            # slope at h_csl is positive exactly above the threshold.
-            loads = limit * np.linspace(0.0, 1.0, 1002)[1:-1]
-            slopes = _slope_at(h_csl, traffic, loads[:, np.newaxis])
-            np.testing.assert_array_equal(slopes > 0.0, loads > load)
             assert _regime_at(h_csl, traffic, 0.99 * load) == "CSL"
-            if 1.01 * load < limit:  # every queue still stable at h_csl
-                assert _regime_at(h_csl, traffic, 1.01 * load) == "CPL"
             lam = traffic.lam * load
             if np.all(lam < traffic.mu_b):
                 scaled = TrafficProfile(lam, traffic.mu_e, traffic.mu_b)
                 assert abs(echr_cpl(scaled) - h_csl) <= 1e-12, (h_csl, traffic)
-        assert found >= 100
-
-    def test_none_exactly_when_a_miss_queue_saturates_first(self):
-        # When a miss queue saturates first, the slope at h_csl stays
-        # negative on a fine grid of loads up to that saturation.
-        rng = np.random.default_rng(2031)
-        outcomes = set()
-        for _ in range(300):
-            traffic, h_csl = _random_profile(rng)
-            limit, miss_first = _first_saturation(h_csl, traffic)
-            assert (lambda_threshold(h_csl, traffic) is None) == miss_first
-            if miss_first:
-                loads = limit * np.linspace(0.0, 1.0, 1002)[1:-1]
-                assert np.all(_slope_at(h_csl, traffic, loads[:, np.newaxis]) < 0.0)
-            outcomes.add(miss_first)
         assert outcomes == {False, True}
+
+    def test_lowest_of_two_crossings(self):
+        # Six stations whose hit queue saturates first beside one whose miss
+        # queue does: the slope at 0.6 turns positive at load 0.942 and
+        # negative again at 2.433, before the miss queue saturates at 2.564.
+        # The threshold is the first crossing; the 50-digit one is
+        # 3.67493772654735116954... as a mean arrival rate.
+        traffic = _crossing_back(6)
+        lambda_star = bounded(lambda_threshold, 0.6, traffic, seconds=10)
+        assert abs(lambda_star - 3.6749377265473512) <= 1e-12
+        _assert_lowest_crossing(0.6, traffic, lambda_star)
+        assert [_regime_at(0.6, traffic, load) for load in (0.94, 0.95, 2.43, 2.44)] == [
+            "CSL",
+            "CPL",
+            "CPL",
+            "CSL",
+        ]
+
+    @pytest.mark.parametrize("hit_first", [1, 2, 3, 6, 24])
+    def test_stations_that_cross_back(self, hit_first):
+        traffic = _crossing_back(hit_first)
+        lambda_star = bounded(lambda_threshold, 0.6, traffic, seconds=10)
+        _assert_lowest_crossing(0.6, traffic, lambda_star)
+        assert (lambda_star is None) == (hit_first < 3)
+        if lambda_star is not None:
+            assert _regime_at(0.6, traffic, 2.55) == "CSL"
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-308, 5e-324])
+    def test_light_traffic_returns(self, lam):
+        # The threshold lies near 1.366 / lam in load; past 1e307 loads
+        # count as saturated, and at lam = 1e-308 the first saturation
+        # overflows the float range.  Each call must stop.
+        traffic = TrafficProfile([lam], [8.0], [6.0])
+        lambda_star = bounded(lambda_threshold, 0.9, traffic, seconds=10)
+        if lam == 1e-300:
+            assert lambda_star == pytest.approx(lambda_star_oracle(0.9, 8.0, 6.0), abs=1e-12)
+        else:
+            assert lambda_star is None
 
     def test_none_when_storage_stays_the_bottleneck(self):
         # Small storage bound: the stationary point exceeds it at every
@@ -570,6 +613,36 @@ class TestHeuristicSolve:
             result = heuristic_solve(make_scenario(lam=lam))
             expected = "CSL" if lam < LAMBDA_STAR else "CPL"
             assert result.regime == expected, lam
+
+    def test_regime_is_consistent_with_the_threshold(self):
+        # At load 1 the regime is CPL only at or above the lowest crossing.
+        # A tie h_cpl = h_csl, as at h_csl = 1, reads CPL whatever the slope
+        # there, so it is left out.
+        rng = np.random.default_rng(2032)
+        regimes = set()
+        for _ in range(300):
+            scenario = random_scenario(rng)
+            result = heuristic_solve(scenario)
+            if result.h_cpl == result.h_csl:
+                continue
+            _assert_lowest_crossing(result.h_csl, scenario.traffic, result.lambda_star)
+            if result.regime == "CPL":
+                assert result.lambda_star <= scenario.traffic.lam.mean()
+            regimes.add(result.regime)
+        assert regimes == {"CSL", "CPL"}
+
+    @pytest.mark.parametrize("hit_first", [1, 2, 3, 6, 24])
+    def test_regime_agrees_with_threshold_where_the_slope_crosses_back(self, hit_first):
+        # Ten equally popular contents and storage for six: h_csl = 0.6.
+        # These profiles cross back to CSL only above load 2.1, so at load 1
+        # the regime is CPL exactly when the threshold is at most the mean
+        # arrival rate, 3.9.
+        n = hit_first + 1
+        cluster = FogCluster(np.full(n, 6.0 / n))
+        result = heuristic_solve(Scenario(ContentLibrary.zipf(10, 0.0), cluster, _crossing_back(hit_first)))
+        assert result.h_csl == pytest.approx(0.6, abs=1e-12)
+        at_or_above = result.lambda_star is not None and result.lambda_star <= 3.9
+        assert result.regime == ("CPL" if at_or_above else "CSL")
 
     def test_storage_bound_beats_the_stationary_point_on_adt(self, reference_scenario):
         # The stationary point is the true optimum here; pinning the cache to
