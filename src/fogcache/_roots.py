@@ -10,30 +10,31 @@ TOL = 1e-12  # absolute tolerance on the final bracket width
 MAX_ITER = 200  # safeguarded Newton steps before plain bisection takes over
 
 
-def increasing_root(func, deriv, lo, hi):
-    """Root of ``func`` on the open interval ``(lo, hi)``.
+def increasing_root(func, lo, hi):
+    """Root of a function on the open interval ``(lo, hi)``.
 
-    ``func`` must change sign once there: negative near ``lo``, positive
-    near ``hi``.  It need not be monotone, and it may diverge at either end,
-    so neither end is ever evaluated: the sign bracket starts as
-    ``(lo, hi)`` itself.  One loop shrinks it (Numerical Recipes, section
-    9.4, ``rtsafe``): each step takes the Newton step from ``deriv`` when
-    that slope is positive and the step lands inside the bracket, and
-    bisects otherwise; after :data:`MAX_ITER` steps it only bisects.  A
-    Newton step shorter than half the tolerance is doubled (to at least a
-    few ulps), so the next point lands just past the root and closes the
-    bracket around it.  The loop stops once the bracket is narrower than
-    ``max(TOL, 4 * spacing(x))`` at the last point ``x``: :data:`TOL` for
-    every root below about 1,000, a few ulps above.  If the bracket closes
-    on ``lo`` or ``hi``, no value of the needed sign exists and
-    :class:`NumericalError` is raised.
+    ``func(x)`` returns the function's value and slope at ``x``.  The value
+    must change sign once there: negative near ``lo``, positive near
+    ``hi``.  It need not be monotone, and it may diverge at either end, so
+    neither end is ever evaluated: the sign bracket starts as ``(lo, hi)``
+    itself.  One loop shrinks it (Numerical Recipes, section 9.4,
+    ``rtsafe``, whose one ``funcd`` callback also returns both): each step
+    takes the Newton step when the slope is positive and the step lands
+    inside the bracket, and bisects otherwise; after :data:`MAX_ITER` steps
+    it only bisects.  A Newton step shorter than half the tolerance is
+    doubled (to at least a few ulps), so the next point lands just past the
+    root and closes the bracket around it.  The loop stops once the bracket
+    is narrower than ``max(TOL, 4 * spacing(x))`` at the last point ``x``:
+    :data:`TOL` for every root below about 1,000, a few ulps above.  If the
+    bracket closes on ``lo`` or ``hi``, no value of the needed sign exists
+    and :class:`NumericalError` is raised.
     """
     if not hi > lo:
         raise ValueError("empty interval (%g, %g)" % (lo, hi))
     a, b, x = lo, hi, 0.5 * (lo + hi)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in itertools.count():
-            fx = func(x)
+            fx, slope = func(x)
             if fx == 0.0:
                 return x
             if fx > 0.0:
@@ -44,8 +45,7 @@ def increasing_root(func, deriv, lo, hi):
             tol = max(TOL, ulps)
             if b - a <= tol:
                 break
-            slope = deriv(x) if k < MAX_ITER else np.nan
-            if np.isfinite(fx) and np.isfinite(slope) and slope > 0.0:
+            if k < MAX_ITER and np.isfinite(fx) and np.isfinite(slope) and slope > 0.0:
                 step = -fx / slope
                 if abs(step) < 0.5 * tol:
                     step = np.copysign(max(2.0 * abs(step), ulps), step)

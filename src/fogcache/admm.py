@@ -34,7 +34,7 @@ import numpy as np
 
 from ._roots import increasing_root
 from .model import Placement, _check_count, _check_positive
-from .objective import _clamped_echr, _curvature_at, _feasible_adt, _slope_at, stable_echr_interval
+from .objective import _clamped_echr, _derivatives, _feasible_adt, stable_echr_interval
 
 __all__ = [
     "AdmmConfig",
@@ -323,13 +323,11 @@ def p_update(z, theta, scenario, rho):
     traffic = scenario.traffic
 
     def residual(h):
-        return h - cv + _slope_at(h, traffic) * c_sq_over_rho
+        slope, curvature = _derivatives(h, traffic)
+        return h - cv + slope * c_sq_over_rho, 1.0 + curvature * c_sq_over_rho
 
-    def residual_slope(h):
-        return 1.0 + _curvature_at(h, traffic) * c_sq_over_rho
-
-    h_star = increasing_root(residual, residual_slope, *stable_echr_interval(traffic))
-    return v - (_slope_at(h_star, traffic) / rho) * popularity
+    h_star = increasing_root(residual, *stable_echr_interval(traffic))
+    return v - (_derivatives(h_star, traffic)[0] / rho) * popularity
 
 
 #: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one normalised
@@ -384,7 +382,7 @@ def solve(scenario, config=None):
     best_objective, best_z = np.inf, z
     converged = False
     popularity = library.popularity
-    rho = abs(float(_slope_at(0.0, scenario.traffic))) * float(popularity @ popularity)
+    rho = abs(float(_derivatives(0.0, scenario.traffic)[0])) * float(popularity @ popularity)
     duals = np.zeros(n)
     for k in range(1, config.max_iter + 1):
         p = p_update(z, theta, scenario, rho)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._roots import TOL, increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
+from .objective import _derivatives, _station_times, stable_echr_interval
 
 __all__ = [
     "HeuristicResult",
@@ -135,11 +135,7 @@ def echr_cpl(traffic):
     clamped to [0, 1], which covers slow arrivals and extreme rate ratios
     where it leaves the physical range.
     """
-    h = increasing_root(
-        lambda h: _slope_at(h, traffic),
-        lambda h: _curvature_at(h, traffic),
-        *stable_echr_interval(traffic),
-    )
+    h = increasing_root(lambda h: _derivatives(h, traffic), *stable_echr_interval(traffic))
     return float(min(max(h, 0.0), 1.0))
 
 
@@ -172,22 +168,20 @@ def lambda_threshold(h_csl, traffic):
     limit = float(np.min(saturation, initial=1e307))
 
     def terms(s):
-        """The slope's hit and miss terms at load ``s``, then their derivatives in ``s``."""
+        """The slope's hit term and its derivative in load ``s``, over the miss term's."""
         t_e, t_b, _ = _station_times(h_csl, traffic, s)
         hit, miss = traffic.mu_e * t_e**2, traffic.mu_b * t_b**2
         rise, climb = 2.0 * h_csl * lam * hit * t_e, 2.0 * (1.0 - h_csl) * lam * miss * t_b
-        return np.array([hit @ weights, miss @ weights, rise @ weights, climb @ weights])
+        return np.array([[hit @ weights, rise @ weights], [miss @ weights, climb @ weights]])
 
     lo, at_lo, step, tol = 0.0, terms(0.0), limit, max(TOL, 4.0 * np.spacing(limit))
     while limit - lo > tol:
         hi = lo + min(step, 0.5 * (limit - lo))
         at_hi = terms(hi)
-        (_, miss_lo, rise_lo, climb_lo), (hit_hi, miss_hi, _, climb_hi) = at_lo, at_hi
+        ((_, rise_lo), (miss_lo, climb_lo)), ((hit_hi, _), (miss_hi, climb_hi)) = at_lo, at_hi
         rising = rise_lo > climb_hi
         if rising and hit_hi > miss_hi:
-            load = increasing_root(
-                lambda s: np.subtract(*terms(s)[:2]), lambda s: np.subtract(*terms(s)[2:]), lo, hi
-            )
+            load = increasing_root(lambda s: np.subtract(*terms(s)), lo, hi)
             return float(load * np.mean(lam))
         below = hit_hi - miss_lo - climb_lo * (hi - lo) < 0.0
         if below or (rising or hi - lo <= tol) and hit_hi < miss_hi:
@@ -227,8 +221,8 @@ def placement_from_echr(h_target, library, cluster):
 class HeuristicResult:
     """Outcome of the two-regime heuristic.
 
-    ``regime`` is ``"CSL"`` when the storage bound is the binding one and
-    ``"CPL"`` when the stationary point is; ``lambda_star`` is the lowest
+    ``regime`` is ``"CPL"`` when ``D'(h_csl) >= 0`` (the stationary point
+    binds) and ``"CSL"`` otherwise; ``lambda_star`` is the lowest
     mean arrival rate at which the regime turns CPL when every station's
     rate is scaled by one factor (``None`` when storage binds at every load).
     ``placement`` realizes ``h_star`` exactly.
@@ -254,7 +248,7 @@ def heuristic_solve(scenario):
     h_csl = echr_csl(library, cluster)
     h_cpl = echr_cpl(traffic)
     h_star = min(h_csl, h_cpl)
-    regime = "CPL" if h_cpl <= h_csl else "CSL"
+    regime = "CPL" if _derivatives(h_csl, traffic)[0] >= 0.0 else "CSL"
     placement = placement_from_echr(h_star, library, cluster)
     return HeuristicResult(
         h_csl=h_csl,

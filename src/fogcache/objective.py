@@ -14,7 +14,8 @@ time (ADT) and its derivatives are
 
 and the overall objective ``D(h)`` and its derivatives are their
 arrival-rate-weighted means over the stations.  The model's one kernel,
-``_station_times``, is the only code that writes ``t_e`` and ``t_b``.  ``D``
+``_station_times``, is the only code that writes ``t_e`` and ``t_b``, and
+``_derivatives`` reads both ``D'`` and ``D''`` from one call of it.  ``D``
 depends on a placement only through the scalar ``h``, which is what gives
 the solver its closed-form update: its partial derivative in entry
 ``(i, f)`` is ``D'(h) * popularity[f]`` (:func:`adt_slope`), the same on
@@ -107,25 +108,22 @@ def _station_times(h, traffic, load=1.0):
 
 
 def _adt_at(h, traffic):
-    """``D(h)`` with no stability check; see :func:`_slope_at`."""
+    """``D(h)`` with no stability check; see :func:`_derivatives`."""
     return _station_times(h, traffic)[2] @ traffic.weights
 
 
-def _slope_at(h, traffic):
-    """``D'(h)`` with no stability check.
+def _derivatives(h, traffic):
+    """``(D'(h), D''(h))`` from one kernel call, with no stability check.
 
     For hot loops that keep ``h`` inside :func:`stable_echr_interval`
     themselves; ``h`` is a scalar or carries a trailing station axis.
     """
     t_e, t_b, _ = _station_times(h, traffic)
-    return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
-
-
-def _curvature_at(h, traffic):
-    """``D''(h)`` with no stability check; see :func:`_slope_at`."""
-    t_e, t_b, _ = _station_times(h, traffic)
-    per_station = 2.0 * traffic.lam * (traffic.mu_e * t_e**3 + traffic.mu_b * t_b**3)
-    return per_station @ traffic.weights
+    lam, mu_e, mu_b, weights = traffic.lam, traffic.mu_e, traffic.mu_b, traffic.weights
+    return (
+        (mu_e * t_e**2 - mu_b * t_b**2) @ weights,
+        (2 * lam * (mu_e * t_e**3 + mu_b * t_b**3)) @ weights,
+    )
 
 
 def _checked(kernel, h, traffic):
@@ -158,12 +156,12 @@ def adt_curve(h, traffic):
 
 def adt_slope(h, traffic):
     """First derivative ``dD/dh`` (vectorized over ``h``)."""
-    return _checked(_slope_at, h, traffic)
+    return _checked(lambda h, traffic: _derivatives(h, traffic)[0], h, traffic)
 
 
 def adt_curvature(h, traffic):
     """Second derivative ``d2D/dh2``; strictly positive on the stable range."""
-    return _checked(_curvature_at, h, traffic)
+    return _checked(lambda h, traffic: _derivatives(h, traffic)[1], h, traffic)
 
 
 def _feasible_adt(placement, scenario):

@@ -29,6 +29,7 @@ from fogcache.cli import (
     FLAG_READERS,
     SIMULATE_HEADER,
     SWEEP_HEADER,
+    SweepSpec,
     _build_parser,
     _dump_placement,
     _load_placement,
@@ -487,6 +488,12 @@ class TestSweepCommand:
         assert rows[0][6] == "ok"
         assert int(rows[0][4]) == expected.iterations > 1000
 
+    def test_empty_values_are_rejected(self):
+        # A sweep file's empty list fails as an empty array first; the spec
+        # itself rejects empty values however it is built.
+        with pytest.raises(ValueError, match="^sweep values must be nonempty$"):
+            SweepSpec("lambda", (), "scenario.json")
+
     def test_f_sweep_requires_a_zipf_base(self, tmp_path):
         # A base with explicit popularity has no exponent to regenerate from.
         base = tmp_path / "explicit.json"
@@ -623,6 +630,14 @@ MALFORMED = [
     ("alpha-huge-int", _doc("library", alpha=HUGE_INT), None, "'alpha'"),
     ("F-huge-int", _doc("library", F=HUGE_INT), None, "'F'"),
     ("values-huge-int", _doc(), _sweep(values=[4.0, HUGE_INT]), "'values'"),
+    ("scenario-list", "[]", None, "error: scenario document must be a JSON object"),
+    ("library-neither-form", _doc(library={"F": 20}), None, "either 'popularity' or both 'F'"),
+    ("no-capacities", _doc(cluster={}), None, "cluster section is missing 'capacities'"),
+    ("no-mu_b", _doc(traffic={"lambda": 4.0, "mu_e": 8.0}), None, "section is missing 'mu_b'"),
+    ("sweep-unknown", _doc(), _sweep("alpha"), "unknown sweep parameter 'alpha'"),
+    ("sweep-list", _doc(), [_sweep()], "sweep.json: expected a JSON object"),
+    ("sweep-no-base", _doc(), {"parameter": "lambda", "values": [4.0]}, "missing sweep key 'base'"),
+    ("base-list", "[]", _sweep(), "scenario.json: expected a JSON object"),
 ]
 
 
@@ -661,6 +676,7 @@ MALFORMED_MATRICES = {
     "bool-entry": (_reference_matrix_with(True), "matrix"),
     "deep-bool-entry": (_reference_matrix_with(True, 3, 18), "[2][17]"),
     "huge-int-entry": (_reference_matrix_with(HUGE_INT), "matrix"),
+    "ragged": ([[0.0] * 20, [0.0] * 19, [0.0] * 20], "must be a rectangular list of numbers"),
 }
 
 

@@ -220,16 +220,18 @@ class TestPlacementAtTheStorageBound:
         assert storage_limited > 10
 
     def test_full_hit_ratio_caches_every_content_whole(self):
-        # Ample storage and slow arrivals: h_csl = h_cpl = 1.  The popularity
-        # sums past 1 by rounding here, and a target of 1 must still cache
-        # all five contents whole rather than re-cut the last one.
+        # Ample storage and slow arrivals: h_csl = h_cpl = 1, both clamped,
+        # and storage binds, since the stationary point lies far above 1.
+        # The popularity sums past 1 by rounding here, and a target of 1
+        # must still cache all five contents whole rather than re-cut the
+        # last one.
         scenario = Scenario(
             library=ContentLibrary.zipf(5, 0.8),
             cluster=FogCluster([10.0]),
             traffic=TrafficProfile([0.01], [8.0], [6.0]),
         )
         result = heuristic_solve(scenario)
-        assert (result.h_csl, result.h_cpl, result.regime) == (1.0, 1.0, "CPL")
+        assert (result.h_csl, result.h_cpl, result.regime) == (1.0, 1.0, "CSL")
         np.testing.assert_array_equal(result.placement.matrix, np.ones((1, 5)))
 
 
@@ -567,6 +569,10 @@ class TestPlacementFromEchr:
                 H_CSL + 0.01, reference_scenario.library, reference_scenario.cluster
             )
 
+    def test_rejects_a_negative_target(self, reference_scenario):
+        with pytest.raises(ValueError, match="^target hit ratio must be nonnegative$"):
+            placement_from_echr(-0.01, reference_scenario.library, reference_scenario.cluster)
+
     def test_rejects_a_nan_target(self, reference_scenario):
         with pytest.raises(ValueError, match="^h_target must be finite, got nan$"):
             placement_from_echr(
@@ -608,6 +614,18 @@ class TestHeuristicSolve:
         assert result.h_star == H_CSL
         assert result.lambda_star is None
 
+    def test_storage_binds_when_both_bounds_clamp_to_one(self):
+        # Storage for both contents gives h_csl = 1, and at lam = 0.5 the
+        # stationary point lies above 1, so h_cpl clamps to 1 too.  The
+        # slope at h_csl is negative: storage binds, below the threshold.
+        scenario = Scenario(
+            ContentLibrary.zipf(2, 0.0), FogCluster([5.0]), TrafficProfile([0.5], [8.0], [6.0])
+        )
+        result = heuristic_solve(scenario)
+        assert (result.h_csl, result.h_cpl, result.h_star) == (1.0, 1.0, 1.0)
+        assert result.regime == "CSL"
+        assert result.lambda_star > 0.5
+
     def test_regime_agrees_with_threshold(self):
         for lam in (1.0, 2.0, 3.0, 3.5, 4.5):
             result = heuristic_solve(make_scenario(lam=lam))
@@ -616,15 +634,11 @@ class TestHeuristicSolve:
 
     def test_regime_is_consistent_with_the_threshold(self):
         # At load 1 the regime is CPL only at or above the lowest crossing.
-        # A tie h_cpl = h_csl, as at h_csl = 1, reads CPL whatever the slope
-        # there, so it is left out.
         rng = np.random.default_rng(2032)
         regimes = set()
         for _ in range(300):
             scenario = random_scenario(rng)
             result = heuristic_solve(scenario)
-            if result.h_cpl == result.h_csl:
-                continue
             _assert_lowest_crossing(result.h_csl, scenario.traffic, result.lambda_star)
             if result.regime == "CPL":
                 assert result.lambda_star <= scenario.traffic.lam.mean()

@@ -145,6 +145,10 @@ class TestTrafficProfile:
         with pytest.raises(ValueError):
             TrafficProfile([4.0, 4.0], [8.0], [6.0, 6.0])
 
+    def test_rejects_a_string_array(self):
+        with pytest.raises(ValueError, match="^lam entry \\[0\\] must be a number, got '4.0'$"):
+            TrafficProfile(np.array(["4.0"]), 8.0, 6.0)
+
 
 class TestScenario:
     def test_from_dict_broadcasts_scalar_traffic(self):

@@ -13,7 +13,7 @@ from fogcache import (
     echr,
     overall_adt,
 )
-from fogcache.objective import _curvature_at, _slope_at, _station_times, stable_echr_interval
+from fogcache.objective import _derivatives, _station_times, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 
@@ -23,6 +23,10 @@ def _reference_traffic():
 
 
 class TestEchr:
+    def test_rejects_a_column_count_mismatch(self, reference_scenario):
+        with pytest.raises(ValueError, match="^placement with 19 contents does not match a library of 20$"):
+            echr(np.zeros((3, 19)), reference_scenario.library)
+
     def test_weights_fractions_by_popularity(self):
         library = ContentLibrary([0.5, 0.3, 0.2])
         placement = Placement(np.array([[1.0, 0.5, 0.0]]))
@@ -181,11 +185,12 @@ class TestDerivativeKernelsMatchTheOracle:
 
             hit, miss = _oracle_slope_terms(grid, *rates)
             scale = np.sum(hit + miss, axis=-1)
-            slope_error = np.abs(_slope_at(grid, traffic) - _oracle_slope_at(grid, *rates))
+            slope, curvature = _derivatives(grid, traffic)
+            slope_error = np.abs(slope - _oracle_slope_at(grid, *rates))
             assert np.all(slope_error <= 1e-12 * scale)
 
             expected = _oracle_curvature_at(grid, *rates)
-            np.testing.assert_allclose(_curvature_at(grid, traffic), expected, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(curvature, expected, rtol=1e-12, atol=0)
 
 
 class TestOverallAdt:

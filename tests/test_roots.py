@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from fogcache import TrafficProfile, heuristic_solve
+from fogcache import TrafficProfile, admm, heuristic, heuristic_solve, objective
 from fogcache._roots import TOL, increasing_root
 from fogcache.errors import NumericalError
-from fogcache.objective import _curvature_at, _slope_at, stable_echr_interval
+from fogcache.objective import _derivatives, stable_echr_interval
 
-from conftest import bounded, make_scenario
+from conftest import H_CSL, bounded, make_scenario
 from oracle import lambda_star_oracle
 
 
@@ -18,14 +18,14 @@ def test_closes_the_bracket_once_newton_converges():
     # falls below one ulp, so the far end of the bracket must be closed by a
     # probe just past the root rather than by dozens of bisections.
     def residual(h):
-        points.append(h)
         return h - 0.073 + 1.694 * (1.0 / (2.0 - h) ** 2 - 1.0 / (1.5 + h) ** 2)
 
-    def slope(h):
-        return 1.0 + 1.694 * (2.0 / (2.0 - h) ** 3 + 2.0 / (1.5 + h) ** 3)
+    def residual_and_slope(h):
+        points.append(h)
+        return residual(h), 1.0 + 1.694 * (2.0 / (2.0 - h) ** 3 + 2.0 / (1.5 + h) ** 3)
 
     points = []
-    root = increasing_root(residual, slope, -1.5, 2.0)
+    root = increasing_root(residual_and_slope, -1.5, 2.0)
     assert len(points) <= 12
     assert residual(root - 1e-12) < 0.0 < residual(root + 1e-12)
     assert abs(residual(root)) <= 1e-15
@@ -33,7 +33,12 @@ def test_closes_the_bracket_once_newton_converges():
 
 def test_raises_when_no_sign_change_exists():
     with pytest.raises(NumericalError, match="no negative value"):
-        increasing_root(lambda x: x + 10.0, lambda x: 1.0, -1.0, 1.0)
+        increasing_root(lambda x: (x + 10.0, 1.0), -1.0, 1.0)
+
+
+def test_rejects_an_empty_interval():
+    with pytest.raises(ValueError, match="^empty interval \\(1, 1\\)$"):
+        increasing_root(lambda x: (x, 1.0), 1.0, 1.0)
 
 
 def test_finds_the_crossing_after_a_dip():
@@ -45,15 +50,13 @@ def test_finds_the_crossing_after_a_dip():
     h, mu_e, mu_b = 0.6875, 12.0, 6.0
 
     def func(lam):
-        return mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
-
-    def deriv(lam):
         t_e, t_b = 1.0 / (mu_e - lam * h), 1.0 / (mu_b - lam * (1.0 - h))
-        return 2.0 * (h * mu_e * t_e**3 - (1.0 - h) * mu_b * t_b**3)
+        value = mu_e / (mu_e - lam * h) ** 2 - mu_b / (mu_b - lam * (1.0 - h)) ** 2
+        return value, 2.0 * (h * mu_e * t_e**3 - (1.0 - h) * mu_b * t_b**3)
 
     hi = mu_e / h
-    assert deriv(0.5 * hi) < 0.0
-    root, _ = _checked_root(func, deriv, 0.0, hi)
+    assert func(0.5 * hi)[1] < 0.0
+    root, _ = _checked_root(func, 0.0, hi)
     expected = lambda_star_oracle(h, mu_e, mu_b)
     assert abs(root - expected) <= TOL + 8.0 * np.spacing(expected)
 
@@ -65,7 +68,7 @@ SATURATION = range(1, 11)
 LIGHT = range(1, 10)
 
 
-def _checked_root(func, deriv, lo, hi):
+def _checked_root(func, lo, hi):
     """``increasing_root`` on ``(lo, hi)``, returning the root and the number
     of evaluations.  Checks that every evaluated point lies strictly inside
     the interval and that the evaluated values change sign within the
@@ -74,10 +77,11 @@ def _checked_root(func, deriv, lo, hi):
 
     def recorded(x):
         points.append(x)
-        values.append(func(x))
-        return values[-1]
+        value, slope = func(x)
+        values.append(value)
+        return value, slope
 
-    root = bounded(increasing_root, recorded, deriv, lo, hi, seconds=10)
+    root = bounded(increasing_root, recorded, lo, hi, seconds=10)
     assert all(lo < x < hi for x in points)
     tol = max(TOL, 4.0 * abs(np.spacing(root)))
     near = [(x, v) for x, v in zip(points, values) if abs(x - root) <= tol]
@@ -90,16 +94,18 @@ def _checked_root(func, deriv, lo, hi):
 def _p_update_residual(traffic, target, c_sq_over_rho):
     """The residual of the splitting solver's p-update at its fixed point:
     ``c . v`` is chosen so that the root is ``target``."""
-    cv = target + _slope_at(target, traffic) * c_sq_over_rho
-    return (
-        lambda h: h - cv + _slope_at(h, traffic) * c_sq_over_rho,
-        lambda h: 1.0 + _curvature_at(h, traffic) * c_sq_over_rho,
-    )
+    cv = target + _derivatives(target, traffic)[0] * c_sq_over_rho
+
+    def residual(h):
+        slope, curvature = _derivatives(h, traffic)
+        return h - cv + slope * c_sq_over_rho, 1.0 + curvature * c_sq_over_rho
+
+    return residual
 
 
 def _slope(traffic):
     """``D'`` and ``D''``: the heuristic's residual for ``h_cpl`` and its slope."""
-    return (lambda h: _slope_at(h, traffic)), (lambda h: _curvature_at(h, traffic))
+    return lambda h: _derivatives(h, traffic)
 
 
 def _random_rates(rng, n):
@@ -120,8 +126,8 @@ class TestPUpdateResiduals:
         target = heuristic_solve(scenario).h_star
         for rho in 10.0 ** rng.uniform(np.log10(0.02), 2.0, size=8):
             c_sq_over_rho = 3 * float(popularity @ popularity) / rho
-            func, deriv = _p_update_residual(scenario.traffic, target, c_sq_over_rho)
-            root, evaluations = _checked_root(func, deriv, *stable_echr_interval(scenario.traffic))
+            func = _p_update_residual(scenario.traffic, target, c_sq_over_rho)
+            root, evaluations = _checked_root(func, *stable_echr_interval(scenario.traffic))
             assert evaluations <= 6
             assert abs(root - target) <= TOL
 
@@ -134,8 +140,8 @@ class TestPUpdateResiduals:
             traffic = TrafficProfile(mu_b * 10.0**-k * rng.uniform(0.5, 1.0, size=n), mu_e, mu_b)
             target = float(rng.uniform(0.0, 1.0))
             c_sq_over_rho = float(rng.uniform(1e-3, 1.0))
-            func, deriv = _p_update_residual(traffic, target, c_sq_over_rho)
-            root, _ = _checked_root(func, deriv, *stable_echr_interval(traffic))
+            func = _p_update_residual(traffic, target, c_sq_over_rho)
+            root, _ = _checked_root(func, *stable_echr_interval(traffic))
             assert abs(root - target) <= TOL
 
 
@@ -149,7 +155,7 @@ class TestHeterogeneousSlope:
             n = int(rng.integers(2, 6))
             mu_e, mu_b = _random_rates(rng, n)
             traffic = TrafficProfile(mu_b * (1.0 - 10.0**-k), mu_e, mu_b)
-            _, evaluations = _checked_root(*_slope(traffic), *stable_echr_interval(traffic))
+            _, evaluations = _checked_root(_slope(traffic), *stable_echr_interval(traffic))
             assert evaluations <= 6
 
     @pytest.mark.parametrize("k", LIGHT)
@@ -159,5 +165,52 @@ class TestHeterogeneousSlope:
             n = int(rng.integers(2, 6))
             mu_e, mu_b = _random_rates(rng, n)
             traffic = TrafficProfile(mu_b * 10.0**-k * rng.uniform(0.5, 1.0, size=n), mu_e, mu_b)
-            root, _ = _checked_root(*_slope(traffic), *stable_echr_interval(traffic))
+            root, _ = _checked_root(_slope(traffic), *stable_echr_interval(traffic))
             assert root > 1.0
+
+
+class TestOneKernelCallPerEvaluation:
+    """Every root caller hands :func:`increasing_root` one callback that runs
+    the station kernel once per evaluation, for the value and its slope."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """Counts of kernel calls: in total, and within each evaluation of a
+        callback passed to ``increasing_root``."""
+        counts = {"total": 0, "per_evaluation": []}
+        kernel = objective._station_times
+
+        def counted_kernel(*args, **kwargs):
+            counts["total"] += 1
+            return kernel(*args, **kwargs)
+
+        def counted_root(func, lo, hi):
+            def counted(x):
+                before = counts["total"]
+                result = func(x)
+                counts["per_evaluation"].append(counts["total"] - before)
+                return result
+
+            return increasing_root(counted, lo, hi)
+
+        for module in (objective, heuristic):
+            monkeypatch.setattr(module, "_station_times", counted_kernel)
+        for module in (admm, heuristic):
+            monkeypatch.setattr(module, "increasing_root", counted_root)
+        return counts
+
+    def test_echr_cpl(self, record, hetero_scenario):
+        heuristic.echr_cpl(hetero_scenario.traffic)
+        assert record["per_evaluation"] and set(record["per_evaluation"]) == {1}
+        assert record["total"] == len(record["per_evaluation"])
+
+    def test_p_update(self, record, reference_scenario):
+        # One more kernel call after the root, for the step's slope.
+        zeros = np.zeros((3, 20))
+        admm.p_update(zeros, zeros, reference_scenario, rho=0.5)
+        assert record["per_evaluation"] and set(record["per_evaluation"]) == {1}
+        assert record["total"] == len(record["per_evaluation"]) + 1
+
+    def test_lambda_threshold_hand_off(self, record, reference_scenario):
+        heuristic.lambda_threshold(H_CSL, reference_scenario.traffic)
+        assert record["per_evaluation"] and set(record["per_evaluation"]) == {1}
