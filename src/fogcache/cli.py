@@ -85,8 +85,6 @@ class SweepSpec:
             raise ValueError(
                 f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEP_PARAMETERS}"
             )
-        if len(self.values) == 0:
-            raise ValueError("sweep values must be nonempty")
         if self.parameter == "F" and not all(
             float(v).is_integer() and v >= 1 for v in self.values
         ):
@@ -494,7 +492,8 @@ def run():
     ``with open(...)`` block and so is closed before :func:`main` returns,
     leaving only the two standard streams with buffered bytes, which are
     flushed below; fogcache registers no ``atexit`` handler; and
-    ``simulate_cluster`` joins its threads before it returns.  A failed
+    ``simulate_cluster`` joins its workers by shutting its pool down, so
+    the skipped exit hook of ``concurrent.futures`` has none to join.  A failed
     flush, an exception escaping :func:`main`, and argparse's
     ``SystemExit`` all end the process the usual way instead.
     """

@@ -17,9 +17,10 @@ of how many stations are simulated or in what order.  Exponential variates
 are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
 choice so that results stay bit-identical across runs.
 
-:func:`simulate_cluster` runs the stations on up to one thread per usable
-CPU (every numpy call of the kernel releases the GIL) and puts each result
-in its station's slot, so the output is byte-identical for any CPU count.
+:func:`simulate_cluster` runs the stations on a ``ThreadPoolExecutor`` of
+up to one worker per usable CPU (every numpy call of the kernel releases
+the GIL) and returns the results in station order, so the output is
+byte-identical for any CPU count.
 Each queue is one call of :func:`mm1_sojourn_times`, which streams it
 through blocks of ``_BLOCK`` arrivals of Lindley's recursion and keeps no
 array of one entry per arrival.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,49 +260,24 @@ def simulate_cluster(h, traffic, config):
     """Run :func:`simulate_station` at hit ratio ``h`` for every base
     station; the results come in station order.
 
-    Stations run on ``min(station_count, usable CPUs)`` threads, the calling
-    thread among them; with one, no thread starts.  A station's draws depend
-    only on ``(config.seed, station)`` and each result goes to its station's
-    slot, so the output is byte-identical for any CPU count.  An exception
-    in a worker (such as the ``ValueError`` of an invalid ``h``), or an
-    interrupt on the caller, stops every worker before its next station, and
-    the first one is raised once every thread has been joined.  Workers are
-    not stopped within a station, so after an interrupt the call returns
-    only when every other worker has finished its current station.
+    Stations run on ``min(station_count, usable CPUs)`` worker threads
+    while the calling thread waits.  A station's draws depend only on
+    ``(config.seed, station)``, so the output is byte-identical for any CPU
+    count.  Once a station raises (such as the ``ValueError`` of an invalid
+    ``h``) or the caller is interrupted, the stations not yet started are
+    cancelled, though a worker may start one more before that.  Running
+    stations are not stopped: the call raises the exception of the
+    lowest-numbered failed station once they have finished.
     """
     stations = range(traffic.station_count)
-    workers = min(len(stations), _usable_cpus())
-    results = [None] * len(stations)
-    pending = iter(stations)
-    claim = threading.Lock()
-    stop = threading.Event()
-    failures = []
-
-    def work():
-        try:
-            while not stop.is_set():
-                with claim:
-                    station = next(pending, None)
-                if station is None:
-                    return
-                results[station] = simulate_station(h, traffic, station, config)
-        except BaseException as exc:  # re-raised on the caller below
-            failures.append(exc)
-            stop.set()
-
-    threads = []
+    pool = ThreadPoolExecutor(min(len(stations), _usable_cpus()))
     try:
-        for _ in range(workers - 1):
-            # Daemon, so that a second interrupt during the join below
-            # does not keep the process from exiting.
-            thread = threading.Thread(target=work, daemon=True)
-            thread.start()
-            threads.append(thread)
-        work()
+        futures = [
+            pool.submit(simulate_station, h, traffic, station, config) for station in stations
+        ]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return results
+        # Cancels the stations still queued, which follow every started one
+        # in station order, and joins the workers.
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]

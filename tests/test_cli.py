@@ -488,11 +488,10 @@ class TestSweepCommand:
         assert rows[0][6] == "ok"
         assert int(rows[0][4]) == expected.iterations > 1000
 
-    def test_empty_values_are_rejected(self):
-        # A sweep file's empty list fails as an empty array first; the spec
-        # itself rejects empty values however it is built.
-        with pytest.raises(ValueError, match="^sweep values must be nonempty$"):
-            SweepSpec("lambda", (), "scenario.json")
+    def test_empty_values_are_rejected(self, tmp_path, scenario_file):
+        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [])
+        with pytest.raises(ValueError, match="lambda sweep 'values' must not be empty$"):
+            SweepSpec.load(sweep)
 
     def test_f_sweep_requires_a_zipf_base(self, tmp_path):
         # A base with explicit popularity has no exponent to regenerate from.

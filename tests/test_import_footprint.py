@@ -2,6 +2,8 @@
 
 Every case runs in a fresh interpreter and lists the ``fogcache`` modules
 it left in ``sys.modules``, so the check holds without timing anything.
+The list also names ``concurrent.futures``, the simulator's thread pool,
+when it was imported: only ``simulate`` needs it.
 """
 
 import json
@@ -20,7 +22,10 @@ SRC = str(Path(fogcache.__file__).resolve().parents[1])
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("fogcache"))))
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if name.startswith("fogcache") or name == "concurrent.futures"
+)))
 """
 
 REFERENCE_DOC = {
@@ -31,7 +36,8 @@ REFERENCE_DOC = {
 
 
 def _loaded(body, cwd):
-    """The ``fogcache`` modules imported after running ``body``."""
+    """The ``fogcache`` modules, and ``concurrent.futures`` if it was
+    imported, after running ``body``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(body=body)],
@@ -70,18 +76,20 @@ def test_the_cli_imports_only_the_model(tmp_path):
 
 
 def test_the_simulator_imports_only_the_model(tmp_path):
-    assert _loaded("import fogcache.queuesim", tmp_path) == {"fogcache", "queuesim", "model"}
+    assert _loaded("import fogcache.queuesim", tmp_path) == {
+        "fogcache", "queuesim", "model", "concurrent.futures"
+    }
 
 
 COMMANDS = {
     "heuristic": (
         ["heuristic", "--scenario", "scenario.json"],
-        {"admm", "baselines", "queuesim"},
+        {"admm", "baselines", "queuesim", "concurrent.futures"},
     ),
     "sweep-closed-form": (
         ["sweep", "--scenario", "sweep.json", "--solver", "heuristic,csl-only",
          "--out", "sweep.csv"],
-        {"admm", "baselines", "queuesim"},
+        {"admm", "baselines", "queuesim", "concurrent.futures"},
     ),
     "simulate": (
         ["simulate", "--scenario", "scenario.json", "--placement", "placement.json",
@@ -90,7 +98,7 @@ COMMANDS = {
     ),
     "solve-admm": (
         ["solve", "--scenario", "scenario.json", "--out", "admm"],
-        {"queuesim", "heuristic", "baselines"},
+        {"queuesim", "heuristic", "baselines", "concurrent.futures"},
     ),
 }
 

@@ -264,41 +264,52 @@ class TestSimulateCluster:
         for station, result in enumerate(results):
             assert result == simulate_station(h, scenario.traffic, station, config)
 
-    @pytest.mark.parametrize(
-        "failing,failure",
-        [("worker", RuntimeError("station failed")), ("caller", KeyboardInterrupt())],
-    )
-    def test_a_failure_stops_every_worker_and_reaches_the_caller(
-        self, failing, failure, monkeypatch
-    ):
-        _force_cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["failure", "interrupt"])
+    def test_a_failure_stops_every_worker_and_reaches_the_caller(self, interrupt, monkeypatch):
+        workers = 2
+        _force_cpus(monkeypatch, workers)
         scenario = make_scenario(capacities=(2.0,) * 8)
         h = echr(heuristic_solve(scenario).placement, scenario.library)
-        caller = threading.get_ident()
-        failed = threading.Event()
-        started = []  # (side, station) in the order stations start
-        real_station = queuesim.simulate_station
+        failure = KeyboardInterrupt() if interrupt else RuntimeError("station 0 failed")
+        started = []  # stations in the order they start
+        first_started, released = threading.Event(), threading.Event()
+        real_station, real_wait = queuesim.simulate_station, queuesim.wait
 
-        def failing_station(h, traffic, station, config):
-            side = "caller" if threading.get_ident() == caller else "worker"
-            started.append((side, station))
-            if side == failing:
-                failed.set()
+        def held_station(h, traffic, station, config):
+            started.append(station)
+            first_started.set()
+            if station == 0 and not interrupt:
                 raise failure
-            # Hold the other side's first station until the failure, so
-            # that both sides are busy when it happens.
-            assert failed.wait(10)
+            # Every other station is held until the caller has cancelled the
+            # stations not yet started, so each worker is busy until then.
+            assert released.wait(10)
             return real_station(h, traffic, station, config)
 
-        monkeypatch.setattr(queuesim, "simulate_station", failing_station)
+        def cancelling_wait(futures, **kwargs):
+            # Cancel before releasing the held stations, so that what starts
+            # after the failure does not depend on thread timing.
+            try:
+                if interrupt:
+                    assert first_started.wait(10)
+                else:
+                    real_wait(futures, **kwargs)
+                for future in futures:
+                    future.cancel()
+            finally:
+                released.set()
+            if interrupt:
+                raise failure
+
+        monkeypatch.setattr(queuesim, "simulate_station", held_station)
+        monkeypatch.setattr(queuesim, "wait", cancelling_wait)
         threads_before = threading.active_count()
         with pytest.raises(type(failure)) as raised:
             simulate_cluster(h, scenario.traffic, SimConfig(n_arrivals=1000))
         assert raised.value is failure
         assert threading.active_count() == threads_before
-        # Neither side starts a station after the failure.
-        sides = [side for side, _ in started]
-        assert sides.count(failing) == 1 and len(sides) <= 2
+        # A worker freed by the failure may start one more station before
+        # the rest are cancelled, and none starts after that.
+        assert len(started) <= 1 + workers
 
     def test_stations_use_independent_streams(self):
         # Identical stations must still see different sample paths.
