@@ -84,7 +84,7 @@ class SolveResult:
 
     ``trace`` holds one :class:`IterationRecord` per iteration run.  In
     projected gradient's trace the residual columns carry the step
-    displacement and the gradient-mapping norm.
+    displacement and the relative Frank–Wolfe gap.
     """
 
     placement: Placement

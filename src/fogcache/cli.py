@@ -9,8 +9,9 @@ and ``--max-iter``; one that no chosen solver reads (see ``FLAG_READERS``)
 is a usage error.  A flag left out takes the solver's own default:
 :class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected gradient
 :class:`~fogcache.baselines.BaselineConfig`'s cap of 5000 iterations, with
-``--eps-abs`` (1e-6 for both solvers) as its tolerance.  ADMM's penalty is
-worked out from the scenario, so no flag sets it.
+``--eps-abs`` (1e-6 for both solvers) as its bound on the relative
+Frank–Wolfe gap.  ADMM's penalty is worked out from the scenario, so no flag
+sets it.
 Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
 imports the solver modules it calls; a run compiles no module it does not
 use.
@@ -423,7 +424,7 @@ def _build_parser():
     solver_flags.add_argument(
         "--eps-abs",
         type=float,
-        help=f"absolute tolerance (pgd: mapping tolerance; default {EPS_ABS:g})",
+        help=f"absolute tolerance (pgd: relative Frank-Wolfe gap bound; default {EPS_ABS:g})",
     )
     solver_flags.add_argument(
         "--eps-rel", type=float, help="relative tolerance (admm only; default 1e-4)"

@@ -118,6 +118,23 @@ def random_scenario(rng, max_nodes=3, max_contents=30):
     return Scenario(library, cluster, TrafficProfile(lam, mu_e, mu_b))
 
 
+def mixed_size_scenarios(seed, count=8):
+    """Small seeded scenarios, every other one with unequal content sizes;
+    ``random_scenario`` mixes identical and per-station traffic."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        scenario = random_scenario(rng, max_nodes=3, max_contents=12)
+        if k % 2:
+            library = scenario.library
+            sizes = rng.uniform(0.5, 2.0, size=library.count)
+            scenario = Scenario(
+                ContentLibrary(library.popularity, sizes),
+                FogCluster(scenario.cluster.capacities * sizes.mean()),
+                scenario.traffic,
+            )
+        yield rng, scenario
+
+
 def random_feasible_placement(rng, library, cluster, margin=0.95):
     """Random placement strictly inside the feasible set."""
     matrix = rng.uniform(0.0, 1.0, size=(cluster.node_count, library.count))

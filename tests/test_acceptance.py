@@ -27,7 +27,7 @@ from fogcache import (
 )
 from fogcache.admm import ConstraintSystem, project_feasible
 
-from oracle import qp_projection_oracle
+from oracle import fixed_step_projected_gradient, qp_projection_oracle
 
 from conftest import (
     ADT_AT_CSL,
@@ -46,13 +46,24 @@ def _report(number, ok, detail):
     assert ok, detail
 
 
+def _timed(run):
+    start = time.perf_counter()
+    result = run(make_scenario())
+    return result, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def pgd_reference():
-    """Projected-gradient run on the reference scenario, with its wall time
-    (shared by criteria 1 and 2; the time is charged to both budgets)."""
-    start = time.perf_counter()
-    result = projected_gradient_solve(make_scenario())
-    return result, time.perf_counter() - start
+    """The projected-gradient cross-check on the reference scenario, with its
+    wall time (charged to criterion 1's budget)."""
+    return _timed(projected_gradient_solve)
+
+
+@pytest.fixture(scope="module")
+def fixed_step_reference():
+    """The paper's gradient baseline on the reference scenario, with its wall
+    time (charged to criterion 2's budget)."""
+    return _timed(fixed_step_projected_gradient)
 
 
 def test_criterion_1_three_solvers_agree_on_the_optimum(pgd_reference):
@@ -77,8 +88,13 @@ def test_criterion_1_three_solvers_agree_on_the_optimum(pgd_reference):
     )
 
 
-def test_criterion_2_splitting_converges_faster_than_gradient(pgd_reference):
-    pgd, pgd_wall = pgd_reference
+def test_criterion_2_splitting_converges_faster_than_gradient(
+    fixed_step_reference, pgd_reference
+):
+    # The claim is against the fixed-step projected gradient; the spectral
+    # cross-check's counts are printed beside it, not compared.
+    pgd, pgd_wall = fixed_step_reference
+    spg, _ = pgd_reference
     start = time.perf_counter()
     admm = solve(make_scenario())
     elapsed = time.perf_counter() - start + pgd_wall
@@ -91,6 +107,7 @@ def test_criterion_2_splitting_converges_faster_than_gradient(pgd_reference):
 
     ks_admm = [first_below(admm.trace, tau) for tau in thresholds]
     ks_pgd = [first_below(pgd.trace, tau) for tau in thresholds]
+    ks_spg = [first_below(spg.trace, tau) for tau in thresholds]
     ladder_ok = all(
         ka is not None and kp is not None and ka < kp for ka, kp in zip(ks_admm, ks_pgd)
     )
@@ -99,7 +116,8 @@ def test_criterion_2_splitting_converges_faster_than_gradient(pgd_reference):
         2,
         ok,
         f"objective within {rel_gap_at_5:.1e} of optimum by iteration 5; "
-        f"iterations to gap {thresholds}: admm {ks_admm} vs pgd {ks_pgd}; {elapsed:.1f}s",
+        f"iterations to gap {thresholds}: admm {ks_admm} vs fixed-step pgd {ks_pgd} "
+        f"(spectral pgd {ks_spg}); {elapsed:.1f}s",
     )
 
 

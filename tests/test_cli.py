@@ -120,8 +120,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("solver", ["admm", "pgd"])
     def test_defaults_are_the_solvers_own(self, tmp_path, scenario_file, solver):
         # Each solver runs at its own config's defaults, except that both take
-        # --eps-abs 1e-6; PGD then needs 1460 iterations here, more than
-        # ADMM's cap of 1000.
+        # --eps-abs 1e-6; PGD reads it as its bound on the relative
+        # Frank-Wolfe gap.
         out = tmp_path / "run"
         out.mkdir()
         code = main(
@@ -479,14 +479,21 @@ class TestSweepCommand:
             assert row[6] == "unconverged"
             assert row[4] == "3"
 
-    def test_pgd_takes_its_own_iteration_cap(self, tmp_path, scenario_file):
+    def test_pgd_takes_its_own_iteration_cap(self, tmp_path, scenario_file, monkeypatch):
+        configs = []
+
+        def recording(scenario, config):
+            configs.append(config)
+            return original(scenario, config)
+
+        original = baselines.projected_gradient_solve
+        monkeypatch.setattr(baselines, "projected_gradient_solve", recording)
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--scenario", str(sweep), "--solver", "pgd", "--out", str(out)]) == 0
         _, rows = _read_csv(out)
-        expected = projected_gradient_solve(Scenario.load(scenario_file), BaselineConfig(tol=1e-6))
         assert rows[0][6] == "ok"
-        assert int(rows[0][4]) == expected.iterations > 1000
+        assert [(config.max_iter, config.tol) for config in configs] == [(5000, 1e-6)]
 
     def test_empty_values_are_rejected(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [])

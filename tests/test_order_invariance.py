@@ -14,7 +14,6 @@ rounding-level difference may move by one iteration.  Any dependence on
 order that is not rounding is far larger.
 """
 
-import numpy as np
 import pytest
 
 from fogcache import (
@@ -28,7 +27,7 @@ from fogcache import (
     solve,
 )
 
-from conftest import random_scenario
+from conftest import mixed_size_scenarios
 
 #: The three routes to ``D*``: the paper's algorithm and both cross-checks.
 OPTIMAL_ADT = {
@@ -36,23 +35,6 @@ OPTIMAL_ADT = {
     "pgd": (lambda scenario: projected_gradient_solve(scenario).adt, 1e-9),
     "grid": (lambda scenario: grid_bruteforce(scenario, 1e-4)[1], 1e-15),
 }
-
-
-def _scenarios(seed, count=8):
-    """Small seeded scenarios, every other one with unequal content sizes;
-    ``random_scenario`` mixes identical and per-station traffic."""
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        scenario = random_scenario(rng, max_nodes=3, max_contents=12)
-        if k % 2:
-            library = scenario.library
-            sizes = rng.uniform(0.5, 2.0, size=library.count)
-            scenario = Scenario(
-                ContentLibrary(library.popularity, sizes),
-                FogCluster(scenario.cluster.capacities * sizes.mean()),
-                scenario.traffic,
-            )
-        yield rng, scenario
 
 
 def _permute_contents(scenario, order):
@@ -74,7 +56,7 @@ def _permute_nodes(scenario, order):
 
 
 def test_heuristic_ignores_content_order():
-    for rng, scenario in _scenarios(101, count=40):
+    for rng, scenario in mixed_size_scenarios(101, count=40):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         base, other = heuristic_solve(scenario), heuristic_solve(permuted)
         assert (other.h_csl, other.h_cpl, other.h_star, other.regime) == (
@@ -85,7 +67,7 @@ def test_heuristic_ignores_content_order():
 @pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
 def test_optimal_adt_ignores_content_order(route):
     optimal_adt, rel = OPTIMAL_ADT[route]
-    for rng, scenario in _scenarios(202):
+    for rng, scenario in mixed_size_scenarios(202):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
 
@@ -93,6 +75,6 @@ def test_optimal_adt_ignores_content_order(route):
 @pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
 def test_optimal_adt_ignores_node_order(route):
     optimal_adt, rel = OPTIMAL_ADT[route]
-    for rng, scenario in _scenarios(303):
+    for rng, scenario in mixed_size_scenarios(303):
         permuted = _permute_nodes(scenario, rng.permutation(scenario.cluster.node_count))
         assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
