@@ -4,7 +4,13 @@ The objective rests on M/M/1 sojourn-time formulas; the simulator makes no
 use of them — it draws exponential arrivals and services, runs the waiting
 recursion, and averages what it sees.  Agreement between the two is evidence
 the closed-form model describes the system it claims to.
+
+The single queue runs through ``fogcache.queuesim.mm1_sojourn_times``, the
+simulator's kernel, with a numpy ``Generator`` seeded here; the cluster runs
+through ``simulate_cluster``, which seeds each station's queues itself.
 """
+
+import numpy as np
 
 from fogcache import (
     ContentLibrary,
@@ -13,15 +19,16 @@ from fogcache import (
     SimConfig,
     TrafficProfile,
     simulate_cluster,
-    simulate_mm1,
     solve,
 )
+from fogcache.queuesim import mm1_sojourn_times
 
 
 def main():
     # Plain M/M/1 first: the textbook mean sojourn time is 1/(mu - lambda).
     lam, mu = 4.0, 6.0
-    mean, ci = simulate_mm1(lam, mu, SimConfig(seed=42, n_arrivals=200_000))
+    rng = np.random.default_rng(np.random.SeedSequence(42))
+    mean, ci = mm1_sojourn_times(lam, mu, 200_000, rng)
     analytic = 1.0 / (mu - lam)
     print(f"M/M/1 with lambda={lam}, mu={mu}:")
     print(f"  simulated mean sojourn {mean:.5f} +/- {ci:.5f}")

@@ -19,8 +19,9 @@ fast M/M/1 queue) or over the backhaul (a slower one).  It provides:
   (:mod:`fogcache.cli`).
 
 The top level exports the types and entry points; building blocks such as
-``admm.project_feasible``, ``heuristic.lambda_threshold`` or
-``queuesim.mm1_sojourn_times`` are imported from their modules.
+``admm.project_feasible``, ``heuristic.lambda_threshold``,
+``objective.adt_curvature`` or ``queuesim.mm1_sojourn_times``, the
+simulator's single-queue kernel, are imported from their modules.
 
 ``import fogcache`` loads none of these modules.  Each export is imported
 from its home module on first use (PEP 562) and then kept in the package
@@ -51,8 +52,8 @@ _HOMES = {
         "TrafficProfile",
         "validate_scenario",
     ),
-    "objective": ("AdtReport", "adt_curvature", "adt_curve", "adt_slope", "echr", "overall_adt"),
-    "queuesim": ("SimConfig", "SimResult", "simulate_cluster", "simulate_mm1"),
+    "objective": ("AdtReport", "adt_curve", "adt_slope", "echr", "overall_adt"),
+    "queuesim": ("SimConfig", "SimResult", "simulate_cluster"),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 

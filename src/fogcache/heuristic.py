@@ -56,14 +56,15 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
     cumulative popularity, and the next content gets the portion that
     exhausts the tighter of the two limits.
 
-    Returns the portions and the ECHR they reach.  That ECHR is summed in
-    density order, so the order in which the library lists its contents
-    cannot change it.
+    Returns the portions, the ECHR they reach and the storage bound
+    ``h_csl``: the storage greedy's ECHR, capped at 1.  Both ECHRs are summed
+    in density order, so the order in which the library lists its contents
+    cannot change them.
     """
     popularity, sizes = library.popularity, library.sizes
     order = np.argsort(-(popularity / sizes), kind="stable")
     ranked = popularity[order]
-    whole, partial = library.count, 0.0
+    whole, partial, h_csl = library.count, 0.0, None
     for cost, budget in ((sizes[order], cluster.total_capacity), (ranked, h_target)):
         used = np.concatenate(([0.0], np.cumsum(cost)))
         k = int(np.searchsorted(used, budget, side="right")) - 1
@@ -73,11 +74,13 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
         taken[:whole] = 1.0
         taken[whole : whole + 1] = partial
         reached = float(ranked @ taken)
-        if h_target >= min(reached, 1.0):
+        if h_csl is None:
+            h_csl = min(reached, 1.0)
+        if h_target >= h_csl:
             break
     fractions = np.empty(library.count)
     fractions[order] = taken
-    return fractions, reached
+    return fractions, reached, h_csl
 
 
 def _assign_first_fit(fractions, library, cluster):
@@ -122,7 +125,7 @@ def echr_csl(library, cluster):
     continuous knapsack.  Pooling the node capacities loses nothing because
     fractional portions can always be split across nodes.
     """
-    return min(_greedy_fractions(library, cluster)[1], 1.0)
+    return _greedy_fractions(library, cluster)[2]
 
 
 def echr_cpl(traffic):
@@ -208,7 +211,7 @@ def placement_from_echr(h_target, library, cluster):
         raise ValueError(f"h_target must be finite, got {h_target}")
     if h_target < -FEASIBILITY_TOL:
         raise ValueError("target hit ratio must be nonnegative")
-    fractions, reached = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))
+    fractions, reached, _ = _greedy_fractions(library, cluster, h_target=max(h_target, 0.0))
     # Short of the target only when storage binds, and then at the storage bound.
     if h_target > reached + 1e-9:
         raise ValueError(
@@ -239,22 +242,20 @@ class HeuristicResult:
 def heuristic_solve(scenario):
     """Run the full heuristic on a scenario.
 
-    Computes the storage bound and the stationary point, takes
-    ``h_star = min(h_csl, h_cpl)`` — the exact optimum, by convexity — and
-    materializes it with :func:`placement_from_echr` in both regimes; in the
-    storage-limited one that is the storage greedy itself.
+    Computes the stationary point ``h_cpl``, then, from one density sort,
+    the storage bound ``h_csl`` and the portions that realize ``h_star =
+    min(h_csl, h_cpl)``, the exact optimum by convexity: the portions of
+    :func:`placement_from_echr` at ``h_star``, assigned first-fit.
     """
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
-    h_csl = echr_csl(library, cluster)
     h_cpl = echr_cpl(traffic)
-    h_star = min(h_csl, h_cpl)
+    fractions, _, h_csl = _greedy_fractions(library, cluster, h_target=h_cpl)
     regime = "CPL" if _derivatives(h_csl, traffic)[0] >= 0.0 else "CSL"
-    placement = placement_from_echr(h_star, library, cluster)
     return HeuristicResult(
         h_csl=h_csl,
         h_cpl=h_cpl,
-        h_star=h_star,
+        h_star=min(h_csl, h_cpl),
         lambda_star=lambda_threshold(h_csl, traffic),
         regime=regime,
-        placement=placement,
+        placement=_assign_first_fit(fractions, library, cluster),
     )

@@ -5,17 +5,20 @@ receiving the cache-hit share of requests and a backhaul queue receiving the
 misses.  The simulator replays Lindley's recursion over exponential
 interarrival and service draws, so its mean sojourn times can be compared
 against the closed-form predictions.  Like the model, it sees a placement
-only through the hit ratio ``h``, so its entry points take ``h`` and a
+only through the hit ratio ``h``, so its station entry points,
+:func:`simulate_station` and :func:`simulate_cluster`, take ``h`` and a
 traffic profile: a solver result's ``echr``, or the ``h_e`` of
 :func:`~fogcache.objective.overall_adt`, which validates the placement.
+:func:`mm1_sojourn_times`, the kernel, simulates a single M/M/1 queue from
+a ``Generator`` that the caller seeds.
 
-Reproducibility contract: all randomness flows from ``numpy``'s
-``SeedSequence``.  A station's two queues draw from two children of
-``SeedSequence(entropy=seed, spawn_key=(station,))``, which makes every
-station's sample path a pure function of ``(seed, station)`` — independent
-of how many stations are simulated or in what order.  Exponential variates
-are generated as ``-log1p(-U)/rate`` from ``Generator.random``, a fixed
-choice so that results stay bit-identical across runs.
+Reproducibility contract for the stations: a station's two queues draw from
+two children of ``SeedSequence(entropy=seed, spawn_key=(station,))``, which
+makes every station's sample path a pure function of ``(seed, station)`` —
+independent of how many stations are simulated or in what order.
+Exponential variates are generated as ``-log1p(-U)/rate`` from
+``Generator.random``, a fixed choice so that results stay bit-identical
+across runs.
 
 :func:`simulate_cluster` runs the stations on a ``ThreadPoolExecutor`` of
 up to one worker per usable CPU (every numpy call of the kernel releases
@@ -48,7 +51,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "mm1_sojourn_times",
-    "simulate_mm1",
     "simulate_station",
     "simulate_cluster",
 ]
@@ -175,8 +177,17 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     1983).  The half-width is ``1.96 * s / sqrt(m)`` with ``s`` the sample
     standard deviation (``ddof=1``) of the ``m`` retained sojourns; it is
     infinite when ``m < 2``.  Memory is three float64 buffers of ``_BLOCK``
-    entries, however long the run.
+    entries, however long the run.  The mean converges to the analytic
+    ``1 / (mu - lam)`` as the run grows.
+
+    Raises ``ValueError`` unless ``lam`` and ``mu`` are finite with
+    ``0 < lam < mu`` (a stable queue) and ``n_arrivals`` is an integer (not
+    a ``bool``) of at least 1.
     """
+    lam, mu = float(lam), float(mu)
+    if not (0 < lam < mu and math.isfinite(mu)):
+        raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
+    _check_count("n_arrivals", n_arrivals, 1)
     warmup = _warmup(n_arrivals)
     count, mean, m2 = 0, 0.0, 0.0
     for start, sojourn in _sojourn_blocks(lam, mu, n_arrivals, rng):
@@ -200,21 +211,6 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     return mean, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def simulate_mm1(lam, mu, config):
-    """Estimate the stationary mean sojourn time of an M/M/1 queue.
-
-    Returns ``(mean, ci_halfwidth)`` after discarding the warmup prefix.  The
-    analytic value is ``1 / (mu - lam)``; the estimate converges to it as the
-    run length grows.
-    """
-    lam = float(lam)
-    mu = float(mu)
-    if not 0 < lam < mu:
-        raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    return mm1_sojourn_times(lam, mu, config.n_arrivals, rng)
-
-
 def simulate_station(h, traffic, station, config):
     """Simulate one base station's edge/backhaul pair at hit ratio ``h``.
 
@@ -222,7 +218,8 @@ def simulate_station(h, traffic, station, config):
     ``lam*h`` and a backhaul stream of rate ``lam*(1-h)``; each stream feeds
     its own M/M/1 queue.  The reported mean download time is ``h * mean_e +
     (1-h) * mean_b`` with the half-widths combined in quadrature.  A side
-    with zero traffic is skipped and reported as ``None``.  Raises
+    with zero traffic is skipped and reported as ``None``, as is one whose
+    rate underflows to 0 (a subnormal share).  Raises
     ``ValueError`` unless ``h`` lies in [0, 1] and ``station`` is an index of
     ``traffic``'s stations.
     """
@@ -236,7 +233,7 @@ def simulate_station(h, traffic, station, config):
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
     side_means, mean, halfwidths = [], 0.0, []
     for share, mu, child in zip((h, 1.0 - h), (traffic.mu_e, traffic.mu_b), children):
-        if share == 0.0:
+        if lam * share == 0.0:
             side_means.append(None)
             continue
         side_mean, side_ci = mm1_sojourn_times(

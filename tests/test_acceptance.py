@@ -12,7 +12,6 @@ import pytest
 
 from fogcache import (
     SimConfig,
-    adt_curvature,
     adt_curve,
     adt_slope,
     echr,
@@ -22,10 +21,11 @@ from fogcache import (
     placement_from_echr,
     projected_gradient_solve,
     simulate_cluster,
-    simulate_mm1,
     solve,
 )
 from fogcache.admm import ConstraintSystem, project_feasible
+from fogcache.objective import adt_curvature
+from fogcache.queuesim import mm1_sojourn_times
 
 from oracle import fixed_step_projected_gradient, qp_projection_oracle
 
@@ -324,7 +324,8 @@ def test_criterion_9_simulator_reproduces_the_analytic_means():
     for i in range(20):
         mu = float(rng.uniform(2.0, 10.0))
         lam = float(rng.uniform(0.2, 0.85)) * mu
-        mean, _ = simulate_mm1(lam, mu, SimConfig(seed=1000 + i, n_arrivals=10**6))
+        queue_rng = np.random.default_rng(np.random.SeedSequence(1000 + i))
+        mean, _ = mm1_sojourn_times(lam, mu, 10**6, queue_rng)
         analytic = 1.0 / (mu - lam)
         worst_queue = max(worst_queue, abs(mean - analytic) / analytic)
 

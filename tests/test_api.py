@@ -59,7 +59,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_export_list_is_small_and_unique():
-    assert len(fogcache.__all__) <= 30
+    assert len(fogcache.__all__) <= 26
     assert len(set(fogcache.__all__)) == len(fogcache.__all__)
 
 
@@ -94,6 +94,7 @@ DEMOTED = [
     ("fogcache.model", "validate_placement"),
     ("fogcache.model", "zipf_popularity"),
     ("fogcache.heuristic", "lambda_threshold"),
+    ("fogcache.objective", "adt_curvature"),
     ("fogcache.queuesim", "mm1_sojourn_times"),
     ("fogcache.queuesim", "simulate_station"),
 ]
@@ -118,3 +119,17 @@ def test_traced_classmethod_is_bound_to_its_class(module, cls, method):
 def test_demoted_name_lives_in_its_module_only(module, name):
     assert hasattr(importlib.import_module(module), name)
     assert name not in fogcache.__all__
+
+
+@pytest.mark.parametrize("name", ["adt_curvature", "simulate_mm1"])
+def test_removed_export_is_an_attribute_error(name, unresolved):
+    for module in (fogcache, unresolved):
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
+
+
+def test_simulate_mm1_is_gone_from_queuesim():
+    # mm1_sojourn_times is the one public way to simulate a single queue.
+    queuesim = importlib.import_module("fogcache.queuesim")
+    assert "simulate_mm1" not in queuesim.__all__
+    assert not hasattr(queuesim, "simulate_mm1")

@@ -142,7 +142,7 @@ class TestVectorisedHelpers:
             library, cluster = _greedy_instance(layout, rng)
             h_csl = float(library.popularity @ _loop_greedy_fractions(library, cluster))
             for h_target in (math.inf, 0.0, -0.0, float(rng.uniform(0.0, h_csl)), h_csl):
-                fractions, _ = _greedy_fractions(library, cluster, h_target=h_target)
+                fractions, _, _ = _greedy_fractions(library, cluster, h_target=h_target)
                 expected = _loop_greedy_fractions(library, cluster, h_target=h_target)
                 np.testing.assert_allclose(fractions, expected, rtol=0.0, atol=1e-9)
                 assert library.popularity @ fractions == pytest.approx(
@@ -170,7 +170,7 @@ class TestVectorisedHelpers:
         for h_target, matrix in ((math.inf, placement.matrix), (0.5 * h_csl, interior.matrix)):
             validate_placement(matrix, library, cluster)
             _assert_first_fit_shape(matrix, cluster)
-            fractions, _ = _greedy_fractions(library, cluster, h_target=h_target)
+            fractions, _, _ = _greedy_fractions(library, cluster, h_target=h_target)
             _assert_bitwise_equal(
                 matrix, _full_width_assign_first_fit(fractions, library, cluster)
             )
@@ -695,6 +695,20 @@ class TestHeuristicSolve:
         assert result.regime == "CSL"
         assert result.lambda_star is None
         np.testing.assert_array_equal(result.placement.matrix, np.zeros((1, 6)))
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0], ids=["CSL", "CPL"])
+    def test_sorts_the_catalog_once(self, lam, monkeypatch):
+        # One density order serves both the storage bound and the placement.
+        scenario = make_scenario(lam=lam)
+        argsort, calls = np.argsort, []
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        assert heuristic_solve(scenario).regime == ("CSL" if lam < LAMBDA_STAR else "CPL")
+        assert len(calls) == 1
 
     def test_result_is_scalar_optimal_on_random_scenarios(self):
         # h* = min(h_csl, h_cpl) must beat every other realizable hit ratio.

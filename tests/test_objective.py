@@ -7,13 +7,12 @@ from fogcache import (
     ContentLibrary,
     Placement,
     TrafficProfile,
-    adt_curvature,
     adt_curve,
     adt_slope,
     echr,
     overall_adt,
 )
-from fogcache.objective import _derivatives, _station_times, stable_echr_interval
+from fogcache.objective import _derivatives, _station_times, adt_curvature, stable_echr_interval
 
 from conftest import make_scenario, random_feasible_placement, random_scenario
 

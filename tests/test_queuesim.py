@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -18,7 +19,6 @@ from fogcache import (
     heuristic_solve,
     overall_adt,
     simulate_cluster,
-    simulate_mm1,
 )
 
 from fogcache import queuesim
@@ -145,33 +145,50 @@ class TestLindleyRecursion:
         assert sojourn.tobytes() == expected.tobytes()
 
 
-class TestSimulateMm1:
+def _seeded(seed):
+    """A fresh generator rooted at ``SeedSequence(seed)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+class TestMm1SojournTimes:
     def test_matches_the_analytic_mean(self):
-        mean, ci = simulate_mm1(4.0, 8.0, SimConfig(seed=7, n_arrivals=200_000))
+        mean, ci = mm1_sojourn_times(4.0, 8.0, 200_000, _seeded(7))
         analytic = 1.0 / (8.0 - 4.0)
         assert abs(mean - analytic) / analytic < 0.02
         assert 0.0 < ci < 0.05 * analytic
 
     def test_deterministic_for_a_fixed_seed(self):
-        config = SimConfig(seed=123, n_arrivals=20_000)
-        first = simulate_mm1(2.5, 6.0, config)
-        second = simulate_mm1(2.5, 6.0, config)
+        first = mm1_sojourn_times(2.5, 6.0, 20_000, _seeded(123))
+        second = mm1_sojourn_times(2.5, 6.0, 20_000, _seeded(123))
         assert first == second  # bit-identical, not merely close
 
     def test_seed_changes_the_stream(self):
-        a = simulate_mm1(2.5, 6.0, SimConfig(seed=1, n_arrivals=10_000))[0]
-        b = simulate_mm1(2.5, 6.0, SimConfig(seed=2, n_arrivals=10_000))[0]
+        a = mm1_sojourn_times(2.5, 6.0, 10_000, _seeded(1))[0]
+        b = mm1_sojourn_times(2.5, 6.0, 10_000, _seeded(2))[0]
         assert a != b
 
     def test_single_sample_has_infinite_halfwidth(self):
-        mean, ci = simulate_mm1(1.0, 5.0, SimConfig(seed=0, n_arrivals=1))
+        mean, ci = mm1_sojourn_times(1.0, 5.0, 1, _seeded(0))
         assert mean > 0.0
         assert math.isinf(ci)
 
-    @pytest.mark.parametrize("lam,mu", [(5.0, 5.0), (6.0, 5.0), (0.0, 5.0), (-1.0, 5.0)])
+    @pytest.mark.parametrize(
+        "lam,mu",
+        [(5.0, 5.0), (6.0, 5.0), (0.0, 5.0), (-1.0, 5.0)]
+        + [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)],
+    )
     def test_rejects_unstable_rates(self, lam, mu):
-        with pytest.raises(ValueError, match="stable queue"):
-            simulate_mm1(lam, mu, SimConfig())
+        rng = _seeded(0)
+        state = copy.deepcopy(rng.bit_generator.state)
+        message = f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mm1_sojourn_times(lam, mu, 10_000, rng)
+        assert rng.bit_generator.state == state  # checked before any draw
+
+    @pytest.mark.parametrize("n_arrivals", [0, True, 2.5])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, n_arrivals):
+        with pytest.raises(ValueError, match="n_arrivals must be"):
+            mm1_sojourn_times(0.5, 1.0, n_arrivals, _seeded(0))
 
 
 class TestSimulateStation:
@@ -201,6 +218,13 @@ class TestSimulateStation:
         assert result.mean_adt == result.mean_sojourn_b
         # All misses: the station is a plain M/M/1 at the backhaul rate.
         assert abs(result.mean_adt - 0.5) / 0.5 < 0.05
+
+    def test_a_rate_that_underflows_is_no_traffic(self):
+        # 0.4 times the least subnormal rounds to 0: the edge queue gets no
+        # arrivals, as at h == 0, instead of a zero rate.
+        traffic = make_scenario(lam=0.4).traffic
+        config = SimConfig(seed=4, n_arrivals=1000)
+        assert simulate_station(5e-324, traffic, 0, config) == simulate_station(0.0, traffic, 0, config)
 
     def test_full_cache_runs_only_the_edge_queue(self):
         # At h == 1 the miss queue receives no traffic and is skipped.
