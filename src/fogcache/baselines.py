@@ -5,11 +5,11 @@ Two routes to the same optimum, deliberately different in mechanism:
 * :func:`projected_gradient_solve` — a labelled cross-check: spectral
   projected gradient, a first-order method that must land on the same
   optimum as the splitting solver, and returns the same
-  :class:`~fogcache.admm.SolveResult`.  It stops on a Frank–Wolfe gap that
-  bounds its relative distance to the optimum, so ``converged=True`` is a
-  certificate in any unit of time.  On the reference scenario of the tests
-  it stops after 10 iterations at the defaults, where the splitting solver
-  runs 21.
+  :class:`~fogcache.admm.SolveResult`.  It stops, as the splitting solver
+  does, on a Frank–Wolfe gap that bounds its relative distance to the
+  optimum, so ``converged=True`` is a certificate in any unit of time.  On
+  the reference scenario of the tests it stops after 10 iterations at the
+  defaults, where the splitting solver runs 20.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
@@ -28,7 +28,7 @@ import numpy as np
 from .admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
 from .heuristic import echr_csl
 from .model import Placement, _check_count, _check_positive
-from .objective import _clamped_echr, _feasible_adt, adt_curve, adt_slope
+from .objective import _clamped_echr, _feasible_adt, _relative_fw_gap, adt_curve, adt_slope
 
 __all__ = [
     "BaselineConfig",
@@ -37,10 +37,12 @@ __all__ = [
 ]
 
 #: Spectral step of :func:`projected_gradient_solve`: the Barzilai–Borwein
-#: step ``s.s / s.y`` is kept within ``[_MIN_STEP, _MAX_STEP]``, and is
-#: ``_MAX_STEP`` where ``s.y <= 0``.
+#: step ``s.s / s.y`` is at least ``_MIN_STEP`` and at most the cap
+#: ``_MAX_MOVE / max|g|``, at which ``p - step * g`` moves no entry more than
+#: ``_MAX_MOVE`` box widths; it is the cap where ``s.y <= 0``.  Entries are
+#: fractions in [0, 1], so the cap holds in any unit.
 _MIN_STEP = 1e-10
-_MAX_STEP = 1e10
+_MAX_MOVE = 1e5
 #: Nonmonotone Armijo search along the projected direction ``d``: halve
 #: ``t`` until ``D(p + t d)`` is at most the largest of the last ``_MEMORY``
 #: objective values plus ``_SUFFICIENT_DECREASE * t * grad.d``.
@@ -78,16 +80,15 @@ def projected_gradient_solve(scenario, config=None):
     SPG method of Birgin, Martínez & Raydan 2000).
 
     The gradient is ``D'(h)`` times the popularity on every node, so the
-    linear minimisation over the feasible set is the storage knapsack: its
-    value is ``h_s = h_csl`` (:func:`~fogcache.heuristic.echr_csl`) where
-    ``D'(h) < 0``, and 0 otherwise.  The run stops once the Frank–Wolfe gap
-    ``D'(h) (h - h_s)``, which bounds ``D(p) - D*`` by convexity (Jaggi
-    2013), is at most ``tol * D(p)``: ``converged=True`` certifies the
-    relative gap to the optimum without reading it.  The iteration shares
-    only the projection with the splitting solver, and the stop only the
-    knapsack with the exact solver, so this stays an independent route to
-    the optimum, returned in the same :class:`~fogcache.admm.SolveResult`.
-    Its trace records the relative Frank–Wolfe gap as ``dual_residual``.
+    linear minimisation over the feasible set is the storage knapsack,
+    :func:`~fogcache.heuristic.echr_csl`.  The run stops once the relative
+    Frank–Wolfe gap, which bounds the relative gap to the optimum by
+    convexity (Jaggi 2013), is at most ``tol``: ``converged=True`` certifies
+    that gap without reading the optimum.  The splitting solver stops on
+    the same test, but the iterations share only the projection, so this
+    stays an independent route to the optimum, returned in the same
+    :class:`~fogcache.admm.SolveResult`.  Its trace records the relative
+    Frank–Wolfe gap as ``dual_residual``.
     """
     config = BaselineConfig() if config is None else config
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
@@ -123,18 +124,20 @@ def projected_gradient_solve(scenario, config=None):
         new_gradient = slope * library.popularity
         displacement = candidate - p
         curvature = float(np.sum(displacement * (new_gradient - gradient)))
-        step = (
-            min(max(float(np.sum(displacement**2)) / curvature, _MIN_STEP), _MAX_STEP)
-            if curvature > 0.0
-            else _MAX_STEP
-        )
         p, value, gradient = candidate, candidate_value, new_gradient
         recent.append(value)
-        gap = slope * (h - (h_csl if slope < 0.0 else 0.0)) / value
+        gap = _relative_fw_gap(h, slope, value, h_csl)
         trace.append(IterationRecord(k, value, float(np.linalg.norm(displacement)), gap))
         if gap <= config.tol:
             converged = True
             break
+        # A zero slope is a zero gap, so the gradient is not 0 here.
+        longest = _MAX_MOVE / float(np.max(np.abs(gradient)))
+        step = (
+            min(max(float(np.sum(displacement**2)) / curvature, _MIN_STEP), longest)
+            if curvature > 0.0
+            else longest
+        )
 
     return SolveResult(
         placement=Placement(p), echr=_clamped_echr(p, library), adt=value,

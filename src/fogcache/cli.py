@@ -4,13 +4,11 @@ Everything the commands emit is machine-readable (JSON or CSV) with fixed,
 documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
 
-``solve`` and ``sweep`` share the solver flags ``--eps-abs``, ``--eps-rel``
-and ``--max-iter``; one that no chosen solver reads (see ``FLAG_READERS``)
-is a usage error.  A flag left out takes the solver's own default:
-:class:`~fogcache.admm.AdmmConfig`'s for ADMM, and for projected gradient
-:class:`~fogcache.baselines.BaselineConfig`'s cap of 5000 iterations, with
-``--eps-abs`` (1e-6 for both solvers) as its bound on the relative
-Frank–Wolfe gap.  ADMM's penalty is worked out from the scenario, so no flag
+``solve`` and ``sweep`` share the flags of both iterative solvers: ``--tol``
+bounds the relative Frank–Wolfe gap at which either stops (1e-6 when left
+out), and ``--max-iter`` caps its iterations (each solver's own cap when
+left out).  A sweep that lists neither ``admm`` nor ``pgd`` rejects them as
+a usage error.  ADMM's penalty is worked out from the scenario, so no flag
 sets it.
 Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
 imports the solver modules it calls; a run compiles no module it does not
@@ -35,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .model import Placement, Scenario, _as_array, _check_count, _check_positive
+from .model import Placement, Scenario, _as_array, _check_count
 
 __all__ = ["SweepSpec", "main", "run"]
 
@@ -54,10 +52,8 @@ SIMULATE_HEADER = (
 SWEEP_PARAMETERS = ("lambda", "mu_b", "mu_e", "F")
 SWEEP_SOLVERS = ("admm", "pgd", "heuristic", "csl-only")
 
-#: ``--eps-abs`` when left out, for both solvers.
-EPS_ABS = 1e-6
-#: The solvers that read each solver flag; the closed-form sweep rows read none.
-FLAG_READERS = {"eps_abs": {"admm", "pgd"}, "eps_rel": {"admm"}, "max_iter": {"admm", "pgd"}}
+#: ``--tol`` when left out, for both solvers.
+TOL = 1e-6
 
 
 def _fmt(value):
@@ -209,33 +205,17 @@ def _write_rows(rows, out_path):
             handle.write(text)
 
 
-def _given(**flags):
-    """The flags set on the command line; the rest keep the config's default."""
-    return {name: value for name, value in flags.items() if value is not None}
-
-
-def _check_flags_are_read(names, args):
-    """Reject a solver flag given on the command line that none of ``names`` reads."""
-    for flag, readers in FLAG_READERS.items():
-        if getattr(args, flag) is not None and readers.isdisjoint(names):
-            option = "--" + flag.replace("_", "-")
-            raise ValueError(f"solver flag {option} is not read by {', '.join(names)}")
-
-
 def _solver(name, args):
     """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
     solver flags; a bad flag raises ``ValueError`` here, before any solve."""
-    eps_abs = EPS_ABS if args.eps_abs is None else args.eps_abs
-    _check_positive("eps_abs", eps_abs)  # PGD's config calls it tol
     if name == "admm":
-        from .admm import AdmmConfig, solve
-
-        config = AdmmConfig(eps_abs=eps_abs, **_given(eps_rel=args.eps_rel, max_iter=args.max_iter))
-        return lambda scenario: solve(scenario, config)
-    from .baselines import BaselineConfig, projected_gradient_solve
-
-    config = BaselineConfig(tol=eps_abs, **_given(max_iter=args.max_iter))
-    return lambda scenario: projected_gradient_solve(scenario, config)
+        from .admm import AdmmConfig as Config, solve
+    else:
+        from .baselines import BaselineConfig as Config, projected_gradient_solve as solve
+    tol = TOL if args.tol is None else args.tol
+    # --max-iter left out keeps each solver's own cap.
+    config = Config(tol=tol) if args.max_iter is None else Config(tol=tol, max_iter=args.max_iter)
+    return lambda scenario: solve(scenario, config)
 
 
 def cmd_solve(args):
@@ -243,7 +223,6 @@ def cmd_solve(args):
     from .admm import IterationRecord
     from .objective import overall_adt
 
-    _check_flags_are_read([args.solver], args)
     scenario = Scenario.load(args.scenario)
     start = time.perf_counter()
     result = _solver(args.solver, args)(scenario)
@@ -344,7 +323,10 @@ def cmd_sweep(args):
     for name in names:
         if name not in SWEEP_SOLVERS:
             raise ValueError(f"unknown solver {name!r}; expected a subset of {SWEEP_SOLVERS}")
-    _check_flags_are_read(names, args)
+    if {"admm", "pgd"}.isdisjoint(names):
+        for flag, value in (("--tol", args.tol), ("--max-iter", args.max_iter)):
+            if value is not None:
+                raise ValueError(f"solver flag {flag} is not read by {', '.join(names)}")
     with open(spec.base) as handle:
         base_data = json.load(handle)
     if not isinstance(base_data, dict):
@@ -422,12 +404,10 @@ def _build_parser():
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument(
-        "--eps-abs",
+        "--tol",
         type=float,
-        help=f"absolute tolerance (pgd: relative Frank-Wolfe gap bound; default {EPS_ABS:g})",
-    )
-    solver_flags.add_argument(
-        "--eps-rel", type=float, help="relative tolerance (admm only; default 1e-4)"
+        help="bound on the relative Frank-Wolfe gap, which bounds the relative gap to "
+        f"the optimal download time, at which either solver stops (default {TOL:g})",
     )
     solver_flags.add_argument(
         "--max-iter",

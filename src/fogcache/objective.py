@@ -169,6 +169,17 @@ def _feasible_adt(placement, scenario):
     return adt_curve(_clamped_echr(placement, scenario.library), scenario.traffic)
 
 
+def _relative_fw_gap(h, slope, adt, h_csl):
+    """Relative Frank–Wolfe gap of a feasible placement, both solvers' stop.
+
+    ``h``, ``slope = D'(h)`` and ``adt = D(h)`` describe the placement and
+    ``h_csl`` is the storage bound.  The linear minimisation over the
+    feasible set reaches ``h_csl`` where ``D'(h) < 0`` and 0 otherwise, so
+    by convexity the result bounds ``(adt - D*) / adt`` (Jaggi 2013).
+    """
+    return slope * (h - (h_csl if slope < 0.0 else 0.0)) / adt
+
+
 @dataclass(frozen=True, eq=False)
 class AdtReport:
     """Full download-time breakdown of a placement.

@@ -118,6 +118,34 @@ def random_scenario(rng, max_nodes=3, max_contents=30):
     return Scenario(library, cluster, TrafficProfile(lam, mu_e, mu_b))
 
 
+#: Zipf exponents of :func:`probe_scenario`, from uniform to very skewed.
+PROBE_EXPONENTS = (0.0, 0.3, 0.8, 1.2, 2.5)
+
+
+def probe_scenario(rng):
+    """A random valid scenario on wide axes, with per-station traffic.
+
+    1-7 stations and 2-39 contents; sizes U(0.2, 3) half the time, unit
+    otherwise; Zipf popularity with an exponent from ``PROBE_EXPONENTS``,
+    listed in a random order; capacities split by a Dirichlet, totalling
+    0.05-1.2 times the total size; ``mu_b`` U(1, 10), ``mu_e / mu_b``
+    U(1.01, 4), and ``lam = mu_b (1 - 10**-u)`` with ``u`` U(0.05, 4), so
+    from light load to 1e-4 below saturation.
+    """
+    n = int(rng.integers(1, 8))
+    f = int(rng.integers(2, 40))
+    sizes = rng.uniform(0.2, 3.0, size=f) if rng.random() < 0.5 else np.ones(f)
+    exponent = PROBE_EXPONENTS[int(rng.integers(len(PROBE_EXPONENTS)))]
+    popularity = ContentLibrary.zipf(f, exponent).popularity[rng.permutation(f)]
+    capacities = rng.uniform(0.05, 1.2) * sizes.sum() * rng.dirichlet(np.ones(n))
+    mu_b = rng.uniform(1.0, 10.0, size=n)
+    mu_e = mu_b * rng.uniform(1.01, 4.0, size=n)
+    lam = mu_b * (1.0 - 10.0 ** -rng.uniform(0.05, 4.0, size=n))
+    return Scenario(
+        ContentLibrary(popularity, sizes), FogCluster(capacities), TrafficProfile(lam, mu_e, mu_b)
+    )
+
+
 def mixed_size_scenarios(seed, count=8):
     """Small seeded scenarios, every other one with unequal content sizes;
     ``random_scenario`` mixes identical and per-station traffic."""

@@ -9,6 +9,8 @@ from fogcache import (
     BaselineConfig,
     ContentLibrary,
     FogCluster,
+    Scenario,
+    TrafficProfile,
     adt_curve,
     grid_bruteforce,
     heuristic_solve,
@@ -154,6 +156,26 @@ class TestProjectedGradient:
         assert gap <= config.tol
         # The Frank-Wolfe gap bounds the true one, up to rounding.
         assert (result.adt - optimum) / result.adt <= result.trace[-1].dual_residual + 1e-15
+
+    def test_the_spectral_step_cannot_cycle(self):
+        # Storage-limited with h_csl = 0.99874.  With the step capped at an
+        # absolute 1e10, its Barzilai-Borwein step reached the cap near the
+        # optimum, the projection's input entries 1e9, where it is not a
+        # projection, and the search cycled every 5 iterations at relative
+        # gap 1.27e-3.  Capped in box widths, it converges.
+        rank = [16, 20, 8, 10, 4, 12, 0, 11, 6, 7, 13, 14, 5, 19, 15, 3, 18, 9, 17, 2, 1]
+        sizes = [2.3, 0.561, 1.526, 2.018, 1.586, 2.13, 2.371, 2.799, 2.017, 0.693, 2.351,
+                 1.386, 2.156, 2.13, 2.684, 1.85, 0.843, 1.337, 1.938, 1.798, 0.742]
+        scenario = Scenario(
+            ContentLibrary(ContentLibrary.zipf(21, 2.5).popularity[rank], sizes),
+            FogCluster([32.0]),
+            TrafficProfile([1.079], [4.502], [1.204]),
+        )
+        config = BaselineConfig(max_iter=200)
+        result = projected_gradient_solve(scenario, config)
+        optimum = float(adt_curve(heuristic_solve(scenario).h_star, scenario.traffic))
+        assert result.converged
+        assert (result.adt - optimum) / optimum <= config.tol
 
 
 class TestGridBruteforce:

@@ -26,7 +26,6 @@ from fogcache import (
 from fogcache import admm, baselines
 from fogcache.admm import IterationRecord
 from fogcache.cli import (
-    FLAG_READERS,
     SIMULATE_HEADER,
     SWEEP_HEADER,
     SweepSpec,
@@ -120,8 +119,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("solver", ["admm", "pgd"])
     def test_defaults_are_the_solvers_own(self, tmp_path, scenario_file, solver):
         # Each solver runs at its own config's defaults, except that both take
-        # --eps-abs 1e-6; PGD reads it as its bound on the relative
-        # Frank-Wolfe gap.
+        # --tol 1e-6, their bound on the relative Frank-Wolfe gap.
         out = tmp_path / "run"
         out.mkdir()
         code = main(
@@ -176,38 +174,13 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "flags,named",
-        [
-            (["--eps-rel", "-5", "--max-iter", "0"], "--eps-rel"),
-            (["--eps-rel", "1e-3"], "--eps-rel"),
-        ],
-    )
-    def test_a_flag_pgd_does_not_read_exits_two(
-        self, tmp_path, scenario_file, capsys, monkeypatch, flags, named
-    ):
-        from fogcache import baselines
-
-        def no_solve(*args):
-            raise AssertionError("solved despite a flag the solver does not read")
-
-        monkeypatch.setattr(baselines, "projected_gradient_solve", no_solve)
-        out = tmp_path / "run"
-        code = main(
-            ["solve", "--scenario", str(scenario_file), "--solver", "pgd", *flags,
-             "--out", str(out)]
-        )
-        assert code == 2
-        assert not out.exists()
-        assert f"solver flag {named} is not read by pgd" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--eps-abs", "inf"], "eps_abs must be positive and finite, got inf"),
-            (["--eps-rel", "inf"], "eps_rel must be positive and finite, got inf"),
-            (["--eps-abs", "nan"], "eps_abs must be positive and finite, got nan"),
-            # BaselineConfig calls it tol; the error names the flag.
-            (["--solver", "pgd", "--eps-abs", "inf"], "eps_abs must be positive and finite, got inf"),
+            (["--tol", "inf"], "tol must be positive and finite, got inf"),
+            (["--tol", "nan"], "tol must be positive and finite, got nan"),
+            (["--tol", "0"], "tol must be positive and finite, got 0.0"),
+            # Each solver's config checks the field that the flag names.
+            (["--solver", "pgd", "--tol", "inf"], "tol must be positive and finite, got inf"),
         ],
     )
     def test_a_tolerance_that_is_not_finite_exits_two(
@@ -229,8 +202,8 @@ class TestSolveCommand:
         _, rows = _read_csv(out / "trace.csv")
         assert report["iterations"] == len(rows) == 12
         assert report["converged"] is False
-        # The best iterate, the ninth, is the placement written.
-        assert float(rows[8][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
+        # The best iterate, the sixth, is the placement written.
+        assert float(rows[5][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
         assert report["adt"] == report["adt_report"]["overall"]
         assert "iterations=12 converged=False" in capsys.readouterr().out
 
@@ -417,8 +390,8 @@ class TestSweepCommand:
         "solvers,flags,named",
         [
             ("heuristic", ["--max-iter", "0"], "--max-iter"),
-            ("heuristic,csl-only", ["--eps-abs", "1e-3"], "--eps-abs"),
-            ("pgd,heuristic", ["--max-iter", "3", "--eps-rel", "1e-3"], "--eps-rel"),
+            ("heuristic,csl-only", ["--tol", "1e-3"], "--tol"),
+            ("csl-only", ["--tol", "inf", "--max-iter", "3"], "--tol"),
         ],
     )
     def test_a_flag_no_listed_solver_reads_exits_two_before_any_point(
@@ -435,29 +408,19 @@ class TestSweepCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("solver", ["admm", "pgd"])
     def test_bad_flag_of_a_listed_solver_exits_two_before_any_point(
-        self, tmp_path, scenario_file, capsys
+        self, tmp_path, scenario_file, capsys, solver
     ):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--scenario", str(sweep), "--solver", "admm", "--eps-rel", "inf",
+            ["sweep", "--scenario", str(sweep), "--solver", solver, "--tol", "inf",
              "--out", str(out)]
         )
         assert code == 2
         assert not out.exists()
-        assert "eps_rel must be positive and finite, got inf" in capsys.readouterr().err
-
-    def test_a_bad_pgd_tolerance_names_the_flag(self, tmp_path, scenario_file, capsys):
-        sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
-        out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", "--scenario", str(sweep), "--solver", "pgd", "--eps-abs", "inf",
-             "--out", str(out)]
-        )
-        assert code == 2
-        assert not out.exists()
-        assert capsys.readouterr().err == "error: eps_abs must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == "error: tol must be positive and finite, got inf\n"
 
     def test_solver_flags_reach_admm_and_pgd(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [3.0, 4.0])
@@ -468,7 +431,7 @@ class TestSweepCommand:
                 "--scenario", str(sweep),
                 "--solver", "admm,pgd",
                 "--max-iter", "3",
-                "--eps-rel", "1e-6",  # read by ADMM alone
+                "--tol", "1e-9",
                 "--out", str(out),
             ]
         )
@@ -974,21 +937,20 @@ class TestParser:
     def test_solve_and_sweep_share_the_solver_flags(self):
         # A flag left out is None, and the chosen solver's config fills it.
         parser = _build_parser()
-        names = ("eps_abs", "eps_rel", "max_iter")
-        assert tuple(FLAG_READERS) == names
+        names = ("tol", "max_iter")
         for command in ("solve", "sweep"):
             args = vars(parser.parse_args([command, "--scenario", "x.json"]))
             assert {name: args[name] for name in names} == dict.fromkeys(names)
-            flags = ["--eps-abs", "1e-3", "--eps-rel", "1e-2", "--max-iter", "7"]
+            flags = ["--tol", "1e-3", "--max-iter", "7"]
             args = vars(parser.parse_args([command, "--scenario", "x.json", *flags]))
-            assert {name: args[name] for name in names} == {
-                "eps_abs": 1e-3, "eps_rel": 1e-2, "max_iter": 7
-            }
+            assert {name: args[name] for name in names} == {"tol": 1e-3, "max_iter": 7}
 
+    @pytest.mark.parametrize("flag", [["--rho", "1"], ["--eps-abs", "1e-6"], ["--eps-rel", "1e-4"]])
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_the_initial_penalty_is_not_a_flag(self, command, capsys):
-        # ADMM works its penalty out from the scenario.
+    def test_a_removed_solver_flag_exits_two(self, command, flag, capsys):
+        # ADMM works its penalty out from the scenario, and both solvers
+        # stop on one relative gap, --tol.
         with pytest.raises(SystemExit) as exc:
-            main([command, "--scenario", "x.json", "--rho", "1"])
+            main([command, "--scenario", "x.json", *flag])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --rho 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -98,7 +98,7 @@ COMMANDS = {
     ),
     "solve-admm": (
         ["solve", "--scenario", "scenario.json", "--out", "admm"],
-        {"queuesim", "heuristic", "baselines", "concurrent.futures"},
+        {"queuesim", "baselines", "concurrent.futures"},
     ),
 }
 

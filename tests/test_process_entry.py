@@ -81,8 +81,8 @@ def test_simulate_prints_the_bytes_it_would_write(scenario_dir):
     [
         (["solve", "--scenario", "scenario.json", "--max-iter", "1", "--out", "run"],
          1, rb"^solver=admm .* iterations=1 converged=False out=run\n$", rb"^$"),
-        (["solve", "--scenario", "scenario.json", "--eps-abs", "inf", "--out", "run"],
-         2, rb"^$", rb"^error: eps_abs must be positive and finite, got inf\n$"),
+        (["solve", "--scenario", "scenario.json", "--tol", "inf", "--out", "run"],
+         2, rb"^$", rb"^error: tol must be positive and finite, got inf\n$"),
         (["solve", "--scenario", "missing.json", "--out", "run"],
          2, rb"^$", rb"^error: \[Errno 2\] No such file or directory: 'missing.json'\n$"),
         (["solve", "--out", "run"],
