@@ -4,8 +4,10 @@ Both minimize the same convex download-time objective over the same feasible
 set, so they must land on the same value; the interesting part is how fast.
 The splitting solver's closed-form sub-steps take large, well-scaled moves;
 the spectral projected gradient scales each step by the Barzilai–Borwein
-rule, and keeps pace with it.  Both run at their defaults.  The heuristic gives the exact optimum, and
-every gap below is measured against it.
+rule, and keeps pace with it.  Both run at one config, the default
+``SolverConfig``: the same stopping test, tolerance and iteration cap.  The
+heuristic gives the exact optimum, and every gap below is measured against
+it.
 
 Pass ``--plot`` to also save ``convergence.png`` (needs matplotlib).
 """
@@ -13,10 +15,10 @@ Pass ``--plot`` to also save ``convergence.png`` (needs matplotlib).
 import argparse
 
 from fogcache import (
-    BaselineConfig,
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     heuristic_solve,
     overall_adt,
@@ -51,10 +53,11 @@ def main():
     exact = overall_adt(heuristic.placement, scenario).overall
     print(f"Exact optimum:         h = {heuristic.h_star:.5f}, ADT = {exact:.9f}")
 
-    admm = solve(scenario)
+    config = SolverConfig()
+    admm = solve(scenario, config)
     print(f"Splitting solver:      ADT = {admm.adt:.9f} after {admm.iterations} iterations")
 
-    pgd = projected_gradient_solve(scenario, BaselineConfig())
+    pgd = projected_gradient_solve(scenario, config)
     print(f"Projected gradient:    ADT = {pgd.adt:.9f} after {pgd.iterations} iterations")
 
     print("\nIterations until the objective sits within a relative gap of the optimum:")

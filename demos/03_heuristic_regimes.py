@@ -11,10 +11,10 @@ and its h* = min(h_csl, h_cpl) is the exact optimum for any content sizes.
 import numpy as np
 
 from fogcache import (
-    AdmmConfig,
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     heuristic_solve,
     overall_adt,
@@ -50,7 +50,7 @@ def main():
 
     # The heuristic is not an approximation here: the full solver, run to a
     # tight tolerance, lands on the same value in both regimes.
-    tight = AdmmConfig(tol=1e-10, max_iter=5000)
+    tight = SolverConfig(tol=1e-10, max_iter=5000)
     for lam in (2.5, 4.0):
         scenario = scenario_at(lam)
         heuristic_adt = overall_adt(heuristic_solve(scenario).placement, scenario).overall

@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 #: Home module of each top-level export.
 _HOMES = {
-    "admm": ("AdmmConfig", "SolveResult", "solve"),
-    "baselines": ("BaselineConfig", "grid_bruteforce", "projected_gradient_solve"),
+    "admm": ("SolveResult", "SolverConfig", "solve"),
+    "baselines": ("grid_bruteforce", "projected_gradient_solve"),
     "errors": ("NumericalError",),
     "heuristic": (
         "HeuristicResult",

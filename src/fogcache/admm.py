@@ -22,7 +22,8 @@ alternates three steps with a scaled dual ``theta``:
 Iteration stops on the projected-gradient cross-check's test, a relative
 Frank–Wolfe gap of the feasible iterate ``z`` that bounds its relative gap
 to the optimum, with ``rho`` adapted by relative residual balancing; ``z``
-is the placement, in the :class:`SolveResult` that the cross-check returns.
+is the placement.  Both solvers read one :class:`SolverConfig` and return
+one :class:`SolveResult`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .heuristic import echr_csl
 from .objective import _clamped_echr, _derivatives, _relative_fw_gap, adt_curve, stable_echr_interval
 
 __all__ = [
-    "AdmmConfig",
     "ConstraintSystem",
     "IterationRecord",
     "SolveResult",
+    "SolverConfig",
     "p_update",
     "project_feasible",
     "solve",
@@ -49,12 +50,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AdmmConfig:
-    """Stopping rule, with the fields of :class:`~fogcache.baselines.BaselineConfig`:
-    ``tol`` bounds the relative Frank–Wolfe gap of the feasible iterate, and
-    ``max_iter`` caps the iterations.  The augmented-Lagrangian weight is not
-    a knob: :func:`solve` works it out from the scenario.  On the reference
-    scenario of the tests the defaults take 20 iterations.
+class SolverConfig:
+    """Stopping rule of :func:`solve` and of
+    :func:`~fogcache.baselines.projected_gradient_solve`, named as the CLI
+    flags are: ``tol`` bounds the relative Frank–Wolfe gap of the feasible
+    iterate, which bounds its relative gap to the optimal download time, and
+    ``max_iter`` caps the iterations.  A capped run returns the splitting
+    solver's best or projected gradient's last iterate, flagged
+    ``converged=False``.  ADMM's augmented-Lagrangian weight is not a knob:
+    :func:`solve` works it out from the scenario.  On the reference scenario
+    of the tests the defaults take 20 iterations of :func:`solve` and 10 of
+    projected gradient.
     """
 
     tol: float = 1e-6
@@ -187,7 +193,7 @@ def _dual_hessian(z, shifts, size_sq):
     return np.diag(free @ size_sq) - (free * weight) @ free.T
 
 
-def project_feasible(x, constraints, duals=None):
+def project_feasible(x, constraints, duals):
     """Euclidean projection onto the feasible placement set.
 
     Exact, through the dual over the N per-node capacity multipliers
@@ -202,11 +208,11 @@ def project_feasible(x, constraints, duals=None):
     each quadratic piece Newton is exact, so the iteration ends on the
     solution's piece after a handful of steps.
 
-    ``duals``, optional, is a float array of the N capacity multipliers:
-    the ascent starts from it, clipped to the box, instead of from zero, and
-    it is overwritten with the multipliers the ascent ends on.  Solvers that
-    project a slowly moving point pass the same array to every call; the
-    result is the same projection to the stopping tolerance.
+    ``duals`` is a float array of the N capacity multipliers: the ascent
+    starts from it, clipped to the box, and it is overwritten with the
+    multipliers the ascent ends on.  ``np.zeros(N)`` is a cold start; solvers
+    that project a slowly moving point pass the same array to every call,
+    and the result is the same projection to the stopping tolerance.
 
     ``x`` is an (N, F) matrix, and so is the result; any other shape raises
     ``ValueError``.
@@ -216,7 +222,7 @@ def project_feasible(x, constraints, duals=None):
     n, f = capacities.size, sizes.size
     if y.shape != (n, f):
         raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
-    if duals is not None and np.shape(duals) != (n,):
+    if np.shape(duals) != (n,):
         raise ValueError(f"expected {n} capacity multipliers")
     size_sq = sizes * sizes
     # Node loads are sums of F terms of magnitude up to the capacity.
@@ -235,7 +241,7 @@ def project_feasible(x, constraints, duals=None):
 
     # Not ``np.clip``: the benchmark's tracer counts each call of it in this
     # module as one dual evaluation (the clip in :func:`_project_columns`).
-    mu = np.zeros(n) if duals is None else np.minimum(np.maximum(duals, 0.0), upper)
+    mu = np.minimum(np.maximum(duals, 0.0), upper)
     z, shifts, gradient, value = evaluate(mu)
     for _ in range(_NEWTON_MAX_STEPS):
         ascent = np.minimum(np.maximum(mu + gradient, 0.0), upper) - mu
@@ -269,8 +275,7 @@ def project_feasible(x, constraints, duals=None):
         else:
             break  # no ascent left at rounding level
         mu, z, shifts, gradient, value = trial, z_t, shifts_t, gradient_t, value_t
-    if duals is not None:
-        duals[:] = mu
+    duals[:] = mu
     # For inputs of about 1e12 and more, ``y - mu * s - shift`` cancels
     # numbers of that size, and a column can exceed 1 by far more than
     # rounding (content 1 of the reference cluster by 2.4e-4).  Scaling such
@@ -334,14 +339,16 @@ _BALANCE_RATIO = 10.0
 _RHO_FACTOR = 2.0
 
 
-def solve(scenario, config=None):
+def solve(scenario, config=SolverConfig()):
     """Run the splitting iteration on a scenario.
 
     Starts from zero matrices and iterates the three updates until the
     relative Frank–Wolfe gap of the feasible iterate ``z``, projected
-    gradient's stopping test, is at most ``tol``.  That gap bounds the
-    relative gap to the optimum in any unit of time without reading it, so
-    ``converged=True`` is a certificate and the iteration an independent check.
+    gradient's stopping test, is at most ``config.tol``; ``config`` is a
+    :class:`SolverConfig`, with the default projected gradient also takes.
+    That gap bounds the relative gap to the optimum in any unit of time
+    without reading it, so ``converged=True`` is a certificate and the
+    iteration an independent check.
 
     ``rho`` starts at ``|D'(0)| * ||popularity||**2``, which is
     ``|D'(0)| ||c||^2 / N``; no setting overrides it.  The p-update moves
@@ -366,7 +373,6 @@ def solve(scenario, config=None):
     ``iterations`` counts the iterations run, one per trace record, which
     holds the objective of ``z``, ``||p - z||`` and ``rho ||z - z_old||``.
     """
-    config = AdmmConfig() if config is None else config
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
     n, f = cluster.node_count, library.count
     constraints = ConstraintSystem.build(library, cluster)

@@ -5,7 +5,8 @@ Two routes to the same optimum, deliberately different in mechanism:
 * :func:`projected_gradient_solve` — a labelled cross-check: spectral
   projected gradient, a first-order method that must land on the same
   optimum as the splitting solver, and returns the same
-  :class:`~fogcache.admm.SolveResult`.  It stops, as the splitting solver
+  :class:`~fogcache.admm.SolveResult` under the same
+  :class:`~fogcache.admm.SolverConfig`.  It stops, as the splitting solver
   does, on a Frank–Wolfe gap that bounds its relative distance to the
   optimum, so ``converged=True`` is a certificate in any unit of time.  On
   the reference scenario of the tests it stops after 10 iterations at the
@@ -21,17 +22,15 @@ as the top of its range, projected gradient for its stopping test.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
+from .admm import ConstraintSystem, IterationRecord, SolveResult, SolverConfig, project_feasible
 from .heuristic import echr_csl
-from .model import Placement, _check_count, _check_positive
+from .model import Placement, _check_positive
 from .objective import _clamped_echr, _feasible_adt, _relative_fw_gap, adt_curve, adt_slope
 
 __all__ = [
-    "BaselineConfig",
     "projected_gradient_solve",
     "grid_bruteforce",
 ]
@@ -51,25 +50,7 @@ _SUFFICIENT_DECREASE = 1e-4
 _MEMORY = 10
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Projected-gradient stopping rule.
-
-    ``tol`` bounds the relative Frank–Wolfe gap ``D'(h) (h - h_s) / D(p)``,
-    which bounds the relative gap to the optimal download time; ``max_iter``
-    caps the iterations, and reaching it returns the last iterate flagged
-    ``converged=False``.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 5000
-
-    def __post_init__(self):
-        _check_positive("tol", self.tol)
-        _check_count("max_iter", self.max_iter, 1)
-
-
-def projected_gradient_solve(scenario, config=None):
+def projected_gradient_solve(scenario, config=SolverConfig()):
     """Minimize the overall download time by spectral projected gradient.
 
     Each iteration projects ``p - a * grad D(p)`` once, warm-started from the
@@ -84,13 +65,14 @@ def projected_gradient_solve(scenario, config=None):
     :func:`~fogcache.heuristic.echr_csl`.  The run stops once the relative
     Frank–Wolfe gap, which bounds the relative gap to the optimum by
     convexity (Jaggi 2013), is at most ``tol``: ``converged=True`` certifies
-    that gap without reading the optimum.  The splitting solver stops on
-    the same test, but the iterations share only the projection, so this
-    stays an independent route to the optimum, returned in the same
+    that gap without reading the optimum.  Reaching ``max_iter`` returns the
+    last iterate flagged ``converged=False``.  The splitting solver reads the
+    same :class:`~fogcache.admm.SolverConfig` and stops on the same test, but
+    the iterations share only the projection, so this stays an independent
+    route to the optimum, returned in the same
     :class:`~fogcache.admm.SolveResult`.  Its trace records the relative
     Frank–Wolfe gap as ``dual_residual``.
     """
-    config = BaselineConfig() if config is None else config
     library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
     constraints = ConstraintSystem.build(library, cluster)
     h_csl = echr_csl(library, cluster)

@@ -4,11 +4,12 @@ Everything the commands emit is machine-readable (JSON or CSV) with fixed,
 documented schemas; plotting is left to external tooling.  Exit codes:
 0 success, 1 numerical non-convergence, 2 invalid input or usage.
 
-``solve`` and ``sweep`` share the flags of both iterative solvers: ``--tol``
-bounds the relative Frank–Wolfe gap at which either stops (1e-6 when left
-out), and ``--max-iter`` caps its iterations (each solver's own cap when
-left out).  A sweep that lists neither ``admm`` nor ``pgd`` rejects them as
-a usage error.  ADMM's penalty is worked out from the scenario, so no flag
+``solve`` and ``sweep`` share the flags of both iterative solvers, the
+fields of :class:`~fogcache.admm.SolverConfig`: ``--tol`` bounds the
+relative Frank–Wolfe gap at which either stops, and ``--max-iter`` caps its
+iterations.  A flag left out takes the config's default, the same for both
+solvers.  A sweep that lists neither ``admm`` nor ``pgd`` rejects them as a
+usage error.  ADMM's penalty is worked out from the scenario, so no flag
 sets it.
 Each subcommand runs one ``cmd_*`` function on the parsed arguments, which
 imports the solver modules it calls; a run compiles no module it does not
@@ -51,9 +52,6 @@ SIMULATE_HEADER = (
 
 SWEEP_PARAMETERS = ("lambda", "mu_b", "mu_e", "F")
 SWEEP_SOLVERS = ("admm", "pgd", "heuristic", "csl-only")
-
-#: ``--tol`` when left out, for both solvers.
-TOL = 1e-6
 
 
 def _fmt(value):
@@ -208,13 +206,15 @@ def _write_rows(rows, out_path):
 def _solver(name, args):
     """``scenario -> result`` for ``admm`` or ``pgd``, configured by the shared
     solver flags; a bad flag raises ``ValueError`` here, before any solve."""
+    from .admm import SolverConfig
+
     if name == "admm":
-        from .admm import AdmmConfig as Config, solve
+        from .admm import solve
     else:
-        from .baselines import BaselineConfig as Config, projected_gradient_solve as solve
-    tol = TOL if args.tol is None else args.tol
-    # --max-iter left out keeps each solver's own cap.
-    config = Config(tol=tol) if args.max_iter is None else Config(tol=tol, max_iter=args.max_iter)
+        from .baselines import projected_gradient_solve as solve
+    # A flag left out keeps the config's default.
+    flags = {"tol": args.tol, "max_iter": args.max_iter}
+    config = SolverConfig(**{key: value for key, value in flags.items() if value is not None})
     return lambda scenario: solve(scenario, config)
 
 
@@ -407,12 +407,12 @@ def _build_parser():
         "--tol",
         type=float,
         help="bound on the relative Frank-Wolfe gap, which bounds the relative gap to "
-        f"the optimal download time, at which either solver stops (default {TOL:g})",
+        "the optimal download time, at which either solver stops (default 1e-06)",
     )
     solver_flags.add_argument(
         "--max-iter",
         type=int,
-        help="iteration cap (default: admm 1000, pgd 5000); a run that reaches it "
+        help="iteration cap of either solver (default 1000); a run that reaches it "
         "returns admm's best or pgd's last iterate, unconverged",
     )
 

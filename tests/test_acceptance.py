@@ -292,12 +292,12 @@ def test_criterion_8_projection_matches_the_quadratic_oracle():
     for _ in range(200):
         x, library, cluster = random_projection_instance(rng)
         constraints = ConstraintSystem.build(library, cluster)
-        z = project_feasible(x, constraints)
+        n = cluster.node_count
+        z = project_feasible(x, constraints, np.zeros(n))
         oracle = qp_projection_oracle(x, constraints)
         worst_match = max(worst_match, float(np.max(np.abs(z - oracle))))
-        worst_idempotence = max(
-            worst_idempotence, float(np.max(np.abs(project_feasible(z, constraints) - z)))
-        )
+        again = project_feasible(z, constraints, np.zeros(n))
+        worst_idempotence = max(worst_idempotence, float(np.max(np.abs(again - z))))
         violation = max(
             float(np.max(-z, initial=0.0)),
             float(np.max(z - 1.0, initial=0.0)),

@@ -1,20 +1,21 @@
 """Tests for the splitting solver and the feasible-set projection."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fogcache import (
-    AdmmConfig,
-    BaselineConfig,
     ContentLibrary,
     FogCluster,
+    SolverConfig,
     adt_slope,
     echr,
     heuristic_solve,
     overall_adt,
+    projected_gradient_solve,
     solve,
 )
 from fogcache import admm
@@ -35,31 +36,34 @@ from conftest import (
 )
 
 
-class TestAdmmConfig:
+class TestSolverConfig:
     def test_defaults(self):
-        # The penalty is worked out by ``solve``, never set, and the
-        # stopping rule has the fields of projected gradient's.
-        assert AdmmConfig() == AdmmConfig(tol=1e-6, max_iter=1000)
-        names = [field.name for field in dataclasses.fields(AdmmConfig)]
-        assert names == [field.name for field in dataclasses.fields(BaselineConfig)]
-        assert names == ["tol", "max_iter"]
+        # One stopping rule for both solvers; ADMM's penalty is worked out
+        # by ``solve``, never set.
+        config = SolverConfig()
+        assert (config.max_iter, config.tol) == (1000, 1e-6)
+        assert [field.name for field in dataclasses.fields(SolverConfig)] == ["tol", "max_iter"]
         for removed in ("rho", "eps_abs", "eps_rel"):
             with pytest.raises(TypeError):
-                AdmmConfig(**{removed: 1.0})
+                SolverConfig(**{removed: 1.0})
+
+    @pytest.mark.parametrize("solver", [solve, projected_gradient_solve])
+    def test_is_each_solvers_default(self, solver):
+        assert inspect.signature(solver).parameters["config"].default == SolverConfig()
 
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("inf"), float("nan")])
     def test_tolerance_must_be_positive_and_finite(self, value):
         with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {value}$"):
-            AdmmConfig(tol=value)
+            SolverConfig(tol=value)
 
     def test_rejects_a_zero_iteration_cap(self):
         with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
-            AdmmConfig(max_iter=0)
+            SolverConfig(max_iter=0)
 
     @pytest.mark.parametrize("value", [2.5, True])
     def test_non_integer_max_iter_is_named(self, value):
         with pytest.raises(ValueError, match="^max_iter must be an integer"):
-            AdmmConfig(max_iter=value)
+            SolverConfig(max_iter=value)
 
 
 class TestConstraintSystem:
@@ -104,24 +108,25 @@ class TestProjectFeasible:
         placement = random_feasible_placement(
             rng, reference_scenario.library, reference_scenario.cluster
         )
-        projected = project_feasible(placement.matrix, system)
+        projected = project_feasible(placement.matrix, system, np.zeros(3))
         np.testing.assert_allclose(projected, placement.matrix, atol=1e-9)
 
     def test_box_clipping(self):
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([10.0]))
-        assert project_feasible(np.array([[1.7]]), system)[0, 0] == pytest.approx(1.0)
-        assert project_feasible(np.array([[-0.3]]), system)[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert project_feasible(np.array([[1.7]]), system, np.zeros(1))[0, 0] == pytest.approx(1.0)
+        low = project_feasible(np.array([[-0.3]]), system, np.zeros(1))[0, 0]
+        assert low == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_halfspace(self):
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([0.4]))
-        assert project_feasible(np.array([[0.9]]), system)[0, 0] == pytest.approx(0.4)
+        assert project_feasible(np.array([[0.9]]), system, np.zeros(1))[0, 0] == pytest.approx(0.4)
 
     def test_replication_halfspace_shifts_uniformly(self):
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([5.0, 5.0]))
-        projected = project_feasible(np.array([[0.8], [0.7]]), system)
+        projected = project_feasible(np.array([[0.8], [0.7]]), system, np.zeros(2))
         np.testing.assert_allclose(projected, [[0.55], [0.45]], atol=1e-10)
 
     def test_tight_capacity_beats_uniform_shift(self):
@@ -129,21 +134,21 @@ class TestProjectFeasible:
         # node's detriment, not split evenly.
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([0.05, 3.0]))
-        projected = project_feasible(np.array([[0.9], [0.9]]), system)
+        projected = project_feasible(np.array([[0.9], [0.9]]), system, np.zeros(2))
         assert projected[0, 0] == pytest.approx(0.05, abs=1e-9)
         assert projected[1, 0] == pytest.approx(0.9, abs=1e-9)
 
     def test_unequal_sizes_scale_the_capacity_rows(self):
         library = ContentLibrary([0.6, 0.4], [2.0, 1.0])
         system = ConstraintSystem.build(library, FogCluster([1.0]))
-        projected = project_feasible(np.array([[1.0, 1.0]]), system)
+        projected = project_feasible(np.array([[1.0, 1.0]]), system, np.zeros(1))
         load = float((projected @ library.sizes).item())
         assert load <= 1.0 + 1e-9
 
     def test_rejects_a_flat_vector(self, reference_scenario):
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
         with pytest.raises(ValueError, match=r"\(3, 20\)"):
-            project_feasible(np.full(60, 0.9), system)
+            project_feasible(np.full(60, 0.9), system, np.zeros(3))
 
     def test_idempotent_on_random_instances(self):
         rng = np.random.default_rng(4242)
@@ -151,8 +156,9 @@ class TestProjectFeasible:
             scenario = random_scenario(rng)
             system = ConstraintSystem.build(scenario.library, scenario.cluster)
             x = rng.uniform(-0.5, 1.5, size=(scenario.cluster.node_count, scenario.library.count))
-            z = project_feasible(x, system)
-            z2 = project_feasible(z, system)
+            n = scenario.cluster.node_count
+            z = project_feasible(x, system, np.zeros(n))
+            z2 = project_feasible(z, system, np.zeros(n))
             np.testing.assert_allclose(z2, z, atol=1e-8)
             validate_placement(z, scenario.library, scenario.cluster)
 
@@ -170,7 +176,7 @@ class TestProjectFeasible:
             cluster = FogCluster(share * sizes.sum() * rng.dirichlet(np.ones(n)))
             system = ConstraintSystem.build(library, cluster)
             x = rng.uniform(-0.6, 1.6, size=(n, f)) * rng.uniform(0.1, 1.0)
-            z = project_feasible(x, system)
+            z = project_feasible(x, system, np.zeros(n))
             violation = max(
                 float(np.max(-z, initial=0.0)),
                 float(np.max(z - 1.0, initial=0.0)),
@@ -178,7 +184,7 @@ class TestProjectFeasible:
                 float(np.max(z @ sizes - cluster.capacities, initial=0.0)),
             )
             assert violation <= 1e-9
-            np.testing.assert_allclose(project_feasible(z, system), z, atol=1e-9)
+            np.testing.assert_allclose(project_feasible(z, system, np.zeros(n)), z, atol=1e-9)
             bound = 1e-9 * (1.0 + float(np.vdot(x, x)))
             for _ in range(5):
                 w = random_feasible_placement(rng, library, cluster).matrix
@@ -192,7 +198,7 @@ class TestProjectFeasible:
         assert x.shape == (5, 1)
         system = ConstraintSystem.build(library, cluster)
         assert np.clip(x, 0.0, 1.0).sum() > 1.0
-        z = project_feasible(x, system)
+        z = project_feasible(x, system, np.zeros(5))
         assert z.sum() < 1.0 - 0.1
         np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
 
@@ -264,7 +270,8 @@ class TestWarmStart:
             # 1e-12 * max(1, capacity) of its bound, so an entry of size s
             # may sit that over s from the exact projection in either run.
             bound = 2e-12 * max(1.0, system.capacities.max()) / system.sizes.min()
-            np.testing.assert_allclose(warm, project_feasible(x, system), rtol=0, atol=bound)
+            cold = project_feasible(x, system, np.zeros(system.capacities.size))
+            np.testing.assert_allclose(warm, cold, rtol=0, atol=bound)
             # KKT of the capacity rows: the returned multipliers are
             # nonnegative and vanish wherever a row is slack.
             slack = system.capacities - warm @ system.sizes
@@ -396,7 +403,7 @@ class TestSolve:
         for _ in range(40):
             scenario = random_scenario(rng)
             first = self._first_step_from_the_scaled_penalty(scenario)
-            assert solve(scenario, AdmmConfig(max_iter=1)).trace == [first]
+            assert solve(scenario, SolverConfig(max_iter=1)).trace == [first]
 
     def test_converges_at_defaults_next_to_saturation(self):
         # |D'(0)| grows without bound as lam nears mu_b, and so does the
@@ -428,7 +435,7 @@ class TestSolve:
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
     def test_iteration_cap_returns_best_feasible_iterate(self, reference_scenario):
-        result = solve(reference_scenario, AdmmConfig(max_iter=3))
+        result = solve(reference_scenario, SolverConfig(max_iter=3))
         assert not result.converged
         assert result.iterations == len(result.trace) == 3
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
@@ -439,7 +446,7 @@ class TestSolve:
         self, reference_scenario, cap
     ):
         # At caps 7 to 17 iterate 6 beats every later one.
-        result = solve(reference_scenario, AdmmConfig(max_iter=cap))
+        result = solve(reference_scenario, SolverConfig(max_iter=cap))
         assert not result.converged
         assert result.iterations == len(result.trace) == cap
         objectives = [record.objective for record in result.trace]

@@ -59,7 +59,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_export_list_is_small_and_unique():
-    assert len(fogcache.__all__) <= 26
+    assert len(fogcache.__all__) <= 25
     assert len(set(fogcache.__all__)) == len(fogcache.__all__)
 
 
@@ -121,7 +121,9 @@ def test_demoted_name_lives_in_its_module_only(module, name):
     assert name not in fogcache.__all__
 
 
-@pytest.mark.parametrize("name", ["adt_curvature", "simulate_mm1"])
+@pytest.mark.parametrize(
+    "name", ["AdmmConfig", "BaselineConfig", "adt_curvature", "simulate_mm1"]
+)
 def test_removed_export_is_an_attribute_error(name, unresolved):
     for module in (fogcache, unresolved):
         with pytest.raises(AttributeError, match=name):
@@ -133,3 +135,14 @@ def test_simulate_mm1_is_gone_from_queuesim():
     queuesim = importlib.import_module("fogcache.queuesim")
     assert "simulate_mm1" not in queuesim.__all__
     assert not hasattr(queuesim, "simulate_mm1")
+
+
+@pytest.mark.parametrize(
+    "module, name", [("fogcache.admm", "AdmmConfig"), ("fogcache.baselines", "BaselineConfig")]
+)
+def test_removed_config_class_is_gone_from_its_module(module, name):
+    # SolverConfig is the one config of both iterative solvers.
+    owner = importlib.import_module(module)
+    assert name not in owner.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(owner, name)

@@ -1,15 +1,13 @@
 """Tests for the independent cross-checks and the test-side projection oracle."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from fogcache import (
-    BaselineConfig,
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     adt_curve,
     grid_bruteforce,
@@ -32,38 +30,6 @@ from conftest import (
     mixed_size_scenarios,
     random_projection_instance,
 )
-
-
-class TestBaselineConfig:
-    def test_defaults(self):
-        config = BaselineConfig()
-        assert config.tol == 1e-8
-        assert config.max_iter == 5000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tol": 0.0},
-            {"tol": float("nan")},
-            {"max_iter": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            BaselineConfig(**kwargs)
-
-    @pytest.mark.parametrize("value", [2.5, True])
-    def test_non_integer_max_iter_is_named(self, value):
-        with pytest.raises(ValueError, match="^max_iter must be an integer"):
-            BaselineConfig(max_iter=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-9, float("inf"), float("nan")])
-    def test_tol_must_be_positive_and_finite(self, value):
-        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {value}$"):
-            BaselineConfig(tol=value)
-
-    def test_has_exactly_the_stopping_rule_fields(self):
-        assert [field.name for field in fields(BaselineConfig)] == ["tol", "max_iter"]
 
 
 def _seed_303(index, contents, capacity):
@@ -93,8 +59,8 @@ _HARD_CASES = {
 
 @pytest.fixture(scope="module")
 def pgd_reference():
-    """Projected gradient at its defaults on the reference scenario, run once."""
-    return projected_gradient_solve(make_scenario())
+    """Projected gradient at ``tol`` 1e-8 on the reference scenario, run once."""
+    return projected_gradient_solve(make_scenario(), SolverConfig(tol=1e-8))
 
 
 class TestProjectedGradient:
@@ -112,9 +78,7 @@ class TestProjectedGradient:
         assert fixed_step_projected_gradient(make_scenario()).iterations == 2734
 
     def test_trace_schema(self, reference_scenario):
-        result = projected_gradient_solve(
-            reference_scenario, BaselineConfig(tol=1e-6, max_iter=200)
-        )
+        result = projected_gradient_solve(reference_scenario, SolverConfig(max_iter=200))
         assert len(result.trace) == result.iterations
         first = result.trace[0]
         assert first.k == 1
@@ -123,21 +87,21 @@ class TestProjectedGradient:
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_iterates_do_not_depend_on_the_stopping_rule(self, reference_scenario):
-        short = projected_gradient_solve(reference_scenario, BaselineConfig(max_iter=5))
-        long = projected_gradient_solve(reference_scenario, BaselineConfig(tol=1e-6))
+        short = projected_gradient_solve(reference_scenario, SolverConfig(tol=1e-8, max_iter=5))
+        long = projected_gradient_solve(reference_scenario, SolverConfig())
         assert [record.objective for record in short.trace] == [
             record.objective for record in long.trace[:5]
         ]
 
     def test_iteration_cap_flags_nonconvergence(self, reference_scenario):
-        result = projected_gradient_solve(reference_scenario, BaselineConfig(max_iter=5))
+        result = projected_gradient_solve(reference_scenario, SolverConfig(tol=1e-8, max_iter=5))
         assert not result.converged
         assert result.iterations == 5
 
     def test_heterogeneous_scenario_value(self, hetero_scenario):
         # A relative gap of 1e-6 certifies the objective to within 2e-7
         # here; the value lands well under 1e-8 from the optimum.
-        result = projected_gradient_solve(hetero_scenario, BaselineConfig(tol=1e-6))
+        result = projected_gradient_solve(hetero_scenario, SolverConfig())
         assert result.converged
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
@@ -148,7 +112,7 @@ class TestProjectedGradient:
         # x1e3; rates x1e-3 and loads next to saturation move the gradient's
         # scale by orders of magnitude the other way.
         scenario = _HARD_CASES[case]()
-        config = BaselineConfig()
+        config = SolverConfig(tol=1e-8)
         result = projected_gradient_solve(scenario, config)
         optimum = float(adt_curve(heuristic_solve(scenario).h_star, scenario.traffic))
         assert result.converged
@@ -171,7 +135,7 @@ class TestProjectedGradient:
             FogCluster([32.0]),
             TrafficProfile([1.079], [4.502], [1.204]),
         )
-        config = BaselineConfig(max_iter=200)
+        config = SolverConfig(tol=1e-8, max_iter=200)
         result = projected_gradient_solve(scenario, config)
         optimum = float(adt_curve(heuristic_solve(scenario).h_star, scenario.traffic))
         assert result.converged
@@ -234,7 +198,8 @@ class TestQpProjectionOracle:
         np.testing.assert_allclose(qp_projection_oracle(x, system), expected, atol=1e-10)
         # Regression: the iterative projection once stopped early on this
         # shape of instance, leaving one coordinate short of its clip value.
-        np.testing.assert_allclose(project_feasible(x, system), expected, atol=1e-8)
+        projected = project_feasible(x, system, np.zeros(capacities.size))
+        np.testing.assert_allclose(projected, expected, atol=1e-8)
 
     def test_rejects_large_instances(self):
         library = ContentLibrary.zipf(13, 0.5)
@@ -248,7 +213,7 @@ class TestQpProjectionOracle:
         for _ in range(40):
             x, library, cluster = random_projection_instance(rng)
             system = ConstraintSystem.build(library, cluster)
-            z_iter = project_feasible(x, system)
+            z_iter = project_feasible(x, system, np.zeros(cluster.node_count))
             z_oracle = qp_projection_oracle(x, system)
             worst = max(worst, float(np.max(np.abs(z_iter - z_oracle))))
         assert worst < 1e-7

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from fogcache import (
-    BaselineConfig,
     ContentLibrary,
     FogCluster,
     Placement,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     adt_curve,
     heuristic_solve,
@@ -117,9 +117,9 @@ class TestSolveCommand:
         assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-8)
 
     @pytest.mark.parametrize("solver", ["admm", "pgd"])
-    def test_defaults_are_the_solvers_own(self, tmp_path, scenario_file, solver):
-        # Each solver runs at its own config's defaults, except that both take
-        # --tol 1e-6, their bound on the relative Frank-Wolfe gap.
+    def test_defaults_are_the_solver_configs(self, tmp_path, scenario_file, solver):
+        # Flags left out, each solver runs at the default SolverConfig, its
+        # own default too.
         out = tmp_path / "run"
         out.mkdir()
         code = main(
@@ -128,11 +128,8 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
-        scenario = Scenario.load(scenario_file)
-        if solver == "admm":
-            expected = solve(scenario)
-        else:
-            expected = projected_gradient_solve(scenario, BaselineConfig(tol=1e-6))
+        run = solve if solver == "admm" else projected_gradient_solve
+        expected = run(Scenario.load(scenario_file))
         assert report["iterations"] == expected.iterations
         assert report["adt"] == expected.adt
 
@@ -442,21 +439,27 @@ class TestSweepCommand:
             assert row[6] == "unconverged"
             assert row[4] == "3"
 
-    def test_pgd_takes_its_own_iteration_cap(self, tmp_path, scenario_file, monkeypatch):
+    @pytest.mark.parametrize(
+        "solver, module, name",
+        [("admm", admm, "solve"), ("pgd", baselines, "projected_gradient_solve")],
+    )
+    def test_flags_left_out_give_the_one_default_config(
+        self, tmp_path, scenario_file, monkeypatch, solver, module, name
+    ):
         configs = []
 
         def recording(scenario, config):
             configs.append(config)
             return original(scenario, config)
 
-        original = baselines.projected_gradient_solve
-        monkeypatch.setattr(baselines, "projected_gradient_solve", recording)
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, recording)
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [4.0])
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--scenario", str(sweep), "--solver", "pgd", "--out", str(out)]) == 0
+        assert main(["sweep", "--scenario", str(sweep), "--solver", solver, "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert rows[0][6] == "ok"
-        assert [(config.max_iter, config.tol) for config in configs] == [(5000, 1e-6)]
+        assert [(config.max_iter, config.tol) for config in configs] == [(1000, 1e-6)]
 
     def test_empty_values_are_rejected(self, tmp_path, scenario_file):
         sweep = self._write_sweep(tmp_path, scenario_file, "lambda", [])
@@ -935,7 +938,7 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_solve_and_sweep_share_the_solver_flags(self):
-        # A flag left out is None, and the chosen solver's config fills it.
+        # A flag left out is None, and SolverConfig's default fills it.
         parser = _build_parser()
         names = ("tol", "max_iter")
         for command in ("solve", "sweep"):
@@ -944,6 +947,17 @@ class TestParser:
             flags = ["--tol", "1e-3", "--max-iter", "7"]
             args = vars(parser.parse_args([command, "--scenario", "x.json", *flags]))
             assert {name: args[name] for name in names} == {"tol": 1e-3, "max_iter": 7}
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_solver_flag_help_names_the_config_defaults(self, command, capsys):
+        # The parser does not import the solvers, so the help text spells
+        # out SolverConfig's defaults; this keeps the two in step.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = "".join(capsys.readouterr().out.split())
+        config = SolverConfig()
+        assert f"eithersolverstops(default{config.tol:g})" in text
+        assert f"capofeithersolver(default{config.max_iter})" in text
 
     @pytest.mark.parametrize("flag", [["--rho", "1"], ["--eps-abs", "1e-6"], ["--eps-rel", "1e-4"]])
     @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -20,6 +20,7 @@ from fogcache import (
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     grid_bruteforce,
     heuristic_solve,
@@ -32,7 +33,10 @@ from conftest import mixed_size_scenarios
 #: The three routes to ``D*``: the paper's algorithm and both cross-checks.
 OPTIMAL_ADT = {
     "admm": (lambda scenario: solve(scenario).adt, 1e-9),
-    "pgd": (lambda scenario: projected_gradient_solve(scenario).adt, 1e-9),
+    "pgd": (
+        lambda scenario: projected_gradient_solve(scenario, SolverConfig(tol=1e-8)).adt,
+        1e-9,
+    ),
     "grid": (lambda scenario: grid_bruteforce(scenario, 1e-4)[1], 1e-15),
 }
 

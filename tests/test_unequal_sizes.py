@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from fogcache import (
-    BaselineConfig,
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
     adt_curve,
     adt_slope,
@@ -97,7 +97,7 @@ def test_admm_converges_to_the_optimum(scenario):
 def test_projected_gradient_never_beats_the_optimum(scenario):
     # Any iteration cap keeps the iterate feasible, hence no better than
     # the optimum.
-    result = projected_gradient_solve(scenario, BaselineConfig(max_iter=200))
+    result = projected_gradient_solve(scenario, SolverConfig(tol=1e-8, max_iter=200))
     report = overall_adt(result.placement, scenario)
     _, adt_opt = _optimum(scenario)
     assert result.adt == report.overall
