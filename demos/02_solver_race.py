@@ -4,7 +4,7 @@ Both minimize the same convex download-time objective over the same feasible
 set, so they must land on the same value; the interesting part is how fast.
 The splitting solver's closed-form sub-steps take large, well-scaled moves;
 the spectral projected gradient scales each step by the Barzilai–Borwein
-rule, and keeps pace with it.  Both run at one config, the default
+rule, and here needs fewer iterations.  Both run at one config, the default
 ``SolverConfig``: the same stopping test, tolerance and iteration cap.  The
 heuristic gives the exact optimum, and every gap below is measured against
 it.

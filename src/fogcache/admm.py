@@ -55,12 +55,11 @@ class SolverConfig:
     :func:`~fogcache.baselines.projected_gradient_solve`, named as the CLI
     flags are: ``tol`` bounds the relative Frank–Wolfe gap of the feasible
     iterate, which bounds its relative gap to the optimal download time, and
-    ``max_iter`` caps the iterations.  A capped run returns the splitting
-    solver's best or projected gradient's last iterate, flagged
-    ``converged=False``.  ADMM's augmented-Lagrangian weight is not a knob:
-    :func:`solve` works it out from the scenario.  On the reference scenario
-    of the tests the defaults take 20 iterations of :func:`solve` and 10 of
-    projected gradient.
+    ``max_iter`` caps the iterations.  A capped run of either solver returns
+    the best feasible iterate it saw, flagged ``converged=False``.  ADMM's
+    augmented-Lagrangian weight is not a knob: :func:`solve` works it out
+    from the scenario.  On the reference scenario of the tests the defaults
+    take 20 iterations of :func:`solve` and 5 of projected gradient.
     """
 
     tol: float = 1e-6
@@ -212,7 +211,9 @@ def project_feasible(x, constraints, duals):
     starts from it, clipped to the box, and it is overwritten with the
     multipliers the ascent ends on.  ``np.zeros(N)`` is a cold start; solvers
     that project a slowly moving point pass the same array to every call,
-    and the result is the same projection to the stopping tolerance.
+    and the result is the same projection to the stopping tolerance.  The
+    ascent runs with sizes and capacities divided by a power of two near the
+    largest size, so its tolerance and multiplier box hold in any unit.
 
     ``x`` is an (N, F) matrix, and so is the result; any other shape raises
     ``ValueError``.
@@ -224,6 +225,9 @@ def project_feasible(x, constraints, duals):
         raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
     if np.shape(duals) != (n,):
         raise ValueError(f"expected {n} capacity multipliers")
+    # A power of two keeps the round trip of ``mu`` through ``duals`` exact.
+    unit = 2.0 ** np.floor(np.log2(sizes.max()))
+    sizes, capacities = sizes / unit, capacities / unit
     size_sq = sizes * sizes
     # Node loads are sums of F terms of magnitude up to the capacity.
     tol = 1e-12 * max(1.0, float(capacities.max()))
@@ -241,7 +245,7 @@ def project_feasible(x, constraints, duals):
 
     # Not ``np.clip``: the benchmark's tracer counts each call of it in this
     # module as one dual evaluation (the clip in :func:`_project_columns`).
-    mu = np.minimum(np.maximum(duals, 0.0), upper)
+    mu = np.minimum(np.maximum(duals * unit, 0.0), upper)
     z, shifts, gradient, value = evaluate(mu)
     for _ in range(_NEWTON_MAX_STEPS):
         ascent = np.minimum(np.maximum(mu + gradient, 0.0), upper) - mu
@@ -275,7 +279,7 @@ def project_feasible(x, constraints, duals):
         else:
             break  # no ascent left at rounding level
         mu, z, shifts, gradient, value = trial, z_t, shifts_t, gradient_t, value_t
-    duals[:] = mu
+    duals[:] = mu / unit
     # For inputs of about 1e12 and more, ``y - mu * s - shift`` cancels
     # numbers of that size, and a column can exceed 1 by far more than
     # rounding (content 1 of the reference cluster by 2.4e-4).  Scaling such
@@ -368,8 +372,8 @@ def solve(scenario, config=SolverConfig()):
     Returns a :class:`SolveResult` whose placement is the feasible iterate
     ``z`` (``p`` may sit tolerance-level outside the constraints; downstream
     consumers need feasibility, so ``z`` is the one handed back — recorded
-    choice).  If the iteration cap is reached, the best-objective iterate
-    seen is returned flagged ``converged=False``.  Either way
+    choice).  A capped run returns the best feasible iterate it saw, flagged
+    ``converged=False``.  Either way
     ``iterations`` counts the iterations run, one per trace record, which
     holds the objective of ``z``, ``||p - z||`` and ``rho ||z - z_old||``.
     """

@@ -413,7 +413,7 @@ def _build_parser():
         "--max-iter",
         type=int,
         help="iteration cap of either solver (default 1000); a run that reaches it "
-        "returns admm's best or pgd's last iterate, unconverged",
+        "returns the best feasible iterate it saw, unconverged",
     )
 
     solve_parser = commands.add_parser(

@@ -434,8 +434,10 @@ class TestSolve:
         assert result.converged
         assert result.adt == pytest.approx(HETERO_ADT_OPT, abs=1e-8)
 
-    def test_iteration_cap_returns_best_feasible_iterate(self, reference_scenario):
-        result = solve(reference_scenario, SolverConfig(max_iter=3))
+    @pytest.mark.parametrize("run", [solve, projected_gradient_solve])
+    def test_iteration_cap_returns_best_feasible_iterate(self, reference_scenario, run):
+        # The one cap rule of both solvers.
+        result = run(reference_scenario, SolverConfig(max_iter=3))
         assert not result.converged
         assert result.iterations == len(result.trace) == 3
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)

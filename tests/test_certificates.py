@@ -109,3 +109,10 @@ def test_converged_certifies_the_relative_gap(cases, runs, solver):
 def test_no_run_beats_the_optimum(cases, runs, solver):
     for index, ((_, _, optimum), result) in enumerate(zip(cases, runs[solver])):
         assert result.adt >= optimum * (1.0 - 1e-12), f"case {index}"
+
+
+def test_projected_gradient_objective_never_rises(runs):
+    # The Armijo search is monotone, so a capped run's last iterate is its best.
+    for index, result in enumerate(runs["pgd"]):
+        values = [record.objective for record in result.trace]
+        assert all(b <= a for a, b in zip(values, values[1:])), f"case {index}"
