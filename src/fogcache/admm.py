@@ -349,7 +349,7 @@ def solve(scenario, config=SolverConfig()):
     Starts from zero matrices and iterates the three updates until the
     relative Frank–Wolfe gap of the feasible iterate ``z``, projected
     gradient's stopping test, is at most ``config.tol``; ``config`` is a
-    :class:`SolverConfig`, with the default projected gradient also takes.
+    :class:`SolverConfig`, whose default projected gradient takes too.
     That gap bounds the relative gap to the optimum in any unit of time
     without reading it, so ``converged=True`` is a certificate and the
     iteration an independent check.

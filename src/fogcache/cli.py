@@ -67,8 +67,9 @@ class SweepSpec:
     base scenario file.
 
     ``lambda``/``mu_b``/``mu_e`` replace the corresponding traffic rate at
-    every base station; ``F`` regenerates a Zipf library of that many
-    contents (the base library must carry an exponent and uniform sizes).
+    every station of the base scenario, which must itself be valid; ``F``
+    regenerates a Zipf library of that many contents (the base library must
+    carry an exponent and uniform sizes).
     """
 
     parameter: str
@@ -124,7 +125,7 @@ def _scenario_at(spec, base_data, value):
                 raise ValueError("an F sweep needs uniform content 'sizes' in the base library")
             library["sizes"] = sizes[:1] * int(value)
         library["F"] = int(value)
-    elif isinstance(data.get("traffic"), dict):
+    else:
         data["traffic"][spec.parameter] = value
     return Scenario.from_dict(data)
 
@@ -331,11 +332,14 @@ def cmd_sweep(args):
         base_data = json.load(handle)
     if not isinstance(base_data, dict):
         raise ValueError(f"{spec.base}: expected a JSON object")
+    # A failure here is the base file's, a usage error for every point: fail
+    # upfront rather than emitting a sheet of invalid rows.  An F sweep
+    # builds its first point, since every value is a valid content count; a
+    # rate sweep builds the base, one rate of which each point replaces.
     if spec.parameter == "F":
-        # Every value is a valid content count, so a failure here is the
-        # base file's, a usage error for every point: fail upfront rather
-        # than emitting a sheet of invalid rows.
         _scenario_at(spec, base_data, spec.values[0])
+    else:
+        Scenario.from_dict(base_data)
     solvers = {name: _solver(name, args) for name in ("admm", "pgd") if name in names}
 
     rows = [SWEEP_HEADER]

@@ -146,6 +146,13 @@ def probe_scenario(rng):
     )
 
 
+def probe_cases(seed=7, count=50):
+    """The seeded :func:`probe_scenario` cases that the certificate and
+    order-invariance tests share."""
+    rng = np.random.default_rng(seed)
+    return [probe_scenario(rng) for _ in range(count)]
+
+
 def mixed_size_scenarios(seed, count=8):
     """Small seeded scenarios, every other one with unequal content sizes;
     ``random_scenario`` mixes identical and per-station traffic."""

@@ -15,6 +15,9 @@ and the paper's gradient baseline.
 * :func:`lambda_star_oracle` — the regime threshold for identical stations,
   in closed form, an independent cross-check of the load-factor root in
   ``fogcache.heuristic.lambda_threshold``.
+* :func:`assert_lowest_crossing` — the regime threshold for any traffic
+  profile, checked by a scan of :func:`slope_at_load` over a fine grid of
+  loads, an independent cross-check of the same root.
 * :func:`fixed_step_projected_gradient` — projected gradient with a fixed
   first trial step and monotone Armijo halving, stopped on the
   gradient-mapping norm: the "existing algorithm" against which the paper
@@ -28,7 +31,7 @@ import numpy as np
 
 from fogcache.admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
 from fogcache.model import Placement
-from fogcache.objective import _clamped_echr, _feasible_adt, adt_slope
+from fogcache.objective import _clamped_echr, _feasible_adt, _station_times, adt_slope
 
 
 def h_cpl_oracle(lam, mu_e, mu_b):
@@ -69,6 +72,43 @@ def lambda_star_oracle(h_csl, mu_e, mu_b):
         return None
     lambda_star = root_b * root_e * (root_e - root_b) / denominator
     return lambda_star if lambda_star * h_csl < mu_e else None
+
+
+def _first_saturation(h_csl, traffic):
+    """The load factor at which the first queue saturates at ``h_csl``,
+    station by station."""
+    first = math.inf
+    for lam, mu_e, mu_b in zip(traffic.lam, traffic.mu_e, traffic.mu_b):
+        hit_load = mu_e / (lam * h_csl) if h_csl > 0.0 else math.inf
+        miss_load = mu_b / (lam * (1.0 - h_csl)) if h_csl < 1.0 else math.inf
+        first = min(first, hit_load, miss_load)
+    return first
+
+
+def slope_at_load(h_csl, traffic, loads):
+    """``D'(h_csl)`` with every arrival rate times ``loads``, a scalar or an
+    array; the scaled rates need not satisfy the stability chain."""
+    t_e, t_b, _ = _station_times(h_csl, traffic, np.asarray(loads)[..., np.newaxis])
+    return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
+
+
+def assert_lowest_crossing(h_csl, traffic, lambda_star):
+    """Assert that ``lambda_star`` is the lowest load at which the slope at
+    ``h_csl`` reaches 0, by a scan of the mean arrival rate.
+
+    The slope at ``h_csl`` is negative on a fine grid of loads from 0 up
+    to the threshold, or up to the first saturation when there is none, and
+    non-negative just above the threshold.
+    """
+    grid = np.linspace(0.0, 1.0, 2001)[:-1]
+    limit = _first_saturation(h_csl, traffic)
+    if lambda_star is None:
+        assert np.all(slope_at_load(h_csl, traffic, limit * grid) < 0.0)
+        return
+    load = lambda_star / traffic.lam.mean()
+    assert 0.0 < load < limit
+    assert np.all(slope_at_load(h_csl, traffic, load * grid) < 0.0)
+    assert slope_at_load(h_csl, traffic, load * (1.0 + 1e-7)) >= 0.0
 
 
 def h_csl_oracle(popularity, sizes, total_capacity):

@@ -4,7 +4,8 @@ On scenarios drawn on wide axes (:func:`conftest.probe_scenario`: up to 7
 stations, sizes U(0.2, 3), Zipf exponents 0 to 2.5 in random order,
 capacity from 5% to 120% of the catalog, loads up to 1e-4 below
 saturation), the heuristic's ``h*`` must be the optimum by its own
-optimality conditions, and its placement must be feasible and realize it.
+optimality conditions, its regime threshold the lowest crossing that a load
+scan finds, and its placement must be feasible and realize ``h*``.
 
 Both iterative solvers stop on the relative Frank–Wolfe gap of a feasible
 iterate, which bounds its relative gap to the optimal download time ``D*``.
@@ -12,7 +13,8 @@ A converged run must be within ``tol`` of ``D*``, relative: ADMM at the
 default :class:`~fogcache.admm.SolverConfig`, projected gradient at ``tol``
 1e-8.  A run that reaches its iteration cap certifies nothing; the count of
 those is pinned, so that a change in it shows.  Converged or not, no run's
-feasible placement may beat ``D*`` by more than rounding.
+feasible placement may beat ``D*`` by more than rounding, and projected
+gradient's last Frank–Wolfe gap must bound its true relative gap.
 """
 
 import numpy as np
@@ -30,13 +32,11 @@ from fogcache import (
 from fogcache._roots import TOL
 from fogcache.model import validate_placement
 
-from conftest import probe_scenario
+from conftest import probe_cases
+from oracle import assert_lowest_crossing
 
-SEED = 7
-COUNT = 50
-
-#: Each solver with its config and the number of the ``COUNT`` cases that
-#: reach its iteration cap.
+#: Each solver with its config and the number of the probe cases that reach
+#: its iteration cap.
 SOLVERS = {
     "admm": (solve, SolverConfig(), 1),
     "pgd": (projected_gradient_solve, SolverConfig(tol=1e-8), 0),
@@ -46,8 +46,7 @@ SOLVERS = {
 @pytest.fixture(scope="module")
 def cases():
     """The seeded scenarios, each with its heuristic result and ``D*``."""
-    rng = np.random.default_rng(SEED)
-    scenarios = [probe_scenario(rng) for _ in range(COUNT)]
+    scenarios = probe_cases()
     results = [heuristic_solve(scenario) for scenario in scenarios]
     return [
         (scenario, result, float(adt_curve(result.h_star, scenario.traffic)))
@@ -85,6 +84,11 @@ def test_h_star_meets_its_optimality_conditions(cases):
     assert set(regimes) == {"CPL", "CSL"}
 
 
+def test_threshold_is_the_lowest_crossing(cases):
+    for scenario, result, _ in cases:
+        assert_lowest_crossing(result.h_csl, scenario.traffic, result.lambda_star)
+
+
 def test_heuristic_placement_is_feasible_and_realizes_h_star(cases):
     for index, (scenario, result, _) in enumerate(cases):
         validate_placement(result.placement, scenario.library, scenario.cluster)
@@ -109,6 +113,14 @@ def test_converged_certifies_the_relative_gap(cases, runs, solver):
 def test_no_run_beats_the_optimum(cases, runs, solver):
     for index, ((_, _, optimum), result) in enumerate(zip(cases, runs[solver])):
         assert result.adt >= optimum * (1.0 - 1e-12), f"case {index}"
+
+
+def test_projected_gradient_gap_bounds_the_true_gap(cases, runs):
+    # Converged or not, the last Frank-Wolfe gap bounds the true relative
+    # gap, up to rounding.
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, runs["pgd"])):
+        true_gap = (result.adt - optimum) / result.adt
+        assert true_gap <= result.trace[-1].dual_residual + 1e-15, f"case {index}"
 
 
 def test_projected_gradient_objective_never_rises(runs):

@@ -132,6 +132,7 @@ class TestSolveCommand:
         expected = run(Scenario.load(scenario_file))
         assert report["iterations"] == expected.iterations
         assert report["adt"] == expected.adt
+        assert report["adt"] == pytest.approx(ADT_OPT, abs=1e-8)
 
     @pytest.mark.parametrize("lam", [5.999999, 5.99999999, 5.9999999999])
     def test_pgd_next_to_saturation(self, tmp_path, lam):
@@ -255,6 +256,20 @@ class TestHeuristicCommand:
         for key in ("echr", "adt"):
             assert ascending[key] == pytest.approx(zipf[key], abs=1e-12), key
 
+    def test_storage_binds_at_half_a_content_per_node(self, tmp_path, capsys):
+        # The reference cluster is provision-limited (h_csl 0.6938 > h_cpl
+        # 0.6603); at 0.5 per node storage binds instead.
+        path = tmp_path / "small.json"
+        path.write_text(_doc("cluster", capacities=[0.5, 0.5, 0.5]))
+        out = tmp_path / "heur"
+        assert main(["heuristic", "--scenario", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["regime"] == "CSL"
+        assert summary["h_star"] == summary["h_csl"] == pytest.approx(0.2073, abs=1e-4)
+        argv = ["simulate", "--scenario", str(path), "--placement", str(out / "placement.json")]
+        assert main(argv + ["--arrivals", "20000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_no_threshold_when_storage_limits_every_stable_rate(self, tmp_path, capsys):
         path = tmp_path / "fast_edge.json"
         traffic = {"lambda": 4.0, "mu_e": 30.0, "mu_b": 6.0}
@@ -340,8 +355,9 @@ class TestSweepCommand:
         code = main(["sweep", "--scenario", str(sweep), "--solver", "admm,pgd", "--out", str(out)])
         assert code == 0
         _, rows = _read_csv(out)
-        assert [(row[0], row[1]) for row in rows] == [
-            ("4", "admm"), ("4", "pgd"), ("5.999999", "admm"), ("5.999999", "pgd")
+        assert [(row[0], row[1], row[6]) for row in rows] == [
+            ("4", "admm", "ok"), ("4", "pgd", "ok"),
+            ("5.999999", "admm", "ok"), ("5.999999", "pgd", "ok"),
         ]
 
     def test_unstable_value_marks_rows_invalid(self, tmp_path, scenario_file):
@@ -532,14 +548,19 @@ class TestSweepCommand:
         assert rows[2][4] == "5"
 
     def test_f_sweep_regenerates_the_library(self, tmp_path, scenario_file):
-        sweep = self._write_sweep(tmp_path, scenario_file, "F", [10, 40])
+        sweep = self._write_sweep(tmp_path, scenario_file, "F", [20, 200, 2000])
         out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--scenario", str(sweep), "--solver", "heuristic", "--out", str(out)])
-        assert code == 0
+        argv = ["sweep", "--scenario", str(sweep), "--solver", "heuristic,csl-only"]
+        assert main(argv + ["--out", str(out)]) == 0
         _, rows = _read_csv(out)
+        assert [(row[0], row[1], row[6]) for row in rows] == [
+            (value, solver, "ok") for value in ("20", "200", "2000")
+            for solver in ("heuristic", "csl-only")
+        ]
         # More contents spread popularity thinner: the same storage captures
         # less mass, so the best download time can only get worse.
-        assert float(rows[0][3]) <= float(rows[1][3])
+        heuristic_adts = [float(row[3]) for row in rows[::2]]
+        assert heuristic_adts == sorted(heuristic_adts)
 
     def test_heuristic_over_light_heterogeneous_traffic(self, tmp_path):
         (tmp_path / "light.json").write_text(json.dumps(LIGHT_HETERO_DOC))
@@ -610,6 +631,14 @@ MALFORMED = [
     ("sweep-list", _doc(), [_sweep()], "sweep.json: expected a JSON object"),
     ("sweep-no-base", _doc(), {"parameter": "lambda", "values": [4.0]}, "missing sweep key 'base'"),
     ("base-list", "[]", _sweep(), "scenario.json: expected a JSON object"),
+    # A rate sweep builds its base before the first row, whatever it varies.
+    ("rate-base-library-list", _doc(library=[20, 0.6]), _sweep(), "'library'"),
+    (
+        "rate-base-no-traffic",
+        json.dumps({key: REFERENCE_DOC[key] for key in ("library", "cluster")}),
+        _sweep("mu_b", [5.0, 6.0]),
+        "'traffic'",
+    ),
 ]
 
 

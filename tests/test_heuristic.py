@@ -21,7 +21,6 @@ from fogcache import (
 from fogcache._roots import TOL
 from fogcache.heuristic import _assign_first_fit, _greedy_fractions, lambda_threshold
 from fogcache.model import validate_placement, zipf_popularity
-from fogcache.objective import _station_times
 
 from conftest import (
     ADT_AT_CSL,
@@ -37,7 +36,7 @@ from conftest import (
     make_scenario,
     random_scenario,
 )
-from oracle import h_cpl_oracle, lambda_star_oracle
+from oracle import assert_lowest_crossing, h_cpl_oracle, lambda_star_oracle, slope_at_load
 
 
 def _echr_csl_with_placement(library, cluster):
@@ -376,43 +375,11 @@ def _crossing_back(hit_first):
     return TrafficProfile([3.9] * n, [6.3] * hit_first + [12.0], [6.0] * hit_first + [4.0])
 
 
-def _first_saturation(h_csl, traffic):
-    """The load factor at which the first queue saturates at ``h_csl``,
-    station by station."""
-    first = math.inf
-    for lam, mu_e, mu_b in zip(traffic.lam, traffic.mu_e, traffic.mu_b):
-        hit_load = mu_e / (lam * h_csl) if h_csl > 0.0 else math.inf
-        miss_load = mu_b / (lam * (1.0 - h_csl)) if h_csl < 1.0 else math.inf
-        first = min(first, hit_load, miss_load)
-    return first
-
-
-def _slope(h_csl, traffic, loads):
-    """``D'(h_csl)`` with every arrival rate times ``loads``, a scalar or an
-    array; the scaled rates need not satisfy the stability chain."""
-    t_e, t_b, _ = _station_times(h_csl, traffic, np.asarray(loads)[..., np.newaxis])
-    return (traffic.mu_e * t_e**2 - traffic.mu_b * t_b**2) @ traffic.weights
-
-
 def _regime_at(h_csl, traffic, load):
     """The heuristic's regime with every arrival rate times ``load``: the
     stationary point lies above ``h_csl`` (CSL) when the slope there is
     negative."""
-    return "CSL" if _slope(h_csl, traffic, load) < 0.0 else "CPL"
-
-
-def _assert_lowest_crossing(h_csl, traffic, lambda_star):
-    """The slope at ``h_csl`` is negative on a fine grid of loads from 0 up
-    to the threshold, or up to the first saturation when there is none, and
-    non-negative just above the threshold."""
-    limit = _first_saturation(h_csl, traffic)
-    if lambda_star is None:
-        assert np.all(_slope(h_csl, traffic, limit * np.linspace(0.0, 1.0, 2001)[:-1]) < 0.0)
-        return
-    load = lambda_star / traffic.lam.mean()
-    assert 0.0 < load < limit
-    assert np.all(_slope(h_csl, traffic, load * np.linspace(0.0, 1.0, 2001)[:-1]) < 0.0)
-    assert _slope(h_csl, traffic, load * (1.0 + 1e-7)) >= 0.0
+    return "CSL" if slope_at_load(h_csl, traffic, load) < 0.0 else "CPL"
 
 
 class TestLambdaThreshold:
@@ -454,7 +421,7 @@ class TestLambdaThreshold:
         for _ in range(400):
             traffic, h_csl = _random_profile(rng)
             lambda_star = lambda_threshold(h_csl, traffic)
-            _assert_lowest_crossing(h_csl, traffic, lambda_star)
+            assert_lowest_crossing(h_csl, traffic, lambda_star)
             outcomes.add(lambda_star is None)
             if lambda_star is None:
                 continue
@@ -475,7 +442,7 @@ class TestLambdaThreshold:
         traffic = _crossing_back(6)
         lambda_star = bounded(lambda_threshold, 0.6, traffic, seconds=10)
         assert abs(lambda_star - 3.6749377265473512) <= 1e-12
-        _assert_lowest_crossing(0.6, traffic, lambda_star)
+        assert_lowest_crossing(0.6, traffic, lambda_star)
         assert [_regime_at(0.6, traffic, load) for load in (0.94, 0.95, 2.43, 2.44)] == [
             "CSL",
             "CPL",
@@ -487,7 +454,7 @@ class TestLambdaThreshold:
     def test_stations_that_cross_back(self, hit_first):
         traffic = _crossing_back(hit_first)
         lambda_star = bounded(lambda_threshold, 0.6, traffic, seconds=10)
-        _assert_lowest_crossing(0.6, traffic, lambda_star)
+        assert_lowest_crossing(0.6, traffic, lambda_star)
         assert (lambda_star is None) == (hit_first < 3)
         if lambda_star is not None:
             assert _regime_at(0.6, traffic, 2.55) == "CSL"
@@ -639,7 +606,7 @@ class TestHeuristicSolve:
         for _ in range(300):
             scenario = random_scenario(rng)
             result = heuristic_solve(scenario)
-            _assert_lowest_crossing(result.h_csl, scenario.traffic, result.lambda_star)
+            assert_lowest_crossing(result.h_csl, scenario.traffic, result.lambda_star)
             if result.regime == "CPL":
                 assert result.lambda_star <= scenario.traffic.lam.mean()
             regimes.add(result.regime)

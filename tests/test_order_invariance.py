@@ -12,8 +12,14 @@ so they get rounding-level slack: a relative 1e-15 for the grid's ``D*``,
 and a relative 1e-9 for ADMM and projected gradient, whose stopping tests a
 rounding-level difference may move by one iteration.  Any dependence on
 order that is not rounding is far larger.
+
+Each test runs on small mixed-size scenarios and on the wide-axis probe
+cases of the certificate tests.  Node order is checked on the download time
+alone: the total capacity is summed in node order, so ``h_csl`` may move by
+an ulp when the nodes move.
 """
 
+import numpy as np
 import pytest
 
 from fogcache import (
@@ -28,7 +34,7 @@ from fogcache import (
     solve,
 )
 
-from conftest import mixed_size_scenarios
+from conftest import mixed_size_scenarios, probe_cases
 
 #: The three routes to ``D*``: the paper's algorithm and both cross-checks.
 OPTIMAL_ADT = {
@@ -39,6 +45,15 @@ OPTIMAL_ADT = {
     ),
     "grid": (lambda scenario: grid_bruteforce(scenario, 1e-4)[1], 1e-15),
 }
+
+
+def _cases(seed, count=8):
+    """``mixed_size_scenarios(seed, count)``, then the probe cases, each with
+    the generator to draw its permutation from."""
+    yield from mixed_size_scenarios(seed, count)
+    rng = np.random.default_rng(seed)
+    for scenario in probe_cases():
+        yield rng, scenario
 
 
 def _permute_contents(scenario, order):
@@ -60,7 +75,7 @@ def _permute_nodes(scenario, order):
 
 
 def test_heuristic_ignores_content_order():
-    for rng, scenario in mixed_size_scenarios(101, count=40):
+    for rng, scenario in _cases(101, count=40):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         base, other = heuristic_solve(scenario), heuristic_solve(permuted)
         assert (other.h_csl, other.h_cpl, other.h_star, other.regime) == (
@@ -71,7 +86,7 @@ def test_heuristic_ignores_content_order():
 @pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
 def test_optimal_adt_ignores_content_order(route):
     optimal_adt, rel = OPTIMAL_ADT[route]
-    for rng, scenario in mixed_size_scenarios(202):
+    for rng, scenario in _cases(202):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
 
@@ -79,6 +94,6 @@ def test_optimal_adt_ignores_content_order(route):
 @pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
 def test_optimal_adt_ignores_node_order(route):
     optimal_adt, rel = OPTIMAL_ADT[route]
-    for rng, scenario in mixed_size_scenarios(303):
+    for rng, scenario in _cases(303):
         permuted = _permute_nodes(scenario, rng.permutation(scenario.cluster.node_count))
         assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)

@@ -277,14 +277,22 @@ class TestSimulateStation:
 
 
 class TestSimulateCluster:
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_one_result_per_station_matching_single_runs(self, cpus, monkeypatch):
+    # With the reference cluster's 3 stations and 8 CPUs every station has its
+    # own worker; 8 stations on one or two CPUs make each worker take several
+    # from the pool's queue.
+    @pytest.mark.parametrize(
+        "cpus, capacities",
+        [(1, (2.0, 3.0, 5.0)), (2, (2.0, 3.0, 5.0)), (8, (2.0, 3.0, 5.0)),
+         (1, (1.25,) * 8), (2, (1.25,) * 8)],
+        ids=["1", "2", "8", "8-stations-on-1", "8-stations-on-2"],
+    )
+    def test_one_result_per_station_matching_single_runs(self, cpus, capacities, monkeypatch):
         _force_cpus(monkeypatch, cpus)
-        scenario = make_scenario()
+        scenario = make_scenario(capacities=capacities)
         h = echr(heuristic_solve(scenario).placement, scenario.library)
         config = SimConfig(seed=11, n_arrivals=20_000)
         results = simulate_cluster(h, scenario.traffic, config)
-        assert len(results) == 3
+        assert len(results) == len(capacities)
         for station, result in enumerate(results):
             assert result == simulate_station(h, scenario.traffic, station, config)
 

@@ -1,5 +1,5 @@
-"""Metamorphic tests: the units of time and of size carry no meaning for
-either iterative solver.
+"""Metamorphic tests: the units of time and of size, and the grain of the
+contents, carry no meaning for either iterative solver.
 
 Multiplying every rate by ``c`` (seconds to milliseconds is ``c = 1e3``)
 describes the same scenario with every time divided by ``c``.  ADMM's
@@ -16,6 +16,13 @@ report the same ``D``.
 
 Scaling by a power of two is exact in floating point, so there the run is
 bit-identical.
+
+Splitting every content into two halves, each with half its popularity and
+half its size, leaves the optimum where it was.  The download time depends
+on a placement only through its hit ratio, and the largest hit ratio that
+storage allows is a fractional knapsack by density, popularity over size,
+which both halves share with their whole.  So the optimal download time
+``D*`` must not move, and both solvers must reach it.
 """
 
 import numpy as np
@@ -25,7 +32,10 @@ from fogcache import (
     ContentLibrary,
     FogCluster,
     Scenario,
+    SolverConfig,
     TrafficProfile,
+    adt_curve,
+    heuristic_solve,
     projected_gradient_solve,
     solve,
 )
@@ -51,6 +61,19 @@ def _sizes_times(scenario, c):
         FogCluster(scenario.cluster.capacities * c),
         scenario.traffic,
     )
+
+
+def _contents_split(scenario):
+    library = scenario.library
+    return Scenario(
+        ContentLibrary(np.repeat(library.popularity / 2, 2), np.repeat(library.sizes / 2, 2)),
+        scenario.cluster,
+        scenario.traffic,
+    )
+
+
+def _optimal_adt(scenario):
+    return float(adt_curve(heuristic_solve(scenario).h_star, scenario.traffic))
 
 
 SCENARIOS = [make_scenario()] + [scenario for _, scenario in mixed_size_scenarios(404)]
@@ -92,3 +115,19 @@ def test_solvers_ignore_the_unit_of_size(solver, c):
         if np.log2(c).is_integer():
             np.testing.assert_array_equal(scaled.placement.matrix, base.placement.matrix)
             assert scaled.adt == base.adt
+
+
+def test_splitting_every_content_leaves_the_optimum():
+    for scenario in SCENARIOS:
+        assert _optimal_adt(_contents_split(scenario)) == pytest.approx(
+            _optimal_adt(scenario), rel=1e-15
+        )
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_reach_the_optimum_of_the_split_contents(solver):
+    tol = SolverConfig().tol
+    for scenario in SCENARIOS:
+        result = SOLVERS[solver](_contents_split(scenario))
+        assert result.converged
+        assert result.adt == pytest.approx(_optimal_adt(scenario), rel=tol)
