@@ -8,9 +8,7 @@ Two routes to the same optimum, deliberately different in mechanism:
   :class:`~fogcache.admm.SolveResult` under the same
   :class:`~fogcache.admm.SolverConfig`.  It stops, as the splitting solver
   does, on a Frank–Wolfe gap that bounds its relative distance to the
-  optimum, so ``converged=True`` is a certificate.  A monotone Armijo search
-  from a unit-free first step stops after 5 iterations at the defaults on
-  the reference scenario of the tests, where the splitting solver runs 20.
+  optimum, so ``converged=True`` is a certificate.
 * :func:`grid_bruteforce` — exhaustive scan over the scalar hit ratio, the
   master oracle for the optimal download time (the objective depends on the
   placement only through that scalar).
@@ -54,8 +52,7 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
     the direction ``d`` from ``p`` to that point with a monotone Armijo
     backtrack.  The first ``a`` is ``1 / max|grad|``, which moves the largest
     entry one box width in any unit, later ones the Barzilai–Borwein step
-    (the SPG method of Birgin, Martínez & Raydan 2000): 5 iterations at the
-    defaults on the reference scenario of the tests, against ADMM's 20.
+    (the SPG method of Birgin, Martínez & Raydan 2000).
 
     The gradient is ``D'(h)`` times the popularity on every node, so the
     linear minimisation over the feasible set is the storage knapsack,

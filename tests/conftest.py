@@ -1,5 +1,5 @@
-"""Shared fixtures: the reference scenario, frozen oracle values, and
-seeded random-instance generators.
+"""Shared fixtures: the reference scenario, frozen oracle values, seeded
+random-instance generators, and one session-wide cache of solver runs.
 
 The frozen constants below were derived independently of the library code,
 from closed forms and an exhaustive fine-grid scan of the objective.  They
@@ -10,7 +10,9 @@ evaluation gives, 0.69380437775287119731, 0.19641016151377545871 and
 treat them as ground truth.
 """
 
+import functools
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +98,36 @@ def hetero_scenario():
     )
 
 
+#: The reference scenario as one object, the key of its shared runs.
+REFERENCE = make_scenario()
+
+#: Each shared run's result and wall seconds, by ``(run, scenario, *args)``.
+_RUNS = {}
+
+
+def timed_run(run, scenario, *args):
+    """``(run(scenario, *args), wall seconds)``, run on the first call with
+    these arguments and reused by every later call in the session.
+
+    The key holds ``run`` and ``scenario`` by identity (``Scenario`` is
+    ``eq=False``) and the other arguments by value, so two equal
+    ``SolverConfig`` objects share a run; pass the config even where it is
+    the default.  Callers must not modify the result, and a test that patches
+    solver internals must call the solver itself.
+    """
+    key = (run, scenario, *args)
+    if key not in _RUNS:
+        start = time.perf_counter()
+        result = run(scenario, *args)
+        _RUNS[key] = result, time.perf_counter() - start
+    return _RUNS[key]
+
+
+def solved(run, scenario, *args):
+    """The result of :func:`timed_run`, without its wall time."""
+    return timed_run(run, scenario, *args)[0]
+
+
 def random_scenario(rng, max_nodes=3, max_contents=30):
     """Random valid scenario with equal (unit) content sizes.
 
@@ -146,11 +178,13 @@ def probe_scenario(rng):
     )
 
 
+@functools.cache
 def probe_cases(seed=7, count=50):
     """The seeded :func:`probe_scenario` cases that the certificate and
-    order-invariance tests share."""
+    order-invariance tests share: the same objects on every call, so their
+    runs through :func:`solved` are shared too."""
     rng = np.random.default_rng(seed)
-    return [probe_scenario(rng) for _ in range(count)]
+    return tuple(probe_scenario(rng) for _ in range(count))
 
 
 def mixed_size_scenarios(seed, count=8):

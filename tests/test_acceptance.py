@@ -8,10 +8,10 @@ its line before asserting, so a failing gate still reports all measurements.
 import time
 
 import numpy as np
-import pytest
 
 from fogcache import (
     SimConfig,
+    SolverConfig,
     adt_curve,
     adt_slope,
     echr,
@@ -35,10 +35,13 @@ from conftest import (
     H_CPL,
     H_CSL,
     LAMBDA_STAR,
+    REFERENCE,
     make_scenario,
     random_feasible_placement,
     random_projection_instance,
     random_scenario,
+    solved,
+    timed_run,
 )
 
 def _report(number, ok, detail):
@@ -46,28 +49,9 @@ def _report(number, ok, detail):
     assert ok, detail
 
 
-def _timed(run):
-    start = time.perf_counter()
-    result = run(make_scenario())
-    return result, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def pgd_reference():
-    """The projected-gradient cross-check on the reference scenario, with its
-    wall time (charged to criterion 1's budget)."""
-    return _timed(projected_gradient_solve)
-
-
-@pytest.fixture(scope="module")
-def fixed_step_reference():
-    """The paper's gradient baseline on the reference scenario, with its wall
-    time (charged to criterion 2's budget)."""
-    return _timed(fixed_step_projected_gradient)
-
-
-def test_criterion_1_three_solvers_agree_on_the_optimum(pgd_reference):
-    pgd, pgd_wall = pgd_reference
+def test_criterion_1_three_solvers_agree_on_the_optimum():
+    # The shared cross-check run is charged the wall time it took when made.
+    pgd, pgd_wall = timed_run(projected_gradient_solve, REFERENCE, SolverConfig())
     start = time.perf_counter()
     admm = solve(make_scenario())
     grid_h, grid_adt = grid_bruteforce(make_scenario(), 1e-5)
@@ -88,13 +72,12 @@ def test_criterion_1_three_solvers_agree_on_the_optimum(pgd_reference):
     )
 
 
-def test_criterion_2_splitting_converges_faster_than_gradient(
-    fixed_step_reference, pgd_reference
-):
-    # The claim is against the fixed-step projected gradient; the spectral
-    # cross-check's counts are printed beside it, not compared.
-    pgd, pgd_wall = fixed_step_reference
-    spg, _ = pgd_reference
+def test_criterion_2_splitting_converges_faster_than_gradient():
+    # The claim is against the fixed-step projected gradient, charged the
+    # wall time its shared run took when made; the spectral cross-check's
+    # counts are printed beside it, not compared.
+    pgd, pgd_wall = timed_run(fixed_step_projected_gradient, REFERENCE)
+    spg = solved(projected_gradient_solve, REFERENCE, SolverConfig())
     start = time.perf_counter()
     admm = solve(make_scenario())
     elapsed = time.perf_counter() - start + pgd_wall

@@ -29,10 +29,12 @@ from conftest import (
     ADT_OPT,
     H_CPL,
     HETERO_ADT_OPT,
+    REFERENCE,
     make_scenario,
     random_feasible_placement,
     random_projection_instance,
     random_scenario,
+    solved,
 )
 
 
@@ -355,6 +357,11 @@ class TestSolve:
         # the Frank-Wolfe gap stops the run; the count pins the iterates of
         # that policy on the reference scenario.
         assert solve(reference_scenario).iterations == 20
+
+    def test_cross_check_iteration_count_is_pinned(self):
+        # SolverConfig's docstring states both counts: projected gradient's
+        # spectral steps stop after 5 iterations at the same defaults.
+        assert solved(projected_gradient_solve, REFERENCE, SolverConfig()).iterations == 5
 
     @pytest.mark.parametrize("digits", range(1, 10))
     def test_converges_as_the_start_grows_toward_saturation(self, digits):

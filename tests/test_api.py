@@ -5,10 +5,21 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
 import fogcache
+
+
+def _load_tracer():
+    """``bench/traced_cli.py`` as a module; it imports only the standard
+    library at top level."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -64,25 +75,13 @@ def test_export_list_is_small_and_unique():
 
 
 # Module-level functions and classmethods that bench/traced_cli.py rebinds
-# by name to time each layer of a CLI run.
-TRACED = [
-    ("fogcache.cli", "main"),
-    ("fogcache.admm", "solve"),
-    ("fogcache.admm", "p_update"),
-    ("fogcache.admm", "project_feasible"),
-    ("fogcache._roots", "increasing_root"),
-    ("fogcache.objective", "adt_curve"),
-    ("fogcache.objective", "adt_slope"),
-    ("fogcache.objective", "adt_curvature"),
-    ("fogcache.objective", "overall_adt"),
-    ("fogcache.model", "validate_placement"),
-    ("fogcache.baselines", "projected_gradient_solve"),
-    ("fogcache.heuristic", "heuristic_solve"),
-    ("fogcache.heuristic", "echr_csl"),
-    ("fogcache.heuristic", "placement_from_echr"),
-    ("fogcache.queuesim", "mm1_sojourn_times"),
-    ("fogcache.queuesim", "simulate_station"),
-    ("fogcache.queuesim", "simulate_cluster"),
+# by name to time each layer of a CLI run, read from the tracer itself.
+_TRACER = _load_tracer()
+TRACED = [(module, name) for module, names in _TRACER.TRACED.items() for name in names]
+TRACED_CLASSMETHODS = [
+    (module, cls, method)
+    for module, pairs in _TRACER.TRACED_CLASSMETHODS.items()
+    for cls, method in pairs
 ]
 
 # Names kept at module level but left out of the top-level export.
@@ -106,10 +105,7 @@ def test_traced_function_is_a_module_level_callable(module, name):
     assert inspect.isfunction(value), f"{module}.{name}"
 
 
-@pytest.mark.parametrize(
-    "module, cls, method",
-    [("fogcache.admm", "ConstraintSystem", "build"), ("fogcache.model", "Scenario", "load")],
-)
+@pytest.mark.parametrize("module, cls, method", TRACED_CLASSMETHODS)
 def test_traced_classmethod_is_bound_to_its_class(module, cls, method):
     owner = getattr(importlib.import_module(module), cls)
     assert isinstance(inspect.getattr_static(owner, method), classmethod)

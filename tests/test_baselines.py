@@ -26,9 +26,11 @@ from conftest import (
     GRID_H_BEST,
     H_CPL,
     HETERO_ADT_OPT,
+    REFERENCE,
     make_scenario,
     mixed_size_scenarios,
     random_projection_instance,
+    solved,
 )
 
 
@@ -75,7 +77,7 @@ class TestProjectedGradient:
         # The paper's fixed-step baseline: warm-starting the projection may
         # move each iterate by rounding only; this count pins the iterates
         # of the cold-start solver.
-        assert fixed_step_projected_gradient(make_scenario()).iterations == 2734
+        assert solved(fixed_step_projected_gradient, REFERENCE).iterations == 2734
 
     def test_trace_schema(self, reference_scenario):
         result = projected_gradient_solve(reference_scenario, SolverConfig(max_iter=200))

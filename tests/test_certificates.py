@@ -15,6 +15,10 @@ default :class:`~fogcache.admm.SolverConfig`, projected gradient at ``tol``
 those is pinned, so that a change in it shows.  Converged or not, no run's
 feasible placement may beat ``D*`` by more than rounding, and projected
 gradient's last Frank–Wolfe gap must bound its true relative gap.
+
+Each solver's run on each case comes from :func:`conftest.solved`, so
+``tests/test_order_invariance.py`` reads the same runs for its unpermuted
+side instead of solving the cases again.
 """
 
 import numpy as np
@@ -32,7 +36,7 @@ from fogcache import (
 from fogcache._roots import TOL
 from fogcache.model import validate_placement
 
-from conftest import probe_cases
+from conftest import probe_cases, solved
 from oracle import assert_lowest_crossing
 
 #: Each solver with its config and the number of the probe cases that reach
@@ -54,13 +58,10 @@ def cases():
     ]
 
 
-@pytest.fixture(scope="module")
-def runs(cases):
-    """Each solver's result on every case, run once for the tests below."""
-    return {
-        name: [run(scenario, config) for scenario, _, _ in cases]
-        for name, (run, config, _) in SOLVERS.items()
-    }
+def _runs(solver):
+    """``solver``'s result on every case, shared across the session."""
+    run, config, _ = SOLVERS[solver]
+    return [solved(run, scenario, config) for scenario in probe_cases()]
 
 
 def test_h_star_meets_its_optimality_conditions(cases):
@@ -97,10 +98,10 @@ def test_heuristic_placement_is_feasible_and_realizes_h_star(cases):
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_converged_certifies_the_relative_gap(cases, runs, solver):
+def test_converged_certifies_the_relative_gap(cases, solver):
     _, config, capped = SOLVERS[solver]
     unconverged = []
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, runs[solver])):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver))):
         if not result.converged:
             unconverged.append(index)
             continue
@@ -110,21 +111,21 @@ def test_converged_certifies_the_relative_gap(cases, runs, solver):
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_no_run_beats_the_optimum(cases, runs, solver):
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, runs[solver])):
+def test_no_run_beats_the_optimum(cases, solver):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver))):
         assert result.adt >= optimum * (1.0 - 1e-12), f"case {index}"
 
 
-def test_projected_gradient_gap_bounds_the_true_gap(cases, runs):
+def test_projected_gradient_gap_bounds_the_true_gap(cases):
     # Converged or not, the last Frank-Wolfe gap bounds the true relative
     # gap, up to rounding.
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, runs["pgd"])):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs("pgd"))):
         true_gap = (result.adt - optimum) / result.adt
         assert true_gap <= result.trace[-1].dual_residual + 1e-15, f"case {index}"
 
 
-def test_projected_gradient_objective_never_rises(runs):
+def test_projected_gradient_objective_never_rises():
     # The Armijo search is monotone, so a capped run's last iterate is its best.
-    for index, result in enumerate(runs["pgd"]):
+    for index, result in enumerate(_runs("pgd")):
         values = [record.objective for record in result.trace]
         assert all(b <= a for a, b in zip(values, values[1:])), f"case {index}"

@@ -799,6 +799,46 @@ class TestSimulateCommand:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "doc, matrix, h",
+        [
+            (REFERENCE_DOC, np.zeros((3, 20)).tolist(), 0.0),
+            (
+                {
+                    "library": {"F": 5, "alpha": 0.8},
+                    "cluster": {"capacities": [10.0]},
+                    "traffic": {"lambda": 0.01, "mu_e": 8.0, "mu_b": 6.0},
+                },
+                [[1.0] * 5],
+                1.0,
+            ),
+        ],
+        ids=["nothing-cached", "everything-cached"],
+    )
+    def test_a_queue_without_traffic_writes_an_empty_column(self, tmp_path, doc, matrix, h):
+        # At h = 0 no request reaches an edge queue, at h = 1 none reaches
+        # the backhaul: that queue's column is empty, and the download time
+        # is the other queue's mean.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        placement = tmp_path / "placement.json"
+        placement.write_text(json.dumps({"matrix": matrix}))
+        out = tmp_path / "sim.csv"
+        code = main(
+            ["simulate", "--scenario", str(scenario), "--placement", str(placement),
+             "--arrivals", "2000", "--out", str(out)]
+        )
+        assert code == 0
+        header, rows = _read_csv(out)
+        queues = ("mean_sojourn_e", "mean_sojourn_b")
+        idle, busy = queues if h == 0.0 else queues[::-1]
+        assert len(rows) == len(doc["cluster"]["capacities"])
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert float(fields["echr"]) == h
+            assert fields[idle] == ""
+            assert fields["mean_adt"] == fields[busy] != ""
+
     def test_placement_without_matrix_key_exits_two(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": [[0.0]]}))

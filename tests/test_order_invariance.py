@@ -14,9 +14,12 @@ rounding-level difference may move by one iteration.  Any dependence on
 order that is not rounding is far larger.
 
 Each test runs on small mixed-size scenarios and on the wide-axis probe
-cases of the certificate tests.  Node order is checked on the download time
-alone: the total capacity is summed in node order, so ``h_csl`` may move by
-an ulp when the nodes move.
+cases of the certificate tests.  The unpermuted side of each case is solved
+through :func:`conftest.solved`, so on the probe cases both order tests read
+the runs of ``tests/test_certificates.py``, and only the permuted side is
+solved here.  Node order is checked on the download time alone: the total
+capacity is summed in node order, so ``h_csl`` may move by an ulp when the
+nodes move.
 """
 
 import numpy as np
@@ -34,17 +37,20 @@ from fogcache import (
     solve,
 )
 
-from conftest import mixed_size_scenarios, probe_cases
+from conftest import mixed_size_scenarios, probe_cases, solved
 
-#: The three routes to ``D*``: the paper's algorithm and both cross-checks.
-OPTIMAL_ADT = {
-    "admm": (lambda scenario: solve(scenario).adt, 1e-9),
-    "pgd": (
-        lambda scenario: projected_gradient_solve(scenario, SolverConfig(tol=1e-8)).adt,
-        1e-9,
-    ),
-    "grid": (lambda scenario: grid_bruteforce(scenario, 1e-4)[1], 1e-15),
+#: The three routes to ``D*``, the paper's algorithm and both cross-checks:
+#: each a solver, its argument after the scenario, and the relative slack.
+ROUTES = {
+    "admm": (solve, SolverConfig(), 1e-9),
+    "pgd": (projected_gradient_solve, SolverConfig(tol=1e-8), 1e-9),
+    "grid": (grid_bruteforce, 1e-4, 1e-15),
 }
+
+
+def _optimal_adt(result):
+    """``D*`` from a solver's result, or from the grid's ``(h, D)`` pair."""
+    return result[1] if isinstance(result, tuple) else result.adt
 
 
 def _cases(seed, count=8):
@@ -83,17 +89,21 @@ def test_heuristic_ignores_content_order():
         )
 
 
-@pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_optimal_adt_ignores_content_order(route):
-    optimal_adt, rel = OPTIMAL_ADT[route]
+    run, argument, rel = ROUTES[route]
     for rng, scenario in _cases(202):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
-        assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
+        assert _optimal_adt(run(permuted, argument)) == pytest.approx(
+            _optimal_adt(solved(run, scenario, argument)), rel=rel
+        )
 
 
-@pytest.mark.parametrize("route", sorted(OPTIMAL_ADT))
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_optimal_adt_ignores_node_order(route):
-    optimal_adt, rel = OPTIMAL_ADT[route]
+    run, argument, rel = ROUTES[route]
     for rng, scenario in _cases(303):
         permuted = _permute_nodes(scenario, rng.permutation(scenario.cluster.node_count))
-        assert optimal_adt(permuted) == pytest.approx(optimal_adt(scenario), rel=rel)
+        assert _optimal_adt(run(permuted, argument)) == pytest.approx(
+            _optimal_adt(solved(run, scenario, argument)), rel=rel
+        )

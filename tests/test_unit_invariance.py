@@ -23,6 +23,9 @@ on a placement only through its hit ratio, and the largest hit ratio that
 storage allows is a fractional knapsack by density, popularity over size,
 which both halves share with their whole.  So the optimal download time
 ``D*`` must not move, and both solvers must reach it.
+
+Each unscaled run comes from :func:`conftest.solved`, so both unit tests
+share, over every factor, one run of each solver per scenario.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ from fogcache import (
     solve,
 )
 
-from conftest import make_scenario, mixed_size_scenarios
+from conftest import REFERENCE, mixed_size_scenarios, solved
 
 SOLVERS = {"admm": solve, "pgd": projected_gradient_solve}
 
@@ -76,7 +79,7 @@ def _optimal_adt(scenario):
     return float(adt_curve(heuristic_solve(scenario).h_star, scenario.traffic))
 
 
-SCENARIOS = [make_scenario()] + [scenario for _, scenario in mixed_size_scenarios(404)]
+SCENARIOS = [REFERENCE] + [scenario for _, scenario in mixed_size_scenarios(404)]
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -84,7 +87,8 @@ SCENARIOS = [make_scenario()] + [scenario for _, scenario in mixed_size_scenario
 def test_solvers_ignore_the_unit_of_time(solver, c):
     run = SOLVERS[solver]
     for scenario in SCENARIOS:
-        base, scaled = run(scenario), run(_rates_times(scenario, c))
+        base = solved(run, scenario, SolverConfig())
+        scaled = run(_rates_times(scenario, c), SolverConfig())
         assert base.converged and scaled.converged
         assert scaled.iterations == base.iterations
         np.testing.assert_allclose(
@@ -101,7 +105,8 @@ def test_solvers_ignore_the_unit_of_time(solver, c):
 def test_solvers_ignore_the_unit_of_size(solver, c):
     run = SOLVERS[solver]
     for scenario in SCENARIOS:
-        base, scaled = run(scenario), run(_sizes_times(scenario, c))
+        base = solved(run, scenario, SolverConfig())
+        scaled = run(_sizes_times(scenario, c), SolverConfig())
         assert base.converged and scaled.converged
         assert scaled.iterations == base.iterations
         # Outside a power of two the projection's unit differs from the
