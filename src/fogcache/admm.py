@@ -2,28 +2,39 @@
 
 The problem minimizes the overall download time ``D`` over placements
 subject to box bounds, per-content totals at most 1, and per-node capacity.
+``D`` reads a placement only through the hit ratio ``h = popularity . y``,
+where ``y`` holds the content totals (the column sums), and the totals that
+feasible placements reach are exactly ``{0 <= y <= 1, sizes . y <= total
+capacity}``.  So the solver, and the projected-gradient cross-check, work on
+``y`` alone, a 1 x F matrix under the one pooled capacity, and place the
+answer on the nodes by first-fit at the end.
+
 Splitting duplicates the variable — an unconstrained copy ``p`` carrying the
 smooth objective and a feasible copy ``z`` carrying the constraints — and
 alternates three steps with a scaled dual ``theta``:
 
 * **p-update**: minimize ``D(p) + rho/2 ||p - (z - theta)||^2``.  ``D``
   touches ``p`` only through the scalar hit ratio ``h = c . p`` (``c`` being
-  the popularity vector replicated per node), so the minimizer is
-  ``v - (D'(h*) / rho) c`` where the scalar ``h*`` solves a strictly
-  increasing one-dimensional equation — found by safeguarded Newton/bisection
-  instead of any inner iterative solver.
-* **z-update**: exact Euclidean projection of ``p + theta`` onto the
-  feasible set, by semismooth Newton on its dual over the N per-node
-  capacity multipliers (each Newton step projects every content column in
-  closed form after a sort).  Consecutive projections differ little, so
-  each starts from the multipliers the previous one ended on.
+  the popularity vector), so the minimizer is ``v - (D'(h*) / rho) c``
+  where the scalar ``h*`` solves a strictly increasing one-dimensional
+  equation — found by safeguarded Newton/bisection instead of any inner
+  iterative solver.
+* **z-update**: exact Euclidean projection of ``p + theta`` onto the pooled
+  set, by semismooth Newton on its dual over the one pooled capacity
+  multiplier.  Consecutive projections differ little, so each starts from
+  the multiplier the previous one ended on.
 * **dual update**: ``theta += p - z``.
+
+:func:`project_feasible` itself takes any node count: over the N per-node
+multipliers of an N x F placement (each Newton step projects every content
+column in closed form after a sort) it is the exact projection onto the
+full feasible set that the tests check against an independent oracle.
 
 Iteration stops on the projected-gradient cross-check's test, a relative
 Frank–Wolfe gap of the feasible iterate ``z`` that bounds its relative gap
-to the optimum, with ``rho`` adapted by relative residual balancing; ``z``
-is the placement.  Both solvers read one :class:`SolverConfig` and return
-one :class:`SolveResult`.
+to the optimum, with ``rho`` adapted by relative residual balancing; the
+first-fit placement of ``z`` is the answer.  Both solvers read one
+:class:`SolverConfig` and return one :class:`SolveResult`.
 """
 
 from __future__ import annotations
@@ -34,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import increasing_root
-from .model import Placement, _check_count, _check_positive
-from .heuristic import echr_csl
+from .model import FogCluster, Placement, _check_count, _check_positive
+from .heuristic import _assign_first_fit, echr_csl
 from .objective import _clamped_echr, _derivatives, _relative_fw_gap, adt_curve, stable_echr_interval
 
 __all__ = [
@@ -59,7 +70,7 @@ class SolverConfig:
     the best feasible iterate it saw, flagged ``converged=False``.  ADMM's
     augmented-Lagrangian weight is not a knob: :func:`solve` works it out
     from the scenario.  On the reference scenario of the tests the defaults
-    take 20 iterations of :func:`solve` and 5 of projected gradient.
+    take 21 iterations of :func:`solve` and 10 of projected gradient.
     """
 
     tol: float = 1e-6
@@ -85,7 +96,9 @@ class SolveResult:
     :func:`~fogcache.baselines.projected_gradient_solve`: the feasible
     placement plus convergence evidence.
 
-    ``trace`` holds one :class:`IterationRecord` per iteration run.  In
+    ``placement`` is first-fit on the nodes, with at most ``F + N - 1``
+    nonzero entries; ``echr`` and ``adt`` are its own.  ``trace`` holds one
+    :class:`IterationRecord` per iteration run, on the content totals.  In
     projected gradient's trace the residual columns carry the step
     displacement and the relative Frank–Wolfe gap.
     """
@@ -108,6 +121,8 @@ class ConstraintSystem:
     capacities).  These dense rows are built on demand, never stored: the
     solvers read only the two vectors, and the views' only readers are the
     benchmark's tracer, which sizes them, and ``TestConstraintSystem``.
+    The solvers build the one-node system of the pooled capacity
+    (:func:`_pooled_constraints`), N = 1.
     """
 
     sizes: np.ndarray
@@ -310,23 +325,29 @@ def p_update(z, theta, scenario, rho):
 
     whose left side is strictly increasing (``D`` is convex), diverging at
     the stability boundaries — so the root exists, is unique, and safeguarded
-    Newton finds it to 1e-12.  ``c`` replicates the popularity vector once
-    per node, so ``c . v`` is the popularity times the column sums of ``v``
-    and ``||c||^2`` is ``N`` times the popularity's squared norm.  The root
-    finder stays inside the stable interval, so the residual skips the
-    stability check.  ``z``, ``theta`` and the result are (N, F) matrices;
-    any other shape raises ``ValueError``.
+    Newton finds it to 1e-12.  ``z``, ``theta`` and the result are matrices
+    of one shape, one column per content and one row per node: ``c``
+    replicates the popularity vector once per row, so ``c . v`` is the
+    popularity times the column sums of ``v`` and ``||c||^2`` is the row
+    count times the popularity's squared norm.  The solvers pass one row,
+    the pooled content totals; ``scenario`` supplies the popularity and the
+    traffic, and its node count does not enter.  The root finder stays
+    inside the stable interval, so the residual skips the stability check.
+    Matrices of another shape raise ``ValueError``.
     """
     _check_positive("rho", rho)
     z = np.asarray(z, dtype=float)
     theta = np.asarray(theta, dtype=float)
     popularity = scenario.library.popularity
-    n, f = scenario.cluster.node_count, popularity.size
-    if z.shape != (n, f) or theta.shape != (n, f):
-        raise ValueError(f"expected matrices of shape ({n}, {f}): {n} nodes x {f} contents")
+    f = popularity.size
+    if z.ndim != 2 or z.shape[1] != f or theta.shape != z.shape:
+        raise ValueError(
+            f"expected two matrices of one shape with {f} columns, one per content: "
+            f"got {z.shape} and {theta.shape}"
+        )
     v = z - theta
     cv = float(popularity @ v.sum(axis=0))
-    c_sq_over_rho = n * float(popularity @ popularity) / rho
+    c_sq_over_rho = z.shape[0] * float(popularity @ popularity) / rho
     traffic = scenario.traffic
 
     def residual(h):
@@ -335,6 +356,20 @@ def p_update(z, theta, scenario, rho):
 
     h_star = increasing_root(residual, *stable_echr_interval(traffic))
     return v - (_derivatives(h_star, traffic)[0] / rho) * popularity
+
+
+def _pooled_constraints(library, cluster):
+    """The one-node system of the content totals: the cluster's capacities
+    pooled into ``cluster.total_capacity``.
+
+    ``D`` reads a placement only through ``h = popularity . y``, with ``y``
+    its column sums, and the totals of the feasible placements are exactly
+    ``{0 <= y <= 1, sizes . y <= total capacity}``:
+    :func:`~fogcache.heuristic._assign_first_fit` places any such ``y`` on
+    the nodes.  So both solvers iterate on ``y``, a 1 x F matrix, and hand
+    back its first-fit placement.
+    """
+    return ConstraintSystem.build(library, FogCluster([cluster.total_capacity]))
 
 
 #: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one relative
@@ -346,22 +381,23 @@ _RHO_FACTOR = 2.0
 def solve(scenario, config=SolverConfig()):
     """Run the splitting iteration on a scenario.
 
-    Starts from zero matrices and iterates the three updates until the
-    relative Frank–Wolfe gap of the feasible iterate ``z``, projected
-    gradient's stopping test, is at most ``config.tol``; ``config`` is a
-    :class:`SolverConfig`, whose default projected gradient takes too.
-    That gap bounds the relative gap to the optimum in any unit of time
-    without reading it, so ``converged=True`` is a certificate and the
-    iteration an independent check.
+    Iterates on the content totals ``y`` (a 1 x F matrix) under the pooled
+    capacity (:func:`_pooled_constraints`): starts from zero and repeats the
+    three updates until the relative Frank–Wolfe gap of the feasible
+    iterate ``z``, projected gradient's stopping test, is at most
+    ``config.tol``; ``config`` is a :class:`SolverConfig`, whose default
+    projected gradient takes too.  That gap bounds the relative gap to the
+    optimum in any unit of time without reading it, so ``converged=True``
+    is a certificate and the iteration an independent check.
 
     ``rho`` starts at ``|D'(0)| * ||popularity||**2``, which is
-    ``|D'(0)| ||c||^2 / N``; no setting overrides it.  The p-update moves
-    every entry by ``(D'(h) / rho) * popularity``, so at that start a step
-    at the initial slope ``D'(0)`` shifts each node's hit share by one, the
-    width of its feasible range; the start scales with the unit of time as
-    ``D`` does.  Every station's ``d'(0) = 1/mu_e - mu_b/(mu_b - lam)**2``
-    is negative under ``lam < mu_b < mu_e``, so the start is finite and
-    positive.  After an unconverged iteration ``rho`` is balanced on the
+    ``|D'(0)| ||c||^2`` on the one row of totals; no setting overrides it.
+    The p-update moves every total by ``(D'(h) / rho) * popularity``, so at
+    that start a step at the initial slope ``D'(0)`` shifts the hit ratio by
+    one, the width of its feasible range; the start scales with the unit of
+    time as ``D`` does.  Every station's ``d'(0) = 1/mu_e - mu_b/(mu_b -
+    lam)**2`` is negative under ``lam < mu_b < mu_e``, so the start is finite
+    and positive.  After an unconverged iteration ``rho`` is balanced on the
     unit-free relative residuals ``r = ||p - z|| / max(||p||, ||z||)`` and
     ``s = ||z - z_old|| / ||theta||`` (``rho`` cancels from the dual
     residual ``rho ||z - z_old||`` over the dual ``rho theta``): when one
@@ -369,28 +405,27 @@ def solve(scenario, config=SolverConfig()):
     (``s`` ahead) and ``theta`` rescaled inversely.  No tolerance enters
     this relative residual balancing (Wohlberg 2017).
 
-    Returns a :class:`SolveResult` whose placement is the feasible iterate
-    ``z`` (``p`` may sit tolerance-level outside the constraints; downstream
-    consumers need feasibility, so ``z`` is the one handed back — recorded
-    choice).  A capped run returns the best feasible iterate it saw, flagged
-    ``converged=False``.  Either way
+    Returns a :class:`SolveResult` whose placement is the first-fit
+    placement of the feasible iterate ``z`` (``p`` may sit tolerance-level
+    outside the constraints; downstream consumers need feasibility, so ``z``
+    is the one handed back — recorded choice).  A capped run places the best
+    feasible iterate it saw, flagged ``converged=False``.  Either way
     ``iterations`` counts the iterations run, one per trace record, which
     holds the objective of ``z``, ``||p - z||`` and ``rho ||z - z_old||``.
     """
-    library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
-    n, f = cluster.node_count, library.count
-    constraints = ConstraintSystem.build(library, cluster)
-    h_csl = echr_csl(library, cluster)
+    library, traffic = scenario.library, scenario.traffic
+    constraints = _pooled_constraints(library, scenario.cluster)
+    h_csl = echr_csl(library, scenario.cluster)
 
-    z = np.zeros((n, f))
-    theta = np.zeros((n, f))
+    z = np.zeros((1, library.count))
+    theta = np.zeros_like(z)
 
     trace = []
     best_objective, best_z = np.inf, z
     converged = False
     popularity = library.popularity
     rho = abs(float(_derivatives(0.0, traffic)[0])) * float(popularity @ popularity)
-    duals = np.zeros(n)
+    duals = np.zeros(1)
     for k in range(1, config.max_iter + 1):
         p = p_update(z, theta, scenario, rho)
         z_old = z
@@ -415,9 +450,44 @@ def solve(scenario, config=SolverConfig()):
         elif change * primal_scale > _BALANCE_RATIO * primal * dual_scale:
             rho, theta = rho / _RHO_FACTOR, theta * _RHO_FACTOR
 
-    if not converged and best_z is not z:
-        z, objective = best_z, best_objective
+    return _placed_result(z if converged else best_z, scenario, trace, converged)
+
+
+def _placed_result(totals, scenario, trace, converged):
+    """The :class:`SolveResult` of a solver's feasible 1 x F iterate
+    ``totals``: its first-fit placement on the nodes, whose columns sum to
+    ``totals`` exactly (:func:`_exact_columns`), with the hit ratio and
+    download time read from that placement.  So ``adt`` is both
+    ``overall_adt(placement, scenario).overall`` and the objective that the
+    trace recorded for the iterate, and no split of the capacity over the
+    nodes can change it."""
+    totals = totals[0]
+    library = scenario.library
+    placement = _assign_first_fit(totals, library, scenario.cluster)
+    placement = Placement(_exact_columns(placement.matrix, totals))
+    h = _clamped_echr(placement, library)
     return SolveResult(
-        placement=Placement(z), echr=_clamped_echr(z, library), adt=objective,
+        placement=placement, echr=h, adt=adt_curve(h, scenario.traffic),
         iterations=len(trace), converged=converged, trace=trace,
     )
+
+
+def _exact_columns(matrix, totals):
+    """``matrix`` with column ``f`` summing to ``totals[f]`` exactly.
+
+    First-fit cuts each content's portion out of differences of cumulative
+    sizes, so a column can miss its total by rounding.  Here every entry is
+    capped at its total and rounded to a multiple of the total's ulp, the
+    running sums down each column are capped at the total, and the column's
+    last nonzero entry (the last row, for a column left empty) takes what
+    remains.  Every running sum is then a multiple of that ulp no larger
+    than the total, hence exact in any order; entries move by rounding only,
+    and no entry turns nonzero except in an empty column.
+    """
+    unit = np.spacing(totals)
+    pieces = np.round(np.minimum(matrix, totals) / unit) * unit
+    reached = np.minimum(np.cumsum(pieces, axis=0), totals)
+    rows = np.arange(matrix.shape[0])[:, np.newaxis]
+    last = matrix.shape[0] - 1 - np.argmax(matrix[::-1] > 0.0, axis=0)
+    reached = np.where(rows >= last, totals, reached)
+    return np.diff(reached, axis=0, prepend=0.0)

@@ -21,9 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admm import ConstraintSystem, IterationRecord, SolveResult, SolverConfig, project_feasible
+from .admm import (
+    IterationRecord,
+    SolverConfig,
+    _placed_result,
+    _pooled_constraints,
+    project_feasible,
+)
 from .heuristic import echr_csl
-from .model import Placement, _check_positive
+from .model import _check_positive
 from .objective import _clamped_echr, _feasible_adt, _relative_fw_gap, adt_curve, adt_slope
 
 __all__ = [
@@ -47,19 +53,22 @@ _SUFFICIENT_DECREASE = 1e-4
 def projected_gradient_solve(scenario, config=SolverConfig()):
     """Minimize the overall download time by spectral projected gradient.
 
-    Each iteration projects ``p - a * grad D(p)`` once, warm-started from the
-    capacity multipliers of the projection before it, and searches along
-    the direction ``d`` from ``p`` to that point with a monotone Armijo
-    backtrack.  The first ``a`` is ``1 / max|grad|``, which moves the largest
-    entry one box width in any unit, later ones the Barzilai–Borwein step
-    (the SPG method of Birgin, Martínez & Raydan 2000).
+    Like the splitting solver it works on the content totals ``p``, a 1 x F
+    matrix under the pooled capacity, and returns their first-fit placement
+    on the nodes.  Each iteration projects ``p - a * grad D(p)`` once,
+    warm-started from the capacity multiplier of the projection before it,
+    and searches along the direction ``d`` from ``p`` to that point with a
+    monotone Armijo backtrack.  The first ``a`` is ``1 / max|grad|``, which
+    moves the largest entry one box width in any unit, later ones the
+    Barzilai–Borwein step (the SPG method of Birgin, Martínez & Raydan
+    2000).
 
-    The gradient is ``D'(h)`` times the popularity on every node, so the
-    linear minimisation over the feasible set is the storage knapsack,
+    The gradient is ``D'(h)`` times the popularity, so the linear
+    minimisation over the feasible set is the storage knapsack,
     :func:`~fogcache.heuristic.echr_csl`.  The run stops once the relative
     Frank–Wolfe gap, which bounds the relative gap to the optimum by
     convexity (Jaggi 2013), is at most ``tol``: ``converged=True`` certifies
-    that gap without reading the optimum.  A capped run returns the best
+    that gap without reading the optimum.  A capped run places the best
     feasible iterate it saw, flagged ``converged=False``: under a monotone
     search that is the last.  The splitting solver reads the same
     :class:`~fogcache.admm.SolverConfig` and stops on the same test, but the
@@ -68,14 +77,13 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
     :class:`~fogcache.admm.SolveResult`.  Its trace records the relative
     Frank–Wolfe gap as ``dual_residual``.
     """
-    library, cluster, traffic = scenario.library, scenario.cluster, scenario.traffic
-    constraints = ConstraintSystem.build(library, cluster)
-    h_csl = echr_csl(library, cluster)
-    p = np.zeros((cluster.node_count, library.count))
-    duals = np.zeros(cluster.node_count)
+    library, traffic = scenario.library, scenario.traffic
+    constraints = _pooled_constraints(library, scenario.cluster)
+    h_csl = echr_csl(library, scenario.cluster)
+    p = np.zeros((1, library.count))
+    duals = np.zeros(1)
     value = _feasible_adt(p, scenario)
-    # Equal for every node, so one row broadcasts over the matrix; it is not
-    # 0, since ``D'(0) < 0`` under ``lam < mu_b < mu_e``.
+    # Not 0, since ``D'(0) < 0`` under ``lam < mu_b < mu_e``.
     gradient = adt_slope(0.0, traffic) * library.popularity
     step = 1.0 / float(np.max(np.abs(gradient)))
     trace = []
@@ -113,10 +121,7 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
             else longest
         )
 
-    return SolveResult(
-        placement=Placement(p), echr=_clamped_echr(p, library), adt=value,
-        iterations=k, converged=converged, trace=trace,
-    )
+    return _placed_result(p, scenario, trace, converged)
 
 
 def grid_bruteforce(scenario, resolution):

@@ -200,8 +200,8 @@ class TestSolveCommand:
         _, rows = _read_csv(out / "trace.csv")
         assert report["iterations"] == len(rows) == 12
         assert report["converged"] is False
-        # The best iterate, the sixth, is the placement written.
-        assert float(rows[5][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
+        # The best iterate, the eighth, is the placement written.
+        assert float(rows[7][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
         assert report["adt"] == report["adt_report"]["overall"]
         assert "iterations=12 converged=False" in capsys.readouterr().out
 

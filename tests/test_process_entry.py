@@ -98,6 +98,38 @@ def test_exit_codes_and_messages(scenario_dir, argv, code, stdout, stderr):
     assert b"Traceback" not in proc.stderr
 
 
+def _spans(spans, name):
+    return [span for span in spans if span[0] == name]
+
+
+@pytest.mark.parametrize("solver", ["admm", "pgd"])
+def test_the_benchmark_tracer_runs_solve(scenario_dir, solver):
+    # The benchmark's per-layer run wraps these names in bench/traced_cli.py;
+    # a solver change that leaves one unreached, or renamed, shows here.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SRC.parent / "bench" / "traced_cli.py"), "spans.json",
+         "solve", "--scenario", "scenario.json", "--solver", solver, "--out", "run"],
+        cwd=scenario_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((scenario_dir / "spans.json").read_text())["spans"]
+    run = "admm.solve" if solver == "admm" else "baselines.projected_gradient_solve"
+    (solve,) = _spans(spans, run)
+    iterations = json.loads((scenario_dir / "run" / "report.json").read_text())["iterations"]
+    assert solve[4] == {"iterations": iterations}
+    projections = _spans(spans, "admm.project_feasible")
+    assert len(projections) == iterations
+    assert all(span[4]["cycles"] >= 1 for span in projections)
+    if solver == "admm":
+        assert len(_spans(spans, "admm.p_update")) == iterations
+    # The solvers build the one-node system of the pooled problem: an F x F
+    # ``a``, ``a_u`` and a 1 x F ``b`` of F entries each, and one capacity.
+    (build,) = _spans(spans, "admm.ConstraintSystem.build")
+    assert build[4] == {"bytes": 8 * (20 * 20 + 20 + 20 + 1)}
+
+
 def test_run_ends_the_process_with_mains_code(monkeypatch):
     ended = []
 
