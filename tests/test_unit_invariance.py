@@ -10,9 +10,9 @@ run must take the same iterations to the same placement, and report
 ``D / c``.
 
 Multiplying every size and capacity by ``c`` describes the same feasible
-set, and the projection works in a power-of-two unit of the largest size,
-so the run must again take the same iterations to the same placement, and
-report the same ``D``.
+set, and the projection reads sizes only through its breakpoints ``v / s``
+and its load against the capacity, so the run must again take the same
+iterations to the same placement, and report the same ``D``.
 
 Scaling by a power of two is exact in floating point, so there the run is
 bit-identical.
@@ -109,9 +109,8 @@ def test_solvers_ignore_the_unit_of_size(solver, c):
         scaled = run(_sizes_times(scenario, c), SolverConfig())
         assert base.converged and scaled.converged
         assert scaled.iterations == base.iterations
-        # Outside a power of two the projection's unit differs from the
-        # unscaled one by rounding, and its ascent stops at 1e-12 times the
-        # largest capacity in that unit, up to 7.2 here: placements agree to
+        # Outside a power of two the projection's breakpoints and loads
+        # differ from the unscaled ones by rounding: placements agree to
         # 1e-11, the download time, which reads their weighted sum, closer.
         np.testing.assert_allclose(
             scaled.placement.matrix, base.placement.matrix, rtol=0, atol=1e-11
