@@ -16,14 +16,18 @@ Reproducibility contract for the stations: a station's two queues draw from
 two children of ``SeedSequence(entropy=seed, spawn_key=(station,))``, which
 makes every station's sample path a pure function of ``(seed, station)`` —
 independent of how many stations are simulated or in what order.
-Exponential variates are generated as ``-log1p(-U)/rate`` from
-``Generator.random``, a fixed choice so that results stay bit-identical
-across runs.
+A queue runs in units of its mean service time ``1/mu``: its services are
+the unit exponentials ``-log1p(-U)`` and its interarrival gaps
+``-log1p(-U) * (mu / lam)``, from ``Generator.random``, a fixed choice so
+that results stay bit-identical across runs.  Only the final mean and
+half-width are divided by ``mu``, so the simulator is free of the unit of
+time: scaling both rates by a power of two leaves every sojourn in those
+units bit-identical and scales the results exactly.
 
 :func:`simulate_cluster` runs the stations on a ``ThreadPoolExecutor`` of
 up to one worker per usable CPU (every numpy call of the kernel releases
-the GIL) and returns the results in station order, so the output is
-byte-identical for any CPU count.
+the GIL: no accumulate writes over its own input) and returns the results
+in station order, so the output is byte-identical for any CPU count.
 Each queue is one call of :func:`mm1_sojourn_times`, which streams it
 through blocks of ``_BLOCK`` arrivals of Lindley's recursion and keeps no
 array of one entry per arrival.
@@ -57,9 +61,12 @@ __all__ = [
 
 _CI_FACTOR = 1.96  # normal 95% two-sided
 #: Arrivals per block of the Lindley kernel: its three float64 buffers of
-#: this length stay in L2.  Blocks of 2**15 and 2**16 ran equally fast;
-#: 2**14 and 2**17 were slower.
+#: this length stay in L2.  Blocks of 2**15 and 2**16 ran equally fast, but
+#: 2**16 raised ``simulate``'s peak RSS from 37.6 to 39.3 MB; 2**14 and
+#: 2**17 were slower.
 _BLOCK = 1 << 15
+#: The largest unit exponential ``-log1p(-U)`` gives, at ``U = 1 - 2**-53``.
+_MAX_UNIT_EXPONENTIAL = 53 * math.log(2)
 
 
 def _warmup(n_arrivals):
@@ -100,17 +107,10 @@ class SimResult:
     ci_halfwidth: float
 
 
-def _exponential_from_uniform(u, rate):
-    # log1p(-U) / -rate, in place: -log1p(-U) maps U in [0, 1) to (0, inf)
-    # without ever taking log(0), and x / -r equals -(x / r) exactly.
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.divide(u, -rate, out=u)
-
-
 def _sojourn_blocks(lam, mu, n_arrivals, rng):
     """Yield ``(start, sojourn)`` for each block of the first ``n_arrivals``
-    customers of an M/M/1 queue, ``_BLOCK`` customers at a time.
+    customers of an M/M/1 queue, ``_BLOCK`` customers at a time, with every
+    time in units of the mean service time ``1/mu``.
 
     Lindley's recursion for the waiting time, ``W_k = max(W_{k-1} + S_{k-1}
     - A_k, 0)`` with interarrival gaps ``A`` and services ``S`` (Lindley
@@ -122,6 +122,11 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     ``S_{k-1}`` of the block's first term.  The first customer finds the
     system empty.
 
+    In units of ``1/mu`` a service is the unit exponential ``-log1p(-U)``
+    and a gap is ``-log1p(-U) * (mu / lam)``, so the recursion sees the
+    rates only through their ratio: scaling both by a power of two leaves
+    every yielded sojourn bit-identical.
+
     The interarrival gaps are drawn from a copy of ``rng`` and the services
     from ``rng`` advanced by ``n_arrivals``, so the two streams are exactly
     the first and second ``n_arrivals`` draws of ``rng``, and ``rng`` ends
@@ -132,6 +137,7 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     ``sojourn`` is a view of a work buffer: the caller may overwrite it, and
     it is reused once the caller asks for the next block.
     """
+    ratio = mu / lam
     size = min(n_arrivals, _BLOCK)
     gaps, services, work = np.empty(size), np.empty(size), np.empty(size)
     arrival_rng = copy.deepcopy(rng)
@@ -142,24 +148,35 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
         a, s, y = gaps[:k], services[:k], work[:k]
         arrival_rng.random(out=a)
         rng.random(out=s)
-        _exponential_from_uniform(a, lam)
-        _exponential_from_uniform(s, mu)
+        # log1p(-U) maps U in [0, 1) to (-inf, 0] without ever taking
+        # log(0).  The buffers keep the times negated, a = -A and s = -S,
+        # and each sum below folds the sign in, which rounds exactly as the
+        # same sum of the positive times.
+        np.negative(a, out=a)
+        np.log1p(a, out=a)
+        np.multiply(a, ratio, out=a)
+        np.negative(s, out=s)
+        np.log1p(s, out=s)
 
-        y[0] = last_service - a[0]
-        np.subtract(s[:-1], a[1:], out=y[1:])
-        np.cumsum(y, out=y)
+        # X_k = S_{k-1} - A_k, as (-A_k) - (-S_{k-1}).
+        y[0] = last_service + a[0]
+        np.subtract(a[1:], s[:-1], out=y[1:])
+        # The partial sums go into the gaps, which are no longer needed:
+        # numpy holds the GIL for an accumulate whose output overlaps its
+        # input, and the station threads would take turns.
+        np.cumsum(y, out=a)
 
         # The running minimum of Y, with -w entering the first element (the
-        # min is exact), goes into the gaps, which are no longer needed.
-        first = y[0]
-        y[0] = min(first, -wait)
+        # min is exact), goes into the work buffer.
+        first = a[0]
+        a[0] = min(first, -wait)
         # fmin equals minimum on NaN-free input and skips minimum's NaN
         # propagation, which makes its accumulate the faster one.
-        np.fmin.accumulate(y, out=a)
-        y[0] = first
-        np.subtract(y, a, out=y)
-        wait, last_service = y[-1], s[-1]
-        np.add(y, s, out=y)
+        np.fmin.accumulate(a, out=y)
+        a[0] = first
+        np.subtract(a, y, out=y)
+        wait, last_service = y[-1], -s[-1]
+        np.subtract(y, s, out=y)
         yield start, y
 
 
@@ -169,24 +186,34 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
 
     The first 1% of the customers (``n_arrivals // 100``) are discarded to
     wash out the empty-system start.  The sojourn times come block by block
-    from the recursion of :func:`_sojourn_blocks`, which draws from
-    ``rng`` exactly as two whole-array draws of ``n_arrivals`` would.  Each
-    block's retained sojourns give a count, a mean and then the sum of
-    squared deviations from it, all while the block is in cache, and blocks
-    are merged into the running totals pairwise (Chan, Golub & LeVeque
-    1983).  The half-width is ``1.96 * s / sqrt(m)`` with ``s`` the sample
-    standard deviation (``ddof=1``) of the ``m`` retained sojourns; it is
-    infinite when ``m < 2``.  Memory is three float64 buffers of ``_BLOCK``
-    entries, however long the run.  The mean converges to the analytic
-    ``1 / (mu - lam)`` as the run grows.
+    from the recursion of :func:`_sojourn_blocks`, in units of ``1/mu``,
+    which draws from ``rng`` exactly as two whole-array draws of
+    ``n_arrivals`` would.  Each block's retained sojourns give a count, a
+    mean and then the sum of squared deviations from it, all while the block
+    is in cache, and blocks are merged into the running totals pairwise
+    (Chan, Golub & LeVeque 1983).  The half-width is ``1.96 * s / sqrt(m)``
+    with ``s`` the sample standard deviation (``ddof=1``) of the ``m``
+    retained sojourns; it is infinite when ``m < 2``.  The mean and
+    half-width are divided by ``mu`` last, so scaling both rates by a power
+    of two scales them exactly, whatever the unit of time.  Memory is three
+    float64 buffers of ``_BLOCK`` entries, however long the run.  The mean
+    converges to the analytic ``1 / (mu - lam)`` as the run grows.
 
     Raises ``ValueError`` unless ``lam`` and ``mu`` are finite with
     ``0 < lam < mu`` (a stable queue) and ``n_arrivals`` is an integer (not
-    a ``bool``) of at least 1.
+    a ``bool``) of at least 1; and when the load is so light (``lam / mu``
+    below about 7e-303) that a block's gaps could sum past the largest
+    double: ``_BLOCK * 53 ln 2 * (mu / lam + 1)`` must be finite, ``53 ln
+    2`` being the largest unit exponential ``-log1p(-U)`` gives.
     """
     lam, mu = float(lam), float(mu)
     if not (0 < lam < mu and math.isfinite(mu)):
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
+    if not math.isfinite(_BLOCK * _MAX_UNIT_EXPONENTIAL * (mu / lam + 1.0)):
+        raise ValueError(
+            f"load too light to simulate: the interarrival gaps of a block would "
+            f"overflow at lam={lam}, mu={mu}"
+        )
     _check_count("n_arrivals", n_arrivals, 1)
     warmup = _warmup(n_arrivals)
     count, mean, m2 = 0, 0.0, 0.0
@@ -194,7 +221,8 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
         kept = sojourn[max(warmup - start, 0) :]
         if kept.size == 0:
             continue
-        block_mean = float(kept.mean())
+        # kept.mean() bit for bit, without its Python wrapper.
+        block_mean = float(np.add.reduce(kept)) / kept.size
         np.subtract(kept, block_mean, out=kept)
         np.square(kept, out=kept)
         block_m2 = float(np.add.reduce(kept))
@@ -207,8 +235,8 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
         m2 += block_m2 + delta * delta * count * weight
         count = total
     if count < 2:
-        return mean, math.inf
-    return mean, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+        return mean / mu, math.inf
+    return mean / mu, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count) / mu
 
 
 def simulate_station(h, traffic, station, config):

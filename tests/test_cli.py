@@ -839,6 +839,30 @@ class TestSimulateCommand:
             assert fields[idle] == ""
             assert fields["mean_adt"] == fields[busy] != ""
 
+    def test_a_load_too_light_to_simulate_exits_two(
+        self, tmp_path, scenario_file, placement_file, capsys
+    ):
+        # Every cached fraction at 1e-306 puts h at 6.9e-307: each edge
+        # queue's utilisation is far below the 7e-303 at which a block's
+        # gaps could overflow.  Unguarded, the run wrote NaN columns and
+        # exited 0.
+        matrix = np.array(json.loads(placement_file.read_text())["matrix"])
+        matrix[matrix > 0.0] = 1e-306
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"matrix": matrix.tolist()}))
+        out = tmp_path / "sim.csv"
+        code = main(
+            ["simulate", "--scenario", str(scenario_file), "--placement", str(tiny),
+             "--arrivals", "1000", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert re.fullmatch(
+            r"error: load too light to simulate: the interarrival gaps of a block would "
+            r"overflow at lam=\S+, mu=8\.0\n",
+            capsys.readouterr().err,
+        )
+
     def test_placement_without_matrix_key_exits_two(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": [[0.0]]}))

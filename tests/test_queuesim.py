@@ -69,9 +69,15 @@ class _ScriptedRng:
         return out
 
 
-def _sojourns(lam, mu, n_arrivals, rng):
-    """Every sojourn time of the blocked kernel, as one array."""
+def _unit_sojourns(lam, mu, n_arrivals, rng):
+    """Every sojourn time of the blocked kernel, in its unit of ``1/mu``,
+    as one array."""
     return np.concatenate([block.copy() for _, block in _sojourn_blocks(lam, mu, n_arrivals, rng)])
+
+
+def _sojourns(lam, mu, n_arrivals, rng):
+    """Every sojourn time of the blocked kernel, in seconds."""
+    return _unit_sojourns(lam, mu, n_arrivals, rng) / mu
 
 
 def _uniform_for(times, rate):
@@ -454,15 +460,16 @@ def _oracle_mean_ci(samples):
     return mean, ci
 
 
-def _oracle_block_merge(sojourn, warmup):
-    """Mean and half-width of ``sojourn[warmup:]`` as the streamed kernel
+def _oracle_block_merge(units, warmup, mu):
+    """Mean and half-width of ``units[warmup:] / mu`` as the streamed kernel
     forms them: a (count, mean, M2) per block of the whole run, of the
-    kernel's current block size, merged in order with Chan, Golub &
-    LeVeque's pairwise update."""
+    kernel's current block size, of the sojourns ``units`` in units of
+    ``1/mu``, merged in order with Chan, Golub & LeVeque's pairwise update;
+    the mean and half-width are then divided by ``mu``."""
     count, mean, m2 = 0, 0.0, 0.0
     size = queuesim._BLOCK
-    for start in range(0, sojourn.size, size):
-        block = sojourn[max(start, warmup) : start + size]
+    for start in range(0, units.size, size):
+        block = units[max(start, warmup) : start + size]
         if block.size == 0:
             continue
         block_mean = float(np.mean(block))
@@ -473,8 +480,8 @@ def _oracle_block_merge(sojourn, warmup):
         m2 += block_m2 + delta * delta * count * (block.size / total)
         count = total
     if count < 2:
-        return mean, math.inf
-    return mean, 1.96 * math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+        return mean / mu, math.inf
+    return mean / mu, 1.96 * math.sqrt(m2 / (count - 1)) / math.sqrt(count) / mu
 
 
 def _oracle_station(h, traffic, station, config):
@@ -486,8 +493,8 @@ def _oracle_station(h, traffic, station, config):
 
     def run(rate, mu, seed_seq):
         rng = np.random.default_rng(seed_seq)
-        sojourn = _sojourns(rate, mu, config.n_arrivals, rng)
-        return _oracle_block_merge(sojourn, warmup)
+        units = _unit_sojourns(rate, mu, config.n_arrivals, rng)
+        return _oracle_block_merge(units, warmup, mu)
 
     if h == 0.0:
         mean_b, ci_b = run(lam, mu_b, children[1])
@@ -559,11 +566,13 @@ class TestBlockedKernelAccuracy:
     def test_mean_and_halfwidth_are_the_block_merge_of_its_sojourns(self, n, lam, mu, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, ci = mm1_sojourn_times(lam, mu, n, rng)
-        sojourn = _sojourns(lam, mu, n, oracle_rng)
+        units = _unit_sojourns(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
         warmup = n // 100
-        assert (mean, ci) == _oracle_block_merge(sojourn, warmup)
-        # Only the summation order differs from the whole-array statistics.
+        assert (mean, ci) == _oracle_block_merge(units, warmup, mu)
+        # Only the summation order and the division by mu differ from the
+        # whole-array statistics of the sojourns in seconds.
+        sojourn = units / mu
         whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
         assert abs(mean - whole_mean) <= 1e-15 * whole_mean
         if math.isinf(whole_ci):
@@ -587,8 +596,8 @@ class TestBlockedKernelAccuracy:
         whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
         assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
         assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
-        kernel = _sojourns(lam, mu, n, np.random.default_rng(5))
-        assert (mean, ci) == _oracle_block_merge(kernel, warmup)
+        kernel = _unit_sojourns(lam, mu, n, np.random.default_rng(5))
+        assert (mean, ci) == _oracle_block_merge(kernel, warmup, mu)
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
@@ -602,6 +611,101 @@ class TestBlockedKernelAccuracy:
         ]
         assert simulate_station(h, traffic, 1, config) == expected[1]
         assert simulate_cluster(h, traffic, config) == expected
+
+
+class TestLightLoad:
+    def test_a_light_load_finds_every_customer_alone(self):
+        # At utilisation 1e-300 the gaps are about 1e300 mean services
+        # long, and a block's partial sums of them stay finite.
+        lam, mu = 1e-300, 1.0
+        mean, ci = mm1_sojourn_times(lam, mu, 100_000, _seeded(0))
+        assert math.isfinite(mean) and 0.0 < ci < math.inf
+        assert abs(mean - 1.0 / (mu - lam)) <= ci
+
+    @pytest.mark.parametrize("lam,mu", [(1e-303, 1.0), (1e-305, 1.0), (5e-324, 1.0), (1.0, 1e303)])
+    def test_a_load_whose_gaps_would_overflow_raises(self, lam, mu):
+        # Below a utilisation of about 7e-303 the gaps of a block could sum
+        # past the largest double; unguarded, 1e-305 gave a NaN mean.
+        rng = _seeded(0)
+        state = copy.deepcopy(rng.bit_generator.state)
+        message = (
+            "load too light to simulate: the interarrival gaps of a block would "
+            f"overflow at lam={lam}, mu={mu}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mm1_sojourn_times(lam, mu, 100_000, rng)
+        assert rng.bit_generator.state == state  # checked before any draw
+
+    def test_the_threshold_follows_the_block(self):
+        # The guard bounds a block's sum of gaps: the largest unit
+        # exponential, 53 ln 2, times the block length, times mu / lam + 1.
+        ratio = np.finfo(float).max / (_BLOCK * 53 * math.log(2))
+        mean, ci = mm1_sojourn_times(1.0 / (0.5 * ratio), 1.0, 1000, _seeded(0))
+        assert math.isfinite(mean) and math.isfinite(ci)
+        with pytest.raises(ValueError, match="load too light"):
+            mm1_sojourn_times(1.0 / (2.0 * ratio), 1.0, 1000, _seeded(0))
+
+
+class TestUnitOfTime:
+    @pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
+    @pytest.mark.parametrize("lam,mu", _RATES)
+    def test_scaling_both_rates_by_a_power_of_two_scales_the_results_exactly(self, lam, mu, k):
+        # The kernel sees the rates only through mu / lam, and the mean and
+        # half-width are divided by mu last.  A kernel working in seconds
+        # reads a NaN half-width at k = -1000 and 0.0 at k = 1000: the
+        # squared deviations of its sojourns overflow or underflow.
+        n, scale = 3 * _BLOCK + 7, 2.0**k
+        base = _unit_sojourns(lam, mu, n, _seeded(3))
+        scaled = _unit_sojourns(lam * scale, mu * scale, n, _seeded(3))
+        assert scaled.tobytes() == base.tobytes()
+        mean, ci = mm1_sojourn_times(lam, mu, n, _seeded(3))
+        assert mm1_sojourn_times(lam * scale, mu * scale, n, _seeded(3)) == (
+            mean / scale,
+            ci / scale,
+        )
+
+
+class _AuditedUfunc:
+    """A ufunc whose ``accumulate`` calls are logged in ``calls``."""
+
+    def __init__(self, ufunc, calls):
+        self._ufunc, self._calls = ufunc, calls
+
+    def accumulate(self, array, *args, out=None, **kwargs):
+        shared = out is not None and np.shares_memory(array, out)
+        self._calls.append((f"{self._ufunc.__name__}.accumulate", shared))
+        return self._ufunc.accumulate(array, *args, out=out, **kwargs)
+
+
+class _AccumulateAudit:
+    """Stands in for ``numpy`` in the kernel's module: forwards every
+    attribute, and logs ``(name, out shares memory with the input)`` for
+    each ``cumsum`` and ``fmin.accumulate`` call."""
+
+    def __init__(self):
+        self.calls = []
+        self.fmin = _AuditedUfunc(np.fmin, self.calls)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, array, *args, out=None, **kwargs):
+        self.calls.append(("cumsum", out is not None and np.shares_memory(array, out)))
+        return np.cumsum(array, *args, out=out, **kwargs)
+
+
+class TestKernelReleasesTheGil:
+    def test_no_accumulate_writes_over_its_input(self, monkeypatch):
+        # numpy holds the GIL for an accumulate whose output overlaps its
+        # input, which would make the station threads take turns.
+        n = 3 * _BLOCK + 7
+        expected = _unit_sojourns(0.9, 1.0, n, _seeded(2))
+        audit = _AccumulateAudit()
+        monkeypatch.setattr(queuesim, "np", audit)
+        units = _unit_sojourns(0.9, 1.0, n, _seeded(2))
+        assert units.tobytes() == expected.tobytes()
+        assert sorted(set(audit.calls)) == [("cumsum", False), ("fmin.accumulate", False)]
+        assert len(audit.calls) == 2 * 4  # one of each per block
 
 
 def _station_peak_bytes(n_arrivals):
