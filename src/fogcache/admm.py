@@ -5,9 +5,9 @@ subject to box bounds, per-content totals at most 1, and per-node capacity.
 ``D`` reads a placement only through the hit ratio ``h = popularity . y``,
 where ``y`` holds the content totals (the column sums), and the totals that
 feasible placements reach are exactly ``{0 <= y <= 1, sizes . y <= total
-capacity}``.  So the solver, and the projected-gradient cross-check, work on
-``y`` alone, a 1 x F matrix under the one pooled capacity, and place the
-answer on the nodes by first-fit at the end.
+capacity}``, the pooled set (:class:`ConstraintSystem`).  So the solver, and
+the projected-gradient cross-check, work on ``y`` alone, a vector of F
+totals, and place the answer on the nodes by first-fit at the end.
 
 Splitting duplicates the variable — an unconstrained copy ``p`` carrying the
 smooth objective and a feasible copy ``z`` carrying the constraints — and
@@ -39,9 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import increasing_root
-from .model import FogCluster, Placement, _check_count, _check_positive
+from .model import Placement, _check_count, _check_positive
 from .heuristic import _assign_first_fit, echr_csl
-from .objective import _clamped_echr, _derivatives, _relative_fw_gap, adt_curve, stable_echr_interval
+from .objective import (
+    _clamp_to_unit, _clamped_echr, _derivatives, _relative_fw_gap, adt_curve, stable_echr_interval,
+)
 
 __all__ = [
     "ConstraintSystem",
@@ -92,9 +94,10 @@ class SolveResult:
 
     ``placement`` is first-fit on the nodes, with at most ``F + N - 1``
     nonzero entries; ``echr`` and ``adt`` are its own.  ``trace`` holds one
-    :class:`IterationRecord` per iteration run, on the content totals.  In
-    projected gradient's trace the residual columns carry the step
-    displacement and the relative Frank–Wolfe gap.
+    :class:`IterationRecord` per iteration run, on the vector of F content
+    totals that the solver iterates.  In projected gradient's trace the
+    residual columns carry the step displacement and the relative
+    Frank–Wolfe gap.
     """
 
     placement: Placement
@@ -107,32 +110,31 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """The linear part of the feasible set: content ``sizes`` and node ``capacities``.
+    """The pooled set ``{0 <= y <= 1, sizes . y <= capacity}`` of content totals.
 
-    Over a node-major vector of length N*F, ``a`` (F x N*F) sums each
-    content's entries, bounded by ``a_u`` (all ones), and ``b`` (N x N*F)
-    weighs each node's entries by size, bounded by ``b_u`` (the
-    capacities).  These dense rows are built on demand, never stored: the
-    projections read only the two vectors, and the views' only readers are
-    the benchmark's tracer, which sizes them, and ``TestConstraintSystem``.
-    :func:`project_feasible` takes only the one-node system of the pooled
-    capacity that the solvers build (:func:`_pooled_constraints`), N = 1.
+    :meth:`build` pools the cluster's capacities into one ``capacity``, its
+    total.  Over the F totals, ``a`` (the F x F identity) bounds each total
+    by ``a_u`` (all ones), and ``b`` (``sizes`` as a 1 x F row) weighs them
+    by size, bounded by ``b_u`` (``[capacity]``).  These dense rows are
+    built on demand, never stored: :func:`project_feasible` reads only
+    ``sizes`` and ``capacity``, and the views' only readers are the
+    benchmark's tracer, which sizes them, and ``TestConstraintSystem``.
     """
 
     sizes: np.ndarray
-    capacities: np.ndarray
+    capacity: float
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
-        object.__setattr__(self, "capacities", np.asarray(self.capacities, dtype=float))
+        object.__setattr__(self, "capacity", float(self.capacity))
 
     @classmethod
     def build(cls, library, cluster):
-        return cls(sizes=library.sizes, capacities=cluster.capacities)
+        return cls(sizes=library.sizes, capacity=cluster.total_capacity)
 
     @property
     def a(self):
-        return np.tile(np.eye(self.sizes.size), (1, self.capacities.size))
+        return np.eye(self.sizes.size)
 
     @property
     def a_u(self):
@@ -140,14 +142,14 @@ class ConstraintSystem:
 
     @property
     def b(self):
-        return np.kron(np.eye(self.capacities.size), self.sizes)
+        return self.sizes.reshape(1, -1)
 
     @property
     def b_u(self):
-        return self.capacities
+        return np.array([self.capacity])
 
 
-def project_feasible(x, constraints):
+def project_feasible(y, constraints):
     """Euclidean projection onto the pooled set ``{0 <= y <= 1, sizes . y <= C}``.
 
     Exact, through the one capacity multiplier ``mu >= 0``: the projection
@@ -160,16 +162,12 @@ def project_feasible(x, constraints):
     Kiwiel 2008).  A load that rounding leaves over ``C`` is scaled down.
     No tolerance and no iteration cap enter.
 
-    ``x`` is a (1, F) matrix, and so is the result; ``constraints`` is a
-    one-node :class:`ConstraintSystem` (:func:`_pooled_constraints`).  Any
-    other shape or node count raises ``ValueError``.
+    ``y`` is a vector of F content totals, and so is the result;
+    ``constraints`` is the pooled :class:`ConstraintSystem` of size F and
+    capacity ``C``.  Any other shape raises ``ValueError``.
     """
-    sizes, capacities = constraints.sizes, constraints.capacities
-    v = np.asarray(x, dtype=float)
-    if capacities.size != 1 or v.shape != (1, sizes.size):
-        raise ValueError(f"expected a matrix of shape (1, {sizes.size}) under one capacity: "
-                         f"got {v.shape} under {capacities.size}")
-    v, capacity = v[0], float(capacities[0])
+    sizes, capacity = constraints.sizes, constraints.capacity
+    v = _totals(y, sizes.size)
 
     def clipped(mu):
         # The benchmark's tracer counts these ``np.clip`` calls as load evaluations.
@@ -193,7 +191,15 @@ def project_feasible(x, constraints):
         z, load = clipped(mu)
         if load > capacity:
             z *= capacity / load
-    return z[np.newaxis]
+    return z
+
+
+def _totals(y, count):
+    """``y`` as a float vector of ``count`` content totals, or ``ValueError``."""
+    v = np.asarray(y, dtype=float)
+    if v.shape != (count,):
+        raise ValueError(f"expected a vector of {count} content totals: got shape {v.shape}")
+    return v
 
 
 def p_update(z, theta, scenario, rho):
@@ -207,29 +213,19 @@ def p_update(z, theta, scenario, rho):
 
     whose left side is strictly increasing (``D`` is convex), diverging at
     the stability boundaries — so the root exists, is unique, and safeguarded
-    Newton finds it to 1e-12.  ``z``, ``theta`` and the result are matrices
-    of one shape, one column per content and one row per node: ``c``
-    replicates the popularity vector once per row, so ``c . v`` is the
-    popularity times the column sums of ``v`` and ``||c||^2`` is the row
-    count times the popularity's squared norm.  The solvers pass one row,
-    the pooled content totals; ``scenario`` supplies the popularity and the
-    traffic, and its node count does not enter.  The root finder stays
-    inside the stable interval, so the residual skips the stability check.
-    Matrices of another shape raise ``ValueError``.
+    Newton finds it to 1e-12.  ``z``, ``theta`` and the result are vectors
+    of F content totals, and ``c`` is the popularity vector, so ``c . v`` is
+    ``popularity @ v`` and ``||c||^2`` the popularity's squared norm;
+    ``scenario`` supplies the popularity and the traffic, and its node
+    count does not enter.  The root finder stays inside the stable
+    interval, so the residual skips the stability check.  Any other shape
+    raises ``ValueError``.
     """
     _check_positive("rho", rho)
-    z = np.asarray(z, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     popularity = scenario.library.popularity
-    f = popularity.size
-    if z.ndim != 2 or z.shape[1] != f or theta.shape != z.shape:
-        raise ValueError(
-            f"expected two matrices of one shape with {f} columns, one per content: "
-            f"got {z.shape} and {theta.shape}"
-        )
-    v = z - theta
-    cv = float(popularity @ v.sum(axis=0))
-    c_sq_over_rho = z.shape[0] * float(popularity @ popularity) / rho
+    v = _totals(z, popularity.size) - _totals(theta, popularity.size)
+    cv = float(popularity @ v)
+    c_sq_over_rho = float(popularity @ popularity) / rho
     traffic = scenario.traffic
 
     def residual(h):
@@ -238,20 +234,6 @@ def p_update(z, theta, scenario, rho):
 
     h_star = increasing_root(residual, *stable_echr_interval(traffic))
     return v - (_derivatives(h_star, traffic)[0] / rho) * popularity
-
-
-def _pooled_constraints(library, cluster):
-    """The one-node system of the content totals: the cluster's capacities
-    pooled into ``cluster.total_capacity``.
-
-    ``D`` reads a placement only through ``h = popularity . y``, with ``y``
-    its column sums, and the totals of the feasible placements are exactly
-    ``{0 <= y <= 1, sizes . y <= total capacity}``:
-    :func:`~fogcache.heuristic._assign_first_fit` places any such ``y`` on
-    the nodes.  So both solvers iterate on ``y``, a 1 x F matrix, and hand
-    back its first-fit placement.
-    """
-    return ConstraintSystem.build(library, FogCluster([cluster.total_capacity]))
 
 
 #: Residual balancing scales ``rho`` by ``_RHO_FACTOR`` when one relative
@@ -263,8 +245,8 @@ _RHO_FACTOR = 2.0
 def solve(scenario, config=SolverConfig()):
     """Run the splitting iteration on a scenario.
 
-    Iterates on the content totals ``y`` (a 1 x F matrix) under the pooled
-    capacity (:func:`_pooled_constraints`): starts from zero and repeats the
+    Iterates on the vector ``y`` of F content totals in the pooled set
+    (:class:`ConstraintSystem`): starts from zero and repeats the
     three updates until the relative Frank–Wolfe gap of the feasible
     iterate ``z``, projected gradient's stopping test, is at most
     ``config.tol``; ``config`` is a :class:`SolverConfig`, whose default
@@ -272,9 +254,8 @@ def solve(scenario, config=SolverConfig()):
     optimum in any unit of time without reading it, so ``converged=True``
     is a certificate and the iteration an independent check.
 
-    ``rho`` starts at ``|D'(0)| * ||popularity||**2``, which is
-    ``|D'(0)| ||c||^2`` on the one row of totals; no setting overrides it.
-    The p-update moves every total by ``(D'(h) / rho) * popularity``, so at
+    ``rho`` starts at ``|D'(0)| * ||popularity||**2``; no setting overrides
+    it.  The p-update moves every total by ``(D'(h) / rho) * popularity``, so at
     that start a step at the initial slope ``D'(0)`` shifts the hit ratio by
     one, the width of its feasible range; the start scales with the unit of
     time as ``D`` does.  Every station's ``d'(0) = 1/mu_e - mu_b/(mu_b -
@@ -296,10 +277,10 @@ def solve(scenario, config=SolverConfig()):
     holds the objective of ``z``, ``||p - z||`` and ``rho ||z - z_old||``.
     """
     library, traffic = scenario.library, scenario.traffic
-    constraints = _pooled_constraints(library, scenario.cluster)
+    constraints = ConstraintSystem.build(library, scenario.cluster)
     h_csl = echr_csl(library, scenario.cluster)
 
-    z = np.zeros((1, library.count))
+    z = np.zeros(library.count)
     theta = np.zeros_like(z)
 
     trace = []
@@ -314,7 +295,7 @@ def solve(scenario, config=SolverConfig()):
         theta = theta + (p - z)
         primal = float(np.linalg.norm(p - z))
         change = float(np.linalg.norm(z - z_old))
-        h = _clamped_echr(z, library)
+        h = _clamp_to_unit(popularity @ z)
         objective = adt_curve(h, traffic)
         trace.append(IterationRecord(k, objective, primal, rho * change))
         if objective < best_objective:
@@ -335,14 +316,13 @@ def solve(scenario, config=SolverConfig()):
 
 
 def _placed_result(totals, scenario, trace, converged):
-    """The :class:`SolveResult` of a solver's feasible 1 x F iterate
+    """The :class:`SolveResult` of a solver's feasible vector of content
     ``totals``: its first-fit placement on the nodes, whose columns sum to
     ``totals`` exactly (:func:`_exact_columns`), with the hit ratio and
     download time read from that placement.  So ``adt`` is both
     ``overall_adt(placement, scenario).overall`` and the objective that the
     trace recorded for the iterate, and no split of the capacity over the
     nodes can change it."""
-    totals = totals[0]
     library = scenario.library
     placement = _assign_first_fit(totals, library, scenario.cluster)
     placement = Placement(_exact_columns(placement.matrix, totals))

@@ -21,16 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admm import (
-    IterationRecord,
-    SolverConfig,
-    _placed_result,
-    _pooled_constraints,
-    project_feasible,
-)
+from .admm import ConstraintSystem, IterationRecord, SolverConfig, _placed_result, project_feasible
 from .heuristic import echr_csl
 from .model import _check_positive
-from .objective import _clamped_echr, _feasible_adt, _relative_fw_gap, adt_curve, adt_slope
+from .objective import _clamp_to_unit, _relative_fw_gap, adt_curve, adt_slope
 
 __all__ = [
     "projected_gradient_solve",
@@ -53,13 +47,14 @@ _SUFFICIENT_DECREASE = 1e-4
 def projected_gradient_solve(scenario, config=SolverConfig()):
     """Minimize the overall download time by spectral projected gradient.
 
-    Like the splitting solver it works on the content totals ``p``, a 1 x F
-    matrix under the pooled capacity, and returns their first-fit placement
-    on the nodes.  Each iteration projects ``p - a * grad D(p)`` once, by
+    Like the splitting solver it works on the vector ``p`` of F content
+    totals in the pooled set (:class:`~fogcache.admm.ConstraintSystem`), and
+    returns their first-fit placement on the nodes.  Each iteration
+    projects ``p - a * grad D(p)`` once, by
     :func:`~fogcache.admm.project_feasible`, and searches along the
     direction ``d`` from ``p`` to that point with a monotone Armijo
-    backtrack.  The first ``a`` is ``1 / max|grad|``, which
-    moves the largest entry one box width in any unit, later ones the
+    backtrack.  The first ``a`` is ``1 / max|grad|``, which moves the
+    largest entry one box width in any unit, later ones the
     Barzilai–Borwein step (the SPG method of Birgin, Martínez & Raydan
     2000).
 
@@ -78,12 +73,14 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
     Frank–Wolfe gap as ``dual_residual``.
     """
     library, traffic = scenario.library, scenario.traffic
-    constraints = _pooled_constraints(library, scenario.cluster)
+    popularity = library.popularity
+    constraints = ConstraintSystem.build(library, scenario.cluster)
     h_csl = echr_csl(library, scenario.cluster)
-    p = np.zeros((1, library.count))
-    value = _feasible_adt(p, scenario)
+    p = np.zeros(library.count)
+    h = _clamp_to_unit(popularity @ p)
+    value = adt_curve(h, traffic)
     # Not 0, since ``D'(0) < 0`` under ``lam < mu_b < mu_e``.
-    gradient = adt_slope(0.0, traffic) * library.popularity
+    gradient = adt_slope(0.0, traffic) * popularity
     step = 1.0 / float(np.max(np.abs(gradient)))
     trace = []
     converged = False
@@ -93,20 +90,20 @@ def projected_gradient_solve(scenario, config=SolverConfig()):
         t = 1.0
         while True:
             candidate = p + t * direction
-            candidate_value = _feasible_adt(candidate, scenario)
+            candidate_h = _clamp_to_unit(popularity @ candidate)
+            candidate_value = adt_curve(candidate_h, traffic)
             if candidate_value <= value + _SUFFICIENT_DECREASE * t * descent:
                 break
             t *= _SHRINK
             if t < _MIN_STEP:
                 # The iterate is numerically stationary; accept as is.
-                candidate, candidate_value = p, value
+                candidate, candidate_h, candidate_value = p, h, value
                 break
-        h = _clamped_echr(candidate, library)
-        slope = float(adt_slope(h, traffic))
-        new_gradient = slope * library.popularity
+        slope = float(adt_slope(candidate_h, traffic))
+        new_gradient = slope * popularity
         displacement = candidate - p
         curvature = float(np.sum(displacement * (new_gradient - gradient)))
-        p, value, gradient = candidate, candidate_value, new_gradient
+        p, h, value, gradient = candidate, candidate_h, candidate_value, new_gradient
         gap = _relative_fw_gap(h, slope, value, h_csl)
         trace.append(IterationRecord(k, value, float(np.linalg.norm(displacement)), gap))
         if gap <= config.tol:

@@ -70,13 +70,18 @@ def echr(placement, library):
     return float(library.popularity @ matrix.sum(axis=0))
 
 
-def _clamped_echr(placement, library):
-    """:func:`echr` clamped to [0, 1], the hit ratios the queues accept.
+def _clamp_to_unit(h):
+    """A hit ratio clamped to [0, 1], the hit ratios the queues accept.
 
-    A feasible placement may overshoot the unit hit share by the solvers'
-    tolerance; the clamp absorbs that.
+    A feasible placement, or a feasible vector of content totals, may
+    overshoot the unit hit share by rounding; the clamp absorbs that.
     """
-    return min(max(echr(placement, library), 0.0), 1.0)
+    return min(max(float(h), 0.0), 1.0)
+
+
+def _clamped_echr(placement, library):
+    """:func:`echr` under :func:`_clamp_to_unit`."""
+    return _clamp_to_unit(echr(placement, library))
 
 
 def stable_echr_interval(traffic):
@@ -162,11 +167,6 @@ def adt_slope(h, traffic):
 def adt_curvature(h, traffic):
     """Second derivative ``d2D/dh2``; strictly positive on the stable range."""
     return _checked(lambda h, traffic: _derivatives(h, traffic)[1], h, traffic)
-
-
-def _feasible_adt(placement, scenario):
-    """Overall ADT of a feasible placement, at its :func:`_clamped_echr`."""
-    return adt_curve(_clamped_echr(placement, scenario.library), scenario.traffic)
 
 
 def _relative_fw_gap(h, slope, adt, h_csl):

@@ -2,11 +2,12 @@
 and the paper's gradient baseline.
 
 * :func:`qp_projection_oracle` — the exact Euclidean projection onto the
-  feasible placement set by active-set enumeration, an independent
-  cross-check of ``fogcache.admm.project_feasible`` (one node, by
-  breakpoint search) and of :func:`project_placement` (N nodes, by dual
-  Newton): it shares nothing with either, and builds its constraint rows
-  itself from the content sizes and node capacities.
+  feasible placement set of content ``sizes`` and node ``capacities`` by
+  active-set enumeration, an independent cross-check of
+  ``fogcache.admm.project_feasible`` (a vector of content totals under one
+  pooled capacity, by breakpoint search) and of :func:`project_placement`
+  (N x F, by dual Newton): it shares nothing with either, and builds its
+  constraint rows itself from the sizes and capacities.
 * :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
   enumeration, an independent cross-check of the greedy knapsack in
   ``fogcache.heuristic``.
@@ -23,9 +24,14 @@ and the paper's gradient baseline.
   first trial step and monotone Armijo halving, stopped on the
   gradient-mapping norm: the "existing algorithm" against which the paper
   claims the splitting solver converges faster, on the N x F placement.
-* :func:`project_placement` — the exact Euclidean projection onto the
-  N x F feasible placement set, by semismooth Newton over the N per-node
-  capacity multipliers: the projection of that baseline.
+* :func:`project_placement` — the Euclidean projection onto the N x F
+  feasible placement set, by semismooth Newton over the N per-node
+  capacity multipliers: the projection of that baseline, exact near the
+  set.
+
+The solvers in ``src/`` see only the pooled set of content totals; the
+N x F set of ``sizes`` and ``capacities`` lives here, with the baseline
+that runs on it.
 """
 
 import itertools
@@ -33,9 +39,9 @@ import math
 
 import numpy as np
 
-from fogcache.admm import ConstraintSystem, IterationRecord, SolveResult
+from fogcache.admm import IterationRecord, SolveResult
 from fogcache.model import Placement
-from fogcache.objective import _clamped_echr, _feasible_adt, _station_times, adt_slope
+from fogcache.objective import _clamped_echr, _station_times, adt_curve, adt_slope
 
 
 def h_cpl_oracle(lam, mu_e, mu_b):
@@ -141,6 +147,11 @@ def h_csl_oracle(popularity, sizes, total_capacity):
     return best
 
 
+def _feasible_adt(placement, scenario):
+    """Overall ADT of a feasible N x F placement, at its clamped hit ratio."""
+    return adt_curve(_clamped_echr(placement, scenario.library), scenario.traffic)
+
+
 def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
     """Projected gradient descent with a fixed first step, the paper's baseline.
 
@@ -155,7 +166,6 @@ def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
     norm.
     """
     library, cluster = scenario.library, scenario.cluster
-    constraints = ConstraintSystem.build(library, cluster)
     p = np.zeros((cluster.node_count, library.count))
     value = _feasible_adt(p, scenario)
     trace = []
@@ -167,7 +177,7 @@ def fixed_step_projected_gradient(scenario, tol=1e-8, max_iter=5000):
         scale = max(1.0, float(np.max(np.abs(gradient))))
         step = 1.0 / scale
         while True:
-            candidate = project_placement(p - step * gradient, constraints)
+            candidate = project_placement(p - step * gradient, library.sizes, cluster.capacities)
             candidate_value = _feasible_adt(candidate, scenario)
             displacement_sq = float(np.sum((candidate - p) ** 2))
             if candidate_value <= value - 1e-4 * displacement_sq / step + 1e-15:
@@ -245,10 +255,11 @@ def _dual_hessian(z, shifts, size_sq):
     return np.diag(free @ size_sq) - (free * weight) @ free.T
 
 
-def project_placement(x, constraints):
-    """Euclidean projection onto the N x F feasible placement set.
+def project_placement(x, sizes, capacities):
+    """Euclidean projection onto the N x F feasible placement set of content
+    ``sizes`` and node ``capacities``.
 
-    Exact, through the dual over the N per-node capacity multipliers
+    Through the dual over the N per-node capacity multipliers
     ``mu >= 0``.  For a fixed ``mu`` the problem separates by content
     (:func:`_project_columns`, a sort-based simplex step per column), and
     the dual ``g(mu)`` is concave and piecewise quadratic with gradient
@@ -262,11 +273,18 @@ def project_placement(x, constraints):
     ascent runs with sizes and capacities divided by a power of two near the
     largest size, so its tolerance and multiplier box hold in any unit.
 
+    Its domain is the neighbourhood of the set, where the fixed-step
+    baseline queries it: there it matches :func:`qp_projection_oracle` to
+    rounding.  Far outside, the cancellation in ``y - mu * s - shift``
+    breaks that: on queries scaled by 1e3 it can miss the projection by
+    tenths (``test_misses_the_projection_far_outside_the_set``).
+
     ``x`` is an (N, F) matrix, and so is the result; any other shape raises
     ``ValueError``.
     """
     y = np.asarray(x, dtype=float)
-    sizes, capacities = constraints.sizes, constraints.capacities
+    sizes = np.asarray(sizes, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
     n, f = capacities.size, sizes.size
     if y.shape != (n, f):
         raise ValueError(f"expected a matrix of shape ({n}, {f}): {n} nodes x {f} contents")
@@ -368,8 +386,13 @@ def _box_patterns(flat):
     return np.array(list(itertools.product(*states)), dtype=np.int8)
 
 
-def qp_projection_oracle(x, constraints):
+def qp_projection_oracle(x, sizes, capacities):
     """Exact Euclidean projection for small instances, by KKT enumeration.
+
+    The set is the N x F feasible placement set of content ``sizes`` and
+    node ``capacities``, over ``x`` of N * F entries in node-major order,
+    any shape: an (N, F) matrix, or a vector of F content totals under one
+    pooled capacity.  The result has the shape of ``x``.
 
     Enumerates every candidate active set — a box state per coordinate (free,
     pinned at 0, pinned at 1) that :func:`_box_patterns` allows, crossed
@@ -386,10 +409,10 @@ def qp_projection_oracle(x, constraints):
     n = flat.size
     if n > 12:
         raise ValueError(f"active-set enumeration is limited to 12 variables, got {n}")
-    sizes = np.asarray(constraints.sizes, dtype=float)
-    capacities = np.asarray(constraints.capacities, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
     if n != capacities.size * sizes.size:
-        raise ValueError("x does not match the constraint system")
+        raise ValueError("x does not match the sizes and capacities")
     c_rows, u = _constraint_rows(sizes, capacities)
     if np.any(c_rows < 0.0):
         raise ValueError("the box patterns are pruned for nonnegative rows only")

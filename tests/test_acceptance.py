@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from fogcache import (
-    FogCluster,
     SimConfig,
     SolverConfig,
     adt_curve,
@@ -275,20 +274,25 @@ def test_criterion_8_projection_matches_the_quadratic_oracle():
     worst_match = worst_idempotence = worst_feasibility = 0.0
     for _ in range(200):
         x, library, cluster = random_projection_instance(rng)
-        pooled = FogCluster([cluster.total_capacity])
-        for project, x, cluster in ((project_placement, x, cluster),
-                                    (project_feasible, x[:1], pooled)):
-            constraints = ConstraintSystem.build(library, cluster)
-            z = project(x, constraints)
-            oracle = qp_projection_oracle(x, constraints)
+        sizes = library.sizes
+        pooled = ConstraintSystem.build(library, cluster)
+        # The N x F projection on the query, and the pooled one on its first
+        # row, read as the totals of a one-node placement.
+        for project, x, capacities in (
+            (lambda y: project_placement(y, sizes, cluster.capacities), x, cluster.capacities),
+            (lambda y: project_feasible(y, pooled), x[0], [pooled.capacity]),
+        ):
+            z = project(x)
+            oracle = qp_projection_oracle(x, sizes, capacities)
             worst_match = max(worst_match, float(np.max(np.abs(z - oracle))))
-            again = project(z, constraints)
+            again = project(z)
             worst_idempotence = max(worst_idempotence, float(np.max(np.abs(again - z))))
+            rows = z.reshape(-1, library.count)
             violation = max(
-                float(np.max(-z, initial=0.0)),
-                float(np.max(z - 1.0, initial=0.0)),
-                float(np.max(z.sum(axis=0) - 1.0, initial=0.0)),
-                float(np.max(z @ library.sizes - cluster.capacities, initial=0.0)),
+                float(np.max(-rows, initial=0.0)),
+                float(np.max(rows - 1.0, initial=0.0)),
+                float(np.max(rows.sum(axis=0) - 1.0, initial=0.0)),
+                float(np.max(rows @ sizes - capacities, initial=0.0)),
             )
             worst_feasibility = max(worst_feasibility, violation)
     elapsed = time.perf_counter() - start
@@ -297,7 +301,7 @@ def test_criterion_8_projection_matches_the_quadratic_oracle():
     _report(
         8,
         ok,
-        f"N x F and pooled one-node projections vs oracle within {worst_match:.2e} "
+        f"N x F and pooled projections vs oracle within {worst_match:.2e} "
         f"on 200 instances each; idempotent within {worst_idempotence:.2e}; "
         f"feasible within {worst_feasibility:.2e}; {elapsed:.1f}s",
     )

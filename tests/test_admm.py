@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from fogcache import (
     ContentLibrary,
     FogCluster,
     SolverConfig,
+    adt_curve,
     adt_slope,
     echr,
     heuristic_solve,
@@ -20,7 +22,7 @@ from fogcache import (
 )
 from fogcache.admm import ConstraintSystem, p_update, project_feasible
 from fogcache.model import validate_placement
-from fogcache.objective import _feasible_adt
+from fogcache.objective import _clamped_echr
 
 from oracle import project_placement, qp_projection_oracle
 
@@ -69,28 +71,33 @@ class TestSolverConfig:
 
 class TestConstraintSystem:
     def test_shapes_and_values(self, reference_scenario):
+        # The pooled set: the capacities 2/3/5 pool into one capacity of 10.
         system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        assert system.a.shape == (20, 60)
-        assert system.b.shape == (3, 60)
+        fields = [field.name for field in dataclasses.fields(ConstraintSystem)]
+        assert fields == ["sizes", "capacity"]
+        assert system.capacity == 10.0
+        np.testing.assert_array_equal(system.a, np.eye(20))
+        np.testing.assert_array_equal(system.b, [reference_scenario.library.sizes])
         np.testing.assert_array_equal(system.a_u, np.ones(20))
-        np.testing.assert_array_equal(system.b_u, [2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(system.b_u, [10.0])
 
-    def test_rows_compute_totals_and_loads(self, reference_scenario):
-        rng = np.random.default_rng(5)
-        placement = random_feasible_placement(
-            rng, reference_scenario.library, reference_scenario.cluster
-        )
-        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        vector = placement.matrix.ravel()
-        np.testing.assert_allclose(system.a @ vector, placement.matrix.sum(axis=0), rtol=1e-14)
-        np.testing.assert_allclose(
-            system.b @ vector,
-            placement.matrix @ reference_scenario.library.sizes,
-            rtol=1e-14,
-        )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pooled_rows_are_the_column_sum_image_of_the_placement_rows(self, seed):
+        # A feasible placement's totals y meet the pooled rows: a @ y is y,
+        # and b @ y is the sum of the node loads, within the capacity.
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        library, cluster = scenario.library, scenario.cluster
+        system = ConstraintSystem.build(library, cluster)
+        matrix = random_feasible_placement(rng, library, cluster).matrix
+        y = matrix.sum(axis=0)
+        np.testing.assert_array_equal(system.a @ y, y)
+        np.testing.assert_allclose(system.b @ y, [(matrix @ library.sizes).sum()], rtol=1e-14)
+        assert np.all(system.a @ y <= system.a_u)
+        assert np.all(system.b @ y <= system.b_u)
 
     def test_build_stores_no_dense_matrices(self):
-        # The dense rows at (F, N) = (2000, 20) would take 646 MB.
+        # The dense rows of the pooled set at F = 2000 would take 32 MB.
         scenario = make_scenario(count=2000, capacities=np.full(20, 100.0))
         tracemalloc.start()
         try:
@@ -98,99 +105,102 @@ class TestConstraintSystem:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (system.capacities.size, system.sizes.size) == (20, 2000)
+        assert (system.sizes.size, system.capacity) == (2000, 2000.0)
         assert peak < 1_000_000
 
 
-def _one_node(library, capacity):
-    return ConstraintSystem.build(library, FogCluster([capacity]))
+def _rejected(shape):
+    """The message that refuses ``shape`` where 20 content totals belong."""
+    return rf"^expected a vector of 20 content totals: got shape {re.escape(str(shape))}$"
+
+
+def _pooled(library, capacity):
+    return ConstraintSystem(sizes=library.sizes, capacity=capacity)
+
+
+def _pooled_as_one_node(x, sizes, capacities):
+    """``project_feasible`` on the one row of a one-node (1, F) query, in
+    :func:`~oracle.project_placement`'s signature."""
+    (capacity,) = capacities
+    return project_feasible(x[0], ConstraintSystem(sizes=sizes, capacity=capacity))[np.newaxis]
 
 
 class TestProjectFeasible:
-    """The solvers' one-node ``project_feasible`` and the baseline's N x F ``project_placement``."""
+    """The solvers' pooled ``project_feasible`` and the baseline's N x F ``project_placement``."""
 
     def test_feasible_points_are_fixed(self, reference_scenario):
         rng = np.random.default_rng(8)
-        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        placement = random_feasible_placement(
-            rng, reference_scenario.library, reference_scenario.cluster
-        )
-        projected = project_placement(placement.matrix, system)
+        library, cluster = reference_scenario.library, reference_scenario.cluster
+        placement = random_feasible_placement(rng, library, cluster)
+        projected = project_placement(placement.matrix, library.sizes, cluster.capacities)
         np.testing.assert_allclose(projected, placement.matrix, atol=1e-9)
 
     def test_feasible_points_come_back_bit_identical(self):
         rng = np.random.default_rng(9)
         for f in (1, 20, 2000):
             library = ContentLibrary(np.full(f, 1.0 / f), rng.uniform(0.5, 2.0, size=f))
-            system = _one_node(library, 0.3 * library.sizes.sum())
-            y = random_feasible_placement(rng, library, FogCluster(system.capacities)).matrix
+            system = _pooled(library, 0.3 * library.sizes.sum())
+            y = random_feasible_placement(rng, library, FogCluster([system.capacity])).matrix[0]
             np.testing.assert_array_equal(project_feasible(y, system), y)
 
     def test_box_clipping(self):
-        system = _one_node(ContentLibrary([1.0]), 10.0)
-        assert project_feasible(np.array([[1.7]]), system)[0, 0] == pytest.approx(1.0)
-        low = project_feasible(np.array([[-0.3]]), system)[0, 0]
+        system = _pooled(ContentLibrary([1.0]), 10.0)
+        assert project_feasible(np.array([1.7]), system)[0] == pytest.approx(1.0)
+        low = project_feasible(np.array([-0.3]), system)[0]
         assert low == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_halfspace(self):
-        system = _one_node(ContentLibrary([1.0]), 0.4)
-        assert project_feasible(np.array([[0.9]]), system)[0, 0] == pytest.approx(0.4)
+        system = _pooled(ContentLibrary([1.0]), 0.4)
+        assert project_feasible(np.array([0.9]), system)[0] == pytest.approx(0.4)
 
     def test_a_single_content_of_any_size(self):
-        system = _one_node(ContentLibrary([1.0], [2.0]), 0.5)
-        assert project_feasible(np.array([[0.9]]), system)[0, 0] == pytest.approx(0.25)
+        system = _pooled(ContentLibrary([1.0], [2.0]), 0.5)
+        assert project_feasible(np.array([0.9]), system)[0] == pytest.approx(0.25)
 
     def test_zero_capacity_gives_zeros(self):
-        system = _one_node(ContentLibrary([0.5, 0.3, 0.2], [1.0, 2.0, 0.5]), 0.0)
-        z = project_feasible(np.array([[0.9, 1.5, 0.2]]), system)
-        np.testing.assert_array_equal(z, np.zeros((1, 3)))
+        system = _pooled(ContentLibrary([0.5, 0.3, 0.2], [1.0, 2.0, 0.5]), 0.0)
+        z = project_feasible(np.array([0.9, 1.5, 0.2]), system)
+        np.testing.assert_array_equal(z, np.zeros(3))
 
     def test_replication_halfspace_shifts_uniformly(self):
-        library = ContentLibrary([1.0])
-        system = ConstraintSystem.build(library, FogCluster([5.0, 5.0]))
-        projected = project_placement(np.array([[0.8], [0.7]]), system)
+        projected = project_placement(np.array([[0.8], [0.7]]), [1.0], [5.0, 5.0])
         np.testing.assert_allclose(projected, [[0.55], [0.45]], atol=1e-10)
 
     def test_tight_capacity_beats_uniform_shift(self):
         # One node has almost no storage: its share must go to the other
         # node's detriment, not split evenly.
-        library = ContentLibrary([1.0])
-        system = ConstraintSystem.build(library, FogCluster([0.05, 3.0]))
-        projected = project_placement(np.array([[0.9], [0.9]]), system)
+        projected = project_placement(np.array([[0.9], [0.9]]), [1.0], [0.05, 3.0])
         assert projected[0, 0] == pytest.approx(0.05, abs=1e-9)
         assert projected[1, 0] == pytest.approx(0.9, abs=1e-9)
 
     def test_unequal_sizes_scale_the_capacity_rows(self):
         library = ContentLibrary([0.6, 0.4], [2.0, 1.0])
-        projected = project_feasible(np.array([[1.0, 1.0]]), _one_node(library, 1.0))
-        load = float((projected @ library.sizes).item())
+        projected = project_feasible(np.array([1.0, 1.0]), _pooled(library, 1.0))
+        load = float(projected @ library.sizes)
         assert load <= 1.0 + 1e-9
 
-    def test_rejects_a_flat_vector(self, reference_scenario):
-        system = _one_node(reference_scenario.library, 10.0)
-        with pytest.raises(ValueError, match=r"\(1, 20\)"):
-            project_feasible(np.full(20, 0.9), system)
-
-    def test_rejects_a_multi_node_system(self, reference_scenario):
-        system = ConstraintSystem.build(reference_scenario.library, reference_scenario.cluster)
-        with pytest.raises(ValueError, match=r"one capacity: got \(1, 20\) under 3$"):
-            project_feasible(np.zeros((1, 20)), system)
+    @pytest.mark.parametrize("shape", [(1, 20), (20, 1), (19,), (60,), ()])
+    def test_rejects_anything_but_a_vector_of_totals(self, reference_scenario, shape):
+        # A (1, F) row matrix is a one-node placement, not a vector of totals.
+        system = _pooled(reference_scenario.library, 10.0)
+        with pytest.raises(ValueError, match=_rejected(shape)):
+            project_feasible(np.full(shape, 0.9), system)
 
     def test_idempotent_on_random_instances(self):
         rng = np.random.default_rng(4242)
         for _ in range(20):
             scenario = random_scenario(rng)
-            system = ConstraintSystem.build(scenario.library, scenario.cluster)
+            sizes, capacities = scenario.library.sizes, scenario.cluster.capacities
             x = rng.uniform(-0.5, 1.5, size=(scenario.cluster.node_count, scenario.library.count))
-            z = project_placement(x, system)
-            np.testing.assert_allclose(project_placement(z, system), z, atol=1e-8)
+            z = project_placement(x, sizes, capacities)
+            np.testing.assert_allclose(project_placement(z, sizes, capacities), z, atol=1e-8)
             validate_placement(z, scenario.library, scenario.cluster)
 
     def test_exact_beyond_the_oracle_size(self):
         self._assert_exact(project_placement, max_nodes=20, max_contents=2000)
 
     def test_exact_on_one_node_up_to_fifty_thousand_contents(self):
-        self._assert_exact(project_feasible, max_nodes=1, max_contents=50_000)
+        self._assert_exact(_pooled_as_one_node, max_nodes=1, max_contents=50_000)
 
     @staticmethod
     def _assert_exact(project, max_nodes, max_contents):
@@ -205,9 +215,8 @@ class TestProjectFeasible:
             library = ContentLibrary(np.full(f, 1.0 / f), sizes)
             share = float(rng.uniform(0.05, 1.1))
             cluster = FogCluster(share * sizes.sum() * rng.dirichlet(np.ones(n)))
-            system = ConstraintSystem.build(library, cluster)
             x = rng.uniform(-0.6, 1.6, size=(n, f)) * rng.uniform(0.1, 1.0)
-            z = project(x, system)
+            z = project(x, sizes, cluster.capacities)
             violation = max(
                 float(np.max(-z, initial=0.0)),
                 float(np.max(z - 1.0, initial=0.0)),
@@ -215,7 +224,7 @@ class TestProjectFeasible:
                 float(np.max(z @ sizes - cluster.capacities, initial=0.0)),
             )
             assert violation <= 1e-9
-            np.testing.assert_allclose(project(z, system), z, atol=1e-9)
+            np.testing.assert_allclose(project(z, sizes, cluster.capacities), z, atol=1e-9)
             bound = 1e-9 * (1.0 + float(np.vdot(x, x)))
             for _ in range(5):
                 w = random_feasible_placement(rng, library, cluster).matrix
@@ -229,9 +238,9 @@ class TestProjectFeasible:
         c = ContentLibrary.zipf(21, 2.5).popularity[order]
         sizes = [2.3, 0.561, 1.526, 2.018, 1.586, 2.13, 2.371, 2.799, 2.017, 0.693, 2.351,
                  1.386, 2.156, 2.13, 2.684, 1.85, 0.843, 1.337, 1.938, 1.798, 0.742]
-        system = _one_node(ContentLibrary(c, sizes), 32.0)
+        system = _pooled(ContentLibrary(c, sizes), 32.0)
         points = [0.5 + a * c for a in np.logspace(0.0, 12.0, 241)]
-        hits = [float(c @ project_feasible(x[np.newaxis], system)[0]) for x in points]
+        hits = [float(c @ project_feasible(x, system)) for x in points]
         for x, before, after in zip(points[1:], hits, hits[1:]):
             assert before - after <= np.finfo(float).eps * np.max(np.abs(x))
 
@@ -241,11 +250,11 @@ class TestProjectFeasible:
         # the projection, so the unregularized Newton system is singular.
         x, library, cluster = random_projection_instance(np.random.default_rng(8088))
         assert x.shape == (5, 1)
-        system = ConstraintSystem.build(library, cluster)
+        sizes, capacities = library.sizes, cluster.capacities
         assert np.clip(x, 0.0, 1.0).sum() > 1.0
-        z = project_placement(x, system)
+        z = project_placement(x, sizes, capacities)
         assert z.sum() < 1.0 - 0.1
-        np.testing.assert_allclose(z, qp_projection_oracle(x, system), atol=1e-12)
+        np.testing.assert_allclose(z, qp_projection_oracle(x, sizes, capacities), atol=1e-12)
 
     def test_gradient_fallback_far_outside_the_set(self, monkeypatch):
         # A unit gradient step from 0 next to saturation (lam = 5.999999,
@@ -268,7 +277,7 @@ class TestProjectFeasible:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        z = project_placement(x, ConstraintSystem.build(library, cluster))
+        z = project_placement(x, library.sizes, cluster.capacities)
         assert singular
         assert z.shape == (3, 20)
         assert np.all((z >= 0.0) & (z <= 1.0))
@@ -277,7 +286,7 @@ class TestProjectFeasible:
 
 
 def _stressed_instance(rng, variant, query):
-    """A seeded one-node projection instance altered to stress the search."""
+    """A seeded pooled projection instance altered to stress the search."""
     x, library, cluster = random_projection_instance(rng)
     sizes, capacity = library.sizes, cluster.total_capacity
     if variant == "unequal sizes":
@@ -286,7 +295,7 @@ def _stressed_instance(rng, variant, query):
         capacity = 0.0
     else:  # tight capacity
         capacity *= 0.05
-    x = x[:1]
+    x = x[0]
     if query == "inside the box":
         x = rng.uniform(0.0, 1.0, size=x.shape)
     elif query == "negative":
@@ -295,7 +304,7 @@ def _stressed_instance(rng, variant, query):
         x = rng.uniform(1.0, 3.0, size=x.shape)
     else:  # far outside the box
         x = x * 1e6
-    return x, ConstraintSystem(sizes=sizes, capacities=np.array([capacity]))
+    return x, ConstraintSystem(sizes=sizes, capacity=capacity)
 
 
 class TestStressedInstances:
@@ -309,53 +318,53 @@ class TestStressedInstances:
             # The breakpoints v_f / s_f carry the rounding of x, so the match
             # is relative to the largest entry of the query.
             bound = 1e-12 * max(1.0, float(np.max(np.abs(x))))
-            np.testing.assert_allclose(z, qp_projection_oracle(x, system), rtol=0, atol=bound)
+            oracle = qp_projection_oracle(x, system.sizes, [system.capacity])
+            np.testing.assert_allclose(z, oracle, rtol=0, atol=bound)
             np.testing.assert_allclose(project_feasible(z, system), z, rtol=0, atol=bound)
             assert np.all((z >= 0.0) & (z <= 1.0))
             # The scale-down after the search rounds too: the load may end
             # an ulp or so above the capacity, never more.
-            load = float((z @ system.sizes).item())
-            assert load <= system.capacities[0] * (1.0 + 16 * np.finfo(float).eps)
+            load = float(z @ system.sizes)
+            assert load <= system.capacity * (1.0 + 16 * np.finfo(float).eps)
 
 
 class TestPUpdate:
     def test_optimality_identity(self, reference_scenario):
         # The minimizer must satisfy p = v - (slope(h)/rho) c with h = c.p and
-        # c the popularity once per row: on the three nodes, and on the one
-        # row of content totals that the solvers pass.
+        # c the popularity, on the vector of content totals.
         rng = np.random.default_rng(17)
         rho = 0.7
-        for rows in (3, 1):
-            z = rng.uniform(0.0, 0.05, size=(rows, 20))
-            theta = rng.uniform(-0.02, 0.02, size=(rows, 20))
-            p = p_update(z, theta, reference_scenario, rho)
-            c = np.tile(reference_scenario.library.popularity, (rows, 1))
-            h = float(np.vdot(c, p))
-            slope = float(adt_slope(h, reference_scenario.traffic))
-            np.testing.assert_allclose(p, (z - theta) - (slope / rho) * c, atol=1e-10)
+        c = reference_scenario.library.popularity
+        z = rng.uniform(0.0, 0.05, size=20)
+        theta = rng.uniform(-0.02, 0.02, size=20)
+        p = p_update(z, theta, reference_scenario, rho)
+        h = float(c @ p)
+        slope = float(adt_slope(h, reference_scenario.traffic))
+        np.testing.assert_allclose(p, (z - theta) - (slope / rho) * c, atol=1e-10)
 
-    def test_preserves_matrix_shape(self, reference_scenario):
-        p = p_update(np.zeros((3, 20)), np.zeros((3, 20)), reference_scenario, 1.0)
-        assert p.shape == (3, 20)
+    def test_returns_a_vector_of_totals(self, reference_scenario):
+        p = p_update(np.zeros(20), np.zeros(20), reference_scenario, 1.0)
+        assert p.shape == (20,)
 
     def test_large_rho_tracks_the_anchor(self, reference_scenario):
         # As rho grows the quadratic dominates and p approaches v = z - theta.
-        z = np.full((3, 20), 0.02)
-        p = p_update(z, np.zeros((3, 20)), reference_scenario, 1e8)
+        z = np.full(20, 0.02)
+        p = p_update(z, np.zeros(20), reference_scenario, 1e8)
         np.testing.assert_allclose(p, z, atol=1e-6)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, float("inf"), float("nan")])
     def test_rho_must_be_positive_and_finite(self, reference_scenario, rho):
         with pytest.raises(ValueError, match=f"^rho must be positive and finite, got {rho}$"):
-            p_update(np.zeros((3, 20)), np.zeros((3, 20)), reference_scenario, rho)
+            p_update(np.zeros(20), np.zeros(20), reference_scenario, rho)
 
-    def test_rejects_a_bad_shape(self, reference_scenario):
-        with pytest.raises(ValueError):
-            p_update(np.zeros((3, 19)), np.zeros((3, 19)), reference_scenario, 1.0)
-        with pytest.raises(ValueError, match="20 columns"):
-            p_update(np.zeros(60), np.zeros(60), reference_scenario, 1.0)
-        with pytest.raises(ValueError, match=r"got \(1, 20\) and \(3, 20\)"):
-            p_update(np.zeros((1, 20)), np.zeros((3, 20)), reference_scenario, 1.0)
+    @pytest.mark.parametrize("z_shape, theta_shape", [
+        ((1, 20), (1, 20)), ((19,), (19,)), ((60,), (60,)), ((20,), (1, 20)), ((1, 20), (20,)),
+    ])
+    def test_rejects_anything_but_vectors_of_totals(self, reference_scenario, z_shape, theta_shape):
+        # A (1, F) row matrix is a one-node placement, not a vector of totals.
+        bad = z_shape if z_shape != (20,) else theta_shape
+        with pytest.raises(ValueError, match=_rejected(bad)):
+            p_update(np.zeros(z_shape), np.zeros(theta_shape), reference_scenario, 1.0)
 
 
 class TestSolve:
@@ -405,16 +414,17 @@ class TestSolve:
     @staticmethod
     def _first_step_from_the_scaled_penalty(scenario):
         """Iteration 1 rebuilt by hand from ``rho = |D'(0)| ||popularity||**2``,
-        on the one row of content totals under the pooled capacity."""
-        popularity = scenario.library.popularity
-        rho = -adt_slope(0.0, scenario.traffic) * float(popularity @ popularity)
+        on the content totals in the pooled set; the objective is read from
+        the totals as a one-node placement."""
+        library = scenario.library
+        rho = -adt_slope(0.0, scenario.traffic) * float(library.popularity @ library.popularity)
         assert np.isfinite(rho) and rho > 0.0
-        zeros = np.zeros((1, popularity.size))
+        zeros = np.zeros(library.count)
         p = p_update(zeros, zeros, scenario, rho)
-        pooled = FogCluster([scenario.cluster.total_capacity])
-        z = project_feasible(p, ConstraintSystem.build(scenario.library, pooled))
+        z = project_feasible(p, ConstraintSystem.build(library, scenario.cluster))
         primal = float(np.linalg.norm(p - z))
-        return (1, _feasible_adt(z, scenario), primal, float(rho * np.linalg.norm(z)))
+        objective = adt_curve(_clamped_echr(z[np.newaxis], library), scenario.traffic)
+        return (1, objective, primal, float(rho * np.linalg.norm(z)))
 
     def test_default_starts_from_the_scaled_penalty(self, reference_scenario):
         first = self._first_step_from_the_scaled_penalty(reference_scenario)

@@ -15,7 +15,6 @@ from fogcache import (
     overall_adt,
     projected_gradient_solve,
 )
-from fogcache.admm import ConstraintSystem
 from fogcache.model import validate_placement
 
 from oracle import fixed_step_projected_gradient, project_placement, qp_projection_oracle
@@ -186,37 +185,45 @@ class TestGridBruteforce:
 
 class TestQpProjectionOracle:
     def test_box_only_instance(self):
-        library = ContentLibrary([1.0])
-        system = ConstraintSystem.build(library, FogCluster([10.0]))
-        assert qp_projection_oracle(np.array([[1.7]]), system)[0, 0] == pytest.approx(1.0)
+        assert qp_projection_oracle(np.array([[1.7]]), [1.0], [10.0])[0, 0] == pytest.approx(1.0)
 
     def test_independent_capacity_clips(self):
         # Capacities small enough that every row constraint binds on its own:
         # the projection is elementwise clipping.
-        library = ContentLibrary([1.0])
         capacities = np.array([0.2171, 0.000171, 0.0469, 0.2448, 0.2521])
         x = np.array([[1.159], [0.4437], [1.204], [0.2097], [0.6183]])
-        system = ConstraintSystem.build(library, FogCluster(capacities))
         expected = np.minimum(np.maximum(x, 0.0), capacities[:, np.newaxis])
-        np.testing.assert_allclose(qp_projection_oracle(x, system), expected, atol=1e-10)
+        np.testing.assert_allclose(qp_projection_oracle(x, [1.0], capacities), expected, atol=1e-10)
         # Regression: the iterative projection once stopped early on this
         # shape of instance, leaving one coordinate short of its clip value.
-        projected = project_placement(x, system)
+        projected = project_placement(x, [1.0], capacities)
         np.testing.assert_allclose(projected, expected, atol=1e-8)
 
     def test_rejects_large_instances(self):
-        library = ContentLibrary.zipf(13, 0.5)
-        system = ConstraintSystem.build(library, FogCluster([5.0]))
         with pytest.raises(ValueError, match="12 variables"):
-            qp_projection_oracle(np.zeros((1, 13)), system)
+            qp_projection_oracle(np.zeros((1, 13)), np.ones(13), [5.0])
 
     def test_agrees_with_iterative_projection(self):
         rng = np.random.default_rng(424242)
         worst = 0.0
         for _ in range(40):
             x, library, cluster = random_projection_instance(rng)
-            system = ConstraintSystem.build(library, cluster)
-            z_iter = project_placement(x, system)
-            z_oracle = qp_projection_oracle(x, system)
+            z_iter = project_placement(x, library.sizes, cluster.capacities)
+            z_oracle = qp_projection_oracle(x, library.sizes, cluster.capacities)
             worst = max(worst, float(np.max(np.abs(z_iter - z_oracle))))
         assert worst < 1e-7
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "project_placement is exact near the set only: with the query scaled "
+        "by 1e3 it misses the projection by up to 0.34 on 2 of the 200"))
+    def test_misses_the_projection_far_outside_the_set(self):
+        # Scaled by 1, 10 or 100 these 200 queries match within 1.5e-12; the
+        # fixed-step baseline queries the projection near the set.  Mending
+        # the far case turns this into a pass, which strict xfail reports.
+        rng = np.random.default_rng(31337)
+        for _ in range(200):
+            x, library, cluster = random_projection_instance(rng)
+            x = x * 1e3
+            z = project_placement(x, library.sizes, cluster.capacities)
+            oracle = qp_projection_oracle(x, library.sizes, cluster.capacities)
+            assert float(np.max(np.abs(z - oracle))) <= 1e-6

@@ -124,8 +124,9 @@ def test_the_benchmark_tracer_runs_solve(scenario_dir, solver):
     assert all(span[4]["cycles"] >= 1 for span in projections)
     if solver == "admm":
         assert len(_spans(spans, "admm.p_update")) == iterations
-    # The solvers build the one-node system of the pooled problem: an F x F
-    # ``a``, ``a_u`` and a 1 x F ``b`` of F entries each, and one capacity.
+    # The solvers build the pooled set of the content totals: the F x F
+    # identity ``a``, ``a_u`` and the 1 x F ``b`` of F entries each, and the
+    # one pooled capacity ``b_u``.
     (build,) = _spans(spans, "admm.ConstraintSystem.build")
     assert build[4] == {"bytes": 8 * (20 * 20 + 20 + 20 + 1)}
 

@@ -206,7 +206,7 @@ class TestOneKernelCallPerEvaluation:
 
     def test_p_update(self, record, reference_scenario):
         # One more kernel call after the root, for the step's slope.
-        zeros = np.zeros((3, 20))
+        zeros = np.zeros(20)
         admm.p_update(zeros, zeros, reference_scenario, rho=0.5)
         assert record["per_evaluation"] and set(record["per_evaluation"]) == {1}
         assert record["total"] == len(record["per_evaluation"]) + 1
