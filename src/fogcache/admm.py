@@ -93,9 +93,10 @@ class SolveResult:
     placement plus convergence evidence.
 
     ``placement`` is first-fit on the nodes, with at most ``F + N - 1``
-    nonzero entries; ``echr`` and ``adt`` are its own.  ``trace`` holds one
-    :class:`IterationRecord` per iteration run, on the vector of F content
-    totals that the solver iterates.  In projected gradient's trace the
+    nonzero entries and columns equal bit for bit to the F content totals
+    that the solver iterates; ``echr`` and ``adt`` are its own.  ``trace``
+    holds one :class:`IterationRecord` per iteration run, on those totals.
+    In projected gradient's trace the
     residual columns carry the step displacement and the relative
     Frank–Wolfe gap.
     """
@@ -317,38 +318,15 @@ def solve(scenario, config=SolverConfig()):
 
 def _placed_result(totals, scenario, trace, converged):
     """The :class:`SolveResult` of a solver's feasible vector of content
-    ``totals``: its first-fit placement on the nodes, whose columns sum to
-    ``totals`` exactly (:func:`_exact_columns`), with the hit ratio and
-    download time read from that placement.  So ``adt`` is both
-    ``overall_adt(placement, scenario).overall`` and the objective that the
-    trace recorded for the iterate, and no split of the capacity over the
-    nodes can change it."""
+    ``totals``: their first-fit placement on the nodes, whose columns equal
+    ``totals`` bit for bit, with the hit ratio and download time read from
+    that placement.  So ``adt`` is both ``overall_adt(placement,
+    scenario).overall`` and the objective that the trace recorded for the
+    iterate, and no split of the capacity over the nodes can change it."""
     library = scenario.library
     placement = _assign_first_fit(totals, library, scenario.cluster)
-    placement = Placement(_exact_columns(placement.matrix, totals))
     h = _clamped_echr(placement, library)
     return SolveResult(
         placement=placement, echr=h, adt=adt_curve(h, scenario.traffic),
         iterations=len(trace), converged=converged, trace=trace,
     )
-
-
-def _exact_columns(matrix, totals):
-    """``matrix`` with column ``f`` summing to ``totals[f]`` exactly.
-
-    First-fit cuts each content's portion out of differences of cumulative
-    sizes, so a column can miss its total by rounding.  Here every entry is
-    capped at its total and rounded to a multiple of the total's ulp, the
-    running sums down each column are capped at the total, and the column's
-    last nonzero entry (the last row, for a column left empty) takes what
-    remains.  Every running sum is then a multiple of that ulp no larger
-    than the total, hence exact in any order; entries move by rounding only,
-    and no entry turns nonzero except in an empty column.
-    """
-    unit = np.spacing(totals)
-    pieces = np.round(np.minimum(matrix, totals) / unit) * unit
-    reached = np.minimum(np.cumsum(pieces, axis=0), totals)
-    rows = np.arange(matrix.shape[0])[:, np.newaxis]
-    last = matrix.shape[0] - 1 - np.argmax(matrix[::-1] > 0.0, axis=0)
-    reached = np.where(rows >= last, totals, reached)
-    return np.diff(reached, axis=0, prepend=0.0)

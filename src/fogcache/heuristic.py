@@ -30,7 +30,7 @@ import numpy as np
 
 from ._roots import TOL, increasing_root
 from .model import FEASIBILITY_TOL, Placement
-from .objective import _derivatives, _station_times, stable_echr_interval
+from .objective import _clamp_to_unit, _derivatives, _station_times, stable_echr_interval
 
 __all__ = [
     "HeuristicResult",
@@ -83,36 +83,53 @@ def _greedy_fractions(library, cluster, h_target=math.inf):
     return fractions, reached, h_csl
 
 
-def _assign_first_fit(fractions, library, cluster):
-    """Materialize per-content portions as a node-level placement matrix.
+def _assign_first_fit(totals, library, cluster):
+    """Place per-content totals on the nodes, first-fit in index order.
 
-    First-fit in index order: node ``i`` holds the overlap of its interval
-    ``[C_{i-1}, C_i)`` of the cumulative capacities with content ``f``'s
-    interval ``[D_{f-1}, D_f)`` of the cumulative demand
-    ``D = cumsum(fractions * sizes)``, so at most ``N - 1`` contents are split
-    and at most ``F + N - 1`` entries are nonzero.  Any feasible assignment
-    yields the same objective; this fixed rule makes the output canonical.
+    Content ``f`` fills ``[D_{f-1}, D_f)`` of the cumulative demand ``D =
+    cumsum(totals * sizes)`` and node ``i`` fills ``[C_{i-1}, C_i)`` of the
+    cumulative capacities, but the last node with positive capacity (the
+    last node, if none has any) reaches to ``+inf``: what rounding leaves
+    past the total stays on it.  A boundary ``C`` cuts ``f`` at 0 if ``C <=
+    D_{f-1}``, at ``t_f`` if ``C >= D_f``, else at ``(C - D_{f-1}) / s_f``
+    clipped to ``[0, t_f]`` and rounded to a multiple of ``spacing(t_f)``;
+    node ``i`` holds the difference of its two cuts.  So a content that no
+    boundary falls inside is held whole, the pieces of a cut one are
+    multiples of its ulp, and every column sums to its total bit for bit in
+    any order.  No entry is ``-0.0``, a zero-capacity node holds nothing
+    (bar that last node), and at most ``F + N - 1`` entries are nonzero.
+    Any feasible placement of the totals yields the same objective; this
+    fixed rule makes the output canonical.
 
-    Both cumulative sums are sorted, so two ``searchsorted`` calls give each
-    node the contents whose interval touches its own; the overlap formula
-    runs on those slices only and every other entry stays the ``+0.0`` of
-    ``np.zeros``, which is what the formula gives on a strictly negative
-    overlap.  Past the ``O(N * F)`` zero fill and the checks of
-    :class:`Placement`, the cost is ``O(F + N log F)``, plus the length of
-    any run of uncached contents that a node boundary lands on exactly.
+    Both cumulative sums are sorted, so ``searchsorted`` gives each node
+    the contents whose cuts differ at its two boundaries: all held whole but
+    the first, which its lower boundary may cut, and the last, which its
+    upper one may.  Every other entry stays the ``+0.0`` of ``np.zeros``.
+    Past the ``O(N * F)`` zero fill and the checks of :class:`Placement`,
+    the cost is ``O(F + N log F)``.
     """
-    demand = np.concatenate(([0.0], np.cumsum(fractions * library.sizes)))
-    capacity = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
-    # Content f touches node i iff demand[f + 1] >= capacity[i] and
-    # demand[f] <= capacity[i + 1].
-    starts = np.searchsorted(demand[1:], capacity[:-1], side="left").tolist()
-    stops = np.searchsorted(demand[:-1], capacity[1:], side="right").tolist()
+    totals = np.asarray(totals, dtype=float) + 0.0  # a -0.0 total becomes +0.0
+    demand = np.concatenate(([0.0], np.cumsum(totals * library.sizes)))
+    start, end = demand[:-1], demand[1:]
+    reached = np.cumsum(cluster.capacities)
+    lower, upper = np.concatenate(([0.0], reached[:-1])), reached.copy()
+    upper[cluster.node_count - 1 - np.argmax(cluster.capacities[::-1] > 0.0)] = np.inf
+    # Node i: the contents with start < upper[i] and either end > lower[i] or start >= lower[i].
+    firsts = np.minimum(np.searchsorted(end, lower, "right"), np.searchsorted(start, lower))
+    stops = np.searchsorted(start, upper)
+
+    def cut(boundary, f):
+        unit = np.spacing(totals[f])
+        return np.round(min((boundary - start[f]) / library.sizes[f], totals[f]) / unit) * unit
+
     matrix = np.zeros((cluster.node_count, library.count))
-    for i, (lo, hi) in enumerate(zip(starts, stops)):
-        overlap = np.minimum(demand[lo + 1 : hi + 1], capacity[i + 1]) - np.maximum(
-            demand[lo:hi], capacity[i]
-        )
-        matrix[i, lo:hi] = np.maximum(overlap, 0.0) / library.sizes[lo:hi]
+    for i, (lo, hi) in enumerate(zip(firsts.tolist(), stops.tolist())):
+        if lo < hi:
+            matrix[i, lo:hi] = totals[lo:hi]
+            if end[hi - 1] > upper[i]:
+                matrix[i, hi - 1] = cut(upper[i], hi - 1)
+            if start[lo] < lower[i]:
+                matrix[i, lo] -= cut(lower[i], lo)
     return Placement(matrix)
 
 
@@ -139,7 +156,7 @@ def echr_cpl(traffic):
     where it leaves the physical range.
     """
     h = increasing_root(lambda h: _derivatives(h, traffic), *stable_echr_interval(traffic))
-    return float(min(max(h, 0.0), 1.0))
+    return _clamp_to_unit(h)
 
 
 def lambda_threshold(h_csl, traffic):
@@ -201,8 +218,9 @@ def placement_from_echr(h_target, library, cluster):
 
     Caches contents greedily in popularity-density order, scaling the last
     content's portion so the popularity-weighted total lands on ``h_target``
-    (within 1e-9); node assignment is first-fit in node index order.  A
-    target at the storage bound ``echr_csl`` gets the storage greedy exactly.
+    (within 1e-9); node assignment is first-fit in node index order, and
+    each column sums to its content's portion bit for bit.  A target at the
+    storage bound ``echr_csl`` gets the storage greedy exactly.
     Targets above the storage bound are unreachable and rejected, as are
     non-finite ones.
     """
@@ -228,7 +246,9 @@ class HeuristicResult:
     binds) and ``"CSL"`` otherwise; ``lambda_star`` is the lowest
     mean arrival rate at which the regime turns CPL when every station's
     rate is scaled by one factor (``None`` when storage binds at every load).
-    ``placement`` realizes ``h_star`` exactly.
+    ``placement`` is the first-fit placement of the greedy portions that
+    realize ``h_star``, as :func:`placement_from_echr` builds it: each
+    column sums to its content's portion bit for bit.
     """
 
     h_csl: float

@@ -11,6 +11,13 @@ and the paper's gradient baseline.
 * :func:`h_csl_oracle` — the storage-limited hit ratio by vertex
   enumeration, an independent cross-check of the greedy knapsack in
   ``fogcache.heuristic``.
+* :func:`loop_greedy_fractions` and :func:`loop_assign_first_fit` — the
+  content-at-a-time greedy and the node-at-a-time first-fit that the
+  vectorised helpers of ``fogcache.heuristic`` replaced, equal to them
+  within rounding.
+* :func:`full_width_assign_first_fit` — the cut rule of
+  ``fogcache.heuristic._assign_first_fit`` taken on every content of every
+  node, equal bit for bit to the helper, which takes it on slices.
 * :func:`h_cpl_oracle` — the stationary point of the download-time curve
   for identical stations, in closed form, an independent cross-check of the
   Newton root in ``fogcache.heuristic.echr_cpl``.
@@ -145,6 +152,73 @@ def h_csl_oracle(popularity, sizes, total_capacity):
         for g in np.flatnonzero(~whole):
             best = max(best, value + min(1.0, spare / sizes[g]) * popularity[g])
     return best
+
+
+def loop_greedy_fractions(library, cluster, h_target=None):
+    """The content-at-a-time greedy the vectorised helper replaced (oracle)."""
+    popularity, sizes = library.popularity, library.sizes
+    order = np.argsort(-(popularity / sizes), kind="stable")
+    fractions = np.zeros(library.count)
+    remaining_capacity = cluster.total_capacity
+    remaining_hit = math.inf if h_target is None else float(h_target)
+    for f in order:
+        if remaining_capacity <= 0.0 or remaining_hit <= 0.0:
+            break
+        take = min(1.0, remaining_capacity / sizes[f], remaining_hit / popularity[f])
+        fractions[f] = take
+        remaining_capacity -= take * sizes[f]
+        remaining_hit -= take * popularity[f]
+    return fractions
+
+
+def loop_assign_first_fit(fractions, library, cluster):
+    """The node-at-a-time first-fit the interval form replaced (oracle)."""
+    matrix = np.zeros((cluster.node_count, library.count))
+    spare = cluster.capacities.astype(float).copy()
+    for f in range(library.count):
+        demand = fractions[f] * library.sizes[f]
+        if demand <= 0.0:
+            continue
+        for i in range(cluster.node_count):
+            if demand <= 0.0:
+                break
+            amount = min(spare[i], demand)
+            if amount <= 0.0:
+                continue
+            matrix[i, f] = amount / library.sizes[f]
+            spare[i] -= amount
+            demand -= amount
+    return matrix
+
+
+def full_width_assign_first_fit(fractions, library, cluster):
+    """First-fit as one full-width pass of cuts per node (oracle).
+
+    A node boundary ``b`` cuts content ``f``, whose demand interval is
+    ``[start_f, end_f)``, at 0 if ``b <= start_f``, at its portion ``t_f`` if
+    ``b >= end_f``, and otherwise at ``(b - start_f) / s_f`` clipped to
+    ``[0, t_f]`` and rounded to a multiple of ``spacing(t_f)``; the last
+    node with positive capacity ends at ``+inf``.  Node ``i`` holds the
+    difference of the cuts at its two boundaries, here on every content.
+    """
+    portions = np.asarray(fractions, dtype=float) + 0.0
+    demand = np.concatenate(([0.0], np.cumsum(portions * library.sizes)))
+    start, end = demand[:-1], demand[1:]
+    bounds = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
+    positive = np.flatnonzero(cluster.capacities > 0.0)
+    last = positive[-1] if positive.size else cluster.node_count - 1
+    unit = np.spacing(portions)
+
+    def cut(boundary):
+        position = np.clip((boundary - start) / library.sizes, 0.0, portions)
+        inside = np.round(position / unit) * unit
+        return np.where(boundary <= start, 0.0, np.where(boundary >= end, portions, inside))
+
+    matrix = np.zeros((cluster.node_count, library.count))
+    for i in range(cluster.node_count):
+        upper = math.inf if i == last else bounds[i + 1]
+        matrix[i] = cut(upper) - cut(bounds[i])
+    return matrix
 
 
 def _feasible_adt(placement, scenario):

@@ -36,7 +36,15 @@ from conftest import (
     make_scenario,
     random_scenario,
 )
-from oracle import assert_lowest_crossing, h_cpl_oracle, lambda_star_oracle, slope_at_load
+from oracle import (
+    assert_lowest_crossing,
+    full_width_assign_first_fit,
+    h_cpl_oracle,
+    lambda_star_oracle,
+    loop_assign_first_fit,
+    loop_greedy_fractions,
+    slope_at_load,
+)
 
 
 def _echr_csl_with_placement(library, cluster):
@@ -44,55 +52,6 @@ def _echr_csl_with_placement(library, cluster):
     regime: first-fit on the storage greedy."""
     placement = _assign_first_fit(_greedy_fractions(library, cluster)[0], library, cluster)
     return echr_csl(library, cluster), placement
-
-
-def _loop_greedy_fractions(library, cluster, h_target=None):
-    """The content-at-a-time greedy the vectorised helper replaced (oracle)."""
-    popularity, sizes = library.popularity, library.sizes
-    order = np.argsort(-(popularity / sizes), kind="stable")
-    fractions = np.zeros(library.count)
-    remaining_capacity = cluster.total_capacity
-    remaining_hit = math.inf if h_target is None else float(h_target)
-    for f in order:
-        if remaining_capacity <= 0.0 or remaining_hit <= 0.0:
-            break
-        take = min(1.0, remaining_capacity / sizes[f], remaining_hit / popularity[f])
-        fractions[f] = take
-        remaining_capacity -= take * sizes[f]
-        remaining_hit -= take * popularity[f]
-    return fractions
-
-
-def _loop_assign_first_fit(fractions, library, cluster):
-    """The node-at-a-time first-fit the interval-overlap form replaced (oracle)."""
-    matrix = np.zeros((cluster.node_count, library.count))
-    spare = cluster.capacities.astype(float).copy()
-    for f in range(library.count):
-        demand = fractions[f] * library.sizes[f]
-        if demand <= 0.0:
-            continue
-        for i in range(cluster.node_count):
-            if demand <= 0.0:
-                break
-            amount = min(spare[i], demand)
-            if amount <= 0.0:
-                continue
-            matrix[i, f] = amount / library.sizes[f]
-            spare[i] -= amount
-            demand -= amount
-    return matrix
-
-
-def _full_width_assign_first_fit(fractions, library, cluster):
-    """First-fit as one full-width overlap pass per node (oracle): the same
-    elementwise formula as the sliced helper, on every content."""
-    demand = np.concatenate(([0.0], np.cumsum(fractions * library.sizes)))
-    capacity = np.concatenate(([0.0], np.cumsum(cluster.capacities)))
-    matrix = np.zeros((cluster.node_count, library.count))
-    for i in range(cluster.node_count):
-        overlap = np.minimum(demand[1:], capacity[i + 1]) - np.maximum(demand[:-1], capacity[i])
-        matrix[i] = np.maximum(overlap, 0.0) / library.sizes
-    return matrix
 
 
 def _assert_bitwise_equal(actual, expected):
@@ -139,10 +98,10 @@ class TestVectorisedHelpers:
         rng = np.random.default_rng(600 + seed)
         for _ in range(15):
             library, cluster = _greedy_instance(layout, rng)
-            h_csl = float(library.popularity @ _loop_greedy_fractions(library, cluster))
+            h_csl = float(library.popularity @ loop_greedy_fractions(library, cluster))
             for h_target in (math.inf, 0.0, -0.0, float(rng.uniform(0.0, h_csl)), h_csl):
                 fractions, _, _ = _greedy_fractions(library, cluster, h_target=h_target)
-                expected = _loop_greedy_fractions(library, cluster, h_target=h_target)
+                expected = loop_greedy_fractions(library, cluster, h_target=h_target)
                 np.testing.assert_allclose(fractions, expected, rtol=0.0, atol=1e-9)
                 assert library.popularity @ fractions == pytest.approx(
                     library.popularity @ expected, abs=1e-12
@@ -150,12 +109,12 @@ class TestVectorisedHelpers:
                 placement = _assign_first_fit(fractions, library, cluster)
                 np.testing.assert_allclose(
                     placement.matrix,
-                    _loop_assign_first_fit(fractions, library, cluster),
+                    loop_assign_first_fit(fractions, library, cluster),
                     rtol=0.0,
                     atol=1e-9,
                 )
                 _assert_bitwise_equal(
-                    placement.matrix, _full_width_assign_first_fit(fractions, library, cluster)
+                    placement.matrix, full_width_assign_first_fit(fractions, library, cluster)
                 )
                 validate_placement(placement, library, cluster)
                 _assert_first_fit_shape(placement.matrix, cluster)
@@ -171,7 +130,7 @@ class TestVectorisedHelpers:
             _assert_first_fit_shape(matrix, cluster)
             fractions, _, _ = _greedy_fractions(library, cluster, h_target=h_target)
             _assert_bitwise_equal(
-                matrix, _full_width_assign_first_fit(fractions, library, cluster)
+                matrix, full_width_assign_first_fit(fractions, library, cluster)
             )
 
 
