@@ -109,8 +109,9 @@ class SweepSpec:
         return cls(parameter=parameter, values=tuple(values), base=str(base_path))
 
 
-def _scenario_at(spec, base_data, value):
-    """Build the scenario for one sweep point from the base file's dict."""
+def _scenario_at(spec, base_data, value, stations):
+    """Build the scenario for one sweep point from the base file's dict; a
+    swept rate becomes a list of ``stations`` values, the base's count."""
     data = json.loads(json.dumps(base_data))
     if spec.parameter == "F":
         library = data.get("library")
@@ -126,7 +127,7 @@ def _scenario_at(spec, base_data, value):
             library["sizes"] = sizes[:1] * int(value)
         library["F"] = int(value)
     else:
-        data["traffic"][spec.parameter] = value
+        data["traffic"][spec.parameter] = [value] * stations
     return Scenario.from_dict(data)
 
 
@@ -336,16 +337,17 @@ def cmd_sweep(args):
     # upfront rather than emitting a sheet of invalid rows.  An F sweep
     # builds its first point, since every value is a valid content count; a
     # rate sweep builds the base, one rate of which each point replaces.
+    stations = None
     if spec.parameter == "F":
-        _scenario_at(spec, base_data, spec.values[0])
+        _scenario_at(spec, base_data, spec.values[0], stations)
     else:
-        Scenario.from_dict(base_data)
+        stations = Scenario.from_dict(base_data).traffic.station_count
     solvers = {name: _solver(name, args) for name in ("admm", "pgd") if name in names}
 
     rows = [SWEEP_HEADER]
     for value in spec.values:
         try:
-            scenario = _scenario_at(spec, base_data, value)
+            scenario = _scenario_at(spec, base_data, value, stations)
         except ValueError:
             rows += [(_fmt(value), name, "", "", "", "", "invalid") for name in names]
             continue

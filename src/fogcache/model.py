@@ -5,7 +5,8 @@ and sizes), a fog cluster (per-node cache capacities), and a traffic profile
 (per base station: request arrival rate and the service rates of the two
 provision paths — serving from the local edge cache versus fetching through
 the backhaul from the cloud).  A placement assigns to every (node, content)
-pair the portion of that content cached at that node.
+pair the portion of that content cached at that node.  The caches are
+pooled, so no station is paired with a node.
 
 All types are immutable after construction and validate their invariants up
 front, so downstream numerical code can assume well-formed inputs.
@@ -230,18 +231,12 @@ class TrafficProfile:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A complete problem instance: library, cluster, and traffic."""
+    """A complete problem instance: library, cluster, and traffic, whose
+    station count is free of the node count, as the caches are pooled."""
 
     library: ContentLibrary
     cluster: FogCluster
     traffic: TrafficProfile
-
-    def __post_init__(self):
-        if self.traffic.station_count != self.cluster.node_count:
-            raise ValueError(
-                f"traffic describes {self.traffic.station_count} stations but the "
-                f"cluster has {self.cluster.node_count} nodes"
-            )
 
     @classmethod
     def from_dict(cls, data):
@@ -254,9 +249,10 @@ class Scenario:
              "cluster": {"capacities": [...]},
              "traffic": {"lambda": [...], "mu_e": [...], "mu_b": [...]}}
 
-        ``sizes`` defaults to all ones.  Traffic entries may be scalars, which
-        broadcast to every station.  A section that is not an object, or a
-        field of the wrong type, raises ``ValueError`` naming it.
+        ``sizes`` defaults to all ones.  A traffic rate given as a list sets
+        the station count, and a scalar broadcasts to every station, one per
+        node when all three are scalars.  A section that is not an object,
+        or a field of the wrong type, raises ``ValueError`` naming it.
         """
         if not isinstance(data, dict):
             raise ValueError("scenario document must be a JSON object")
@@ -283,15 +279,15 @@ class Scenario:
             raise ValueError("cluster section is missing 'capacities'")
         cluster = FogCluster(cluster_spec["capacities"])
 
-        def traffic_vector(key):
+        rates = []
+        for key in ("lambda", "mu_e", "mu_b"):
             if key not in traffic_spec:
                 raise ValueError(f"traffic section is missing '{key}'")
             value = traffic_spec[key]
-            array = _as_array(value, f"traffic '{key}'", 1)
-            return np.full(cluster.node_count, array[0]) if np.ndim(value) == 0 else array
-
+            rates.append((np.ndim(value) == 0, _as_array(value, f"traffic '{key}'", 1)))
+        stations = next((rate.size for scalar, rate in rates if not scalar), cluster.node_count)
         traffic = TrafficProfile(
-            traffic_vector("lambda"), traffic_vector("mu_e"), traffic_vector("mu_b")
+            *(np.full(stations, rate[0]) if scalar else rate for scalar, rate in rates)
         )
         return cls(library, cluster, traffic)
 

@@ -19,10 +19,12 @@ independent of how many stations are simulated or in what order.
 A queue runs in units of its mean service time ``1/mu``: its services are
 the unit exponentials ``-log1p(-U)`` and its interarrival gaps
 ``-log1p(-U) * (mu / lam)``, from ``Generator.random``, a fixed choice so
-that results stay bit-identical across runs.  Only the final mean and
-half-width are divided by ``mu``, so the simulator is free of the unit of
-time: scaling both rates by a power of two leaves every sojourn in those
-units bit-identical and scales the results exactly.
+that results stay bit-identical across runs; capping ``mu / lam`` at
+``2**900`` lets every stable load run, however light, and changes no
+sojourn.  Only the final mean and half-width are divided by ``mu``, so the
+simulator is free of the unit of time: scaling both rates by a power of two
+leaves every sojourn in those units bit-identical and scales the results
+exactly.
 
 :func:`simulate_cluster` runs the stations on a ``ThreadPoolExecutor`` of
 up to one worker per usable CPU (every numpy call of the kernel releases
@@ -65,8 +67,9 @@ _CI_FACTOR = 1.96  # normal 95% two-sided
 #: 2**16 raised ``simulate``'s peak RSS from 37.6 to 39.3 MB; 2**14 and
 #: 2**17 were slower.
 _BLOCK = 1 << 15
-#: The largest unit exponential ``-log1p(-U)`` gives, at ``U = 1 - 2**-53``.
-_MAX_UNIT_EXPONENTIAL = 53 * math.log(2)
+#: Cap on the gap scale ``mu / lam``: a block's gaps sum below ``2**921``,
+#: and a positive gap at the cap, at least ``2**847`` services, outlasts any wait.
+_MAX_GAP_SCALE = 2.0**900
 
 
 def _warmup(n_arrivals):
@@ -125,7 +128,9 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     In units of ``1/mu`` a service is the unit exponential ``-log1p(-U)``
     and a gap is ``-log1p(-U) * (mu / lam)``, so the recursion sees the
     rates only through their ratio: scaling both by a power of two leaves
-    every yielded sojourn bit-identical.
+    every yielded sojourn bit-identical.  Capped at :data:`_MAX_GAP_SCALE`,
+    the ratio keeps every sum finite; a load that light, capped or not,
+    finds every customer alone.
 
     The interarrival gaps are drawn from a copy of ``rng`` and the services
     from ``rng`` advanced by ``n_arrivals``, so the two streams are exactly
@@ -137,7 +142,7 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     ``sojourn`` is a view of a work buffer: the caller may overwrite it, and
     it is reused once the caller asks for the next block.
     """
-    ratio = mu / lam
+    ratio = min(mu / lam, _MAX_GAP_SCALE)
     size = min(n_arrivals, _BLOCK)
     gaps, services, work = np.empty(size), np.empty(size), np.empty(size)
     arrival_rng = copy.deepcopy(rng)
@@ -200,20 +205,12 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     converges to the analytic ``1 / (mu - lam)`` as the run grows.
 
     Raises ``ValueError`` unless ``lam`` and ``mu`` are finite with
-    ``0 < lam < mu`` (a stable queue) and ``n_arrivals`` is an integer (not
-    a ``bool``) of at least 1; and when the load is so light (``lam / mu``
-    below about 7e-303) that a block's gaps could sum past the largest
-    double: ``_BLOCK * 53 ln 2 * (mu / lam + 1)`` must be finite, ``53 ln
-    2`` being the largest unit exponential ``-log1p(-U)`` gives.
+    ``0 < lam < mu`` (a stable queue, however light) and ``n_arrivals`` is an
+    integer (not a ``bool``) of at least 1.
     """
     lam, mu = float(lam), float(mu)
     if not (0 < lam < mu and math.isfinite(mu)):
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
-    if not math.isfinite(_BLOCK * _MAX_UNIT_EXPONENTIAL * (mu / lam + 1.0)):
-        raise ValueError(
-            f"load too light to simulate: the interarrival gaps of a block would "
-            f"overflow at lam={lam}, mu={mu}"
-        )
     _check_count("n_arrivals", n_arrivals, 1)
     warmup = _warmup(n_arrivals)
     count, mean, m2 = 0, 0.0, 0.0
@@ -246,8 +243,8 @@ def simulate_station(h, traffic, station, config):
     ``lam*h`` and a backhaul stream of rate ``lam*(1-h)``; each stream feeds
     its own M/M/1 queue.  The reported mean download time is ``h * mean_e +
     (1-h) * mean_b`` with the half-widths combined in quadrature.  A side
-    with zero traffic is skipped and reported as ``None``, as is one whose
-    rate underflows to 0 (a subnormal share).  Raises
+    with zero traffic, or a rate that underflows to 0, is skipped and
+    reported as ``None``; any positive rate is simulated.  Raises
     ``ValueError`` unless ``h`` lies in [0, 1] and ``station`` is an index of
     ``traffic``'s stations.
     """

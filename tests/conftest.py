@@ -182,9 +182,17 @@ def probe_scenario(rng):
 def probe_cases(seed=7, count=50):
     """The seeded :func:`probe_scenario` cases that the certificate and
     order-invariance tests share: the same objects on every call, so their
-    runs through :func:`solved` are shared too."""
+    runs through :func:`solved` are shared too.  A larger ``count`` extends
+    the same sequence of cases."""
     rng = np.random.default_rng(seed)
     return tuple(probe_scenario(rng) for _ in range(count))
+
+
+@pytest.fixture(scope="session")
+def probe_scenarios():
+    """The probe cases that the certificate and order-invariance tests run
+    on; ``tests/test_probe.py`` overrides it with a larger probe."""
+    return probe_cases()
 
 
 def mixed_size_scenarios(seed, count=8):

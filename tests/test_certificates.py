@@ -18,7 +18,10 @@ gradient's last Frank–Wolfe gap must bound its true relative gap.
 
 Each solver's run on each case comes from :func:`conftest.solved`, so
 ``tests/test_order_invariance.py`` reads the same runs for its unpermuted
-side instead of solving the cases again.
+side instead of solving the cases again.  The cases are the
+``probe_scenarios`` fixture: 50 in tier-1, and more in
+``tests/test_probe.py``, which runs these tests again under the ``probe``
+marker.
 """
 
 import numpy as np
@@ -36,32 +39,31 @@ from fogcache import (
 from fogcache._roots import TOL
 from fogcache.model import validate_placement
 
-from conftest import probe_cases, solved
+from conftest import solved
 from oracle import assert_lowest_crossing
 
-#: Each solver with its config and the number of the probe cases that reach
-#: its iteration cap.
+#: Each solver with its config and, by the number of probe cases, the
+#: number of them that reach its iteration cap.
 SOLVERS = {
-    "admm": (solve, SolverConfig(), 1),
-    "pgd": (projected_gradient_solve, SolverConfig(tol=1e-8), 0),
+    "admm": (solve, SolverConfig(), {50: 1, 400: 2}),
+    "pgd": (projected_gradient_solve, SolverConfig(tol=1e-8), {50: 0, 400: 0}),
 }
 
 
 @pytest.fixture(scope="module")
-def cases():
+def cases(probe_scenarios):
     """The seeded scenarios, each with its heuristic result and ``D*``."""
-    scenarios = probe_cases()
-    results = [heuristic_solve(scenario) for scenario in scenarios]
+    results = [heuristic_solve(scenario) for scenario in probe_scenarios]
     return [
         (scenario, result, float(adt_curve(result.h_star, scenario.traffic)))
-        for scenario, result in zip(scenarios, results)
+        for scenario, result in zip(probe_scenarios, results)
     ]
 
 
-def _runs(solver):
+def _runs(solver, cases):
     """``solver``'s result on every case, shared across the session."""
     run, config, _ = SOLVERS[solver]
-    return [solved(run, scenario, config) for scenario in probe_cases()]
+    return [solved(run, scenario, config) for scenario, _, _ in cases]
 
 
 def test_h_star_meets_its_optimality_conditions(cases):
@@ -101,31 +103,31 @@ def test_heuristic_placement_is_feasible_and_realizes_h_star(cases):
 def test_converged_certifies_the_relative_gap(cases, solver):
     _, config, capped = SOLVERS[solver]
     unconverged = []
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver))):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver, cases))):
         if not result.converged:
             unconverged.append(index)
             continue
         gap = (result.adt - optimum) / optimum
         assert gap <= config.tol, f"case {index}: converged at relative gap {gap:.3g}"
-    assert len(unconverged) == capped, unconverged
+    assert len(unconverged) == capped[len(cases)], unconverged
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_no_run_beats_the_optimum(cases, solver):
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver))):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs(solver, cases))):
         assert result.adt >= optimum * (1.0 - 1e-12), f"case {index}"
 
 
 def test_projected_gradient_gap_bounds_the_true_gap(cases):
     # Converged or not, the last Frank-Wolfe gap bounds the true relative
     # gap, up to rounding.
-    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs("pgd"))):
+    for index, ((_, _, optimum), result) in enumerate(zip(cases, _runs("pgd", cases))):
         true_gap = (result.adt - optimum) / result.adt
         assert true_gap <= result.trace[-1].dual_residual + 1e-15, f"case {index}"
 
 
-def test_projected_gradient_objective_never_rises():
+def test_projected_gradient_objective_never_rises(cases):
     # The Armijo search is monotone, so a capped run's last iterate is its best.
-    for index, result in enumerate(_runs("pgd")):
+    for index, result in enumerate(_runs("pgd", cases)):
         values = [record.objective for record in result.trace]
         assert all(b <= a for a, b in zip(values, values[1:])), f"case {index}"

@@ -23,7 +23,7 @@ from fogcache import (
     projected_gradient_solve,
     solve,
 )
-from fogcache import admm, baselines
+from fogcache import admm, baselines, cli
 from fogcache.admm import IterationRecord
 from fogcache.cli import (
     SIMULATE_HEADER,
@@ -37,6 +37,7 @@ from fogcache.cli import (
 from fogcache.errors import NumericalError
 from fogcache.heuristic import echr_csl
 from fogcache.model import validate_placement, zipf_popularity
+from fogcache.queuesim import mm1_sojourn_times
 
 from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR, bounded
 
@@ -839,13 +840,12 @@ class TestSimulateCommand:
             assert fields[idle] == ""
             assert fields["mean_adt"] == fields[busy] != ""
 
-    def test_a_load_too_light_to_simulate_exits_two(
-        self, tmp_path, scenario_file, placement_file, capsys
-    ):
-        # Every cached fraction at 1e-306 puts h at 6.9e-307: each edge
-        # queue's utilisation is far below the 7e-303 at which a block's
-        # gaps could overflow.  Unguarded, the run wrote NaN columns and
-        # exited 0.
+    def test_a_tiny_hit_ratio_simulates(self, tmp_path, scenario_file, placement_file):
+        # Every cached fraction at 1e-306 puts h at 6.9e-307, and each edge
+        # queue's utilisation near 3.4e-307.  The run exits 0, and each edge
+        # mean is that of customers who all find the queue empty: within its
+        # half-width of 1/mu_e.  Without a cap on the gap scale, the run
+        # wrote NaN columns.
         matrix = np.array(json.loads(placement_file.read_text())["matrix"])
         matrix[matrix > 0.0] = 1e-306
         tiny = tmp_path / "tiny.json"
@@ -855,13 +855,18 @@ class TestSimulateCommand:
             ["simulate", "--scenario", str(scenario_file), "--placement", str(tiny),
              "--arrivals", "1000", "--out", str(out)]
         )
-        assert code == 2
-        assert not out.exists()
-        assert re.fullmatch(
-            r"error: load too light to simulate: the interarrival gaps of a block would "
-            r"overflow at lam=\S+, mu=8\.0\n",
-            capsys.readouterr().err,
-        )
+        assert code == 0
+        header, rows = _read_csv(out)
+        assert len(rows) == 3
+        for station, row in enumerate(rows):
+            fields = dict(zip(header, row))
+            h = float(fields["echr"])
+            assert 0.0 < h < 1e-306
+            # The edge queue's own half-width, from the same child stream.
+            edge = np.random.SeedSequence(entropy=0, spawn_key=(station,)).spawn(2)[0]
+            mean, ci = mm1_sojourn_times(4.0 * h, 8.0, 1000, np.random.default_rng(edge))
+            assert float(fields["mean_sojourn_e"]) == float(format(mean, ".12g"))
+            assert abs(mean - 1.0 / 8.0) <= ci
 
     def test_placement_without_matrix_key_exits_two(self, tmp_path, scenario_file):
         bad = tmp_path / "bad.json"
@@ -1004,6 +1009,77 @@ WRITER_MATRICES = {
     "heuristic_cpl": _regime_placement("CPL"),
     "heuristic_csl": _regime_placement("CSL"),
 }
+
+
+#: Scenarios whose station count differs from the node count, by
+#: (stations, nodes); only the arrival rate is a list, so it alone sets the
+#: station count.
+DECOUPLED_DOCS = {
+    (4, 2): {
+        "library": {"F": 20, "alpha": 0.6},
+        "cluster": {"capacities": [4.0, 6.0]},
+        "traffic": {"lambda": [2.0, 3.0, 4.0, 5.0], "mu_e": 8.0, "mu_b": 6.0},
+    },
+    (1, 3): REFERENCE_DOC | {"traffic": {"lambda": [4.0], "mu_e": 8.0, "mu_b": 6.0}},
+    (5, 1): {
+        "library": {"F": 20, "alpha": 0.6},
+        "cluster": {"capacities": [10.0]},
+        "traffic": {"lambda": [1.0, 2.0, 3.0, 4.0, 5.0], "mu_e": 8.0, "mu_b": 6.0},
+    },
+}
+
+
+@pytest.mark.parametrize("layout", sorted(DECOUPLED_DOCS), ids=lambda layout: "%ds%dn" % layout)
+def test_stations_apart_from_nodes_run_through_every_command(tmp_path, monkeypatch, layout):
+    stations, nodes = layout
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(DECOUPLED_DOCS[layout]))
+    tol = SolverConfig().tol
+
+    heuristic_out = tmp_path / "heuristic"
+    assert main(["heuristic", "--scenario", str(scenario_file), "--out", str(heuristic_out)]) == 0
+    optimum = json.loads((heuristic_out / "report.json").read_text())["adt"]
+    for solver in ("admm", "pgd"):
+        out = tmp_path / solver
+        code = main(
+            ["solve", "--scenario", str(scenario_file), "--solver", solver, "--out", str(out)]
+        )
+        assert code == 0
+        assert np.shape(json.loads((out / "placement.json").read_text())["matrix"]) == (nodes, 20)
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["adt_report"]["per_station"]) == stations
+        assert abs(report["adt"] - optimum) <= tol * optimum, solver
+
+    # A swept arrival rate is a scalar, but every point keeps the base's
+    # stations: a point with one station per node would differ.
+    seen = []
+    sweep_point = cli._sweep_point
+
+    def counted(name, scenario, solvers):
+        seen.append(scenario.traffic.station_count)
+        return sweep_point(name, scenario, solvers)
+
+    monkeypatch.setattr(cli, "_sweep_point", counted)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(_sweep("lambda", [2.0, 3.5], scenario_file.name)))
+    sweep_out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", "--scenario", str(sweep), "--solver", "admm,pgd,heuristic",
+         "--out", str(sweep_out)]
+    )
+    assert code == 0
+    _, rows = _read_csv(sweep_out)
+    assert [row[6] for row in rows] == ["ok"] * 6
+    assert seen == [stations] * 6
+
+    sim_out = tmp_path / "sim.csv"
+    code = main(
+        ["simulate", "--scenario", str(scenario_file), "--placement",
+         str(heuristic_out / "placement.json"), "--arrivals", "2000", "--out", str(sim_out)]
+    )
+    assert code == 0
+    _, rows = _read_csv(sim_out)
+    assert [row[0] for row in rows] == [str(station + 1) for station in range(stations)]
 
 
 class TestPlacementWriter:

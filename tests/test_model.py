@@ -187,12 +187,56 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario.from_dict({"library": {"F": 2, "alpha": 0.5}})
 
-    def test_station_node_count_mismatch(self):
-        with pytest.raises(ValueError, match="3 stations but the cluster has 2 nodes"):
-            Scenario(
-                library=ContentLibrary.zipf(4, 0.6),
-                cluster=FogCluster([1.0, 1.0]),
-                traffic=TrafficProfile([2.0] * 3, [8.0] * 3, [6.0] * 3),
+    @pytest.mark.parametrize("stations,nodes", [(4, 2), (1, 3)])
+    def test_stations_and_nodes_are_counted_apart(self, stations, nodes):
+        # The caches are pooled: no station is paired with a node.
+        scenario = Scenario(
+            library=ContentLibrary.zipf(4, 0.6),
+            cluster=FogCluster([1.0] * nodes),
+            traffic=TrafficProfile([2.0] * stations, [8.0] * stations, [6.0] * stations),
+        )
+        assert validate_scenario(scenario) is scenario
+        assert (scenario.traffic.station_count, scenario.cluster.node_count) == (stations, nodes)
+
+    @pytest.mark.parametrize(
+        "traffic,nodes,lam",
+        [
+            ({"lambda": [2.0, 3.0, 2.5, 1.0], "mu_e": 8.0, "mu_b": 6.0}, 2, [2.0, 3.0, 2.5, 1.0]),
+            ({"lambda": 2.0, "mu_e": [8.0] * 4, "mu_b": 6.0}, 2, [2.0] * 4),
+            ({"lambda": [2.0], "mu_e": 8.0, "mu_b": [6.0]}, 3, [2.0]),
+            ({"lambda": 2.0, "mu_e": 8.0, "mu_b": [6.0]}, 3, [2.0]),
+        ],
+    )
+    def test_from_dict_takes_the_station_count_from_a_list(self, traffic, nodes, lam):
+        # A list sets the station count, whatever the node count, and every
+        # scalar rate broadcasts to it.
+        scenario = Scenario.from_dict(
+            {
+                "library": {"F": 4, "alpha": 0.8},
+                "cluster": {"capacities": [1.0] * nodes},
+                "traffic": traffic,
+            }
+        )
+        assert scenario.cluster.node_count == nodes
+        np.testing.assert_array_equal(scenario.traffic.lam, lam)
+        np.testing.assert_array_equal(scenario.traffic.mu_e, [8.0] * len(lam))
+        np.testing.assert_array_equal(scenario.traffic.mu_b, [6.0] * len(lam))
+
+    @pytest.mark.parametrize(
+        "traffic",
+        [
+            {"lambda": [2.0] * 4, "mu_e": [8.0] * 3, "mu_b": 6.0},
+            {"lambda": [2.0], "mu_e": 8.0, "mu_b": [6.0, 6.0]},
+        ],
+    )
+    def test_from_dict_rejects_lists_of_unequal_length(self, traffic):
+        with pytest.raises(ValueError, match="^lam, mu_e and mu_b must have equal length$"):
+            Scenario.from_dict(
+                {
+                    "library": {"F": 4, "alpha": 0.8},
+                    "cluster": {"capacities": [1.0, 1.0]},
+                    "traffic": traffic,
+                }
             )
 
     def test_validate_scenario_accepts_random_instances(self):

@@ -14,7 +14,8 @@ rounding-level difference may move by one iteration.  Any dependence on
 order that is not rounding is far larger.
 
 Each test runs on small mixed-size scenarios and on the wide-axis probe
-cases of the certificate tests.  The unpermuted side of each case is solved
+cases of the certificate tests, the ``probe_scenarios`` fixture, which
+``tests/test_probe.py`` enlarges.  The unpermuted side of each case is solved
 through :func:`conftest.solved`, so on the probe cases both order tests read
 the runs of ``tests/test_certificates.py``, and only the permuted side is
 solved here.  Node order is checked on the download time alone: the total
@@ -37,7 +38,7 @@ from fogcache import (
     solve,
 )
 
-from conftest import mixed_size_scenarios, probe_cases, solved
+from conftest import mixed_size_scenarios, solved
 
 #: The three routes to ``D*``, the paper's algorithm and both cross-checks:
 #: each a solver, its argument after the scenario, and the relative slack.
@@ -53,12 +54,12 @@ def _optimal_adt(result):
     return result[1] if isinstance(result, tuple) else result.adt
 
 
-def _cases(seed, count=8):
+def _cases(seed, probe_scenarios, count=8):
     """``mixed_size_scenarios(seed, count)``, then the probe cases, each with
     the generator to draw its permutation from."""
     yield from mixed_size_scenarios(seed, count)
     rng = np.random.default_rng(seed)
-    for scenario in probe_cases():
+    for scenario in probe_scenarios:
         yield rng, scenario
 
 
@@ -80,8 +81,8 @@ def _permute_nodes(scenario, order):
     )
 
 
-def test_heuristic_ignores_content_order():
-    for rng, scenario in _cases(101, count=40):
+def test_heuristic_ignores_content_order(probe_scenarios):
+    for rng, scenario in _cases(101, probe_scenarios, count=40):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         base, other = heuristic_solve(scenario), heuristic_solve(permuted)
         assert (other.h_csl, other.h_cpl, other.h_star, other.regime) == (
@@ -90,9 +91,9 @@ def test_heuristic_ignores_content_order():
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_optimal_adt_ignores_content_order(route):
+def test_optimal_adt_ignores_content_order(route, probe_scenarios):
     run, argument, rel = ROUTES[route]
-    for rng, scenario in _cases(202):
+    for rng, scenario in _cases(202, probe_scenarios):
         permuted = _permute_contents(scenario, rng.permutation(scenario.library.count))
         assert _optimal_adt(run(permuted, argument)) == pytest.approx(
             _optimal_adt(solved(run, scenario, argument)), rel=rel
@@ -100,9 +101,9 @@ def test_optimal_adt_ignores_content_order(route):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_optimal_adt_ignores_node_order(route):
+def test_optimal_adt_ignores_node_order(route, probe_scenarios):
     run, argument, rel = ROUTES[route]
-    for rng, scenario in _cases(303):
+    for rng, scenario in _cases(303, probe_scenarios):
         permuted = _permute_nodes(scenario, rng.permutation(scenario.cluster.node_count))
         assert _optimal_adt(run(permuted, argument)) == pytest.approx(
             _optimal_adt(solved(run, scenario, argument)), rel=rel

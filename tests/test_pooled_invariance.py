@@ -9,13 +9,11 @@ hit ratios and download times, and the heuristic bit-identical bounds,
 threshold, regime, hit ratio and download time; and every placement must
 be feasible, with at most ``F + N - 1`` nonzeros.
 
-Two things outside the solvers must stay fixed for a comparison bit for
-bit.  The capacities are whole multiples of ``2**-20``, so the total is the
-same float in any split and any order.  And the download time is the
-traffic-weighted mean over the stations, whose rounding depends on the
-station count, so a change of node count keeps the rates of one station:
-one node against two identical stations, whose mean of two equal times is
-exact.  Splits over a case's own N nodes keep its per-station traffic.
+The capacities are whole multiples of ``2**-20``, so the total is the same
+float in any split and any order.  The stations and the nodes are counted
+apart, so each group keeps one traffic profile, of a probe case's 1-7
+stations, and splits its capacity over 1 node, 2 nodes and a node count
+drawn apart from the station count.
 """
 
 import numpy as np
@@ -26,7 +24,6 @@ from fogcache import (
     FogCluster,
     Scenario,
     SolverConfig,
-    TrafficProfile,
     heuristic_solve,
     overall_adt,
     projected_gradient_solve,
@@ -48,28 +45,21 @@ def _split(rng, units, n):
 
 
 def _groups(seed=41, count=12):
-    """Groups of scenarios that differ only in how one total capacity is
-    split over the nodes: over 1 and 2 nodes, and three ways over a probe
-    case's N nodes (a split, the same split reordered, another split)."""
+    """Groups of scenarios that share a library, a traffic profile and a
+    total capacity, split over the nodes five ways: over 1 node, over 2,
+    and three ways over ``n`` nodes, drawn apart from the station count (a
+    split, the same split reordered, another split)."""
     rng = np.random.default_rng(seed)
     groups = []
     for _ in range(count):
         case = probe_scenario(rng)
-        library, traffic = case.library, case.traffic
-        n = traffic.station_count
-        units = max(round(case.cluster.total_capacity / UNIT), n)
-        one = TrafficProfile(traffic.lam[:1], traffic.mu_e[:1], traffic.mu_b[:1])
-        two = TrafficProfile(*(np.repeat(rates, 2) for rates in (one.lam, one.mu_e, one.mu_b)))
-        groups.append(
-            [Scenario(library, _split(rng, units, 1), one),
-             Scenario(library, _split(rng, units, 2), two)]
-        )
+        n = int(rng.integers(1, 8))
+        units = max(round(case.cluster.total_capacity / UNIT), n, 2)
         split = _split(rng, units, n)
         reordered = FogCluster(split.capacities[rng.permutation(n)])
-        groups.append(
-            [Scenario(library, cluster, traffic)
-             for cluster in (split, reordered, _split(rng, units, n))]
-        )
+        clusters = (_split(rng, units, 1), _split(rng, units, 2), split, reordered,
+                    _split(rng, units, n))
+        groups.append([Scenario(case.library, cluster, case.traffic) for cluster in clusters])
     return groups
 
 
@@ -88,6 +78,16 @@ def _assert_first_fit(placement, scenario):
     assert np.count_nonzero(matrix) <= scenario.library.count + scenario.cluster.node_count - 1
     assert not np.any(np.signbit(matrix))
     np.testing.assert_array_equal(matrix.sum(axis=0), matrix[::-1].sum(axis=0))
+
+
+def test_the_groups_have_more_stations_than_nodes_and_fewer():
+    counts = [
+        (scenario.traffic.station_count, scenario.cluster.node_count)
+        for group in GROUPS
+        for scenario in group
+    ]
+    assert any(stations > nodes for stations, nodes in counts)
+    assert any(stations < nodes for stations, nodes in counts)
 
 
 @pytest.mark.parametrize("run", [solve, projected_gradient_solve])

@@ -22,7 +22,13 @@ from fogcache import (
 )
 
 from fogcache import queuesim
-from fogcache.queuesim import _BLOCK, _sojourn_blocks, mm1_sojourn_times, simulate_station
+from fogcache.queuesim import (
+    _BLOCK,
+    _MAX_GAP_SCALE,
+    _sojourn_blocks,
+    mm1_sojourn_times,
+    simulate_station,
+)
 
 from conftest import make_scenario
 
@@ -623,27 +629,24 @@ class TestLightLoad:
         assert abs(mean - 1.0 / (mu - lam)) <= ci
 
     @pytest.mark.parametrize("lam,mu", [(1e-303, 1.0), (1e-305, 1.0), (5e-324, 1.0), (1.0, 1e303)])
-    def test_a_load_whose_gaps_would_overflow_raises(self, lam, mu):
-        # Below a utilisation of about 7e-303 the gaps of a block could sum
-        # past the largest double; unguarded, 1e-305 gave a NaN mean.
-        rng = _seeded(0)
-        state = copy.deepcopy(rng.bit_generator.state)
-        message = (
-            "load too light to simulate: the interarrival gaps of a block would "
-            f"overflow at lam={lam}, mu={mu}"
-        )
-        with pytest.raises(ValueError, match=re.escape(message)):
-            mm1_sojourn_times(lam, mu, 100_000, rng)
-        assert rng.bit_generator.state == state  # checked before any draw
+    def test_every_stable_load_simulates(self, lam, mu):
+        # Without the cap on mu / lam, 2**900, a block's gaps could sum past
+        # the largest double at these loads: 1e-305 once gave a NaN mean.
+        # At 5e-324, a subnormal lam, mu / lam is infinite.
+        mean, ci = mm1_sojourn_times(lam, mu, 100_000, _seeded(0))
+        assert math.isfinite(mean) and 0.0 < ci < math.inf
+        assert abs(mean - 1.0 / (mu - lam)) <= ci
 
-    def test_the_threshold_follows_the_block(self):
-        # The guard bounds a block's sum of gaps: the largest unit
-        # exponential, 53 ln 2, times the block length, times mu / lam + 1.
-        ratio = np.finfo(float).max / (_BLOCK * 53 * math.log(2))
-        mean, ci = mm1_sojourn_times(1.0 / (0.5 * ratio), 1.0, 1000, _seeded(0))
-        assert math.isfinite(mean) and math.isfinite(ci)
-        with pytest.raises(ValueError, match="load too light"):
-            mm1_sojourn_times(1.0 / (2.0 * ratio), 1.0, 1000, _seeded(0))
+    def test_a_ratio_past_the_cap_gives_the_sojourns_at_the_cap(self):
+        # Twice the cap runs as the cap, bit for bit.  Every customer finds
+        # the system empty, as without the cap, so each sojourn is its own
+        # service: the unit exponential of the second n draws.
+        n = _BLOCK + 7
+        at_cap = _unit_sojourns(1.0, _MAX_GAP_SCALE, n, _seeded(5))
+        past_cap = _unit_sojourns(1.0, 2.0 * _MAX_GAP_SCALE, n, _seeded(5))
+        assert past_cap.tobytes() == at_cap.tobytes()
+        draws = _seeded(5).random(2 * n)[n:]
+        np.testing.assert_array_equal(at_cap, -np.log1p(-draws))
 
 
 class TestUnitOfTime:
