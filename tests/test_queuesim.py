@@ -41,33 +41,16 @@ def _force_cpus(monkeypatch, count):
 
 class _ScriptedRng:
     """Stands in for a Generator; feeds a predetermined sequence of uniform
-    draws into the ``out`` arrays the kernel passes.  Copies read the
-    sequence independently, and ``bit_generator.advance(n)`` skips ``n``
-    draws.  ``calls`` records ``(stream, size)`` for every draw, where the
-    kernel's interarrival draws come from a deep copy (stream "arrivals")
-    and its service draws from the original (stream "services"); the copy
-    records into the same list."""
+    draws into the ``out`` arrays the kernel passes, and records the size of
+    every draw in ``calls``."""
 
     def __init__(self, uniforms):
         self._uniforms = np.asarray(uniforms, dtype=float)
         self._position = 0
-        self.stream = "services"
         self.calls = []
 
-    @property
-    def bit_generator(self):
-        return self
-
-    def advance(self, delta):
-        self._position += delta
-
-    def __deepcopy__(self, memo):
-        twin = copy.copy(self)
-        twin.stream = "arrivals"
-        return twin
-
     def random(self, *, out):
-        self.calls.append((self.stream, out.size))
+        self.calls.append(out.size)
         end = self._position + out.size
         assert end <= self._uniforms.size
         out[:] = self._uniforms[self._position : end]
@@ -77,8 +60,10 @@ class _ScriptedRng:
 
 def _unit_sojourns(lam, mu, n_arrivals, rng):
     """Every sojourn time of the blocked kernel, in its unit of ``1/mu``,
-    as one array."""
-    return np.concatenate([block.copy() for _, block in _sojourn_blocks(lam, mu, n_arrivals, rng)])
+    as one array in customer order: each block's ``(lanes, m)`` array holds
+    customer ``start + lanes * j + r`` at ``[r, j]``."""
+    blocks = _sojourn_blocks(lam, mu, n_arrivals, rng)
+    return np.concatenate([block.T.flatten() for _, block in blocks])
 
 
 def _sojourns(lam, mu, n_arrivals, rng):
@@ -134,27 +119,33 @@ class TestLindleyRecursion:
         np.testing.assert_allclose(sojourn, [2.0, 3.0, 1.0], rtol=1e-12)
 
     def test_sojourn_is_at_least_the_service_time(self):
-        rng = np.random.default_rng(5)
-        services_rng = np.random.default_rng(5)
-        _ = services_rng.random(1000)  # skip the interarrival block
-        services = -np.log1p(-services_rng.random(1000)) / 7.0
-        sojourn = _sojourns(3.0, 7.0, 1000, rng)
-        assert np.all(sojourn >= services - 1e-12)
+        # The wait is Y minus a running minimum of Y, never negative, and
+        # adding it to the service rounds to at least the service.
+        _, services = _oracle_draws(3.0, 7.0, 1000, np.random.default_rng(5))
+        units = _unit_sojourns(3.0, 7.0, 1000, np.random.default_rng(5))
+        assert np.all(units >= services)
 
     def test_all_positive(self):
         sojourn = _sojourns(2.0, 9.0, 5000, np.random.default_rng(1))
         assert np.all(sojourn > 0.0)
 
     def test_each_block_draws_its_arrivals_then_its_services(self):
+        # One draw of 2k uniforms per block of k: the warm-up of 1,474
+        # arrivals is one block, and the rest of the run starts at its end.
         n = 3 * _BLOCK + 7
         rng = _ScriptedRng(np.random.default_rng(8).random(2 * n))
         sojourn = _sojourns(0.9, 1.0, n, rng)
-        chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
-        assert rng.calls == [(stream, k) for k in chunks for stream in ("arrivals", "services")]
-        # The first n uniforms are the arrivals and the next n the services,
-        # as from a Generator.
+        chunks = [1474, _BLOCK, _BLOCK, n - 1474 - 2 * _BLOCK]
+        assert [k for _, k in _oracle_blocks(n)] == chunks
+        assert rng.calls == [2 * k for k in chunks]
+        # The same uniforms from a Generator give the same sojourns.
         expected = _sojourns(0.9, 1.0, n, np.random.default_rng(8))
         assert sojourn.tobytes() == expected.tobytes()
+        # And they are the oracle's draws: the gaps, then the services, of
+        # each block in lane order.
+        gaps, services = _oracle_draws(0.9, 1.0, n, np.random.default_rng(8))
+        _, oracle = _oracle_lindley(gaps, services)
+        np.testing.assert_allclose(sojourn, oracle, rtol=1e-9)
 
 
 def _seeded(seed):
@@ -201,6 +192,26 @@ class TestMm1SojournTimes:
     def test_rejects_a_count_that_is_not_a_positive_integer(self, n_arrivals):
         with pytest.raises(ValueError, match="n_arrivals must be"):
             mm1_sojourn_times(0.5, 1.0, n_arrivals, _seeded(0))
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [
+            np.random.PCG64,
+            np.random.PCG64DXSM,
+            np.random.SFC64,
+            np.random.MT19937,
+            np.random.Philox,
+        ],
+    )
+    def test_any_generator_works(self, bit_generator):
+        # The kernel draws from the one stream it is given: no bit generator
+        # needs to be copied or advanced.
+        def run():
+            return mm1_sojourn_times(0.5, 1.0, 1000, np.random.Generator(bit_generator(1)))
+
+        mean, ci = run()
+        assert math.isfinite(mean) and 0.0 < ci < math.inf
+        assert run() == (mean, ci)
 
 
 class TestSimulateStation:
@@ -384,16 +395,91 @@ class TestSimulateCluster:
             assert abs(result.mean_adt - analytic) / analytic < 0.02
 
 
-# --- oracles: the draws of two whole-array calls, Lindley's recursion as a
-# sequential float64 loop over them and in exact arithmetic, and the
-# statistics as a whole-array and as a block-by-block computation ---
+#: Student-t 97.5% quantile with 29 degrees of freedom.
+_T_975_29 = 2.0452
+
+
+def _relaxation_arrivals(rate, mu):
+    """Arrivals in 1,000 relaxation times ``1 / (mu (1 - sqrt(rho))**2)`` of
+    an M/M/1 queue at utilisation ``rho = rate / mu`` (Asmussen & Glynn
+    2007, ch. IV), so that the warm-up of 1% is 10 of them."""
+    return math.ceil(1000 * rate / (mu * (1.0 - math.sqrt(rate / mu)) ** 2))
+
+
+def _t_interval(means):
+    """Center and Student-t 95% half-width of 30 replication means."""
+    assert len(means) == 30
+    return float(np.mean(means)), _T_975_29 * float(np.std(means, ddof=1)) / math.sqrt(30)
+
+
+class TestIndependentReplications:
+    # Thirty replications, seeds 0-29, each 1,000 relaxation times long.
+    # Their Student-t interval does not lean on the kernel's own half-width,
+    # which takes correlated sojourns as independent.  It guards the law of
+    # the sample path that the mapping of draws to customers builds: draws
+    # shared by gaps and services, or a column carry one column off, shift
+    # the mean of every replication alike and fail here.  The oracle tests
+    # pin the exact mapping.
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_queue_means_cover_the_analytic_mean(self, rho):
+        lam, mu = rho, 1.0
+        n = _relaxation_arrivals(lam, mu)
+        means = [
+            mm1_sojourn_times(lam, mu, n, np.random.Generator(np.random.SFC64(seed)))[0]
+            for seed in range(30)
+        ]
+        center, half = _t_interval(means)
+        assert abs(center - 1.0 / (mu - lam)) <= half
+
+    def test_station_means_cover_the_analytic_mixture(self):
+        scenario = make_scenario()
+        report = overall_adt(heuristic_solve(scenario).placement, scenario)
+        h, traffic = report.h_e, scenario.traffic
+        assert 0.0 < h < 1.0
+        lam, mu_e, mu_b = traffic.lam[0], traffic.mu_e[0], traffic.mu_b[0]
+        n = max(_relaxation_arrivals(lam * h, mu_e), _relaxation_arrivals(lam * (1 - h), mu_b))
+        means = [
+            simulate_station(h, traffic, 0, SimConfig(seed=seed, n_arrivals=n)).mean_adt
+            for seed in range(30)
+        ]
+        center, half = _t_interval(means)
+        assert abs(center - report.per_station[0]) <= half
+
+
+# --- oracles: the kernel's draws, Lindley's recursion as a sequential float64
+# loop over them and in exact arithmetic, and the statistics as a whole-array
+# and as a block-by-block computation ---
+
+
+def _oracle_blocks(n_arrivals):
+    """``(start, k)`` of each block of a queue of ``n_arrivals``: at most
+    ``_BLOCK`` customers each, the warm-up (the first 1%) cut from 0 and
+    the rest of the run from its end."""
+    warmup, size = n_arrivals // 100, queuesim._BLOCK
+    return [
+        (start, min(size, end - start))
+        for first, end in ((0, warmup), (warmup, n_arrivals))
+        for start in range(first, end, size)
+    ]
+
+
+def _lanes(k):
+    """Lanes of a block of ``k``: the largest of 8, 4, 2, 1 dividing it."""
+    return next(lanes for lanes in (8, 4, 2, 1) if k % lanes == 0)
 
 
 def _oracle_draws(lam, mu, n_arrivals, rng):
-    """Interarrival gaps and services from two whole-array draws."""
-    gaps = -np.log1p(-rng.random(n_arrivals)) / lam
-    services = -np.log1p(-rng.random(n_arrivals)) / mu
-    return gaps, services
+    """Interarrival gaps and services in units of ``1/mu``, in customer
+    order.  Each block of ``k`` draws ``2k`` uniforms, the gaps then the
+    services, each in lane order: customer ``start + lanes * j + r`` takes
+    the draw at ``r * (k / lanes) + j``."""
+    ratio = min(mu / lam, _MAX_GAP_SCALE)
+    gaps, services = [], []
+    for _, k in _oracle_blocks(n_arrivals):
+        unit = -np.log(1.0 - rng.random(2 * k))
+        gaps.append(unit[:k].reshape(_lanes(k), -1).T.ravel() * ratio)
+        services.append(unit[k:].reshape(_lanes(k), -1).T.ravel())
+    return np.concatenate(gaps), np.concatenate(services)
 
 
 def _oracle_lindley(gaps, services):
@@ -429,32 +515,48 @@ def _exact_worst_relative_error(gaps, services, sojourn):
 
 
 def _rounding_bound(gaps, services, waits, sojourn):
-    """Per-customer bound on the kernel's distance from the sequential loop.
+    """Per-customer bound on the kernel's distance from the sequential loop,
+    both in units of ``1/mu``.
 
-    Write ``u = 2**-53`` and ``X_l = S_{l-1} - A_l``, and let ``Y_l`` be the
-    partial sums of ``X`` within each ``_BLOCK`` (the kernel's ``cumsum``).
-    For customer ``k`` in a busy period that began with customer ``j``
-    (the last ``l <= k`` with ``W_l == 0``), the kernel's wait is the
-    difference of two partial sums, or one partial sum plus the carried
-    wait, so its rounding is at most ``u * sum_{l=j+1..k} (|Y_l| + |X_l|)``
-    plus ``u`` of the wait once per block (the subtraction that forms it);
-    the loop's is at most ``u * sum_{l=j+1..k} (2 W_l + 2 S_{l-1} + A_l)``;
-    each adds ``u`` of the sojourn in the last step.  To first order both
-    fit within ``4u * (sojourn_k + sum_{l=j+1..k} (|Y_l| + W_l + S_{l-1} +
-    A_l))``.  Every term is local to a block or to a busy period, so the
-    bound does not grow with the run length.
+    Write ``u = 2**-53`` and ``X_l = S_{l-1} - A_l``.  Within each block let
+    ``Y_l`` be the block-local partial sum of ``X`` up to ``l``, and ``P_l``
+    the partial sum down ``l``'s column (its ``lanes`` consecutive
+    customers) up to ``l``.  The kernel rounds each ``X_l``, each step of
+    ``P`` down a column, each column carry ``C`` (the ``Y`` of the column's
+    last customer) and each ``Y = P + C`` once, and the minimum is exact.
+    For customer ``c`` in a busy period that began with customer ``i`` (the
+    last ``l <= c`` with ``W_l == 0``), the kernel's wait is ``Y_c - Y_i``,
+    or ``Y_c`` plus the carried wait when ``i`` lies in an earlier block.
+    The roundings the two partial sums share cancel, and what remains is at
+    most ``u * (|Y_c| + |Y_i| + sum_{l=i+1..c} (|P_l| + |X_l|) + sum_e
+    |Y_e|)``, with ``e`` over the columns' last customers in ``[i, c)``,
+    plus ``u`` of each wait formed, this one and the carried one.  A
+    customer alone (``c == i``) gets the exact wait 0.  The loop's rounding
+    is at most ``u * sum_{l=i+1..c} (2 W_l + 2 S_{l-1} + A_l)``, and each
+    adds ``u`` of the sojourn in the last step.  As ``|X_l| <= S_{l-1} +
+    A_l`` and ``W_c <= sojourn_c``, to first order both fit within ``4u *
+    (sojourn_c + [c > i] (|Y_c| + |Y_i|) + sum_{l=i+1..c} (|P_l| + W_l +
+    S_{l-1} + A_l + [l - 1 ends a column] |Y_{l-1}|))``.  Every term is
+    local to a block or to a busy period, so the bound does not grow with
+    the run length.
     """
     previous = np.concatenate([[0.0], services[:-1]])
     steps = previous - gaps
-    partial = np.concatenate(
-        [np.cumsum(steps[i : i + _BLOCK]) for i in range(0, steps.size, _BLOCK)]
-    )
-    terms = np.abs(partial) + waits + previous + gaps
+    partial, column, ends = np.empty(steps.size), np.empty(steps.size), np.zeros(steps.size)
+    for start, k in _oracle_blocks(steps.size):
+        block, lanes = steps[start : start + k], _lanes(k)
+        partial[start : start + k] = np.cumsum(block)
+        column[start : start + k] = np.cumsum(block.reshape(-1, lanes), axis=1).ravel()
+        last = slice(start + lanes - 1, start + k, lanes)
+        ends[last] = np.abs(partial[last])
+    terms = np.abs(column) + waits + previous + gaps
+    terms[1:] += ends[:-1]
     idle = waits == 0.0
     terms[idle] = 0.0
     total = np.cumsum(terms)
     busy_start = np.maximum.accumulate(np.where(idle, np.arange(waits.size), 0))
-    return 2.0**-51 * (sojourn + total - total[busy_start])
+    ends_of_busy = np.where(idle, 0.0, np.abs(partial) + np.abs(partial[busy_start]))
+    return 2.0**-51 * (sojourn + ends_of_busy + total - total[busy_start])
 
 
 def _oracle_mean_ci(samples):
@@ -466,18 +568,17 @@ def _oracle_mean_ci(samples):
     return mean, ci
 
 
-def _oracle_block_merge(units, warmup, mu):
-    """Mean and half-width of ``units[warmup:] / mu`` as the streamed kernel
-    forms them: a (count, mean, M2) per block of the whole run, of the
-    kernel's current block size, of the sojourns ``units`` in units of
-    ``1/mu``, merged in order with Chan, Golub & LeVeque's pairwise update;
+def _oracle_block_merge(units, mu):
+    """Mean and half-width of the kept sojourns ``units / mu`` as the
+    streamed kernel forms them: a (count, mean, M2) per block after the
+    warm-up, of the sojourns ``units`` in units of ``1/mu`` and in lane
+    order, merged in order with Chan, Golub & LeVeque's pairwise update;
     the mean and half-width are then divided by ``mu``."""
     count, mean, m2 = 0, 0.0, 0.0
-    size = queuesim._BLOCK
-    for start in range(0, units.size, size):
-        block = units[max(start, warmup) : start + size]
-        if block.size == 0:
+    for start, k in _oracle_blocks(units.size):
+        if start < units.size // 100:
             continue
+        block = units[start : start + k].reshape(-1, _lanes(k)).T.ravel()
         block_mean = float(np.mean(block))
         block_m2 = float(np.sum((block - block_mean) ** 2))
         total = count + block.size
@@ -495,12 +596,11 @@ def _oracle_station(h, traffic, station, config):
     mu_e = float(traffic.mu_e[station])
     mu_b = float(traffic.mu_b[station])
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
-    warmup = queuesim._warmup(config.n_arrivals)
 
     def run(rate, mu, seed_seq):
         rng = np.random.default_rng(seed_seq)
         units = _unit_sojourns(rate, mu, config.n_arrivals, rng)
-        return _oracle_block_merge(units, warmup, mu)
+        return _oracle_block_merge(units, mu)
 
     if h == 0.0:
         mean_b, ci_b = run(lam, mu_b, children[1])
@@ -539,18 +639,18 @@ class TestBlockedKernelAccuracy:
         self, n, lam, mu, seed
     ):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        sojourn = _sojourns(lam, mu, n, rng)
+        units = _unit_sojourns(lam, mu, n, rng)
         gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
         # Both consumed the same draws: the next one agrees.
         assert rng.random() == oracle_rng.random()
         waits, expected = _oracle_lindley(gaps, services)
         bound = _rounding_bound(gaps, services, waits, expected)
-        assert np.all(np.abs(sojourn - expected) <= bound)
+        assert np.all(np.abs(units - expected) <= bound)
 
     def test_bound_rejects_a_recursion_over_absolute_times(self):
         # Departures as cumS + max(A - (cumS - S)), minus A, over the whole
-        # run: at light load the arrival times A grow to 1e8 and the
-        # cancellation leaves errors far above the bound.
+        # run: at light load the arrival times A grow to 1.5e9 mean services
+        # and the cancellation leaves errors far above the bound.
         n, lam, mu = 3 * _BLOCK + 7, 1e-3, 10.0
         gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(0))
         arrivals, cum_services = np.cumsum(gaps), np.cumsum(services)
@@ -575,7 +675,7 @@ class TestBlockedKernelAccuracy:
         units = _unit_sojourns(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
         warmup = n // 100
-        assert (mean, ci) == _oracle_block_merge(units, warmup, mu)
+        assert (mean, ci) == _oracle_block_merge(units, mu)
         # Only the summation order and the division by mu differ from the
         # whole-array statistics of the sojourns in seconds.
         sojourn = units / mu
@@ -588,22 +688,23 @@ class TestBlockedKernelAccuracy:
 
     @pytest.mark.parametrize("lam,mu", _RATES)
     def test_blocks_wholly_inside_the_warmup_are_skipped(self, lam, mu, monkeypatch):
-        # 2,000 arrivals discard 20: with blocks of 8, the first two lie
-        # wholly inside the warm-up and the third partly.
+        # 2,000 arrivals discard 20: with blocks of 8, the warm-up is cut
+        # into blocks of 8, 8 and 4, and the kept run starts at 20.
         monkeypatch.setattr(queuesim, "_BLOCK", 8)
         n = 2000
         warmup = queuesim._warmup(n)
-        assert warmup >= 2 * queuesim._BLOCK
+        warmup_blocks = [block for block in _oracle_blocks(n) if block[0] < warmup]
+        assert warmup_blocks == [(0, 8), (8, 8), (16, 4)]
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
         mean, ci = mm1_sojourn_times(lam, mu, n, rng)
         gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
         _, sojourn = _oracle_lindley(gaps, services)
-        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
+        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:] / mu)
         assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
         assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
         kernel = _unit_sojourns(lam, mu, n, np.random.default_rng(5))
-        assert (mean, ci) == _oracle_block_merge(kernel, warmup, mu)
+        assert (mean, ci) == _oracle_block_merge(kernel, mu)
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
@@ -640,13 +741,14 @@ class TestLightLoad:
     def test_a_ratio_past_the_cap_gives_the_sojourns_at_the_cap(self):
         # Twice the cap runs as the cap, bit for bit.  Every customer finds
         # the system empty, as without the cap, so each sojourn is its own
-        # service: the unit exponential of the second n draws.
+        # service: the unit exponential of the second half of its block's
+        # draws.
         n = _BLOCK + 7
         at_cap = _unit_sojourns(1.0, _MAX_GAP_SCALE, n, _seeded(5))
         past_cap = _unit_sojourns(1.0, 2.0 * _MAX_GAP_SCALE, n, _seeded(5))
         assert past_cap.tobytes() == at_cap.tobytes()
-        draws = _seeded(5).random(2 * n)[n:]
-        np.testing.assert_array_equal(at_cap, -np.log1p(-draws))
+        _, services = _oracle_draws(1.0, _MAX_GAP_SCALE, n, _seeded(5))
+        np.testing.assert_array_equal(at_cap, services)
 
 
 class TestUnitOfTime:
@@ -668,55 +770,111 @@ class TestUnitOfTime:
         )
 
 
-class _AuditedUfunc:
-    """A ufunc whose ``accumulate`` calls are logged in ``calls``."""
+def _same_view(a, b):
+    """Whether ``a`` and ``b`` are the very same elements in the same order."""
+    return (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        and a.shape == b.shape
+        and a.strides == b.strides
+    )
 
-    def __init__(self, ufunc, calls):
-        self._ufunc, self._calls = ufunc, calls
+
+class _AuditedUfunc:
+    """A ufunc whose calls, reductions and accumulates are checked against
+    ``audit``: see :class:`_NumpyAudit`."""
+
+    def __init__(self, ufunc, audit):
+        self._ufunc, self._audit = ufunc, audit
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+    def __call__(self, *inputs, out=None, **kwargs):
+        self._audit.check(self._ufunc.__name__, inputs, out)
+        return self._ufunc(*inputs, out=out, **kwargs)
+
+    def reduce(self, array, *args, out=None, **kwargs):
+        self._audit.check(f"{self._ufunc.__name__}.reduce", (array,), out)
+        return self._ufunc.reduce(array, *args, out=out, **kwargs)
 
     def accumulate(self, array, *args, out=None, **kwargs):
-        shared = out is not None and np.shares_memory(array, out)
-        self._calls.append((f"{self._ufunc.__name__}.accumulate", shared))
+        name = f"{self._ufunc.__name__}.accumulate"
+        self._audit.log_accumulate(name, array, out)
         return self._ufunc.accumulate(array, *args, out=out, **kwargs)
 
 
-class _AccumulateAudit:
-    """Stands in for ``numpy`` in the kernel's module: forwards every
-    attribute, and logs ``(name, out shares memory with the input)`` for
-    each ``cumsum`` and ``fmin.accumulate`` call."""
+class _NumpyAudit:
+    """Stands in for ``numpy`` in the kernel's module and forwards every
+    attribute.  Each ufunc call, reduction and accumulate whose ``out``
+    overlaps an input other than as the very same view lands in
+    ``shifted``: numpy copies that input first, allocating while it holds
+    the GIL.  Each accumulate (``cumsum`` included) logs ``(name, size, out
+    shares memory with the input)`` in ``accumulates``."""
 
     def __init__(self):
-        self.calls = []
-        self.fmin = _AuditedUfunc(np.fmin, self.calls)
+        self.shifted, self.accumulates = [], []
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        attribute = getattr(np, name)
+        return _AuditedUfunc(attribute, self) if isinstance(attribute, np.ufunc) else attribute
+
+    def check(self, name, inputs, out):
+        for array in inputs:
+            if (
+                isinstance(out, np.ndarray)
+                and isinstance(array, np.ndarray)
+                and np.shares_memory(array, out)
+                and not _same_view(array, out)
+            ):
+                self.shifted.append(name)
+
+    def log_accumulate(self, name, array, out):
+        self.check(name, (array,), out)
+        shared = out is not None and np.shares_memory(array, out)
+        self.accumulates.append((name, array.size, shared))
 
     def cumsum(self, array, *args, out=None, **kwargs):
-        self.calls.append(("cumsum", out is not None and np.shares_memory(array, out)))
+        self.log_accumulate("cumsum", array, out)
         return np.cumsum(array, *args, out=out, **kwargs)
 
 
 class TestKernelReleasesTheGil:
-    def test_no_accumulate_writes_over_its_input(self, monkeypatch):
+    def test_no_call_writes_over_a_shifted_input(self, monkeypatch):
         # numpy holds the GIL for an accumulate whose output overlaps its
-        # input, which would make the station threads take turns.
+        # input, and copies any input that its output overlaps at another
+        # offset, either of which would make the station threads take turns.
         n = 3 * _BLOCK + 7
         expected = _unit_sojourns(0.9, 1.0, n, _seeded(2))
-        audit = _AccumulateAudit()
+        audit = _NumpyAudit()
         monkeypatch.setattr(queuesim, "np", audit)
         units = _unit_sojourns(0.9, 1.0, n, _seeded(2))
         assert units.tobytes() == expected.tobytes()
-        assert sorted(set(audit.calls)) == [("cumsum", False), ("fmin.accumulate", False)]
-        assert len(audit.calls) == 2 * 4  # one of each per block
+        assert audit.shifted == []
+        # Per block of k in L lanes of m: one cumsum of the m column totals
+        # and one fmin.accumulate of the first m - 1 column minima, neither
+        # over its input.
+        per_block = [
+            [("cumsum", k // _lanes(k), False), ("fmin.accumulate", k // _lanes(k) - 1, False)]
+            for _, k in _oracle_blocks(n)
+        ]
+        assert audit.accumulates == sum(per_block, [])
+
+    def test_the_audit_sees_a_shifted_output(self):
+        # The audit itself flags what it must: an output one entry past its
+        # input, and any accumulate over its input, even as the same view.
+        audit, x = _NumpyAudit(), np.arange(5.0)
+        audit.add(x[:-1], 1.0, out=x[1:])
+        audit.add(x, 1.0, out=x)
+        audit.fmin.accumulate(x, out=x)
+        assert audit.shifted == ["add"]
+        assert audit.accumulates == [("fmin.accumulate", 5, True)]
 
 
 def _station_peak_bytes(n_arrivals):
     """``tracemalloc`` peak of one interior ``simulate_station`` call.
 
-    A short untraced call first pays the process's one-time costs (the
-    first deep copy of a Generator imports ``numpy.random._pickle``, about
-    0.7 MiB), so the peak is the call's own working memory."""
+    A short untraced call first pays the process's one-time costs, so the
+    peak is the call's own working memory."""
     traffic, h = _hit_ratios()["interior"]
     simulate_station(h, traffic, 0, SimConfig(n_arrivals=1))
     config = SimConfig(seed=0, n_arrivals=n_arrivals)
@@ -732,7 +890,7 @@ def _station_peak_bytes(n_arrivals):
 class TestKernelMemory:
     def test_interior_station_peak_stays_small(self):
         # Two queues of 2e6 arrivals, one at a time, each in three buffers
-        # of _BLOCK floats (0.75 MiB).  The kernel that kept an 8-byte
+        # of _BLOCK floats (1.125 MiB).  The kernel that kept an 8-byte
         # entry per arrival peaked at 16.5 MB here.
         assert _station_peak_bytes(2_000_000) < 1.5 * 2**20
 
