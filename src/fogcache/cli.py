@@ -479,10 +479,10 @@ def run():
     ``with open(...)`` block and so is closed before :func:`main` returns,
     leaving only the two standard streams with buffered bytes, which are
     flushed below; fogcache registers no ``atexit`` handler; and
-    ``simulate_cluster`` joins its workers by shutting its pool down, so
-    the skipped exit hook of ``concurrent.futures`` has none to join.  A failed
-    flush, an exception escaping :func:`main`, and argparse's
-    ``SystemExit`` all end the process the usual way instead.
+    ``simulate_cluster`` leaves its pool's ``with`` block only once the
+    workers are joined, so the skipped exit hook of ``concurrent.futures``
+    has none to join.  A failed flush, an exception escaping :func:`main`,
+    and argparse's ``SystemExit`` all end the process the usual way instead.
     """
     code = main()
     try:

@@ -28,8 +28,8 @@ mean and half-width are divided by ``mu``, so the simulator is free of the
 unit of time: scaling both rates by a power of two leaves every sojourn in
 those units bit-identical and scales the results exactly.
 
-:func:`simulate_cluster` runs the stations on a ``ThreadPoolExecutor`` of
-up to one worker per usable CPU (every numpy call of the kernel releases
+:func:`simulate_cluster` maps the stations over a ``ThreadPoolExecutor``
+of up to one worker per usable CPU (every numpy call of the kernel releases
 the GIL: no accumulate writes over its own input, and no call writes over
 an input at another offset) and returns the results in station order, so
 the output is byte-identical for any CPU count.  Each queue is one call of
@@ -51,11 +51,11 @@ terms, so the error does not grow with the run length.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     draws, lows = np.empty(2 * size), np.empty(size)
     warmup = _warmup(n_arrivals)
     wait = last_service = 0.0
-    for start in itertools.chain(range(0, warmup, _BLOCK), range(warmup, n_arrivals, _BLOCK)):
+    for start in chain(range(0, warmup, _BLOCK), range(warmup, n_arrivals, _BLOCK)):
         k = min(_BLOCK, (warmup if start < warmup else n_arrivals) - start)
         lanes = math.gcd(k, _LANES)
         d = draws[: 2 * k]
@@ -328,24 +328,20 @@ def simulate_cluster(h, traffic, config):
     """Run :func:`simulate_station` at hit ratio ``h`` for every base
     station; the results come in station order.
 
-    Stations run on ``min(station_count, usable CPUs)`` worker threads
-    while the calling thread waits.  A station's draws depend only on
-    ``(config.seed, station)``, so the output is byte-identical for any CPU
-    count.  Once a station raises (such as the ``ValueError`` of an invalid
-    ``h``) or the caller is interrupted, the stations not yet started are
+    ``Executor.map`` runs the stations on ``min(station_count, usable
+    CPUs)`` worker threads while the calling thread waits.  A station's
+    draws depend only on ``(config.seed, station)``, so the output is
+    byte-identical for any CPU count.  When the result waited on raises
+    (an invalid ``h`` fails every station as it starts, so station 0's
+    first) or the caller is interrupted, the stations not yet started are
     cancelled, though a worker may start one more before that.  Running
-    stations are not stopped: the call raises the exception of the
-    lowest-numbered failed station once they have finished.
+    stations are not stopped: the call raises the lowest-numbered failed
+    station's exception once they have finished.  A station failing while
+    a lower-numbered one still ran would cancel the rest only after that
+    one; no input reaches that case today.
     """
     stations = range(traffic.station_count)
-    pool = ThreadPoolExecutor(min(len(stations), _usable_cpus()))
-    try:
-        futures = [
-            pool.submit(simulate_station, h, traffic, station, config) for station in stations
-        ]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        # Cancels the stations still queued, which follow every started one
-        # in station order, and joins the workers.
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
+    with ThreadPoolExecutor(min(len(stations), _usable_cpus())) as pool:
+        return list(
+            pool.map(simulate_station, repeat(h), repeat(traffic), stations, repeat(config))
+        )

@@ -258,25 +258,22 @@ class TestProjectFeasible:
 
     def test_gradient_fallback_far_outside_the_set(self, monkeypatch):
         # A unit gradient step from 0 next to saturation (lam = 5.999999,
-        # mu_b = 6) gives entries of size 1e12, where the regularized Newton
-        # system turns singular and the ascent falls back to the dual
-        # gradient; no solver reaches that path any more.  It must still
-        # return a feasible point: at this magnitude y - mu * s cancels to
-        # column totals up to 1.00024, which the projection scales back.
+        # mu_b = 6) gives entries of size 1e12, where y - mu * s cancels and
+        # a node's load can overshoot its capacity by far more than rounding.
+        # Started from 0, the ascent met a singular Newton system there and
+        # fell back to the dual gradient; started from the rows' own
+        # multipliers it meets none, so every solve fails here to take that
+        # path.  It must still return a feasible point.
         scenario = make_scenario(lam=5.999999)
         library, cluster = scenario.library, scenario.cluster
         x = np.zeros((3, 20)) - adt_slope(0.0, scenario.traffic) * library.popularity
         singular = []
-        solve_linear = np.linalg.solve
 
-        def counting_solve(a, b):
-            try:
-                return solve_linear(a, b)
-            except np.linalg.LinAlgError:
-                singular.append(a.shape)
-                raise
+        def singular_solve(a, b):
+            singular.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "solve", singular_solve)
         z = project_placement(x, library.sizes, cluster.capacities)
         assert singular
         assert z.shape == (3, 20)

@@ -328,35 +328,38 @@ class TestSimulateCluster:
         failure = KeyboardInterrupt() if interrupt else RuntimeError("station 0 failed")
         started = []  # stations in the order they start
         first_started, released = threading.Event(), threading.Event()
-        real_station, real_wait = queuesim.simulate_station, queuesim.wait
+        real_station = queuesim.simulate_station
 
         def held_station(h, traffic, station, config):
             started.append(station)
             first_started.set()
             if station == 0 and not interrupt:
                 raise failure
-            # Every other station is held until the caller has cancelled the
-            # stations not yet started, so each worker is busy until then.
+            # Every other station is held until the pool shuts down, after
+            # the stations not yet started are cancelled, so each worker is
+            # busy until then and what starts after the failure does not
+            # depend on thread timing.
             assert released.wait(10)
             return real_station(h, traffic, station, config)
 
-        def cancelling_wait(futures, **kwargs):
-            # Cancel before releasing the held stations, so that what starts
-            # after the failure does not depend on thread timing.
-            try:
+        def interrupted_result(timeout=None):
+            # Ctrl-C reaching the caller while it waits on station 0.
+            assert first_started.wait(10)
+            raise failure
+
+        class ReleasingPool(queuesim.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
                 if interrupt:
-                    assert first_started.wait(10)
-                else:
-                    real_wait(futures, **kwargs)
-                for future in futures:
-                    future.cancel()
-            finally:
+                    future.result = interrupted_result
+                return future
+
+            def shutdown(self, *args, **kwargs):
                 released.set()
-            if interrupt:
-                raise failure
+                super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(queuesim, "simulate_station", held_station)
-        monkeypatch.setattr(queuesim, "wait", cancelling_wait)
+        monkeypatch.setattr(queuesim, "ThreadPoolExecutor", ReleasingPool)
         threads_before = threading.active_count()
         with pytest.raises(type(failure)) as raised:
             simulate_cluster(h, scenario.traffic, SimConfig(n_arrivals=1000))
@@ -444,6 +447,22 @@ class TestIndependentReplications:
         ]
         center, half = _t_interval(means)
         assert abs(center - report.per_station[0]) <= half
+
+
+class TestHalfwidthCoverage:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ci_halfwidth takes the correlated sojourns of one run as independent "
+        "samples: at rho = 0.5 it covers 1/(mu - lam) in 48 of these 100 runs; "
+        "ROADMAP direction 3, batch means over the kernel's blocks, mends it"))
+    def test_halfwidth_covers_the_analytic_mean_95_percent_of_the_time(self):
+        # 1e6 arrivals keep 20 full blocks of 49,152 after the warm-up, and
+        # a shorter one.
+        covered = 0
+        for seed in range(100):
+            mean, half = mm1_sojourn_times(0.5, 1.0, 10**6, np.random.default_rng(seed))
+            covered += abs(mean - 2.0) <= half
+        # A 95% interval covers in 88 to 99 of 100 runs with probability 0.993.
+        assert 88 <= covered <= 99
 
 
 # --- oracles: the kernel's draws, Lindley's recursion as a sequential float64
