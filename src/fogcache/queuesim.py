@@ -13,7 +13,7 @@ traffic profile: a solver result's ``echr``, or the ``h_e`` of
 a ``Generator`` that the caller seeds.
 
 Reproducibility contract for the stations: a station's two queues draw from
-``default_rng(child)`` for two children of
+``Generator(SFC64(child))`` for two children of
 ``SeedSequence(entropy=seed, spawn_key=(station,))``, one generator per
 queue, which makes every station's sample path a pure function of
 ``(seed, station)`` — independent of how many stations are simulated or in
@@ -40,13 +40,18 @@ three float64 buffers of ``_BLOCK`` entries, the draws (two) and the
 running minimum.  A block's customers lie in lane order, ``_LANES`` rows
 with consecutive customers in consecutive rows (see
 :func:`_sojourn_blocks`), so both scans of the recursion run as row
-operations plus one short scan of column carries.
+operations plus one short scan of column carries.  A kept block hands back
+only its sojourn sum, and the 95% half-width is that of batch means over
+whole blocks, with a Student-t quantile: successive sojourns are
+correlated, so a half-width that took them as independent samples would be
+far too narrow.
 
-The tests check three things about the kernel: it draws each block's
+The tests check four things about the kernel: it draws each block's
 uniforms in the stated order; every sojourn time is within a stated
-rounding bound of a sequential float64 Lindley loop on those draws; and
-that bound is a sum over the sojourn's own busy period of block-local
-terms, so the error does not grow with the run length.
+rounding bound of a sequential float64 Lindley loop on those draws; that
+bound is a sum over the sojourn's own busy period of block-local terms, so
+the error does not grow with the run length; and the mean and half-width
+are exactly the batch means of its own blocks.
 """
 
 from __future__ import annotations
@@ -69,7 +74,14 @@ __all__ = [
     "simulate_cluster",
 ]
 
-_CI_FACTOR = 1.96  # normal 95% two-sided
+#: Most batches of the batch-means half-width (see :func:`mm1_sojourn_times`).
+_BATCHES = 20
+#: Student-t 97.5% quantiles ``t(dof)`` for ``dof = 1 .. _BATCHES - 1``.
+_T_975 = (
+    12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624,
+    2.306004, 2.262157, 2.228139, 2.200985, 2.178813, 2.160369, 2.144787,
+    2.131450, 2.119905, 2.109816, 2.100922, 2.093024,
+)
 #: Lanes of the Lindley kernel: a block's scans run as row operations over
 #: this many rows, which numpy vectorizes.
 _LANES = 8
@@ -78,6 +90,8 @@ _LANES = 8
 #: arrivals ran equally fast (about 11 ns per arrival on a 2-vCPU host) and
 #: 2**14 a quarter slower; the larger block gives each numpy call more work
 #: between releases of the GIL, so the station threads queue on it less.
+#: It is a cache choice only: a batch of the half-width is a whole number of
+#: blocks, and two full kept blocks are the fewest with a finite half-width.
 _BLOCK = 6144 * _LANES
 #: Cap on the gap scale ``mu / lam``: a block's gaps sum below ``2**922``,
 #: and a positive gap at the cap, at least ``2**847`` services, outlasts any wait.
@@ -112,8 +126,9 @@ class SimResult:
 
     ``mean_sojourn_e`` / ``mean_sojourn_b`` are the edge and backhaul queue
     means (``None`` for a side that received no traffic), ``mean_adt`` is the
-    hit-ratio-weighted mixture and ``ci_halfwidth`` its 95% normal
-    half-width.
+    hit-ratio-weighted mixture and ``ci_halfwidth`` its 95% batch-means
+    Student-t half-width (see :func:`mm1_sojourn_times`), infinite for a run
+    too short for two batches.
     """
 
     mean_sojourn_e: float | None
@@ -123,9 +138,9 @@ class SimResult:
 
 
 def _sojourn_blocks(lam, mu, n_arrivals, rng):
-    """Yield ``(start, sojourn)`` for each block of the first ``n_arrivals``
-    customers of an M/M/1 queue, with every time in units of the mean
-    service time ``1/mu``.
+    """Yield ``(start, waits, services)`` for each block of the first
+    ``n_arrivals`` customers of an M/M/1 queue, with every time in units of
+    the mean service time ``1/mu`` and the services negated.
 
     Lindley's recursion for the waiting time, ``W_c = max(W_{c-1} + S_{c-1}
     - A_c, 0)`` with interarrival gaps ``A`` and services ``S`` (Lindley
@@ -151,10 +166,11 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
       carries ``C``, the ``cumsum`` of the column totals; ``Y = P + C`` of
       the previous column, which for the last row is ``C`` itself;
     * the minimum: ``H``, the running minimum of ``-w`` and every ``Y`` of
-      the previous columns, an ``fmin.accumulate`` of the column minima;
-      then down each column from ``H``.  The minimum is exact, so ``W = Y -
-      min`` is the difference of two block-local partial sums, or one plus
-      the carried wait, and is formed before ``S`` is added.
+      the previous columns, an ``fmin.accumulate`` of the column minima
+      (one ``fmin.reduce`` down the rows); then down each column from
+      ``H``.  The minimum is exact, so ``W = Y - min`` is the difference of
+      two block-local partial sums, or one plus the carried wait.  The
+      sojourn ``W + S`` is left to the caller, as ``W - (-S)``.
 
     Each block makes one ``rng.random`` call of ``2k`` uniforms, the gaps
     then the services, each in lane order (row by row).  In units of
@@ -165,9 +181,9 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     keeps every sum finite; a load that light, capped or not, finds every
     customer alone.
 
-    ``sojourn`` is the block's ``(L, m)`` view of a work buffer, in lane
-    order: the caller may overwrite it, and it is reused once the caller
-    asks for the next block.
+    ``waits`` and ``services`` (holding ``-S``) are the block's ``(L, m)``
+    views of the work buffers, in lane order: the caller may overwrite
+    them, and they are reused once the caller asks for the next block.
     """
     ratio = min(mu / lam, _MAX_GAP_SCALE)
     size = min(n_arrivals, _BLOCK)
@@ -211,9 +227,7 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
         # station threads would take turns.
         first = a[0, 0]
         a[0, 0] = min(first, -wait)
-        columns = a[0]
-        for row in a[1:]:
-            columns = np.fmin(columns, row, out=y[-1])
+        columns = a[0] if lanes == 1 else np.fmin.reduce(a, axis=0, out=y[-1])
         y[0, 0] = -wait
         np.fmin.accumulate(columns[:-1], out=y[0, 1:])
         np.fmin(a[0], y[0], out=y[0])
@@ -223,30 +237,37 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
 
         np.subtract(a, y, out=y)
         wait, last_service = y[-1, -1], -s[-1, -1]
-        np.subtract(y, s, out=y)
-        yield start, y
+        yield start, y, s
 
 
 def mm1_sojourn_times(lam, mu, n_arrivals, rng):
-    """Mean and 95% half-width of the sojourn times of the first
+    """Mean and 95% batch-means half-width of the sojourn times of the first
     ``n_arrivals`` customers of an M/M/1 queue, after the warm-up.
 
     The first 1% of the customers (``n_arrivals // 100``) are discarded to
-    wash out the empty-system start.  The sojourn times come block by block
-    from the recursion of :func:`_sojourn_blocks`, in units of ``1/mu``,
-    which makes one ``rng.random`` call of ``2k`` uniforms per block of
-    ``k``; ``rng`` is any numpy ``Generator``.  No block straddles the end
-    of the warm-up, so each is skipped or kept whole.  Each kept block gives
-    a count, a mean and then the sum of squared deviations from it, all
-    while the block is in cache, and blocks are merged into the running
-    totals pairwise (Chan, Golub & LeVeque 1983).  The half-width is
-    ``1.96 * s / sqrt(m)`` with ``s`` the sample standard deviation
-    (``ddof=1``) of the ``m`` retained sojourns; it is infinite when ``m <
-    2``.  The mean and half-width are divided by ``mu`` last, so scaling both
-    rates by a power of two scales them exactly, whatever the unit of time.
-    Memory is three float64 buffers of ``_BLOCK`` entries, the draws (two)
-    and the running minimum, however long the run.  The mean converges to
-    the analytic ``1 / (mu - lam)`` as the run grows.
+    wash out the empty-system start.  The waits and services come block by
+    block from the recursion of :func:`_sojourn_blocks`, in units of
+    ``1/mu``, which makes one ``rng.random`` call of ``2k`` uniforms per
+    block of ``k``; ``rng`` is any numpy ``Generator``.  No block straddles
+    the end of the warm-up, so each is skipped or kept whole, and a kept
+    block gives only its sojourn sum: the sum of its waits minus the sum of
+    its negated services.
+
+    The kept run is ``B`` full blocks of ``_BLOCK`` and a shorter last one.
+    They form ``b = min(B, _BATCHES)`` batches (Law & Kelton, *Simulation
+    Modeling and Analysis*, ch. 9): batch ``j`` holds full blocks
+    ``floor(j B / b)`` to ``floor((j + 1) B / b) - 1``, and the short last
+    block joins the last batch.  With ``n_j`` sojourns and mean ``m_j`` in
+    batch ``j``, ``N`` in all and the overall mean ``m``, the half-width is
+    ``t(b - 1) * sqrt(sum_j n_j (m_j - m)**2 / ((b - 1) N))``, with the
+    Student-t quantile from :data:`_T_975`.  It is infinite when ``b < 2``,
+    that is when the kept run holds fewer than two full blocks (below
+    99,296 arrivals).  The mean and half-width are divided by ``mu`` last,
+    so scaling both rates by a power of two scales them exactly, whatever
+    the unit of time.  Memory is three float64 buffers of ``_BLOCK``
+    entries, the draws (two) and the running minimum, and ``b`` batch sums,
+    however long the run.  The mean converges to the analytic ``1 / (mu -
+    lam)`` as the run grows.
 
     Raises ``ValueError`` unless ``lam`` and ``mu`` are finite with
     ``0 < lam < mu`` (a stable queue, however light) and ``n_arrivals`` is an
@@ -257,26 +278,26 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
     _check_count("n_arrivals", n_arrivals, 1)
     warmup = _warmup(n_arrivals)
-    count, mean, m2 = 0, 0.0, 0.0
-    for start, sojourn in _sojourn_blocks(lam, mu, n_arrivals, rng):
+    full = (n_arrivals - warmup) // _BLOCK
+    batches = min(full, _BATCHES)
+    sums, counts = [0.0] * max(batches, 1), [0] * max(batches, 1)
+    for start, waits, services in _sojourn_blocks(lam, mu, n_arrivals, rng):
         if start < warmup:
             continue
-        # sojourn.mean() bit for bit, without its Python wrapper.
-        block_mean = float(np.add.reduce(sojourn, axis=None)) / sojourn.size
-        np.subtract(sojourn, block_mean, out=sojourn)
-        np.square(sojourn, out=sojourn)
-        block_m2 = float(np.add.reduce(sojourn, axis=None))
-        total = count + sojourn.size
-        # ``weight`` is exactly 1 for the first block, which therefore
-        # sets the totals to its own statistics without rounding.
-        weight = sojourn.size / total
-        delta = block_mean - mean
-        mean += delta * weight
-        m2 += block_m2 + delta * delta * count * weight
-        count = total
-    if count < 2:
+        # Full kept block i lies in batch ceil((i + 1) b / B) - 1, the short
+        # last block in the last.
+        i = (start - warmup) // _BLOCK
+        batch = min(((i + 1) * batches - 1) // full, batches - 1) if batches else 0
+        sums[batch] += float(np.add.reduce(waits, axis=None)) - float(
+            np.add.reduce(services, axis=None)
+        )
+        counts[batch] += waits.size
+    count = sum(counts)
+    mean = math.fsum(sums) / count
+    if batches < 2:
         return mean / mu, math.inf
-    return mean / mu, _CI_FACTOR * math.sqrt(m2 / (count - 1)) / math.sqrt(count) / mu
+    spread = math.fsum(n * (total / n - mean) ** 2 for total, n in zip(sums, counts))
+    return mean / mu, _T_975[batches - 2] * math.sqrt(spread / ((batches - 1) * count)) / mu
 
 
 def simulate_station(h, traffic, station, config):
@@ -284,8 +305,11 @@ def simulate_station(h, traffic, station, config):
 
     ``h`` splits the station's arrivals into an edge stream of rate
     ``lam*h`` and a backhaul stream of rate ``lam*(1-h)``; each stream feeds
-    its own M/M/1 queue.  The reported mean download time is ``h * mean_e +
-    (1-h) * mean_b`` with the half-widths combined in quadrature.  A side
+    its own M/M/1 queue, drawing from ``Generator(SFC64(child))`` for its
+    child of ``SeedSequence(entropy=config.seed, spawn_key=(station,))``.
+    The reported mean download time is ``h * mean_e + (1-h) * mean_b`` with
+    the half-widths combined in quadrature: both queues run the same number
+    of batches, so their Student-t quantile is shared.  A side
     with zero traffic, or a rate that underflows to 0, is skipped and
     reported as ``None``; any positive rate is simulated.  Raises
     ``ValueError`` unless ``h`` lies in [0, 1] and ``station`` is an index of
@@ -308,7 +332,7 @@ def simulate_station(h, traffic, station, config):
             lam * share,
             float(mu[station]),
             config.n_arrivals,
-            np.random.default_rng(child),
+            np.random.Generator(np.random.SFC64(child)),
         )
         side_means.append(side_mean)
         mean += share * side_mean

@@ -60,10 +60,13 @@ class _ScriptedRng:
 
 def _unit_sojourns(lam, mu, n_arrivals, rng):
     """Every sojourn time of the blocked kernel, in its unit of ``1/mu``,
-    as one array in customer order: each block's ``(lanes, m)`` array holds
-    customer ``start + lanes * j + r`` at ``[r, j]``."""
+    as one array in customer order: each block's ``(lanes, m)`` arrays hold
+    customer ``start + lanes * j + r`` at ``[r, j]``, and its sojourn is
+    the wait minus the negated service, ``W - (-S)``."""
     blocks = _sojourn_blocks(lam, mu, n_arrivals, rng)
-    return np.concatenate([block.T.flatten() for _, block in blocks])
+    return np.concatenate(
+        [np.subtract(waits, services).T.flatten() for _, waits, services in blocks]
+    )
 
 
 def _sojourns(lam, mu, n_arrivals, rng):
@@ -205,9 +208,10 @@ class TestMm1SojournTimes:
     )
     def test_any_generator_works(self, bit_generator):
         # The kernel draws from the one stream it is given: no bit generator
-        # needs to be copied or advanced.
+        # needs to be copied or advanced.  1e5 arrivals keep two full blocks,
+        # the fewest with a finite half-width.
         def run():
-            return mm1_sojourn_times(0.5, 1.0, 1000, np.random.Generator(bit_generator(1)))
+            return mm1_sojourn_times(0.5, 1.0, 100_000, np.random.Generator(bit_generator(1)))
 
         mean, ci = run()
         assert math.isfinite(mean) and 0.0 < ci < math.inf
@@ -449,20 +453,32 @@ class TestIndependentReplications:
         assert abs(center - report.per_station[0]) <= half
 
 
+def _covered(rho, n_arrivals):
+    """Of 100 runs of one queue with ``mu = 1`` from ``default_rng(seed)``,
+    seeds 0-99, how many half-widths cover the analytic mean; each must be
+    finite."""
+    covered = 0
+    for seed in range(100):
+        mean, half = mm1_sojourn_times(rho, 1.0, n_arrivals, np.random.default_rng(seed))
+        assert half < math.inf
+        covered += abs(mean - 1.0 / (1.0 - rho)) <= half
+    return covered
+
+
 class TestHalfwidthCoverage:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ci_halfwidth takes the correlated sojourns of one run as independent "
-        "samples: at rho = 0.5 it covers 1/(mu - lam) in 48 of these 100 runs; "
-        "ROADMAP direction 3, batch means over the kernel's blocks, mends it"))
+    # A 95% interval covers in 88 to 99 of 100 runs with probability 0.993.
     def test_halfwidth_covers_the_analytic_mean_95_percent_of_the_time(self):
-        # 1e6 arrivals keep 20 full blocks of 49,152 after the warm-up, and
-        # a shorter one.
-        covered = 0
-        for seed in range(100):
-            mean, half = mm1_sojourn_times(0.5, 1.0, 10**6, np.random.default_rng(seed))
-            covered += abs(mean - 2.0) <= half
-        # A 95% interval covers in 88 to 99 of 100 runs with probability 0.993.
-        assert 88 <= covered <= 99
+        # 1e6 arrivals keep 20 full blocks of 49,152 and a shorter one: 20
+        # batches of one block.
+        assert 88 <= _covered(0.5, 10**6) <= 99
+
+    @pytest.mark.probe
+    @pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+    def test_halfwidth_covers_at_high_load(self, rho):
+        # 2e6 arrivals keep 40 full blocks: 20 batches of two, about 25
+        # relaxation times at rho = 0.9, 7 at 0.97 and 2.5 at 0.99, where 88
+        # of these 100 runs cover, the lower end of the band.
+        assert 88 <= _covered(rho, 2 * 10**6) <= 99
 
 
 # --- oracles: the kernel's draws, Lindley's recursion as a sequential float64
@@ -578,36 +594,73 @@ def _rounding_bound(gaps, services, waits, sojourn):
     return 2.0**-51 * (sojourn + ends_of_busy + total - total[busy_start])
 
 
-def _oracle_mean_ci(samples):
-    m = samples.size
-    mean = float(samples.mean())
-    if m < 2:
-        return mean, math.inf
-    ci = 1.96 * float(samples.std(ddof=1)) / math.sqrt(m)
-    return mean, ci
+def _oracle_batches(n_arrivals):
+    """Each batch's ``(first, end)`` range of kept blocks, counted from the
+    first kept block: ``b = min(B, 20)`` batches of the ``B`` full blocks,
+    batch ``j`` from ``floor(j B / b)`` up to ``floor((j + 1) B / b)``, with
+    the short last block (index ``B``) in the last batch.  With ``b < 2``,
+    one range of every kept block."""
+    kept = n_arrivals - n_arrivals // 100
+    full = kept // queuesim._BLOCK
+    b = min(full, 20)
+    if b < 2:
+        return [(0, full + 1)]
+    bounds = [j * full // b for j in range(b + 1)]
+    bounds[-1] = full + 1
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _oracle_block_merge(units, mu):
-    """Mean and half-width of the kept sojourns ``units / mu`` as the
-    streamed kernel forms them: a (count, mean, M2) per block after the
-    warm-up, of the sojourns ``units`` in units of ``1/mu`` and in lane
-    order, merged in order with Chan, Golub & LeVeque's pairwise update;
-    the mean and half-width are then divided by ``mu``."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for start, k in _oracle_blocks(units.size):
-        if start < units.size // 100:
-            continue
-        block = units[start : start + k].reshape(-1, _lanes(k)).T.ravel()
-        block_mean = float(np.mean(block))
-        block_m2 = float(np.sum((block - block_mean) ** 2))
-        total = count + block.size
-        delta = block_mean - mean
-        mean += delta * (block.size / total)
-        m2 += block_m2 + delta * delta * count * (block.size / total)
-        count = total
-    if count < 2:
+def _batch_means(sums, counts, mu):
+    """Mean and half-width ``t(b - 1) * sqrt(sum_j n_j (m_j - m)**2 / ((b -
+    1) N))`` of ``b`` batches with sojourn sums ``sums`` and counts
+    ``counts``, in units of ``1/mu``, each then divided by ``mu``."""
+    count = sum(counts)
+    mean = math.fsum(sums) / count
+    b = len(sums)
+    if b < 2:
         return mean / mu, math.inf
-    return mean / mu, 1.96 * math.sqrt(m2 / (count - 1)) / math.sqrt(count) / mu
+    spread = math.fsum(n * (total / n - mean) ** 2 for total, n in zip(sums, counts))
+    return mean / mu, queuesim._T_975[b - 2] * math.sqrt(spread / ((b - 1) * count)) / mu
+
+
+def _oracle_batch_sums(lam, mu, n_arrivals, rng):
+    """Each batch's sojourn sum, in units of ``1/mu``, and count, as the
+    kernel forms them from the blocks of :func:`_sojourn_blocks`: each kept
+    block's sum is the sum of its waits minus that of its negated services,
+    and a batch's sum adds its blocks' in order."""
+    warmup = n_arrivals // 100
+    blocks = [
+        (float(np.add.reduce(waits, axis=None)) - float(np.add.reduce(services, axis=None)),
+         waits.size)
+        for start, waits, services in _sojourn_blocks(lam, mu, n_arrivals, rng)
+        if start >= warmup
+    ]
+    sums, counts = [], []
+    for first, end in _oracle_batches(n_arrivals):
+        total = 0.0
+        for block_sum, _ in blocks[first:end]:
+            total += block_sum
+        sums.append(total)
+        counts.append(sum(k for _, k in blocks[first:end]))
+    return sums, counts
+
+
+def _oracle_batch_means(lam, mu, n_arrivals, rng):
+    """Mean and half-width as the kernel forms them from its blocks."""
+    return _batch_means(*_oracle_batch_sums(lam, mu, n_arrivals, rng), mu)
+
+
+def _whole_batch_means(sojourn, n_arrivals, mu):
+    """The batch means of ``sojourn``, every customer's sojourn in units of
+    ``1/mu`` and in customer order, from whole-array sums of each batch's
+    customers."""
+    warmup, size = n_arrivals // 100, queuesim._BLOCK
+    sums, counts = [], []
+    for first, end in _oracle_batches(n_arrivals):
+        batch = sojourn[warmup + first * size : min(warmup + end * size, n_arrivals)]
+        sums.append(float(np.sum(batch)))
+        counts.append(batch.size)
+    return _batch_means(sums, counts, mu)
 
 
 def _oracle_station(h, traffic, station, config):
@@ -617,9 +670,8 @@ def _oracle_station(h, traffic, station, config):
     children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
 
     def run(rate, mu, seed_seq):
-        rng = np.random.default_rng(seed_seq)
-        units = _unit_sojourns(rate, mu, config.n_arrivals, rng)
-        return _oracle_block_merge(units, mu)
+        rng = np.random.Generator(np.random.SFC64(seed_seq))
+        return _oracle_batch_means(rate, mu, config.n_arrivals, rng)
 
     if h == 0.0:
         mean_b, ci_b = run(lam, mu_b, children[1])
@@ -688,22 +740,66 @@ class TestBlockedKernelAccuracy:
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("lam,mu", _RATES)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_mean_and_halfwidth_are_the_block_merge_of_its_sojourns(self, n, lam, mu, seed):
+    def test_mean_and_halfwidth_are_the_batch_means_of_its_blocks(self, n, lam, mu, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, ci = mm1_sojourn_times(lam, mu, n, rng)
-        units = _unit_sojourns(lam, mu, n, oracle_rng)
+        assert (mean, ci) == _oracle_batch_means(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
-        warmup = n // 100
-        assert (mean, ci) == _oracle_block_merge(units, mu)
-        # Only the summation order and the division by mu differ from the
-        # whole-array statistics of the sojourns in seconds.
-        sojourn = units / mu
-        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:])
+        # Only the summation order differs from whole-array sums of each
+        # batch's sojourns.
+        whole_mean, whole_ci = _whole_batch_means(
+            _unit_sojourns(lam, mu, n, np.random.default_rng(seed)), n, mu
+        )
         assert abs(mean - whole_mean) <= 1e-15 * whole_mean
         if math.isinf(whole_ci):
             assert math.isinf(ci)
         else:
-            assert abs(ci - whole_ci) <= 1e-15 * whole_ci
+            assert abs(ci - whole_ci) <= 1e-12 * whole_ci
+
+    @pytest.mark.parametrize(
+        "n,batches",
+        # Blocks of 8.  2,000 arrivals keep 247 full blocks and a short one
+        # of 4: 20 batches of 12 or 13 full blocks, the last with the short
+        # block.  170 keep 21 and a short one of 1: 19 batches of one block,
+        # and a last of two and the short block.  23 keep 2 and a short one
+        # of 7, in one lane: 2 batches.
+        [(2000, [12, 12, 13] * 6 + [12, 14]), (170, [1] * 19 + [3]), (23, [1, 2])],
+    )
+    def test_batches_split_the_full_blocks_evenly(self, n, batches, monkeypatch):
+        monkeypatch.setattr(queuesim, "_BLOCK", 8)
+        assert [end - first for first, end in _oracle_batches(n)] == batches
+        lam, mu = 0.9, 1.0
+        mean, ci = mm1_sojourn_times(lam, mu, n, np.random.default_rng(6))
+        assert (mean, ci) == _oracle_batch_means(lam, mu, n, np.random.default_rng(6))
+        # Against the batch means of the sequential loop's sojourns.
+        gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(6))
+        _, sojourn = _oracle_lindley(gaps, services)
+        whole_mean, whole_ci = _whole_batch_means(sojourn, n, mu)
+        assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
+        assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "block,n,finite",
+        [
+            # 99,295 arrivals keep 98,303: one full block of 49,152 and a
+            # short one.  99,296 keep two full blocks, two batches.
+            (_BLOCK, 99_295, False),
+            (_BLOCK, 99_296, True),
+            (8, 15, False),
+            (8, 16, True),
+        ],
+    )
+    def test_halfwidth_is_infinite_below_two_full_kept_blocks(self, block, n, finite, monkeypatch):
+        monkeypatch.setattr(queuesim, "_BLOCK", block)
+        mean, ci = mm1_sojourn_times(0.5, 1.0, n, np.random.default_rng(0))
+        assert math.isfinite(mean)
+        assert (0.0 < ci < math.inf) if finite else math.isinf(ci)
+
+    def test_t_quantiles_match_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert len(queuesim._T_975) == queuesim._BATCHES - 1 == 19
+        for dof, quantile in enumerate(queuesim._T_975, start=1):
+            assert quantile == round(float(stats.t.ppf(0.975, dof)), 6)
 
     @pytest.mark.parametrize("lam,mu", _RATES)
     def test_blocks_wholly_inside_the_warmup_are_skipped(self, lam, mu, monkeypatch):
@@ -719,11 +815,10 @@ class TestBlockedKernelAccuracy:
         gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
         assert rng.random() == oracle_rng.random()
         _, sojourn = _oracle_lindley(gaps, services)
-        whole_mean, whole_ci = _oracle_mean_ci(sojourn[warmup:] / mu)
+        whole_mean, whole_ci = _whole_batch_means(sojourn, n, mu)
         assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
         assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
-        kernel = _unit_sojourns(lam, mu, n, np.random.default_rng(5))
-        assert (mean, ci) == _oracle_block_merge(kernel, mu)
+        assert (mean, ci) == _oracle_batch_means(lam, mu, n, np.random.default_rng(5))
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
@@ -737,6 +832,65 @@ class TestBlockedKernelAccuracy:
         ]
         assert simulate_station(h, traffic, 1, config) == expected[1]
         assert simulate_cluster(h, traffic, config) == expected
+
+
+def _station_batch_adt(h, traffic, station, config):
+    """Per-batch mean download times of one station at hit ratio ``h``, from
+    the same SFC64 children as :func:`simulate_station`, so that runs at
+    different ``h`` share their random numbers; and each batch's count."""
+    children = np.random.SeedSequence(entropy=config.seed, spawn_key=(station,)).spawn(2)
+    lam, batch_adt = float(traffic.lam[station]), 0.0
+    for share, mu, child in zip((h, 1.0 - h), (traffic.mu_e, traffic.mu_b), children):
+        mu, rng = float(mu[station]), np.random.Generator(np.random.SFC64(child))
+        sums, counts = _oracle_batch_sums(lam * share, mu, config.n_arrivals, rng)
+        batch_adt = batch_adt + share * np.array(sums) / counts / mu
+    return batch_adt, np.array(counts)
+
+
+class TestSimulatedOptimum:
+    # Common random numbers (Law & Kelton, ch. 11): the runs at h* and at
+    # h* +- delta draw the same uniforms, so their per-batch differences
+    # cancel most of the sampling noise.  The reference scenario is
+    # capacity-limited (CPL), with h* interior; at capacities of 1 it is
+    # storage-limited (CSL), with h* at the storage bound, so only h* -
+    # delta is a placement.
+    @pytest.mark.parametrize(
+        "capacities,deltas",
+        [((2.0, 3.0, 5.0), (-0.03, 0.03)), ((1.0, 1.0, 1.0), (-0.03,))],
+        ids=["CPL", "CSL"],
+    )
+    def test_h_star_has_the_lowest_simulated_download_time(self, capacities, deltas):
+        scenario = make_scenario(capacities=capacities)
+        result = heuristic_solve(scenario)
+        assert result.regime == ("CPL" if len(deltas) == 2 else "CSL")
+        traffic, h_star = scenario.traffic, result.h_star
+        config = SimConfig(seed=2026, n_arrivals=10**6)
+
+        def batch_adt(h):
+            per_station = [
+                _station_batch_adt(h, traffic, station, config)
+                for station in range(traffic.station_count)
+            ]
+            adt = sum(w * station_adt for w, (station_adt, _) in zip(traffic.weights, per_station))
+            return adt, per_station[0][1]
+
+        def overall(h):
+            results = simulate_cluster(h, traffic, config)
+            return sum(w * result.mean_adt for w, result in zip(traffic.weights, results))
+
+        at_star, counts = batch_adt(h_star)
+        assert counts.size == 20
+        for delta in deltas:
+            h = h_star + delta
+            differences = batch_adt(h)[0] - at_star
+            mean = float(counts @ differences) / counts.sum()
+            half = queuesim._T_975[-1] * math.sqrt(
+                float(counts @ (differences - mean) ** 2) / (19 * counts.sum())
+            )
+            # The batches' mean is the difference of simulate_cluster's means.
+            assert mean == pytest.approx(overall(h) - overall(h_star), rel=1e-9)
+            # h* is lower by more than the paired 95% half-width.
+            assert mean - half > 0.0
 
 
 class TestLightLoad:
@@ -864,6 +1018,7 @@ class TestKernelReleasesTheGil:
         # offset, either of which would make the station threads take turns.
         n = 3 * _BLOCK + 7
         expected = _unit_sojourns(0.9, 1.0, n, _seeded(2))
+        expected_stats = mm1_sojourn_times(0.9, 1.0, n, _seeded(2))
         audit = _NumpyAudit()
         monkeypatch.setattr(queuesim, "np", audit)
         units = _unit_sojourns(0.9, 1.0, n, _seeded(2))
@@ -877,6 +1032,9 @@ class TestKernelReleasesTheGil:
             for _, k in _oracle_blocks(n)
         ]
         assert audit.accumulates == sum(per_block, [])
+        # The block sums read the buffers without writing over them.
+        assert mm1_sojourn_times(0.9, 1.0, n, _seeded(2)) == expected_stats
+        assert audit.shifted == []
 
     def test_the_audit_sees_a_shifted_output(self):
         # The audit itself flags what it must: an output one entry past its
