@@ -17,7 +17,9 @@ Reproducibility contract for the stations: a station's two queues draw from
 ``SeedSequence(entropy=seed, spawn_key=(station,))``, one generator per
 queue, which makes every station's sample path a pure function of
 ``(seed, station)`` — independent of how many stations are simulated or in
-what order.  A queue runs in units of its mean service time ``1/mu``: its
+what order.  A queue starts in steady state and runs in units of its mean
+service time ``1/mu``: one uniform, drawn first, gives the sojourn of the
+customer before the first, ``-log(1 - U) * (mu / (mu - lam))``; its
 services are the unit exponentials ``-log(1 - U)`` and its interarrival
 gaps ``-log(1 - U) * (mu / lam)``, from one ``Generator.random`` call of
 ``2k`` uniforms per block of ``k`` arrivals (the gaps, then the services,
@@ -34,24 +36,25 @@ the GIL: no accumulate writes over its own input, and no call writes over
 an input at another offset) and returns the results in station order, so
 the output is byte-identical for any CPU count.  Each queue is one call of
 :func:`mm1_sojourn_times`, which streams it through blocks of at most
-``_BLOCK`` arrivals of Lindley's recursion, none straddling the end of the
-warm-up, and keeps no array of one entry per arrival: each worker holds
+``_BLOCK`` arrivals of Lindley's recursion, cut from the first arrival,
+and keeps no array of one entry per arrival: each worker holds
 three float64 buffers of ``_BLOCK`` entries, the draws (two) and the
 running minimum.  A block's customers lie in lane order, ``_LANES`` rows
 with consecutive customers in consecutive rows (see
 :func:`_sojourn_blocks`), so both scans of the recursion run as row
-operations plus one short scan of column carries.  A kept block hands back
-only its sojourn sum, and the 95% half-width is that of batch means over
+operations plus one short scan of column carries.  A block hands back only
+its sojourn sum, and the 95% half-width is that of batch means over
 whole blocks, with a Student-t quantile: successive sojourns are
 correlated, so a half-width that took them as independent samples would be
 far too narrow.
 
-The tests check four things about the kernel: it draws each block's
-uniforms in the stated order; every sojourn time is within a stated
-rounding bound of a sequential float64 Lindley loop on those draws; that
-bound is a sum over the sojourn's own busy period of block-local terms, so
-the error does not grow with the run length; and the mean and half-width
-are exactly the batch means of its own blocks.
+The tests check five things about the kernel: it draws the start's and
+each block's uniforms in the stated order; every sojourn time is within a
+stated rounding bound of a sequential float64 Lindley loop on those draws;
+that bound is a sum over the sojourn's own busy period of block-local
+terms, so the error does not grow with the run length; the mean and
+half-width are exactly the batch means of its own blocks; and short runs
+are unbiased.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -91,25 +94,18 @@ _LANES = 8
 #: 2**14 a quarter slower; the larger block gives each numpy call more work
 #: between releases of the GIL, so the station threads queue on it less.
 #: It is a cache choice only: a batch of the half-width is a whole number of
-#: blocks, and two full kept blocks are the fewest with a finite half-width.
+#: blocks, and two full blocks are the fewest with a finite half-width.
 _BLOCK = 6144 * _LANES
 #: Cap on the gap scale ``mu / lam``: a block's gaps sum below ``2**922``,
 #: and a positive gap at the cap, at least ``2**847`` services, outlasts any wait.
 _MAX_GAP_SCALE = 2.0**900
 
 
-def _warmup(n_arrivals):
-    """Arrivals discarded from the front of a queue of ``n_arrivals``."""
-    return n_arrivals // 100
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run parameters: two fields, ``seed`` and ``n_arrivals``.
 
-    Both must be integers (``bool`` is rejected).  The first 1% of every
-    queue's sample path (``n_arrivals // 100`` arrivals) is discarded to
-    wash out the empty-system start.
+    Both must be integers (``bool`` is rejected).
     """
 
     seed: int = 0
@@ -138,9 +134,10 @@ class SimResult:
 
 
 def _sojourn_blocks(lam, mu, n_arrivals, rng):
-    """Yield ``(start, waits, services)`` for each block of the first
-    ``n_arrivals`` customers of an M/M/1 queue, with every time in units of
-    the mean service time ``1/mu`` and the services negated.
+    """Yield ``(waits, services)`` for each block of the first
+    ``n_arrivals`` customers of an M/M/1 queue started in steady state, with
+    every time in units of the mean service time ``1/mu`` and the services
+    negated.
 
     Lindley's recursion for the waiting time, ``W_c = max(W_{c-1} + S_{c-1}
     - A_c, 0)`` with interarrival gaps ``A`` and services ``S`` (Lindley
@@ -149,13 +146,17 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     A_l``, the wait is ``W_c = Y_c - min(-w, Y_0, ..., Y_c)``, where ``w``
     is the wait of the previous block's last customer, and the sojourn is
     ``W_c + S_c``.  Two scalars carry across blocks: ``w`` and the last
-    service, the ``S_{-1}`` of the block's first term.  The first customer
-    finds the system empty.
+    service, the ``S_{-1}`` of the block's first term.  Before the first
+    block they hold a virtual customer ``-1`` whose service is 0 and whose
+    wait is its whole sojourn ``T_0``: in steady state an M/M/1 FCFS
+    sojourn is exponential with rate ``mu - lam`` (Kleinrock 1975, vol. 1),
+    so ``T_0 = -log(1 - U) * (mu / (mu - lam))`` from one uniform drawn
+    before the first block, and the first customer's wait ``max(T_0 - A_0,
+    0)``, like every later one's, has the stationary law.
 
-    Blocks hold at most ``_BLOCK`` customers, and none straddles the
-    warm-up boundary ``_warmup(n_arrivals)``: the warm-up is cut into blocks
-    from 0, and the rest of the run from the boundary.  A block of ``k``
-    customers runs in ``L = gcd(k, _LANES)`` lanes of ``m = k / L``:
+    Blocks hold at most ``_BLOCK`` customers and are cut from the first.  A
+    block of ``k`` customers starting at customer ``start`` runs in ``L =
+    gcd(k, _LANES)`` lanes of ``m = k / L``:
     customer ``start + L * j + r`` sits at row ``r``, column ``j`` of an
     ``(L, m)`` array, so each column holds ``L`` consecutive customers and
     each row is contiguous.  Both scans of the recursion then split into a
@@ -176,10 +177,10 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     then the services, each in lane order (row by row).  In units of
     ``1/mu`` a service is the unit exponential ``-log(1 - U)`` and a gap is
     ``-log(1 - U) * (mu / lam)``, so the recursion sees the rates only
-    through their ratio: scaling both by a power of two leaves every yielded
-    sojourn bit-identical.  Capped at :data:`_MAX_GAP_SCALE`, the ratio
-    keeps every sum finite; a load that light, capped or not, finds every
-    customer alone.
+    through ``mu / lam`` and ``mu / (mu - lam)``: scaling both rates by a
+    power of two leaves every yielded sojourn bit-identical.  Capped at
+    :data:`_MAX_GAP_SCALE`, the ratio ``mu / lam`` keeps every sum finite;
+    a load that light, capped or not, finds every customer alone.
 
     ``waits`` and ``services`` (holding ``-S``) are the block's ``(L, m)``
     views of the work buffers, in lane order: the caller may overwrite
@@ -188,10 +189,10 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
     ratio = min(mu / lam, _MAX_GAP_SCALE)
     size = min(n_arrivals, _BLOCK)
     draws, lows = np.empty(2 * size), np.empty(size)
-    warmup = _warmup(n_arrivals)
-    wait = last_service = 0.0
-    for start in chain(range(0, warmup, _BLOCK), range(warmup, n_arrivals, _BLOCK)):
-        k = min(_BLOCK, (warmup if start < warmup else n_arrivals) - start)
+    rng.random(out=draws[:1])
+    wait, last_service = -math.log(1.0 - draws[0]) * (mu / (mu - lam)), 0.0
+    for start in range(0, n_arrivals, _BLOCK):
+        k = min(_BLOCK, n_arrivals - start)
         lanes = math.gcd(k, _LANES)
         d = draws[: 2 * k]
         rng.random(out=d)
@@ -237,23 +238,22 @@ def _sojourn_blocks(lam, mu, n_arrivals, rng):
 
         np.subtract(a, y, out=y)
         wait, last_service = y[-1, -1], -s[-1, -1]
-        yield start, y, s
+        yield y, s
 
 
 def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     """Mean and 95% batch-means half-width of the sojourn times of the first
-    ``n_arrivals`` customers of an M/M/1 queue, after the warm-up.
+    ``n_arrivals`` customers of an M/M/1 queue started in steady state.
 
-    The first 1% of the customers (``n_arrivals // 100``) are discarded to
-    wash out the empty-system start.  The waits and services come block by
-    block from the recursion of :func:`_sojourn_blocks`, in units of
-    ``1/mu``, which makes one ``rng.random`` call of ``2k`` uniforms per
-    block of ``k``; ``rng`` is any numpy ``Generator``.  No block straddles
-    the end of the warm-up, so each is skipped or kept whole, and a kept
-    block gives only its sojourn sum: the sum of its waits minus the sum of
-    its negated services.
+    The waits and services come block by block from the recursion of
+    :func:`_sojourn_blocks`, in units of ``1/mu``, which draws one uniform
+    for the stationary start and then makes one ``rng.random`` call of
+    ``2k`` uniforms per block of ``k``; ``rng`` is any numpy ``Generator``.
+    Every customer counts, so the mean is unbiased for a run of any length,
+    and a block gives only its sojourn sum: the sum of its waits minus the
+    sum of its negated services.
 
-    The kept run is ``B`` full blocks of ``_BLOCK`` and a shorter last one.
+    The run is ``B`` full blocks of ``_BLOCK`` and a shorter last one.
     They form ``b = min(B, _BATCHES)`` batches (Law & Kelton, *Simulation
     Modeling and Analysis*, ch. 9): batch ``j`` holds full blocks
     ``floor(j B / b)`` to ``floor((j + 1) B / b) - 1``, and the short last
@@ -261,13 +261,13 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     batch ``j``, ``N`` in all and the overall mean ``m``, the half-width is
     ``t(b - 1) * sqrt(sum_j n_j (m_j - m)**2 / ((b - 1) N))``, with the
     Student-t quantile from :data:`_T_975`.  It is infinite when ``b < 2``,
-    that is when the kept run holds fewer than two full blocks (below
-    99,296 arrivals).  The mean and half-width are divided by ``mu`` last,
+    that is when the run holds fewer than two full blocks (below 98,304
+    arrivals).  The mean and half-width are divided by ``mu`` last,
     so scaling both rates by a power of two scales them exactly, whatever
     the unit of time.  Memory is three float64 buffers of ``_BLOCK``
     entries, the draws (two) and the running minimum, and ``b`` batch sums,
-    however long the run.  The mean converges to the analytic ``1 / (mu -
-    lam)`` as the run grows.
+    however long the run.  The mean's expectation is the analytic ``1 / (mu
+    - lam)``.
 
     Raises ``ValueError`` unless ``lam`` and ``mu`` are finite with
     ``0 < lam < mu`` (a stable queue, however light) and ``n_arrivals`` is an
@@ -277,16 +277,12 @@ def mm1_sojourn_times(lam, mu, n_arrivals, rng):
     if not (0 < lam < mu and math.isfinite(mu)):
         raise ValueError(f"need 0 < lam < mu for a stable queue, got lam={lam}, mu={mu}")
     _check_count("n_arrivals", n_arrivals, 1)
-    warmup = _warmup(n_arrivals)
-    full = (n_arrivals - warmup) // _BLOCK
+    full = n_arrivals // _BLOCK
     batches = min(full, _BATCHES)
     sums, counts = [0.0] * max(batches, 1), [0] * max(batches, 1)
-    for start, waits, services in _sojourn_blocks(lam, mu, n_arrivals, rng):
-        if start < warmup:
-            continue
-        # Full kept block i lies in batch ceil((i + 1) b / B) - 1, the short
-        # last block in the last.
-        i = (start - warmup) // _BLOCK
+    for i, (waits, services) in enumerate(_sojourn_blocks(lam, mu, n_arrivals, rng)):
+        # Full block i lies in batch ceil((i + 1) b / B) - 1, the short last
+        # block in the last.
         batch = min(((i + 1) * batches - 1) // full, batches - 1) if batches else 0
         sums[batch] += float(np.add.reduce(waits, axis=None)) - float(
             np.add.reduce(services, axis=None)

@@ -64,9 +64,7 @@ def _unit_sojourns(lam, mu, n_arrivals, rng):
     customer ``start + lanes * j + r`` at ``[r, j]``, and its sojourn is
     the wait minus the negated service, ``W - (-S)``."""
     blocks = _sojourn_blocks(lam, mu, n_arrivals, rng)
-    return np.concatenate(
-        [np.subtract(waits, services).T.flatten() for _, waits, services in blocks]
-    )
+    return np.concatenate([np.subtract(waits, services).T.flatten() for waits, services in blocks])
 
 
 def _sojourns(lam, mu, n_arrivals, rng):
@@ -80,9 +78,6 @@ def _uniform_for(times, rate):
 
 
 class TestSimConfig:
-    def test_default_warmup_is_one_percent(self):
-        assert queuesim._warmup(50_000) == 500
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -107,24 +102,38 @@ class TestSimConfig:
 
     def test_accepts_numpy_integers(self):
         config = SimConfig(seed=np.int64(3), n_arrivals=np.int32(200))
-        assert queuesim._warmup(config.n_arrivals) == 2
+        assert (config.seed, config.n_arrivals) == (3, 200)
 
 
 class TestLindleyRecursion:
-    def test_hand_computed_path(self):
-        # Interarrival gaps [1, 1, 3] and services [2, 2, 1]:
-        #   arrivals [1, 2, 5]; departures [3, 5, 6]; sojourns [2, 3, 1].
-        lam, mu = 0.5, 0.25
+    @pytest.mark.parametrize(
+        "start,expected",
+        # Interarrival gaps [1, 1, 3] and services [2, 2, 1], so arrivals at
+        # [1, 2, 5].  A start of 0 (the uniform 0) finds the system empty:
+        # departures [3, 5, 6], sojourns [2, 3, 1].  The customer before
+        # the first leaving at 1.5 delays the first by 0.5: departures
+        # [3.5, 5.5, 6.5], sojourns [2.5, 3.5, 1.5].
+        [(0.0, [2.0, 3.0, 1.0]), (1.5, [2.5, 3.5, 1.5])],
+        ids=["empty", "busy"],
+    )
+    def test_hand_computed_path(self, start, expected):
+        lam, mu = 0.25, 0.5
         rng = _ScriptedRng(
-            np.concatenate([_uniform_for([1.0, 1.0, 3.0], lam), _uniform_for([2.0, 2.0, 1.0], mu)])
+            np.concatenate(
+                [
+                    _uniform_for([start], mu - lam),
+                    _uniform_for([1.0, 1.0, 3.0], lam),
+                    _uniform_for([2.0, 2.0, 1.0], mu),
+                ]
+            )
         )
         sojourn = _sojourns(lam, mu, 3, rng)
-        np.testing.assert_allclose(sojourn, [2.0, 3.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(sojourn, expected, rtol=1e-12)
 
     def test_sojourn_is_at_least_the_service_time(self):
         # The wait is Y minus a running minimum of Y, never negative, and
         # adding it to the service rounds to at least the service.
-        _, services = _oracle_draws(3.0, 7.0, 1000, np.random.default_rng(5))
+        _, _, services = _oracle_draws(3.0, 7.0, 1000, np.random.default_rng(5))
         units = _unit_sojourns(3.0, 7.0, 1000, np.random.default_rng(5))
         assert np.all(units >= services)
 
@@ -133,27 +142,56 @@ class TestLindleyRecursion:
         assert np.all(sojourn > 0.0)
 
     def test_each_block_draws_its_arrivals_then_its_services(self):
-        # One draw of 2k uniforms per block of k: the warm-up of 1,474
-        # arrivals is one block, and the rest of the run starts at its end.
+        # One uniform for the start, then one draw of 2k uniforms per block
+        # of k, the blocks cut from the first arrival.
         n = 3 * _BLOCK + 7
-        rng = _ScriptedRng(np.random.default_rng(8).random(2 * n))
+        rng = _ScriptedRng(np.random.default_rng(8).random(1 + 2 * n))
         sojourn = _sojourns(0.9, 1.0, n, rng)
-        chunks = [1474, _BLOCK, _BLOCK, n - 1474 - 2 * _BLOCK]
+        chunks = [_BLOCK, _BLOCK, _BLOCK, 7]
         assert [k for _, k in _oracle_blocks(n)] == chunks
-        assert rng.calls == [2 * k for k in chunks]
+        assert rng.calls == [1] + [2 * k for k in chunks]
         # The same uniforms from a Generator give the same sojourns.
         expected = _sojourns(0.9, 1.0, n, np.random.default_rng(8))
         assert sojourn.tobytes() == expected.tobytes()
-        # And they are the oracle's draws: the gaps, then the services, of
-        # each block in lane order.
-        gaps, services = _oracle_draws(0.9, 1.0, n, np.random.default_rng(8))
-        _, oracle = _oracle_lindley(gaps, services)
+        # And they are the oracle's draws: the start, then the gaps and the
+        # services of each block in lane order.
+        _, oracle = _oracle_lindley(*_oracle_draws(0.9, 1.0, n, np.random.default_rng(8)))
         np.testing.assert_allclose(sojourn, oracle, rtol=1e-9)
 
 
 def _seeded(seed):
     """A fresh generator rooted at ``SeedSequence(seed)``."""
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _sfc64(seed):
+    """A fresh ``Generator(SFC64(seed))``, the stations' bit generator."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+class TestStationaryStart:
+    # The queue starts in steady state, so a run of any length is unbiased.
+    # A queue started empty gives a grand mean of 4.8 here at rho = 0.9,
+    # against the analytic 10, and at rho = 0.99 the mean service 1 against
+    # 100.
+    @pytest.mark.parametrize("rho,n_arrivals", [(0.9, 64), (0.99, 1)])
+    def test_short_runs_are_unbiased(self, rho, n_arrivals):
+        means = np.array(
+            [mm1_sojourn_times(rho, 1.0, n_arrivals, _sfc64(seed))[0] for seed in range(4000)]
+        )
+        error = means.mean() - 1.0 / (1.0 - rho)
+        assert abs(error) <= 4.0 * means.std(ddof=1) / math.sqrt(means.size)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_the_first_customer_waits_0_with_frequency_1_minus_rho(self, rho):
+        # An arrival to a stationary M/M/1 queue finds it empty with
+        # probability 1 - rho: over 4,000 runs the count must lie within 4
+        # binomial standard deviations of 4,000 (1 - rho).
+        runs, idle = 4000, 0
+        for seed in range(runs):
+            waits, _ = next(_sojourn_blocks(rho, 1.0, 1, _sfc64(seed)))
+            idle += waits[0, 0] == 0.0
+        assert abs(idle - runs * (1.0 - rho)) <= 4.0 * math.sqrt(runs * rho * (1.0 - rho))
 
 
 class TestMm1SojournTimes:
@@ -208,7 +246,7 @@ class TestMm1SojournTimes:
     )
     def test_any_generator_works(self, bit_generator):
         # The kernel draws from the one stream it is given: no bit generator
-        # needs to be copied or advanced.  1e5 arrivals keep two full blocks,
+        # needs to be copied or advanced.  1e5 arrivals hold two full blocks,
         # the fewest with a finite half-width.
         def run():
             return mm1_sojourn_times(0.5, 1.0, 100_000, np.random.Generator(bit_generator(1)))
@@ -409,7 +447,7 @@ _T_975_29 = 2.0452
 def _relaxation_arrivals(rate, mu):
     """Arrivals in 1,000 relaxation times ``1 / (mu (1 - sqrt(rho))**2)`` of
     an M/M/1 queue at utilisation ``rho = rate / mu`` (Asmussen & Glynn
-    2007, ch. IV), so that the warm-up of 1% is 10 of them."""
+    2007, ch. IV): long enough that a replication's mean is nearly normal."""
     return math.ceil(1000 * rate / (mu * (1.0 - math.sqrt(rate / mu)) ** 2))
 
 
@@ -422,11 +460,12 @@ def _t_interval(means):
 class TestIndependentReplications:
     # Thirty replications, seeds 0-29, each 1,000 relaxation times long.
     # Their Student-t interval does not lean on the kernel's own half-width,
-    # which takes correlated sojourns as independent.  It guards the law of
-    # the sample path that the mapping of draws to customers builds: draws
-    # shared by gaps and services, or a column carry one column off, shift
-    # the mean of every replication alike and fail here.  The oracle tests
-    # pin the exact mapping.
+    # whose batch means come from one correlated run and are independent
+    # only when a batch is long against the relaxation time.  It guards the
+    # law of the sample path that the mapping of draws to customers builds:
+    # draws shared by gaps and services, or a column carry one column off,
+    # shift the mean of every replication alike and fail here.  The oracle
+    # tests pin the exact mapping.
     @pytest.mark.parametrize("rho", [0.5, 0.9])
     def test_queue_means_cover_the_analytic_mean(self, rho):
         lam, mu = rho, 1.0
@@ -453,12 +492,12 @@ class TestIndependentReplications:
         assert abs(center - report.per_station[0]) <= half
 
 
-def _covered(rho, n_arrivals):
-    """Of 100 runs of one queue with ``mu = 1`` from ``default_rng(seed)``,
-    seeds 0-99, how many half-widths cover the analytic mean; each must be
-    finite."""
+def _covered(rho, n_arrivals, runs=100):
+    """Of ``runs`` runs of one queue with ``mu = 1`` from
+    ``default_rng(seed)``, seeds 0 to ``runs - 1``, how many half-widths
+    cover the analytic mean; each must be finite."""
     covered = 0
-    for seed in range(100):
+    for seed in range(runs):
         mean, half = mm1_sojourn_times(rho, 1.0, n_arrivals, np.random.default_rng(seed))
         assert half < math.inf
         covered += abs(mean - 1.0 / (1.0 - rho)) <= half
@@ -466,19 +505,29 @@ def _covered(rho, n_arrivals):
 
 
 class TestHalfwidthCoverage:
-    # A 95% interval covers in 88 to 99 of 100 runs with probability 0.993.
+    # A 95% interval covers in 88 to 99 of 100 runs with probability 0.993,
+    # and in 367 to 390 of 400, the narrowest band of at least that level.
     def test_halfwidth_covers_the_analytic_mean_95_percent_of_the_time(self):
-        # 1e6 arrivals keep 20 full blocks of 49,152 and a shorter one: 20
+        # 1e6 arrivals hold 20 full blocks of 49,152 and a shorter one: 20
         # batches of one block.
         assert 88 <= _covered(0.5, 10**6) <= 99
 
     @pytest.mark.probe
-    @pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+    @pytest.mark.parametrize("rho", [0.9, 0.97])
     def test_halfwidth_covers_at_high_load(self, rho):
-        # 2e6 arrivals keep 40 full blocks: 20 batches of two, about 25
-        # relaxation times at rho = 0.9, 7 at 0.97 and 2.5 at 0.99, where 88
-        # of these 100 runs cover, the lower end of the band.
+        # 2e6 arrivals hold 40 full blocks: 20 batches of two, about 25
+        # relaxation times at rho = 0.9 and 7 at 0.97.
         assert 88 <= _covered(rho, 2 * 10**6) <= 99
+
+    @pytest.mark.probe
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at rho = 0.99 a batch of two blocks is only about 2.5 relaxation "
+        "times long: the batch means are skewed and correlated, and the "
+        "interval covers about 87.5% of the time",
+    )
+    def test_halfwidth_covers_near_saturation(self):
+        assert 367 <= _covered(0.99, 2 * 10**6, runs=400) <= 390
 
 
 # --- oracles: the kernel's draws, Lindley's recursion as a sequential float64
@@ -488,14 +537,9 @@ class TestHalfwidthCoverage:
 
 def _oracle_blocks(n_arrivals):
     """``(start, k)`` of each block of a queue of ``n_arrivals``: at most
-    ``_BLOCK`` customers each, the warm-up (the first 1%) cut from 0 and
-    the rest of the run from its end."""
-    warmup, size = n_arrivals // 100, queuesim._BLOCK
-    return [
-        (start, min(size, end - start))
-        for first, end in ((0, warmup), (warmup, n_arrivals))
-        for start in range(first, end, size)
-    ]
+    ``_BLOCK`` customers each, cut from 0."""
+    size = queuesim._BLOCK
+    return [(start, min(size, n_arrivals - start)) for start in range(0, n_arrivals, size)]
 
 
 def _lanes(k):
@@ -504,24 +548,28 @@ def _lanes(k):
 
 
 def _oracle_draws(lam, mu, n_arrivals, rng):
-    """Interarrival gaps and services in units of ``1/mu``, in customer
-    order.  Each block of ``k`` draws ``2k`` uniforms, the gaps then the
-    services, each in lane order: customer ``start + lanes * j + r`` takes
-    the draw at ``r * (k / lanes) + j``."""
+    """The start ``T_0``, the sojourn of the customer before the first, and
+    the interarrival gaps and services in customer order, all in units of
+    ``1/mu``.  ``T_0`` takes the first uniform, as the kernel forms it; then
+    each block of ``k`` draws ``2k`` uniforms, the gaps then the services,
+    each in lane order: customer ``start + lanes * j + r`` takes the draw
+    at ``r * (k / lanes) + j``."""
     ratio = min(mu / lam, _MAX_GAP_SCALE)
+    t0 = -math.log(1.0 - rng.random()) * (mu / (mu - lam))
     gaps, services = [], []
     for _, k in _oracle_blocks(n_arrivals):
         unit = -np.log(1.0 - rng.random(2 * k))
         gaps.append(unit[:k].reshape(_lanes(k), -1).T.ravel() * ratio)
         services.append(unit[k:].reshape(_lanes(k), -1).T.ravel())
-    return np.concatenate(gaps), np.concatenate(services)
+    return t0, np.concatenate(gaps), np.concatenate(services)
 
 
-def _oracle_lindley(gaps, services):
+def _oracle_lindley(t0, gaps, services):
     """Waits and sojourns from ``W_k = max(W_{k-1} + S_{k-1} - A_k, 0)``,
-    one customer at a time in float64."""
+    one customer at a time in float64, from the virtual customer ``-1``
+    with wait ``t0`` and service 0."""
     waits = []
-    wait = previous = 0.0
+    wait, previous = t0, 0.0
     for gap, service in zip(gaps.tolist(), services.tolist()):
         wait = max(wait + previous - gap, 0.0)
         waits.append(wait)
@@ -530,28 +578,27 @@ def _oracle_lindley(gaps, services):
     return waits, waits + services
 
 
-def _exact_worst_relative_error(gaps, services, sojourn):
-    """Largest relative error of ``sojourn`` against Lindley's recursion in
-    exact arithmetic on the same draws: every float is scaled by 2**1100 to
-    an integer, which represents any double of magnitude above 2**-1074
-    exactly."""
+def _exact_errors(t0, gaps, services, sojourn):
+    """Each customer's distance of ``sojourn`` from Lindley's recursion in
+    exact arithmetic on the same start and draws: every float is scaled by
+    2**1100 to an integer, which represents any double of magnitude above
+    2**-1074 exactly, and each distance is rounded back to a float."""
 
     def scaled(x):
         numerator, denominator = x.as_integer_ratio()
         return numerator << (1101 - denominator.bit_length())
 
-    worst, wait, previous = 0.0, 0, 0
+    errors, wait, previous = [], scaled(t0), 0
     for gap, service, got in zip(gaps.tolist(), services.tolist(), sojourn.tolist()):
         wait = max(wait + previous - scaled(gap), 0)
         previous = scaled(service)
-        exact = wait + previous
-        worst = max(worst, abs(scaled(got) - exact) / exact)
-    return worst
+        errors.append(abs(scaled(got) - wait - previous) / 2**1100)
+    return np.array(errors)
 
 
-def _rounding_bound(gaps, services, waits, sojourn):
+def _rounding_bound(t0, gaps, services, waits, sojourn):
     """Per-customer bound on the kernel's distance from the sequential loop,
-    both in units of ``1/mu``.
+    both in units of ``1/mu`` and from the start ``t0``.
 
     Write ``u = 2**-53`` and ``X_l = S_{l-1} - A_l``.  Within each block let
     ``Y_l`` be the block-local partial sum of ``X`` up to ``l``, and ``P_l``
@@ -562,6 +609,11 @@ def _rounding_bound(gaps, services, waits, sojourn):
     For customer ``c`` in a busy period that began with customer ``i`` (the
     last ``l <= c`` with ``W_l == 0``), the kernel's wait is ``Y_c - Y_i``,
     or ``Y_c`` plus the carried wait when ``i`` lies in an earlier block.
+    A busy period under way at the start began with the virtual customer
+    ``i = -1``, whose service ``S_{-1}`` is 0 and whose wait is the start
+    ``T_0`` of both the kernel and the loop: the kernel carries ``T_0`` into
+    the first block as an earlier block's wait, so ``-T_0`` stands in for
+    ``Y_i``.
     The roundings the two partial sums share cancel, and what remains is at
     most ``u * (|Y_c| + |Y_i| + sum_{l=i+1..c} (|P_l| + |X_l|) + sum_e
     |Y_e|)``, with ``e`` over the columns' last customers in ``[i, c)``,
@@ -571,9 +623,9 @@ def _rounding_bound(gaps, services, waits, sojourn):
     adds ``u`` of the sojourn in the last step.  As ``|X_l| <= S_{l-1} +
     A_l`` and ``W_c <= sojourn_c``, to first order both fit within ``4u *
     (sojourn_c + [c > i] (|Y_c| + |Y_i|) + sum_{l=i+1..c} (|P_l| + W_l +
-    S_{l-1} + A_l + [l - 1 ends a column] |Y_{l-1}|))``.  Every term is
-    local to a block or to a busy period, so the bound does not grow with
-    the run length.
+    S_{l-1} + A_l + [l - 1 ends a column] |Y_{l-1}|))``, where ``|Y_{-1}|
+    = T_0`` is the carried wait's term.  Every term is local to a block or
+    to a busy period, so the bound does not grow with the run length.
     """
     previous = np.concatenate([[0.0], services[:-1]])
     steps = previous - gaps
@@ -589,19 +641,21 @@ def _rounding_bound(gaps, services, waits, sojourn):
     idle = waits == 0.0
     terms[idle] = 0.0
     total = np.cumsum(terms)
-    busy_start = np.maximum.accumulate(np.where(idle, np.arange(waits.size), 0))
-    ends_of_busy = np.where(idle, 0.0, np.abs(partial) + np.abs(partial[busy_start]))
-    return 2.0**-51 * (sojourn + ends_of_busy + total - total[busy_start])
+    # Indexed from customer -1: each busy period's |Y_i| and the running
+    # total up to i, T_0 and 0 for the virtual customer.
+    heads, before = np.concatenate([[t0], np.abs(partial)]), np.concatenate([[0.0], total])
+    busy_start = np.maximum.accumulate(np.where(idle, np.arange(waits.size), -1)) + 1
+    ends_of_busy = np.where(idle, 0.0, np.abs(partial) + heads[busy_start])
+    return 2.0**-51 * (sojourn + ends_of_busy + total - before[busy_start])
 
 
 def _oracle_batches(n_arrivals):
-    """Each batch's ``(first, end)`` range of kept blocks, counted from the
-    first kept block: ``b = min(B, 20)`` batches of the ``B`` full blocks,
-    batch ``j`` from ``floor(j B / b)`` up to ``floor((j + 1) B / b)``, with
-    the short last block (index ``B``) in the last batch.  With ``b < 2``,
-    one range of every kept block."""
-    kept = n_arrivals - n_arrivals // 100
-    full = kept // queuesim._BLOCK
+    """Each batch's ``(first, end)`` range of blocks, counted from 0: ``b =
+    min(B, 20)`` batches of the ``B`` full blocks, batch ``j`` from
+    ``floor(j B / b)`` up to ``floor((j + 1) B / b)``, with the short last
+    block (index ``B``) in the last batch.  With ``b < 2``, one range of
+    every block."""
+    full = n_arrivals // queuesim._BLOCK
     b = min(full, 20)
     if b < 2:
         return [(0, full + 1)]
@@ -625,15 +679,13 @@ def _batch_means(sums, counts, mu):
 
 def _oracle_batch_sums(lam, mu, n_arrivals, rng):
     """Each batch's sojourn sum, in units of ``1/mu``, and count, as the
-    kernel forms them from the blocks of :func:`_sojourn_blocks`: each kept
+    kernel forms them from the blocks of :func:`_sojourn_blocks`: each
     block's sum is the sum of its waits minus that of its negated services,
     and a batch's sum adds its blocks' in order."""
-    warmup = n_arrivals // 100
     blocks = [
         (float(np.add.reduce(waits, axis=None)) - float(np.add.reduce(services, axis=None)),
          waits.size)
-        for start, waits, services in _sojourn_blocks(lam, mu, n_arrivals, rng)
-        if start >= warmup
+        for waits, services in _sojourn_blocks(lam, mu, n_arrivals, rng)
     ]
     sums, counts = [], []
     for first, end in _oracle_batches(n_arrivals):
@@ -654,10 +706,10 @@ def _whole_batch_means(sojourn, n_arrivals, mu):
     """The batch means of ``sojourn``, every customer's sojourn in units of
     ``1/mu`` and in customer order, from whole-array sums of each batch's
     customers."""
-    warmup, size = n_arrivals // 100, queuesim._BLOCK
+    size = queuesim._BLOCK
     sums, counts = [], []
     for first, end in _oracle_batches(n_arrivals):
-        batch = sojourn[warmup + first * size : min(warmup + end * size, n_arrivals)]
+        batch = sojourn[first * size : end * size]
         sums.append(float(np.sum(batch)))
         counts.append(batch.size)
     return _batch_means(sums, counts, mu)
@@ -711,31 +763,39 @@ class TestBlockedKernelAccuracy:
     ):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         units = _unit_sojourns(lam, mu, n, rng)
-        gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
+        draws = _oracle_draws(lam, mu, n, oracle_rng)
         # Both consumed the same draws: the next one agrees.
         assert rng.random() == oracle_rng.random()
-        waits, expected = _oracle_lindley(gaps, services)
-        bound = _rounding_bound(gaps, services, waits, expected)
+        waits, expected = _oracle_lindley(*draws)
+        bound = _rounding_bound(*draws, waits, expected)
         assert np.all(np.abs(units - expected) <= bound)
 
     def test_bound_rejects_a_recursion_over_absolute_times(self):
-        # Departures as cumS + max(A - (cumS - S)), minus A, over the whole
-        # run: at light load the arrival times A grow to 1.5e9 mean services
-        # and the cancellation leaves errors far above the bound.
+        # Departures as cumS + max(T_0, max(A - (cumS - S))), minus A, over
+        # the whole run: at light load the arrival times A grow to 1.5e9
+        # mean services and the cancellation leaves errors far above the
+        # bound.
         n, lam, mu = 3 * _BLOCK + 7, 1e-3, 10.0
-        gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(0))
+        t0, gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(0))
         arrivals, cum_services = np.cumsum(gaps), np.cumsum(services)
-        departures = cum_services + np.maximum.accumulate(arrivals - (cum_services - services))
-        waits, expected = _oracle_lindley(gaps, services)
-        bound = _rounding_bound(gaps, services, waits, expected)
+        departures = cum_services + np.maximum(
+            np.maximum.accumulate(arrivals - (cum_services - services)), t0
+        )
+        waits, expected = _oracle_lindley(t0, gaps, services)
+        bound = _rounding_bound(t0, gaps, services, waits, expected)
         assert not np.all(np.abs(departures - arrivals - expected) <= bound)
 
     @pytest.mark.parametrize("lam,mu", _RATES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sequential_oracle_is_near_exact(self, lam, mu, seed):
-        gaps, services = _oracle_draws(lam, mu, 3 * _BLOCK + 7, np.random.default_rng(seed))
-        _, sojourn = _oracle_lindley(gaps, services)
-        assert _exact_worst_relative_error(gaps, services, sojourn) < 5e-12
+        # The loop is within the rounding bound of exact arithmetic, so the
+        # kernel is measured against a near-exact reference.  A relative
+        # tolerance would not fit: at rho = 0.999 the roundings of a busy
+        # period of 1e5 customers reach the short sojourns at its end.
+        draws = _oracle_draws(lam, mu, 3 * _BLOCK + 7, np.random.default_rng(seed))
+        waits, sojourn = _oracle_lindley(*draws)
+        bound = _rounding_bound(*draws, waits, sojourn)
+        assert np.all(_exact_errors(*draws, sojourn) <= bound)
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     @pytest.mark.parametrize("lam,mu", _RATES)
@@ -758,12 +818,12 @@ class TestBlockedKernelAccuracy:
 
     @pytest.mark.parametrize(
         "n,batches",
-        # Blocks of 8.  2,000 arrivals keep 247 full blocks and a short one
+        # Blocks of 8.  1,980 arrivals are 247 full blocks and a short one
         # of 4: 20 batches of 12 or 13 full blocks, the last with the short
-        # block.  170 keep 21 and a short one of 1: 19 batches of one block,
-        # and a last of two and the short block.  23 keep 2 and a short one
+        # block.  169 are 21 and a short one of 1: 19 batches of one block,
+        # and a last of two and the short block.  23 are 2 and a short one
         # of 7, in one lane: 2 batches.
-        [(2000, [12, 12, 13] * 6 + [12, 14]), (170, [1] * 19 + [3]), (23, [1, 2])],
+        [(1980, [12, 12, 13] * 6 + [12, 14]), (169, [1] * 19 + [3]), (23, [1, 2])],
     )
     def test_batches_split_the_full_blocks_evenly(self, n, batches, monkeypatch):
         monkeypatch.setattr(queuesim, "_BLOCK", 8)
@@ -772,8 +832,7 @@ class TestBlockedKernelAccuracy:
         mean, ci = mm1_sojourn_times(lam, mu, n, np.random.default_rng(6))
         assert (mean, ci) == _oracle_batch_means(lam, mu, n, np.random.default_rng(6))
         # Against the batch means of the sequential loop's sojourns.
-        gaps, services = _oracle_draws(lam, mu, n, np.random.default_rng(6))
-        _, sojourn = _oracle_lindley(gaps, services)
+        _, sojourn = _oracle_lindley(*_oracle_draws(lam, mu, n, np.random.default_rng(6)))
         whole_mean, whole_ci = _whole_batch_means(sojourn, n, mu)
         assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
         assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
@@ -781,15 +840,15 @@ class TestBlockedKernelAccuracy:
     @pytest.mark.parametrize(
         "block,n,finite",
         [
-            # 99,295 arrivals keep 98,303: one full block of 49,152 and a
-            # short one.  99,296 keep two full blocks, two batches.
-            (_BLOCK, 99_295, False),
-            (_BLOCK, 99_296, True),
+            # 98,303 arrivals are one full block of 49,152 and a short one.
+            # 98,304 are two full blocks, two batches.
+            (_BLOCK, 98_303, False),
+            (_BLOCK, 98_304, True),
             (8, 15, False),
             (8, 16, True),
         ],
     )
-    def test_halfwidth_is_infinite_below_two_full_kept_blocks(self, block, n, finite, monkeypatch):
+    def test_halfwidth_is_infinite_below_two_full_blocks(self, block, n, finite, monkeypatch):
         monkeypatch.setattr(queuesim, "_BLOCK", block)
         mean, ci = mm1_sojourn_times(0.5, 1.0, n, np.random.default_rng(0))
         assert math.isfinite(mean)
@@ -800,25 +859,6 @@ class TestBlockedKernelAccuracy:
         assert len(queuesim._T_975) == queuesim._BATCHES - 1 == 19
         for dof, quantile in enumerate(queuesim._T_975, start=1):
             assert quantile == round(float(stats.t.ppf(0.975, dof)), 6)
-
-    @pytest.mark.parametrize("lam,mu", _RATES)
-    def test_blocks_wholly_inside_the_warmup_are_skipped(self, lam, mu, monkeypatch):
-        # 2,000 arrivals discard 20: with blocks of 8, the warm-up is cut
-        # into blocks of 8, 8 and 4, and the kept run starts at 20.
-        monkeypatch.setattr(queuesim, "_BLOCK", 8)
-        n = 2000
-        warmup = queuesim._warmup(n)
-        warmup_blocks = [block for block in _oracle_blocks(n) if block[0] < warmup]
-        assert warmup_blocks == [(0, 8), (8, 8), (16, 4)]
-        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-        mean, ci = mm1_sojourn_times(lam, mu, n, rng)
-        gaps, services = _oracle_draws(lam, mu, n, oracle_rng)
-        assert rng.random() == oracle_rng.random()
-        _, sojourn = _oracle_lindley(gaps, services)
-        whole_mean, whole_ci = _whole_batch_means(sojourn, n, mu)
-        assert mean == pytest.approx(whole_mean, rel=1e-12, abs=0.0)
-        assert ci == pytest.approx(whole_ci, rel=1e-12, abs=0.0)
-        assert (mean, ci) == _oracle_batch_means(lam, mu, n, np.random.default_rng(5))
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("which", ["empty", "interior", "full"])
@@ -920,7 +960,7 @@ class TestLightLoad:
         at_cap = _unit_sojourns(1.0, _MAX_GAP_SCALE, n, _seeded(5))
         past_cap = _unit_sojourns(1.0, 2.0 * _MAX_GAP_SCALE, n, _seeded(5))
         assert past_cap.tobytes() == at_cap.tobytes()
-        _, services = _oracle_draws(1.0, _MAX_GAP_SCALE, n, _seeded(5))
+        _, _, services = _oracle_draws(1.0, _MAX_GAP_SCALE, n, _seeded(5))
         np.testing.assert_array_equal(at_cap, services)
 
 
