@@ -145,35 +145,33 @@ _ENTRY_SEP = ",\n      "
 def _dump_placement(placement, path):
     """Write the bytes of ``json.dump({"matrix": ...}, indent=2)`` plus a newline.
 
-    Each row is written as alternating runs.  A run of ``+0.0`` entries is a
-    slice of one ``"0.0,\\n      "`` string repeated once per column, and a
-    run of stored entries (nonzero or ``-0.0``) one join of their ``repr``.
-    A first-fit row therefore costs its stored entries and its bytes, not
-    one Python string per column; a dense row is one run and costs what a
-    join of every entry does.
+    Each row is written in three pieces around its window, the columns from
+    its first stored entry (nonzero or ``-0.0``) to its last: the ``+0.0``
+    entries before the window, one join of the window's ``repr``, and the
+    ``+0.0`` entries after it.  Each run of zeros is a slice of one string
+    that holds a separator and then ``"0.0,\\n      "`` once per column.
+    First-fit stores each row's entries side by side, so a row costs its
+    stored entries and its bytes, not one Python string per column; a dense
+    row costs what a join of every entry does.
     """
     matrix = placement.matrix
     sep = _ENTRY_SEP.encode()
     zero = b"0.0" + sep
-    zeros = memoryview(zero * matrix.shape[1])
+    width = len(zero)
+    zeros = memoryview(sep + zero * matrix.shape[1])
     with open(path, "wb") as handle:
         handle.write(b'{\n  "matrix": [')
         for i, row in enumerate(matrix):
             handle.write(b",\n    [\n      " if i else b"\n    [\n      ")
-            stored = (row != 0.0) | np.signbit(row)
-            # Columns where a run starts; runs alternate, a zero run first.
-            edges = np.flatnonzero(np.diff(stored, prepend=False, append=False)).tolist()
-            bounds = [0, *edges, row.size]
-            lead = b""
-            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                if a == b:  # a row that starts or ends with a stored entry
-                    continue
-                handle.write(lead)
-                if k % 2:
-                    handle.write(_ENTRY_SEP.join(map(repr, row[a:b].tolist())).encode())
-                else:
-                    handle.write(zeros[: (b - a) * len(zero) - len(sep)])
-                lead = sep
+            stored = np.flatnonzero((row != 0.0) | np.signbit(row))
+            if stored.size:
+                first, last = int(stored[0]), int(stored[-1]) + 1
+                handle.write(zeros[len(sep) : len(sep) + first * width])
+                handle.write(_ENTRY_SEP.join(map(repr, row[first:last].tolist())).encode())
+                # The separator after the window, then the zeros after it.
+                handle.write(zeros[: (row.size - last) * width])
+            else:
+                handle.write(zeros[len(sep) : row.size * width])
             handle.write(b"\n    ]")
         handle.write(b"\n  ]\n}\n")
 
@@ -374,10 +372,14 @@ def cmd_simulate(args):
     scenario = Scenario.load(args.scenario)
     placement = _load_placement(args.placement)
     analytic = overall_adt(placement, scenario)
+    # A flag left out keeps the config's default.
+    defaults = SimConfig()
+    seed = defaults.seed if args.seed is None else args.seed
+    arrivals = defaults.n_arrivals if args.arrivals is None else args.arrivals
     # SimConfig's checks, in its order, naming the flags: it says n_arrivals.
-    _check_count("seed", args.seed, 0)
-    _check_count("arrivals", args.arrivals, 1)
-    config = SimConfig(seed=args.seed, n_arrivals=args.arrivals)
+    _check_count("seed", seed, 0)
+    _check_count("arrivals", arrivals, 1)
+    config = SimConfig(seed=seed, n_arrivals=arrivals)
     results = simulate_cluster(analytic.h_e, scenario.traffic, config)
 
     rows = [SIMULATE_HEADER]
@@ -451,8 +453,10 @@ def _build_parser():
     simulate_parser = commands.add_parser("simulate", help="validate a placement by simulation")
     simulate_parser.add_argument("--scenario", required=True, help="scenario JSON file")
     simulate_parser.add_argument("--placement", required=True, help="placement JSON file")
-    simulate_parser.add_argument("--seed", type=int, default=0)
-    simulate_parser.add_argument("--arrivals", type=int, default=1_000_000)
+    simulate_parser.add_argument("--seed", type=int, help="simulation seed (default 0)")
+    simulate_parser.add_argument(
+        "--arrivals", type=int, help="arrivals simulated per queue (default 1000000)"
+    )
     simulate_parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
     simulate_parser.set_defaults(run=cmd_simulate)
     return parser

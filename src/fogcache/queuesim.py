@@ -105,11 +105,12 @@ _MAX_GAP_SCALE = 2.0**900
 class SimConfig:
     """Simulation run parameters: two fields, ``seed`` and ``n_arrivals``.
 
-    Both must be integers (``bool`` is rejected).
+    Both must be integers (``bool`` is rejected).  The defaults are
+    ``fogcache simulate``'s: a million arrivals per queue, 20 batches.
     """
 
     seed: int = 0
-    n_arrivals: int = 100_000
+    n_arrivals: int = 1_000_000
 
     def __post_init__(self):
         _check_count("seed", self.seed, 0)

@@ -16,6 +16,7 @@ from fogcache import (
     FogCluster,
     Placement,
     Scenario,
+    SimConfig,
     SolverConfig,
     TrafficProfile,
     adt_curve,
@@ -24,7 +25,7 @@ from fogcache import (
     projected_gradient_solve,
     solve,
 )
-from fogcache import admm, baselines, cli
+from fogcache import admm, baselines, cli, queuesim
 from fogcache.admm import IterationRecord
 from fogcache.cli import (
     SIMULATE_HEADER,
@@ -40,7 +41,7 @@ from fogcache.heuristic import echr_csl
 from fogcache.model import validate_placement, zipf_popularity
 from fogcache.queuesim import mm1_sojourn_times
 
-from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR, bounded
+from conftest import ADT_OPT, H_CPL, H_CSL, LAMBDA_STAR, bounded, probe_cases
 
 REFERENCE_DOC = {
     "library": {"F": 20, "alpha": 0.6},
@@ -202,10 +203,29 @@ class TestSolveCommand:
         _, rows = _read_csv(out / "trace.csv")
         assert report["iterations"] == len(rows) == 12
         assert report["converged"] is False
-        # The best iterate, the eighth, is the placement written.
-        assert float(rows[7][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
+        # The best iterate, the tenth, is the placement written.
+        assert float(rows[9][1]) == min(float(row[1]) for row in rows) < float(rows[-1][1])
         assert report["adt"] == report["adt_report"]["overall"]
         assert "iterations=12 converged=False" in capsys.readouterr().out
+
+    def test_storage_limited_probe_case_converges_at_defaults(self, tmp_path):
+        # Probe case 49 of seed 7: storage binds with nearly the whole
+        # catalog in the caches, where ADMM once reached its iteration cap.
+        scenario = probe_cases(seed=7, count=50)[49]
+        library, traffic = scenario.library, scenario.traffic
+        doc = {
+            "library": {"popularity": library.popularity.tolist(), "sizes": library.sizes.tolist()},
+            "cluster": {"capacities": scenario.cluster.capacities.tolist()},
+            "traffic": {
+                "lambda": traffic.lam.tolist(),
+                "mu_e": traffic.mu_e.tolist(),
+                "mu_b": traffic.mu_b.tolist(),
+            },
+        }
+        path, out = tmp_path / "case49.json", tmp_path / "run"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is True
 
     def test_numerical_failure_exits_one(self, tmp_path, scenario_file, capsys, monkeypatch):
         def fail(*args):
@@ -781,6 +801,27 @@ class TestSimulateCommand:
         main(base + ["--seed", "2", "--out", str(second)])
         assert first.read_bytes() != second.read_bytes()
 
+    def test_flags_left_out_give_the_default_config(
+        self, tmp_path, scenario_file, placement_file, monkeypatch
+    ):
+        configs = []
+
+        def recording(h, traffic, config):
+            configs.append(config)
+            return original(h, traffic, config)
+
+        original = queuesim.simulate_cluster
+        monkeypatch.setattr(queuesim, "simulate_cluster", recording)
+        out = tmp_path / "sim.csv"
+        code = main(
+            ["simulate", "--scenario", str(scenario_file), "--placement", str(placement_file),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert configs == [SimConfig()]
+        _, rows = _read_csv(out)
+        assert all(math.isfinite(float(row[5])) for row in rows)
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -1131,6 +1172,14 @@ class TestParser:
         config = SolverConfig()
         assert f"eithersolverstops(default{config.tol:g})" in text
         assert f"capofeithersolver(default{config.max_iter})" in text
+
+    def test_simulate_flag_help_names_the_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        text = "".join(capsys.readouterr().out.split())
+        config = SimConfig()
+        assert f"simulationseed(default{config.seed})" in text
+        assert f"perqueue(default{config.n_arrivals})" in text
 
     @pytest.mark.parametrize("flag", [["--rho", "1"], ["--eps-abs", "1e-6"], ["--eps-rel", "1e-4"]])
     @pytest.mark.parametrize("command", ["solve", "sweep"])

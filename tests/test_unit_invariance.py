@@ -4,10 +4,10 @@ contents, carry no meaning for either iterative solver.
 Multiplying every rate by ``c`` (seconds to milliseconds is ``c = 1e3``)
 describes the same scenario with every time divided by ``c``.  ADMM's
 penalty starts at a value that scales as ``D`` does, it balances the
-penalty on unit-free residual ratios, and projected gradient's first step
-moves the largest entry one box width; both stop on a relative gap, so the
-run must take the same iterations to the same placement, and report
-``D / c``.
+penalty on two residuals in the units of the content totals, and projected
+gradient's first step moves the largest entry one box width; both stop on
+a relative gap, so the run must take the same iterations to the same
+placement, and report ``D / c``.
 
 Multiplying every size and capacity by ``c`` describes the same feasible
 set, and the projection reads sizes only through its breakpoints ``v / s``
